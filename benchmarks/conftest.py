@@ -2,7 +2,7 @@
 
 Every benchmark works on the *small* scale of the dataset registry so that a
 full ``pytest benchmarks/ --benchmark-only`` run finishes in minutes on a
-laptop.  The standalone CLI scripts (``python -m repro.bench.table2`` etc.)
+laptop.  The standalone CLI scripts (``python -m repro bench table2`` etc.)
 run the same protocols on more and larger cases.
 """
 

@@ -5,9 +5,9 @@ vectorised batch engine at growing batch sizes, and asserts the headline
 property of the batched path: a large streamed batch is filtered several
 times faster per edge with an *identical* resulting sparsifier edge set.
 Regenerate the full sweep (10² – 10⁵ edges) and the ``BENCH_batch.json``
-artifact with ``python -m repro.bench.batch``; the CI perf gate checks that
+artifact with ``python -m repro bench batch``; the CI perf gate checks that
 artifact against ``benchmarks/baselines/batch_baseline.json`` via
-``python -m repro.bench.baseline --check``.
+``python -m repro bench baseline --check``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ acceptance bar is that the maintained sparsifier stays connected and within
 The pytest-benchmark entry times the full dynamic maintenance pass (setup
 excluded — it is the same one-time cost Table I measures); the plain test
 asserts the quality trajectory.  Regenerate the full table with
-``python -m repro.bench.churn``.
+``python -m repro bench churn``.
 """
 
 from __future__ import annotations

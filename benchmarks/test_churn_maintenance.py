@@ -6,7 +6,7 @@ splices and merges clusters in place instead.  These drivers assert the two
 headline properties on the shared churn scenario — maintain mode pays zero
 full re-setups while rebuild mode pays several, and its end-state condition
 number is no worse — and time the maintained pass.  Regenerate the full
-comparison with ``python -m repro.bench.churn_maintenance``.
+comparison with ``python -m repro bench churn-maintenance``.
 """
 
 from __future__ import annotations

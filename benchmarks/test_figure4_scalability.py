@@ -8,7 +8,7 @@ inGRASS stays >200x faster and the gap widens with size.
 The benchmark times the inGRASS update pass at two graph sizes (the scaling
 series), and the plain test asserts that the speedup does not shrink as the
 graph grows.  Regenerate the full figure data with
-``python -m repro.bench.figure4``.
+``python -m repro bench figure4``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ inGRASS (resistance estimation + multilevel LRD decomposition) on the initial
 sparsifier.  The claim is that the setup is of the same order as — usually
 cheaper than — a single GRASS run, so it amortises immediately.
 
-Regenerate the full table with ``python -m repro.bench.table1``.
+Regenerate the full table with ``python -m repro bench table1``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ iterations (GRASS-T / inGRASS-T), with speedups of 70-220x for inGRASS.
 The pytest-benchmark entries below time the two sides of the speedup ratio —
 one full GRASS re-sparsification versus one full inGRASS update pass over the
 same stream — and the plain test asserts the qualitative shape.  Regenerate
-the full table with ``python -m repro.bench.table2``.
+the full table with ``python -m repro bench table2``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ final density stays within about one percentage point of GRASS's across the
 whole sweep (and that sparser initial sparsifiers start from larger condition
 numbers).
 
-Regenerate the full table with ``python -m repro.bench.table3``.
+Regenerate the full table with ``python -m repro bench table3``.
 """
 
 from __future__ import annotations

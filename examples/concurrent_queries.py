@@ -12,7 +12,7 @@ Run with::
 
     python examples/concurrent_queries.py
 
-(or, equivalently, ``python -m repro serve-demo`` for the CLI version).
+(``python -m repro serve`` serves the same service over HTTP.)
 """
 
 from __future__ import annotations

@@ -24,8 +24,6 @@ from repro.core import (
     InGrassSparsifier,
     LRDConfig,
     ResistanceEmbedding,
-    ShardedSparsifier,
-    ShardPlan,
     lrd_decompose,
     run_removal,
     run_setup,
@@ -62,8 +60,6 @@ __all__ = [
     "InGrassConfig",
     "InGrassSparsifier",
     "LRDConfig",
-    "ShardPlan",
-    "ShardedSparsifier",
     "ResistanceEmbedding",
     "lrd_decompose",
     "run_setup",

@@ -4,7 +4,7 @@ One curated, flat surface over the package's layers::
 
     from repro.api import Sparsifier, SparsifierService, InGrassConfig
 
-    driver = Sparsifier(InGrassConfig(num_shards=4))     # engine choice is config-driven
+    driver = Sparsifier(InGrassConfig(kappa_guard_factor=1.8))  # None means defaults
     driver.setup(graph)
     driver.update(batch)
 
@@ -31,7 +31,6 @@ from repro.core.config import InGrassConfig, LRDConfig
 
 # -- drivers (write path) ---------------------------------------------------
 from repro.core.incremental import InGrassSparsifier, IterationRecord, MixedUpdateResult
-from repro.core.sharding import ShardedSparsifier, ShardPlan
 
 # -- persistence ------------------------------------------------------------
 from repro.checkpoint import (
@@ -108,14 +107,11 @@ from repro.streams.scenarios import (
 
 
 def Sparsifier(config: Optional[InGrassConfig] = None) -> InGrassSparsifier:
-    """Build the incremental sparsifier driver matching ``config``.
+    """Build the incremental sparsifier driver for ``config``.
 
-    The canonical constructor: delegates to
-    :meth:`InGrassSparsifier.from_config`, so ``config.num_shards > 1``
-    transparently returns the sharded engine (same public API, bit-identical
-    sparsifier by the oracle guarantee) and ``None`` means defaults.
+    The canonical constructor; ``None`` means defaults.
     """
-    return InGrassSparsifier.from_config(config)
+    return InGrassSparsifier(config)
 
 
 __all__ = [
@@ -125,8 +121,6 @@ __all__ = [
     # drivers
     "Sparsifier",
     "InGrassSparsifier",
-    "ShardedSparsifier",
-    "ShardPlan",
     "IterationRecord",
     "MixedUpdateResult",
     # persistence

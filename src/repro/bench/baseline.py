@@ -5,14 +5,14 @@ Two jobs, one module:
 * **regenerate** — distil a ``BENCH_batch.json`` run (or a fresh one) into
   the committed baseline ``benchmarks/baselines/batch_baseline.json``::
 
-      python -m repro.bench.baseline --from BENCH_batch.json
-      python -m repro.bench.baseline            # runs the benchmark itself
+      python -m repro bench baseline --from BENCH_batch.json
+      python -m repro bench baseline            # runs the benchmark itself
 
 * **check** — the CI perf-regression gate: fail (exit 1) when the vectorised
   per-edge update time of any batch size regressed more than ``--tolerance``
   (default 30%) against the baseline::
 
-      python -m repro.bench.baseline --check BENCH_batch.json
+      python -m repro bench baseline --check BENCH_batch.json
 
 The gate protects the vectorised engine — the shipped hot path.  Because CI
 runners and dev machines differ in absolute speed, an absolute per-edge
@@ -129,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for failure in failures:
                 print(f"  - {failure}")
             print(f"(baseline: {args.baseline}; refresh it with "
-                  "`python -m repro.bench.baseline` if the change is intentional)")
+                  "`python -m repro bench baseline` if the change is intentional)")
             return 1
         checked = sum(1 for row in payload.get("results", [])
                       if str(row["batch_size"]) in baseline.get("entries", {}))
@@ -153,9 +153,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote baseline {path} ({len(baseline['entries'])} batch sizes)")
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.baseline", "bench baseline")
-    raise SystemExit(main())

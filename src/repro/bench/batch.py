@@ -4,10 +4,10 @@ Measures the wall-clock cost per streamed edge of :func:`repro.core.run_update`
 for both engines — the per-edge scalar reference path and the vectorised batch
 engine (``InGrassConfig.batch_mode``) — across batch sizes spanning 10² to
 10⁵, and writes the trajectory to ``BENCH_batch.json``.  The CI perf gate
-(``python -m repro.bench.baseline --check``) compares that file against the
+(``python -m repro bench baseline --check``) compares that file against the
 committed baseline under ``benchmarks/baselines/``.  Run with::
 
-    python -m repro.bench.batch [--sizes 100,1000,10000,100000]
+    python -m repro bench batch [--sizes 100,1000,10000,100000]
                                 [--case g2_circuit] [--scale small]
                                 [--output BENCH_batch.json]
 
@@ -199,9 +199,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {args.output}")
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.batch", "bench batch")
-    raise SystemExit(main())

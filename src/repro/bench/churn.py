@@ -5,7 +5,7 @@ fraction of the streamed events *delete* edges (power-grid reconfiguration,
 FEM remeshing), and the maintained sparsifier must stay connected and within
 a κ bound at every iteration.  Run with::
 
-    python -m repro.bench.churn [--scale small|medium|large] [--cases a,b,c]
+    python -m repro bench churn [--scale small|medium|large] [--cases a,b,c]
                                 [--deletion-fraction 0.35] [--no-guard]
 """
 
@@ -18,7 +18,6 @@ from repro.bench.datasets import QUICK_CASES, TABLE_CASES
 from repro.bench.harness import HarnessConfig, run_churn
 from repro.bench.records import ChurnRecord
 from repro.bench.tables import format_table, percent
-from repro.utils.logging import configure_logging
 
 
 def print_churn(records: Sequence[ChurnRecord]) -> str:
@@ -29,7 +28,6 @@ def print_churn(records: Sequence[ChurnRecord]) -> str:
             {
                 "Test case": f"{record.case} ({record.paper_case})",
                 "Mode": record.hierarchy_mode,
-                "Shards": record.num_shards,
                 "Events": f"{record.insertions}+/{record.deletions}-",
                 "Del %": percent(record.deletion_fraction),
                 "H-removals": record.sparsifier_removals,
@@ -65,13 +63,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--resetup-after", type=int, default=None,
                         help="rebuild mode: full re-setup after this many sparsifier "
                              "edge removals (default: never)")
-    parser.add_argument("--num-shards", default="1",
-                        help="shard counts of the update engine — one integer, or a "
-                             "comma-separated list for one comparison row per count "
-                             "(e.g. 1,2,4); results are identical by the oracle "
-                             "guarantee, only timing differs")
-    parser.add_argument("--shard-mode", default="auto", choices=["auto", "serial", "threads"],
-                        help="execution of per-shard sub-batches when sharding")
     parser.add_argument("--iterations", type=int, default=None,
                         help="override the number of streamed batches")
     parser.add_argument("--seed", type=int, default=0)
@@ -88,29 +79,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         config.num_iterations = args.iterations
     modes = (["rebuild", "maintain"] if args.hierarchy_mode == "both"
              else [args.hierarchy_mode])
-    try:
-        shard_counts = [int(part) for part in args.num_shards.split(",") if part]
-    except ValueError:
-        parser.error(f"--num-shards expects integers, got {args.num_shards!r}")
-    if any(count < 1 for count in shard_counts):
-        parser.error(f"--num-shards expects positive integers, got {args.num_shards!r}")
-    if not shard_counts:
-        shard_counts = [1]
-    # Surface the sharded engine's routing diagnostics (single-shard
-    # fallbacks of the removal pipeline, adaptive replans, degenerate
-    # plans): deletions used to fall back to the global removal path
-    # without any note — now every fallback logs explicitly.
-    configure_logging()
     records = []
     for mode in modes:
-        for num_shards in shard_counts:
-            records.extend(
-                run_churn(cases, config, deletion_fraction=args.deletion_fraction,
-                          kappa_guard_factor=None if args.no_guard else 1.8,
-                          hierarchy_mode=mode,
-                          resetup_after_removals=args.resetup_after,
-                          num_shards=num_shards, shard_mode=args.shard_mode)
-            )
+        records.extend(
+            run_churn(cases, config, deletion_fraction=args.deletion_fraction,
+                      kappa_guard_factor=None if args.no_guard else 1.8,
+                      hierarchy_mode=mode,
+                      resetup_after_removals=args.resetup_after)
+        )
     print("Churn — fully dynamic sparsification under mixed insert/delete streams "
           f"({percent(args.deletion_fraction)} deletions, per-iteration kappa tracking)")
     print(print_churn(records))
@@ -124,9 +100,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.churn", "bench churn")
-    raise SystemExit(main())

@@ -6,12 +6,12 @@ and ``hierarchy_mode="maintain"`` (in-place cluster splices/merges) — and
 records what the maintenance layer buys: zero full re-setups, comparable or
 better end-state condition number, and bounded per-event cost.  Run with::
 
-    python -m repro.bench.churn_maintenance [--case g2_circuit] [--batches 50]
+    python -m repro bench churn-maintenance [--case g2_circuit] [--batches 50]
                                             [--output BENCH_churn.json]
 
 Gate mode (the CI ``bench-perf`` job)::
 
-    python -m repro.bench.churn_maintenance --check BENCH_churn.json \
+    python -m repro bench churn-maintenance --check BENCH_churn.json \
         --baseline benchmarks/baselines/churn_baseline.json
 
 The gate enforces the structural acceptance criteria (maintain performs zero
@@ -271,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for failure in failures:
                 print(f"  - {failure}")
             print(f"(baseline: {args.baseline}; refresh it with "
-                  "`python -m repro.bench.churn_maintenance --write-baseline` "
+                  "`python -m repro bench churn-maintenance --write-baseline` "
                   "if the change is intentional)")
             return 1
         print("churn maintenance gate OK: zero maintain-mode resetups, "
@@ -304,9 +304,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote baseline {path}")
     return 0 if all(acceptance.values()) else 1
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.churn_maintenance", "bench churn-maintenance")
-    raise SystemExit(main())

@@ -8,7 +8,7 @@ chart (no plotting dependencies are available offline).
 
 Run with::
 
-    python -m repro.bench.figure4 [--scale small|medium|large]
+    python -m repro bench figure4 [--scale small|medium|large]
 """
 
 from __future__ import annotations
@@ -84,9 +84,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(ascii_log_chart(records))
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.figure4", "bench figure4")
-    raise SystemExit(main())

@@ -10,18 +10,18 @@ and writes one machine-readable summary.
 Run everything (what CI does, split into an artifact-producing run step and
 a gating check step so artifacts survive failures)::
 
-    python -m repro.bench.gate --no-check            # run benchmarks only
-    python -m repro.bench.gate --check-only          # gate existing artifacts
-    python -m repro.bench.gate                       # both in one go (local use)
+    python -m repro bench gate --no-check            # run benchmarks only
+    python -m repro bench gate --check-only          # gate existing artifacts
+    python -m repro bench gate                       # both in one go (local use)
 
 Select and tune::
 
-    python -m repro.bench.gate --only batch,shard
-    python -m repro.bench.gate --tolerance 0.5       # loosen every gate's main tolerance
-    python -m repro.bench.gate --summary gate_summary.json
-    python -m repro.bench.gate --list
+    python -m repro bench gate --only batch,serve-latency
+    python -m repro bench gate --tolerance 0.5       # loosen every gate's main tolerance
+    python -m repro bench gate --summary gate_summary.json
+    python -m repro bench gate --list
 
-Each gate keeps its own CLI (``python -m repro.bench.<module>``) for focused
+Each gate keeps its own CLI (``python -m repro bench <name>``) for focused
 runs and baseline refreshes; this runner only orchestrates.
 """
 
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import baseline as batch_baseline
-from repro.bench import churn_maintenance, serve_latency, shard, shard_processes, shard_removal
+from repro.bench import churn_maintenance, serve_latency
 from repro.bench.batch import run_batch_bench
 
 
@@ -72,29 +72,6 @@ def _check_churn(payload: Dict, base: Optional[Dict], tolerance: Optional[float]
         payload, base, tolerance=tolerance if tolerance is not None else 0.35)
 
 
-def _check_shard(payload: Dict, base: Optional[Dict], tolerance: Optional[float]) -> List[str]:
-    kwargs = {}
-    if tolerance is not None:
-        kwargs["regression_tolerance"] = tolerance
-    return shard.check_gate(payload, base, **kwargs)
-
-
-def _check_shard_removal(payload: Dict, base: Optional[Dict],
-                         tolerance: Optional[float]) -> List[str]:
-    kwargs = {}
-    if tolerance is not None:
-        kwargs["regression_tolerance"] = tolerance
-    return shard_removal.check_gate(payload, base, **kwargs)
-
-
-def _check_shard_processes(payload: Dict, base: Optional[Dict],
-                           tolerance: Optional[float]) -> List[str]:
-    kwargs = {}
-    if tolerance is not None:
-        kwargs["regression_tolerance"] = tolerance
-    return shard_processes.check_gate(payload, base, **kwargs)
-
-
 def _check_serve_latency(payload: Dict, base: Optional[Dict],
                          tolerance: Optional[float]) -> List[str]:
     kwargs = {}
@@ -121,33 +98,6 @@ GATES: List[GateSpec] = [
         baseline=churn_maintenance.DEFAULT_BASELINE_PATH,
         run=lambda: churn_maintenance.run_churn_maintenance_bench(),
         check=_check_churn,
-    ),
-    GateSpec(
-        name="shard",
-        description="sharded insertion engine scaling (oracle parity, overhead, "
-                    ">=20% 2-shard threaded speedup on multi-core hosts)",
-        artifact="BENCH_shard.json",
-        baseline=shard.DEFAULT_BASELINE_PATH,
-        run=lambda: shard.run_shard_bench(),
-        check=_check_shard,
-    ),
-    GateSpec(
-        name="sharded-removal",
-        description="sharded removal/churn pipeline on a deletion-heavy mixed stream "
-                    "(oracle parity, overhead, engine scaling on multi-core hosts)",
-        artifact="BENCH_removal.json",
-        baseline=shard_removal.DEFAULT_BASELINE_PATH,
-        run=lambda: shard_removal.run_removal_bench(),
-        check=_check_shard_removal,
-    ),
-    GateSpec(
-        name="shard-processes",
-        description="worker-process shard executor (oracle parity, mid-stream "
-                    "kill/restore drill, speedup on multi-core hosts)",
-        artifact="BENCH_shard_processes.json",
-        baseline=shard_processes.DEFAULT_BASELINE_PATH,
-        run=lambda: shard_processes.run_processes_bench(),
-        check=_check_shard_processes,
     ),
     GateSpec(
         name="serve-latency",
@@ -280,9 +230,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {args.summary}")
     return 0 if ok else 1
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.gate", "bench gate")
-    raise SystemExit(main())

@@ -282,9 +282,7 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
                    deletion_fraction: float = 0.35,
                    kappa_guard_factor: Optional[float] = 1.8,
                    hierarchy_mode: str = "rebuild",
-                   resetup_after_removals: Optional[int] = None,
-                   num_shards: int = 1,
-                   shard_mode: str = "auto") -> ChurnRecord:
+                   resetup_after_removals: Optional[int] = None) -> ChurnRecord:
     """Run the fully dynamic churn protocol on one dataset.
 
     Streams ``num_iterations`` mixed insert/delete batches through
@@ -296,11 +294,7 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
     ``hierarchy_mode``/``resetup_after_removals`` expose the hierarchy
     maintenance comparison: rebuild mode pays a full re-setup every
     ``resetup_after_removals`` sparsifier deletions, maintain mode splices
-    clusters in place and never does.  ``num_shards``/``shard_mode`` select
-    the sharded update engine (``num_shards > 1`` routes through
-    :class:`repro.core.sharding.ShardedSparsifier`, whose results are
-    identical by the oracle guarantee — the record then reports the sharded
-    execution's timing).
+    clusters in place and never does.
     """
     config = config if config is not None else HarnessConfig()
     spec = get_dataset(name)
@@ -323,11 +317,9 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         kappa_guard_dense_limit=config.condition_dense_limit,
         hierarchy_mode=hierarchy_mode,
         resetup_after_removals=resetup_after_removals,
-        num_shards=num_shards,
-        shard_mode=shard_mode,
         seed=config.seed,
     )
-    ingrass = InGrassSparsifier.from_config(ingrass_config)
+    ingrass = InGrassSparsifier(ingrass_config)
     with Timer() as setup_timer:
         ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                       target_condition_number=scenario.initial_condition_number)
@@ -373,7 +365,6 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         ingrass_seconds=ingrass.total_update_seconds,
         ingrass_setup_seconds=setup_timer.elapsed,
         hierarchy_mode=hierarchy_mode,
-        num_shards=num_shards,
         full_resetups=ingrass.full_resetups,
         resetup_seconds=ingrass.resetup_seconds,
         maintenance_seconds=maintenance.maintenance_seconds,
@@ -389,16 +380,13 @@ def run_churn(cases: Sequence[str], config: Optional[HarnessConfig] = None, *,
               deletion_fraction: float = 0.35,
               kappa_guard_factor: Optional[float] = 1.8,
               hierarchy_mode: str = "rebuild",
-              resetup_after_removals: Optional[int] = None,
-              num_shards: int = 1,
-              shard_mode: str = "auto") -> List[ChurnRecord]:
+              resetup_after_removals: Optional[int] = None) -> List[ChurnRecord]:
     """Run the churn protocol for a list of datasets."""
     config = config if config is not None else HarnessConfig()
     return [run_churn_case(name, config, deletion_fraction=deletion_fraction,
                            kappa_guard_factor=kappa_guard_factor,
                            hierarchy_mode=hierarchy_mode,
-                           resetup_after_removals=resetup_after_removals,
-                           num_shards=num_shards, shard_mode=shard_mode)
+                           resetup_after_removals=resetup_after_removals)
             for name in cases]
 
 

@@ -142,8 +142,6 @@ class ChurnRecord:
     #: inflation + periodic full re-setups) or ``"maintain"`` (in-place
     #: cluster splices/merges, zero full re-setups).
     hierarchy_mode: str = "rebuild"
-    #: Shard count of the update engine (1 = the classic unsharded driver).
-    num_shards: int = 1
     #: Full setup refreshes the driver paid during the stream.
     full_resetups: int = 0
     #: Wall-clock spent in those full refreshes.

@@ -23,10 +23,6 @@ committed baseline come from multi-core hosts, deferred with a CI notice on
 the 1-CPU bench host (where readers and the writer serialise through one
 core and tail latency measures the scheduler, not the server).
 
-The latency block uses the same schema (:data:`LATENCY_SCHEMA`) that
-``repro serve-demo --json`` emits, so the demo and the gate report
-identically shaped numbers.
-
 Run with::
 
     python -m repro bench serve-latency [--batches 12] [--readers 2]
@@ -52,7 +48,7 @@ import numpy as np
 
 from repro.bench import ci
 
-#: Schema tag shared by this gate's artifact and ``repro serve-demo --json``.
+#: Schema tag of this gate's latency block.
 LATENCY_SCHEMA = "repro.serve_latency/v1"
 
 #: Committed baseline consumed by the CI ``bench-perf`` job.
@@ -460,9 +456,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.serve_latency", "bench serve-latency")
-    raise SystemExit(main())

@@ -1,29 +1,28 @@
-"""Nightly soak: a long sharded churn stream checked against the oracle.
+"""Nightly soak: a long churn stream, uninterrupted and across a restore.
 
 The CI gates keep per-commit latency honest but only stream a handful of
 batches; the failure modes that matter for a long-lived deployment —
-hierarchy maintenance drifting structurally, adaptive replans thrashing or
-(worse) perturbing results, full re-setups sneaking back in — only show up
-over hundreds of batches.  This soak streams one long mixed insert/delete
-sequence (500 batches by default) through the sharded driver in its
-production-shaped configuration and asserts the long-run contract:
+hierarchy maintenance drifting structurally, full re-setups sneaking back
+in, a checkpoint that does not resume exactly — only show up over hundreds
+of batches.  This soak streams one long mixed insert/delete sequence (500
+batches by default) through the default driver twice:
 
-* ``hierarchy_mode="maintain"`` pays **zero** full re-setups across the
-  whole stream;
-* the sharded execution (4 shards, threaded, adaptive replans armed) stays
-  **bit-exact** with the unsharded oracle — edge set, weights — and its
-  end-state κ matches the oracle's;
-* a third leg runs the ``processes`` executor and survives a **mid-soak
-  kill/restore drill** (checkpoint at the halfway batch, worker teardown,
-  restore, finish) while also staying bit-exact with the oracle;
-* the adaptive replan count stays under a configured bound (the policy must
-  improve routing, not thrash the partition);
+* the ``uninterrupted`` leg applies the whole stream;
+* the ``restored`` leg saves a checkpoint at the halfway batch, restores it
+  with :func:`repro.checkpoint.load_checkpoint` and finishes the stream on
+  the restored driver.
+
+It asserts the long-run contract:
+
+* ``hierarchy_mode="maintain"`` pays **zero** full re-setups in both legs;
+* the restored leg ends with the uninterrupted leg's sparsifier — same
+  edges, weights and insertion order — and the same κ;
 * the sparsifier never disconnects.
 
 Run with::
 
-    python -m repro.bench.soak [--batches 500] [--events 25000] [--shards 4]
-                               [--max-replans 20] [--output BENCH_soak.json]
+    python -m repro bench soak [--batches 500] [--events 25000]
+                               [--output BENCH_soak.json]
 
 Exit status 0 iff every acceptance criterion holds; the JSON artifact
 records the full outcome for the workflow run page.
@@ -42,6 +41,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.bench.datasets import get_dataset
+from repro.checkpoint import load_checkpoint
 from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs.components import is_connected
@@ -51,33 +51,24 @@ from repro.streams.scenarios import simulate_event_stream
 #: Target condition number handed to filtering-level selection.
 TARGET_CONDITION = 128.0
 
-#: Locality blend of the soak stream (matches the shard benches).
+#: Locality blend of the soak stream.
 LONG_RANGE_FRACTION = 0.10
 
 
-def _soak_config(seed: int, num_shards: int, executor: Optional[str] = None) -> InGrassConfig:
-    """The production-shaped soak configuration (or its unsharded oracle)."""
-    if executor is None:
-        executor = "threads" if num_shards > 1 else "auto"
+def _soak_config(seed: int) -> InGrassConfig:
+    """The production-shaped soak configuration."""
     return InGrassConfig(
         lrd=LRDConfig(seed=seed),
         batch_mode="vectorized",
-        decision_records="arrays",
         distortion_threshold=1.0,
         hierarchy_mode="maintain",
-        num_shards=num_shards,
-        executor=executor,
-        shard_batch_threshold=0,
-        replan_escrow_fraction=0.5,
-        replan_imbalance=2.0,
         seed=seed,
     )
 
 
-def run_soak(*, batches: int = 500, events: int = 25_000, shards: int = 4,
+def run_soak(*, batches: int = 500, events: int = 25_000,
              deletion_fraction: float = 0.35, case: str = "g2_circuit",
-             scale: str = "small", seed: int = 0, max_replans: int = 20,
-             dense_limit: int = 1500) -> Dict:
+             scale: str = "small", seed: int = 0, dense_limit: int = 1500) -> Dict:
     """Run the soak protocol; return the JSON-ready payload."""
     spec = get_dataset(case)
     graph = spec.build(scale=scale, seed=seed)
@@ -89,30 +80,26 @@ def run_soak(*, batches: int = 500, events: int = 25_000, shards: int = 4,
         long_range_fraction=LONG_RANGE_FRACTION, locality_hops=3,
         protect_spanning_tree=True, seed=seed + events,
     )
+    half = len(stream) // 2
 
     runs: Dict[str, Dict] = {}
     drivers: Dict[str, InGrassSparsifier] = {}
-    legs = (("oracle", 1, None),
-            (f"shards{shards}", shards, "threads"),
-            (f"shards{shards}-processes", shards, "processes"))
-    for name, num_shards, executor in legs:
-        driver = InGrassSparsifier.from_config(_soak_config(seed, num_shards, executor))
+    for name in ("uninterrupted", "restored"):
+        driver = InGrassSparsifier(_soak_config(seed))
         driver.setup(graph, sparsifier, target_condition_number=TARGET_CONDITION)
         start = time.perf_counter()
-        if executor == "processes":
-            # Mid-soak kill/restore drill: checkpoint at the halfway batch,
-            # tear down the worker processes (the "kill"), restore into a
-            # fresh driver and let it finish the stream.  The parity checks
-            # below then hold the survivor to the oracle, so a restore that
-            # is anything less than byte-identical fails the soak.
-            half = len(stream) // 2
+        if name == "restored":
+            # Mid-soak restore drill: checkpoint at the halfway batch, drop
+            # the driver, restore into a fresh one and let it finish the
+            # stream.  The parity checks below then hold it to the
+            # uninterrupted leg, so a restore that is anything less than
+            # byte-identical fails the soak.
             for batch in stream[:half]:
                 driver.update(batch)
             with tempfile.TemporaryDirectory() as tmp:
-                checkpoint_dir = os.path.join(tmp, "soak-kill")
+                checkpoint_dir = os.path.join(tmp, "soak-restore")
                 driver.save_checkpoint(checkpoint_dir)
-                getattr(driver, "_shutdown_workers", lambda: None)()
-                driver = InGrassSparsifier.load_checkpoint(checkpoint_dir)
+                driver = load_checkpoint(checkpoint_dir)
             for batch in stream[half:]:
                 driver.update(batch)
         else:
@@ -121,45 +108,29 @@ def run_soak(*, batches: int = 500, events: int = 25_000, shards: int = 4,
         elapsed = time.perf_counter() - start
         maintenance = driver.maintenance_stats
         runs[name] = {
-            "num_shards": num_shards,
             "seconds": elapsed,
             "per_event_us": elapsed / max(1, events) * 1e6,
             "full_resetups": driver.full_resetups,
             "sparsifier_edges": driver.sparsifier.num_edges,
             "hierarchy_splices": maintenance.splices,
             "hierarchy_merges": maintenance.merges,
-            "replans": getattr(driver, "replans", 0),
-            "adaptive_replans": getattr(driver, "adaptive_replans", 0),
-            "plan_patches": getattr(driver, "plan_patches", 0),
             "connected": is_connected(driver.sparsifier),
             "kappa_final": driver.condition_number(dense_limit=dense_limit),
         }
         drivers[name] = driver
 
-    oracle = drivers["oracle"]
-    sharded = drivers[f"shards{shards}"]
-    sharded_run = runs[f"shards{shards}"]
-    processes = drivers[f"shards{shards}-processes"]
-    processes_run = runs[f"shards{shards}-processes"]
-    edges_match = dict(sharded.sparsifier._edges) == dict(oracle.sparsifier._edges)
-    processes_match = dict(processes.sparsifier._edges) == dict(oracle.sparsifier._edges)
-    kappa_delta = abs(sharded_run["kappa_final"] - runs["oracle"]["kappa_final"])
-    kappa_delta_processes = abs(processes_run["kappa_final"] - runs["oracle"]["kappa_final"])
+    uninterrupted, restored = runs["uninterrupted"], runs["restored"]
+    kappa_delta = abs(restored["kappa_final"] - uninterrupted["kappa_final"])
     acceptance = {
-        "zero_full_resetups": sharded_run["full_resetups"] == 0
-                              and runs["oracle"]["full_resetups"] == 0,
-        "oracle_parity_edges_weights": edges_match,
-        # Bit-exact edge sets make the κ computations identical inputs; the
+        "zero_full_resetups": uninterrupted["full_resetups"] == 0
+                              and restored["full_resetups"] == 0,
+        "restore_parity_edges_weights":
+            list(drivers["restored"].sparsifier._edges.items())
+            == list(drivers["uninterrupted"].sparsifier._edges.items()),
+        # Identical edge maps make the κ computations identical inputs; the
         # tiny slack only covers eigensolver non-determinism across calls.
-        "kappa_parity": kappa_delta <= 1e-6 * max(1.0, runs["oracle"]["kappa_final"]),
-        # The processes leg went through the mid-soak kill/restore drill, so
-        # this parity check also certifies a byte-identical resume.
-        "processes_kill_restore_parity": processes_match,
-        "processes_kappa_parity":
-            kappa_delta_processes <= 1e-6 * max(1.0, runs["oracle"]["kappa_final"]),
-        "replans_bounded": sharded_run["replans"] <= max_replans,
-        "stayed_connected": sharded_run["connected"] and runs["oracle"]["connected"]
-                            and processes_run["connected"],
+        "kappa_parity": kappa_delta <= 1e-6 * max(1.0, uninterrupted["kappa_final"]),
+        "stayed_connected": uninterrupted["connected"] and restored["connected"],
     }
     return {
         "meta": {
@@ -171,8 +142,7 @@ def run_soak(*, batches: int = 500, events: int = 25_000, shards: int = 4,
             "batches": int(batches),
             "events": int(events),
             "deletion_fraction": deletion_fraction,
-            "shards": int(shards),
-            "max_replans": int(max_replans),
+            "restore_after_batch": half,
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "cpu_count": os.cpu_count() or 1,
@@ -182,22 +152,18 @@ def run_soak(*, batches: int = 500, events: int = 25_000, shards: int = 4,
         },
         "results": runs,
         "kappa_delta": kappa_delta,
-        "kappa_delta_processes": kappa_delta_processes,
         "acceptance": acceptance,
     }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Nightly soak: long sharded churn stream vs the unsharded oracle")
+        description="Nightly soak: long churn stream, uninterrupted vs checkpoint-restored")
     parser.add_argument("--batches", type=int, default=500,
                         help="number of streamed mixed batches")
     parser.add_argument("--events", type=int, default=25_000,
                         help="total stream size (insertions + deletions)")
-    parser.add_argument("--shards", type=int, default=4, help="shard count of the soak run")
     parser.add_argument("--deletion-fraction", type=float, default=0.35)
-    parser.add_argument("--max-replans", type=int, default=20,
-                        help="acceptance bound on the sharded run's total replans")
     parser.add_argument("--case", default="g2_circuit", help="dataset registry name")
     parser.add_argument("--scale", default="small", choices=["small", "medium", "large"])
     parser.add_argument("--seed", type=int, default=0)
@@ -205,19 +171,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="path of the JSON artifact (empty string disables writing)")
     args = parser.parse_args(argv)
 
-    payload = run_soak(batches=args.batches, events=args.events, shards=args.shards,
+    payload = run_soak(batches=args.batches, events=args.events,
                        deletion_fraction=args.deletion_fraction, case=args.case,
-                       scale=args.scale, seed=args.seed, max_replans=args.max_replans)
+                       scale=args.scale, seed=args.seed)
     print(f"Soak — {args.batches}-batch mixed churn stream "
           f"({args.deletion_fraction:.0%} deletions, maintain mode, "
-          f"{args.shards} shards threaded + processes kill/restore leg, "
-          f"adaptive replans armed)")
+          f"checkpoint/restore at batch {payload['meta']['restore_after_batch']})")
     for name, run in payload["results"].items():
-        print(f"  {name:<10} {run['seconds']:.2f}s  {run['per_event_us']:.1f} us/event  "
+        print(f"  {name:<13} {run['seconds']:.2f}s  {run['per_event_us']:.1f} us/event  "
               f"resetups={run['full_resetups']}  splices={run['hierarchy_splices']}  "
-              f"merges={run['hierarchy_merges']}  replans={run['replans']} "
-              f"(adaptive {run['adaptive_replans']}, patches {run['plan_patches']})  "
-              f"kappa={run['kappa_final']:.3f}")
+              f"merges={run['hierarchy_merges']}  kappa={run['kappa_final']:.3f}")
     for key, value in payload["acceptance"].items():
         print(f"  {key}: {'ok' if value else 'FAILED'}")
     if args.output:
@@ -225,10 +188,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.output}")
     return 0 if all(payload["acceptance"].values()) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.soak", "bench soak")
-    raise SystemExit(main())

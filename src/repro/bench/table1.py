@@ -2,7 +2,7 @@
 
 Run with::
 
-    python -m repro.bench.table1 [--scale small|medium|large] [--cases a,b,c]
+    python -m repro bench table1 [--scale small|medium|large] [--cases a,b,c]
 """
 
 from __future__ import annotations
@@ -48,9 +48,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(print_table1(records))
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.table1", "bench table1")
-    raise SystemExit(main())

@@ -2,7 +2,7 @@
 
 Run with::
 
-    python -m repro.bench.table2 [--scale small|medium|large] [--cases a,b,c]
+    python -m repro bench table2 [--scale small|medium|large] [--cases a,b,c]
 """
 
 from __future__ import annotations
@@ -62,9 +62,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(print_table2(records))
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.table2", "bench table2")
-    raise SystemExit(main())

@@ -2,7 +2,7 @@
 
 Run with::
 
-    python -m repro.bench.table3 [--scale small|medium|large]
+    python -m repro bench table3 [--scale small|medium|large]
 """
 
 from __future__ import annotations
@@ -51,9 +51,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(print_table3(records))
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.cli import warn_legacy_invocation
-
-    warn_legacy_invocation("repro.bench.table3", "bench table3")
-    raise SystemExit(main())

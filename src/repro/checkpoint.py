@@ -7,16 +7,16 @@ A checkpoint is a *directory* holding two files:
     full :class:`~repro.core.config.InGrassConfig` (so a restored driver
     runs under exactly the configuration it was saved under), the version
     epoch, the pinned filtering level, the per-iteration history, the
-    hierarchy's staleness/version counters and the driver-specific
-    ``extra`` blob from ``_checkpoint_runtime_state``.
+    hierarchy's staleness/version counters and the maintainer's ``extra``
+    blob from ``_checkpoint_runtime_state``.
 
 ``arrays.npz``
     Every array: tracked graph and sparsifier edge lists (**in dict
     insertion order** — replaying them through ``add_edge_unchecked``
     reproduces the exact ``_edges`` dicts, which is what makes the
     restored run's continuation byte-identical, κ history included), the
-    LRD embedding matrix, per-level cluster diameters, and driver-specific
-    arrays prefixed ``extra_``.
+    LRD embedding matrix, per-level cluster diameters, and the maintainer's
+    pending splice neighbourhood (arrays prefixed ``extra_``).
 
 What is deliberately **not** serialised: the similarity filter's
 cluster-pair map and the resistance embedding. Both are pure functions of
@@ -26,8 +26,10 @@ add a second source of truth that could drift from the arrays.
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout.  Checkpoints contain no timestamps, so saving the same state
-twice produces the same manifest.
+newer layout, and an older one (format 1 carried configuration fields
+that no longer exist) is rejected the same way.
+Checkpoints contain no timestamps, so saving the same state twice produces
+the same manifest.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"
@@ -163,8 +165,6 @@ def _read_manifest(path: PathLike) -> dict:
 def _config_from_manifest(manifest: dict) -> InGrassConfig:
     config_dict = dict(manifest["config"])
     lrd = LRDConfig(**config_dict.pop("lrd"))
-    # Both `executor` and its legacy mirror `shard_mode` were saved, so
-    # reconstruction never trips the deprecation warning.
     return InGrassConfig(lrd=lrd, **config_dict)
 
 
@@ -179,8 +179,7 @@ def describe_checkpoint(path: PathLike) -> dict:
     with np.load(os.path.join(path, _ARRAYS)) as data:
         graph_edges = int(data["graph_us"].shape[0])
         sparsifier_edges = int(data["sp_us"].shape[0])
-    config = manifest["config"]
-    summary = {
+    return {
         "format_version": manifest["format_version"],
         "driver_class": manifest["driver_class"],
         "num_nodes": manifest["num_nodes"],
@@ -190,16 +189,9 @@ def describe_checkpoint(path: PathLike) -> dict:
         "iterations": len(manifest["history"]),
         "filtering_level": manifest["filtering_level"],
         "target_condition_number": manifest["target_condition_number"],
-        "executor": config.get("executor"),
-        "num_shards": config.get("num_shards"),
-        "hierarchy_mode": config.get("hierarchy_mode"),
+        "hierarchy_mode": manifest["config"]["hierarchy_mode"],
         "num_levels": manifest["num_levels"],
     }
-    sharding = manifest.get("extra", {}).get("sharding")
-    if sharding:
-        summary["plan_shards"] = sharding["num_shards"]
-        summary["replans"] = sharding["replans"]
-    return summary
 
 
 def load_checkpoint(path: PathLike) -> InGrassSparsifier:
@@ -208,13 +200,12 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     The restored driver continues byte-identically to the saved one: graphs
     are replayed in saved edge order (dict order preserved), the hierarchy
     is rebuilt from its level arrays with every staleness counter restored,
-    and the driver-specific ``extra`` state (shard plan, replan policy
-    accumulators, maintainer counters, pending splices) lands through
-    ``_restore_runtime_state``.  No LRD re-run, no re-planning.
+    and the ``extra`` state (maintainer counters, pending splices) lands
+    through ``_restore_runtime_state``.  No LRD re-run.
     """
     manifest = _read_manifest(path)
     config = _config_from_manifest(manifest)
-    driver = InGrassSparsifier.from_config(config)
+    driver = InGrassSparsifier(config)
 
     with np.load(os.path.join(path, _ARRAYS)) as data:
         num_nodes = int(manifest["num_nodes"])

@@ -1,59 +1,36 @@
 """The unified ``repro`` command-line entry point.
 
-One console command (``python -m repro`` / the ``repro`` script) replaces the
-grab-bag of ``python -m repro.bench.<module>`` invocations::
+One console command (``python -m repro`` / the ``repro`` script) runs every
+benchmark, the HTTP server and the checkpoint tools::
 
     python -m repro bench gate --no-check          # unified CI gate runner
     python -m repro bench churn --quick            # churn benchmark
-    python -m repro bench shard                    # shard speedup gate
     python -m repro bench soak --output soak.json  # nightly soak
-    python -m repro serve-demo                     # concurrent-read service demo
+    python -m repro serve --port 8752              # HTTP server
     python -m repro bench --list                   # every registered bench
-
-The legacy module paths keep working (each emits a ``DeprecationWarning``
-pointing at its new spelling, then runs with identical output).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Callable, Dict, List, Optional
 
 #: Registry of bench subcommands → lazily imported module ``main`` functions.
-#: Names mirror the legacy module names (underscores become dashes).
+#: Names mirror the module names (underscores become dashes).
 _BENCH_MODULES: Dict[str, str] = {
     "gate": "repro.bench.gate",
     "churn": "repro.bench.churn",
-    "shard": "repro.bench.shard",
     "soak": "repro.bench.soak",
     "batch": "repro.bench.batch",
     "baseline": "repro.bench.baseline",
     "churn-maintenance": "repro.bench.churn_maintenance",
-    "shard-removal": "repro.bench.shard_removal",
-    "shard-processes": "repro.bench.shard_processes",
     "serve-latency": "repro.bench.serve_latency",
     "table1": "repro.bench.table1",
     "table2": "repro.bench.table2",
     "table3": "repro.bench.table3",
     "figure4": "repro.bench.figure4",
 }
-
-
-def warn_legacy_invocation(module: str, subcommand: str) -> None:
-    """Emit the deprecation warning for a legacy ``python -m <module>`` run.
-
-    Called from each bench module's ``__main__`` guard, so the warning is
-    raised *in* ``__main__`` and therefore shown by the default warning
-    filter; output on stdout is unchanged.
-    """
-    warnings.warn(
-        f"`python -m {module}` is deprecated; use `python -m repro {subcommand}` "
-        "(same flags, same output)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
 
 
 def _bench_main(name: str) -> Callable[[Optional[List[str]]], int]:
@@ -154,157 +131,6 @@ def _run_serve(argv: List[str]) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# serve-demo: the in-process concurrent-read demo (deprecated shim)
-# --------------------------------------------------------------------------- #
-def _run_serve_demo(argv: List[str]) -> int:
-    warnings.warn(
-        "`repro serve-demo` is deprecated; use `python -m repro serve` for the "
-        "network server or `python -m repro bench serve-latency` for the gated "
-        "latency protocol (this demo keeps working with identical output)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    parser = argparse.ArgumentParser(
-        prog="repro serve-demo",
-        description="[deprecated: see `repro serve`] Drive a SparsifierService "
-                    "with churn while reader threads query epoch snapshots; "
-                    "prints per-reader latency stats.")
-    parser.add_argument("--side", type=int, default=20,
-                        help="grid side length of the demo graph (default 20 -> 400 nodes)")
-    parser.add_argument("--batches", type=int, default=20,
-                        help="number of mixed churn batches to stream (default 20)")
-    parser.add_argument("--readers", type=int, default=4,
-                        help="concurrent reader threads (default 4)")
-    parser.add_argument("--deletion-fraction", type=float, default=0.3,
-                        help="share of events that delete edges (default 0.3)")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="resume from a checkpoint in this directory if one "
-                             "exists, and save one there on exit")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the reader-latency stats as JSON (same schema "
-                             "as the serve-latency gate artifact)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    import threading
-    import time
-
-    import numpy as np
-
-    from repro.api import (
-        DynamicScenarioConfig,
-        InGrassConfig,
-        SparsifierService,
-        build_churn_scenario,
-        grid_circuit_2d,
-        is_checkpoint,
-    )
-
-    graph = grid_circuit_2d(args.side, seed=args.seed)
-    service = None
-    applied = 0
-    if args.checkpoint_dir and is_checkpoint(args.checkpoint_dir):
-        service = SparsifierService.restore(args.checkpoint_dir)
-        # The churn scenario is a deterministic function of (side, seed), so
-        # a resumed run continues it from the first batch the saved run did
-        # not stream, instead of replaying batches the state already absorbed.
-        applied = len(service.driver.history)
-        print(f"resumed from checkpoint {args.checkpoint_dir} "
-              f"(version epoch {service.latest_version}, "
-              f"{applied} batches already applied)")
-    scenario = build_churn_scenario(
-        graph,
-        DynamicScenarioConfig(num_iterations=applied + args.batches,
-                              deletion_fraction=args.deletion_fraction,
-                              seed=args.seed),
-    )
-    scenario_batches = scenario.batches[applied:]
-    if service is None:
-        service = SparsifierService(InGrassConfig(seed=args.seed))
-        service.setup(scenario.graph, scenario.initial_sparsifier,
-                      target_condition_number=scenario.initial_condition_number)
-    print(f"serving: {graph.num_nodes} nodes, {graph.num_edges} edges, "
-          f"{len(scenario_batches)} churn batches, {args.readers} readers")
-
-    stop = threading.Event()
-    stats_lock = threading.Lock()
-    reader_stats: List[dict] = []
-
-    def reader(reader_id: int) -> None:
-        rng = np.random.default_rng(args.seed + 1000 + reader_id)
-        latencies: List[float] = []
-        queries = 0
-        versions = set()
-        while not stop.is_set():
-            begin = time.perf_counter()
-            snap = service.snapshot()
-            u, v = rng.choice(snap.num_nodes, size=2, replace=False)
-            snap.effective_resistance(int(u), int(v))
-            latencies.append(time.perf_counter() - begin)
-            queries += 1
-            versions.add(snap.version)
-        with stats_lock:
-            reader_stats.append(
-                {"reader": reader_id, "queries": queries, "epochs": len(versions),
-                 "latencies": latencies})
-
-    threads = [threading.Thread(target=reader, args=(i,), daemon=True)
-               for i in range(args.readers)]
-    for thread in threads:
-        thread.start()
-
-    write_begin = time.perf_counter()
-    for index, batch in enumerate(scenario_batches, start=1):
-        service.apply(batch)
-        if index % max(1, len(scenario_batches) // 5) == 0:
-            snap = service.snapshot()
-            print(f"  batch {index:3d}/{len(scenario_batches)}: version {snap.version}, "
-                  f"|E_H| = {snap.num_sparsifier_edges}")
-    write_seconds = time.perf_counter() - write_begin
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=30.0)
-
-    print(f"writer: {len(scenario_batches)} batches in {write_seconds:.2f}s "
-          f"(final version {service.latest_version})")
-    total_queries = 0
-    for stats in sorted(reader_stats, key=lambda s: s["reader"]):
-        lat = np.asarray(stats["latencies"]) * 1e3
-        total_queries += stats["queries"]
-        if lat.size:
-            print(f"reader {stats['reader']}: {stats['queries']} queries over "
-                  f"{stats['epochs']} epochs, p50 {np.percentile(lat, 50):.2f} ms, "
-                  f"p99 {np.percentile(lat, 99):.2f} ms")
-    print(f"total: {total_queries} concurrent queries, zero locks held during reads")
-    final = service.snapshot()
-    print(f"final epoch {final.version}: kappa = {final.condition_number():.2f}")
-    if args.json:
-        import json
-
-        from repro.bench.serve_latency import LATENCY_SCHEMA, reader_latency_summary
-
-        artifact = {
-            "schema": LATENCY_SCHEMA,
-            "source": "serve-demo",
-            "meta": {"side": args.side, "batches": args.batches,
-                     "readers": args.readers, "seed": args.seed,
-                     "deletion_fraction": args.deletion_fraction},
-            "final_version": service.latest_version,
-            "write_seconds": write_seconds,
-            "latency": reader_latency_summary(
-                {stats["reader"]: stats["latencies"] for stats in reader_stats}),
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2)
-        print(f"wrote {args.json}")
-    if args.checkpoint_dir:
-        service.save_checkpoint(args.checkpoint_dir)
-        print(f"checkpoint saved to {args.checkpoint_dir} "
-              f"(version epoch {service.latest_version})")
-    return 0
-
-
-# --------------------------------------------------------------------------- #
 # checkpoint: save / restore / inspect driver state
 # --------------------------------------------------------------------------- #
 def _run_checkpoint(argv: List[str]) -> int:
@@ -324,9 +150,6 @@ def _run_checkpoint(argv: List[str]) -> int:
                       help="grid side length of the demo graph (default 13)")
     save.add_argument("--batches", type=int, default=5,
                       help="churn batches to stream before saving (default 5)")
-    save.add_argument("--num-shards", type=int, default=1)
-    save.add_argument("--executor", default=None,
-                      choices=("auto", "serial", "threads", "processes"))
     save.add_argument("--seed", type=int, default=0)
 
     restore = sub.add_parser(
@@ -361,9 +184,7 @@ def _run_checkpoint(argv: List[str]) -> int:
 
     if args.action == "save":
         scenario = demo_scenario(args.seed, args.side, args.batches)
-        config = InGrassConfig(seed=args.seed, num_shards=args.num_shards,
-                               executor=args.executor)
-        driver = Sparsifier(config)
+        driver = Sparsifier(InGrassConfig(seed=args.seed))
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches:
@@ -410,10 +231,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     srv = sub.add_parser("serve", help="HTTP server over a SparsifierService",
                          add_help=False)
     srv.add_argument("rest", nargs=argparse.REMAINDER)
-    demo = sub.add_parser("serve-demo",
-                          help="concurrent-read service demo (deprecated: see serve)",
-                          add_help=False)
-    demo.add_argument("rest", nargs=argparse.REMAINDER)
     ckpt = sub.add_parser("checkpoint", help="save/restore/inspect driver state",
                           add_help=False)
     ckpt.add_argument("rest", nargs=argparse.REMAINDER)
@@ -424,8 +241,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_bench(argv[1:])
     if argv and argv[0] == "serve":
         return _run_serve(argv[1:])
-    if argv and argv[0] == "serve-demo":
-        return _run_serve_demo(argv[1:])
     if argv and argv[0] == "checkpoint":
         return _run_checkpoint(argv[1:])
     args = parser.parse_args(argv)

@@ -13,7 +13,6 @@ from repro.core.embedding import EmbeddingStats, ResistanceEmbedding
 from repro.core.filtering import (
     FilterAction,
     FilterDecision,
-    FilterDecisionBatch,
     FilterSummary,
     SimilarityFilter,
 )
@@ -27,17 +26,6 @@ from repro.core.incremental import (
 from repro.core.lrd import cluster_diameter_bound, decompose_node_subset, lrd_decompose
 from repro.core.maintenance import HierarchyMaintainer, MaintenanceStats, SpliceReport
 from repro.core.setup import SetupResult, run_local_setup, run_setup
-from repro.core.sharding import (
-    CompositeSimilarityFilter,
-    ReplanPolicy,
-    ShardBatchReport,
-    ShardContext,
-    ShardedRemovalResult,
-    ShardedSparsifier,
-    ShardedUpdateResult,
-    ShardPlan,
-    ShardScopedFilter,
-)
 from repro.core.update import (
     KappaGuardReport,
     RemovalResult,
@@ -67,7 +55,6 @@ __all__ = [
     "SimilarityFilter",
     "FilterAction",
     "FilterDecision",
-    "FilterDecisionBatch",
     "FilterSummary",
     "HierarchyMaintainer",
     "MaintenanceStats",
@@ -78,15 +65,6 @@ __all__ = [
     "SetupResult",
     "run_setup",
     "run_local_setup",
-    "ShardPlan",
-    "ShardContext",
-    "ShardScopedFilter",
-    "CompositeSimilarityFilter",
-    "ShardedSparsifier",
-    "ShardedUpdateResult",
-    "ShardedRemovalResult",
-    "ShardBatchReport",
-    "ReplanPolicy",
     "UpdateResult",
     "run_update",
     "RemovalResult",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,13 +140,6 @@ class InGrassConfig:
         Maintenance mode: cluster size up to which splices run a localized
         re-decomposition with exact fragment diameters; larger clusters use
         the connectivity split plus the spanning-tree diameter bound.
-    decision_records:
-        Representation of per-edge filter decisions on the vectorised batch
-        path: ``"objects"`` (default) builds one :class:`FilterDecision` per
-        edge, ``"arrays"`` returns a single SoA
-        :class:`~repro.core.filtering.FilterDecisionBatch`, which removes the
-        dominant allocator/GC cost at 10⁵-edge batches.  The scalar reference
-        path always uses objects.
     batch_mode:
         How streamed batches are scored and filtered: ``"vectorized"`` uses
         the numpy batch engine (one-shot distortion kernels, group-resolved
@@ -159,59 +151,6 @@ class InGrassConfig:
     batch_mode_threshold:
         Batch size at which ``batch_mode="auto"`` switches to the vectorized
         engine (below it, numpy dispatch overhead exceeds the win).
-    num_shards:
-        Number of node-set shards of the update engine.  ``1`` (default) is
-        the classic single-context driver; above 1,
-        :meth:`repro.core.incremental.InGrassSparsifier.from_config` builds a
-        :class:`repro.core.sharding.ShardedSparsifier` whose
-        :class:`~repro.core.sharding.ShardPlan` partitions nodes along a
-        coarse LRD level (clusters never straddle shards) and runs per-shard
-        similarity filters; cross-shard edges drain through a global escrow
-        stage.  Any shard count produces the same sparsifier as ``1``.
-    executor:
-        How per-shard sub-batches execute: ``"serial"`` one after another in
-        the calling thread, ``"threads"`` concurrently on a thread pool (the
-        numpy scoring/grouping kernels release the GIL, so shards overlap on
-        multi-core hosts), ``"processes"`` on persistent worker processes
-        (one per shard; pickle-framed pipe protocol, bit-exact with every
-        other executor), or ``"auto"`` (default), which picks threads when
-        more than one shard is populated, the host has more than one CPU and
-        the batch reaches ``shard_batch_threshold`` events — ``"auto"``
-        never selects processes (worker processes are an explicit opt-in).
-    shard_mode:
-        Deprecated alias of ``executor`` (pre-PR 7 name).  Setting it emits
-        a :class:`DeprecationWarning` and copies the value into
-        ``executor``; both fields always hold the same normalised value so
-        legacy readers keep working.
-    shard_batch_threshold:
-        Batch size at which ``executor="auto"`` starts using threads
-        (below it, pool dispatch overhead exceeds the win).
-    replan_escrow_fraction:
-        Adaptive replanning: once the fraction of streamed events routed to
-        the cross-shard escrow (accumulated since the current
-        :class:`~repro.core.sharding.ShardPlan` was derived) exceeds this
-        threshold, the plan is re-derived from the current tracked graph —
-        the stream's locality has drifted away from the partition and the
-        Fiedler sweep can find a better one.  Defaults to ``0.5`` (armed);
-        ``None`` disables the trigger, leaving the plan to re-derive only on
-        invariant violations (cross-shard cluster fusions).  Replans never
-        change results (the oracle guarantee is plan-independent), only
-        routing efficiency.
-    replan_imbalance:
-        Adaptive replanning: once the realised per-shard event imbalance —
-        the busiest shard's intra-shard event share divided by the ideal
-        ``1 / num_shards`` share, accumulated since the current plan —
-        exceeds this factor, the plan is re-derived.  Defaults to ``2.0``
-        (armed); ``None`` disables the trigger.  Values must be ≥ 1 (1
-        would replan on any deviation from perfect balance).
-    replan_min_events:
-        Adaptive replanning: events that must accumulate under the current
-        plan before either trigger arms, so a handful of unlucky batches
-        right after a (re)plan cannot thrash the partition.  The threshold
-        doubles after every adaptive replan (exponential back-off), which
-        bounds any stream's total adaptive replans at
-        ``log2(stream length / replan_min_events)`` even when the workload's
-        intrinsic cross-shard floor sits above the trigger.
     seed:
         Seed for stochastic components.
     """
@@ -232,16 +171,8 @@ class InGrassConfig:
     resetup_after_removals: Optional[int] = None
     hierarchy_mode: str = "maintain"
     maintenance_exact_limit: int = 64
-    decision_records: str = "objects"
     batch_mode: str = "auto"
     batch_mode_threshold: int = 32
-    num_shards: int = 1
-    executor: Optional[str] = None
-    shard_mode: Optional[str] = None
-    shard_batch_threshold: int = 4096
-    replan_escrow_fraction: Optional[float] = 0.5
-    replan_imbalance: Optional[float] = 2.0
-    replan_min_events: int = 256
     seed: SeedLike = 0
 
     def use_vectorized(self, batch_size: int) -> bool:
@@ -251,31 +182,6 @@ class InGrassConfig:
         if self.batch_mode == "scalar":
             return False
         return batch_size >= self.batch_mode_threshold
-
-    def use_shard_threads(self, batch_size: int, populated_shards: int,
-                          cpu_count: Optional[int]) -> bool:
-        """Resolve the thread-executor choice for one batch.
-
-        Threads only ever pay off with at least two populated shards; in
-        ``"auto"`` mode they additionally require a multi-core host and a
-        batch large enough to amortise the pool dispatch.  ``"processes"``
-        dispatches elsewhere (:meth:`use_shard_processes`), never here.
-        """
-        if populated_shards <= 1 or self.executor in ("serial", "processes"):
-            return False
-        if self.executor == "threads":
-            return True
-        return bool(cpu_count and cpu_count > 1 and batch_size >= self.shard_batch_threshold)
-
-    def use_shard_processes(self, populated_shards: int) -> bool:
-        """Resolve the process-executor choice for one batch.
-
-        Worker processes are an explicit opt-in (``executor="processes"``)
-        and need at least two populated shards to pay off; unlike the thread
-        heuristic there is no batch-size floor — once opted in, every batch
-        runs on the workers so their mirrored state stays in lockstep.
-        """
-        return self.executor == "processes" and populated_shards > 1
 
     def __post_init__(self) -> None:
         if self.target_condition_number is not None:
@@ -306,37 +212,8 @@ class InGrassConfig:
         check_positive_int(self.maintenance_exact_limit, "maintenance_exact_limit")
         if self.maintenance_exact_limit < 2:
             raise ValueError("maintenance_exact_limit must be at least 2")
-        if self.decision_records not in ("objects", "arrays"):
-            raise ValueError(f"unknown decision_records {self.decision_records!r}; "
-                             "expected 'objects' or 'arrays'")
         if self.batch_mode not in ("auto", "vectorized", "scalar"):
             raise ValueError(f"unknown batch_mode {self.batch_mode!r}; "
                              "expected 'auto', 'vectorized' or 'scalar'")
         if self.batch_mode_threshold < 0:
             raise ValueError("batch_mode_threshold must be non-negative")
-        check_positive_int(self.num_shards, "num_shards")
-        if self.executor is None and self.shard_mode is not None:
-            # Warn only on the original construction: dataclasses.replace()
-            # re-runs __post_init__ on copies where both fields are already
-            # normalised, and those must stay silent.
-            warnings.warn(
-                "InGrassConfig.shard_mode is deprecated; use "
-                "InGrassConfig.executor instead",
-                DeprecationWarning, stacklevel=3)
-            self.executor = self.shard_mode
-        if self.executor is None:
-            self.executor = "auto"
-        if self.executor not in ("auto", "serial", "threads", "processes"):
-            raise ValueError(f"unknown executor {self.executor!r}; "
-                             "expected 'auto', 'serial', 'threads' or 'processes'")
-        # Keep the deprecated alias mirrored so legacy readers see the
-        # normalised value.
-        self.shard_mode = self.executor
-        if self.shard_batch_threshold < 0:
-            raise ValueError("shard_batch_threshold must be non-negative")
-        if self.replan_escrow_fraction is not None:
-            if not 0.0 < self.replan_escrow_fraction <= 1.0:
-                raise ValueError("replan_escrow_fraction must lie in (0, 1]")
-        if self.replan_imbalance is not None and self.replan_imbalance < 1.0:
-            raise ValueError("replan_imbalance must be >= 1")
-        check_positive_int(self.replan_min_events, "replan_min_events")

@@ -12,7 +12,7 @@ condition number large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,18 +91,11 @@ class DistortionBatch:
         return self.take(order)
 
     def split_by_threshold(self, relative_threshold: float,
-                           *, median: Optional[float] = None,
                            ) -> Tuple["DistortionBatch", "DistortionBatch"]:
-        """Split into (kept, dropped) batches — see :func:`filter_by_threshold`.
-
-        ``median`` overrides the reference median; the sharded engine passes
-        the full-stream median so per-shard sub-batches cut at the same
-        absolute distortion as the unsharded oracle.
-        """
+        """Split into (kept, dropped) batches — see :func:`filter_by_threshold`."""
         if relative_threshold <= 0 or len(self) == 0:
             return self, self.take(np.zeros(0, dtype=np.int64))
-        reference = float(np.median(self.distortions)) if median is None else float(median)
-        cutoff = relative_threshold * reference
+        cutoff = relative_threshold * float(np.median(self.distortions))
         keep = self.distortions >= cutoff
         return self.take(np.flatnonzero(keep)), self.take(np.flatnonzero(~keep))
 
@@ -150,22 +143,18 @@ def sort_by_distortion(estimates: Sequence[DistortionEstimate]) -> List[Distorti
 
 def filter_by_threshold(estimates: Sequence[DistortionEstimate],
                         relative_threshold: float,
-                        *, median: Optional[float] = None,
                         ) -> Tuple[List[DistortionEstimate], List[DistortionEstimate]]:
     """Split estimates into (kept, dropped) using a relative distortion cut.
 
     Edges whose distortion falls below ``relative_threshold`` times the median
     distortion of the batch are dropped outright — they are spectrally
     negligible and would only densify the sparsifier.  ``relative_threshold``
-    of 0 keeps everything.  ``median`` overrides the reference median (the
-    sharded engine passes the full-stream value for shard-count invariance).
+    of 0 keeps everything.
     """
     if relative_threshold <= 0 or not estimates:
         return list(estimates), []
-    if median is None:
-        distortions = np.array([item.distortion for item in estimates])
-        median = float(np.median(distortions))
-    cutoff = relative_threshold * float(median)
+    distortions = np.array([item.distortion for item in estimates])
+    cutoff = relative_threshold * float(np.median(distortions))
     kept = [item for item in estimates if item.distortion >= cutoff]
     dropped = [item for item in estimates if item.distortion < cutoff]
     return kept, dropped

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,145 +72,13 @@ class FilterSummary:
         return self.added + self.merged + self.redistributed + self.dropped
 
 
-#: Compact action codes used by the array-backed decision records.
-_ACTION_TO_CODE = {
-    FilterAction.ADDED: 0,
-    FilterAction.MERGED_INTO_EXISTING: 1,
-    FilterAction.REDISTRIBUTED_INTRA_CLUSTER: 2,
-    FilterAction.DROPPED_LOW_DISTORTION: 3,
-}
+#: Action codes of the group-resolved batch path (index into this list).
 _CODE_TO_ACTION = [
     FilterAction.ADDED,
     FilterAction.MERGED_INTO_EXISTING,
     FilterAction.REDISTRIBUTED_INTRA_CLUSTER,
-    FilterAction.DROPPED_LOW_DISTORTION,
 ]
-
-
-@dataclass
-class FilterDecisionBatch:
-    """Array-backed decision report — the SoA twin of ``List[FilterDecision]``.
-
-    At 10⁵-edge batches the per-edge :class:`FilterDecision` objects dominate
-    the vectorised engine's remaining cost through allocation and GC
-    pressure; this record keeps the same information in parallel numpy
-    arrays and materialises :class:`FilterDecision` objects lazily, only when
-    a consumer actually iterates.  Enabled via
-    ``InGrassConfig.decision_records="arrays"``.
-
-    ``target_us``/``target_vs`` are ``-1`` where the decision has no merge
-    target; ``pair_los``/``pair_his`` are ``-1`` where no cluster pair was
-    recorded (dropped-by-threshold edges that never reached the filter).
-    """
-
-    us: np.ndarray
-    vs: np.ndarray
-    ws: np.ndarray
-    distortions: np.ndarray
-    actions: np.ndarray       # int8 codes, see _CODE_TO_ACTION
-    target_us: np.ndarray
-    target_vs: np.ndarray
-    pair_los: np.ndarray
-    pair_his: np.ndarray
-
-    @classmethod
-    def empty(cls, size: int) -> "FilterDecisionBatch":
-        """Preallocate a record batch for ``size`` decisions."""
-        return cls(
-            us=np.zeros(size, dtype=np.int64),
-            vs=np.zeros(size, dtype=np.int64),
-            ws=np.zeros(size),
-            distortions=np.zeros(size),
-            actions=np.zeros(size, dtype=np.int8),
-            target_us=np.full(size, -1, dtype=np.int64),
-            target_vs=np.full(size, -1, dtype=np.int64),
-            pair_los=np.full(size, -1, dtype=np.int64),
-            pair_his=np.full(size, -1, dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return int(self.us.shape[0])
-
-    def decision(self, index: int) -> FilterDecision:
-        """Materialise the :class:`FilterDecision` object at ``index``."""
-        target = None
-        if self.target_us[index] >= 0:
-            target = (int(self.target_us[index]), int(self.target_vs[index]))
-        pair = None
-        if self.pair_los[index] >= 0:
-            pair = (int(self.pair_los[index]), int(self.pair_his[index]))
-        return FilterDecision(
-            edge=(int(self.us[index]), int(self.vs[index]), float(self.ws[index])),
-            action=_CODE_TO_ACTION[int(self.actions[index])],
-            distortion=float(self.distortions[index]),
-            target_edge=target,
-            cluster_pair=pair,
-        )
-
-    def __iter__(self):
-        for index in range(len(self)):
-            yield self.decision(index)
-
-    def __getitem__(self, index: int) -> FilterDecision:
-        if index < 0:
-            index += len(self)
-        if index < 0 or index >= len(self):
-            raise IndexError(index)
-        return self.decision(index)
-
-    def action_counts(self) -> FilterSummary:
-        """Aggregate the action codes into a :class:`FilterSummary`."""
-        counts = np.bincount(self.actions, minlength=4)
-        return FilterSummary(added=int(counts[0]), merged=int(counts[1]),
-                             redistributed=int(counts[2]), dropped=int(counts[3]))
-
-    def added_edges(self) -> List[WeightedEdge]:
-        """Edges actually inserted into the sparsifier (ADDED decisions)."""
-        mask = self.actions == _ACTION_TO_CODE[FilterAction.ADDED]
-        indices = np.flatnonzero(mask)
-        return [(int(self.us[i]), int(self.vs[i]), float(self.ws[i])) for i in indices]
-
-    @classmethod
-    def concat(cls, batches: Sequence["FilterDecisionBatch"]) -> "FilterDecisionBatch":
-        """Concatenate several record batches (the sharded engine's merge step)."""
-        batches = [batch for batch in batches if len(batch)]
-        if not batches:
-            return cls.empty(0)
-        if len(batches) == 1:
-            return batches[0]
-        return cls(
-            us=np.concatenate([b.us for b in batches]),
-            vs=np.concatenate([b.vs for b in batches]),
-            ws=np.concatenate([b.ws for b in batches]),
-            distortions=np.concatenate([b.distortions for b in batches]),
-            actions=np.concatenate([b.actions for b in batches]),
-            target_us=np.concatenate([b.target_us for b in batches]),
-            target_vs=np.concatenate([b.target_vs for b in batches]),
-            pair_los=np.concatenate([b.pair_los for b in batches]),
-            pair_his=np.concatenate([b.pair_his for b in batches]),
-        )
-
-    def extended_with_dropped(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                              distortions: np.ndarray) -> "FilterDecisionBatch":
-        """Return a new batch with trailing DROPPED_LOW_DISTORTION records."""
-        extra = int(us.shape[0])
-        if extra == 0:
-            return self
-        sentinel = np.full(extra, -1, dtype=np.int64)
-        return FilterDecisionBatch(
-            us=np.concatenate([self.us, np.asarray(us, dtype=np.int64)]),
-            vs=np.concatenate([self.vs, np.asarray(vs, dtype=np.int64)]),
-            ws=np.concatenate([self.ws, np.asarray(ws, dtype=float)]),
-            distortions=np.concatenate([self.distortions, np.asarray(distortions, dtype=float)]),
-            actions=np.concatenate([
-                self.actions,
-                np.full(extra, _ACTION_TO_CODE[FilterAction.DROPPED_LOW_DISTORTION], dtype=np.int8),
-            ]),
-            target_us=np.concatenate([self.target_us, sentinel]),
-            target_vs=np.concatenate([self.target_vs, sentinel]),
-            pair_los=np.concatenate([self.pair_los, sentinel]),
-            pair_his=np.concatenate([self.pair_his, sentinel]),
-        )
+_ADDED, _MERGED, _REDISTRIBUTED = range(3)
 
 
 class SimilarityFilter:
@@ -332,10 +200,10 @@ class SimilarityFilter:
 
         The smallest edge key of the bucket, *not* an iteration-order pick:
         bucket insertion order is history (it differs between a filter that
-        evolved in place and one rebuilt from a sparsifier scan, e.g. a shard
-        replan), and the representative decides where merged weight lands —
-        so it must be a pure function of the bucket's *content* for the
-        sharded driver's oracle guarantee to hold.
+        evolved in place and one rebuilt from a sparsifier scan, e.g. after a
+        checkpoint restore), and the representative decides where merged
+        weight lands — so it must be a pure function of the bucket's
+        *content*.
         """
         bucket = self._connectivity.get(pair)
         if not bucket:
@@ -354,19 +222,6 @@ class SimilarityFilter:
         later filtering decisions see the connection.
         """
         self._register_edge(u, v)
-
-    def notify_edges_added(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Bulk :meth:`notify_edge_added` over parallel endpoint arrays.
-
-        The process-executor replay path registers every edge a shard worker
-        admitted in one call; bucket state is a pure function of the
-        registered edge *set* (no weights, no history), so replaying the
-        membership notifications is all it takes to keep a parent-side view
-        decision-identical to the worker's live filter.
-        """
-        for u, v in zip(np.asarray(us, dtype=np.int64).tolist(),
-                        np.asarray(vs, dtype=np.int64).tolist()):
-            self._register_edge(u, v)
 
     def notify_edge_removed(self, u: int, v: int) -> None:
         """Keep the connectivity map in sync with a sparsifier edge deletion.
@@ -414,15 +269,6 @@ class SimilarityFilter:
     # ------------------------------------------------------------------ #
     # Cluster-rename protocol for the hierarchy maintenance layer
     # ------------------------------------------------------------------ #
-    def _scope_mask(self, us: np.ndarray, vs: np.ndarray) -> Optional[np.ndarray]:
-        """Boolean ownership mask for bulk operations (``None`` = own all).
-
-        The base filter owns every sparsifier edge; shard-scoped subclasses
-        override this with their plan lookup so the shared bulk register /
-        unregister kernels below stay the single implementation.
-        """
-        return None
-
     def incident_edge_arrays(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
         """Canonical ``(u, v)`` arrays of every sparsifier edge touching ``nodes``.
 
@@ -459,9 +305,6 @@ class SimilarityFilter:
         bucket is not part of the filter's contract — representatives and
         redistribution are content-canonical).
         """
-        mask = self._scope_mask(us, vs)
-        if mask is not None:
-            us, vs = us[mask], vs[mask]
         if us.size == 0:
             return
         labels = self._labels
@@ -479,9 +322,6 @@ class SimilarityFilter:
 
     def _unregister_pairs(self, us: np.ndarray, vs: np.ndarray) -> None:
         """Bulk :meth:`_unregister_edge` over canonical endpoint arrays."""
-        mask = self._scope_mask(us, vs)
-        if mask is not None:
-            us, vs = us[mask], vs[mask]
         if us.size == 0:
             return
         labels = self._labels
@@ -547,20 +387,23 @@ class SimilarityFilter:
             self.mark_synced()
 
     # ------------------------------------------------------------------ #
-    def _redistribution_deltas(self, cluster: int, weight: float):
-        """Per-edge increments spreading ``weight`` proportionally inside ``cluster``.
+    def _redistribute_weight(self, cluster: int, weight: float) -> None:
+        """Spread ``weight`` proportionally over the sparsifier edges inside ``cluster``.
 
-        Returns ``(edges, deltas)`` or ``None`` when the cluster offers no
-        positive-weight support — the single source of the redistribution
-        arithmetic shared by the scalar and batched apply paths.  The edges
-        are sorted canonically: the proportional split divides by the float
-        *sum* of the current weights, whose rounding depends on summation
-        order, so the arithmetic must not see bucket insertion order (which
-        differs between an evolved filter and one rebuilt by a shard replan).
+        A no-op when the cluster offers no positive-weight support.  The
+        edges are sorted canonically: the proportional split divides by the
+        float *sum* of the current weights, whose rounding depends on
+        summation order, so the arithmetic must not see bucket insertion
+        order (which differs between an evolved filter and one rebuilt from
+        a scan).  Applied through
+        :meth:`~repro.graphs.graph.Graph.increase_weights`, which adds the
+        same per-edge deltas in the same order as a scalar
+        ``increase_weight`` loop (bit-identical floats) while validating the
+        batch once and invalidating the cached views once.
         """
         edges = sorted(self._intra_cluster_edges.get(cluster, {}))
         if not edges:
-            return None
+            return
         # Keys in the bucket are canonical, so the weights can be gathered
         # straight from the edge map (same floats as ``Graph.weight``,
         # without its per-call canonicalisation/validation overhead).
@@ -569,36 +412,9 @@ class SimilarityFilter:
                                       dtype=float, count=len(edges))
         total = current_weights.sum()
         if total <= 0:
-            return None
-        return edges, np.maximum(weight * (current_weights / total), 1e-300)
-
-    def _redistribute_weight(self, cluster: int, weight: float) -> None:
-        """Spread ``weight`` proportionally over the sparsifier edges inside ``cluster``.
-
-        Applied through :meth:`~repro.graphs.graph.Graph.increase_weights`,
-        which adds the same per-edge deltas in the same order as a scalar
-        ``increase_weight`` loop (bit-identical floats) while validating the
-        batch once and invalidating the cached views once.
-        """
-        spread = self._redistribution_deltas(cluster, weight)
-        if spread is None:
             return
-        edges, deltas = spread
-        self._sparsifier.increase_weights(edges, deltas)
-
-    def _redistribute_weight_bulk(self, cluster: int, weight: float) -> None:
-        """Aggregated :meth:`_redistribute_weight`: one pass over the cluster.
-
-        Sequential redistributions scale every member edge proportionally, so
-        spreading ``w1`` then ``w2`` equals spreading ``w1 + w2`` in one shot
-        — this method exploits that identity to touch each cluster edge once
-        per batch instead of once per redistributed stream edge.
-        """
-        spread = self._redistribution_deltas(cluster, weight)
-        if spread is None:
-            return
-        edges, deltas = spread
-        self._sparsifier.increase_weights(edges, deltas)
+        self._sparsifier.increase_weights(
+            edges, np.maximum(weight * (current_weights / total), 1e-300))
 
     def _apply_single(self, estimate: DistortionEstimate) -> FilterDecision:
         p, q, weight = estimate.edge
@@ -674,8 +490,7 @@ class SimilarityFilter:
         return decisions, summary
 
     def apply_batch(self, batch: DistortionBatch, *, max_additions: Optional[int] = None,
-                    record_arrays: bool = False,
-                    ) -> Tuple[Union[List[FilterDecision], FilterDecisionBatch], FilterSummary]:
+                    ) -> Tuple[List[FilterDecision], FilterSummary]:
         """Vectorised :meth:`apply`: resolve a distortion-sorted batch by cluster group.
 
         Produces exactly the same decisions and sparsifier *edge set* as
@@ -692,11 +507,6 @@ class SimilarityFilter:
         inter-cluster group is ADDED, everything else merges into its group's
         representative or redistributes inside its cluster.
 
-        With ``record_arrays=True`` the decisions come back as one
-        :class:`FilterDecisionBatch` (SoA arrays, no per-edge objects) —
-        identical information, an order of magnitude less allocator/GC
-        traffic on 10⁵-edge batches.
-
         Without an additions cap the batch is resolved *per cluster-pair
         group* rather than per edge: unique cluster pairs are far fewer than
         streamed edges on paper-scale streams (10⁵ edges typically collapse
@@ -708,15 +518,13 @@ class SimilarityFilter:
         """
         m = len(batch)
         if m == 0:
-            if record_arrays:
-                return FilterDecisionBatch.empty(0), FilterSummary()
             return [], FilterSummary()
         if max_additions is None:
-            return self._apply_batch_grouped(batch, record_arrays)
-        return self._apply_batch_streamed(batch, max_additions, record_arrays)
+            return self._apply_batch_grouped(batch)
+        return self._apply_batch_streamed(batch, max_additions)
 
-    def _apply_batch_grouped(self, batch: DistortionBatch, record_arrays: bool,
-                             ) -> Tuple[Union[List[FilterDecision], FilterDecisionBatch], FilterSummary]:
+    def _apply_batch_grouped(self, batch: DistortionBatch,
+                             ) -> Tuple[List[FilterDecision], FilterSummary]:
         """Group-resolved :meth:`apply_batch` for the uncapped case.
 
         Produces decisions, sparsifier edge set *and weights* identical to
@@ -780,11 +588,11 @@ class SimilarityFilter:
                     group_added[g] = True
                 group_tu[g] = tu
                 group_tv[g] = tv
-            actions[inter_idx] = _ACTION_TO_CODE[FilterAction.MERGED_INTO_EXISTING]
+            actions[inter_idx] = _MERGED
             target_us[inter_idx] = group_tu[inverse]
             target_vs[inter_idx] = group_tv[inverse]
             added_first = first_global[group_added]
-            actions[added_first] = _ACTION_TO_CODE[FilterAction.ADDED]
+            actions[added_first] = _ADDED
             target_us[added_first] = -1
             target_vs[added_first] = -1
             # Aggregated merge weights: every inter edge except the ADDED
@@ -808,8 +616,6 @@ class SimilarityFilter:
         redistribute = self._redistribute
         if intra_idx.size:
             sparsifier_edges = sparsifier._edges  # membership probes only
-            merged_code = _ACTION_TO_CODE[FilterAction.MERGED_INTO_EXISTING]
-            redistributed_code = _ACTION_TO_CODE[FilterAction.REDISTRIBUTED_INTRA_CLUSTER]
             for e, p, q, weight, cluster in zip(intra_idx.tolist(), us[intra_idx].tolist(),
                                                 vs[intra_idx].tolist(), ws[intra_idx].tolist(),
                                                 lo[intra_idx].tolist()):
@@ -817,7 +623,7 @@ class SimilarityFilter:
                 if key in sparsifier_edges:
                     intra_ops.append(("merge", cluster, key, weight))
                     merge_clusters.add(cluster)
-                    actions[e] = merged_code
+                    actions[e] = _MERGED
                     target_us[e] = p
                     target_vs[e] = q
                     summary.merged += 1
@@ -825,12 +631,14 @@ class SimilarityFilter:
                     if redistribute:
                         intra_ops.append(("spread", cluster, None, weight))
                         spread_clusters.add(cluster)
-                    actions[e] = redistributed_code
+                    actions[e] = _REDISTRIBUTED
                     summary.redistributed += 1
 
         # ---- aggregated mutations, replicating the streamed loop's order:
-        # dirty-cluster replay first, then one bulk weight increase, then the
-        # per-cluster bulk redistributions.
+        # dirty-cluster replay first, then one bulk weight increase, then one
+        # redistribution per clean cluster (redistributions scale the member
+        # edges proportionally, so spreading w1 then w2 equals spreading
+        # w1 + w2 in one shot).
         dirty = merge_clusters & spread_clusters
         merge_totals: Dict[Tuple[int, int], float] = {}
         spread_totals: Dict[int, float] = {}
@@ -852,16 +660,8 @@ class SimilarityFilter:
             ])
             sparsifier.increase_weights(targets, deltas)
         for cluster, weight in spread_totals.items():
-            self._redistribute_weight_bulk(cluster, weight)
+            self._redistribute_weight(cluster, weight)
 
-        if record_arrays:
-            records = FilterDecisionBatch(
-                us=us.copy(), vs=vs.copy(), ws=ws.copy(),
-                distortions=batch.distortions.copy(),
-                actions=actions, target_us=target_us, target_vs=target_vs,
-                pair_los=lo, pair_his=hi,
-            )
-            return records, summary
         decisions: List[FilterDecision] = []
         us_l, vs_l, ws_l = us.tolist(), vs.tolist(), ws.tolist()
         lo_l, hi_l = lo.tolist(), hi.tolist()
@@ -877,10 +677,8 @@ class SimilarityFilter:
         return decisions, summary
 
     def _apply_batch_streamed(self, batch: DistortionBatch, max_additions: Optional[int],
-                              record_arrays: bool,
-                              ) -> Tuple[Union[List[FilterDecision], FilterDecisionBatch], FilterSummary]:
+                              ) -> Tuple[List[FilterDecision], FilterSummary]:
         """Per-edge :meth:`apply_batch` loop (the additions-capped path)."""
-        m = len(batch)
         decisions: List[FilterDecision] = []
         summary = FilterSummary()
 
@@ -924,25 +722,9 @@ class SimilarityFilter:
         reps_get = pair_reps.get
         missing = object()  # sentinel: pair not seen yet (None = "seen, no rep")
         no_cap = max_additions is None
-        if record_arrays:
-            records = FilterDecisionBatch(
-                us=batch.us.copy(), vs=batch.vs.copy(), ws=batch.ws.copy(),
-                distortions=batch.distortions.copy(),
-                actions=np.zeros(m, dtype=np.int8),
-                target_us=np.full(m, -1, dtype=np.int64),
-                target_vs=np.full(m, -1, dtype=np.int64),
-                pair_los=np.asarray(lo, dtype=np.int64),
-                pair_his=np.asarray(hi, dtype=np.int64),
-            )
-            record_actions = records.actions
-            record_target_us = records.target_us
-            record_target_vs = records.target_vs
-        else:
-            records = None
-            record_actions = record_target_us = record_target_vs = None
 
-        for index, (p, q, weight, cluster_lo, cluster_hi, distortion) in enumerate(
-                zip(us, vs, ws, lo, hi, distortions)):
+        for p, q, weight, cluster_lo, cluster_hi, distortion in zip(us, vs, ws, lo, hi,
+                                                                     distortions):
             target_edge = None
             if cluster_lo == cluster_hi:
                 capped = not (no_cap or added < max_additions)
@@ -988,14 +770,8 @@ class SimilarityFilter:
                     pair_reps[pair] = key
                     action = action_added
                     added += 1
-            if record_actions is not None:
-                record_actions[index] = _ACTION_TO_CODE[action]
-                if target_edge is not None:
-                    record_target_us[index] = target_edge[0]
-                    record_target_vs[index] = target_edge[1]
-            else:
-                append_decision(decision_cls((p, q, weight), action, distortion,
-                                             target_edge, (cluster_lo, cluster_hi)))
+            append_decision(decision_cls((p, q, weight), action, distortion,
+                                         target_edge, (cluster_lo, cluster_hi)))
         summary.added = added
         summary.merged = merged
         summary.redistributed = redistributed
@@ -1022,7 +798,5 @@ class SimilarityFilter:
             self._sparsifier.increase_weights(targets, np.fromiter(merge_totals.values(), dtype=float,
                                                                    count=len(targets)))
         for cluster, weight in spread_totals.items():
-            self._redistribute_weight_bulk(cluster, weight)
-        if records is not None:
-            return records, summary
+            self._redistribute_weight(cluster, weight)
         return decisions, summary

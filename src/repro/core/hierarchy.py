@@ -133,8 +133,8 @@ class ClusterHierarchy:
             level.labels = self._embedding[:, index]
         # Lazily built cluster→members index, one table per level; maintained
         # incrementally by relabel_nodes/append_cluster once built, so splice
-        # and merge operations (and shard routing) read cluster member sets in
-        # O(cluster size) instead of scanning all n labels per touched cluster.
+        # and merge operations read cluster member sets in O(cluster size)
+        # instead of scanning all n labels per touched cluster.
         self._members: List[Optional[List[Optional[np.ndarray]]]] = [None] * len(self._levels)
         # Staleness bookkeeping for the fully dynamic update path: every noted
         # sparsifier-edge removal inflates the affected cluster diameters and
@@ -511,7 +511,7 @@ class ClusterHierarchy:
         self._inflation_ceiling = None
 
     # ------------------------------------------------------------------ #
-    # Serialisation (worker state shipping + checkpoint format)
+    # Serialisation (checkpoint format)
     # ------------------------------------------------------------------ #
     @classmethod
     def from_level_arrays(cls, embedding: np.ndarray,
@@ -519,10 +519,9 @@ class ClusterHierarchy:
                           diameter_thresholds: Sequence[float]) -> "ClusterHierarchy":
         """Rebuild a hierarchy from raw level arrays.
 
-        The constructor path used by both the process-executor workers (which
-        receive the arrays over a pipe) and checkpoint restore.  A plain
-        ``pickle`` of a live hierarchy would detach every ``level.labels``
-        from the embedding matrix (they are column *views*, and unpickling
+        The constructor path of checkpoint restore.  A plain ``pickle`` of a
+        live hierarchy would detach every ``level.labels`` from the
+        embedding matrix (they are column *views*, and unpickling
         materialises them as independent copies), silently breaking the
         one-matrix-many-views maintenance invariant — so serialisation ships
         the arrays and rebuilds through the ordinary constructor instead.
@@ -567,10 +566,10 @@ class ClusterHierarchy:
                          inflation_ceiling: Optional[float]) -> None:
         """Restore the mutation/staleness counters a fresh constructor zeroed.
 
-        Version counters are what level-bound caches (similarity filters, the
-        shard plan) validate against, so a restored hierarchy must resume the
-        saved sequence — otherwise the first post-restore mutation could
-        collide with a cached pre-save version and mask real staleness.
+        Version counters are what level-bound caches (similarity filters)
+        validate against, so a restored hierarchy must resume the saved
+        sequence — otherwise the first post-restore mutation could collide
+        with a cached pre-save version and mask real staleness.
         """
         if len(level_labels_versions) != len(self._levels):
             raise ValueError("one labels version is needed per level")

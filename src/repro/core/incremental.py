@@ -132,18 +132,7 @@ class InGrassSparsifier:
 
     @classmethod
     def from_config(cls, config: Optional[InGrassConfig] = None) -> "InGrassSparsifier":
-        """Build the driver matching ``config``.
-
-        ``config.num_shards > 1`` selects the shard-aware
-        :class:`~repro.core.sharding.ShardedSparsifier` (same public API and
-        — by its oracle guarantee — the same sparsifier; only the execution
-        strategy changes); otherwise the classic single-context driver.
-        """
-        config = config if config is not None else InGrassConfig()
-        if cls is InGrassSparsifier and config.num_shards > 1:
-            from repro.core.sharding import ShardedSparsifier
-
-            return ShardedSparsifier(config)
+        """Build a driver for ``config`` (``None`` means defaults)."""
         return cls(config)
 
     def __init__(self, config: Optional[InGrassConfig] = None) -> None:
@@ -288,19 +277,15 @@ class InGrassSparsifier:
 
     @classmethod
     def load_checkpoint(cls, path) -> "InGrassSparsifier":
-        """Rebuild a driver from a checkpoint written by :meth:`save_checkpoint`.
-
-        Dispatches through :meth:`from_config`, so a checkpoint saved from a
-        :class:`~repro.core.sharding.ShardedSparsifier` restores as one.
-        """
+        """Rebuild a driver from a checkpoint written by :meth:`save_checkpoint`."""
         from repro.checkpoint import load_checkpoint
 
         return load_checkpoint(path)
 
     def _checkpoint_runtime_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """Driver-specific checkpoint extras: (JSON-able dict, named arrays).
+        """Checkpoint extras: (JSON-able dict, named arrays).
 
-        The base driver's only runtime state beyond the core arrays is the
+        The driver's only runtime state beyond the core arrays is the
         maintain-mode maintainer: its lifetime counters and the spliced-node
         neighbourhood pending re-examination.  The similarity filter is
         deliberately *not* serialised — its cluster-pair map is a pure
@@ -353,10 +338,9 @@ class InGrassSparsifier:
 
         The similarity filtering level is a *setup-time* choice (Section
         III-C-2 derives it from the hierarchy the setup phase built): the
-        whole cluster-pair map — and, in the sharded driver, the shard plan
-        itself — is keyed by that level's labels.  Re-deriving the level on
-        every call would let maintain-mode splices/merges drift it
-        mid-stream, silently invalidating every level-keyed structure (the
+        whole cluster-pair map is keyed by that level's labels.  Re-deriving
+        the level on every call would let maintain-mode splices/merges drift
+        it mid-stream, silently invalidating the level-keyed filter map (the
         engine would build throwaway filters per batch and lose their
         registrations), so the first resolution after a (re)setup is frozen
         into the config every pipeline call receives.
@@ -501,7 +485,13 @@ class InGrassSparsifier:
         # Capture the physical weights while removing so run_removal can
         # re-home conductance that merges parked on removed sparsifier edges.
         removed_with_weights = graph.remove_edges(pairs)
-        result = self._run_removal(removed_with_weights)
+        result = run_removal(
+            sparsifier, self._setup, removed_with_weights,
+            graph=graph, config=self._resolved_config(),
+            target_condition_number=self._target_condition,
+            similarity_filter=self._ensure_filter(),
+            maintainer=self._ensure_maintainer(),
+        )
         # The periodic full re-setup is a rebuild-mode fallback: the
         # maintenance mode keeps the hierarchy structurally accurate, so it
         # never pays the O(m log n) refresh.
@@ -510,24 +500,6 @@ class InGrassSparsifier:
                 and self._setup.hierarchy.needs_refresh(threshold)):
             self.refresh_setup()
         return result
-
-    def _run_removal(self, removed_with_weights: Sequence[WeightedEdge]) -> RemovalResult:
-        """Run the sparsifier-side removal pipeline on one validated batch.
-
-        ``removed_with_weights`` carries the weight each edge had in the
-        tracked graph (already removed from it).  The shard-aware driver
-        overrides this hook with the sharded removal pipeline; everything
-        around it — validation, connectivity pre-flight, the re-setup
-        schedule — stays in :meth:`_apply_removals`.
-        """
-        assert self._sparsifier is not None and self._setup is not None
-        return run_removal(
-            self._sparsifier, self._setup, removed_with_weights,
-            graph=self._graph, config=self._resolved_config(),
-            target_condition_number=self._target_condition,
-            similarity_filter=self._ensure_filter(),
-            maintainer=self._ensure_maintainer(),
-        )
 
     def _apply_weight_changes(self, changes: Sequence[WeightedEdge]) -> ReweightResult:
         """Weight-change phase: bump conductances in place, no repair needed.

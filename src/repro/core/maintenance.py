@@ -81,31 +81,6 @@ class MaintenanceStats:
     #: around relabels, in both splices and merges).
     rekey_seconds: float = 0.0
 
-    def snapshot(self) -> "MaintenanceStats":
-        """Return a copy (for before/after deltas in result records)."""
-        return MaintenanceStats(
-            removals=self.removals, insertions=self.insertions, splices=self.splices,
-            splits=self.splits, merges=self.merges,
-            diameter_recomputes=self.diameter_recomputes,
-            maintenance_seconds=self.maintenance_seconds,
-            splice_seconds=self.splice_seconds,
-            diameter_seconds=self.diameter_seconds,
-            rekey_seconds=self.rekey_seconds,
-        )
-
-    def merge(self, other: "MaintenanceStats") -> None:
-        """Fold ``other``'s counters into this record (sharded aggregation)."""
-        self.removals += other.removals
-        self.insertions += other.insertions
-        self.splices += other.splices
-        self.splits += other.splits
-        self.merges += other.merges
-        self.diameter_recomputes += other.diameter_recomputes
-        self.maintenance_seconds += other.maintenance_seconds
-        self.splice_seconds += other.splice_seconds
-        self.diameter_seconds += other.diameter_seconds
-        self.rekey_seconds += other.rekey_seconds
-
 
 @dataclass
 class SpliceReport:
@@ -357,11 +332,10 @@ class HierarchyMaintainer:
     def note_spliced_nodes(self, nodes) -> None:
         """Mark ``nodes`` as pending splice neighbourhood.
 
-        Used by the sharded driver when it rebuilds its per-shard contexts
-        (a replan) between a removal batch and the κ-guard pass: the retiring
-        maintainer's un-drained splice neighbourhood is adopted by its
-        replacement, so the guard's round-0 candidate pool is independent of
-        when replans happen — part of the oracle guarantee.
+        Used by checkpoint restore: the saved maintainer's un-drained splice
+        neighbourhood is handed to the rebuilt one, so the next κ-guard pass
+        seeds its round-0 candidate pool exactly as the uninterrupted run
+        would.
         """
         for node in np.asarray(nodes, dtype=np.int64).tolist():
             self._splice_neighbourhood[int(node)] = None

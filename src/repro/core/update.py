@@ -28,13 +28,12 @@ configured guard bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import InGrassConfig
 from repro.core.distortion import (
-    DistortionBatch,
     estimate_distortions,
     filter_by_threshold,
     score_edge_arrays,
@@ -44,7 +43,6 @@ from repro.core.distortion import (
 from repro.core.filtering import (
     FilterAction,
     FilterDecision,
-    FilterDecisionBatch,
     FilterSummary,
     SimilarityFilter,
 )
@@ -67,11 +65,8 @@ WeightedEdge = Tuple[int, int, float]
 class UpdateResult:
     """Outcome of one incremental update call."""
 
-    #: Per-edge filter decisions: a list of :class:`FilterDecision` objects,
-    #: or one SoA :class:`FilterDecisionBatch` when the batch ran with
-    #: ``config.decision_records="arrays"`` (iterating either yields the same
-    #: :class:`FilterDecision` values).
-    decisions: Union[List[FilterDecision], FilterDecisionBatch]
+    #: Per-edge filter decisions, in filtering order.
+    decisions: List[FilterDecision]
     summary: FilterSummary
     filtering_level: int
     update_seconds: float
@@ -87,8 +82,6 @@ class UpdateResult:
     @property
     def added_edges(self) -> List[WeightedEdge]:
         """Edges that were actually inserted into the sparsifier."""
-        if isinstance(self.decisions, FilterDecisionBatch):
-            return self.decisions.added_edges()
         return [d.edge for d in self.decisions if d.action is FilterAction.ADDED]
 
 
@@ -140,9 +133,7 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
                config: Optional[InGrassConfig] = None, *,
                target_condition_number: Optional[float] = None,
                similarity_filter: Optional[SimilarityFilter] = None,
-               maintainer: Optional[HierarchyMaintainer] = None,
-               distortion_median: Optional[float] = None,
-               scored_batch: Optional["DistortionBatch"] = None) -> UpdateResult:
+               maintainer: Optional[HierarchyMaintainer] = None) -> UpdateResult:
     """Apply one batch of streamed edges to ``sparsifier`` (mutated in place).
 
     Parameters
@@ -167,24 +158,10 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
         Hierarchy maintainer driving in-place cluster merges after the batch
         (``config.hierarchy_mode="maintain"``); built on demand when omitted
         in that mode, ignored in rebuild mode.
-    distortion_median:
-        Precomputed median distortion used as the reference of the relative
-        ``config.distortion_threshold`` cut.  The sharded driver passes the
-        *global* batch median here so per-shard sub-batches drop exactly the
-        edges the unsharded oracle would; ``None`` (default) derives the
-        median from ``new_edges`` itself.
-    scored_batch:
-        Pre-scored, pre-validated batch (``new_edges`` is then ignored).
-        The sharded driver's threshold pipeline scores each shard's slice
-        once in its parallel phase, takes the global median at the barrier
-        and hands the slices here, so no edge is ever scored twice.
     """
     config = config if config is not None else InGrassConfig()
     timer = Timer().start()
-    if scored_batch is not None:
-        us, vs, ws = scored_batch.us, scored_batch.vs, scored_batch.ws
-    else:
-        us, vs, ws = validate_new_edge_arrays(sparsifier, new_edges)
+    us, vs, ws = validate_new_edge_arrays(sparsifier, new_edges)
     batch_size = int(us.shape[0])
 
     level = _select_filtering_level(setup, config, target_condition_number)
@@ -198,32 +175,22 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
     if config.use_vectorized(batch_size):
         # Batched engine: score, threshold and sort the whole stream as
         # numpy arrays, then resolve the similarity filter per cluster group.
-        batch = (scored_batch if scored_batch is not None
-                 else score_edge_arrays(setup.embedding, us, vs, ws))
-        batch, dropped_batch = batch.split_by_threshold(config.distortion_threshold,
-                                                        median=distortion_median)
-        record_arrays = config.decision_records == "arrays"
-        decisions, summary = similarity_filter.apply_batch(batch.sort(), max_additions=max_additions,
-                                                           record_arrays=record_arrays)
+        batch = score_edge_arrays(setup.embedding, us, vs, ws)
+        batch, dropped_batch = batch.split_by_threshold(config.distortion_threshold)
+        decisions, summary = similarity_filter.apply_batch(batch.sort(), max_additions=max_additions)
         num_dropped = len(dropped_batch)
         summary.dropped += num_dropped
-        if record_arrays:
-            decisions = decisions.extended_with_dropped(
-                dropped_batch.us, dropped_batch.vs, dropped_batch.ws, dropped_batch.distortions,
+        dropped_distortions = dropped_batch.distortions.tolist()
+        for index in range(num_dropped):
+            decisions.append(
+                FilterDecision(edge=dropped_batch.edge(index),
+                               action=FilterAction.DROPPED_LOW_DISTORTION,
+                               distortion=dropped_distortions[index])
             )
-        else:
-            dropped_distortions = dropped_batch.distortions.tolist()
-            for index in range(num_dropped):
-                decisions.append(
-                    FilterDecision(edge=dropped_batch.edge(index),
-                                   action=FilterAction.DROPPED_LOW_DISTORTION,
-                                   distortion=dropped_distortions[index])
-                )
     else:
         cleaned = list(zip(us.tolist(), vs.tolist(), ws.tolist()))
         estimates = estimate_distortions(setup.embedding, cleaned)
-        estimates, dropped = filter_by_threshold(estimates, config.distortion_threshold,
-                                                 median=distortion_median)
+        estimates, dropped = filter_by_threshold(estimates, config.distortion_threshold)
         estimates = sort_by_distortion(estimates)
         decisions, summary = similarity_filter.apply(estimates, max_additions=max_additions)
         num_dropped = len(dropped)
@@ -235,8 +202,7 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
             )
     hierarchy_merges = 0
     if maintainer is not None and summary.added:
-        added = (decisions.added_edges() if isinstance(decisions, FilterDecisionBatch)
-                 else [d.edge for d in decisions if d.action is FilterAction.ADDED])
+        added = [d.edge for d in decisions if d.action is FilterAction.ADDED]
         hierarchy_merges = maintainer.note_insertions(added, similarity_filter=similarity_filter)
     timer.stop()
     return UpdateResult(
@@ -277,64 +243,20 @@ def prepare_removal_batch(graph: Graph, removals: Sequence) -> Tuple[List[Edge],
     return requested, graph_weights
 
 
-def slice_graph_weights(requested: Sequence[Tuple[int, Edge]],
-                        graph_weights: dict) -> dict:
-    """Restrict a removal batch's physical-weight map to one job's pairs.
-
-    The process executor ships each shard only the ``(u, v) -> weight``
-    entries its drop-stage items can actually read, so the per-worker payload
-    scales with the shard's slice instead of the whole batch.
-    """
-    return {pair: graph_weights[pair] for _position, pair in requested
-            if pair in graph_weights}
-
-
-@dataclass
-class RemovalStage1Result:
-    """Outcome of the drop stage of one removal (sub-)batch.
-
-    The entries carry the position of each edge in the canonical ``requested``
-    list of the whole batch, so the sharded driver — which runs one drop stage
-    per shard — can stitch the per-shard outcomes back into the exact record
-    the unsharded pipeline produces (lists in request order, weight sums
-    accumulated in request order).
-    """
-
-    #: ``(position, (u, v, carried_weight))`` for every edge the sparsifier
-    #: carried and dropped.
-    removed: List[Tuple[int, WeightedEdge]] = field(default_factory=list)
-    #: ``(position, excess_weight, reassigned)`` for every dropped edge that
-    #: had absorbed weight beyond its physical share.
-    excesses: List[Tuple[int, float, bool]] = field(default_factory=list)
-    #: Hierarchy levels whose cached diameters were inflated (``inflate`` only).
-    inflated_levels: int = 0
-
-
-def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult,
-                           requested: Sequence[Tuple[int, Edge]],
-                           graph_weights: dict, *,
-                           similarity_filter, config: InGrassConfig,
-                           inflate: bool) -> RemovalStage1Result:
+def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "RemovalResult",
+                           graph_weights: dict, *, similarity_filter: SimilarityFilter,
+                           config: InGrassConfig, inflate: bool) -> None:
     """Stage 1 of the removal pipeline: drop, invalidate, re-home.
 
-    For every ``(position, (u, v))`` pair the sparsifier carries: remove the
+    For every pair of ``result.requested`` the sparsifier carries: remove the
     edge, discard it from the similarity filter's cluster-pair bucket, and
     re-home any excess weight earlier merge/redistribute decisions parked on
     it onto surviving support of the same cluster pair.  With ``inflate``
     (rebuild mode) the cached cluster diameters containing both endpoints are
     additionally stretched via
     :meth:`~repro.core.hierarchy.ClusterHierarchy.note_edge_removed`.
-
-    Every mutation touches only state reachable through ``similarity_filter``
-    and the dropped edges' own cluster pairs, which is what lets the sharded
-    driver run one drop stage per shard (each against its
-    :class:`~repro.core.sharding.ShardScopedFilter` view) — concurrently for
-    intra-shard edges — and still reproduce the unsharded pipeline bit for
-    bit: operations of different shards touch disjoint buckets and disjoint
-    sparsifier edges, so any interleaving commutes.  Hierarchy inflation is
-    the one globally shared mutation, which is why the sharded driver passes
-    ``inflate=False`` here and replays the inflations post-barrier in request
-    order.
+    Fills ``result.removed_from_sparsifier`` (in request order),
+    ``reassigned_weight``, ``discarded_weight`` and ``inflated_levels``.
 
     The per-edge loop stays sequential — re-homing edge ``i``'s excess may
     pick a representative that a later request removes, so remove/notify/
@@ -344,23 +266,16 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult,
     filter mutations are inlined dict operations with a single view
     invalidation for the whole stage instead of one per removal.
     """
-    result = RemovalStage1Result()
-    items = list(requested)
-    if not items:
-        return result
-    us = np.fromiter((pair[0] for _pos, pair in items), dtype=np.int64,
-                     count=len(items))
-    vs = np.fromiter((pair[1] for _pos, pair in items), dtype=np.int64,
-                     count=len(items))
-    node_los = np.minimum(us, vs)
-    node_his = np.maximum(us, vs)
+    keys = result.requested
+    if not keys:
+        return
+    us = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
+    vs = np.fromiter((v for _, v in keys), dtype=np.int64, count=len(keys))
     labels = similarity_filter._labels
-    cluster_us = labels[node_los]
-    cluster_vs = labels[node_his]
+    cluster_us = labels[us]
+    cluster_vs = labels[vs]
     ps = np.minimum(cluster_us, cluster_vs).tolist()
     qs = np.maximum(cluster_us, cluster_vs).tolist()
-    keys = list(zip(node_los.tolist(), node_his.tolist()))
-    positions = [position for position, _pair in items]
     physicals = [graph_weights.get(key) for key in keys]
 
     edge_map = sparsifier._edges
@@ -370,21 +285,18 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult,
     redistribute = similarity_filter._redistribute
     hierarchy = setup.hierarchy
     inflation = config.removal_diameter_inflation
-    removed_append = result.removed.append
-    excess_append = result.excesses.append
+    removed_append = result.removed_from_sparsifier.append
+    reassigned_total = 0.0
+    discarded_total = 0.0
     try:
-        for position, key, p, q, physical in zip(positions, keys, ps, qs,
-                                                 physicals):
+        for key, p, q, physical in zip(keys, ps, qs, physicals):
             weight = edge_map.pop(key, None)
             if weight is None:
                 continue
             u, v = key
             del adjacency[u][v]
             del adjacency[v][u]
-            # Inlined filter unregister.  ``pop(..., None)`` self-gates
-            # shard-scoped views: an edge the view does not own is never in
-            # its buckets, matching the ``owns_edge`` guard of the scalar
-            # protocol.
+            # Inlined filter unregister (a no-op for an unregistered edge).
             if p == q:
                 bucket = intra.get(p)
                 if bucket is not None:
@@ -401,55 +313,28 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult,
                 result.inflated_levels += hierarchy.note_edge_removed(
                     u, v, inflation_factor=inflation
                 )
-            removed_append((position, (u, v, weight)))
+            removed_append((u, v, weight))
             if physical is not None and weight > physical:
                 excess = weight - physical
                 # Inlined reassign_weight with the precomputed cluster pair.
                 if p == q:
                     if redistribute and intra.get(p):
                         similarity_filter._redistribute_weight(p, excess)
-                        reassigned = True
+                        reassigned_total += excess
                     else:
-                        reassigned = False
+                        discarded_total += excess
                 else:
                     bucket = connectivity.get((p, q))
                     if bucket:
                         rep_u, rep_v = min(bucket)
                         sparsifier.increase_weight(rep_u, rep_v, excess)
-                        reassigned = True
+                        reassigned_total += excess
                     else:
-                        reassigned = False
-                excess_append((position, excess, reassigned))
+                        discarded_total += excess
     finally:
         sparsifier._invalidate_views()
-    return result
-
-
-def merge_drop_stages(result: RemovalResult,
-                      stages: Sequence[RemovalStage1Result]) -> None:
-    """Fold per-shard drop stages into ``result`` in request order.
-
-    Restores exactly the record the single-stage pipeline produces: the
-    ``removed_from_sparsifier`` list ordered by request position and the
-    reassigned/discarded weight sums accumulated in that same order (float
-    addition is not associative, so the summation order is part of the
-    bit-exactness contract).
-    """
-    removed = sorted((entry for stage in stages for entry in stage.removed),
-                     key=lambda item: item[0])
-    result.removed_from_sparsifier = [edge for _, edge in removed]
-    excesses = sorted((entry for stage in stages for entry in stage.excesses),
-                      key=lambda item: item[0])
-    reassigned = 0.0
-    discarded = 0.0
-    for _, excess, was_reassigned in excesses:
-        if was_reassigned:
-            reassigned += excess
-        else:
-            discarded += excess
-    result.reassigned_weight = reassigned
-    result.discarded_weight = discarded
-    result.inflated_levels = sum(stage.inflated_levels for stage in stages)
+    result.reassigned_weight = reassigned_total
+    result.discarded_weight = discarded_total
 
 
 @dataclass
@@ -668,18 +553,17 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
     # rebuild mode the affected cluster diameters are inflated here; in
     # maintain mode the clusters are spliced structurally after step 2, once
     # the sparsifier is reconnected.
-    stage1 = run_removal_drop_stage(
-        sparsifier, setup, list(enumerate(requested)), graph_weights,
-        similarity_filter=similarity_filter, config=config,
-        inflate=maintainer is None,
-    )
     result = RemovalResult(
         requested=requested,
         removed_from_sparsifier=[],
         reconnection_edges=[],
         filtering_level=level,
     )
-    merge_drop_stages(result, [stage1])
+    run_removal_drop_stage(
+        sparsifier, setup, result, graph_weights,
+        similarity_filter=similarity_filter, config=config,
+        inflate=maintainer is None,
+    )
     if not result.removed_from_sparsifier:
         timer.stop()
         result.removal_seconds = timer.elapsed
@@ -694,15 +578,14 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
 
 def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: RemovalResult, *,
                               graph: Graph, config: InGrassConfig,
-                              similarity_filter, maintainer: Optional[HierarchyMaintainer]) -> None:
-    """Global stages of the removal pipeline (steps 2, 2b and 3).
+                              similarity_filter: SimilarityFilter,
+                              maintainer: Optional[HierarchyMaintainer]) -> None:
+    """Stages 2, 2b and 3 of the removal pipeline, after the drop stage.
 
-    Everything here is inherently batch-global — union-find reconnection,
-    maintain-mode splices judged against the repaired structure, the
-    distortion-ranked repair pass with its batch-wide cap — so the sharded
-    driver runs it once, post-barrier, against the composite filter, in
-    exactly the order the unsharded pipeline uses.  Mutates ``result`` in
-    place (reconnection, splice and repair fields).
+    Union-find reconnection, maintain-mode splices judged against the
+    repaired structure, and the distortion-ranked repair pass with its
+    batch-wide cap.  Mutates ``result`` in place (reconnection, splice and
+    repair fields).
     """
     removed_from_sparsifier = result.removed_from_sparsifier
 

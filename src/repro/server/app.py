@@ -79,9 +79,8 @@ class ServerBackendUnavailableError(RuntimeError):
 def resolve_backend(name: str) -> str:
     """Validate a backend name; only ``"asyncio"`` resolves today.
 
-    Mirrors :class:`repro.core.executors.ExecutorUnavailableError` semantics:
-    a clear, actionable message the moment the unusable backend is *chosen*,
-    not a confusing failure once traffic arrives.
+    Fails with a clear, actionable message the moment the unusable backend
+    is *chosen*, not with a confusing failure once traffic arrives.
     """
     if name == "asyncio":
         return name

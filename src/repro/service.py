@@ -59,9 +59,8 @@ class SparsifierService:
     Parameters
     ----------
     config:
-        Driver configuration; ``config.num_shards`` transparently selects the
-        sharded engine (via :meth:`InGrassSparsifier.from_config`).  Ignored
-        when ``driver`` is given.
+        Driver configuration (``None`` means defaults).  Ignored when
+        ``driver`` is given.
     driver:
         An existing driver to wrap (e.g. one that already ran ``setup``).
     max_snapshots:
@@ -241,7 +240,6 @@ class SparsifierService:
                 "applied_batches": self._applied_batches,
                 "retained_versions": list(self._snapshots.keys()),
                 "max_snapshots": self._max_snapshots,
-                "num_shards": self._driver.config.num_shards,
                 "hierarchy_mode": self._driver.config.hierarchy_mode,
                 "write_stats": self.write_stats,
                 "snapshot": snap.describe(),

@@ -154,60 +154,6 @@ class MixedBatch:
     def __bool__(self) -> bool:
         return self.num_events > 0
 
-    def split_by_shard(self, node_shard: "np.ndarray") -> Tuple[List["MixedBatch"], "MixedBatch"]:
-        """Route the batch's events by shard (the sharded engine's view of it).
-
-        ``node_shard`` maps every node to its shard id (a
-        :class:`repro.core.sharding.ShardPlan` provides it).  Events whose
-        endpoints share a shard land in that shard's batch; cross-shard
-        events land in the returned *escrow* batch, preserving relative
-        order within each kind.  Used by the shard benchmark and tests to
-        inspect routing; the driver itself routes validated endpoint arrays
-        with numpy masks.
-        """
-        node_shard = np.asarray(node_shard, dtype=np.int64)
-        num_shards = int(node_shard.max()) + 1 if node_shard.size else 1
-        shards = [MixedBatch() for _ in range(num_shards)]
-        escrow = MixedBatch()
-
-        def target(u: int, v: int) -> "MixedBatch":
-            su = int(node_shard[u])
-            return shards[su] if su == int(node_shard[v]) else escrow
-
-        for u, v in self.deletions:
-            target(u, v).deletions.append((u, v))
-        for u, v, delta in self.weight_changes:
-            target(u, v).weight_changes.append((u, v, delta))
-        for u, v, w in self.insertions:
-            target(u, v).insertions.append((u, v, w))
-        return shards, escrow
-
-    def routing_counts(self, node_shard: "np.ndarray") -> Tuple["np.ndarray", int]:
-        """Count how this batch's events would route under ``node_shard``.
-
-        Returns ``(per_shard_counts, escrow_count)`` over all three event
-        kinds.  Useful for benches and tests that want to reason about
-        escrow fractions without executing the batch.  Note that the live
-        :class:`~repro.core.sharding.ReplanPolicy` observes only the phases
-        the sharded engine routes per shard — deletions and insertions —
-        while this helper also counts weight-change events (which the driver
-        applies globally), so its totals can exceed the policy's.
-        """
-        node_shard = np.asarray(node_shard, dtype=np.int64)
-        num_shards = int(node_shard.max()) + 1 if node_shard.size else 1
-        counts = np.zeros(num_shards, dtype=np.int64)
-        escrow = 0
-        pairs = ([(u, v) for u, v in self.deletions]
-                 + [(u, v) for u, v, _ in self.weight_changes]
-                 + [(u, v) for u, v, _ in self.insertions])
-        for u, v in pairs:
-            su = int(node_shard[u])
-            if su == int(node_shard[v]):
-                counts[su] += 1
-            else:
-                escrow += 1
-        return counts, escrow
-
     @classmethod
     def from_events(cls, events: Sequence[StreamEvent]) -> "MixedBatch":
         """Bundle a flat event list into a batch (order within kind preserved).

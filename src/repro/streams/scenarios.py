@@ -301,8 +301,8 @@ def simulate_event_stream(graph: Graph, num_events: int, num_batches: int, *,
 
     The building block behind :func:`build_dynamic_scenario`, exposed for
     benchmarks that size their stream in events rather than in off-tree
-    density deltas (the sharded-removal gate and the nightly soak stream
-    10⁴–10⁵ events over arbitrarily many batches).  The stream is simulated
+    density deltas (the nightly soak streams 10⁴–10⁵ events over
+    arbitrarily many batches).  The stream is simulated
     on a scratch copy of ``graph``, which guarantees every deletion targets
     an edge that still exists (possibly one inserted by an earlier batch) and
     never disconnects the graph, and every insertion is genuinely new at the

@@ -8,7 +8,6 @@ import repro
 import repro.api as api
 from repro import cli
 from repro.core.incremental import InGrassSparsifier
-from repro.core.sharding import ShardedSparsifier
 
 
 class TestApiFacade:
@@ -25,9 +24,10 @@ class TestApiFacade:
 
     def test_factory_routes_on_config(self):
         assert type(api.Sparsifier(None)) is InGrassSparsifier
-        assert type(api.Sparsifier(api.InGrassConfig())) is InGrassSparsifier
-        sharded = api.Sparsifier(api.InGrassConfig(num_shards=2))
-        assert isinstance(sharded, ShardedSparsifier)
+        config = api.InGrassConfig(kappa_guard_factor=1.8)
+        driver = api.Sparsifier(config)
+        assert type(driver) is InGrassSparsifier
+        assert driver.config is config
 
     def test_facade_is_importable_in_one_line(self):
         # The documented quickstart import must keep working verbatim.
@@ -54,7 +54,7 @@ class TestUnifiedCli:
     def test_bench_list(self, capsys):
         assert cli.main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("gate", "churn", "shard", "soak"):
+        for name in ("gate", "churn", "soak", "serve-latency"):
             assert name in out
 
     def test_bench_registry_covers_every_bench_module(self):
@@ -67,7 +67,7 @@ class TestUnifiedCli:
         for module in bench_dir.glob("*.py"):
             if module.name.startswith("_"):
                 continue
-            if 'if __name__ == "__main__"' in module.read_text():
+            if "\ndef main(" in module.read_text():
                 runnable.add(f"repro.bench.{module.stem}")
         assert runnable == set(cli._BENCH_MODULES.values())
 
@@ -90,37 +90,10 @@ class TestUnifiedCli:
 
     def test_no_args_prints_help(self, capsys):
         assert cli.main([]) == 0
-        assert "serve-demo" in capsys.readouterr().out
-
-    def test_serve_demo_smoke(self, capsys):
-        with pytest.warns(DeprecationWarning, match="repro serve"):
-            code = cli.main(["serve-demo", "--side", "6", "--batches", "3",
-                             "--readers", "2", "--seed", "1"])
-        assert code == 0
         out = capsys.readouterr().out
-        assert "concurrent queries" in out
-        assert "final epoch" in out
-
-    def test_serve_demo_json_artifact_shares_the_gate_schema(self, tmp_path, capsys):
-        from repro.bench.serve_latency import LATENCY_SCHEMA
-
-        artifact = tmp_path / "demo.json"
-        with pytest.warns(DeprecationWarning):
-            code = cli.main(["serve-demo", "--side", "6", "--batches", "2",
-                             "--readers", "2", "--seed", "1",
-                             "--json", str(artifact)])
-        assert code == 0
-        capsys.readouterr()
-        import json
-
-        payload = json.loads(artifact.read_text())
-        assert payload["schema"] == LATENCY_SCHEMA
-        assert payload["source"] == "serve-demo"
-        latency = payload["latency"]
-        assert latency["queries"] > 0
-        assert len(latency["readers"]) == 2
-        for key in ("p50_ms", "p90_ms", "p99_ms", "max_ms", "mean_ms"):
-            assert latency[key] >= 0.0
+        for command in ("bench", "serve", "checkpoint"):
+            assert command in out
+        assert "serve-demo" not in out
 
     def test_serve_subcommand_in_help_and_validates_backend(self, capsys):
         assert cli.main([]) == 0
@@ -131,10 +104,6 @@ class TestUnifiedCli:
             cli.main(["serve", "--backend", "fastapi"])
         assert excinfo.value.code == 2
         assert "repro[serve]" in capsys.readouterr().err
-
-    def test_legacy_shim_warns_with_pointer(self):
-        with pytest.warns(DeprecationWarning, match="python -m repro bench gate"):
-            cli.warn_legacy_invocation("repro.bench.gate", "bench gate")
 
     def test_module_entry_point_exists(self):
         import repro.__main__  # noqa: F401  (must import without running)

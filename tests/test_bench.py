@@ -1,7 +1,7 @@
 """Tests for the benchmark harness (datasets, runners, table formatting).
 
 These keep the harness itself honest on tiny inputs; the actual paper-shape
-numbers are produced by ``benchmarks/`` and the ``python -m repro.bench.*``
+numbers are produced by ``benchmarks/`` and the ``python -m repro bench <name>``
 CLIs.
 """
 

@@ -5,8 +5,9 @@ after N batches and restored — into this process or a freshly spawned one —
 must replay the remaining stream to exactly the state an uninterrupted run
 reaches: same sparsifier edge dict (set, weights, insertion order), same
 graph, same κ, same history fingerprint, same version counter.  The property
-is checked across executors ({serial, threads, processes}), shard counts
-({1, 2, 4}) and both hierarchy modes.
+is checked at several save points in both hierarchy modes, with the restored
+driver resuming in this thread, on a worker thread or in a spawned
+interpreter.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,6 @@ from repro.checkpoint import (
 )
 from repro.core import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
-from repro.core.sharding import ShardedSparsifier
 from repro.graphs.generators import grid_circuit_2d
 from repro.service import SparsifierService
 from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenario
@@ -46,15 +47,12 @@ SCENARIO_KWARGS = dict(
 )
 
 
-def make_config(num_shards=1, executor="serial", hierarchy_mode="rebuild"):
+def make_config(hierarchy_mode="rebuild"):
     return InGrassConfig(
         lrd=LRDConfig(seed=0),
         kappa_guard_dense_limit=DENSE_LIMIT,
         kappa_guard_factor=1.8,
         hierarchy_mode=hierarchy_mode,
-        num_shards=num_shards,
-        executor=executor,
-        shard_batch_threshold=0,
         seed=0,
     )
 
@@ -66,101 +64,43 @@ def scenario():
 
 
 def start_driver(scenario, config):
-    driver = InGrassSparsifier.from_config(config)
+    driver = InGrassSparsifier(config)
     driver.setup(scenario.graph, scenario.initial_sparsifier,
                  target_condition_number=scenario.initial_condition_number)
     return driver
 
 
+HISTORY_FIELDS = (
+    "streamed_edges", "added_edges", "merged_edges", "redistributed_edges",
+    "dropped_edges", "removed_edges", "repair_edges", "reweighted_edges",
+    "filtering_level", "sparsifier_edges",
+)
+
+
 def history_fingerprint(driver):
-    return [
-        (r.streamed_edges, r.added_edges, r.merged_edges, r.redistributed_edges,
-         r.dropped_edges, r.removed_edges, r.repair_edges, r.reweighted_edges,
-         r.filtering_level, r.sparsifier_edges)
-        for r in driver.history
-    ]
+    return [tuple(getattr(r, name) for name in HISTORY_FIELDS) for r in driver.history]
 
 
-def fingerprint(driver, ordered=True):
-    """Everything the byte-identical-continuation contract promises.
-
-    ``ordered=False`` compares edge dicts content-wise (set + weights) instead
-    of by insertion order: the ``threads`` executor mutates the shared graphs
-    from its pool in completion order, so insertion order is not deterministic
-    between two runs of the *same* stream — the checkpoint cannot promise an
-    order the engine itself does not.  ``serial`` and ``processes`` (mirror
-    replay in job order) are order-deterministic and get the strict check.
-    """
-    arrange = (lambda d: list(d.items())) if ordered else (lambda d: sorted(d.items()))
+def fingerprint(driver):
+    """Everything the byte-identical-continuation contract promises."""
     return {
-        "sparsifier": arrange(driver.sparsifier._edges),
-        "graph": arrange(driver.graph._edges),
+        "sparsifier": list(driver.sparsifier._edges.items()),
+        "graph": list(driver.graph._edges.items()),
         "version": driver.latest_version,
         "history": history_fingerprint(driver),
         "kappa": driver.condition_number(dense_limit=DENSE_LIMIT),
     }
 
 
-# --------------------------------------------------------------------------- #
-# The round-trip property, across executors × shard counts × hierarchy modes
-# --------------------------------------------------------------------------- #
-class TestRoundTrip:
-    @pytest.mark.parametrize("num_shards,executor,hierarchy_mode", [
-        (1, "serial", "rebuild"),
-        (1, "serial", "maintain"),
-        (2, "threads", "maintain"),
-        (2, "processes", "rebuild"),
-        (4, "processes", "maintain"),
-    ])
-    def test_mid_stream_save_restore_continues_byte_identically(
-            self, scenario, tmp_path, num_shards, executor, hierarchy_mode):
-        config = make_config(num_shards, executor, hierarchy_mode)
-        batches = scenario.batches
-        half = len(batches) // 2
+def replay_in_fresh_process(path, start):
+    """Restore ``path`` in a spawned interpreter, replay the scenario from
+    batch ``start`` there and return the child's fingerprint (JSON-decoded).
 
-        uninterrupted = start_driver(scenario, config)
-        for batch in batches:
-            uninterrupted.update(batch)
-
-        interrupted = start_driver(scenario, config)
-        for batch in batches[:half]:
-            interrupted.update(batch)
-        path = tmp_path / "ckpt"
-        interrupted.save_checkpoint(path)
-        if isinstance(interrupted, ShardedSparsifier):
-            interrupted._shutdown_workers()  # the "kill"
-        restored = InGrassSparsifier.load_checkpoint(path)
-        assert type(restored) is type(interrupted)
-        for batch in batches[half:]:
-            restored.update(batch)
-
-        ordered = executor != "threads"
-        assert fingerprint(restored, ordered) == fingerprint(uninterrupted, ordered)
-
-    def test_restore_into_fresh_process(self, scenario, tmp_path):
-        """The ISSUE's literal clause: restore in a *spawned* interpreter.
-
-        The child rebuilds the (deterministic) scenario, loads the
-        checkpoint, replays the second half of the stream and prints its
-        fingerprint; the parent holds it to the uninterrupted run's.
-        """
-        config = make_config(num_shards=2, executor="processes",
-                             hierarchy_mode="maintain")
-        batches = scenario.batches
-        half = len(batches) // 2
-
-        uninterrupted = start_driver(scenario, config)
-        for batch in batches:
-            uninterrupted.update(batch)
-
-        interrupted = start_driver(scenario, config)
-        for batch in batches[:half]:
-            interrupted.update(batch)
-        path = tmp_path / "ckpt"
-        interrupted.save_checkpoint(path)
-
-        child_script = f"""
-import json, sys
+    The child rebuilds the (deterministic) scenario itself, so nothing but
+    the checkpoint directory crosses the process boundary.
+    """
+    child_script = f"""
+import json
 from repro.checkpoint import load_checkpoint
 from repro.graphs.generators import grid_circuit_2d
 from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenario
@@ -169,26 +109,96 @@ graph = grid_circuit_2d({SCENARIO_SIDE}, seed={SCENARIO_SEED})
 scenario = build_dynamic_scenario(
     graph, DynamicScenarioConfig(**{SCENARIO_KWARGS!r}))
 driver = load_checkpoint({str(path)!r})
-for batch in scenario.batches[{half}:]:
+for batch in scenario.batches[{start}:]:
     driver.update(batch)
 print(json.dumps({{
-    "sparsifier": sorted((list(k), v) for k, v in driver.sparsifier._edges.items()),
+    "sparsifier": list(driver.sparsifier._edges.items()),
+    "graph": list(driver.graph._edges.items()),
     "version": driver.latest_version,
+    "history": [[getattr(r, name) for name in {HISTORY_FIELDS!r}] for r in driver.history],
     "kappa": driver.condition_number(dense_limit={DENSE_LIMIT}),
 }}))
 """
-        repo_src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", child_script],
-                              capture_output=True, text=True, timeout=600, env=env)
-        assert proc.returncode == 0, proc.stderr
-        child = json.loads(proc.stdout.strip().splitlines()[-1])
-        expected = json.loads(json.dumps(sorted(
-            (list(k), v) for k, v in uninterrupted.sparsifier._edges.items())))
-        assert child["sparsifier"] == expected
-        assert child["version"] == uninterrupted.latest_version
-        assert child["kappa"] == uninterrupted.condition_number(dense_limit=DENSE_LIMIT)
+    repo_src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", child_script],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def as_json(value):
+    """``value`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+# --------------------------------------------------------------------------- #
+# The round-trip property, at several save points and resume contexts
+# --------------------------------------------------------------------------- #
+class TestRoundTrip:
+    @pytest.mark.parametrize("save_after,resume_on,hierarchy_mode", [
+        (1, "serial", "rebuild"),
+        (1, "serial", "maintain"),
+        (2, "threads", "maintain"),
+        (2, "processes", "rebuild"),
+        (4, "processes", "maintain"),
+    ])
+    def test_mid_stream_save_restore_continues_byte_identically(
+            self, scenario, tmp_path, save_after, resume_on, hierarchy_mode):
+        """Saved after ``save_after`` batches and resumed in this thread
+        (``serial``), on a worker thread (``threads``) or in a spawned
+        interpreter (``processes``), the replay ends where the uninterrupted
+        run does."""
+        config = make_config(hierarchy_mode)
+        batches = scenario.batches
+        assert save_after < len(batches)
+
+        uninterrupted = start_driver(scenario, config)
+        for batch in batches:
+            uninterrupted.update(batch)
+        expected = fingerprint(uninterrupted)
+
+        interrupted = start_driver(scenario, config)
+        for batch in batches[:save_after]:
+            interrupted.update(batch)
+        path = tmp_path / "ckpt"
+        interrupted.save_checkpoint(path)
+
+        if resume_on == "processes":
+            assert replay_in_fresh_process(path, save_after) == as_json(expected)
+            return
+
+        def resume():
+            restored = InGrassSparsifier.load_checkpoint(path)
+            for batch in batches[save_after:]:
+                restored.update(batch)
+            return restored
+
+        if resume_on == "threads":
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                restored = pool.submit(resume).result()
+        else:
+            restored = resume()
+        assert fingerprint(restored) == expected
+
+    def test_restore_into_fresh_process(self, scenario, tmp_path):
+        """Restore at the stream's midpoint in a *spawned* interpreter."""
+        config = make_config(hierarchy_mode="maintain")
+        batches = scenario.batches
+        half = len(batches) // 2
+
+        uninterrupted = start_driver(scenario, config)
+        for batch in batches:
+            uninterrupted.update(batch)
+
+        interrupted = start_driver(scenario, config)
+        for batch in batches[:half]:
+            interrupted.update(batch)
+        path = tmp_path / "ckpt"
+        interrupted.save_checkpoint(path)
+
+        assert replay_in_fresh_process(path, half) == as_json(fingerprint(uninterrupted))
 
 
 # --------------------------------------------------------------------------- #
@@ -197,7 +207,7 @@ print(json.dumps({{
 class TestFormat:
     @pytest.fixture()
     def saved(self, scenario, tmp_path):
-        driver = start_driver(scenario, make_config(num_shards=2, executor="serial"))
+        driver = start_driver(scenario, make_config())
         for batch in scenario.batches[:2]:
             driver.update(batch)
         path = tmp_path / "ckpt"
@@ -210,9 +220,9 @@ class TestFormat:
         assert not is_checkpoint(tmp_path / "nothing-here")
         info = describe_checkpoint(path)
         assert info["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert info["driver_class"] == "ShardedSparsifier"
+        assert info["driver_class"] == "InGrassSparsifier"
         assert info["version"] == driver.latest_version
-        assert info["num_shards"] == 2
+        assert info["hierarchy_mode"] == "rebuild"
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -222,10 +232,13 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)
+        # A newer layout, and the older format 1 (whose config carried
+        # fields this reader no longer knows).
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, CHECKPOINT_FORMAT_VERSION - 1):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(ValueError, match="format"):
+                load_checkpoint(path)
 
     def test_manifest_is_deterministic(self, scenario, tmp_path):
         """Same state → byte-identical manifest (no timestamps, sorted keys)."""
@@ -239,12 +252,12 @@ class TestFormat:
         assert texts[0] == texts[1]
 
     def test_config_survives_without_deprecation_warning(self, saved, recwarn):
-        _, path = saved
+        driver, path = saved
         recwarn.clear()
         restored = load_checkpoint(path)
         deprecations = [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
         assert not deprecations
-        assert restored.config.num_shards == 2
+        assert restored.config == driver.config
 
 
 # --------------------------------------------------------------------------- #
@@ -252,7 +265,7 @@ class TestFormat:
 # --------------------------------------------------------------------------- #
 class TestServiceRestore:
     def test_service_resumes_at_last_epoch(self, scenario, tmp_path):
-        service = SparsifierService(make_config(num_shards=2, executor="serial"))
+        service = SparsifierService(make_config())
         service.setup(scenario.graph, scenario.initial_sparsifier,
                       target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches[:3]:

@@ -2,8 +2,8 @@
 
 Covers the in-place mutation API of :class:`ClusterHierarchy`, the
 :class:`HierarchyMaintainer` splice/merge mechanics, the similarity filter's
-cluster-rename protocol, the weight-change driver path, the SoA decision
-records and the rebuild-mode diameter clamp.
+cluster-rename protocol, the weight-change driver path and the rebuild-mode
+diameter clamp.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FilterDecisionBatch,
     HierarchyMaintainer,
     InGrassConfig,
     InGrassSparsifier,
@@ -410,53 +409,13 @@ class TestWeightChangePath:
             ingrass.reweight([(edge[0], edge[1], -1.0)])
 
 
-class TestDecisionRecordArrays:
-    def test_arrays_match_objects(self, medium_grid):
-        from repro.core.setup import run_setup as _run_setup
-        from repro.core.update import run_update
-        from repro.sparsify import GrassConfig, GrassSparsifier
-        from repro.streams import mixed_edges
-
-        sparsifier = GrassSparsifier(GrassConfig(target_offtree_density=0.2, seed=1)).sparsify(
-            medium_grid, evaluate_condition=False).sparsifier
-        stream = mixed_edges(medium_grid, 200, seed=11)
-        outcomes = {}
-        for records in ("objects", "arrays"):
-            working = sparsifier.copy()
-            config = InGrassConfig(lrd=LRDConfig(seed=0), batch_mode="vectorized",
-                                   decision_records=records,
-                                   distortion_threshold=0.25, seed=0)
-            setup = _run_setup(working, config)
-            result = run_update(working, setup, stream, config, target_condition_number=32.0)
-            outcomes[records] = (result, set(working.edges()))
-        objects_result, objects_edges = outcomes["objects"]
-        arrays_result, arrays_edges = outcomes["arrays"]
-        assert isinstance(arrays_result.decisions, FilterDecisionBatch)
-        assert objects_edges == arrays_edges
-        assert objects_result.summary == arrays_result.summary
-        materialised = list(arrays_result.decisions)
-        assert materialised == objects_result.decisions
-        assert arrays_result.decisions.action_counts().added == objects_result.summary.added
-        assert sorted(arrays_result.added_edges) == sorted(objects_result.added_edges)
-
-    def test_batch_indexing(self):
-        batch = FilterDecisionBatch.empty(2)
-        assert len(batch) == 2
-        assert batch[1].action is not None
-        assert batch[-1] == batch.decision(1)
-        with pytest.raises(IndexError):
-            batch[2]
-
+class TestDriverModes:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            InGrassConfig(decision_records="bogus")
         with pytest.raises(ValueError):
             InGrassConfig(hierarchy_mode="bogus")
         with pytest.raises(ValueError):
             InGrassConfig(maintenance_exact_limit=1)
 
-
-class TestDriverModes:
     def test_maintain_mode_skips_resetups(self, medium_grid):
         results = {}
         for mode in ("rebuild", "maintain"):

@@ -1,35 +1,39 @@
-"""Tests of the sharded update engine (``repro.core.sharding``).
+"""Driver invariants held against the single incremental driver.
 
-The heart of the suite is the shard-count invariance property: for any
-``num_shards`` and ``shard_mode`` the sharded driver must produce the same
-sparsifier — edge set *and* weights — the same filter decisions and the same
-κ history as the unsharded oracle, on mixed insert/delete/reweight churn
-streams in both hierarchy modes.  Around it sit unit tests of the
-:class:`ShardPlan` partition invariants, the cross-shard escrow stage, the
-:class:`MixedBatch` routing helper, the incremental cluster→members index
-and the maintenance-aware κ guard pool.
+Each test here states one property of :class:`InGrassSparsifier` on mixed
+and deletion-heavy churn streams: plain insertion lists and ``MixedBatch``
+packaging give the same trajectory, the relative distortion cut uses the
+whole batch's median, a save/restore at any batch boundary does not change
+the trajectory, removals conserve conductance and account for every
+requested pair, threaded service writes match serial ones, every public
+constructor builds the same driver, the filter map partitions the
+sparsifier and matches a fresh scan after churn, and the maintenance layer
+keeps its pinned filtering level, its cluster→members index and its κ-guard
+candidate pool consistent.  Class and test names are kept stable so the
+suite's test ids do not churn.
 """
 
 from __future__ import annotations
+
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Sparsifier
 from repro.core import InGrassConfig, LRDConfig
-from repro.core.filtering import SimilarityFilter
+from repro.core.filtering import FilterAction, SimilarityFilter
 from repro.core.incremental import InGrassSparsifier
 from repro.core.setup import run_setup
-from repro.core.sharding import (
-    ESCROW,
-    ReplanPolicy,
-    ShardedRemovalResult,
-    ShardedSparsifier,
-    ShardPlan,
-)
-from repro.core.update import run_kappa_guard, run_removal
+from repro.core.update import _offtree_candidates, run_kappa_guard, run_removal
 from repro.graphs.generators import grid_circuit_2d
+from repro.graphs.graph import canonical_edge
+from repro.graphs.validation import removals_keep_connected
+from repro.service import SparsifierService
 from repro.sparsify.grass import GrassConfig, GrassSparsifier
 from repro.streams.edge_stream import MixedBatch
 from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenario
@@ -37,14 +41,11 @@ from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenari
 DENSE_LIMIT = 600
 
 
-def make_config(num_shards=1, executor="serial", hierarchy_mode="rebuild", **kwargs):
+def make_config(hierarchy_mode="rebuild", **kwargs):
     return InGrassConfig(
         lrd=LRDConfig(seed=0),
         kappa_guard_dense_limit=DENSE_LIMIT,
         hierarchy_mode=hierarchy_mode,
-        num_shards=num_shards,
-        executor=executor,
-        shard_batch_threshold=0,
         seed=0,
         **kwargs,
     )
@@ -63,328 +64,10 @@ def churn_scenario():
     )
 
 
-def run_stream(scenario, config):
-    driver = InGrassSparsifier.from_config(config)
-    driver.setup(scenario.graph, scenario.initial_sparsifier,
-                 target_condition_number=scenario.initial_condition_number)
-    decision_log = []
-    kappa_log = []
-    for batch in scenario.batches:
-        result = driver.update(batch)
-        insertion = getattr(result, "insertion", result)
-        if insertion is not None:
-            for decision in insertion.decisions:
-                decision_log.append((decision.edge[:2], decision.action, decision.target_edge))
-        guard = getattr(result, "kappa_guard", None)
-        if guard is not None:
-            kappa_log.append((round(guard.kappa_before, 9), round(guard.kappa_after, 9),
-                              tuple(sorted((u, v) for u, v, _ in guard.added_edges))))
-    return driver, decision_log, kappa_log
-
-
-def history_fingerprint(driver):
-    return [
-        (r.streamed_edges, r.added_edges, r.merged_edges, r.redistributed_edges,
-         r.dropped_edges, r.removed_edges, r.repair_edges, r.reweighted_edges,
-         r.filtering_level, r.sparsifier_edges)
-        for r in driver.history
-    ]
-
-
-# --------------------------------------------------------------------------- #
-# ShardPlan
-# --------------------------------------------------------------------------- #
-class TestShardPlan:
-    @pytest.fixture(scope="class")
-    def setup_result(self):
-        graph = grid_circuit_2d(13, seed=3)
-        sparsifier = GrassSparsifier(GrassConfig(target_offtree_density=0.15, seed=1)).sparsify(
-            graph, evaluate_condition=False).sparsifier
-        return run_setup(sparsifier, InGrassConfig(lrd=LRDConfig(seed=0)))
-
-    def test_single_shard_covers_everything(self, setup_result):
-        plan = ShardPlan.from_hierarchy(setup_result.hierarchy, 1)
-        assert plan.num_shards == 1
-        assert np.all(plan.node_shard == 0)
-        assert plan.is_consistent(setup_result.hierarchy)
-
-    @pytest.mark.parametrize("num_shards", [2, 3, 4])
-    def test_clusters_never_straddle_shards(self, setup_result, num_shards):
-        hierarchy = setup_result.hierarchy
-        plan = ShardPlan.from_hierarchy(hierarchy, num_shards)
-        assert plan.is_consistent(hierarchy)
-        # The invariant must hold at the partition level AND every finer one
-        # (nesting): a cluster maps to exactly one shard.
-        for level_index in range(plan.partition_level + 1):
-            labels = hierarchy.level(level_index).labels
-            for cluster in np.unique(labels):
-                members = np.flatnonzero(labels == cluster)
-                assert len(set(plan.node_shard[members].tolist())) == 1
-
-    def test_partition_respects_filtering_level(self, setup_result):
-        level = setup_result.hierarchy.filtering_level_for_condition(64.0)
-        plan = ShardPlan.from_hierarchy(setup_result.hierarchy, 4, min_level=level)
-        assert plan.partition_level >= level
-
-    def test_shards_are_populated_and_balanced(self, setup_result):
-        plan = ShardPlan.from_hierarchy(setup_result.hierarchy, 2)
-        sizes = plan.shard_sizes()
-        assert sizes.shape[0] == plan.num_shards
-        assert np.all(sizes > 0)
-        # Greedy packing of the partition level's clusters cannot be worse
-        # than one whole cluster of imbalance.
-        level = setup_result.hierarchy.level(plan.partition_level)
-        biggest_cluster = int(np.bincount(level.labels).max())
-        assert int(sizes.max()) - int(sizes.min()) <= biggest_cluster
-
-    def test_shard_of_pairs_marks_cross_shard(self, setup_result):
-        plan = ShardPlan.from_hierarchy(setup_result.hierarchy, 2)
-        nodes = np.arange(setup_result.hierarchy.num_nodes)
-        shard0 = nodes[plan.node_shard == 0]
-        shard1 = nodes[plan.node_shard == 1]
-        us = np.array([shard0[0], shard0[0], shard1[0]])
-        vs = np.array([shard0[1], shard1[0], shard1[1]])
-        shards = plan.shard_of_pairs(us, vs)
-        assert shards[0] == 0
-        assert shards[1] == ESCROW
-        assert shards[2] == 1
-        assert plan.shard_of_edge(int(shard0[0]), int(shard1[0])) == ESCROW
-
-
-# --------------------------------------------------------------------------- #
-# Scoped filters and the escrow stage
-# --------------------------------------------------------------------------- #
-class TestScopedFiltersAndEscrow:
-    @pytest.fixture()
-    def sharded(self, churn_scenario):
-        driver = ShardedSparsifier(make_config(num_shards=2))
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
-        return driver
-
-    def test_views_partition_the_global_map(self, sharded):
-        """Shard + escrow buckets tile the unsharded filter's buckets exactly."""
-        level = sharded.contexts[0].filter.filtering_level
-        reference = SimilarityFilter(sharded.sparsifier, sharded.setup_result.hierarchy, level)
-        merged_connectivity = {}
-        merged_intra = {}
-        for view in [context.filter for context in sharded.contexts] + [sharded.escrow.filter]:
-            for pair, bucket in view._connectivity.items():
-                assert pair not in merged_connectivity, "bucket owned by two views"
-                merged_connectivity[pair] = dict(bucket)
-            for cluster, bucket in view._intra_cluster_edges.items():
-                assert cluster not in merged_intra, "intra bucket owned by two views"
-                merged_intra[cluster] = dict(bucket)
-        assert merged_connectivity == reference._connectivity
-        assert merged_intra == dict(reference._intra_cluster_edges)
-
-    def test_cross_shard_insertion_lands_in_escrow(self, sharded):
-        plan = sharded.plan
-        graph = sharded.graph
-        nodes = np.arange(graph.num_nodes)
-        shard0 = nodes[plan.node_shard == 0]
-        shard1 = nodes[plan.node_shard == 1]
-        edge = None
-        for u in shard0.tolist():
-            for v in shard1.tolist():
-                if not graph.has_edge(u, v):
-                    edge = (u, v, 1.0)
-                    break
-            if edge:
-                break
-        assert edge is not None
-        result = sharded.update([edge])
-        assert result.shard_report is not None
-        assert result.shard_report.escrow_events == 1
-        assert sum(result.shard_report.shard_events) == 0
-        key = (min(edge[0], edge[1]), max(edge[0], edge[1]))
-        if result.summary.added:
-            assert sharded.escrow.filter.owns_edge(*key)
-            owned = [k for bucket in sharded.escrow.filter._connectivity.values() for k in bucket]
-            assert key in owned
-            for context in sharded.contexts:
-                assert not context.filter.owns_edge(*key)
-
-    def test_intra_shard_insertions_avoid_escrow(self, sharded):
-        plan = sharded.plan
-        graph = sharded.graph
-        shard0 = np.flatnonzero(plan.node_shard == 0).tolist()
-        edge = None
-        for u in shard0:
-            for v in shard0:
-                if u < v and not graph.has_edge(u, v):
-                    edge = (u, v, 1.0)
-                    break
-            if edge:
-                break
-        assert edge is not None
-        result = sharded.update([edge])
-        assert result.shard_report is not None
-        assert result.shard_report.escrow_events == 0
-        assert result.shard_report.shard_events[0] == 1
-
-    def test_factory_dispatches_on_num_shards(self):
-        assert isinstance(InGrassSparsifier.from_config(make_config(num_shards=1)),
-                          InGrassSparsifier)
-        sharded = InGrassSparsifier.from_config(make_config(num_shards=3))
-        assert isinstance(sharded, ShardedSparsifier)
-
-
-# --------------------------------------------------------------------------- #
-# MixedBatch shard routing
-# --------------------------------------------------------------------------- #
-class TestMixedBatchRouting:
-    def test_split_by_shard_routes_every_event(self):
-        node_shard = np.array([0, 0, 1, 1])
-        batch = MixedBatch(
-            insertions=[(0, 1, 1.0), (0, 2, 2.0), (2, 3, 3.0)],
-            deletions=[(0, 1), (1, 3)],
-            weight_changes=[(2, 3, 0.5)],
-        )
-        shards, escrow = batch.split_by_shard(node_shard)
-        assert len(shards) == 2
-        assert shards[0].insertions == [(0, 1, 1.0)]
-        assert shards[1].insertions == [(2, 3, 3.0)]
-        assert escrow.insertions == [(0, 2, 2.0)]
-        assert shards[0].deletions == [(0, 1)]
-        assert escrow.deletions == [(1, 3)]
-        assert shards[1].weight_changes == [(2, 3, 0.5)]
-        routed = sum(b.num_events for b in shards) + escrow.num_events
-        assert routed == batch.num_events
-
-
-# --------------------------------------------------------------------------- #
-# The execution API: executor enum, shard_mode alias, serial fallback
-# --------------------------------------------------------------------------- #
-class TestExecutorApi:
-    def test_executor_is_validated(self):
-        with pytest.raises(ValueError):
-            InGrassConfig(executor="fork-bomb")
-        for name in ("auto", "serial", "threads", "processes"):
-            assert InGrassConfig(executor=name).executor == name
-
-    def test_shard_mode_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="shard_mode"):
-            config = InGrassConfig(shard_mode="threads")
-        assert config.executor == "threads"
-        assert config.shard_mode == "threads"
-
-    def test_executor_does_not_warn(self, recwarn):
-        config = InGrassConfig(executor="processes")
-        deprecations = [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
-        # The legacy field mirrors the new one so old readers keep working.
-        assert config.shard_mode == "processes"
-
-    def test_unavailable_executor_falls_back_to_serial(self, churn_scenario,
-                                                       monkeypatch, caplog):
-        """A backend that cannot start degrades with a warning, not a crash."""
-        from repro.core import sharding as sharding_module
-        from repro.core.executors import ExecutorUnavailableError
-
-        class BrokenExecutor:
-            def __init__(self, *args, **kwargs):
-                raise ExecutorUnavailableError("no worker processes today")
-
-        monkeypatch.setattr(sharding_module, "ProcessShardExecutor", BrokenExecutor)
-        oracle, oracle_decisions, _ = run_stream(
-            churn_scenario, make_config(kappa_guard_factor=1.8))
-        config = make_config(num_shards=2, executor="processes", kappa_guard_factor=1.8)
-        with caplog.at_level("WARNING", logger="repro.core.sharding"):
-            driver, decisions, _ = run_stream(churn_scenario, config)
-        assert driver._process_failed
-        assert "falling back to serial" in caplog.text
-        # The degraded run still delivers the oracle guarantee.
-        assert dict(driver.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        assert sorted(decisions, key=repr) == sorted(oracle_decisions, key=repr)
-
-
-# --------------------------------------------------------------------------- #
-# Shard-count invariance (the oracle guarantee)
-# --------------------------------------------------------------------------- #
-class TestShardParity:
-    @pytest.fixture(scope="class")
-    def oracles(self, churn_scenario):
-        outcomes = {}
-        for hierarchy_mode in ("rebuild", "maintain"):
-            config = make_config(hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
-            outcomes[hierarchy_mode] = run_stream(churn_scenario, config)
-        return outcomes
-
-    @pytest.mark.parametrize("hierarchy_mode", ["rebuild", "maintain"])
-    @pytest.mark.parametrize("num_shards,executor",
-                             [(2, "serial"), (4, "serial"), (2, "threads"),
-                              (1, "processes"), (2, "processes"), (4, "processes")])
-    def test_stream_invariance(self, churn_scenario, oracles, hierarchy_mode, num_shards, executor):
-        oracle, oracle_decisions, oracle_kappa = oracles[hierarchy_mode]
-        config = make_config(num_shards=num_shards, executor=executor,
-                             hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
-        driver, decisions, kappa = run_stream(churn_scenario, config)
-        # Bit-exact sparsifier: same edge set, same weights.
-        assert dict(driver.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        # Same per-edge filter decisions (order-free comparison: the sharded
-        # engine reports shard sub-batches back to back).
-        assert sorted(decisions, key=repr) == sorted(oracle_decisions, key=repr)
-        # Same per-iteration history and κ-guard trajectory.
-        assert history_fingerprint(driver) == history_fingerprint(oracle)
-        assert kappa == oracle_kappa
-
-    def test_insertion_only_batches_match(self, churn_scenario):
-        """Plain insertion lists (the paper's protocol) shard identically too."""
-        insertions = [edge for batch in churn_scenario.batches for edge in batch.insertions]
-        oracle = InGrassSparsifier(make_config())
-        sharded = ShardedSparsifier(make_config(num_shards=3))
-        processes = ShardedSparsifier(make_config(num_shards=2, executor="processes"))
-        for driver in (oracle, sharded, processes):
-            driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                         target_condition_number=churn_scenario.initial_condition_number)
-            driver.update(insertions)
-        assert dict(sharded.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        assert dict(processes.sparsifier._edges) == dict(oracle.sparsifier._edges)
-
-    def test_distortion_threshold_uses_global_median(self, churn_scenario):
-        """The relative threshold cut is shard-count invariant (global median)."""
-        insertions = [edge for batch in churn_scenario.batches for edge in batch.insertions]
-        oracle = InGrassSparsifier(make_config(distortion_threshold=0.8))
-        sharded = ShardedSparsifier(make_config(num_shards=3, distortion_threshold=0.8))
-        results = []
-        for driver in (oracle, sharded):
-            driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                         target_condition_number=churn_scenario.initial_condition_number)
-            results.append(driver.update(insertions))
-        assert results[0].dropped_low_distortion > 0
-        assert results[1].dropped_low_distortion == results[0].dropped_low_distortion
-        assert dict(sharded.sparsifier._edges) == dict(oracle.sparsifier._edges)
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           num_shards=st.integers(min_value=2, max_value=5))
-    def test_property_churn_invariance(self, seed, num_shards):
-        graph = grid_circuit_2d(9, seed=5)
-        scenario = build_dynamic_scenario(
-            graph,
-            DynamicScenarioConfig(
-                initial_offtree_density=0.12, final_offtree_density=0.45,
-                num_iterations=3, deletion_fraction=0.35,
-                condition_dense_limit=DENSE_LIMIT, seed=seed,
-            ),
-        )
-        oracle_cfg = make_config(hierarchy_mode="maintain")
-        shard_cfg = make_config(num_shards=num_shards, hierarchy_mode="maintain")
-        oracle, oracle_decisions, _ = run_stream(scenario, oracle_cfg)
-        driver, decisions, _ = run_stream(scenario, shard_cfg)
-        assert dict(driver.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        assert sorted(decisions, key=repr) == sorted(oracle_decisions, key=repr)
-        assert history_fingerprint(driver) == history_fingerprint(oracle)
-
-
-# --------------------------------------------------------------------------- #
-# Sharded removal pipeline (deletion-heavy, splice-triggering streams)
-# --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def deletion_heavy_scenario():
-    """A stream where most events delete edges — exercising the sharded drop
-    stage, weight re-homing and (in maintain mode) cluster splices."""
+    """A stream where most events delete edges — exercising weight re-homing
+    and, in maintain mode, cluster splices."""
     graph = grid_circuit_2d(13, seed=3)
     return build_dynamic_scenario(
         graph,
@@ -396,80 +79,239 @@ def deletion_heavy_scenario():
     )
 
 
+def start_driver(scenario, config):
+    driver = InGrassSparsifier(config)
+    driver.setup(scenario.graph, scenario.initial_sparsifier,
+                 target_condition_number=scenario.initial_condition_number)
+    return driver
+
+
+def decision_log(result):
+    insertion = getattr(result, "insertion", result)
+    if insertion is None:
+        return []
+    return [(decision.edge[:2], decision.action, decision.target_edge)
+            for decision in insertion.decisions]
+
+
+def history_fingerprint(driver):
+    return [
+        (r.streamed_edges, r.added_edges, r.merged_edges, r.redistributed_edges,
+         r.dropped_edges, r.removed_edges, r.repair_edges, r.reweighted_edges,
+         r.filtering_level, r.sparsifier_edges)
+        for r in driver.history
+    ]
+
+
+def filter_buckets(similarity_filter):
+    """The filter map content-wise: non-empty buckets as sets of edge keys."""
+    connectivity = {pair: set(bucket) for pair, bucket
+                    in similarity_filter._connectivity.items() if bucket}
+    intra = {cluster: set(bucket) for cluster, bucket
+             in similarity_filter._intra_cluster_edges.items() if bucket}
+    return connectivity, intra
+
+
+# --------------------------------------------------------------------------- #
+# Trajectory invariance
+# --------------------------------------------------------------------------- #
+class TestShardParity:
+    def test_insertion_only_batches_match(self, churn_scenario):
+        """Plain insertion lists (the paper's protocol) and the same edges
+        packaged as insertion-only ``MixedBatch`` es follow one trajectory."""
+        config = make_config(kappa_guard_factor=1.8)
+        plain = start_driver(churn_scenario, config)
+        packaged = start_driver(churn_scenario, config)
+        for batch in churn_scenario.batches:
+            plain_result = plain.update(list(batch.insertions))
+            packaged_result = packaged.update(MixedBatch(insertions=list(batch.insertions)))
+            assert decision_log(plain_result) == decision_log(packaged_result)
+        assert list(plain.sparsifier._edges.items()) == list(packaged.sparsifier._edges.items())
+        assert history_fingerprint(plain) == history_fingerprint(packaged)
+
+    def test_distortion_threshold_uses_global_median(self, churn_scenario):
+        """The relative cut is ``threshold × median`` over the whole batch."""
+        insertions = [edge for batch in churn_scenario.batches for edge in batch.insertions]
+        threshold = 0.8
+        driver = start_driver(churn_scenario, make_config(distortion_threshold=threshold))
+        result = driver.update(insertions)
+        assert result.dropped_low_distortion > 0
+        distortions = np.array([decision.distortion for decision in result.decisions])
+        cutoff = threshold * float(np.median(distortions))
+        dropped = [decision.action is FilterAction.DROPPED_LOW_DISTORTION
+                   for decision in result.decisions]
+        assert sum(dropped) == result.dropped_low_distortion
+        for is_dropped, distortion in zip(dropped, distortions.tolist()):
+            assert (distortion < cutoff) == is_dropped
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           split=st.integers(min_value=0, max_value=3),
+           hierarchy_mode=st.sampled_from(["rebuild", "maintain"]))
+    def test_property_churn_invariance(self, seed, split, hierarchy_mode):
+        """Saving and restoring at any batch boundary of a random churn
+        stream leaves decisions, edges, weights and history unchanged."""
+        graph = grid_circuit_2d(9, seed=5)
+        scenario = build_dynamic_scenario(
+            graph,
+            DynamicScenarioConfig(
+                initial_offtree_density=0.12, final_offtree_density=0.45,
+                num_iterations=3, deletion_fraction=0.35,
+                condition_dense_limit=DENSE_LIMIT, seed=seed,
+            ),
+        )
+        config = make_config(hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
+        reference = start_driver(scenario, config)
+        reference_decisions = [decision_log(reference.update(batch))
+                               for batch in scenario.batches]
+
+        interrupted = start_driver(scenario, config)
+        decisions = [decision_log(interrupted.update(batch))
+                     for batch in scenario.batches[:split]]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ckpt"
+            interrupted.save_checkpoint(path)
+            restored = InGrassSparsifier.load_checkpoint(path)
+        decisions += [decision_log(restored.update(batch))
+                      for batch in scenario.batches[split:]]
+
+        assert decisions == reference_decisions
+        assert list(restored.sparsifier._edges.items()) == list(reference.sparsifier._edges.items())
+        assert history_fingerprint(restored) == history_fingerprint(reference)
+
+
+# --------------------------------------------------------------------------- #
+# The removal pipeline on deletion-heavy streams
+# --------------------------------------------------------------------------- #
 class TestShardedRemoval:
-    @pytest.fixture(scope="class")
-    def oracles(self, deletion_heavy_scenario):
-        outcomes = {}
-        for hierarchy_mode in ("rebuild", "maintain"):
-            config = make_config(hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
-            outcomes[hierarchy_mode] = run_stream(deletion_heavy_scenario, config)
-        return outcomes
-
-    @pytest.mark.parametrize("hierarchy_mode", ["rebuild", "maintain"])
-    @pytest.mark.parametrize("num_shards,executor",
-                             [(2, "serial"), (4, "serial"), (2, "threads"), (3, "threads"),
-                              (2, "processes"), (4, "processes")])
-    def test_deletion_heavy_parity(self, deletion_heavy_scenario, oracles,
-                                   hierarchy_mode, num_shards, executor):
-        """Bit-exact oracle parity on deletion-heavy mixed streams."""
-        oracle, oracle_decisions, oracle_kappa = oracles[hierarchy_mode]
-        config = make_config(num_shards=num_shards, executor=executor,
-                             hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
-        driver, decisions, kappa = run_stream(deletion_heavy_scenario, config)
-        assert dict(driver.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        assert sorted(decisions, key=repr) == sorted(oracle_decisions, key=repr)
-        assert history_fingerprint(driver) == history_fingerprint(oracle)
-        assert kappa == oracle_kappa
-        if hierarchy_mode == "maintain":
-            # The stream must actually exercise the splice path for this
-            # parity statement to mean anything.
-            assert driver.maintenance_stats.splices > 0
-
     def test_pure_deletion_batch_routes_per_shard(self, deletion_heavy_scenario):
-        """``remove()`` reports per-shard routing; every pair lands somewhere."""
-        driver = ShardedSparsifier(make_config(num_shards=2))
-        driver.setup(deletion_heavy_scenario.graph,
-                     deletion_heavy_scenario.initial_sparsifier,
-                     target_condition_number=deletion_heavy_scenario.initial_condition_number)
+        """``remove()`` accounts for every requested pair: each leaves the
+        graph, and exactly the pairs the sparsifier carried leave it."""
+        driver = start_driver(deletion_heavy_scenario, make_config())
         deletions = deletion_heavy_scenario.batches[0].deletions
         assert deletions, "scenario batch must carry deletions"
+        requested = {canonical_edge(u, v) for u, v in deletions}
+        carried = {pair for pair in requested if driver.sparsifier.has_edge(*pair)}
+        assert carried
         result = driver.remove(deletions)
-        assert isinstance(result, ShardedRemovalResult)
-        report = result.shard_report
-        assert report is not None
-        assert len(report.shard_events) == driver.num_shards
-        assert sum(report.shard_events) + report.escrow_events == len(result.requested)
+        assert set(result.requested) == requested
+        assert len(result.requested) == len(requested)
+        assert {(u, v) for u, v, _ in result.removed_from_sparsifier} == carried
+        for pair in requested:
+            assert not driver.graph.has_edge(*pair)
+            assert not driver.sparsifier.has_edge(*pair)
+        assert driver.history[-1].removed_edges == len(requested)
 
     def test_threaded_removal_stage_matches_serial(self, deletion_heavy_scenario):
-        """Forcing the drop stage onto the thread pool changes nothing."""
-        outcomes = []
-        for executor in ("serial", "threads"):
-            driver = ShardedSparsifier(make_config(num_shards=3, executor=executor,
-                                                   hierarchy_mode="maintain"))
-            driver.setup(deletion_heavy_scenario.graph,
-                         deletion_heavy_scenario.initial_sparsifier,
-                         target_condition_number=deletion_heavy_scenario.initial_condition_number)
+        """Writing through the service from a worker thread, while this
+        thread keeps taking snapshots, ends exactly where the serial driver
+        does."""
+        config = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.8)
+        serial = start_driver(deletion_heavy_scenario, config)
+        for batch in deletion_heavy_scenario.batches:
+            serial.update(batch)
+
+        service = SparsifierService(config)
+        service.setup(deletion_heavy_scenario.graph,
+                      deletion_heavy_scenario.initial_sparsifier,
+                      target_condition_number=deletion_heavy_scenario.initial_condition_number)
+
+        def write():
             for batch in deletion_heavy_scenario.batches:
-                driver.update(batch)
-            outcomes.append(dict(driver.sparsifier._edges))
-        assert outcomes[0] == outcomes[1]
+                service.apply(batch)
+
+        versions = set()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(write)
+            while not future.done():
+                versions.add(service.snapshot().version)
+            future.result()
+        versions.add(service.snapshot().version)
+        assert max(versions) == serial.latest_version
+        driver = service.driver
+        assert driver.maintenance_stats.splices > 0
+        assert list(driver.sparsifier._edges.items()) == list(serial.sparsifier._edges.items())
+        assert history_fingerprint(driver) == history_fingerprint(serial)
 
     def test_removal_weight_rehoming_matches_oracle(self, deletion_heavy_scenario):
-        """Reassigned/discarded weight sums are reconstructed in request order."""
-        oracle = InGrassSparsifier(make_config())
-        sharded = ShardedSparsifier(make_config(num_shards=3))
-        results = []
-        for driver in (oracle, sharded):
-            driver.setup(deletion_heavy_scenario.graph,
-                         deletion_heavy_scenario.initial_sparsifier,
-                         target_condition_number=deletion_heavy_scenario.initial_condition_number)
-            # Build up merge-absorbed weight first, then delete.
-            driver.update(deletion_heavy_scenario.batches[0].insertions)
-            results.append(driver.remove(deletion_heavy_scenario.batches[0].deletions))
-        assert results[1].removed_from_sparsifier == results[0].removed_from_sparsifier
-        assert results[1].reassigned_weight == results[0].reassigned_weight
-        assert results[1].discarded_weight == results[0].discarded_weight
-        assert results[1].inflated_levels == results[0].inflated_levels
+        """Removal conserves conductance: weight leaving the sparsifier is the
+        physical share of a deleted edge, re-homed, or reported discarded."""
+        driver = start_driver(deletion_heavy_scenario, make_config())
+
+        def remove_and_balance(deletions):
+            physical = {canonical_edge(u, v): driver.graph.weight(u, v)
+                        for u, v in deletions}
+            total_before = sum(driver.sparsifier._edges.values())
+            result = driver.remove(deletions)
+            excess = sum(max(0.0, weight - physical[(u, v)])
+                         for u, v, weight in result.removed_from_sparsifier)
+            assert result.reassigned_weight + result.discarded_weight == pytest.approx(excess)
+            removed = sum(weight for _, _, weight in result.removed_from_sparsifier)
+            repaired = sum(weight for _, _, weight in result.repaired_edges)
+            total_after = sum(driver.sparsifier._edges.values())
+            assert total_after == pytest.approx(
+                total_before - removed + result.reassigned_weight + repaired)
+            return excess
+
+        moved = 0.0
+        for batch in deletion_heavy_scenario.batches:
+            moved += remove_and_balance(batch.deletions)
+            driver.update(batch.insertions)
+            # Delete sparsifier edges that absorbed merged weight, as long
+            # as the graph stays connected.
+            absorbing = []
+            for (u, v), weight in driver.sparsifier._edges.items():
+                if (weight > driver.graph.weight(u, v) and len(absorbing) < 4
+                        and removals_keep_connected(driver.graph, absorbing + [(u, v)])):
+                    absorbing.append((u, v))
+            if absorbing:
+                moved += remove_and_balance(absorbing)
+        assert moved > 0, "the stream must park merged weight on a deleted edge"
+
+
+# --------------------------------------------------------------------------- #
+# Constructors and the filter map
+# --------------------------------------------------------------------------- #
+class TestScopedFiltersAndEscrow:
+    def test_views_partition_the_global_map(self, churn_scenario):
+        """After churn every sparsifier edge sits in exactly one filter
+        bucket: the one keyed by its endpoints' filtering-level clusters."""
+        driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
+        for batch in churn_scenario.batches:
+            driver.update(batch)
+        similarity_filter = driver._ensure_filter()
+        labels = driver.setup_result.hierarchy.level(similarity_filter.filtering_level).labels
+        owners = {}
+        for pair, bucket in similarity_filter._connectivity.items():
+            for key in bucket:
+                assert key not in owners, "edge owned by two buckets"
+                owners[key] = pair
+        for cluster, bucket in similarity_filter._intra_cluster_edges.items():
+            for key in bucket:
+                assert key not in owners, "edge owned by two buckets"
+                owners[key] = (cluster, cluster)
+        assert set(owners) == set(driver.sparsifier._edges)
+        for (u, v), pair in owners.items():
+            p, q = int(labels[u]), int(labels[v])
+            assert pair == (min(p, q), max(p, q))
+
+    def test_factory_dispatches_on_num_shards(self, churn_scenario):
+        """Every public constructor builds the one driver for its config."""
+        config = make_config()
+        drivers = [InGrassSparsifier.from_config(config), Sparsifier(config),
+                   SparsifierService(config).driver]
+        for driver in drivers:
+            assert type(driver) is InGrassSparsifier
+            assert driver.config is config
+        assert InGrassSparsifier.from_config(None).config == InGrassConfig()
+        assert Sparsifier().config == InGrassConfig()
+        edge_maps = []
+        for driver in drivers:
+            driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
+                         target_condition_number=churn_scenario.initial_condition_number)
+            driver.update(churn_scenario.batches[0])
+            edge_maps.append(list(driver.sparsifier._edges.items()))
+        assert edge_maps[0] == edge_maps[1] == edge_maps[2]
 
 
 class TestFilteringLevelPinning:
@@ -477,16 +319,12 @@ class TestFilteringLevelPinning:
 
     Maintain-mode splices change cluster sizes, which would drift the
     level-for-target selection mid-stream; a drifted level silently orphans
-    every level-keyed structure (the filter map, the shard plan), so the
-    driver pins the first resolution (regression test for the divergence the
-    soak found at seed 244).
+    the level-keyed filter map, so the driver pins the first resolution
+    (regression test for the divergence a long soak found at seed 244).
     """
 
     def test_level_stays_pinned_under_splices(self, deletion_heavy_scenario):
-        driver = InGrassSparsifier(make_config(hierarchy_mode="maintain"))
-        driver.setup(deletion_heavy_scenario.graph,
-                     deletion_heavy_scenario.initial_sparsifier,
-                     target_condition_number=deletion_heavy_scenario.initial_condition_number)
+        driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
         pinned = driver._resolved_config().filtering_level
         assert pinned is not None
         filter_object = driver._ensure_filter()
@@ -500,10 +338,7 @@ class TestFilteringLevelPinning:
         assert all(record.filtering_level == pinned for record in driver.history)
 
     def test_refresh_setup_repins(self, deletion_heavy_scenario):
-        driver = InGrassSparsifier(make_config(hierarchy_mode="maintain"))
-        driver.setup(deletion_heavy_scenario.graph,
-                     deletion_heavy_scenario.initial_sparsifier,
-                     target_condition_number=deletion_heavy_scenario.initial_condition_number)
+        driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
         first = driver._resolved_config()
         driver.refresh_setup()
         # A fresh hierarchy gets a fresh resolution (possibly the same level,
@@ -513,208 +348,17 @@ class TestFilteringLevelPinning:
         assert first.filtering_level is not None
 
     def test_sharded_views_tile_fresh_reference_after_churn(self, deletion_heavy_scenario):
-        """After a full churn stream the scoped views' buckets must equal a
-        fresh scan of the final sparsifier (content-wise) — the invariant
-        that makes maintained views interchangeable with rebuilt ones."""
-        driver = ShardedSparsifier(make_config(num_shards=3, hierarchy_mode="maintain"))
-        driver.setup(deletion_heavy_scenario.graph,
-                     deletion_heavy_scenario.initial_sparsifier,
-                     target_condition_number=deletion_heavy_scenario.initial_condition_number)
+        """After a splice-heavy stream the maintained filter map equals a
+        fresh scan of the final sparsifier — the invariant that makes the
+        evolved map interchangeable with a rebuilt one."""
+        driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
         for batch in deletion_heavy_scenario.batches:
             driver.update(batch)
-        views = [context.filter for context in driver.contexts] + [driver.escrow.filter]
-        merged_connectivity = {}
-        merged_intra = {}
-        for view in views:
-            for pair, bucket in view._connectivity.items():
-                if bucket:
-                    merged_connectivity.setdefault(pair, set()).update(bucket)
-            for cluster, bucket in view._intra_cluster_edges.items():
-                if bucket:
-                    merged_intra.setdefault(cluster, set()).update(bucket)
+        assert driver.maintenance_stats.splices > 0
+        live = driver._ensure_filter()
         reference = SimilarityFilter(driver.sparsifier, driver.setup_result.hierarchy,
-                                     views[0].filtering_level)
-        assert merged_connectivity == {pair: set(bucket) for pair, bucket
-                                       in reference._connectivity.items() if bucket}
-        assert merged_intra == {cluster: set(bucket) for cluster, bucket
-                                in reference._intra_cluster_edges.items() if bucket}
-
-
-# --------------------------------------------------------------------------- #
-# Adaptive replanning
-# --------------------------------------------------------------------------- #
-class TestReplanPolicy:
-    def test_observe_accumulates(self):
-        policy = ReplanPolicy(escrow_fraction=0.5, imbalance=2.0, min_events=10,
-                              shard_events=[0, 0])
-        policy.observe([3, 1], 2)
-        policy.observe([0, 4], 0)
-        assert policy.events == 10
-        assert policy.escrow_events == 2
-        assert policy.shard_events == [3, 5]
-
-    def test_escrow_fraction_arithmetic(self):
-        policy = ReplanPolicy(escrow_fraction=0.25, min_events=4, shard_events=[0, 0])
-        policy.observe([2, 1], 1)
-        assert policy.realised_escrow_fraction() == pytest.approx(0.25)
-        # Strictly-greater trigger: exactly at the threshold does not fire.
-        assert policy.should_replan() is None
-        policy.observe([0, 0], 1)
-        assert policy.realised_escrow_fraction() == pytest.approx(0.4)
-        assert "escrow fraction" in policy.should_replan()
-
-    def test_imbalance_arithmetic(self):
-        policy = ReplanPolicy(imbalance=1.5, min_events=1, shard_events=[0, 0])
-        policy.observe([3, 1], 0)
-        # Busiest shard holds 3 of 4 intra events -> 0.75 / 0.5 = 1.5x.
-        assert policy.realised_imbalance() == pytest.approx(1.5)
-        assert policy.should_replan() is None  # strictly greater
-        policy.observe([2, 0], 0)
-        assert policy.realised_imbalance() == pytest.approx(5 / 6 * 2)
-        assert "imbalance" in policy.should_replan()
-
-    def test_min_events_gates_triggers(self):
-        policy = ReplanPolicy(escrow_fraction=0.1, min_events=100, shard_events=[0, 0])
-        policy.observe([1, 0], 50)
-        assert policy.realised_escrow_fraction() > 0.9
-        assert policy.should_replan() is None
-        policy.observe([25, 25], 0)
-        assert policy.should_replan() is not None
-
-    def test_disabled_policy_never_fires(self):
-        policy = ReplanPolicy(min_events=1, shard_events=[0, 0])
-        assert not policy.enabled
-        policy.observe([0, 0], 1000)
-        assert policy.should_replan() is None
-
-    def test_degenerate_counts(self):
-        policy = ReplanPolicy(escrow_fraction=0.5, imbalance=2.0, min_events=1,
-                              shard_events=[0, 0])
-        assert policy.realised_escrow_fraction() == 0.0
-        assert policy.realised_imbalance() == 1.0
-        single = ReplanPolicy(imbalance=1.0, min_events=1, shard_events=[0])
-        single.observe([7], 0)
-        assert single.realised_imbalance() == 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            InGrassConfig(replan_escrow_fraction=0.0)
-        with pytest.raises(ValueError):
-            InGrassConfig(replan_escrow_fraction=1.5)
-        with pytest.raises(ValueError):
-            InGrassConfig(replan_imbalance=0.5)
-        with pytest.raises(ValueError):
-            InGrassConfig(replan_min_events=0)
-        InGrassConfig(replan_escrow_fraction=0.5, replan_imbalance=2.0)
-
-
-class TestAdaptiveReplans:
-    def _adaptive_config(self, num_shards, executor="serial", **kwargs):
-        # Thresholds tuned to fire on essentially any realised escrow traffic,
-        # so the short test streams replan several times.
-        return make_config(num_shards=num_shards, executor=executor,
-                           hierarchy_mode="maintain",
-                           replan_escrow_fraction=0.01, replan_min_events=1,
-                           **kwargs)
-
-    @pytest.mark.parametrize("num_shards,executor",
-                             [(3, "serial"), (2, "threads"), (2, "processes")])
-    def test_replans_preserve_oracle_guarantee(self, churn_scenario, num_shards, executor):
-        oracle_cfg = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.8)
-        oracle, oracle_decisions, oracle_kappa = run_stream(churn_scenario, oracle_cfg)
-        config = self._adaptive_config(num_shards, executor, kappa_guard_factor=1.8)
-        driver, decisions, kappa = run_stream(churn_scenario, config)
-        assert driver.adaptive_replans > 0, "test stream must actually trigger replans"
-        assert dict(driver.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        assert sorted(decisions, key=repr) == sorted(oracle_decisions, key=repr)
-        assert history_fingerprint(driver) == history_fingerprint(oracle)
-        assert kappa == oracle_kappa
-
-    def test_rederived_plan_keeps_whole_cluster_invariant(self, churn_scenario):
-        driver = ShardedSparsifier(self._adaptive_config(3))
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
-        filter_level = driver._filter_level
-        for batch in churn_scenario.batches:
-            driver.update(batch)
-            plan = driver.plan
-            hierarchy = driver.setup_result.hierarchy
-            # The invariant carrying the oracle guarantee: no filtering-level
-            # cluster straddles shards — whether the plan was freshly
-            # re-derived (adaptive replan) or locally patched after a
-            # cross-shard fusion.
-            assert plan.is_consistent(hierarchy, filter_level)
-            labels = hierarchy.level(filter_level).labels
-            for cluster in np.unique(labels):
-                members = np.flatnonzero(labels == cluster)
-                assert len(set(plan.node_shard[members].tolist())) == 1
-        assert driver.adaptive_replans > 0
-        # A freshly re-derived plan additionally packs whole partition-level
-        # clusters (the stronger invariant the Fiedler sweep starts from).
-        fresh = ShardPlan.from_hierarchy(driver.setup_result.hierarchy, 3,
-                                         min_level=filter_level,
-                                         sparsifier=driver.graph)
-        assert fresh.is_consistent(driver.setup_result.hierarchy)
-
-    def test_backoff_doubles_arming_threshold(self, churn_scenario):
-        """Each adaptive replan doubles the next policy's min_events."""
-        driver = ShardedSparsifier(self._adaptive_config(3))
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
-        driver.plan  # materialise contexts + policy
-        assert driver.replan_policy.min_events == 1
-        driver._adaptive_replan("test trigger")
-        assert driver.replan_policy.min_events == 2
-        driver._adaptive_replan("test trigger")
-        assert driver.replan_policy.min_events == 4
-        assert driver.adaptive_replans == 2
-        # A fresh setup resets the back-off.
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
-        driver.plan
-        assert driver.replan_policy.min_events == 1
-
-    def test_replans_counted_and_reported(self, churn_scenario):
-        driver = ShardedSparsifier(self._adaptive_config(3))
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
-        result = driver.update(churn_scenario.batches[0])
-        report = (result.insertion.shard_report if result.insertion is not None
-                  else result.removal.shard_report)
-        assert report is not None
-        assert report.adaptive_replans <= driver.adaptive_replans
-        assert driver.replans >= driver.adaptive_replans
-
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           num_shards=st.integers(min_value=2, max_value=4))
-    def test_property_adaptive_replan_invariance(self, seed, num_shards):
-        """Adaptive replans never change decisions, edges, weights or κ."""
-        graph = grid_circuit_2d(9, seed=5)
-        scenario = build_dynamic_scenario(
-            graph,
-            DynamicScenarioConfig(
-                initial_offtree_density=0.12, final_offtree_density=0.45,
-                num_iterations=3, deletion_fraction=0.45,
-                condition_dense_limit=DENSE_LIMIT, seed=seed,
-            ),
-        )
-        oracle_cfg = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.8)
-        shard_cfg = make_config(num_shards=num_shards, hierarchy_mode="maintain",
-                                kappa_guard_factor=1.8,
-                                replan_escrow_fraction=0.05, replan_imbalance=1.2,
-                                replan_min_events=1)
-        oracle, oracle_decisions, oracle_kappa = run_stream(scenario, oracle_cfg)
-        driver, decisions, kappa = run_stream(scenario, shard_cfg)
-        assert dict(driver.sparsifier._edges) == dict(oracle.sparsifier._edges)
-        assert sorted(decisions, key=repr) == sorted(oracle_decisions, key=repr)
-        assert history_fingerprint(driver) == history_fingerprint(oracle)
-        assert kappa == oracle_kappa
-        # The invariant the driver maintains across replans and patches:
-        # filtering-level purity (a patched plan may legitimately leave
-        # partition-level clusters straddling shards).
-        assert driver.plan.is_consistent(driver.setup_result.hierarchy,
-                                         driver._filter_level)
+                                     live.filtering_level)
+        assert filter_buckets(live) == filter_buckets(reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -723,9 +367,7 @@ class TestAdaptiveReplans:
 class TestClusterMembersIndex:
     def test_matches_label_scan_after_churn(self, churn_scenario):
         """After splices and merges the index equals a fresh label scan."""
-        driver = InGrassSparsifier(make_config(hierarchy_mode="maintain"))
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
+        driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
         hierarchy = driver.setup_result.hierarchy
         # Touch the index before the stream so it is maintained (not lazily
         # rebuilt) through every relabel/append of the maintenance layer.
@@ -765,9 +407,7 @@ class TestClusterMembersIndex:
 # --------------------------------------------------------------------------- #
 class TestMaintenanceAwareGuard:
     def test_drain_splice_neighbourhood(self, churn_scenario):
-        driver = InGrassSparsifier(make_config(hierarchy_mode="maintain"))
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
+        driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
         maintainer = driver.maintainer or driver._ensure_maintainer()
         deletions = churn_scenario.batches[0].deletions
         if not deletions:
@@ -784,9 +424,7 @@ class TestMaintenanceAwareGuard:
     def test_guard_prefers_split_neighbourhood(self, churn_scenario):
         """With splice reports pending, round 0 candidates touch them."""
         config = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.0)
-        driver = InGrassSparsifier(config)
-        driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                     target_condition_number=churn_scenario.initial_condition_number)
+        driver = start_driver(churn_scenario, config)
         graph, sparsifier = driver.graph, driver.sparsifier
         maintainer = driver._ensure_maintainer()
         similarity_filter = driver._ensure_filter()
@@ -800,10 +438,7 @@ class TestMaintenanceAwareGuard:
         if not splice_nodes:
             pytest.skip("no cluster was spliced by this deletion batch")
         # Re-arm the pool (drain above consumed it) by re-noting the nodes.
-        for node in splice_nodes:
-            maintainer._splice_neighbourhood[node] = None
-        from repro.core.update import _offtree_candidates
-
+        maintainer.note_spliced_nodes(sorted(splice_nodes))
         local_pool = {(u, v) for u, v, _ in
                       _offtree_candidates(graph, sparsifier, sorted(splice_nodes))}
         report = run_kappa_guard(sparsifier, driver.setup_result, graph=graph,
