@@ -75,7 +75,7 @@ from repro.sparsify.metrics import (
 )
 
 # -- spectral toolbox -------------------------------------------------------
-from repro.spectral.condition import relative_condition_number
+from repro.spectral.condition import SpectralSolveError, relative_condition_number
 from repro.spectral.effective_resistance import effective_resistance
 from repro.spectral.solvers import (
     GroundedSolver,
@@ -158,6 +158,7 @@ __all__ = [
     # spectral
     "effective_resistance",
     "relative_condition_number",
+    "SpectralSolveError",
     "GroundedSolver",
     "PCGSolver",
     "SolveReport",

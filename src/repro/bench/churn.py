@@ -40,6 +40,7 @@ def print_churn(records: Sequence[ChurnRecord]) -> str:
                 "Density": percent(record.final_offtree_density),
                 "Connected": "yes" if record.stayed_connected else "NO",
                 "T (s)": record.ingrass_seconds,
+                "Guard (s)": record.guard_seconds,
                 "Maint (s)": record.maintenance_seconds,
                 "Resetup (s)": record.resetup_seconds,
             }

@@ -63,6 +63,7 @@ def _mode_payload(record: ChurnRecord) -> Dict:
         "splice_seconds": record.splice_seconds,
         "diameter_seconds": record.diameter_seconds,
         "rekey_seconds": record.rekey_seconds,
+        "guard_seconds": record.guard_seconds,
         "per_event_us": (seconds / events * 1e6) if events else 0.0,
         "kappa_target": record.target_condition_number,
         "kappa_max": record.max_condition_number,
@@ -143,6 +144,7 @@ def print_results(payload: Dict) -> str:
                 "Maint (s)": row["maintenance_seconds"],
                 "Splice (s)": row["splice_seconds"],
                 "Rekey (s)": row["rekey_seconds"],
+                "Guard (s)": row["guard_seconds"],
                 "kappa final": row["kappa_final"],
                 "kappa max": row["kappa_max"],
                 "Splices": row["hierarchy_splices"],

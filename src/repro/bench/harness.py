@@ -328,6 +328,7 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
     stayed_connected = True
     removals = 0
     repairs = 0
+    guard_seconds = 0.0
     for batch in scenario.batches:
         result = ingrass.update(batch)
         removal = getattr(result, "removal", None)
@@ -337,6 +338,7 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         guard = getattr(result, "kappa_guard", None)
         if guard is not None:
             repairs += len(guard.added_edges)
+            guard_seconds += guard.guard_seconds
         stayed_connected = stayed_connected and is_connected(ingrass.sparsifier)
         # The guard already measured κ(G(k), H(k)) at batch end with the same
         # dense limit — reuse it instead of paying a second eigensolve.
@@ -373,6 +375,7 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         rekey_seconds=maintenance.rekey_seconds,
         hierarchy_splices=maintenance.splices,
         hierarchy_merges=maintenance.merges,
+        guard_seconds=guard_seconds,
     )
 
 

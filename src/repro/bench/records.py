@@ -157,6 +157,9 @@ class ChurnRecord:
     #: Clusters spliced / fused by the maintainer (maintain mode).
     hierarchy_splices: int = 0
     hierarchy_merges: int = 0
+    #: Wall-clock spent in κ-guard passes (summed ``KappaGuardReport.guard_seconds``),
+    #: a part of ``ingrass_seconds``.
+    guard_seconds: float = 0.0
 
     @property
     def kappa_ratio(self) -> float:

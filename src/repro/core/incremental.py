@@ -56,7 +56,7 @@ from repro.graphs.validation import (
     validate_sparsifier_support,
 )
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier, offtree_density
-from repro.spectral.condition import relative_condition_number
+from repro.spectral.condition import SpectralContext, relative_condition_number
 from repro.streams.edge_stream import MixedBatch
 from repro.utils.timing import Timer
 
@@ -148,6 +148,10 @@ class InGrassSparsifier:
         self._total_update_seconds = 0.0
         self._full_resetups = 0
         self._resetup_seconds = 0.0
+        # The κ guard's warm-start state, one per setup.  Reads (κ queries,
+        # snapshots, checkpoints) never touch it, so asking for κ cannot
+        # perturb the writer's trajectory; a restored driver starts cold.
+        self._spectral = SpectralContext()
         # Version epoch: bumped once per mutating public operation (setup,
         # update/apply_batch, remove, reweight, refresh_setup).  The anchor
         # the snapshot read layer keys on.
@@ -395,6 +399,7 @@ class InGrassSparsifier:
         self._total_update_seconds = 0.0
         self._full_resetups = 0
         self._resetup_seconds = 0.0
+        self._spectral = SpectralContext()
 
         if target_condition_number is not None:
             self._target_condition = target_condition_number
@@ -565,6 +570,7 @@ class InGrassSparsifier:
             target_condition_number=self._target_condition,
             similarity_filter=self._ensure_filter(),
             maintainer=self._ensure_maintainer(),
+            context=self._spectral,
         )
 
     def update(self, batch: UpdateBatch) -> Union[UpdateResult, MixedUpdateResult]:

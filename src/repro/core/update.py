@@ -55,6 +55,7 @@ from repro.graphs.validation import (
     canonicalize_edge_pairs,
     validate_new_edge_arrays,
 )
+from repro.spectral.condition import SpectralContext
 from repro.utils.timing import Timer
 
 Edge = Tuple[int, int]
@@ -639,7 +640,8 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
                     config: Optional[InGrassConfig] = None,
                     target_condition_number: Optional[float] = None,
                     similarity_filter: Optional[SimilarityFilter] = None,
-                    maintainer: Optional[HierarchyMaintainer] = None) -> KappaGuardReport:
+                    maintainer: Optional[HierarchyMaintainer] = None,
+                    context: Optional[SpectralContext] = None) -> KappaGuardReport:
     """Escalating quality guard for the deletion path.
 
     Measures κ(G, H) and, while it exceeds ``kappa_guard_factor * target``,
@@ -664,9 +666,15 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
     off-sparsifier edges incident to those split neighbourhoods.  Only when
     the local pool is empty — or a later round shows the local additions did
     not relieve κ — does the guard widen to the full off-sparsifier pool.
-    """
-    import numpy as np
 
+    All estimates of a pass share one
+    :class:`~repro.spectral.condition.SpectralContext`: ``L_G`` is factored
+    once per pass, ``L_H`` once per round, and the candidates are ranked by
+    the eigenvector the κ estimate already computed.  Pass the driver's
+    ``context`` to warm-start each pass from the previous one; the pass
+    releases the context's factorisations when it ends.
+    """
+    # Looked up at call time, so wrappers installed on the module apply.
     from repro.spectral.condition import dominant_generalized_eigenvector, relative_condition_number
 
     config = config if config is not None else InGrassConfig()
@@ -681,7 +689,8 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
     maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
 
     bound = config.kappa_guard_factor * target
-    kappa = relative_condition_number(graph, sparsifier,
+    context = context if context is not None else SpectralContext()
+    kappa = relative_condition_number(graph, sparsifier, context=context,
                                       dense_limit=config.kappa_guard_dense_limit)
     report = KappaGuardReport(bound=bound, kappa_before=kappa, kappa_after=kappa)
     # Maintenance-aware candidate seeding: the maintainer's splice reports
@@ -699,7 +708,7 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
                               if not sparsifier.has_edge(u, v)]
         if not pool:
             break
-        _, mode = dominant_generalized_eigenvector(graph, sparsifier,
+        _, mode = dominant_generalized_eigenvector(graph, sparsifier, context=context,
                                                    dense_limit=config.kappa_guard_dense_limit)
 
         def score_pool(candidates):
@@ -736,8 +745,11 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
         if admitted == 0:
             break
         report.rounds += 1
-        report.kappa_after = relative_condition_number(graph, sparsifier,
+        report.kappa_after = relative_condition_number(graph, sparsifier, context=context,
                                                        dense_limit=config.kappa_guard_dense_limit)
+    # G changes before the next pass and H already has: only the warm-start
+    # vectors outlive the pass.
+    context.release()
     timer.stop()
     report.guard_seconds = timer.elapsed
     return report

@@ -22,9 +22,10 @@ Capture is O(1) and copy-free on the hot path:
 * the similarity-filter state is summarised into a plain dict (counts only).
 
 Everything heavier — the :class:`~repro.graphs.graph.FrozenGraph`
-materialisation, Laplacian factorisations, the PCG solver — is built lazily
-on first query, per snapshot, under a snapshot-local lock.  Readers therefore
-never hold a lock that the update pipeline contends on.
+materialisation, one Laplacian factorisation per graph — is built lazily on
+first query, per snapshot, under a snapshot-local lock, and shared by every
+query kind: resistances, PCG solves and κ.  Readers therefore never hold a
+lock that the update pipeline contends on.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ import threading
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.config import InGrassConfig
 from repro.core.hierarchy import HierarchyStateSnapshot
 from repro.graphs.graph import FrozenGraph
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier
-from repro.spectral.condition import relative_condition_number
-from repro.spectral.solvers import GroundedSolver, PCGSolver, SolveReport
+from repro.spectral.condition import SpectralContext, relative_condition_number
+from repro.spectral.solvers import GroundedSolver, SolveReport, conjugate_gradient
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.incremental import InGrassSparsifier
@@ -73,13 +75,13 @@ class SparsifierSnapshot:
         self._target_condition = target_condition_number
         # Lazily materialised heavy artifacts, guarded by a snapshot-local
         # lock (readers of the *same* snapshot serialise on first build only).
-        # Re-entrant: building one artifact (the PCG solver) materialises
+        # Re-entrant: building one artifact (a factorisation) materialises
         # others (the frozen graphs) under the same lock.
         self._lock = threading.RLock()
         self._graph: Optional[FrozenGraph] = None
         self._sparsifier: Optional[FrozenGraph] = None
         self._solvers: dict = {}
-        self._pcg: Optional[PCGSolver] = None
+        self._laplacian: Optional[sp.csr_matrix] = None
 
     # ------------------------------------------------------------------ #
     # Capture
@@ -207,6 +209,14 @@ class SparsifierSnapshot:
                     self._solvers[which] = solver
         return solver
 
+    def _graph_laplacian(self) -> sp.csr_matrix:
+        if self._laplacian is None:
+            graph = self.graph
+            with self._lock:
+                if self._laplacian is None:
+                    self._laplacian = graph.laplacian_matrix()
+        return self._laplacian
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -247,26 +257,21 @@ class SparsifierSnapshot:
               tol: float = 1e-8, max_iterations: Optional[int] = None) -> SolveReport:
         """Solve ``L_G x = b`` by PCG, preconditioned by this epoch's sparsifier.
 
-        The classic downstream application: the sparsifier Laplacian is
-        factorised once per snapshot and reused for every solve.  Pass
+        The classic downstream application: the preconditioner is the same
+        sparsifier factorisation the resistance queries use.  Pass
         ``preconditioned=False`` for the plain-CG baseline.
         """
-        if not preconditioned:
-            return PCGSolver(self.graph, None, tol=tol, max_iterations=max_iterations).solve(b)
-        if tol != 1e-8 or max_iterations is not None:
-            # Non-default solve parameters: build a throwaway solver (one
-            # fresh factorisation) rather than poisoning the shared cache.
-            return PCGSolver(self.graph, self.sparsifier,
-                             tol=tol, max_iterations=max_iterations).solve(b)
-        if self._pcg is None:
-            with self._lock:
-                if self._pcg is None:
-                    self._pcg = PCGSolver(self.graph, self.sparsifier)
-        return self._pcg.solve(b)
+        laplacian = self._graph_laplacian()
+        return conjugate_gradient(
+            lambda x: laplacian @ x, b,
+            preconditioner=self._solver("sparsifier").solve if preconditioned else None,
+            tol=tol, max_iterations=max_iterations)
 
     def condition_number(self, *, dense_limit: int = 1500) -> float:
-        """κ(L_G, L_H) of the captured epoch."""
-        return relative_condition_number(self.graph, self.sparsifier, dense_limit=dense_limit)
+        """κ(L_G, L_H) of the captured epoch, on this snapshot's factorisations."""
+        context = SpectralContext(factor=lambda side, _graph: self._solver(side))
+        return relative_condition_number(self.graph, self.sparsifier, dense_limit=dense_limit,
+                                         context=context)
 
     def report(self, *, compute_condition: bool = True, dense_limit: int = 1500) -> SparsifierReport:
         """Full quality report of the captured epoch."""

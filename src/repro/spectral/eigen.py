@@ -7,7 +7,8 @@ instead of in every caller.
 
 from __future__ import annotations
 
-from typing import Tuple
+import inspect
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -15,6 +16,34 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import Graph
+
+#: Seed of every ARPACK start vector in ``repro.spectral``, so no eigensolve
+#: reads OS entropy and reruns reproduce bit for bit.
+ARPACK_SEED = 0
+#: Newer SciPy releases give ``eigsh`` an ``rng`` keyword, which also draws
+#: the vectors ARPACK asks for on a restart; older ones have no such keyword
+#: and restart from ARPACK's own fixed-seed generator.
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(spla.eigsh).parameters
+
+
+def arpack_rng() -> np.random.Generator:
+    """A fresh generator seeded by :data:`ARPACK_SEED`."""
+    return np.random.default_rng(ARPACK_SEED)
+
+
+def seeded_eigsh(a: sp.spmatrix, *, v0: Optional[np.ndarray] = None, **kwargs):
+    """:func:`scipy.sparse.linalg.eigsh` with a seeded start.
+
+    A cold start (``v0=None``) draws its start vector from :func:`arpack_rng`
+    instead of letting ARPACK draw one from OS entropy.  Where ``eigsh`` takes
+    ``rng``, it gets the same generator for its restarts.
+    """
+    rng = arpack_rng()
+    if v0 is None:
+        v0 = rng.uniform(-1.0, 1.0, a.shape[0])
+    if _EIGSH_TAKES_RNG:
+        kwargs["rng"] = rng
+    return spla.eigsh(a, v0=v0, **kwargs)
 
 
 def dense_laplacian_spectrum(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,8 +79,8 @@ def smallest_nonzero_eigenvalues(graph: Graph, k: int = 2, *, dense_limit: int =
     laplacian = graph.laplacian_matrix()
     # Shift-invert around sigma=0 targets the small end of the spectrum; ask
     # for one extra eigenvalue to discard the zero mode.
-    values = spla.eigsh(laplacian + 1e-10 * sp.identity(n), k=k + 1, sigma=0, which="LM",
-                        return_eigenvectors=False, tol=tol)
+    values = seeded_eigsh(laplacian + 1e-10 * sp.identity(n), k=k + 1, sigma=0, which="LM",
+                          return_eigenvectors=False, tol=tol)
     values = np.sort(np.asarray(values, dtype=float))
     return values[1:k + 1]
 
@@ -65,7 +94,7 @@ def largest_eigenvalue(graph: Graph, *, tol: float = 1e-8) -> float:
         eigenvalues, _ = dense_laplacian_spectrum(graph)
         return float(eigenvalues[-1])
     laplacian = graph.laplacian_matrix()
-    value = spla.eigsh(laplacian, k=1, which="LA", return_eigenvectors=False, tol=tol)
+    value = seeded_eigsh(laplacian, k=1, which="LA", return_eigenvectors=False, tol=tol)
     return float(value[0])
 
 
@@ -79,7 +108,8 @@ def fiedler_vector(graph: Graph, *, dense_limit: int = 2000, tol: float = 1e-8) 
         order = np.argsort(eigenvalues)
         return eigenvectors[:, order[1]]
     laplacian = graph.laplacian_matrix()
-    values, vectors = spla.eigsh(laplacian + 1e-10 * sp.identity(n), k=2, sigma=0, which="LM", tol=tol)
+    values, vectors = seeded_eigsh(laplacian + 1e-10 * sp.identity(n), k=2, sigma=0, which="LM",
+                                   tol=tol)
     order = np.argsort(values)
     return vectors[:, order[-1]]
 
@@ -104,8 +134,8 @@ def spectral_embedding(graph: Graph, dimensions: int, *, dense_limit: int = 2000
         selected_vectors = eigenvectors[:, 1:dimensions + 1]
     else:
         laplacian = graph.laplacian_matrix()
-        values, vectors = spla.eigsh(laplacian + 1e-10 * sp.identity(n), k=dimensions + 1, sigma=0,
-                                     which="LM", tol=tol)
+        values, vectors = seeded_eigsh(laplacian + 1e-10 * sp.identity(n), k=dimensions + 1, sigma=0,
+                                       which="LM", tol=tol)
         order = np.argsort(values)
         selected_values = values[order][1:dimensions + 1]
         selected_vectors = vectors[:, order][:, 1:dimensions + 1]

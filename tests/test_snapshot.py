@@ -146,7 +146,7 @@ class TestSnapshotQueries:
         plain = snap.solve(b, preconditioned=False)
         assert plain.converged
         assert pcg.iterations <= plain.iterations
-        # Cached solver path and throwaway-parameter path agree.
+        # Non-default solve parameters share the same cached factorisation.
         loose = snap.solve(b, tol=1e-4)
         assert loose.iterations <= pcg.iterations
         np.testing.assert_allclose(pcg.solution[0] - pcg.solution[-1],
