@@ -1,9 +1,10 @@
-"""Benchmark driver for the vectorised batch update engine.
+"""Benchmark driver for the grouped batch filter of the update path.
 
-Times :func:`repro.core.run_update` under the scalar reference engine and the
-vectorised batch engine at growing batch sizes, and asserts the headline
-property of the batched path: a large streamed batch is filtered several
-times faster per edge with an *identical* resulting sparsifier edge set.
+Times :func:`repro.core.run_update` with the grouped batch filter
+(``vectorized``) and with the per-edge reference filter (``scalar``) at
+growing batch sizes, and asserts the headline property of the grouped
+filter: a large streamed batch is filtered several times faster per edge
+with an *identical* resulting sparsifier edge set.
 Regenerate the full sweep (10² – 10⁵ edges) and the ``BENCH_batch.json``
 artifact with ``python -m repro bench batch``; the CI perf gate checks that
 artifact against ``benchmarks/baselines/batch_baseline.json`` via
@@ -33,20 +34,19 @@ def batch_setup(request):
     return primary_graph, sparsifier, setup, level
 
 
-def _mode_config(mode: str) -> InGrassConfig:
-    return InGrassConfig(lrd=LRDConfig(seed=0), batch_mode=mode, seed=0)
+CONFIG = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
 def test_update_batch_2000(benchmark, batch_setup, mode):
-    """Time one 2000-edge update batch under each engine (CI smoke subset)."""
+    """Time one 2000-edge update batch under each filter (CI smoke subset)."""
     graph, sparsifier, setup, level = batch_setup
     stream = mixed_edges(graph, 2000, long_range_fraction=0.5, seed=5)
-    config = _mode_config(mode)
 
     def run():
-        return _timed_update(sparsifier, setup, stream, config, level)
+        return _timed_update(sparsifier, setup, stream, CONFIG, level,
+                             reference=mode == "scalar")
 
     _, working, result = benchmark.pedantic(run, iterations=1, rounds=3)
     assert result.summary.total == len(stream)
@@ -69,20 +69,20 @@ def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     for mode in ("scalar", "vectorized"):
         best = float("inf")
         for _ in range(2):
-            elapsed, working, _ = _timed_update(sparsifier, setup, stream,
-                                                _mode_config(mode), level)
+            elapsed, working, _ = _timed_update(sparsifier, setup, stream, CONFIG, level,
+                                                reference=mode == "scalar")
             best = min(best, elapsed)
         seconds[mode] = best
         edge_sets[mode] = set(working.edges())
     assert edge_sets["scalar"] == edge_sets["vectorized"]
     assert seconds["vectorized"] * 2.0 < seconds["scalar"], (
-        f"vectorized engine not faster: {seconds}")
+        f"grouped batch filter not faster: {seconds}")
 
 
 def test_per_edge_cost_stays_flat_with_batch_size(batch_setup):
-    """Vectorised per-edge cost must not blow up from 10³ to 10⁵ edges.
+    """The grouped filter's per-edge cost must not blow up from 10³ to 10⁵ edges.
 
-    The scalar path's constant is flat but huge; the batched engine must not
+    The per-edge reference's constant is flat but huge; the grouped filter must not
     reintroduce superlinear per-edge behaviour at paper-scale batches.  The
     reference trajectory is ~0.8x (per-edge cost *falls* with batch size);
     best-of-3 timings and a 4x allowance keep a noisy CI machine from
@@ -95,8 +95,7 @@ def test_per_edge_cost_stays_flat_with_batch_size(batch_setup):
         stream = mixed_edges(graph, size, long_range_fraction=0.5, seed=9)
         best = float("inf")
         for _ in range(3):
-            elapsed, _, _ = _timed_update(sparsifier, setup, stream,
-                                          _mode_config("vectorized"), level)
+            elapsed, _, _ = _timed_update(sparsifier, setup, stream, CONFIG, level)
             best = min(best, elapsed)
         per_edge[size] = best / size
     assert per_edge[100_000] < 4.0 * per_edge[1000], per_edge

@@ -21,9 +21,8 @@ from repro.core import (
     LRDConfig,
     ResistanceEmbedding,
     SimilarityFilter,
-    estimate_distortions,
     lrd_decompose,
-    sort_by_distortion,
+    score_edges,
 )
 from repro.graphs import paper_figure2_graph
 
@@ -66,8 +65,8 @@ def main() -> None:
 
     bridge_weight_before = sparsifier.weight(3, 9)
     similarity_filter = SimilarityFilter(sparsifier, hierarchy, level)
-    estimates = sort_by_distortion(estimate_distortions(embedding, new_edges))
-    decisions, summary = similarity_filter.apply(estimates)
+    batch = score_edges(embedding, new_edges).sort()
+    decisions, summary = similarity_filter.apply_batch(batch)
 
     for decision in decisions:
         p, q, w = decision.edge

@@ -1,9 +1,13 @@
 """CLI for the batch-scaling benchmark: per-edge update cost vs batch size.
 
 Measures the wall-clock cost per streamed edge of :func:`repro.core.run_update`
-for both engines — the per-edge scalar reference path and the vectorised batch
-engine (``InGrassConfig.batch_mode``) — across batch sizes spanning 10² to
-10⁵, and writes the trajectory to ``BENCH_batch.json``.  The CI perf gate
+across batch sizes spanning 10² to 10⁵, twice per size: with the grouped batch
+filter (:meth:`~repro.core.filtering.SimilarityFilter.apply_batch`, the update
+path's engine; the ``vectorized`` columns) and with the per-edge reference
+filter (:meth:`~repro.core.filtering.SimilarityFilter.apply`; the ``scalar``
+columns).  Both runs pay the same validation, scoring, sort and decision
+records; only the filter stage differs.  The trajectory goes to
+``BENCH_batch.json``.  The CI perf gate
 (``python -m repro bench baseline --check``) compares that file against the
 committed baseline under ``benchmarks/baselines/``.  Run with::
 
@@ -46,21 +50,28 @@ DEFAULT_SIZES = (100, 1000, 10000, 100000)
 TARGET_CONDITION = 64.0
 
 
+class _ReferenceFilter(SimilarityFilter):
+    """Routes :func:`run_update`'s filter stage through the per-edge reference."""
+
+    def apply_batch(self, batch):
+        return self.apply(batch)
+
+
 def _timed_update(sparsifier: Graph, setup, stream: Sequence, config: InGrassConfig,
-                  filtering_level: int) -> tuple[float, Graph, object]:
+                  filtering_level: int, *, reference: bool = False,
+                  ) -> tuple[float, Graph, object]:
     """One run_update call on a fresh sparsifier copy; returns (seconds, H, result).
 
-    The setup is deep-copied so repeated timings start from identical state:
-    in ``hierarchy_mode="maintain"`` the update mutates the hierarchy in
-    place (cluster merges), which would otherwise leak between repetitions
-    and between the engines being compared.
+    ``reference`` swaps the grouped batch filter for the per-edge reference
+    loop.  The setup is deep-copied so repeated timings start from identical
+    state: in ``hierarchy_mode="maintain"`` the update mutates the hierarchy
+    in place (cluster merges), which would otherwise leak between
+    repetitions and between the filters being compared.
     """
     setup = copy.deepcopy(setup)
     working = sparsifier.copy()
-    similarity_filter = SimilarityFilter(
-        working, setup.hierarchy, filtering_level,
-        redistribute_intra_cluster_weight=config.redistribute_intra_cluster_weight,
-    )
+    filter_class = _ReferenceFilter if reference else SimilarityFilter
+    similarity_filter = filter_class(working, setup.hierarchy, filtering_level)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -83,7 +94,7 @@ def run_batch_bench(sizes: Sequence[int] = DEFAULT_SIZES, *, case: str = "g2_cir
 
     One fixed setup phase; for every batch size a fresh stream of half
     long-range / half locality-biased edges (the generators' realistic blend)
-    is applied to a fresh copy of the initial sparsifier under each engine.
+    is applied to a fresh copy of the initial sparsifier under each filter.
     ``repeats`` takes the best-of-N wall time (large batches use fewer
     repeats automatically).
     """
@@ -104,19 +115,19 @@ def run_batch_bench(sizes: Sequence[int] = DEFAULT_SIZES, *, case: str = "g2_cir
                              seed=seed + size)
         row: Dict = {"batch_size": int(size)}
         edge_sets: Dict[str, set] = {}
+        # Pinned to rebuild: this bench isolates the batch insertion engine,
+        # and its committed baseline lineage was measured in rebuild mode
+        # (maintain-mode splice costs are the churn benchmark's subject, not
+        # this one's).
+        config = InGrassConfig(lrd=LRDConfig(seed=seed), hierarchy_mode="rebuild", seed=seed)
         for mode in ("scalar", "vectorized"):
-            # Pinned to rebuild: this bench isolates the batch insertion
-            # engine, and its committed baseline lineage was measured in
-            # rebuild mode (maintain-mode splice costs are the churn
-            # benchmark's subject, not this one's).
-            config = InGrassConfig(lrd=LRDConfig(seed=seed), batch_mode=mode,
-                                   hierarchy_mode="rebuild", seed=seed)
             mode_repeats = max(1, repeats if size <= 10_000 else 1)
             best = float("inf")
             summary = None
             for _ in range(mode_repeats):
                 elapsed, working, result = _timed_update(sparsifier, setup, stream,
-                                                         config, filtering_level)
+                                                         config, filtering_level,
+                                                         reference=mode == "scalar")
                 best = min(best, elapsed)
                 summary = result.summary
                 edge_sets[mode] = set(working.edges())
@@ -169,7 +180,7 @@ def print_results(payload: Dict) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Batch-scaling benchmark (vectorised update engine)")
+    parser = argparse.ArgumentParser(description="Batch-scaling benchmark (grouped batch filter)")
     parser.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
                         help="comma-separated batch sizes")
     parser.add_argument("--case", default="g2_circuit", help="dataset registry name")
@@ -186,12 +197,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = run_batch_bench(sizes, case=args.case, scale=args.scale, seed=args.seed,
                               repeats=args.repeats,
                               long_range_fraction=args.long_range_fraction)
-    print("Batch scaling — per-edge update cost, scalar reference vs vectorised engine")
+    print("Batch scaling — per-edge update cost, per-edge reference vs grouped batch filter")
     print(print_results(payload))
     if "speedup_at_10000" in payload:
         print(f"speedup at 10^4-edge batch: {payload['speedup_at_10000']:.2f}x")
     if not all(row["edge_sets_match"] for row in payload["results"]):
-        print("ACCEPTANCE FAILED: engines produced different sparsifier edge sets")
+        print("ACCEPTANCE FAILED: the filters produced different sparsifier edge sets")
         return 1
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

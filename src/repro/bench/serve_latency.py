@@ -11,7 +11,7 @@ This gate drives mixed churn through a **live**
   baseline;
 * **kill/restart drill** — after half the stream the server is shut down
   gracefully over HTTP (``POST /shutdown`` drains the ingest queue and saves
-  a format-v1 checkpoint), a second server restores from that checkpoint and
+  a checkpoint), a second server restores from that checkpoint and
   serves the remaining batches;
 * **epoch parity** — the survivor's final state, read back over HTTP
   (``GET /edges`` + ``/epoch``), must be **bit-exact** (edge set, weights,

@@ -59,7 +59,6 @@ def _soak_config(seed: int) -> InGrassConfig:
     """The production-shaped soak configuration."""
     return InGrassConfig(
         lrd=LRDConfig(seed=seed),
-        batch_mode="vectorized",
         distortion_threshold=1.0,
         hierarchy_mode="maintain",
         seed=seed,

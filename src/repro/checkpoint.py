@@ -26,8 +26,8 @@ add a second source of truth that could drift from the arrays.
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (format 1 carried configuration fields
-that no longer exist) is rejected the same way.
+newer layout, and an older one (formats 1 and 2 carried configuration
+fields that no longer exist) is rejected the same way.
 Checkpoints contain no timestamps, so saving the same state twice produces
 the same manifest.
 """
@@ -52,7 +52,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"

@@ -133,6 +133,13 @@ def _run_serve(argv: List[str]) -> int:
 # --------------------------------------------------------------------------- #
 # checkpoint: save / restore / inspect driver state
 # --------------------------------------------------------------------------- #
+#: Length, in batches, of the demo churn stream behind ``checkpoint save`` and
+#: ``checkpoint restore --replay``.  The stream is always built at this length
+#: and sliced by batch index: ``build_churn_scenario`` spreads one event budget
+#: over its iteration count, so streams of different lengths share no prefix.
+DEMO_STREAM_BATCHES = 10
+
+
 def _run_checkpoint(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro checkpoint",
@@ -149,7 +156,8 @@ def _run_checkpoint(argv: List[str]) -> int:
     save.add_argument("--side", type=int, default=13,
                       help="grid side length of the demo graph (default 13)")
     save.add_argument("--batches", type=int, default=5,
-                      help="churn batches to stream before saving (default 5)")
+                      help="churn batches to stream before saving (default 5, "
+                           f"at most {DEMO_STREAM_BATCHES})")
     save.add_argument("--seed", type=int, default=0)
 
     restore = sub.add_parser(
@@ -157,7 +165,8 @@ def _run_checkpoint(argv: List[str]) -> int:
     restore.add_argument("path", help="checkpoint directory to read")
     restore.add_argument("--replay", type=int, default=0, metavar="M",
                          help="stream M more demo churn batches after restoring "
-                              "(continues the save command's scenario)")
+                              "(continues the save command's stream; saved plus "
+                              f"replayed batches at most {DEMO_STREAM_BATCHES})")
     args = parser.parse_args(argv)
 
     import json
@@ -177,20 +186,29 @@ def _run_checkpoint(argv: List[str]) -> int:
         load_checkpoint,
     )
 
-    def demo_scenario(seed: int, side: int, batches: int):
+    def demo_scenario(seed: int, side: int):
         graph = grid_circuit_2d(side, seed=seed)
         return build_churn_scenario(
-            graph, DynamicScenarioConfig(num_iterations=batches, seed=seed))
+            graph, DynamicScenarioConfig(num_iterations=DEMO_STREAM_BATCHES, seed=seed))
+
+    def within_stream(first: int, count: int) -> bool:
+        if count >= 0 and first + count <= DEMO_STREAM_BATCHES:
+            return True
+        print(f"the demo stream holds {DEMO_STREAM_BATCHES} batches; cannot stream "
+              f"{count} starting at batch {first}", file=sys.stderr)
+        return False
 
     if args.action == "save":
-        scenario = demo_scenario(args.seed, args.side, args.batches)
+        if not within_stream(0, args.batches):
+            return 2
+        scenario = demo_scenario(args.seed, args.side)
         driver = Sparsifier(InGrassConfig(seed=args.seed))
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
-        for batch in scenario.batches:
+        for batch in scenario.batches[:args.batches]:
             driver.update(batch)
         driver.save_checkpoint(args.path)
-        print(f"streamed {len(scenario.batches)} batches, checkpoint saved to "
+        print(f"streamed {args.batches} batches, checkpoint saved to "
               f"{args.path} (version epoch {driver.latest_version}, "
               f"|E_H| = {driver.sparsifier.num_edges})")
         return 0
@@ -203,10 +221,12 @@ def _run_checkpoint(argv: List[str]) -> int:
         import math
 
         done = len(driver.history)
+        if not within_stream(done, args.replay):
+            return 2
         # The demo graph is a grid, so the side length round-trips through
         # the checkpoint's node count; seed comes from the saved config.
         side = math.isqrt(driver.graph.num_nodes)
-        scenario = demo_scenario(driver.config.seed, side, done + args.replay)
+        scenario = demo_scenario(driver.config.seed, side)
         for batch in scenario.batches[done:done + args.replay]:
             driver.update(batch)
         print(f"replayed {args.replay} more batches "

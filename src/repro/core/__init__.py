@@ -1,14 +1,7 @@
 """inGRASS core: LRD decomposition, resistance embedding, incremental updates."""
 
 from repro.core.config import InGrassConfig, LRDConfig
-from repro.core.distortion import (
-    DistortionBatch,
-    DistortionEstimate,
-    estimate_distortions,
-    filter_by_threshold,
-    score_edges,
-    sort_by_distortion,
-)
+from repro.core.distortion import DistortionBatch, score_edges
 from repro.core.embedding import EmbeddingStats, ResistanceEmbedding
 from repro.core.filtering import (
     FilterAction,
@@ -47,11 +40,7 @@ __all__ = [
     "ResistanceEmbedding",
     "EmbeddingStats",
     "DistortionBatch",
-    "DistortionEstimate",
-    "estimate_distortions",
     "score_edges",
-    "sort_by_distortion",
-    "filter_by_threshold",
     "SimilarityFilter",
     "FilterAction",
     "FilterDecision",

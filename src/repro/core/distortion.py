@@ -12,7 +12,7 @@ condition number large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -23,41 +23,11 @@ WeightedEdge = Tuple[int, int, float]
 
 
 @dataclass
-class DistortionEstimate:
-    """Per-edge distortion estimate produced by :func:`estimate_distortions`."""
-
-    edge: WeightedEdge
-    resistance_bound: float
-    distortion: float
-
-
-def estimate_distortions(embedding: ResistanceEmbedding,
-                         new_edges: Sequence[WeightedEdge]) -> List[DistortionEstimate]:
-    """Estimate the spectral distortion of every candidate edge.
-
-    The resistance between the endpoints is upper-bounded by the diameter of
-    the first LRD cluster they share; multiplying by the edge weight gives the
-    distortion estimate of equation (6).
-    """
-    if not new_edges:
-        return []
-    pairs = [(p, q) for p, q, _ in new_edges]
-    weights = np.array([w for _, _, w in new_edges], dtype=float)
-    bounds = embedding.estimate_resistances(pairs)
-    distortions = weights * bounds
-    return [
-        DistortionEstimate(edge=edge, resistance_bound=float(bound), distortion=float(distortion))
-        for edge, bound, distortion in zip(new_edges, bounds, distortions)
-    ]
-
-
-@dataclass
 class DistortionBatch:
     """Structure-of-arrays distortion estimates for one streamed batch.
 
-    The batched update engine's counterpart of a ``List[DistortionEstimate]``:
-    parallel numpy arrays instead of per-edge objects, so sorting, threshold
-    cuts and the similarity filter's group resolution are matrix operations.
+    Parallel numpy arrays, one row per edge, so sorting, threshold cuts and
+    the similarity filter's group resolution are matrix operations.
     All arrays share the same length and order; ``us``/``vs`` preserve the
     caller's edge orientation (the update path canonicalises beforehand).
     """
@@ -83,8 +53,8 @@ class DistortionBatch:
         )
 
     def sort(self) -> "DistortionBatch":
-        """Return the batch sorted by decreasing distortion (stable, like
-        :func:`sort_by_distortion`)."""
+        """Return the batch sorted by decreasing distortion (most critical
+        first; stable, so equal distortions keep their batch order)."""
         if len(self) <= 1:
             return self
         order = np.argsort(-self.distortions, kind="stable")
@@ -92,31 +62,28 @@ class DistortionBatch:
 
     def split_by_threshold(self, relative_threshold: float,
                            ) -> Tuple["DistortionBatch", "DistortionBatch"]:
-        """Split into (kept, dropped) batches — see :func:`filter_by_threshold`."""
+        """Split into (kept, dropped) batches using a relative distortion cut.
+
+        Edges whose distortion falls below ``relative_threshold`` times the
+        median distortion of the batch are dropped outright — they are
+        spectrally negligible and would only densify the sparsifier.
+        ``relative_threshold`` of 0 keeps everything.
+        """
         if relative_threshold <= 0 or len(self) == 0:
             return self, self.take(np.zeros(0, dtype=np.int64))
         cutoff = relative_threshold * float(np.median(self.distortions))
         keep = self.distortions >= cutoff
         return self.take(np.flatnonzero(keep)), self.take(np.flatnonzero(~keep))
 
-    def to_estimates(self) -> List[DistortionEstimate]:
-        """Materialise the per-edge objects of the scalar API (same order)."""
-        us, vs, ws = self.us.tolist(), self.vs.tolist(), self.ws.tolist()
-        bounds, distortions = self.bounds.tolist(), self.distortions.tolist()
-        return [
-            DistortionEstimate(edge=(u, v, w), resistance_bound=bound, distortion=distortion)
-            for u, v, w, bound, distortion in zip(us, vs, ws, bounds, distortions)
-        ]
-
 
 def score_edges(embedding: ResistanceEmbedding,
                 new_edges: Sequence[WeightedEdge]) -> DistortionBatch:
-    """Vectorised :func:`estimate_distortions`: score a whole batch in one shot.
+    """Estimate the spectral distortion of every candidate edge in one shot.
 
-    Same estimates as the scalar function (weight × first-shared-cluster
-    diameter, equation (6)), but produced as a :class:`DistortionBatch` with
-    no per-edge Python work — the embedding lookup is one masked gather per
-    LRD level.
+    The resistance between the endpoints is upper-bounded by the diameter of
+    the first LRD cluster they share; multiplying by the edge weight gives the
+    distortion estimate of equation (6).  No per-edge Python work — the
+    embedding lookup is one masked gather per LRD level.
     """
     triples = as_edge_triples(new_edges)
     if triples.size == 0:
@@ -134,27 +101,3 @@ def score_edge_arrays(embedding: ResistanceEmbedding, us: np.ndarray, vs: np.nda
     """:func:`score_edges` on pre-built endpoint/weight arrays (no conversion)."""
     bounds = embedding.estimate_resistances_arrays(us, vs)
     return DistortionBatch(us=us, vs=vs, ws=ws, bounds=bounds, distortions=ws * bounds)
-
-
-def sort_by_distortion(estimates: Sequence[DistortionEstimate]) -> List[DistortionEstimate]:
-    """Return estimates sorted by decreasing distortion (most critical first)."""
-    return sorted(estimates, key=lambda item: item.distortion, reverse=True)
-
-
-def filter_by_threshold(estimates: Sequence[DistortionEstimate],
-                        relative_threshold: float,
-                        ) -> Tuple[List[DistortionEstimate], List[DistortionEstimate]]:
-    """Split estimates into (kept, dropped) using a relative distortion cut.
-
-    Edges whose distortion falls below ``relative_threshold`` times the median
-    distortion of the batch are dropped outright — they are spectrally
-    negligible and would only densify the sparsifier.  ``relative_threshold``
-    of 0 keeps everything.
-    """
-    if relative_threshold <= 0 or not estimates:
-        return list(estimates), []
-    distortions = np.array([item.distortion for item in estimates])
-    cutoff = relative_threshold * float(np.median(distortions))
-    kept = [item for item in estimates if item.distortion >= cutoff]
-    dropped = [item for item in estimates if item.distortion < cutoff]
-    return kept, dropped

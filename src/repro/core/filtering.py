@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.distortion import DistortionBatch, DistortionEstimate
+from repro.core.distortion import DistortionBatch
 from repro.core.hierarchy import ClusterHierarchy
 from repro.graphs.graph import Graph, canonical_edge
 
@@ -88,19 +88,14 @@ class SimilarityFilter:
     ----------
     sparsifier:
         The sparsifier ``H`` being maintained; mutated in place by
-        :meth:`apply`.
+        :meth:`apply_batch`.
     hierarchy:
         LRD hierarchy from the setup phase.
     filtering_level:
         Level ``L`` whose clusters define "spectral similarity".
-    redistribute_intra_cluster_weight:
-        When ``True`` (paper behaviour) the weight of an intra-cluster edge is
-        spread proportionally over the sparsifier edges inside the cluster;
-        when ``False`` the edge is simply dropped.
     """
 
-    def __init__(self, sparsifier: Graph, hierarchy: ClusterHierarchy, filtering_level: int,
-                 *, redistribute_intra_cluster_weight: bool = True) -> None:
+    def __init__(self, sparsifier: Graph, hierarchy: ClusterHierarchy, filtering_level: int) -> None:
         if filtering_level < 0 or filtering_level >= hierarchy.num_levels:
             raise ValueError(
                 f"filtering_level {filtering_level} out of range for a hierarchy with "
@@ -109,7 +104,6 @@ class SimilarityFilter:
         self._sparsifier = sparsifier
         self._hierarchy = hierarchy
         self._level_index = filtering_level
-        self._redistribute = redistribute_intra_cluster_weight
         # Label-version checkpoint: the maintenance layer re-keys this map in
         # place and marks it synced; any out-of-band relabel of the filtering
         # level shows up as a version mismatch and triggers one rebuild.
@@ -249,7 +243,7 @@ class SimilarityFilter:
         """
         pair = self._cluster_pair(u, v)
         if pair[0] == pair[1]:
-            if self._redistribute and self._intra_cluster_edges.get(pair[0]):
+            if self._intra_cluster_edges.get(pair[0]):
                 self._redistribute_weight(pair[0], weight)
                 return True
             return False
@@ -416,8 +410,8 @@ class SimilarityFilter:
         self._sparsifier.increase_weights(
             edges, np.maximum(weight * (current_weights / total), 1e-300))
 
-    def _apply_single(self, estimate: DistortionEstimate) -> FilterDecision:
-        p, q, weight = estimate.edge
+    def _apply_single(self, edge: WeightedEdge, distortion: float) -> FilterDecision:
+        p, q, weight = edge
         pair = self._cluster_pair(p, q)
         if pair[0] == pair[1]:
             # Both endpoints already live in one low-resistance cluster.
@@ -425,116 +419,70 @@ class SimilarityFilter:
                 # The sparsifier already carries this exact edge; treat the new
                 # weight as a parallel conductor.
                 self._sparsifier.increase_weight(p, q, weight)
-                return FilterDecision(estimate.edge, FilterAction.MERGED_INTO_EXISTING,
-                                      estimate.distortion, target_edge=(p, q), cluster_pair=pair)
-            if self._redistribute:
-                self._redistribute_weight(pair[0], weight)
-            return FilterDecision(estimate.edge, FilterAction.REDISTRIBUTED_INTRA_CLUSTER,
-                                  estimate.distortion, cluster_pair=pair)
+                return FilterDecision(edge, FilterAction.MERGED_INTO_EXISTING,
+                                      distortion, target_edge=(p, q), cluster_pair=pair)
+            self._redistribute_weight(pair[0], weight)
+            return FilterDecision(edge, FilterAction.REDISTRIBUTED_INTRA_CLUSTER,
+                                  distortion, cluster_pair=pair)
         existing = self._representative(pair)
         if existing is not None:
             u, v = existing
             self._sparsifier.increase_weight(u, v, weight)
-            return FilterDecision(estimate.edge, FilterAction.MERGED_INTO_EXISTING,
-                                  estimate.distortion, target_edge=existing, cluster_pair=pair)
+            return FilterDecision(edge, FilterAction.MERGED_INTO_EXISTING,
+                                  distortion, target_edge=existing, cluster_pair=pair)
         # Spectrally unique edge: admit it and register the new cluster connection.
         self._sparsifier.add_edge(p, q, weight, merge="add")
         self._register_edge(p, q)
-        return FilterDecision(estimate.edge, FilterAction.ADDED, estimate.distortion, cluster_pair=pair)
+        return FilterDecision(edge, FilterAction.ADDED, distortion, cluster_pair=pair)
 
-    def apply(self, estimates: Sequence[DistortionEstimate],
-              *, max_additions: Optional[int] = None) -> Tuple[List[FilterDecision], FilterSummary]:
-        """Filter a distortion-sorted batch of edges, mutating the sparsifier.
+    def apply(self, batch: DistortionBatch) -> Tuple[List[FilterDecision], FilterSummary]:
+        """Per-edge reference of :meth:`apply_batch`: one decision at a time.
 
-        Parameters
-        ----------
-        estimates:
-            Candidate edges with distortion estimates, most distorting first
-            (callers sort via :func:`repro.core.distortion.sort_by_distortion`).
-        max_additions:
-            Optional cap on how many edges may be added in this pass; once
-            reached, remaining inter-cluster candidates are merged into their
-            cluster-pair representative instead of being added.
+        Walks the distortion-sorted batch edge by edge, mutating the
+        sparsifier after every decision.  The update path runs
+        :meth:`apply_batch`; this loop is the oracle the equivalence tests
+        and the ``batch`` bench compare it against.
         """
         decisions: List[FilterDecision] = []
         summary = FilterSummary()
-        for estimate in estimates:
-            if max_additions is not None and summary.added >= max_additions:
-                p, q, weight = estimate.edge
-                pair = self._cluster_pair(p, q)
-                existing = self._representative(pair)
-                if pair[0] != pair[1] and existing is not None:
-                    u, v = existing
-                    self._sparsifier.increase_weight(u, v, weight)
-                    decision = FilterDecision(estimate.edge, FilterAction.MERGED_INTO_EXISTING,
-                                              estimate.distortion, target_edge=existing, cluster_pair=pair)
-                elif pair[0] == pair[1]:
-                    if self._redistribute:
-                        self._redistribute_weight(pair[0], weight)
-                    decision = FilterDecision(estimate.edge, FilterAction.REDISTRIBUTED_INTRA_CLUSTER,
-                                              estimate.distortion, cluster_pair=pair)
-                else:
-                    decision = FilterDecision(estimate.edge, FilterAction.DROPPED_LOW_DISTORTION,
-                                              estimate.distortion, cluster_pair=pair)
-            else:
-                decision = self._apply_single(estimate)
+        distortions = batch.distortions.tolist()
+        for index in range(len(batch)):
+            decision = self._apply_single(batch.edge(index), distortions[index])
             decisions.append(decision)
             if decision.action is FilterAction.ADDED:
                 summary.added += 1
             elif decision.action is FilterAction.MERGED_INTO_EXISTING:
                 summary.merged += 1
-            elif decision.action is FilterAction.REDISTRIBUTED_INTRA_CLUSTER:
-                summary.redistributed += 1
             else:
-                summary.dropped += 1
+                summary.redistributed += 1
         return decisions, summary
 
-    def apply_batch(self, batch: DistortionBatch, *, max_additions: Optional[int] = None,
-                    ) -> Tuple[List[FilterDecision], FilterSummary]:
-        """Vectorised :meth:`apply`: resolve a distortion-sorted batch by cluster group.
+    def apply_batch(self, batch: DistortionBatch) -> Tuple[List[FilterDecision], FilterSummary]:
+        """Filter a distortion-sorted batch of edges, mutating the sparsifier.
 
         Produces exactly the same decisions and sparsifier *edge set* as
         feeding the batch through :meth:`apply` edge by edge; weight
         mutations are aggregated per target edge / per cluster (differing
-        from the scalar path only in floating-point association), except for
-        clusters that receive both merge and redistribution traffic in one
-        batch, whose operations are replayed in stream order so even the
-        weights stay bit-identical there.
+        from the per-edge loop only in floating-point association), except
+        for clusters that receive both merge and redistribution traffic in
+        one batch, whose operations are replayed in stream order so even the
+        weights stay bit-identical there.  ADDED edges are inserted in stream
+        order, so the sparsifier's edge-dict order — and therefore any later
+        connectivity rebuild — matches the per-edge loop.
 
         The mechanism: the cluster labels of every endpoint are gathered in
         one shot, edges sharing a cluster pair form a group, and each group
         is resolved once — the first edge of a previously unconnected
         inter-cluster group is ADDED, everything else merges into its group's
-        representative or redistributes inside its cluster.
-
-        Without an additions cap the batch is resolved *per cluster-pair
-        group* rather than per edge: unique cluster pairs are far fewer than
-        streamed edges on paper-scale streams (10⁵ edges typically collapse
-        onto ~10⁴ pairs), so the remaining Python loop runs once per group
-        while the per-edge work — labels, grouping, decision records,
-        aggregated merge weights — stays in numpy.  With ``max_additions``
-        the decision of each edge depends on how many additions preceded it,
-        so the streamed per-edge loop is kept for that case.
+        representative or redistributes inside its cluster.  Unique cluster
+        pairs are far fewer than streamed edges on paper-scale streams (10⁵
+        edges typically collapse onto ~10⁴ pairs), so the remaining Python
+        loop runs once per group while the per-edge work — labels, grouping,
+        decision records, aggregated merge weights — stays in numpy.
         """
         m = len(batch)
         if m == 0:
             return [], FilterSummary()
-        if max_additions is None:
-            return self._apply_batch_grouped(batch)
-        return self._apply_batch_streamed(batch, max_additions)
-
-    def _apply_batch_grouped(self, batch: DistortionBatch,
-                             ) -> Tuple[List[FilterDecision], FilterSummary]:
-        """Group-resolved :meth:`apply_batch` for the uncapped case.
-
-        Produces decisions, sparsifier edge set *and weights* identical to
-        the streamed loop: ADDED edges are inserted in stream order (so the
-        sparsifier's edge-dict order — and therefore any later connectivity
-        rebuild — matches), aggregated merge weights accumulate per target in
-        stream order, and intra-cluster operations keep the streamed loop's
-        dirty-cluster replay.
-        """
-        m = len(batch)
         summary = FilterSummary()
         sparsifier = self._sparsifier
         labels = np.asarray(self._labels)
@@ -568,7 +516,7 @@ class SimilarityFilter:
             ws_first = ws[first_global].tolist()
             connectivity = self._connectivity
             add_unchecked = sparsifier.add_edge_unchecked
-            # Visit groups in stream order of their first edge: the streamed
+            # Visit groups in stream order of their first edge: the per-edge
             # loop inserts ADDED edges in exactly that order.
             for g in np.argsort(first_pos, kind="stable").tolist():
                 pair = (lo_first[g], hi_first[g])
@@ -596,8 +544,7 @@ class SimilarityFilter:
             target_us[added_first] = -1
             target_vs[added_first] = -1
             # Aggregated merge weights: every inter edge except the ADDED
-            # firsts; bincount accumulates in array (= stream) order, so the
-            # per-target float sums equal the streamed loop's.
+            # firsts; bincount accumulates in array (= stream) order.
             contrib = np.ones(inter_idx.size, dtype=bool)
             contrib[first_pos[group_added]] = False
             totals = np.bincount(inverse[contrib], weights=ws[inter_idx[contrib]],
@@ -608,12 +555,11 @@ class SimilarityFilter:
             summary.added = int(group_added.sum())
             summary.merged = int(inter_idx.size) - summary.added
 
-        # ---- intra-cluster edges: streamed (they are few, and the dirty-
-        # cluster replay is inherently order-sensitive).
+        # ---- intra-cluster edges: one by one in stream order (they are
+        # few, and the dirty-cluster replay is inherently order-sensitive).
         intra_ops: List[Tuple[str, int, Optional[Tuple[int, int]], float]] = []
         spread_clusters: set = set()
         merge_clusters: set = set()
-        redistribute = self._redistribute
         if intra_idx.size:
             sparsifier_edges = sparsifier._edges  # membership probes only
             for e, p, q, weight, cluster in zip(intra_idx.tolist(), us[intra_idx].tolist(),
@@ -628,14 +574,13 @@ class SimilarityFilter:
                     target_vs[e] = q
                     summary.merged += 1
                 else:
-                    if redistribute:
-                        intra_ops.append(("spread", cluster, None, weight))
-                        spread_clusters.add(cluster)
+                    intra_ops.append(("spread", cluster, None, weight))
+                    spread_clusters.add(cluster)
                     actions[e] = _REDISTRIBUTED
                     summary.redistributed += 1
 
-        # ---- aggregated mutations, replicating the streamed loop's order:
-        # dirty-cluster replay first, then one bulk weight increase, then one
+        # ---- aggregated mutations: dirty clusters replay the per-edge loop's
+        # operations in stream order, then one bulk weight increase, then one
         # redistribution per clean cluster (redistributions scale the member
         # edges proportionally, so spreading w1 then w2 equals spreading
         # w1 + w2 in one shot).
@@ -674,129 +619,4 @@ class SimilarityFilter:
                 FilterDecision((us_l[i], vs_l[i], ws_l[i]), _CODE_TO_ACTION[actions_l[i]],
                                distortions_l[i], target, (lo_l[i], hi_l[i]))
             )
-        return decisions, summary
-
-    def _apply_batch_streamed(self, batch: DistortionBatch, max_additions: Optional[int],
-                              ) -> Tuple[List[FilterDecision], FilterSummary]:
-        """Per-edge :meth:`apply_batch` loop (the additions-capped path)."""
-        decisions: List[FilterDecision] = []
-        summary = FilterSummary()
-
-        labels = np.asarray(self._labels)
-        cu = labels[batch.us]
-        cv = labels[batch.vs]
-        lo = np.minimum(cu, cv).tolist()
-        hi = np.maximum(cu, cv).tolist()
-        us = batch.us.tolist()
-        vs = batch.vs.tolist()
-        ws = batch.ws.tolist()
-        distortions = batch.distortions.tolist()
-        sparsifier = self._sparsifier
-        sparsifier_edges = sparsifier._edges  # membership probes + in-loop inserts below
-
-        # Per-cluster-pair state, resolved lazily on first encounter.
-        pair_reps: Dict[ClusterPair, Optional[Tuple[int, int]]] = {}
-        # Aggregated weight increments onto existing/added edges (inter-cluster
-        # merges and clean intra-cluster merges — pure additions, no reads).
-        merge_totals: Dict[Tuple[int, int], float] = defaultdict(float)
-        # Ordered intra-cluster operations; replayed or aggregated after the
-        # decision pass depending on whether the cluster is "dirty" (mixes
-        # merges and redistributions, making order significant).
-        intra_ops: List[Tuple[str, int, Optional[Tuple[int, int]], float]] = []
-        spread_clusters: set = set()
-        merge_clusters: set = set()
-
-        # Local bindings: this loop runs once per streamed edge and is the
-        # only per-edge Python left in the batched engine.
-        decision_cls = FilterDecision
-        action_added = FilterAction.ADDED
-        action_merged = FilterAction.MERGED_INTO_EXISTING
-        action_redistributed = FilterAction.REDISTRIBUTED_INTRA_CLUSTER
-        action_dropped = FilterAction.DROPPED_LOW_DISTORTION
-        redistribute = self._redistribute
-        connectivity = self._connectivity
-        add_unchecked = sparsifier.add_edge_unchecked
-        added = merged = redistributed = dropped = 0
-        append_decision = decisions.append
-        append_intra = intra_ops.append
-        reps_get = pair_reps.get
-        missing = object()  # sentinel: pair not seen yet (None = "seen, no rep")
-        no_cap = max_additions is None
-
-        for p, q, weight, cluster_lo, cluster_hi, distortion in zip(us, vs, ws, lo, hi,
-                                                                     distortions):
-            target_edge = None
-            if cluster_lo == cluster_hi:
-                capped = not (no_cap or added < max_additions)
-                key = (p, q) if p <= q else (q, p)
-                if not capped and key in sparsifier_edges:
-                    # Parallel conductor of an edge the sparsifier carries.
-                    append_intra(("merge", cluster_lo, key, weight))
-                    merge_clusters.add(cluster_lo)
-                    action = action_merged
-                    target_edge = (p, q)
-                    merged += 1
-                else:
-                    if redistribute:
-                        append_intra(("spread", cluster_lo, None, weight))
-                        spread_clusters.add(cluster_lo)
-                    action = action_redistributed
-                    redistributed += 1
-            else:
-                pair = (cluster_lo, cluster_hi)
-                representative = reps_get(pair, missing)
-                if representative is missing:
-                    representative = self._representative(pair)
-                    pair_reps[pair] = representative
-                if representative is not None:
-                    merge_totals[representative] += weight
-                    action = action_merged
-                    target_edge = representative
-                    merged += 1
-                elif not (no_cap or added < max_additions):
-                    action = action_dropped
-                    dropped += 1
-                else:
-                    # Spectrally unique: admit and make the connection visible
-                    # to the rest of the batch (inline _register_edge — the
-                    # cluster pair is already in hand).
-                    key = (p, q) if p <= q else (q, p)
-                    add_unchecked(p, q, weight)
-                    bucket = connectivity.get(pair)
-                    if bucket is None:
-                        connectivity[pair] = {key: None}
-                    else:
-                        bucket[key] = None
-                    pair_reps[pair] = key
-                    action = action_added
-                    added += 1
-            append_decision(decision_cls((p, q, weight), action, distortion,
-                                         target_edge, (cluster_lo, cluster_hi)))
-        summary.added = added
-        summary.merged = merged
-        summary.redistributed = redistributed
-        summary.dropped = dropped
-
-        # Apply the aggregated mutations.  Inter-cluster merge targets are
-        # disjoint from intra-cluster redistribution targets, so their order
-        # does not matter; intra ops in clusters mixing merges and
-        # redistributions are replayed in stream order for exactness.
-        dirty = merge_clusters & spread_clusters
-        spread_totals: Dict[int, float] = {}
-        for kind, cluster, key, weight in intra_ops:
-            if cluster in dirty:
-                if kind == "merge":
-                    self._sparsifier.increase_weight(key[0], key[1], weight)
-                else:
-                    self._redistribute_weight(cluster, weight)
-            elif kind == "merge":
-                merge_totals[key] = merge_totals.get(key, 0.0) + weight
-            else:
-                spread_totals[cluster] = spread_totals.get(cluster, 0.0) + weight
-        if merge_totals:
-            targets = list(merge_totals.keys())
-            self._sparsifier.increase_weights(targets, np.fromiter(merge_totals.values(), dtype=float,
-                                                                   count=len(targets)))
-        for cluster, weight in spread_totals.items():
-            self._redistribute_weight(cluster, weight)
         return decisions, summary

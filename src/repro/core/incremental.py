@@ -420,10 +420,7 @@ class InGrassSparsifier:
         if self._filter is None:
             level = _select_filtering_level(self._setup, self._resolved_config(),
                                             self._target_condition)
-            self._filter = SimilarityFilter(
-                self._sparsifier, self._setup.hierarchy, level,
-                redistribute_intra_cluster_weight=self.config.redistribute_intra_cluster_weight,
-            )
+            self._filter = SimilarityFilter(self._sparsifier, self._setup.hierarchy, level)
         return self._filter
 
     def _ensure_maintainer(self) -> Optional[HierarchyMaintainer]:

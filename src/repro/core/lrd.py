@@ -31,6 +31,9 @@ from repro.graphs.graph import Graph
 from repro.graphs.unionfind import UnionFind
 from repro.spectral.effective_resistance import make_resistance_calculator
 
+#: Hard cap on the number of levels (and therefore on the embedding dimension).
+MAX_LEVELS = 40
+
 
 @dataclass
 class _ContractionState:
@@ -52,7 +55,6 @@ def _estimate_edge_resistances(graph: Graph, config: LRDConfig, level_index: int
     calculator = make_resistance_calculator(
         graph,
         config.resistance_method,
-        order=config.resistance_order,
         seed=(config.seed if not isinstance(config.seed, np.random.Generator) else config.seed),
     )
     resistances = calculator.edge_resistances()
@@ -494,8 +496,8 @@ def lrd_decompose(sparsifier: Graph, config: Optional[LRDConfig] = None) -> Clus
     threshold = _initial_threshold(sparsifier, config)
     levels: List[LRDLevel] = []
 
-    for level_index in range(config.max_levels):
-        if state.graph.num_nodes <= config.min_clusters or state.graph.num_edges == 0:
+    for level_index in range(MAX_LEVELS):
+        if state.graph.num_nodes <= 1 or state.graph.num_edges == 0:
             break
         edge_resistances = _estimate_edge_resistances(state.graph, config, level_index)
         labels, cluster_diameters, merges = _contract_level(state, edge_resistances, threshold)

@@ -33,13 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import InGrassConfig
-from repro.core.distortion import (
-    estimate_distortions,
-    filter_by_threshold,
-    score_edge_arrays,
-    score_edges,
-    sort_by_distortion,
-)
+from repro.core.distortion import score_edge_arrays, score_edges
 from repro.core.filtering import (
     FilterAction,
     FilterDecision,
@@ -60,6 +54,11 @@ from repro.utils.timing import Timer
 
 Edge = Tuple[int, int]
 WeightedEdge = Tuple[int, int, float]
+
+#: Deletion path: cap on how many replacement edges the local repair step may
+#: admit per sparsifier edge removed (connectivity repair is exempt — the
+#: sparsifier is always reconnected).
+REPAIR_EDGES_PER_REMOVAL = 2
 
 
 @dataclass
@@ -100,7 +99,7 @@ def _select_filtering_level(setup: SetupResult, config: InGrassConfig,
     return setup.filtering_level_for(target, config.filtering_size_divisor)
 
 
-def _ensure_filter(sparsifier: Graph, setup: SetupResult, level: int, config: InGrassConfig,
+def _ensure_filter(sparsifier: Graph, setup: SetupResult, level: int,
                    similarity_filter: Optional[SimilarityFilter]) -> SimilarityFilter:
     """Reuse the caller's filter when it matches the level, else build a fresh one."""
     if similarity_filter is not None and similarity_filter.filtering_level == level:
@@ -109,10 +108,7 @@ def _ensure_filter(sparsifier: Graph, setup: SetupResult, level: int, config: In
         # version mismatch; resync rebuilds the cluster-pair map exactly once.
         similarity_filter.resync()
         return similarity_filter
-    return SimilarityFilter(
-        sparsifier, setup.hierarchy, level,
-        redistribute_intra_cluster_weight=config.redistribute_intra_cluster_weight,
-    )
+    return SimilarityFilter(sparsifier, setup.hierarchy, level)
 
 
 def _ensure_maintainer(sparsifier: Graph, setup: SetupResult, config: InGrassConfig,
@@ -146,8 +142,7 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
     new_edges:
         Batch of ``(u, v, weight)`` edges newly added to the original graph.
     config:
-        inGRASS configuration (filtering level override, distortion threshold,
-        weight-redistribution toggle, fill cap).
+        inGRASS configuration (filtering level override, distortion threshold).
     target_condition_number:
         Target κ used to select the filtering level; overrides
         ``config.target_condition_number`` when given.  Required through one
@@ -163,44 +158,25 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
     config = config if config is not None else InGrassConfig()
     timer = Timer().start()
     us, vs, ws = validate_new_edge_arrays(sparsifier, new_edges)
-    batch_size = int(us.shape[0])
 
     level = _select_filtering_level(setup, config, target_condition_number)
-    similarity_filter = _ensure_filter(sparsifier, setup, level, config, similarity_filter)
+    similarity_filter = _ensure_filter(sparsifier, setup, level, similarity_filter)
     maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
 
-    max_additions = None
-    if config.max_fill_fraction < 1.0:
-        max_additions = max(1, int(round(config.max_fill_fraction * batch_size)))
-
-    if config.use_vectorized(batch_size):
-        # Batched engine: score, threshold and sort the whole stream as
-        # numpy arrays, then resolve the similarity filter per cluster group.
-        batch = score_edge_arrays(setup.embedding, us, vs, ws)
-        batch, dropped_batch = batch.split_by_threshold(config.distortion_threshold)
-        decisions, summary = similarity_filter.apply_batch(batch.sort(), max_additions=max_additions)
-        num_dropped = len(dropped_batch)
-        summary.dropped += num_dropped
-        dropped_distortions = dropped_batch.distortions.tolist()
-        for index in range(num_dropped):
-            decisions.append(
-                FilterDecision(edge=dropped_batch.edge(index),
-                               action=FilterAction.DROPPED_LOW_DISTORTION,
-                               distortion=dropped_distortions[index])
-            )
-    else:
-        cleaned = list(zip(us.tolist(), vs.tolist(), ws.tolist()))
-        estimates = estimate_distortions(setup.embedding, cleaned)
-        estimates, dropped = filter_by_threshold(estimates, config.distortion_threshold)
-        estimates = sort_by_distortion(estimates)
-        decisions, summary = similarity_filter.apply(estimates, max_additions=max_additions)
-        num_dropped = len(dropped)
-        summary.dropped += num_dropped
-        for item in dropped:
-            decisions.append(
-                FilterDecision(edge=item.edge, action=FilterAction.DROPPED_LOW_DISTORTION,
-                               distortion=item.distortion)
-            )
+    # Score, threshold and sort the whole stream as numpy arrays, then
+    # resolve the similarity filter per cluster group.
+    batch = score_edge_arrays(setup.embedding, us, vs, ws)
+    batch, dropped_batch = batch.split_by_threshold(config.distortion_threshold)
+    decisions, summary = similarity_filter.apply_batch(batch.sort())
+    num_dropped = len(dropped_batch)
+    summary.dropped += num_dropped
+    dropped_distortions = dropped_batch.distortions.tolist()
+    for index in range(num_dropped):
+        decisions.append(
+            FilterDecision(edge=dropped_batch.edge(index),
+                           action=FilterAction.DROPPED_LOW_DISTORTION,
+                           distortion=dropped_distortions[index])
+        )
     hierarchy_merges = 0
     if maintainer is not None and summary.added:
         added = [d.edge for d in decisions if d.action is FilterAction.ADDED]
@@ -246,7 +222,7 @@ def prepare_removal_batch(graph: Graph, removals: Sequence) -> Tuple[List[Edge],
 
 def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "RemovalResult",
                            graph_weights: dict, *, similarity_filter: SimilarityFilter,
-                           config: InGrassConfig, inflate: bool) -> None:
+                           inflate: bool) -> None:
     """Stage 1 of the removal pipeline: drop, invalidate, re-home.
 
     For every pair of ``result.requested`` the sparsifier carries: remove the
@@ -283,9 +259,7 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "Remov
     adjacency = sparsifier._adjacency
     intra = similarity_filter._intra_cluster_edges
     connectivity = similarity_filter._connectivity
-    redistribute = similarity_filter._redistribute
     hierarchy = setup.hierarchy
-    inflation = config.removal_diameter_inflation
     removed_append = result.removed_from_sparsifier.append
     reassigned_total = 0.0
     discarded_total = 0.0
@@ -311,15 +285,13 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "Remov
                     if not bucket:
                         del connectivity[(p, q)]
             if inflate:
-                result.inflated_levels += hierarchy.note_edge_removed(
-                    u, v, inflation_factor=inflation
-                )
+                result.inflated_levels += hierarchy.note_edge_removed(u, v)
             removed_append((u, v, weight))
             if physical is not None and weight > physical:
                 excess = weight - physical
                 # Inlined reassign_weight with the precomputed cluster pair.
                 if p == q:
-                    if redistribute and intra.get(p):
+                    if intra.get(p):
                         similarity_filter._redistribute_weight(p, excess)
                         reassigned_total += excess
                     else:
@@ -406,25 +378,14 @@ class KappaGuardReport:
         return self.kappa_after <= self.bound
 
 
-def _rank_candidates(setup: SetupResult, candidates: Sequence[WeightedEdge], config: InGrassConfig,
-                     *, relative_threshold: float = 0.0) -> List[WeightedEdge]:
-    """Candidate edges sorted by decreasing estimated distortion.
-
-    Dispatches between the vectorised batch kernels and the per-edge scalar
-    path via ``config.batch_mode``; both give the same (stable) order.
-    """
+def _rank_candidates(setup: SetupResult, candidates: Sequence[WeightedEdge], *,
+                     relative_threshold: float = 0.0) -> List[WeightedEdge]:
+    """Candidate edges sorted by decreasing estimated distortion (stable)."""
     if not candidates:
         return []
-    if config.use_vectorized(len(candidates)):
-        batch = score_edges(setup.embedding, candidates)
-        if relative_threshold > 0:
-            batch, _ = batch.split_by_threshold(relative_threshold)
-        batch = batch.sort()
-        return list(zip(batch.us.tolist(), batch.vs.tolist(), batch.ws.tolist()))
-    estimates = estimate_distortions(setup.embedding, candidates)
-    if relative_threshold > 0:
-        estimates, _ = filter_by_threshold(estimates, relative_threshold)
-    return [estimate.edge for estimate in sort_by_distortion(estimates)]
+    batch, _ = score_edges(setup.embedding, candidates).split_by_threshold(relative_threshold)
+    batch = batch.sort()
+    return list(zip(batch.us.tolist(), batch.vs.tolist(), batch.ws.tolist()))
 
 
 def _offtree_candidates(graph: Graph, sparsifier: Graph, around: Sequence[int]) -> List[WeightedEdge]:
@@ -439,8 +400,7 @@ def _offtree_candidates(graph: Graph, sparsifier: Graph, around: Sequence[int]) 
 
 
 def _reconnect_sparsifier(sparsifier: Graph, graph: Graph, setup: SetupResult,
-                          similarity_filter: SimilarityFilter,
-                          config: InGrassConfig) -> List[WeightedEdge]:
+                          similarity_filter: SimilarityFilter) -> List[WeightedEdge]:
     """Restore sparsifier connectivity using the most-distorting graph edges.
 
     Builds the component structure of the (possibly split) sparsifier, ranks
@@ -470,7 +430,7 @@ def _reconnect_sparsifier(sparsifier: Graph, graph: Graph, setup: SetupResult,
         )
     crossing = list(zip(us[crossing_mask].tolist(), vs[crossing_mask].tolist(),
                         ws[crossing_mask].tolist()))
-    ranked = _rank_candidates(setup, crossing, config)
+    ranked = _rank_candidates(setup, crossing)
     uf = UnionFind(num_components)
     added: List[WeightedEdge] = []
     for u, v, w in ranked:
@@ -515,7 +475,8 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
         is why the deletions must already be reflected (a deleted edge must
         never be re-admitted).
     config:
-        inGRASS configuration (repair caps, diameter inflation, κ guard).
+        inGRASS configuration (filtering level, hierarchy mode, distortion
+        threshold of the repair ranking).
     target_condition_number:
         Target κ used both for filtering-level selection and as the reference
         of the κ guard.
@@ -544,7 +505,7 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
     requested, graph_weights = prepare_removal_batch(graph, removals)
 
     level = _select_filtering_level(setup, config, target_condition_number)
-    similarity_filter = _ensure_filter(sparsifier, setup, level, config, similarity_filter)
+    similarity_filter = _ensure_filter(sparsifier, setup, level, similarity_filter)
     maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
 
     # Step 1: drop the edges the sparsifier carries, invalidating caches.
@@ -562,8 +523,7 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
     )
     run_removal_drop_stage(
         sparsifier, setup, result, graph_weights,
-        similarity_filter=similarity_filter, config=config,
-        inflate=maintainer is None,
+        similarity_filter=similarity_filter, inflate=maintainer is None,
     )
     if not result.removed_from_sparsifier:
         timer.stop()
@@ -592,7 +552,7 @@ def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: Rem
 
     # Step 2: reconnect if any removal split the sparsifier.
     result.reconnection_edges = _reconnect_sparsifier(sparsifier, graph, setup,
-                                                      similarity_filter, config)
+                                                      similarity_filter)
 
     # Step 2b (maintain mode): splice the clusters the removals touched, now
     # that the sparsifier is whole again — interior connectivity is judged
@@ -615,12 +575,12 @@ def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: Rem
     # existing graph edges, not new conductance, so folding their weight onto
     # other sparsifier edges would double-count weight the graph does not
     # have and degrade κ from the λ_min side.
-    repair_cap = config.max_repair_edges_per_removal * len(removed_from_sparsifier)
+    repair_cap = REPAIR_EDGES_PER_REMOVAL * len(removed_from_sparsifier)
     if repair_cap > 0:
         endpoints = sorted({node for u, v, _ in removed_from_sparsifier for node in (u, v)})
         candidates = _offtree_candidates(graph, sparsifier, endpoints)
         if candidates:
-            ranked = _rank_candidates(setup, candidates, config,
+            ranked = _rank_candidates(setup, candidates,
                                       relative_threshold=config.distortion_threshold)
             for p, q, weight in ranked:
                 if len(result.repair_edges) >= repair_cap:
@@ -685,7 +645,7 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
         raise ValueError("a target condition number is required for the κ guard")
     timer = Timer().start()
     level = _select_filtering_level(setup, config, target)
-    similarity_filter = _ensure_filter(sparsifier, setup, level, config, similarity_filter)
+    similarity_filter = _ensure_filter(sparsifier, setup, level, similarity_filter)
     maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
 
     bound = config.kappa_guard_factor * target

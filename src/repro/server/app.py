@@ -26,7 +26,7 @@ Architecture — one event loop, two disciplines:
 Graceful shutdown (``POST /shutdown``, :meth:`SparsifierHTTPServer.stop`, or
 SIGINT/SIGTERM under :func:`serve`) closes the listener, **drains every
 queued write**, gives in-flight connections a grace period, and — when a
-checkpoint directory is configured — saves a format-v1 checkpoint
+checkpoint directory is configured — saves a checkpoint
 (:mod:`repro.checkpoint`), so a restarted server resumes bit-exact at the
 last applied epoch.
 

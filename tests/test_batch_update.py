@@ -1,14 +1,21 @@
-"""Equivalence suite for the vectorised batch update engine.
+"""Equivalence suite for the batch update engine.
 
-The batched path (``InGrassConfig.batch_mode="vectorized"``) must be a pure
-speed transformation of the scalar reference path: identical filter
-decisions, identical sparsifier edge sets and near-identical weights (the
-aggregated mutations differ only in floating-point association) on every
-workload — random streams, locality-biased streams, threshold cuts,
-fill caps and full mixed insert/delete scenarios.
+The update path scores, thresholds and sorts each batch as arrays and
+resolves it with the grouped :meth:`SimilarityFilter.apply_batch`.  That
+must be a pure speed transformation of the per-edge reference
+:meth:`SimilarityFilter.apply`: identical filter decisions, identical
+sparsifier edge sets and near-identical weights (the aggregated mutations
+differ only in floating-point association) on every workload — random
+streams, locality-biased streams, threshold cuts and full mixed
+insert/delete scenarios.  The array scoring kernels are checked against
+per-pair and list-based references.  ``scalar`` names the per-edge
+reference run and ``vectorized`` the engine run, as in the ``batch`` bench.
 """
 
 from __future__ import annotations
+
+import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +26,11 @@ from repro.core import (
     InGrassConfig,
     InGrassSparsifier,
     LRDConfig,
+    SimilarityFilter,
     run_setup,
     run_update,
     score_edges,
-    sort_by_distortion,
 )
-from repro.core.distortion import estimate_distortions, filter_by_threshold
 from repro.graphs import Graph, grid_circuit_2d
 from repro.graphs.validation import validate_new_edge_arrays, validate_new_edges
 from repro.sparsify import GrassConfig, GrassSparsifier
@@ -58,15 +64,28 @@ def _assert_same_sparsifier(scalar: Graph, vector: Graph, *, rtol: float = 1e-9)
     np.testing.assert_allclose(scalar_weights, vector_weights, rtol=rtol)
 
 
+def _edges(batch):
+    return [batch.edge(i) for i in range(len(batch))]
+
+
+def _per_edge_reference():
+    """Route every ``apply_batch`` call through the per-edge :meth:`apply`."""
+    return mock.patch.object(SimilarityFilter, "apply_batch", SimilarityFilter.apply)
+
+
 def _run_both(graph, sparsifier, stream, *, target=64.0, **config_kwargs):
-    """Run one update batch through both engines from identical state."""
-    outcomes = {}
-    for mode in ("scalar", "vectorized"):
-        config = InGrassConfig(lrd=LRDConfig(seed=0), batch_mode=mode, seed=0, **config_kwargs)
+    """Run one update batch through the engine and the reference from identical state."""
+    config = InGrassConfig(lrd=LRDConfig(seed=0), seed=0, **config_kwargs)
+
+    def run():
         working = sparsifier.copy()
         setup = run_setup(working, config)
         result = run_update(working, setup, stream, config, target_condition_number=target)
-        outcomes[mode] = (working, result)
+        return working, result
+
+    outcomes = {"vectorized": run()}
+    with _per_edge_reference():
+        outcomes["scalar"] = run()
     return outcomes
 
 
@@ -77,18 +96,20 @@ class TestScoringEquivalence:
         setup = run_setup(working, InGrassConfig(lrd=LRDConfig(seed=0)))
         stream = mixed_edges(graph, 200, seed=3)
         batch = score_edges(setup.embedding, stream)
-        estimates = estimate_distortions(setup.embedding, stream)
-        np.testing.assert_allclose(batch.bounds, [e.resistance_bound for e in estimates])
-        np.testing.assert_allclose(batch.distortions, [e.distortion for e in estimates])
+        bounds = [setup.hierarchy.resistance_upper_bound(p, q) for p, q, _ in stream]
+        np.testing.assert_allclose(batch.bounds, bounds)
+        np.testing.assert_allclose(batch.distortions,
+                                   [bound * w for bound, (_, _, w) in zip(bounds, stream)])
 
     def test_sort_is_stable_like_scalar(self, grid_with_sparsifier):
         graph, sparsifier = grid_with_sparsifier
         working = sparsifier.copy()
         setup = run_setup(working, InGrassConfig(lrd=LRDConfig(seed=0)))
         stream = mixed_edges(graph, 300, seed=4)
-        batch = score_edges(setup.embedding, stream).sort()
-        estimates = sort_by_distortion(estimate_distortions(setup.embedding, stream))
-        assert [batch.edge(i) for i in range(len(batch))] == [e.edge for e in estimates]
+        batch = score_edges(setup.embedding, stream)
+        distortions = batch.distortions.tolist()
+        order = sorted(range(len(batch)), key=lambda i: distortions[i], reverse=True)
+        assert _edges(batch.sort()) == [batch.edge(i) for i in order]
 
     def test_threshold_split_matches_scalar(self, grid_with_sparsifier):
         graph, sparsifier = grid_with_sparsifier
@@ -97,9 +118,11 @@ class TestScoringEquivalence:
         stream = mixed_edges(graph, 300, seed=5)
         batch = score_edges(setup.embedding, stream)
         kept_batch, dropped_batch = batch.split_by_threshold(0.5)
-        kept, dropped = filter_by_threshold(estimate_distortions(setup.embedding, stream), 0.5)
-        assert [kept_batch.edge(i) for i in range(len(kept_batch))] == [e.edge for e in kept]
-        assert [dropped_batch.edge(i) for i in range(len(dropped_batch))] == [e.edge for e in dropped]
+        distortions = batch.distortions.tolist()
+        cutoff = 0.5 * statistics.median(distortions)
+        rows = list(zip(_edges(batch), distortions))
+        assert _edges(kept_batch) == [edge for edge, d in rows if d >= cutoff]
+        assert _edges(dropped_batch) == [edge for edge, d in rows if d < cutoff]
 
     def test_validate_new_edge_arrays_matches_scalar_semantics(self, medium_grid):
         edges = [(3, 7, 1.0), (7, 3, 2.0), (1, 2, 0.5), (3, 7, 0.25)]
@@ -132,14 +155,6 @@ class TestFilterEquivalence:
         assert outcomes["scalar"][1].dropped_low_distortion == outcomes["vectorized"][1].dropped_low_distortion
         assert outcomes["vectorized"][1].dropped_low_distortion > 0
 
-    def test_with_fill_cap(self, medium_grid):
-        sparsifier = _sparsify(medium_grid)
-        stream = random_pair_edges(medium_grid, 500, seed=19)
-        outcomes = _run_both(medium_grid, sparsifier, stream, max_fill_fraction=0.05)
-        _assert_same_decisions(outcomes["scalar"][1], outcomes["vectorized"][1])
-        _assert_same_sparsifier(outcomes["scalar"][0], outcomes["vectorized"][0])
-        assert outcomes["vectorized"][1].summary.added <= 25
-
     def test_duplicate_edges_in_batch(self, medium_grid):
         sparsifier = _sparsify(medium_grid)
         base = random_pair_edges(medium_grid, 120, seed=23)
@@ -168,18 +183,9 @@ class TestFilterEquivalence:
         _assert_same_decisions(outcomes["scalar"][1], outcomes["vectorized"][1])
         _assert_same_sparsifier(outcomes["scalar"][0], outcomes["vectorized"][0])
 
-    def test_auto_mode_dispatches_by_batch_size(self, medium_grid):
-        config = InGrassConfig(batch_mode="auto", batch_mode_threshold=64)
-        assert not config.use_vectorized(10)
-        assert config.use_vectorized(64)
-        assert InGrassConfig(batch_mode="vectorized").use_vectorized(1)
-        assert not InGrassConfig(batch_mode="scalar").use_vectorized(10**6)
-        with pytest.raises(ValueError):
-            InGrassConfig(batch_mode="simd")
-
 
 class TestDriverEquivalence:
-    """End-to-end: the InGrassSparsifier driver under both engines."""
+    """End-to-end: the InGrassSparsifier driver under the engine and the reference."""
 
     @pytest.mark.parametrize("deletion_fraction", [0.0, 0.35])
     def test_dynamic_scenario(self, deletion_fraction):
@@ -192,15 +198,17 @@ class TestDriverEquivalence:
                 condition_dense_limit=400, seed=2,
             ),
         )
-        finals = {}
-        for mode in ("scalar", "vectorized"):
-            config = InGrassConfig(lrd=LRDConfig(seed=0), batch_mode=mode, seed=0)
-            ingrass = InGrassSparsifier(config)
+        def run():
+            ingrass = InGrassSparsifier(InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
             ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                           target_condition_number=scenario.initial_condition_number)
             for batch in scenario.batches:
                 ingrass.update(batch)
-            finals[mode] = ingrass
+            return ingrass
+
+        finals = {"vectorized": run()}
+        with _per_edge_reference():
+            finals["scalar"] = run()
         _assert_same_sparsifier(finals["scalar"].sparsifier, finals["vectorized"].sparsifier)
         assert finals["scalar"].graph == finals["vectorized"].graph
         scalar_history = finals["scalar"].history
@@ -244,15 +252,13 @@ class TestDriverEquivalence:
     stream_size=st.integers(min_value=1, max_value=300),
     long_range=st.floats(min_value=0.0, max_value=1.0),
     threshold=st.sampled_from([0.0, 0.25, 0.75]),
-    fill=st.sampled_from([1.0, 0.5, 0.1]),
     seed=st.integers(min_value=0, max_value=10**6),
 )
-def test_property_batch_equivalence(side, stream_size, long_range, threshold, fill, seed):
-    """Random graphs x random streams x random configs: both engines agree."""
+def test_property_batch_equivalence(side, stream_size, long_range, threshold, seed):
+    """Random graphs x random streams x random thresholds: engine and reference agree."""
     graph = grid_circuit_2d(side, seed=seed % 97)
     sparsifier = _sparsify(graph, density=0.15, seed=seed % 13)
     stream = mixed_edges(graph, stream_size, long_range_fraction=long_range, seed=seed)
-    outcomes = _run_both(graph, sparsifier, stream,
-                         distortion_threshold=threshold, max_fill_fraction=fill)
+    outcomes = _run_both(graph, sparsifier, stream, distortion_threshold=threshold)
     _assert_same_decisions(outcomes["scalar"][1], outcomes["vectorized"][1])
     _assert_same_sparsifier(outcomes["scalar"][0], outcomes["vectorized"][0])

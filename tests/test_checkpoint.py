@@ -232,9 +232,9 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # A newer layout, and the older format 1 (whose config carried
-        # fields this reader no longer knows).
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, CHECKPOINT_FORMAT_VERSION - 1):
+        # A newer layout, and the older formats 1 and 2 (whose configs
+        # carried fields this reader no longer knows).
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 2, 1):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):
@@ -282,3 +282,46 @@ class TestServiceRestore:
         # version moves on from the saved epoch.
         restored.apply(scenario.batches[3])
         assert restored.latest_version > saved_version
+
+
+# --------------------------------------------------------------------------- #
+# CLI save / restore --replay
+# --------------------------------------------------------------------------- #
+class TestCli:
+    def test_restore_replay_continues_the_saved_stream(self, tmp_path, monkeypatch):
+        """``checkpoint save`` of N batches plus ``restore --replay M`` ends
+        where an uninterrupted save of N + M batches of the same demo stream
+        ends."""
+        import repro.api
+        from repro.cli import main
+
+        restored = []
+
+        def capture(path):
+            driver = load_checkpoint(path)
+            restored.append(driver)
+            return driver
+
+        monkeypatch.setattr(repro.api, "load_checkpoint", capture)
+        short, long = str(tmp_path / "short"), str(tmp_path / "long")
+        assert main(["checkpoint", "save", short, "--side", "8", "--batches", "3"]) == 0
+        assert main(["checkpoint", "save", long, "--side", "8", "--batches", "5"]) == 0
+        assert main(["checkpoint", "restore", short, "--replay", "2"]) == 0
+        (replayed,) = restored
+        uninterrupted = load_checkpoint(long)
+        assert list(replayed.sparsifier._edges.items()) == \
+            list(uninterrupted.sparsifier._edges.items())
+        assert replayed.graph == uninterrupted.graph
+        assert replayed.latest_version == uninterrupted.latest_version
+
+    def test_requests_past_the_demo_stream_exit_2(self, tmp_path, capsys):
+        from repro.cli import DEMO_STREAM_BATCHES, main
+
+        path = str(tmp_path / "ckpt")
+        assert main(["checkpoint", "save", path, "--side", "8",
+                     "--batches", str(DEMO_STREAM_BATCHES + 1)]) == 2
+        assert not is_checkpoint(path)
+        assert main(["checkpoint", "save", path, "--side", "8", "--batches", "2"]) == 0
+        assert main(["checkpoint", "restore", path,
+                     "--replay", str(DEMO_STREAM_BATCHES - 1)]) == 2
+        assert f"holds {DEMO_STREAM_BATCHES} batches" in capsys.readouterr().err

@@ -13,12 +13,10 @@ from repro.core import (
     LRDConfig,
     ResistanceEmbedding,
     SimilarityFilter,
-    estimate_distortions,
-    filter_by_threshold,
     lrd_decompose,
     run_setup,
     run_update,
-    sort_by_distortion,
+    score_edges,
 )
 from repro.graphs import Graph, is_connected, paper_figure2_graph
 from repro.spectral import relative_condition_number
@@ -38,46 +36,45 @@ def setup_pair(grid_with_sparsifier):
 class TestDistortionEstimation:
     def test_empty_batch(self, setup_pair):
         _, _, setup = setup_pair
-        assert estimate_distortions(setup.embedding, []) == []
+        assert len(score_edges(setup.embedding, [])) == 0
 
     def test_distortion_is_weight_times_bound(self, setup_pair):
         _, sparsifier, setup = setup_pair
         edges = [(0, sparsifier.num_nodes - 1, 2.0), (0, 1, 2.0)]
-        estimates = estimate_distortions(setup.embedding, edges)
-        for estimate in estimates:
-            assert estimate.distortion == pytest.approx(estimate.edge[2] * estimate.resistance_bound)
+        batch = score_edges(setup.embedding, edges)
+        for weight, bound, distortion in zip(batch.ws, batch.bounds, batch.distortions):
+            assert distortion == pytest.approx(weight * bound)
 
     def test_long_range_ranks_above_local(self, setup_pair):
         _, sparsifier, setup = setup_pair
         n = sparsifier.num_nodes
         edges = [(0, 1, 1.0), (0, n - 1, 1.0)]
-        estimates = sort_by_distortion(estimate_distortions(setup.embedding, edges))
-        assert estimates[0].edge == (0, n - 1, 1.0)
+        batch = score_edges(setup.embedding, edges).sort()
+        assert batch.edge(0) == (0, n - 1, 1.0)
 
     def test_sorting_is_descending(self, setup_pair):
         _, sparsifier, setup = setup_pair
         edges = random_pair_edges(sparsifier, 20, seed=3)
-        estimates = sort_by_distortion(estimate_distortions(setup.embedding, edges))
-        values = [e.distortion for e in estimates]
+        values = score_edges(setup.embedding, edges).sort().distortions.tolist()
         assert values == sorted(values, reverse=True)
 
     def test_threshold_filtering(self, setup_pair):
         _, sparsifier, setup = setup_pair
         edges = random_pair_edges(sparsifier, 20, seed=4)
-        estimates = estimate_distortions(setup.embedding, edges)
-        kept, dropped = filter_by_threshold(estimates, 0.0)
-        assert len(kept) == 20 and not dropped
-        kept, dropped = filter_by_threshold(estimates, 1.0)
+        batch = score_edges(setup.embedding, edges)
+        kept, dropped = batch.split_by_threshold(0.0)
+        assert len(kept) == 20 and len(dropped) == 0
+        kept, dropped = batch.split_by_threshold(1.0)
         assert len(kept) + len(dropped) == 20
-        assert all(k.distortion >= d.distortion for k in kept for d in dropped)
+        assert all(k >= d for k in kept.distortions for d in dropped.distortions)
 
 
 class TestSimilarityFilter:
-    def _make_filter(self, sparsifier, level_override=None, **kwargs):
+    def _make_filter(self, sparsifier, level_override=None):
         hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
         level = hierarchy.num_levels - 2 if level_override is None else level_override
         level = max(0, min(level, hierarchy.num_levels - 1))
-        return SimilarityFilter(sparsifier, hierarchy, level, **kwargs), hierarchy
+        return SimilarityFilter(sparsifier, hierarchy, level), hierarchy
 
     def test_intra_cluster_edge_redistributed(self, grid_with_sparsifier):
         _, sparsifier = grid_with_sparsifier
@@ -99,8 +96,8 @@ class TestSimilarityFilter:
             pytest.skip("no intra-cluster non-edge available")
         total_before = working.total_weight()
         edges_before = working.num_edges
-        estimates = estimate_distortions(ResistanceEmbedding(hierarchy), [(candidate[0], candidate[1], 2.0)])
-        decisions, summary = similarity_filter.apply(estimates)
+        batch = score_edges(ResistanceEmbedding(hierarchy), [(candidate[0], candidate[1], 2.0)])
+        decisions, summary = similarity_filter.apply_batch(batch)
         assert summary.redistributed == 1
         assert working.num_edges == edges_before
         # Weight was spread over the cluster's internal edges (if any exist).
@@ -132,8 +129,8 @@ class TestSimilarityFilter:
             pytest.skip("no alternative cluster-pair edge available")
         weight_before = working.weight(u, v)
         edges_before = working.num_edges
-        estimates = estimate_distortions(ResistanceEmbedding(hierarchy), [(same_pair[0], same_pair[1], 1.5)])
-        decisions, summary = similarity_filter.apply(estimates)
+        batch = score_edges(ResistanceEmbedding(hierarchy), [(same_pair[0], same_pair[1], 1.5)])
+        decisions, summary = similarity_filter.apply_batch(batch)
         assert summary.merged == 1
         assert working.num_edges == edges_before
         assert working.weight(u, v) == pytest.approx(weight_before + 1.5)
@@ -160,22 +157,12 @@ class TestSimilarityFilter:
         if found is None:
             pytest.skip("all cluster pairs already connected at level 0")
         edges_before = working.num_edges
-        estimates = estimate_distortions(ResistanceEmbedding(hierarchy), [(found[0], found[1], 1.0)])
-        decisions, summary = similarity_filter.apply(estimates)
+        batch = score_edges(ResistanceEmbedding(hierarchy), [(found[0], found[1], 1.0)])
+        decisions, summary = similarity_filter.apply_batch(batch)
         assert summary.added == 1
         assert working.num_edges == edges_before + 1
         # A second edge between the same clusters must now be merged, not added.
         assert similarity_filter.connects_clusters(found[0], found[1])
-
-    def test_max_additions_cap(self, grid_with_sparsifier):
-        _, sparsifier = grid_with_sparsifier
-        working = sparsifier.copy()
-        similarity_filter, hierarchy = self._make_filter(working, level_override=0)
-        edges = random_pair_edges(working, 30, seed=9)
-        estimates = sort_by_distortion(estimate_distortions(ResistanceEmbedding(hierarchy), edges))
-        decisions, summary = similarity_filter.apply(estimates, max_additions=3)
-        assert summary.added <= 3
-        assert summary.total == 30
 
     def test_invalid_level_rejected(self, grid_with_sparsifier):
         _, sparsifier = grid_with_sparsifier
@@ -218,13 +205,6 @@ class TestSetupAndUpdate:
         config = InGrassConfig(distortion_threshold=1.0)
         result = run_update(sparsifier, setup, edges, config, target_condition_number=20.0)
         assert result.dropped_low_distortion > 0
-
-    def test_update_fill_cap(self, setup_pair):
-        graph, sparsifier, setup = setup_pair
-        edges = random_pair_edges(graph, 40, seed=4)
-        config = InGrassConfig(max_fill_fraction=0.1)
-        result = run_update(sparsifier, setup, edges, config, target_condition_number=1e6)
-        assert result.summary.added <= max(1, int(round(0.1 * len(edges))))
 
 
 class TestInGrassSparsifier:
@@ -293,8 +273,6 @@ class TestInGrassSparsifier:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            InGrassConfig(max_fill_fraction=0.0)
-        with pytest.raises(ValueError):
             InGrassConfig(filtering_level=-1)
         with pytest.raises(ValueError):
             InGrassConfig(distortion_threshold=-0.5)
@@ -350,8 +328,8 @@ class TestPaperFigure3Walkthrough:
         if intra_candidate:
             candidates.append((intra_candidate[0], intra_candidate[1], 1.0))
         assert candidates, "paper walkthrough graph should offer candidates"
-        estimates = sort_by_distortion(estimate_distortions(embedding, candidates))
-        decisions, summary = similarity_filter.apply(estimates)
+        batch = score_edges(embedding, candidates).sort()
+        decisions, summary = similarity_filter.apply_batch(batch)
         actions = {d.edge[:2]: d.action for d in decisions}
         if merge_candidate:
             assert actions[merge_candidate] is FilterAction.MERGED_INTO_EXISTING

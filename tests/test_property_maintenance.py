@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InGrassConfig, InGrassSparsifier, LRDConfig, SimilarityFilter
-from repro.core.distortion import estimate_distortions, sort_by_distortion
+from repro.core.distortion import score_edges
 from repro.graphs import grid_circuit_2d, is_connected
 from repro.spectral import ExactResistanceCalculator
 from repro.streams import DynamicScenarioConfig, build_dynamic_scenario, random_pair_edges
@@ -140,8 +140,7 @@ def test_filter_decisions_match_rebuilt_oracle(params):
     # Decision oracle: score one more probe batch through both filters
     # against copies, and demand identical decisions.
     probe = random_pair_edges(ingrass.graph, 12, seed=params["stream_seed"] + 1)
-    estimates = sort_by_distortion(
-        estimate_distortions(ingrass.setup_result.embedding, probe))
+    batch = score_edges(ingrass.setup_result.embedding, probe).sort()
     live_filter = ingrass._ensure_filter()
     sparsifier_a = ingrass.sparsifier.copy()
     sparsifier_b = ingrass.sparsifier.copy()
@@ -151,8 +150,8 @@ def test_filter_decisions_match_rebuilt_oracle(params):
                                  for pair, bucket in live_filter._connectivity.items()}
     oracle = SimilarityFilter(sparsifier_b, ingrass.setup_result.hierarchy,
                               live_filter.filtering_level)
-    decisions_a, summary_a = incremental.apply(estimates)
-    decisions_b, summary_b = oracle.apply(estimates)
+    decisions_a, summary_a = incremental.apply_batch(batch)
+    decisions_b, summary_b = oracle.apply_batch(batch)
     assert summary_a == summary_b
     assert [(d.edge, d.action, d.target_edge, d.cluster_pair) for d in decisions_a] == \
            [(d.edge, d.action, d.target_edge, d.cluster_pair) for d in decisions_b]
