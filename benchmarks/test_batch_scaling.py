@@ -60,16 +60,19 @@ def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     The committed ``BENCH_batch.json`` demonstrates >=5x on the reference
     runner; under pytest the bound is relaxed to 2x so a loaded CI machine
     cannot flake the tier-1 suite — the strict 30% regression gate lives in
-    the dedicated ``bench-perf`` CI job.
+    the dedicated ``bench-perf`` CI job.  Pinned to rebuild mode, like
+    ``python -m repro bench batch``: maintain mode adds the same hierarchy
+    splice work to both arms, which dilutes the ratio this test measures.
     """
     graph, sparsifier, setup, level = batch_setup
     stream = mixed_edges(graph, 10_000, long_range_fraction=0.5, seed=7)
+    config = InGrassConfig(lrd=LRDConfig(seed=0), hierarchy_mode="rebuild", seed=0)
     seconds = {}
     edge_sets = {}
     for mode in ("scalar", "vectorized"):
         best = float("inf")
         for _ in range(2):
-            elapsed, working, _ = _timed_update(sparsifier, setup, stream, CONFIG, level,
+            elapsed, working, _ = _timed_update(sparsifier, setup, stream, config, level,
                                                 reference=mode == "scalar")
             best = min(best, elapsed)
         seconds[mode] = best

@@ -5,11 +5,11 @@ The package is organised as:
 
 * :mod:`repro.core` — the inGRASS algorithm itself (LRD decomposition,
   resistance embeddings, incremental update engine);
-* :mod:`repro.graphs` — graph containers, Laplacians, generators, I/O;
+* :mod:`repro.graphs` — graph containers, Laplacians, generators, connectivity;
 * :mod:`repro.spectral` — effective resistances, Krylov surrogates,
   condition numbers, Laplacian solvers;
-* :mod:`repro.sparsify` — from-scratch baselines (GRASS-style, feGRASS-style,
-  effective-resistance sampling, random) and quality metrics;
+* :mod:`repro.sparsify` — from-scratch baselines (GRASS-style, random) and
+  quality metrics;
 * :mod:`repro.streams` — edge-insertion streams and experiment scenarios;
 * :mod:`repro.bench` — the harness regenerating the paper's tables/figures.
 

@@ -47,7 +47,6 @@ from repro.snapshot import SparsifierSnapshot
 
 # -- network front end (serving path) ---------------------------------------
 from repro.server import (
-    ServerBackendUnavailableError,
     ServerConfig,
     ServerRequestError,
     SparsifierClient,
@@ -139,7 +138,6 @@ __all__ = [
     "SparsifierHTTPServer",
     "SparsifierClient",
     "ServerRequestError",
-    "ServerBackendUnavailableError",
     # graphs
     "Graph",
     "FrozenGraph",

@@ -21,7 +21,6 @@ from repro.bench.harness import (
     run_table3,
 )
 from repro.bench.records import (
-    AblationRecord,
     ChurnRecord,
     Figure4Record,
     Table1Record,
@@ -52,7 +51,6 @@ __all__ = [
     "Table3Record",
     "Figure4Record",
     "ChurnRecord",
-    "AblationRecord",
     "format_table",
     "format_value",
     "percent",

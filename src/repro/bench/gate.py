@@ -144,6 +144,9 @@ def run_gates(selected: List[GateSpec], *, do_run: bool, do_check: bool,
         },
         "gates": {},
     }
+    if do_run:
+        # Before the first benchmark, so a missing directory cannot lose a run.
+        artifacts_dir.mkdir(parents=True, exist_ok=True)
     for gate in selected:
         artifact_path = artifacts_dir / gate.artifact
         entry: Dict = {

@@ -172,15 +172,3 @@ class ChurnRecord:
         data = asdict(self)
         data["kappa_ratio"] = self.kappa_ratio
         return data
-
-
-@dataclass
-class AblationRecord:
-    """One row of an ablation sweep (free-form key/value payload)."""
-
-    name: str
-    parameters: dict
-    metrics: dict
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, **self.parameters, **self.metrics}

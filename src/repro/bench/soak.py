@@ -46,6 +46,7 @@ from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs.components import is_connected
 from repro.sparsify.grass import GrassConfig, GrassSparsifier
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT
 from repro.streams.scenarios import simulate_event_stream
 
 #: Target condition number handed to filtering-level selection.
@@ -67,7 +68,7 @@ def _soak_config(seed: int) -> InGrassConfig:
 
 def run_soak(*, batches: int = 500, events: int = 25_000,
              deletion_fraction: float = 0.35, case: str = "g2_circuit",
-             scale: str = "small", seed: int = 0, dense_limit: int = 1500) -> Dict:
+             scale: str = "small", seed: int = 0, dense_limit: int = DENSE_LIMIT_DEFAULT) -> Dict:
     """Run the soak protocol; return the JSON-ready payload."""
     spec = get_dataset(case)
     graph = spec.build(scale=scale, seed=seed)

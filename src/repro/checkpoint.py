@@ -7,8 +7,9 @@ A checkpoint is a *directory* holding two files:
     full :class:`~repro.core.config.InGrassConfig` (so a restored driver
     runs under exactly the configuration it was saved under), the version
     epoch, the pinned filtering level, the per-iteration history, the
-    hierarchy's staleness/version counters and the maintainer's ``extra``
-    blob from ``_checkpoint_runtime_state``.
+    hierarchy's staleness/version counters, the maintainer's ``extra``
+    blob from ``_checkpoint_runtime_state`` and, per array, its dtype,
+    shape and sha256.
 
 ``arrays.npz``
     Every array: tracked graph and sparsifier edge lists (**in dict
@@ -26,18 +27,21 @@ add a second source of truth that could drift from the arrays.
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (formats 1 and 2 carried configuration
-fields that no longer exist) is rejected the same way.
+newer layout, and an older one (formats 1 to 3 carried configuration
+fields that no longer exist) is rejected the same way.  Every array is
+checked against its manifest record, so arrays that do not belong to the
+manifest (a save torn between the two files) raise instead of restoring.
 Checkpoints contain no timestamps, so saving the same state twice produces
 the same manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, replace
-from typing import Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"
@@ -79,13 +83,37 @@ def _rebuild_graph(num_nodes: int, data, prefix: str) -> Graph:
     return graph
 
 
+def _array_record(array: np.ndarray) -> dict:
+    """The manifest's record of one array: dtype, shape and a sha256 over
+    dtype, shape and bytes."""
+    array = np.ascontiguousarray(array)
+    digest = hashlib.sha256()
+    digest.update(array.dtype.str.encode())
+    digest.update(repr(array.shape).encode())
+    digest.update(array.tobytes())
+    return {"dtype": array.dtype.str, "shape": list(array.shape), "sha256": digest.hexdigest()}
+
+
+def _load_arrays(path: PathLike, manifest: dict) -> Dict[str, np.ndarray]:
+    """Every array of the checkpoint, each verified against its manifest record."""
+    with np.load(os.path.join(path, _ARRAYS)) as data:
+        arrays = {name: data[name] for name in data.files}
+    records = manifest["arrays"]
+    for name in sorted(set(records) | set(arrays)):
+        if name not in arrays or name not in records or _array_record(arrays[name]) != records[name]:
+            raise ValueError(f"checkpoint at {path}: array {name!r} does not match the manifest "
+                             "(torn or foreign arrays file)")
+    return arrays
+
+
 def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
     """Write ``driver``'s full state to the directory ``path``.
 
     ``path`` is created if missing; an existing checkpoint there is
     overwritten atomically enough for the single-writer use case (manifest
-    last, so a torn write leaves a manifest/arrays pair that fails the
-    format check rather than restoring silently wrong state).
+    last, so a torn write leaves a manifest whose array records do not
+    match the arrays file, and loading raises rather than restoring
+    silently wrong state).
     """
     driver._require_setup()
     assert driver._graph is not None and driver._sparsifier is not None
@@ -127,6 +155,7 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
             "inflation_ceiling": hierarchy_state["inflation_ceiling"],
         },
         "extra": extra,
+        "arrays": {name: _array_record(array) for name, array in arrays.items()},
     }
 
     os.makedirs(path, exist_ok=True)
@@ -176,9 +205,9 @@ def is_checkpoint(path: PathLike) -> bool:
 def describe_checkpoint(path: PathLike) -> dict:
     """Summarise a checkpoint without rebuilding the driver (CLI ``info``)."""
     manifest = _read_manifest(path)
-    with np.load(os.path.join(path, _ARRAYS)) as data:
-        graph_edges = int(data["graph_us"].shape[0])
-        sparsifier_edges = int(data["sp_us"].shape[0])
+    arrays = _load_arrays(path, manifest)
+    graph_edges = int(arrays["graph_us"].shape[0])
+    sparsifier_edges = int(arrays["sp_us"].shape[0])
     return {
         "format_version": manifest["format_version"],
         "driver_class": manifest["driver_class"],
@@ -207,17 +236,17 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     config = _config_from_manifest(manifest)
     driver = InGrassSparsifier(config)
 
-    with np.load(os.path.join(path, _ARRAYS)) as data:
-        num_nodes = int(manifest["num_nodes"])
-        graph = _rebuild_graph(num_nodes, data, "graph")
-        sparsifier = _rebuild_graph(num_nodes, data, "sp")
-        hier = manifest["hierarchy"]
-        diameters = [data[f"hier_diam_{index}"]
-                     for index in range(int(hier["num_levels"]))]
-        hierarchy = ClusterHierarchy.from_level_arrays(
-            data["hier_embedding"], diameters, hier["diameter_thresholds"])
-        extra_arrays = {name[len("extra_"):]: data[name].copy()
-                        for name in data.files if name.startswith("extra_")}
+    data = _load_arrays(path, manifest)
+    num_nodes = int(manifest["num_nodes"])
+    graph = _rebuild_graph(num_nodes, data, "graph")
+    sparsifier = _rebuild_graph(num_nodes, data, "sp")
+    hier = manifest["hierarchy"]
+    diameters = [data[f"hier_diam_{index}"]
+                 for index in range(int(hier["num_levels"]))]
+    hierarchy = ClusterHierarchy.from_level_arrays(
+        data["hier_embedding"], diameters, hier["diameter_thresholds"])
+    extra_arrays = {name[len("extra_"):]: array
+                    for name, array in data.items() if name.startswith("extra_")}
 
     hierarchy.restore_counters(
         noted_removals=hier["noted_removals"],

@@ -79,9 +79,6 @@ def _run_serve(argv: List[str]) -> int:
                              "and save one there on graceful shutdown")
     parser.add_argument("--no-checkpoint-on-shutdown", action="store_true",
                         help="do not save a checkpoint when shutting down")
-    parser.add_argument("--backend", default="asyncio",
-                        help="serving backend (only 'asyncio' is implemented; adapter "
-                             "names fail with a pointer at the [serve] extra)")
     parser.add_argument("--side", type=int, default=20,
                         help="bootstrap demo grid side when no checkpoint is resumed "
                              "(default 20 -> 400 nodes)")
@@ -90,7 +87,6 @@ def _run_serve(argv: List[str]) -> int:
 
     from repro.api import (
         InGrassConfig,
-        ServerBackendUnavailableError,
         ServerConfig,
         SparsifierService,
         grid_circuit_2d,
@@ -100,16 +96,15 @@ def _run_serve(argv: List[str]) -> int:
     from repro.utils.logging import configure_logging
 
     configure_logging()
-    # Validate the backend (and the rest of the config) before doing any
-    # setup work, so a bad --backend fails in milliseconds with the pointer
-    # at the [serve] extra.
+    # Validate the config before doing any setup work, so a bad value fails
+    # in milliseconds.
     try:
-        config = ServerConfig(host=args.host, port=args.port, backend=args.backend,
+        config = ServerConfig(host=args.host, port=args.port,
                               queue_bound=args.queue_bound,
                               request_timeout=args.request_timeout,
                               checkpoint_dir=args.checkpoint_dir,
                               checkpoint_on_shutdown=not args.no_checkpoint_on_shutdown)
-    except (ServerBackendUnavailableError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     if args.checkpoint_dir and is_checkpoint(args.checkpoint_dir):
         service = SparsifierService.restore(args.checkpoint_dir)

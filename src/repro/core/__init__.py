@@ -18,7 +18,7 @@ from repro.core.incremental import (
 )
 from repro.core.lrd import cluster_diameter_bound, decompose_node_subset, lrd_decompose
 from repro.core.maintenance import HierarchyMaintainer, MaintenanceStats, SpliceReport
-from repro.core.setup import SetupResult, run_local_setup, run_setup
+from repro.core.setup import SetupResult, run_setup
 from repro.core.update import (
     KappaGuardReport,
     RemovalResult,
@@ -53,7 +53,6 @@ __all__ = [
     "decompose_node_subset",
     "SetupResult",
     "run_setup",
-    "run_local_setup",
     "UpdateResult",
     "run_update",
     "RemovalResult",

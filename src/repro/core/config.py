@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -81,10 +82,6 @@ class InGrassConfig:
         κ(G, H) and keeps admitting the most-distorting off-sparsifier edges
         until κ <= ``kappa_guard_factor * target`` (or the round budget runs
         out).  ``None`` disables the guard (pure O(log N) updates).
-    kappa_guard_max_rounds:
-        Maximum guard iterations per removal batch.
-    kappa_guard_batch:
-        Edges admitted per guard round.
     kappa_guard_dense_limit:
         Node-count threshold below which the guard uses the dense eigensolver.
     resetup_after_removals:
@@ -107,10 +104,6 @@ class InGrassConfig:
         rebuild the whole hierarchy; pin it for streams whose per-batch
         removal volume is so large that structural splices cost more than a
         periodic re-setup.
-    maintenance_exact_limit:
-        Maintenance mode: cluster size up to which splices run a localized
-        re-decomposition with exact fragment diameters; larger clusters use
-        the connectivity split plus the spanning-tree diameter bound.
     seed:
         Seed for stochastic components.
     """
@@ -121,12 +114,9 @@ class InGrassConfig:
     filtering_size_divisor: float = 2.0
     distortion_threshold: float = 0.0
     kappa_guard_factor: Optional[float] = None
-    kappa_guard_max_rounds: int = 6
-    kappa_guard_batch: int = 8
-    kappa_guard_dense_limit: int = 1500
+    kappa_guard_dense_limit: int = DENSE_LIMIT_DEFAULT
     resetup_after_removals: Optional[int] = None
     hierarchy_mode: str = "maintain"
-    maintenance_exact_limit: int = 64
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
@@ -141,14 +131,9 @@ class InGrassConfig:
             check_positive(self.kappa_guard_factor, "kappa_guard_factor")
             if self.kappa_guard_factor < 1.0:
                 raise ValueError("kappa_guard_factor must be >= 1")
-        check_positive_int(self.kappa_guard_max_rounds, "kappa_guard_max_rounds")
-        check_positive_int(self.kappa_guard_batch, "kappa_guard_batch")
         check_positive_int(self.kappa_guard_dense_limit, "kappa_guard_dense_limit")
         if self.resetup_after_removals is not None:
             check_positive_int(self.resetup_after_removals, "resetup_after_removals")
         if self.hierarchy_mode not in ("rebuild", "maintain"):
             raise ValueError(f"unknown hierarchy_mode {self.hierarchy_mode!r}; "
                              "expected 'rebuild' or 'maintain'")
-        check_positive_int(self.maintenance_exact_limit, "maintenance_exact_limit")
-        if self.maintenance_exact_limit < 2:
-            raise ValueError("maintenance_exact_limit must be at least 2")

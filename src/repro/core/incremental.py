@@ -56,7 +56,7 @@ from repro.graphs.validation import (
     validate_sparsifier_support,
 )
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier, offtree_density
-from repro.spectral.condition import SpectralContext, relative_condition_number
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, SpectralContext, relative_condition_number
 from repro.streams.edge_stream import MixedBatch
 from repro.utils.timing import Timer
 
@@ -697,12 +697,12 @@ class InGrassSparsifier:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def condition_number(self, *, dense_limit: int = 1500) -> float:
+    def condition_number(self, *, dense_limit: int = DENSE_LIMIT_DEFAULT) -> float:
         """Return κ(L_G(k), L_H(k)) for the current state."""
         self._require_setup()
         return relative_condition_number(self._graph, self._sparsifier, dense_limit=dense_limit)
 
-    def report(self, *, compute_condition: bool = True, dense_limit: int = 1500) -> SparsifierReport:
+    def report(self, *, compute_condition: bool = True, dense_limit: int = DENSE_LIMIT_DEFAULT) -> SparsifierReport:
         """Return a full quality report of the current sparsifier."""
         self._require_setup()
         return evaluate_sparsifier(self._graph, self._sparsifier,

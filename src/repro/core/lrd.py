@@ -33,6 +33,9 @@ from repro.spectral.effective_resistance import make_resistance_calculator
 
 #: Hard cap on the number of levels (and therefore on the embedding dimension).
 MAX_LEVELS = 40
+#: Cluster size up to which diameters are exact all-pairs resistances (one
+#: dense pseudo-inverse); larger clusters get the spanning-tree path bound.
+EXACT_DIAMETER_LIMIT = 64
 
 
 @dataclass
@@ -245,7 +248,7 @@ def _subgraph_diameter_bound(subgraph: Graph, exact_limit: int) -> float:
     return _tree_diameter_bound(subgraph)
 
 
-def cluster_diameter_bound(graph: Graph, nodes: np.ndarray, *, exact_limit: int = 64) -> float:
+def cluster_diameter_bound(graph: Graph, nodes: np.ndarray, *, exact_limit: int = EXACT_DIAMETER_LIMIT) -> float:
     """Upper bound on the resistance diameter of ``nodes`` within ``graph``.
 
     Works on the induced subgraph (a restriction, hence conservative for the
@@ -333,8 +336,7 @@ def _local_components(subgraph: Graph) -> List[np.ndarray]:
 def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float,
                           config: Optional[LRDConfig] = None, *,
                           atoms: Optional[np.ndarray] = None,
-                          atom_diameters: Optional[np.ndarray] = None,
-                          exact_limit: int = 64) -> Tuple[List[np.ndarray], List[float]]:
+                          atom_diameters: Optional[np.ndarray] = None) -> Tuple[List[np.ndarray], List[float]]:
     """Re-run the bounded-diameter contraction (S2) on one node subset.
 
     This is the localized counterpart of one :func:`lrd_decompose` level: the
@@ -361,9 +363,6 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
     atom_diameters:
         Diameter carried by each atom label (mapping ``atom label -> bound``
         is positional over ``np.unique(atoms)``); zero when omitted.
-    exact_limit:
-        Cluster size up to which fragment diameters use exact all-pairs
-        resistances (beyond it, the spanning-tree path bound).
 
     Returns
     -------
@@ -431,7 +430,7 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
     for u, v in quotient.edges():
         uf_probe.union(u, v)
     if uf_probe.num_sets == 1:
-        if num_atoms <= 2 * exact_limit:
+        if num_atoms <= 2 * EXACT_DIAMETER_LIMIT:
             # Small connected quotient: one dense pseudo-inverse gives exact
             # edge resistances — cheaper and tighter than the sampled
             # estimators at this size.
@@ -458,7 +457,7 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
     num_groups = int(group_labels.max()) + 1 if group_labels.size else 0
     local_fragments = [np.flatnonzero(node_groups == group) for group in range(num_groups)]
     fragments = [np.sort(mapping[members]) for members in local_fragments]
-    diameters = fragment_diameters(subgraph, local_fragments, exact_limit)
+    diameters = fragment_diameters(subgraph, local_fragments, EXACT_DIAMETER_LIMIT)
     order = sorted(range(len(fragments)), key=lambda index: len(fragments[index]), reverse=True)
     return [fragments[index] for index in order], [diameters[index] for index in order]
 

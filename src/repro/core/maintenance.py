@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.hierarchy import ClusterHierarchy
-from repro.core.lrd import _exact_diameter_csr, decompose_node_subset
+from repro.core.lrd import EXACT_DIAMETER_LIMIT, _exact_diameter_csr, decompose_node_subset
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
 
@@ -107,20 +107,17 @@ class HierarchyMaintainer:
     lrd_config:
         Resistance-estimation parameters for localized re-decompositions;
         defaults to the hierarchy-construction defaults.
-    exact_limit:
-        Cluster size up to which splices run the full localized
-        re-decomposition with exact fragment diameters; larger clusters use
-        the connectivity split plus the spanning-tree diameter bound.
+
+    Clusters of up to :data:`~repro.core.lrd.EXACT_DIAMETER_LIMIT` nodes are
+    spliced by a localized re-decomposition with exact fragment diameters;
+    larger ones by a connectivity split plus the spanning-tree diameter bound.
     """
 
     def __init__(self, hierarchy: ClusterHierarchy, sparsifier: Graph, *,
-                 lrd_config: Optional[LRDConfig] = None, exact_limit: int = 64) -> None:
-        if exact_limit < 2:
-            raise ValueError("exact_limit must be at least 2")
+                 lrd_config: Optional[LRDConfig] = None) -> None:
         self._hierarchy = hierarchy
         self._sparsifier = sparsifier
         self._lrd_config = lrd_config if lrd_config is not None else LRDConfig()
-        self._exact_limit = int(exact_limit)
         self.stats = MaintenanceStats()
         # Nodes of clusters spliced since the last drain — the "split
         # neighbourhood" the maintenance-aware κ guard searches first (see
@@ -142,8 +139,7 @@ class HierarchyMaintainer:
     def from_config(cls, hierarchy: ClusterHierarchy, sparsifier: Graph,
                     config: InGrassConfig) -> "HierarchyMaintainer":
         """Build a maintainer honouring :class:`InGrassConfig` knobs."""
-        return cls(hierarchy, sparsifier, lrd_config=config.lrd,
-                   exact_limit=config.maintenance_exact_limit)
+        return cls(hierarchy, sparsifier, lrd_config=config.lrd)
 
     # ------------------------------------------------------------------ #
     # Removal path: splice affected clusters
@@ -207,7 +203,7 @@ class HierarchyMaintainer:
             atom_diameters = None
         return decompose_node_subset(
             self._sparsifier, nodes, threshold, self._lrd_config,
-            atoms=atoms, atom_diameters=atom_diameters, exact_limit=self._exact_limit,
+            atoms=atoms, atom_diameters=atom_diameters,
         )
 
     def _splice_level(self, level_index: int, clusters: np.ndarray,
@@ -232,7 +228,7 @@ class HierarchyMaintainer:
             nodes = hierarchy.cluster_members(level_index, cluster)
             if nodes.shape[0] <= 1:
                 plans.append([cluster, nodes, None, None])
-            elif nodes.shape[0] <= self._exact_limit:
+            elif nodes.shape[0] <= EXACT_DIAMETER_LIMIT:
                 fragments, diameters = self._decompose_small(level_index, nodes, threshold)
                 plans.append([cluster, nodes, fragments, diameters])
             else:
@@ -288,7 +284,6 @@ class HierarchyMaintainer:
             )
         _, labels = connected_components(masked, directed=False)
 
-        exact_limit = self._exact_limit
         tree_jobs: List[Tuple[int, int, np.ndarray]] = []
         for position, plan_index in enumerate(large):
             start = int(offsets[position])
@@ -305,7 +300,7 @@ class HierarchyMaintainer:
                 if fragment.shape[0] <= 1:
                     continue
                 rows = fragment + start
-                if fragment.shape[0] <= exact_limit:
+                if fragment.shape[0] <= EXACT_DIAMETER_LIMIT:
                     diameters[fragment_position] = _exact_diameter_csr(
                         masked[rows][:, rows])
                 else:

@@ -16,14 +16,12 @@ iterations, which is the core economics the paper's Table I/Figure 4 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.core.config import InGrassConfig
 from repro.core.embedding import ResistanceEmbedding
 from repro.core.hierarchy import ClusterHierarchy
-from repro.core.lrd import decompose_node_subset, lrd_decompose
+from repro.core.lrd import lrd_decompose
 from repro.graphs.components import is_connected
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
@@ -52,37 +50,6 @@ class SetupResult:
 
         config = config if config is not None else InGrassConfig()
         return HierarchyMaintainer.from_config(self.hierarchy, sparsifier, config)
-
-
-def run_local_setup(sparsifier: Graph, nodes: np.ndarray, threshold: float,
-                    config: Optional[InGrassConfig] = None, *,
-                    hierarchy: Optional[ClusterHierarchy] = None,
-                    level_index: int = 0,
-                    ) -> Tuple[List[np.ndarray], List[float]]:
-    """Localized re-decomposition of one node subset of the sparsifier.
-
-    The setup-phase counterpart of :func:`run_setup` for a *subset*: re-runs
-    the bounded-diameter contraction on the induced subgraph only, returning
-    ``(fragments, diameter_bounds)`` — what the maintenance layer applies to
-    the hierarchy through its in-place mutation API instead of rebuilding all
-    levels.  The cost is proportional to the subset's induced neighbourhood,
-    not to the sparsifier.
-
-    When re-decomposing a cluster of an existing ``hierarchy`` at a level
-    above the finest, pass both — the level-``level_index - 1`` clusters are
-    then treated as atomic units, which is what preserves the hierarchy's
-    nesting invariant (fragments must never separate a finer-level cluster).
-    """
-    config = config if config is not None else InGrassConfig()
-    atoms = None
-    atom_diameters = None
-    if hierarchy is not None and level_index > 0:
-        finer = hierarchy.level(level_index - 1)
-        atoms = finer.labels[np.asarray(nodes, dtype=np.int64)]
-        atom_diameters = finer.cluster_diameters[np.unique(atoms)]
-    return decompose_node_subset(sparsifier, nodes, threshold, config.lrd,
-                                 atoms=atoms, atom_diameters=atom_diameters,
-                                 exact_limit=config.maintenance_exact_limit)
 
 
 def run_setup(sparsifier: Graph, config: Optional[InGrassConfig] = None) -> SetupResult:

@@ -596,6 +596,12 @@ def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: Rem
                 result.repair_edges, similarity_filter=similarity_filter)
 
 
+#: κ guard: most rounds per pass, and edges admitted in round 0 (round ``r``
+#: admits ``KAPPA_GUARD_BATCH * 2**r``).
+KAPPA_GUARD_MAX_ROUNDS = 6
+KAPPA_GUARD_BATCH = 8
+
+
 def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
                     config: Optional[InGrassConfig] = None,
                     target_condition_number: Optional[float] = None,
@@ -605,7 +611,7 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
     """Escalating quality guard for the deletion path.
 
     Measures κ(G, H) and, while it exceeds ``kappa_guard_factor * target``,
-    admits off-sparsifier graph edges in rounds of ``kappa_guard_batch``
+    admits off-sparsifier graph edges in rounds of :data:`KAPPA_GUARD_BATCH`
     (pure additions — candidate edges exist in the graph, so no weight is
     ever duplicated).  Candidates are ranked by the dominant generalized
     eigenvector ``x`` of the pencil ``(L_G, L_H)``: by first-order
@@ -660,7 +666,7 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
     # the guard ends up admitting anything.
     splice_nodes = (maintainer.drain_splice_neighbourhood()
                     if maintainer is not None else np.zeros(0, dtype=np.int64))
-    while report.kappa_after > bound and report.rounds < config.kappa_guard_max_rounds:
+    while report.kappa_after > bound and report.rounds < KAPPA_GUARD_MAX_ROUNDS:
         local_pool = None
         if report.rounds == 0 and splice_nodes.size:
             local_pool = _offtree_candidates(graph, sparsifier, splice_nodes.tolist())
@@ -689,7 +695,7 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
             scores = score_pool(pool)
         # Escalate geometrically: a later round means the previous additions
         # did not relieve the bottleneck, so widen the net.
-        budget = min(config.kappa_guard_batch * (2 ** report.rounds), len(pool))
+        budget = min(KAPPA_GUARD_BATCH * (2 ** report.rounds), len(pool))
         order = np.argsort(scores)[::-1][:budget]
         admitted = 0
         round_edges: List[WeightedEdge] = []

@@ -1,9 +1,8 @@
-"""Graph substrate: containers, Laplacians, generators, connectivity and I/O."""
+"""Graph substrate: containers, Laplacians, generators and connectivity."""
 
 from repro.graphs.components import (
     bridge_edges,
     connected_components,
-    extract_largest_component,
     is_connected,
     non_bridge_edges,
     num_connected_components,
@@ -20,27 +19,20 @@ from repro.graphs.generators import (
     grid_circuit_3d,
     paper_figure2_graph,
     path_graph,
-    random_regular_graph,
     sphere_mesh,
-    star_graph,
     watts_strogatz_graph,
 )
 from repro.graphs.graph import FrozenGraph, FrozenGraphError, Graph, canonical_edge
-from repro.graphs.io import load_edge_list, load_matrix_market, save_edge_list, save_matrix_market
 from repro.graphs.laplacian import (
     adjacency_matrix,
-    degree_matrix,
     grounded_laplacian,
     is_laplacian,
     laplacian_from_edges,
     laplacian_matrix,
-    laplacian_quadratic_form,
-    normalized_laplacian,
 )
 from repro.graphs.unionfind import UnionFind
 from repro.graphs.validation import (
     GraphValidationError,
-    graph_summary,
     removals_keep_connected,
     validate_new_edges,
     validate_removals,
@@ -56,16 +48,12 @@ __all__ = [
     "connected_components",
     "num_connected_components",
     "is_connected",
-    "extract_largest_component",
     "bridge_edges",
     "non_bridge_edges",
     "adjacency_matrix",
     "laplacian_matrix",
-    "degree_matrix",
-    "normalized_laplacian",
     "grounded_laplacian",
     "laplacian_from_edges",
-    "laplacian_quadratic_form",
     "is_laplacian",
     "grid_circuit_2d",
     "grid_circuit_3d",
@@ -76,20 +64,13 @@ __all__ = [
     "airfoil_mesh",
     "watts_strogatz_graph",
     "barabasi_albert_graph",
-    "random_regular_graph",
     "path_graph",
     "cycle_graph",
     "complete_graph",
-    "star_graph",
     "paper_figure2_graph",
-    "load_matrix_market",
-    "save_matrix_market",
-    "load_edge_list",
-    "save_edge_list",
     "GraphValidationError",
     "validate_sparsifier_support",
     "validate_new_edges",
     "validate_removals",
     "removals_keep_connected",
-    "graph_summary",
 ]

@@ -1,14 +1,12 @@
-"""Connectivity analysis: connected components, spanning connectivity checks."""
+"""Connectivity analysis: connected components and bridges."""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List
 
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.unionfind import UnionFind
 
 
 def _compact_by_first_appearance(labels: np.ndarray) -> np.ndarray:
@@ -69,46 +67,6 @@ def is_connected(graph: Graph) -> bool:
     return num_connected_components(graph) == 1
 
 
-def largest_component_nodes(graph: Graph) -> List[int]:
-    """Return the node list of the largest connected component (sorted)."""
-    if graph.num_nodes == 0:
-        return []
-    labels = connected_components(graph)
-    counts = np.bincount(labels)
-    best = int(np.argmax(counts))
-    return [int(i) for i in np.flatnonzero(labels == best)]
-
-
-def extract_largest_component(graph: Graph) -> Graph:
-    """Return the induced subgraph on the largest component, relabelled ``0..k-1``."""
-    nodes = largest_component_nodes(graph)
-    index = {node: i for i, node in enumerate(nodes)}
-    sub = Graph(len(nodes))
-    node_set = set(nodes)
-    for u, v, w in graph.weighted_edges():
-        if u in node_set and v in node_set:
-            sub.add_edge(index[u], index[v], w, merge="replace")
-    return sub
-
-
-def bfs_order(graph: Graph, source: int = 0) -> List[int]:
-    """Return nodes in breadth-first order from ``source`` (reachable ones only)."""
-    if graph.num_nodes == 0:
-        return []
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    order: List[int] = []
-    queue: deque[int] = deque([source])
-    visited[source] = True
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for neighbor in graph.neighbors(node):
-            if not visited[neighbor]:
-                visited[neighbor] = True
-                queue.append(neighbor)
-    return order
-
-
 def bridge_edges(graph: Graph) -> List[tuple]:
     """Return the bridges of ``graph`` as canonical ``(u, v)`` pairs.
 
@@ -165,11 +123,3 @@ def non_bridge_edges(graph: Graph) -> List[tuple]:
     """Return the canonical ``(u, v)`` pairs whose removal keeps components intact."""
     bridges = set(bridge_edges(graph))
     return [edge for edge in graph.edges() if edge not in bridges]
-
-
-def spans_graph(graph: Graph, edges: List[tuple]) -> bool:
-    """Return ``True`` when ``edges`` connect all nodes of ``graph``."""
-    uf = UnionFind(graph.num_nodes)
-    for u, v, *rest in edges:
-        uf.union(int(u), int(v))
-    return uf.num_sets <= 1

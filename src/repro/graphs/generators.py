@@ -330,23 +330,6 @@ def barabasi_albert_graph(num_nodes: int, attachment: int = 3, *, seed: SeedLike
     return _ensure_connected(graph, rng)
 
 
-def random_regular_graph(num_nodes: int, degree: int = 4, *, seed: SeedLike = None) -> Graph:
-    """Random regular graph with unit weights (expander-like test case)."""
-    import networkx as nx
-
-    num_nodes = check_positive_int(num_nodes, "num_nodes")
-    degree = check_positive_int(degree, "degree")
-    if degree >= num_nodes:
-        raise ValueError("degree must be smaller than num_nodes")
-    if (num_nodes * degree) % 2 != 0:
-        num_nodes += 1
-    rng = as_rng(seed)
-    nx_seed = int(rng.integers(0, 2**31 - 1))
-    nx_graph = nx.random_regular_graph(degree, num_nodes, seed=nx_seed)
-    graph = Graph.from_networkx(nx_graph, default_weight=1.0)
-    return _ensure_connected(graph, rng)
-
-
 def path_graph(num_nodes: int, weight: float = 1.0) -> Graph:
     """Simple path ``0 - 1 - ... - n-1`` (handy in unit tests)."""
     num_nodes = check_positive_int(num_nodes, "num_nodes")
@@ -374,15 +357,6 @@ def complete_graph(num_nodes: int, weight: float = 1.0) -> Graph:
     for u in range(num_nodes):
         for v in range(u + 1, num_nodes):
             graph.add_edge(u, v, weight)
-    return graph
-
-
-def star_graph(num_leaves: int, weight: float = 1.0) -> Graph:
-    """Star graph: node 0 connected to ``num_leaves`` leaves."""
-    num_leaves = check_positive_int(num_leaves, "num_leaves")
-    graph = Graph(num_leaves + 1)
-    for leaf in range(1, num_leaves + 1):
-        graph.add_edge(0, leaf, weight)
     return graph
 
 

@@ -1,9 +1,9 @@
 """Laplacian and related matrix constructions.
 
 Most algorithms in the library operate on scipy CSR matrices built from a
-:class:`repro.graphs.Graph`.  This module gathers the matrix builders plus a
-few transformations (normalisation, grounding) that the spectral solvers and
-condition-number routines rely on.
+:class:`repro.graphs.Graph`.  This module gathers the matrix builders plus the
+grounding transformation that the spectral solvers and condition-number
+routines rely on.
 """
 
 from __future__ import annotations
@@ -24,23 +24,6 @@ def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
 def laplacian_matrix(graph: Graph) -> sp.csr_matrix:
     """Return the combinatorial Laplacian ``L = D - A`` of ``graph``."""
     return graph.laplacian_matrix()
-
-
-def degree_matrix(graph: Graph) -> sp.csr_matrix:
-    """Return the diagonal weighted-degree matrix ``D``."""
-    return sp.diags(graph.weighted_degrees()).tocsr()
-
-
-def normalized_laplacian(graph: Graph, eps: float = 1e-12) -> sp.csr_matrix:
-    """Return the symmetric normalised Laplacian ``D^{-1/2} L D^{-1/2}``.
-
-    Isolated nodes (zero weighted degree) keep a zero row/column; ``eps``
-    guards the division.
-    """
-    degrees = graph.weighted_degrees()
-    inv_sqrt = np.where(degrees > eps, 1.0 / np.sqrt(np.maximum(degrees, eps)), 0.0)
-    scaling = sp.diags(inv_sqrt)
-    return (scaling @ laplacian_matrix(graph) @ scaling).tocsr()
 
 
 def laplacian_from_edges(
@@ -102,23 +85,3 @@ def is_laplacian(matrix: sp.spmatrix, tol: float = 1e-9) -> bool:
         return False
     row_sums = np.asarray(matrix.sum(axis=1)).ravel()
     return bool(np.all(np.abs(row_sums) <= tol * max(1.0, abs(matrix).max())))
-
-
-def laplacian_quadratic_form(laplacian: sp.spmatrix, x: np.ndarray) -> float:
-    """Return ``x^T L x`` — the energy of vector ``x`` on the graph."""
-    x = np.asarray(x, dtype=float)
-    return float(x @ (laplacian @ x))
-
-
-def edge_weight_vector(graph: Graph) -> np.ndarray:
-    """Return the edge weight vector aligned with :meth:`Graph.edge_arrays`."""
-    _, _, weights = graph.edge_arrays()
-    return weights
-
-
-def regularized_laplacian(laplacian: sp.spmatrix, regularization: float) -> sp.csr_matrix:
-    """Return ``L + regularization * I`` (used by iterative solvers)."""
-    if regularization < 0:
-        raise ValueError(f"regularization must be non-negative, got {regularization}")
-    n = laplacian.shape[0]
-    return (sp.csr_matrix(laplacian) + regularization * sp.identity(n, format="csr")).tocsr()

@@ -152,21 +152,3 @@ def assert_positive_weights(graph: Graph) -> None:
     for u, v, w in graph.weighted_edges():
         if not np.isfinite(w) or w <= 0:
             raise GraphValidationError(f"edge ({u}, {v}) has invalid weight {w}")
-
-
-def graph_summary(graph: Graph) -> dict:
-    """Return a dictionary of cheap structural statistics (used in reports)."""
-    degrees = graph.degrees()
-    weights = np.array([w for _, _, w in graph.weighted_edges()]) if graph.num_edges else np.zeros(0)
-    return {
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
-        "density": graph.density(),
-        "min_degree": int(degrees.min()) if degrees.size else 0,
-        "max_degree": int(degrees.max()) if degrees.size else 0,
-        "mean_degree": float(degrees.mean()) if degrees.size else 0.0,
-        "min_weight": float(weights.min()) if weights.size else 0.0,
-        "max_weight": float(weights.max()) if weights.size else 0.0,
-        "total_weight": float(weights.sum()) if weights.size else 0.0,
-        "connected": is_connected(graph),
-    }

@@ -1,8 +1,7 @@
 """Network front end: stdlib-asyncio HTTP serving over :class:`SparsifierService`.
 
-The package is dependency-free by design (the container has no third-party
-web stack); see :mod:`repro.server.app` for the architecture and the
-``repro[serve]`` extra for the declared adapter seam.
+The package is dependency-free by design: it speaks HTTP/1.1 directly over
+stdlib asyncio.  See :mod:`repro.server.app` for the architecture.
 
 Public surface (re-exported by :mod:`repro.api`)::
 
@@ -15,11 +14,8 @@ Public surface (re-exported by :mod:`repro.api`)::
 """
 
 from repro.server.app import (
-    ADAPTER_BACKENDS,
-    ServerBackendUnavailableError,
     ServerConfig,
     SparsifierHTTPServer,
-    resolve_backend,
     serve,
 )
 from repro.server.client import ServerRequestError, SparsifierClient, connect
@@ -27,17 +23,14 @@ from repro.server.http import HttpRequest, ProtocolError
 from repro.server.metrics import LatencyHistogram, ServerMetrics
 
 __all__ = [
-    "ADAPTER_BACKENDS",
     "HttpRequest",
     "LatencyHistogram",
     "ProtocolError",
-    "ServerBackendUnavailableError",
     "ServerConfig",
     "ServerMetrics",
     "ServerRequestError",
     "SparsifierClient",
     "SparsifierHTTPServer",
     "connect",
-    "resolve_backend",
     "serve",
 ]

@@ -29,17 +29,11 @@ queued write**, gives in-flight connections a grace period, and — when a
 checkpoint directory is configured — saves a checkpoint
 (:mod:`repro.checkpoint`), so a restarted server resumes bit-exact at the
 last applied epoch.
-
-The stdlib-``asyncio`` backend is the only one implemented; third-party
-adapters (FastAPI/uvicorn, aiohttp) are a declared seam behind the empty
-``repro[serve]`` extra and fail loudly via
-:class:`ServerBackendUnavailableError` until an adapter lands.
 """
 
 from __future__ import annotations
 
 import asyncio
-import importlib.util
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,47 +53,9 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("server")
 
-#: Adapter backends reserved by the ``repro[serve]`` extra seam: backend name
-#: -> modules it would need.  None are implemented yet — requesting one gives
-#: an actionable error instead of an AttributeError deep in a missing import.
-ADAPTER_BACKENDS: Dict[str, Tuple[str, ...]] = {
-    "fastapi": ("fastapi", "uvicorn"),
-    "aiohttp": ("aiohttp",),
-}
-
 Handler = Callable[[HttpRequest], Awaitable[Tuple[int, dict, Optional[Dict[str, str]]]]]
 
 _STOP = object()
-
-
-class ServerBackendUnavailableError(RuntimeError):
-    """A non-stdlib server backend was requested but cannot be used."""
-
-
-def resolve_backend(name: str) -> str:
-    """Validate a backend name; only ``"asyncio"`` resolves today.
-
-    Fails with a clear, actionable message the moment the unusable backend
-    is *chosen*, not with a confusing failure once traffic arrives.
-    """
-    if name == "asyncio":
-        return name
-    if name in ADAPTER_BACKENDS:
-        needed = ADAPTER_BACKENDS[name]
-        missing = [module for module in needed if importlib.util.find_spec(module) is None]
-        if missing:
-            raise ServerBackendUnavailableError(
-                f"server backend {name!r} needs the optional dependencies "
-                f"{', '.join(missing)} (declared by the `repro[serve]` extra, "
-                "which is intentionally empty in this build); install them and "
-                "an adapter, or use the dependency-free backend='asyncio'"
-            )
-        raise ServerBackendUnavailableError(
-            f"server backend {name!r} is a declared adapter seam but no adapter "
-            "is implemented yet; use backend='asyncio' (same endpoints, stdlib only)"
-        )
-    known = ", ".join(["asyncio"] + sorted(ADAPTER_BACKENDS))
-    raise ValueError(f"unknown server backend {name!r}; known backends: {known}")
 
 
 @dataclass
@@ -109,8 +65,6 @@ class ServerConfig:
     #: Bind address; use ``port=0`` to let the OS pick (tests, benchmarks).
     host: str = "127.0.0.1"
     port: int = 8752
-    #: Serving backend; only ``"asyncio"`` is implemented (see ``[serve]`` extra).
-    backend: str = "asyncio"
     #: Ingest-queue bound: writes beyond this are answered 429 + Retry-After.
     queue_bound: int = 64
     #: Per-request budget: reads answer 504, writes answer 202 (still queued).
@@ -130,7 +84,6 @@ class ServerConfig:
     retry_after: float = 1.0
 
     def __post_init__(self) -> None:
-        resolve_backend(self.backend)
         if self.queue_bound < 1:
             raise ValueError("queue_bound must be at least 1")
         if self.request_timeout <= 0:
@@ -200,7 +153,6 @@ class SparsifierHTTPServer:
                  config: Optional[ServerConfig] = None) -> None:
         self._service = service
         self._config = config if config is not None else ServerConfig()
-        resolve_backend(self._config.backend)
         self.metrics = ServerMetrics()
         self.port: Optional[int] = None
 

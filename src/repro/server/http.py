@@ -45,7 +45,6 @@ REASONS: Dict[int, str] = {
     504: "Gateway Timeout",
 }
 
-_CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
 
 

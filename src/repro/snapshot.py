@@ -40,7 +40,7 @@ from repro.core.config import InGrassConfig
 from repro.core.hierarchy import HierarchyStateSnapshot
 from repro.graphs.graph import FrozenGraph
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier
-from repro.spectral.condition import SpectralContext, relative_condition_number
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, SpectralContext, relative_condition_number
 from repro.spectral.solvers import GroundedSolver, SolveReport, conjugate_gradient
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -267,13 +267,13 @@ class SparsifierSnapshot:
             preconditioner=self._solver("sparsifier").solve if preconditioned else None,
             tol=tol, max_iterations=max_iterations)
 
-    def condition_number(self, *, dense_limit: int = 1500) -> float:
+    def condition_number(self, *, dense_limit: int = DENSE_LIMIT_DEFAULT) -> float:
         """κ(L_G, L_H) of the captured epoch, on this snapshot's factorisations."""
         context = SpectralContext(factor=lambda side, _graph: self._solver(side))
         return relative_condition_number(self.graph, self.sparsifier, dense_limit=dense_limit,
                                          context=context)
 
-    def report(self, *, compute_condition: bool = True, dense_limit: int = 1500) -> SparsifierReport:
+    def report(self, *, compute_condition: bool = True, dense_limit: int = DENSE_LIMIT_DEFAULT) -> SparsifierReport:
         """Full quality report of the captured epoch."""
         return evaluate_sparsifier(self.graph, self.sparsifier,
                                    compute_condition=compute_condition, dense_limit=dense_limit)

@@ -1,16 +1,8 @@
 """Baseline sparsifiers and sparsifier quality metrics."""
 
-from repro.sparsify.fegrass import (
-    FeGrassConfig,
-    FeGrassResult,
-    FeGrassSparsifier,
-    effective_weight_spanning_tree,
-    fegrass_sparsify,
-)
-from repro.sparsify.grass import GrassConfig, GrassResult, GrassSparsifier, grass_sparsify
+from repro.sparsify.grass import GrassConfig, GrassResult, GrassSparsifier
 from repro.sparsify.metrics import (
     SparsifierReport,
-    distortion_statistics,
     evaluate_sparsifier,
     offtree_density,
     relative_density,
@@ -22,17 +14,10 @@ from repro.sparsify.random_baseline import (
     RandomUpdateResult,
     random_sparsify,
 )
-from repro.sparsify.sampling import (
-    SamplingConfig,
-    SamplingResult,
-    SpectralSamplingSparsifier,
-    sampling_sparsify,
-)
 from repro.sparsify.spanning_tree import (
     edge_stretches,
     low_stretch_spanning_tree,
     maximum_weight_spanning_tree,
-    minimum_resistance_spanning_tree,
     off_tree_edges,
     shortest_path_tree,
     total_stretch,
@@ -42,16 +27,6 @@ __all__ = [
     "GrassConfig",
     "GrassResult",
     "GrassSparsifier",
-    "grass_sparsify",
-    "FeGrassConfig",
-    "FeGrassResult",
-    "FeGrassSparsifier",
-    "fegrass_sparsify",
-    "effective_weight_spanning_tree",
-    "SamplingConfig",
-    "SamplingResult",
-    "SpectralSamplingSparsifier",
-    "sampling_sparsify",
     "RandomSparsifier",
     "RandomSparsifierResult",
     "RandomIncrementalUpdater",
@@ -61,9 +36,7 @@ __all__ = [
     "evaluate_sparsifier",
     "relative_density",
     "offtree_density",
-    "distortion_statistics",
     "maximum_weight_spanning_tree",
-    "minimum_resistance_spanning_tree",
     "low_stretch_spanning_tree",
     "shortest_path_tree",
     "edge_stretches",

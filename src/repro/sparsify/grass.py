@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.validation import validate_sparsifier_support
-from repro.spectral.condition import relative_condition_number
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, relative_condition_number
 from repro.spectral.effective_resistance import ExactResistanceCalculator, make_resistance_calculator
 from repro.sparsify.spanning_tree import (
     low_stretch_spanning_tree,
@@ -102,7 +102,7 @@ class GrassConfig:
     use_exact_resistance: bool = False
     resistance_method: str = "jl"
     krylov_order: Optional[int] = None
-    condition_dense_limit: int = 1500
+    condition_dense_limit: int = DENSE_LIMIT_DEFAULT
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
@@ -300,10 +300,3 @@ class GrassSparsifier:
             return self.sparsify(graph, evaluate_condition=True)
         finally:
             self.config = original_config
-
-
-def grass_sparsify(graph: Graph, *, relative_density: float = 0.10,
-                   seed: SeedLike = 0, **kwargs) -> Graph:
-    """Convenience wrapper returning just the sparsified graph."""
-    config = GrassConfig(target_relative_density=relative_density, seed=seed, **kwargs)
-    return GrassSparsifier(config).sparsify(graph).sparsifier

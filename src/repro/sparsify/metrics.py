@@ -1,4 +1,4 @@
-"""Sparsifier quality metrics: density, condition number, distortion statistics.
+"""Sparsifier quality metrics: density, condition number, empirical similarity.
 
 These are the quantities reported across Tables I-III of the paper, gathered
 into a single :class:`SparsifierReport` so benchmark code and examples print a
@@ -10,12 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.graphs.components import is_connected
 from repro.graphs.graph import Graph
-from repro.spectral.condition import condition_estimate
-from repro.spectral.effective_resistance import ExactResistanceCalculator
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, condition_estimate
 from repro.spectral.quadratic import sample_similarity
 from repro.utils.rng import SeedLike
 
@@ -81,7 +78,7 @@ def offtree_density(sparsifier: Graph) -> float:
 
 
 def evaluate_sparsifier(graph: Graph, sparsifier: Graph, *, compute_condition: bool = True,
-                        dense_limit: int = 1500, num_similarity_probes: int = 16,
+                        dense_limit: int = DENSE_LIMIT_DEFAULT, num_similarity_probes: int = 16,
                         seed: SeedLike = 0) -> SparsifierReport:
     """Compute the full quality report for ``sparsifier`` against ``graph``."""
     if graph.num_nodes != sparsifier.num_nodes:
@@ -110,36 +107,3 @@ def evaluate_sparsifier(graph: Graph, sparsifier: Graph, *, compute_condition: b
         empirical_condition_lower_bound=empirical,
         connected=connected,
     )
-
-
-def distortion_statistics(graph: Graph, sparsifier: Graph, *, max_edges: int = 2000,
-                          seed: SeedLike = 0) -> dict:
-    """Spectral-distortion statistics of the graph edges missing from ``sparsifier``.
-
-    Distortion of an excluded edge = ``w_e * R_H(u, v)``.  Large values flag
-    spectrally critical edges the sparsifier failed to keep.  At most
-    ``max_edges`` excluded edges are evaluated exactly (random subsample when
-    there are more) to keep the metric affordable in tests.
-    """
-
-    excluded = [(u, v, w) for u, v, w in graph.weighted_edges() if not sparsifier.has_edge(u, v)]
-    if not excluded:
-        return {"count": 0, "max": 0.0, "mean": 0.0, "sum": 0.0}
-    rng = np.random.default_rng(seed if not isinstance(seed, np.random.Generator) else None)
-    if len(excluded) > max_edges:
-        indices = rng.choice(len(excluded), size=max_edges, replace=False)
-        sampled = [excluded[int(i)] for i in indices]
-        scale = len(excluded) / max_edges
-    else:
-        sampled = excluded
-        scale = 1.0
-    calculator = ExactResistanceCalculator(sparsifier)
-    resistances = calculator.resistances([(u, v) for u, v, _ in sampled])
-    weights = np.array([w for _, _, w in sampled], dtype=float)
-    distortions = weights * resistances
-    return {
-        "count": len(excluded),
-        "max": float(distortions.max()),
-        "mean": float(distortions.mean()),
-        "sum": float(distortions.sum() * scale),
-    }

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.unionfind import UnionFind
-from repro.spectral.condition import relative_condition_number
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, relative_condition_number
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.timing import Timer
 from repro.utils.validation import check_positive
@@ -115,7 +115,7 @@ class RandomIncrementalUpdater:
 
     def __init__(self, target_condition_number: Optional[float] = None, *,
                  acceptance_fraction: float = 0.75, condition_check_stride: int = 8,
-                 condition_dense_limit: int = 1500, seed: SeedLike = 0) -> None:
+                 condition_dense_limit: int = DENSE_LIMIT_DEFAULT, seed: SeedLike = 0) -> None:
         if target_condition_number is not None:
             check_positive(target_condition_number, "target_condition_number")
         check_positive(acceptance_fraction, "acceptance_fraction")

@@ -58,15 +58,6 @@ def maximum_weight_spanning_tree(graph: Graph) -> Graph:
     return _kruskal(graph, order)
 
 
-def minimum_resistance_spanning_tree(graph: Graph) -> Graph:
-    """Spanning tree minimising total edge resistance (1/weight).
-
-    Identical to :func:`maximum_weight_spanning_tree` ordering-wise; kept as a
-    separate name because circuit users think in resistances.
-    """
-    return maximum_weight_spanning_tree(graph)
-
-
 def shortest_path_tree(graph: Graph, root: int = 0, *, metric: str = "resistance") -> Graph:
     """Dijkstra shortest-path tree from ``root``.
 

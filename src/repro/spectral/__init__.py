@@ -5,27 +5,20 @@ from repro.spectral.condition import (
     SpectralContext,
     SpectralSolveError,
     condition_estimate,
-    condition_number_upper_bound_from_distortions,
     dominant_generalized_eigenvector,
     relative_condition_number,
-    spectral_similarity_epsilon,
 )
 from repro.spectral.effective_resistance import (
     ApproxResistanceCalculator,
     ExactResistanceCalculator,
     JLResistanceCalculator,
-    edge_effective_resistances,
     effective_resistance,
     make_resistance_calculator,
-    spectral_distortions,
     tree_path_resistances,
 )
 from repro.spectral.eigen import (
     dense_laplacian_spectrum,
-    fiedler_vector,
-    largest_eigenvalue,
     smallest_nonzero_eigenvalues,
-    spectral_embedding,
 )
 from repro.spectral.krylov import (
     KrylovBasis,
@@ -33,19 +26,8 @@ from repro.spectral.krylov import (
     default_krylov_order,
     krylov_resistance_matrix,
 )
-from repro.spectral.perturbation import (
-    eigenvalue_perturbations,
-    pair_indicator,
-    rank_edges_by_exact_distortion,
-    spectral_distortion_exact,
-    total_relative_perturbation,
-    weighted_eigensubspace,
-)
 from repro.spectral.quadratic import (
     SimilaritySample,
-    quadratic_form,
-    quadratic_form_matrix,
-    rayleigh_quotient,
     sample_similarity,
 )
 from repro.spectral.solvers import (
@@ -64,15 +46,11 @@ __all__ = [
     "condition_estimate",
     "relative_condition_number",
     "dominant_generalized_eigenvector",
-    "spectral_similarity_epsilon",
-    "condition_number_upper_bound_from_distortions",
     "ExactResistanceCalculator",
     "ApproxResistanceCalculator",
     "JLResistanceCalculator",
     "make_resistance_calculator",
     "effective_resistance",
-    "edge_effective_resistances",
-    "spectral_distortions",
     "tree_path_resistances",
     "KrylovBasis",
     "build_krylov_basis",
@@ -80,18 +58,6 @@ __all__ = [
     "krylov_resistance_matrix",
     "dense_laplacian_spectrum",
     "smallest_nonzero_eigenvalues",
-    "largest_eigenvalue",
-    "fiedler_vector",
-    "spectral_embedding",
-    "pair_indicator",
-    "eigenvalue_perturbations",
-    "weighted_eigensubspace",
-    "spectral_distortion_exact",
-    "total_relative_perturbation",
-    "rank_edges_by_exact_distortion",
-    "quadratic_form",
-    "quadratic_form_matrix",
-    "rayleigh_quotient",
     "sample_similarity",
     "SimilaritySample",
     "GroundedSolver",

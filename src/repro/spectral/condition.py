@@ -59,7 +59,8 @@ class ConditionEstimate:
         return self.lambda_max / self.lambda_min
 
 
-_DENSE_LIMIT_DEFAULT = 1500
+#: Default node count up to which κ is computed by the exact dense path.
+DENSE_LIMIT_DEFAULT = 1500
 #: Largest node count the dense fallback takes on once Lanczos failed from a
 #: cold start; above it the failure raises :class:`SpectralSolveError`.
 DENSE_FALLBACK_LIMIT = 2000
@@ -187,7 +188,7 @@ class SpectralContext:
         """Drop every factorisation; the warm-start vectors stay."""
         self._factors.clear()
 
-    def estimate(self, graph: Graph, sparsifier: Graph, *, dense_limit: int = _DENSE_LIMIT_DEFAULT,
+    def estimate(self, graph: Graph, sparsifier: Graph, *, dense_limit: int = DENSE_LIMIT_DEFAULT,
                  tol: float = 1e-6, maxiter: Optional[int] = None) -> ConditionEstimate:
         """λ_max, λ_min and κ of the pencil ``(L_G, L_H)``."""
         _check_pair(graph, sparsifier)
@@ -207,7 +208,7 @@ class SpectralContext:
         return ConditionEstimate(lambda_max=dominant.value, lambda_min=lambda_min, method=method)
 
     def dominant_eigenvector(self, graph: Graph, sparsifier: Graph, *,
-                             dense_limit: int = _DENSE_LIMIT_DEFAULT, tol: float = 1e-6,
+                             dense_limit: int = DENSE_LIMIT_DEFAULT, tol: float = 1e-6,
                              maxiter: Optional[int] = None) -> Tuple[float, np.ndarray]:
         """``(λ_max, x)``; reuses the last estimate's eigenvector when the
         graph versions match (see :func:`dominant_generalized_eigenvector`)."""
@@ -272,7 +273,7 @@ class SpectralContext:
         return float(eigenvalues[-1]), eigenvectors[:, -1], "dense-fallback"
 
 
-def condition_estimate(graph: Graph, sparsifier: Graph, *, dense_limit: int = _DENSE_LIMIT_DEFAULT,
+def condition_estimate(graph: Graph, sparsifier: Graph, *, dense_limit: int = DENSE_LIMIT_DEFAULT,
                        tol: float = 1e-6, maxiter: Optional[int] = None,
                        context: Optional[SpectralContext] = None) -> ConditionEstimate:
     """Estimate λ_max, λ_min and κ of the pencil ``(L_G, L_H)``.
@@ -294,7 +295,7 @@ def condition_estimate(graph: Graph, sparsifier: Graph, *, dense_limit: int = _D
 
 
 def dominant_generalized_eigenvector(graph: Graph, sparsifier: Graph, *,
-                                     dense_limit: int = _DENSE_LIMIT_DEFAULT,
+                                     dense_limit: int = DENSE_LIMIT_DEFAULT,
                                      tol: float = 1e-6,
                                      maxiter: Optional[int] = None,
                                      context: Optional[SpectralContext] = None) -> Tuple[float, np.ndarray]:
@@ -317,36 +318,9 @@ def dominant_generalized_eigenvector(graph: Graph, sparsifier: Graph, *,
                                         maxiter=maxiter)
 
 
-def relative_condition_number(graph: Graph, sparsifier: Graph, *, dense_limit: int = _DENSE_LIMIT_DEFAULT,
+def relative_condition_number(graph: Graph, sparsifier: Graph, *, dense_limit: int = DENSE_LIMIT_DEFAULT,
                               tol: float = 1e-6, maxiter: Optional[int] = None,
                               context: Optional[SpectralContext] = None) -> float:
     """Return κ(L_G, L_H) — the headline quality metric of the paper's tables."""
     return condition_estimate(graph, sparsifier, dense_limit=dense_limit, tol=tol, maxiter=maxiter,
                               context=context).condition_number
-
-
-def spectral_similarity_epsilon(graph: Graph, sparsifier: Graph, **kwargs) -> float:
-    """Return the smallest ε such that equation (1) of the paper holds.
-
-    With λ_min and λ_max the extreme generalized eigenvalues, scaling ``L_H``
-    by ``sqrt(λ_min λ_max)`` centres the pencil and the similarity factor is
-    ``ε = sqrt(λ_max / λ_min) = sqrt(κ)``.
-    """
-    estimate = condition_estimate(graph, sparsifier, **kwargs)
-    kappa = estimate.condition_number
-    return float(np.sqrt(kappa)) if np.isfinite(kappa) else float("inf")
-
-
-def condition_number_upper_bound_from_distortions(distortions: np.ndarray) -> float:
-    """Cheap upper-bound proxy: ``1 + Σ distortion`` of the excluded edges.
-
-    Adding the edges of ``G \\ H`` back one at a time perturbs each eigenvalue
-    of the pencil by at most its spectral distortion (Lemma 3.1/3.2), so the
-    sum of distortions bounds the growth of λ_max while λ_min ≥ 1 whenever H's
-    edges are a reweighted superset restricted to G.  The bound is loose but
-    monotone, which is all the edge-selection heuristics need.
-    """
-    distortions = np.asarray(distortions, dtype=float)
-    if distortions.size == 0:
-        return 1.0
-    return float(1.0 + distortions.sum())

@@ -15,7 +15,7 @@ uses (equation (3) of the paper).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -269,38 +269,6 @@ def make_resistance_calculator(graph: Graph, method: str = "jl", *, order: Optio
 def effective_resistance(graph: Graph, p: int, q: int) -> float:
     """One-shot exact effective resistance (convenience wrapper)."""
     return ExactResistanceCalculator(graph).resistance(p, q)
-
-
-def edge_effective_resistances(graph: Graph, *, exact: bool = True, order: Optional[int] = None,
-                               seed: SeedLike = None) -> np.ndarray:
-    """Effective resistance of every edge of ``graph``.
-
-    ``exact=True`` uses direct solves; ``exact=False`` uses the Krylov
-    approximation (the choice the inGRASS setup phase makes for scalability).
-    Values align with :meth:`Graph.edge_arrays` order.
-    """
-    if exact:
-        return ExactResistanceCalculator(graph).edge_resistances()
-    return ApproxResistanceCalculator(graph, order=order, seed=seed).edge_resistances()
-
-
-def spectral_distortions(graph: Graph, pairs_with_weights: Sequence[Tuple[int, int, float]],
-                         *, exact: bool = True, order: Optional[int] = None,
-                         seed: SeedLike = None) -> np.ndarray:
-    """Spectral distortion ``w * R(p, q)`` for candidate edges.
-
-    This is the edge-importance metric of the spectral-perturbation
-    sparsification line (GRASS, SF-GRASS, inGRASS): footnote 1 of the paper
-    defines the spectral distortion of an edge as the product of its weight
-    and the effective resistance between its end nodes *in the sparsifier*.
-    """
-    pairs = [(p, q) for p, q, _ in pairs_with_weights]
-    weights = np.array([w for _, _, w in pairs_with_weights], dtype=float)
-    if exact:
-        resistances = ExactResistanceCalculator(graph).resistances(pairs)
-    else:
-        resistances = ApproxResistanceCalculator(graph, order=order, seed=seed).resistances(pairs)
-    return weights * resistances
 
 
 def tree_path_resistances(tree: Graph, pairs: Iterable[NodePair]) -> np.ndarray:

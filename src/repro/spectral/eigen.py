@@ -83,61 +83,3 @@ def smallest_nonzero_eigenvalues(graph: Graph, k: int = 2, *, dense_limit: int =
                           return_eigenvectors=False, tol=tol)
     values = np.sort(np.asarray(values, dtype=float))
     return values[1:k + 1]
-
-
-def largest_eigenvalue(graph: Graph, *, tol: float = 1e-8) -> float:
-    """Return the largest Laplacian eigenvalue."""
-    n = graph.num_nodes
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if n <= 3:
-        eigenvalues, _ = dense_laplacian_spectrum(graph)
-        return float(eigenvalues[-1])
-    laplacian = graph.laplacian_matrix()
-    value = seeded_eigsh(laplacian, k=1, which="LA", return_eigenvectors=False, tol=tol)
-    return float(value[0])
-
-
-def fiedler_vector(graph: Graph, *, dense_limit: int = 2000, tol: float = 1e-8) -> np.ndarray:
-    """Return the eigenvector of the second-smallest Laplacian eigenvalue."""
-    n = graph.num_nodes
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if n <= dense_limit:
-        eigenvalues, eigenvectors = dense_laplacian_spectrum(graph)
-        order = np.argsort(eigenvalues)
-        return eigenvectors[:, order[1]]
-    laplacian = graph.laplacian_matrix()
-    values, vectors = seeded_eigsh(laplacian + 1e-10 * sp.identity(n), k=2, sigma=0, which="LM",
-                                   tol=tol)
-    order = np.argsort(values)
-    return vectors[:, order[-1]]
-
-
-def spectral_embedding(graph: Graph, dimensions: int, *, dense_limit: int = 2000,
-                       tol: float = 1e-8) -> np.ndarray:
-    """Weighted eigensubspace embedding of Lemma 3.2: columns ``u_i / sqrt(λ_i)``.
-
-    Row distances of the returned ``(n, dimensions)`` matrix approximate
-    effective resistances when ``dimensions`` approaches ``n`` (equation (6)).
-    """
-    n = graph.num_nodes
-    dimensions = min(dimensions, n - 1)
-    if dimensions < 1:
-        raise ValueError("dimensions must be at least 1")
-    if n <= dense_limit:
-        eigenvalues, eigenvectors = dense_laplacian_spectrum(graph)
-        order = np.argsort(eigenvalues)
-        eigenvalues = eigenvalues[order]
-        eigenvectors = eigenvectors[:, order]
-        selected_values = eigenvalues[1:dimensions + 1]
-        selected_vectors = eigenvectors[:, 1:dimensions + 1]
-    else:
-        laplacian = graph.laplacian_matrix()
-        values, vectors = seeded_eigsh(laplacian + 1e-10 * sp.identity(n), k=dimensions + 1, sigma=0,
-                                       which="LM", tol=tol)
-        order = np.argsort(values)
-        selected_values = values[order][1:dimensions + 1]
-        selected_vectors = vectors[:, order][:, 1:dimensions + 1]
-    safe = np.maximum(selected_values, 1e-15)
-    return selected_vectors / np.sqrt(safe)[np.newaxis, :]

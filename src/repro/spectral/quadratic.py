@@ -1,11 +1,9 @@
-"""Laplacian quadratic forms and empirical spectral-similarity measures.
+"""Empirical spectral similarity from Laplacian quadratic forms.
 
 Equation (1) of the paper defines spectral similarity through the ratio of
 Laplacian quadratic forms ``x^T L_G x / x^T L_H x`` over all test vectors.
-These helpers evaluate the ratio on explicit vector families (random probes,
-Fiedler-like vectors) and provide the Monte-Carlo similarity check used by the
-integration tests as a cheaper cross-validation of the condition-number
-estimator.
+:func:`sample_similarity` evaluates the ratio on random and smoothed probe
+vectors — a Monte-Carlo cross-check of the condition-number estimator.
 """
 
 from __future__ import annotations
@@ -16,31 +14,6 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, as_rng
-
-
-def quadratic_form(graph: Graph, x: np.ndarray) -> float:
-    """Return ``x^T L_G x`` — the energy of ``x`` over the graph's edges.
-
-    Computed edge-wise as ``Σ w_uv (x_u - x_v)^2`` which is numerically safer
-    than forming ``L`` for a single evaluation.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != graph.num_nodes:
-        raise ValueError(f"vector has length {x.shape[0]}, expected {graph.num_nodes}")
-    total = 0.0
-    for u, v, w in graph.weighted_edges():
-        diff = x[u] - x[v]
-        total += w * diff * diff
-    return float(total)
-
-
-def quadratic_form_matrix(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Vectorised quadratic forms for each column of ``x`` using the Laplacian."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != graph.num_nodes:
-        x = x.T
-    laplacian = graph.laplacian_matrix()
-    return np.einsum("ij,ij->j", x, laplacian @ x)
 
 
 @dataclass
@@ -100,13 +73,3 @@ def sample_similarity(graph: Graph, sparsifier: Graph, num_probes: int = 32,
     valid = energy_h > 1e-300
     ratios = np.where(valid, energy_g / np.maximum(energy_h, 1e-300), np.inf)
     return SimilaritySample(ratios=ratios)
-
-
-def rayleigh_quotient(graph: Graph, x: np.ndarray) -> float:
-    """Return ``x^T L x / x^T x`` for a zero-mean version of ``x``."""
-    x = np.asarray(x, dtype=float)
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom == 0.0:
-        return 0.0
-    return quadratic_form(graph, x) / denom

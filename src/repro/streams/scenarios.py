@@ -24,7 +24,7 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.sparsify.grass import GrassConfig, GrassSparsifier
 from repro.sparsify.metrics import offtree_density
-from repro.spectral.condition import relative_condition_number
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, relative_condition_number
 from repro.streams.edge_stream import (
     MixedBatch,
     mixed_edges,
@@ -47,7 +47,7 @@ class ScenarioConfig:
     num_iterations: int = 10
     long_range_fraction: float = 0.15
     locality_hops: int = 2
-    condition_dense_limit: int = 1500
+    condition_dense_limit: int = DENSE_LIMIT_DEFAULT
     grass_tree_method: str = "shortest_path"
     seed: SeedLike = 0
 
@@ -172,7 +172,7 @@ class DynamicScenarioConfig:
     deletion_fraction: float = 0.35
     long_range_fraction: float = 0.15
     locality_hops: int = 2
-    condition_dense_limit: int = 1500
+    condition_dense_limit: int = DENSE_LIMIT_DEFAULT
     grass_tree_method: str = "shortest_path"
     seed: SeedLike = 0
 

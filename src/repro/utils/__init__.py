@@ -1,9 +1,8 @@
 """Small shared utilities: timers, RNG handling, logging, validation."""
 
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng
 from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
-    check_edge_weights_positive,
     check_node_index,
     check_probability,
     check_positive,
@@ -14,8 +13,6 @@ __all__ = [
     "Timer",
     "timed",
     "as_rng",
-    "spawn_rngs",
-    "check_edge_weights_positive",
     "check_node_index",
     "check_positive",
     "check_positive_int",

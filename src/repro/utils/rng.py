@@ -27,52 +27,3 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``.
-
-    Useful when an experiment runs several stochastic stages that should not
-    share a stream (so that changing the number of draws in one stage does not
-    perturb the others).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children deterministically from the generator's own stream.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
-def random_unit_vector(size: int, rng: SeedLike = None, orthogonal_to_ones: bool = False) -> np.ndarray:
-    """Draw a random unit-norm vector of length ``size``.
-
-    Parameters
-    ----------
-    size:
-        Vector length.
-    rng:
-        Seed or generator.
-    orthogonal_to_ones:
-        When ``True``, project out the all-ones direction before normalising.
-        This is the standard starting vector for Krylov iterations on graph
-        Laplacians, whose null space is spanned by the constant vector.
-    """
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    generator = as_rng(rng)
-    vector = generator.standard_normal(size)
-    if orthogonal_to_ones and size > 1:
-        vector -= vector.mean()
-    norm = np.linalg.norm(vector)
-    if norm == 0.0:
-        # Vanishingly unlikely; fall back to a deterministic vector.
-        vector = np.zeros(size)
-        vector[0] = 1.0
-        if orthogonal_to_ones and size > 1:
-            vector[0] = 1.0
-            vector[1] = -1.0
-        norm = np.linalg.norm(vector)
-    return vector / norm

@@ -6,8 +6,6 @@ public API boundary rather than deep inside sparse linear algebra.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 
@@ -41,12 +39,3 @@ def check_node_index(node: int, num_nodes: int, name: str = "node") -> int:
     if node < 0 or node >= num_nodes:
         raise ValueError(f"{name} {node} is out of range for a graph with {num_nodes} nodes")
     return int(node)
-
-
-def check_edge_weights_positive(weights: Iterable[float]) -> np.ndarray:
-    """Require every weight to be a positive finite number; return an array."""
-    array = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights, dtype=float)
-    if array.size and (not np.all(np.isfinite(array)) or np.any(array <= 0)):
-        bad = array[~(np.isfinite(array) & (array > 0))]
-        raise ValueError(f"edge weights must be positive finite numbers; offending values: {bad[:5]}")
-    return array

@@ -40,8 +40,7 @@ class TestApiFacade:
 
     def test_facade_exports_the_serving_layer(self):
         for name in ("serve", "connect", "ServerConfig", "SparsifierHTTPServer",
-                     "SparsifierClient", "ServerRequestError",
-                     "ServerBackendUnavailableError"):
+                     "SparsifierClient", "ServerRequestError"):
             assert name in api.__all__
             assert hasattr(api, name)
         from repro.server import connect, serve
@@ -98,12 +97,13 @@ class TestUnifiedCli:
     def test_serve_subcommand_in_help_and_validates_backend(self, capsys):
         assert cli.main([]) == 0
         assert "HTTP server over a SparsifierService" in capsys.readouterr().out
-        # A bad --backend must fail in milliseconds, before any setup work,
-        # with the pointer at the [serve] extra.
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["serve", "--backend", "fastapi"])
-        assert excinfo.value.code == 2
-        assert "repro[serve]" in capsys.readouterr().err
+        # A bad server setting must fail in milliseconds, before any setup
+        # work, as a usage error.
+        for flag, field in (("--queue-bound", "queue_bound"), ("--request-timeout", "request_timeout")):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["serve", flag, "0"])
+            assert excinfo.value.code == 2
+            assert field in capsys.readouterr().err
 
     def test_module_entry_point_exists(self):
         import repro.__main__  # noqa: F401  (must import without running)

@@ -136,6 +136,16 @@ class TestGateRunner:
         summary = json.loads(summary_path.read_text())
         assert summary["gates"]["batch"]["status"] == "pass"
 
+    def test_run_creates_a_missing_artifacts_dir(self, tmp_path):
+        stub = gate.GateSpec(name="stub", description="", artifact="BENCH_stub.json",
+                             baseline=tmp_path / "no-baseline.json",
+                             run=lambda: {"value": 1}, check=lambda payload, base, tol: [])
+        artifacts_dir = tmp_path / "new" / "artifacts"
+        summary = gate.run_gates([stub], do_run=True, do_check=True, tolerance=None,
+                                 artifacts_dir=artifacts_dir)
+        assert summary["gates"]["stub"]["status"] == "pass"
+        assert json.loads((artifacts_dir / "BENCH_stub.json").read_text()) == {"value": 1}
+
 
 class TestServeLatencyGate:
     def _payload(self, **overrides):

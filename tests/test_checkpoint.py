@@ -232,13 +232,36 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # A newer layout, and the older formats 1 and 2 (whose configs
+        # A newer layout, and the older formats 1 to 3 (whose configs
         # carried fields this reader no longer knows).
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 2, 1):
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 3, 2, 1):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):
                 load_checkpoint(path)
+
+    def test_save_torn_before_the_manifest_swap_is_rejected(self, scenario, tmp_path, monkeypatch):
+        """A save that dies after rewriting the arrays leaves the previous
+        manifest beside newer arrays; loading must refuse, not restore them."""
+        driver = start_driver(scenario, make_config())
+        for batch in scenario.batches[:3]:
+            driver.update(batch)
+        path = tmp_path / "ckpt"
+        save_checkpoint(driver, path)
+        for batch in scenario.batches[3:]:
+            driver.update(batch)
+
+        def crash(*args, **kwargs):
+            raise OSError("simulated crash before the manifest swap")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="simulated crash"):
+                save_checkpoint(driver, path)
+        with pytest.raises(ValueError, match="array '.+' does not match the manifest"):
+            load_checkpoint(path)
+        save_checkpoint(driver, path)
+        assert fingerprint(load_checkpoint(path)) == fingerprint(driver)
 
     def test_manifest_is_deterministic(self, scenario, tmp_path):
         """Same state → byte-identical manifest (no timestamps, sorted keys)."""

@@ -18,6 +18,7 @@ from repro.core import (
     run_removal,
     run_setup,
 )
+from repro.core.update import KAPPA_GUARD_MAX_ROUNDS
 from repro.graphs import (
     Graph,
     GraphValidationError,
@@ -403,7 +404,7 @@ class TestRunRemoval:
         report = run_kappa_guard(sparsifier, setup, graph=graph, config=config,
                                  target_condition_number=target)
         assert report.kappa_after <= report.kappa_before + 1e-9
-        assert report.satisfied or report.rounds == config.kappa_guard_max_rounds
+        assert report.satisfied or report.rounds == KAPPA_GUARD_MAX_ROUNDS
 
     def test_kappa_guard_requires_configuration(self, dynamic_pair):
         graph, sparsifier, setup = dynamic_pair

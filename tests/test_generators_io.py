@@ -1,4 +1,4 @@
-"""Tests for synthetic graph generators and graph I/O."""
+"""Tests for synthetic graph generators and graph validation helpers."""
 
 from __future__ import annotations
 
@@ -13,22 +13,14 @@ from repro.graphs import (
     delaunay_graph,
     fe_mesh_2d,
     fe_mesh_3d,
-    graph_summary,
     grid_circuit_2d,
     grid_circuit_3d,
     is_connected,
-    load_edge_list,
-    load_matrix_market,
     paper_figure2_graph,
     path_graph,
-    random_regular_graph,
-    save_edge_list,
-    save_matrix_market,
     sphere_mesh,
-    star_graph,
     watts_strogatz_graph,
 )
-from repro.graphs.io import edge_list_string
 from repro.graphs.validation import (
     GraphValidationError,
     assert_positive_weights,
@@ -46,7 +38,6 @@ GENERATORS = [
     ("airfoil", lambda seed: airfoil_mesh(150, seed=seed)),
     ("watts", lambda seed: watts_strogatz_graph(150, seed=seed)),
     ("barabasi", lambda seed: barabasi_albert_graph(150, seed=seed)),
-    ("regular", lambda seed: random_regular_graph(150, 4, seed=seed)),
 ]
 
 
@@ -86,7 +77,6 @@ class TestGenerators:
         assert path_graph(5).num_edges == 4
         assert cycle_graph(5).num_edges == 5
         assert complete_graph(5).num_edges == 10
-        assert star_graph(5).num_edges == 5
         with pytest.raises(ValueError):
             cycle_graph(2)
 
@@ -96,49 +86,6 @@ class TestGenerators:
         assert is_connected(graph)
         # The weak bridge between the two clusters is present.
         assert graph.has_edge(3, 9)
-
-    def test_graph_summary(self):
-        summary = graph_summary(grid_circuit_2d(5, seed=1))
-        assert summary["num_nodes"] == 25
-        assert summary["connected"] is True
-        assert summary["min_weight"] > 0
-
-
-class TestIO:
-    def test_edge_list_roundtrip(self, tmp_path, small_grid):
-        path = tmp_path / "graph.edges"
-        save_edge_list(small_grid, path)
-        loaded = load_edge_list(path)
-        assert loaded == small_grid
-
-    def test_edge_list_without_header_infers_nodes(self, tmp_path):
-        path = tmp_path / "tiny.edges"
-        path.write_text("0 1 2.0\n1 2 1.0\n")
-        graph = load_edge_list(path)
-        assert graph.num_nodes == 3
-        assert graph.weight(0, 1) == 2.0
-
-    def test_edge_list_default_weight(self, tmp_path):
-        path = tmp_path / "unweighted.edges"
-        path.write_text("0 1\n1 2\n")
-        graph = load_edge_list(path)
-        assert graph.weight(1, 2) == 1.0
-
-    def test_edge_list_malformed_raises(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("0\n")
-        with pytest.raises(ValueError):
-            load_edge_list(path)
-
-    def test_matrix_market_roundtrip(self, tmp_path, small_grid):
-        path = tmp_path / "graph.mtx"
-        save_matrix_market(small_grid, path)
-        loaded = load_matrix_market(path)
-        assert loaded == small_grid
-
-    def test_edge_list_string_contains_header(self, small_grid):
-        text = edge_list_string(small_grid)
-        assert text.startswith(f"# nodes {small_grid.num_nodes}")
 
 
 class TestValidationHelpers:

@@ -19,8 +19,6 @@ from repro.core import (
     SimilarityFilter,
     cluster_diameter_bound,
     decompose_node_subset,
-    lrd_decompose,
-    run_local_setup,
     run_setup,
 )
 from repro.core.hierarchy import ClusterHierarchy, LRDLevel
@@ -151,26 +149,6 @@ class TestLocalizedDecomposition:
         with pytest.raises(ValueError):
             cluster_diameter_bound(graph, np.arange(4))
 
-    def test_run_local_setup_wrapper(self, grid_with_sparsifier):
-        _, sparsifier = grid_with_sparsifier
-        hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
-        level_index = min(1, hierarchy.num_levels - 1)
-        level = hierarchy.level(level_index)
-        cluster = int(np.argmax(np.bincount(level.labels)))
-        nodes = np.flatnonzero(level.labels == cluster)
-        fragments, diameters = run_local_setup(sparsifier, nodes, level.diameter_threshold,
-                                               hierarchy=hierarchy, level_index=level_index)
-        assert sum(f.shape[0] for f in fragments) == nodes.shape[0]
-        assert len(diameters) == len(fragments)
-        assert all(d >= 0.0 for d in diameters)
-        if level_index > 0:
-            # Nesting: no fragment separates a finer-level cluster.
-            finer = hierarchy.level(level_index - 1).labels
-            owner: dict = {}
-            for index, fragment in enumerate(fragments):
-                for node in fragment.tolist():
-                    assert owner.setdefault(int(finer[node]), index) == index
-
 
 class TestHierarchyMaintainer:
     def _setup_pair(self, grid_with_sparsifier):
@@ -260,11 +238,6 @@ class TestHierarchyMaintainer:
         merges = maintainer.note_insertions([(1, 2, 0.001)])
         assert merges == 0
         assert hierarchy.cluster_of(1, 0) != hierarchy.cluster_of(2, 0)
-
-    def test_invalid_exact_limit(self, grid_with_sparsifier):
-        working, setup, _ = self._setup_pair(grid_with_sparsifier)
-        with pytest.raises(ValueError):
-            HierarchyMaintainer(setup.hierarchy, working, exact_limit=1)
 
 
 class TestFilterRenameProtocol:
@@ -413,8 +386,6 @@ class TestDriverModes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InGrassConfig(hierarchy_mode="bogus")
-        with pytest.raises(ValueError):
-            InGrassConfig(maintenance_exact_limit=1)
 
     def test_maintain_mode_skips_resetups(self, medium_grid):
         results = {}

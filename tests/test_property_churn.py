@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InGrassConfig, InGrassSparsifier
+from repro.core.update import KAPPA_GUARD_MAX_ROUNDS
 from repro.graphs import grid_circuit_2d, is_connected
 from repro.streams import DynamicScenarioConfig, build_dynamic_scenario
 
@@ -95,7 +96,7 @@ def test_churn_kappa_stays_within_guard_bound(params):
             # A guarded iteration ends within 2x target unless the guard
             # exhausted its round budget (it reports that honestly).
             if not guard.satisfied:
-                assert guard.rounds == ingrass.config.kappa_guard_max_rounds or not guard.added_edges
+                assert guard.rounds == KAPPA_GUARD_MAX_ROUNDS or not guard.added_edges
     assert guards_ran == len([b for b in scenario.batches if b])
     # End state: quality within 2x target (the acceptance bound) — the guard
     # had the whole stream to keep the trajectory in check.

@@ -3,9 +3,8 @@
 Covers the wire protocol (malformed/oversized requests), the read endpoints'
 snapshot pinning, the bounded write queue's backpressure contract (429 /
 202-pending), per-request timeouts, concurrent readers during writes (no
-torn epochs, writer trajectory bit-exact vs an offline replay), the
-kill/restart → bit-exact-resume drill over HTTP, and the adapter-backend
-seam behind the empty ``repro[serve]`` extra.
+torn epochs, writer trajectory bit-exact vs an offline replay) and the
+kill/restart → bit-exact-resume drill over HTTP.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ import pytest
 from repro.api import (
     InGrassConfig,
     DynamicScenarioConfig,
-    ServerBackendUnavailableError,
     ServerConfig,
     ServerRequestError,
-    SparsifierClient,
     SparsifierHTTPServer,
     SparsifierService,
     build_churn_scenario,
@@ -32,7 +29,7 @@ from repro.api import (
     grid_circuit_2d,
     is_checkpoint,
 )
-from repro.server.app import batch_from_payload, resolve_backend
+from repro.server.app import batch_from_payload
 from repro.server.http import ProtocolError
 from repro.snapshot import SparsifierSnapshot
 
@@ -491,34 +488,6 @@ class TestRestartDrill:
             with pytest.raises(ServerRequestError) as excinfo:
                 client.checkpoint()
             assert excinfo.value.status == 400
-
-
-# --------------------------------------------------------------------------- #
-# Backend seam + configuration
-# --------------------------------------------------------------------------- #
-class TestBackendSeam:
-    def test_asyncio_resolves(self):
-        assert resolve_backend("asyncio") == "asyncio"
-
-    @pytest.mark.parametrize("backend", ["fastapi", "aiohttp"])
-    def test_adapter_backends_fail_actionably(self, backend):
-        with pytest.raises(ServerBackendUnavailableError) as excinfo:
-            resolve_backend(backend)
-        message = str(excinfo.value)
-        assert "repro[serve]" in message or "adapter" in message
-        assert "asyncio" in message
-
-    def test_unknown_backend_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown server backend"):
-            resolve_backend("twisted")
-
-    def test_config_validates_at_construction(self):
-        with pytest.raises(ServerBackendUnavailableError):
-            ServerConfig(backend="fastapi")
-        with pytest.raises(ValueError):
-            ServerConfig(queue_bound=0)
-        with pytest.raises(ValueError):
-            ServerConfig(request_timeout=0.0)
 
 
 # --------------------------------------------------------------------------- #

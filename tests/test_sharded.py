@@ -29,7 +29,7 @@ from repro.core import InGrassConfig, LRDConfig
 from repro.core.filtering import FilterAction, SimilarityFilter
 from repro.core.incremental import InGrassSparsifier
 from repro.core.setup import run_setup
-from repro.core.update import _offtree_candidates, run_kappa_guard, run_removal
+from repro.core.update import KAPPA_GUARD_BATCH, _offtree_candidates, run_kappa_guard, run_removal
 from repro.graphs.generators import grid_circuit_2d
 from repro.graphs.graph import canonical_edge
 from repro.graphs.validation import removals_keep_connected
@@ -450,7 +450,7 @@ class TestMaintenanceAwareGuard:
         # ...and whenever the guard admitted anything in a first round backed
         # by a non-empty local pool, every first-round edge came from it.
         if report.rounds >= 1 and report.added_edges and local_pool:
-            first_round = report.added_edges[: config.kappa_guard_batch]
+            first_round = report.added_edges[:KAPPA_GUARD_BATCH]
             for u, v, _ in first_round:
                 key = (u, v) if u <= v else (v, u)
                 assert key in local_pool, "guard ignored the splice-neighbourhood pool"

@@ -100,8 +100,6 @@ class TestGuardPasses:
         first = guard_kappas(start_driver(stream), stream.batches)
         assert first == guard_kappas(start_driver(stream), stream.batches)
         assert cold_starts and all(np.array_equal(v0, cold_starts[0]) for v0 in cold_starts)
-        fiedler = eigen.fiedler_vector(stream.graph, dense_limit=1)
-        assert np.array_equal(fiedler, eigen.fiedler_vector(stream.graph, dense_limit=1))
 
     def test_reads_leave_the_guard_trajectory_alone(self, stream):
         quiet = start_driver(stream)

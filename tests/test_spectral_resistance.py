@@ -13,10 +13,8 @@ from repro.spectral import (
     ApproxResistanceCalculator,
     ExactResistanceCalculator,
     JLResistanceCalculator,
-    edge_effective_resistances,
     effective_resistance,
     make_resistance_calculator,
-    spectral_distortions,
     tree_path_resistances,
 )
 
@@ -126,17 +124,6 @@ class TestFactoryAndHelpers:
         assert isinstance(make_resistance_calculator(small_grid, "krylov", seed=0), ApproxResistanceCalculator)
         with pytest.raises(ValueError):
             make_resistance_calculator(small_grid, "bogus")
-
-    def test_edge_effective_resistances_modes(self, small_grid):
-        exact = edge_effective_resistances(small_grid, exact=True)
-        approx = edge_effective_resistances(small_grid, exact=False, seed=0)
-        assert exact.shape == approx.shape == (small_grid.num_edges,)
-
-    def test_spectral_distortions(self, small_grid):
-        candidates = [(0, small_grid.num_nodes - 1, 2.0), (0, 1, 2.0)]
-        distortions = spectral_distortions(small_grid, candidates, exact=True)
-        # A long-range edge distorts more than a short-range one of equal weight.
-        assert distortions[0] > distortions[1]
 
 
 class TestTreePathResistance:

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph, UnionFind, connected_components, is_connected, num_connected_components
-from repro.graphs.components import bfs_order, extract_largest_component, largest_component_nodes, spans_graph
-from repro.graphs.generators import cycle_graph, path_graph
+from repro.graphs.generators import path_graph
 
 
 class TestUnionFind:
@@ -105,22 +104,3 @@ class TestComponents:
     def test_isolated_nodes(self):
         graph = Graph(3, [(0, 1, 1.0)])
         assert num_connected_components(graph) == 2
-
-    def test_largest_component(self):
-        graph = Graph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
-        assert largest_component_nodes(graph) == [0, 1, 2]
-        sub = extract_largest_component(graph)
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 2
-        assert is_connected(sub)
-
-    def test_bfs_order_starts_at_source(self):
-        graph = cycle_graph(6)
-        order = bfs_order(graph, source=2)
-        assert order[0] == 2
-        assert len(order) == 6
-
-    def test_spans_graph(self):
-        graph = path_graph(4)
-        assert spans_graph(graph, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        assert not spans_graph(graph, [(0, 1, 1.0), (2, 3, 1.0)])

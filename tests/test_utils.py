@@ -10,15 +10,12 @@ import pytest
 from repro.utils import (
     Timer,
     as_rng,
-    check_edge_weights_positive,
     check_node_index,
     check_positive,
     check_positive_int,
     check_probability,
-    spawn_rngs,
     timed,
 )
-from repro.utils.rng import random_unit_vector
 from repro.utils.timing import time_call
 
 
@@ -34,33 +31,6 @@ class TestRng:
 
     def test_as_rng_none_gives_generator(self):
         assert isinstance(as_rng(None), np.random.Generator)
-
-    def test_spawn_rngs_are_independent(self):
-        children = spawn_rngs(7, 3)
-        assert len(children) == 3
-        draws = [child.integers(0, 10**9) for child in children]
-        assert len(set(draws)) > 1
-
-    def test_spawn_rngs_deterministic(self):
-        first = [g.integers(0, 10**9) for g in spawn_rngs(3, 4)]
-        second = [g.integers(0, 10**9) for g in spawn_rngs(3, 4)]
-        assert first == second
-
-    def test_spawn_rngs_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_random_unit_vector_norm(self):
-        vector = random_unit_vector(50, rng=1)
-        assert np.isclose(np.linalg.norm(vector), 1.0)
-
-    def test_random_unit_vector_orthogonal_to_ones(self):
-        vector = random_unit_vector(64, rng=2, orthogonal_to_ones=True)
-        assert abs(vector.sum()) < 1e-9
-
-    def test_random_unit_vector_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            random_unit_vector(0)
 
 
 class TestTimer:
@@ -136,11 +106,3 @@ class TestValidation:
             check_node_index(5, 5)
         with pytest.raises(TypeError):
             check_node_index(1.5, 5)
-
-    def test_check_edge_weights_positive(self):
-        array = check_edge_weights_positive([1.0, 2.0, 3.0])
-        assert array.shape == (3,)
-        with pytest.raises(ValueError):
-            check_edge_weights_positive([1.0, -2.0])
-        with pytest.raises(ValueError):
-            check_edge_weights_positive([1.0, float("inf")])
