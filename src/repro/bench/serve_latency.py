@@ -181,8 +181,8 @@ def run_serve_latency_bench(*, side: int = 10, batches: int = 12, readers: int =
     reference = fresh_service()
     for batch in scenario.batches:
         reference.apply(batch)
-    reference_sparsifier = dict(reference.driver.sparsifier._edges)
-    reference_graph = dict(reference.driver.graph._edges)
+    reference_sparsifier = {(u, v): w for u, v, w in reference.driver.sparsifier.edge_list()}
+    reference_graph = {(u, v): w for u, v, w in reference.driver.graph.edge_list()}
     reference_epoch = reference.latest_version
 
     half = len(scenario.batches) // 2

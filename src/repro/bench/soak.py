@@ -125,8 +125,8 @@ def run_soak(*, batches: int = 500, events: int = 25_000,
         "zero_full_resetups": uninterrupted["full_resetups"] == 0
                               and restored["full_resetups"] == 0,
         "restore_parity_edges_weights":
-            list(drivers["restored"].sparsifier._edges.items())
-            == list(drivers["uninterrupted"].sparsifier._edges.items()),
+            drivers["restored"].sparsifier.edge_list()
+            == drivers["uninterrupted"].sparsifier.edge_list(),
         # Identical edge maps make the κ computations identical inputs; the
         # tiny slack only covers eigensolver non-determinism across calls.
         "kappa_parity": kappa_delta <= 1e-6 * max(1.0, uninterrupted["kappa_final"]),

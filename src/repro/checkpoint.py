@@ -8,16 +8,18 @@ A checkpoint is a *directory* holding two files:
     runs under exactly the configuration it was saved under), the version
     epoch, the pinned filtering level, the per-iteration history, the
     hierarchy's staleness/version counters, the maintainer's ``extra``
-    blob from ``_checkpoint_runtime_state`` and, per array, its dtype,
-    shape and sha256.
+    blob from ``_checkpoint_runtime_state``, per array its dtype, shape and
+    sha256, and the name of the arrays file.
 
-``arrays.npz``
-    Every array: tracked graph and sparsifier edge lists (**in dict
-    insertion order** — replaying them through ``add_edge_unchecked``
-    reproduces the exact ``_edges`` dicts, which is what makes the
-    restored run's continuation byte-identical, κ history included), the
-    LRD embedding matrix, per-level cluster diameters, and the maintainer's
-    pending splice neighbourhood (arrays prefixed ``extra_``).
+``arrays-<digest>.npz``
+    Every array: tracked graph and sparsifier edge lists (**in edge
+    order** — :meth:`repro.graphs.graph.Graph.from_arrays` adopts them as
+    the restored graphs' slots, which is what makes the restored run's
+    continuation byte-identical, κ history included), the LRD embedding
+    matrix, per-level cluster diameters, and the maintainer's pending
+    splice neighbourhood (arrays prefixed ``extra_``).  The name carries a
+    digest of the manifest's array records, so each state gets its own
+    file.
 
 What is deliberately **not** serialised: the similarity filter's
 cluster-pair map and the resistance embedding. Both are pure functions of
@@ -25,12 +27,28 @@ the state that *is* serialised (sparsifier edges + hierarchy labels) and
 are rebuilt decision-identically on first use — shipping them would only
 add a second source of truth that could drift from the arrays.
 
+A save survives a crash at any point.  Its write order (format 5) is:
+
+1. the arrays go to a temporary file, which is fsynced and renamed to its
+   digest name;
+2. the manifest naming that file goes to a temporary file, which is
+   fsynced;
+3. the manifest is renamed over ``manifest.json`` and the directory is
+   fsynced;
+4. arrays files the manifest no longer names are removed.
+
+Until step 3 the previous manifest and the arrays file it names are
+untouched, so a load after a crash at any point restores either the
+previous epoch or the new one.  A reader that read the previous manifest
+just before the swap can find its arrays file gone (step 4) and gets a
+``ValueError``; it should retry.
+
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (formats 1 to 3 carried configuration
-fields that no longer exist) is rejected the same way.  Every array is
-checked against its manifest record, so arrays that do not belong to the
-manifest (a save torn between the two files) raise instead of restoring.
+newer layout, and an older one (format 4 overwrote one ``arrays.npz`` in
+place; formats 1 to 3 carried configuration fields that no longer exist) is
+rejected the same way.  Every array is checked against its manifest record,
+and an unreadable arrays file raises ``ValueError`` naming the checkpoint.
 Checkpoints contain no timestamps, so saving the same state twice produces
 the same manifest.
 """
@@ -38,8 +56,11 @@ the same manifest.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import asdict, replace
 from typing import Dict, Union
 
@@ -56,31 +77,20 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 _MANIFEST = "manifest.json"
-_ARRAYS = "arrays.npz"
+_ARRAYS_PREFIX = "arrays-"
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 
 def _edge_triplet(graph: Graph, prefix: str) -> dict:
-    """The graph's edges as three parallel arrays, dict insertion order."""
+    """The graph's edges as three parallel arrays, in edge order."""
     us, vs, ws = graph.edge_arrays()
     return {f"{prefix}_us": np.asarray(us, dtype=np.int64),
             f"{prefix}_vs": np.asarray(vs, dtype=np.int64),
             f"{prefix}_ws": np.asarray(ws, dtype=np.float64)}
-
-
-def _rebuild_graph(num_nodes: int, data, prefix: str) -> Graph:
-    """Inverse of :func:`_edge_triplet`: replay edges in saved order."""
-    graph = Graph(int(num_nodes))
-    us = data[f"{prefix}_us"]
-    vs = data[f"{prefix}_vs"]
-    ws = data[f"{prefix}_ws"]
-    for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
-        graph.add_edge_unchecked(u, v, w)
-    return graph
 
 
 def _array_record(array: np.ndarray) -> dict:
@@ -96,24 +106,51 @@ def _array_record(array: np.ndarray) -> dict:
 
 def _load_arrays(path: PathLike, manifest: dict) -> Dict[str, np.ndarray]:
     """Every array of the checkpoint, each verified against its manifest record."""
-    with np.load(os.path.join(path, _ARRAYS)) as data:
-        arrays = {name: data[name] for name in data.files}
+    name = os.path.basename(str(manifest.get("arrays_file", "")))
+    try:
+        with np.load(os.path.join(path, name)) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"checkpoint at {path}: arrays file {name!r} is unreadable ({exc})") from exc
     records = manifest["arrays"]
-    for name in sorted(set(records) | set(arrays)):
-        if name not in arrays or name not in records or _array_record(arrays[name]) != records[name]:
-            raise ValueError(f"checkpoint at {path}: array {name!r} does not match the manifest "
+    for key in sorted(set(records) | set(arrays)):
+        if key not in arrays or key not in records or _array_record(arrays[key]) != records[key]:
+            raise ValueError(f"checkpoint at {path}: array {key!r} does not match the manifest "
                              "(torn or foreign arrays file)")
     return arrays
+
+
+def _write_durably(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file, fsync it and rename it to ``path``."""
+    staging = path + ".tmp"
+    descriptor = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(descriptor, view):]
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+    os.replace(staging, path)
+
+
+def _fsync_directory(path: PathLike) -> None:
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
     """Write ``driver``'s full state to the directory ``path``.
 
-    ``path`` is created if missing; an existing checkpoint there is
-    overwritten atomically enough for the single-writer use case (manifest
-    last, so a torn write leaves a manifest whose array records do not
-    match the arrays file, and loading raises rather than restoring
-    silently wrong state).
+    ``path`` is created if missing.  An existing checkpoint there is
+    replaced in the crash-safe write order of the module docstring: a
+    restore after a crash at any point sees either the previous checkpoint
+    or the new one.  A reader running while a save completes may get a
+    ``ValueError`` (the arrays file its manifest named was removed in step
+    4) and should retry.
     """
     driver._require_setup()
     assert driver._graph is not None and driver._sparsifier is not None
@@ -131,6 +168,9 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
     for name, array in extra_arrays.items():
         arrays[f"extra_{name}"] = array
 
+    records = {name: _array_record(array) for name, array in arrays.items()}
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    arrays_file = f"{_ARRAYS_PREFIX}{digest[:16]}.npz"
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "driver_class": type(driver).__name__,
@@ -155,21 +195,23 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
             "inflation_ceiling": hierarchy_state["inflation_ceiling"],
         },
         "extra": extra,
-        "arrays": {name: _array_record(array) for name, array in arrays.items()},
+        "arrays": records,
+        "arrays_file": arrays_file,
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
     os.makedirs(path, exist_ok=True)
-    np.savez_compressed(os.path.join(path, _ARRAYS), **arrays)
-    # Manifest last, and atomically (write-then-rename): the HTTP server
-    # saves into a directory other processes may be inspecting or restoring
-    # from concurrently — a reader must see either the previous complete
-    # checkpoint or the new one, never a torn manifest.
-    manifest_path = os.path.join(path, _MANIFEST)
-    staging_path = manifest_path + ".tmp"
-    with open(staging_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(staging_path, manifest_path)
+    # The HTTP server saves into a directory other processes may be
+    # inspecting or restoring from concurrently: until the manifest swap,
+    # the previous manifest and the arrays file it names stay untouched.
+    archive = io.BytesIO()
+    np.savez_compressed(archive, **arrays)
+    _write_durably(os.path.join(path, arrays_file), archive.getvalue())
+    _write_durably(os.path.join(path, _MANIFEST), text.encode())
+    _fsync_directory(path)
+    for stale in os.listdir(path):
+        if stale.startswith(_ARRAYS_PREFIX) and stale != arrays_file:
+            os.remove(os.path.join(path, stale))
     logger.info(
         "checkpoint saved to %s (version epoch %d, %d sparsifier edges)",
         path, manifest["version"], int(arrays["sp_us"].shape[0]),
@@ -227,7 +269,7 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     """Rebuild a driver from the checkpoint directory ``path``.
 
     The restored driver continues byte-identically to the saved one: graphs
-    are replayed in saved edge order (dict order preserved), the hierarchy
+    adopt the saved edge arrays in order as their slots, the hierarchy
     is rebuilt from its level arrays with every staleness counter restored,
     and the ``extra`` state (maintainer counters, pending splices) lands
     through ``_restore_runtime_state``.  No LRD re-run.
@@ -238,8 +280,8 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
 
     data = _load_arrays(path, manifest)
     num_nodes = int(manifest["num_nodes"])
-    graph = _rebuild_graph(num_nodes, data, "graph")
-    sparsifier = _rebuild_graph(num_nodes, data, "sp")
+    graph, sparsifier = (Graph.from_arrays(num_nodes, data[f"{prefix}_us"], data[f"{prefix}_vs"],
+                                           data[f"{prefix}_ws"]) for prefix in ("graph", "sp"))
     hier = manifest["hierarchy"]
     diameters = [data[f"hier_diam_{index}"]
                  for index in range(int(hier["num_levels"]))]

@@ -6,6 +6,7 @@ benchmark, the HTTP server and the checkpoint tools::
     python -m repro bench gate --no-check          # unified CI gate runner
     python -m repro bench churn --quick            # churn benchmark
     python -m repro bench soak --output soak.json  # nightly soak
+    python -m repro bench compare --base A --head B --workload serve-mixed  # paired A/B
     python -m repro serve --port 8752              # HTTP server
     python -m repro bench --list                   # every registered bench
 """
@@ -25,6 +26,7 @@ _BENCH_MODULES: Dict[str, str] = {
     "batch": "repro.bench.batch",
     "baseline": "repro.bench.baseline",
     "churn-maintenance": "repro.bench.churn_maintenance",
+    "compare": "repro.bench.compare",
     "serve-latency": "repro.bench.serve_latency",
     "table1": "repro.bench.table1",
     "table2": "repro.bench.table2",
@@ -139,7 +141,7 @@ def _run_checkpoint(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro checkpoint",
         description="Save, restore, or inspect sparsifier checkpoints "
-                    "(versioned manifest.json + arrays.npz directories).")
+                    "(versioned manifest.json + arrays-<digest>.npz directories).")
     sub = parser.add_subparsers(dest="action", required=True)
 
     info = sub.add_parser("info", help="summarise a checkpoint without loading it")

@@ -398,12 +398,8 @@ class SimilarityFilter:
         edges = sorted(self._intra_cluster_edges.get(cluster, {}))
         if not edges:
             return
-        # Keys in the bucket are canonical, so the weights can be gathered
-        # straight from the edge map (same floats as ``Graph.weight``,
-        # without its per-call canonicalisation/validation overhead).
-        edge_map = self._sparsifier._edges
-        current_weights = np.fromiter((edge_map[edge] for edge in edges),
-                                      dtype=float, count=len(edges))
+        # Keys in the bucket are canonical, so the weights are one gather.
+        current_weights = self._sparsifier.edge_weights(edges)
         total = current_weights.sum()
         if total <= 0:
             return
@@ -561,12 +557,11 @@ class SimilarityFilter:
         spread_clusters: set = set()
         merge_clusters: set = set()
         if intra_idx.size:
-            sparsifier_edges = sparsifier._edges  # membership probes only
             for e, p, q, weight, cluster in zip(intra_idx.tolist(), us[intra_idx].tolist(),
                                                 vs[intra_idx].tolist(), ws[intra_idx].tolist(),
                                                 lo[intra_idx].tolist()):
                 key = (p, q) if p <= q else (q, p)
-                if key in sparsifier_edges:
+                if sparsifier.has_edge(p, q):
                     intra_ops.append(("merge", cluster, key, weight))
                     merge_clusters.add(cluster)
                     actions[e] = _MERGED

@@ -269,9 +269,9 @@ class InGrassSparsifier:
         """Persist the driver's full state to ``path`` (a directory).
 
         The checkpoint is a versioned, self-describing artifact —
-        ``manifest.json`` plus ``arrays.npz`` — from which
+        ``manifest.json`` plus an arrays file — from which
         :meth:`load_checkpoint` rebuilds a driver whose continuation is
-        byte-identical to this one's (same sparsifier edge dict including
+        byte-identical to this one's (same sparsifier edges including
         insertion order, same filter decisions, same κ trajectory).  See
         :mod:`repro.checkpoint` for the format contract.
         """

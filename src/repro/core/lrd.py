@@ -100,14 +100,28 @@ def _contract_level(state: _ContractionState, edge_resistances: np.ndarray,
     return labels, cluster_diameters, merges
 
 
-def _build_quotient(current: Graph, labels: np.ndarray, num_clusters: int) -> Graph:
-    """Contract clusters into supernodes, merging parallel edges by weight sum (S3)."""
-    quotient = Graph(num_clusters)
-    for u, v, w in current.weighted_edges():
-        cu, cv = int(labels[u]), int(labels[v])
-        if cu != cv:
-            quotient.add_edge(cu, cv, w, merge="add")
-    return quotient
+def _quotient(graph: Graph, labels: np.ndarray, num_clusters: int) -> Graph:
+    """Contract clusters into supernodes, merging parallel edges by weight sum (S3).
+
+    Parallel edges are merged with ``np.add.at`` — its unbuffered sequential
+    adds reproduce an ``add_edge(merge="add")`` loop's accumulation order
+    exactly — and the quotient's edges are laid out in first-occurrence
+    order, so the stable contraction argsort sees that loop's tie-break
+    order too.
+    """
+    us, vs, ws = graph.edge_arrays()
+    cluster_us = labels[us]
+    cluster_vs = labels[vs]
+    cross = cluster_us != cluster_vs
+    lo = np.minimum(cluster_us[cross], cluster_vs[cross])
+    hi = np.maximum(cluster_us[cross], cluster_vs[cross])
+    _, first_positions, inverse = np.unique(lo * np.int64(num_clusters) + hi,
+                                            return_index=True, return_inverse=True)
+    merged = np.zeros(first_positions.shape[0])
+    np.add.at(merged, inverse, ws[cross])
+    order = np.argsort(first_positions, kind="stable")
+    firsts = first_positions[order]
+    return Graph.from_arrays(num_clusters, lo[firsts], hi[firsts], merged[order])
 
 
 def _initial_threshold(graph: Graph, config: LRDConfig) -> float:
@@ -123,36 +137,6 @@ def _initial_threshold(graph: Graph, config: LRDConfig) -> float:
 # --------------------------------------------------------------------------- #
 # Localized re-decomposition (maintenance support)
 # --------------------------------------------------------------------------- #
-def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Tuple[Graph, np.ndarray]:
-    """Return the subgraph induced by ``nodes`` plus the original-id mapping.
-
-    The subgraph relabels ``nodes`` to ``0 .. k-1`` (in input order); the
-    returned array maps local ids back to the original ones.  Only edges with
-    *both* endpoints inside ``nodes`` are kept, so by Rayleigh monotonicity
-    every effective resistance measured on the subgraph upper-bounds the
-    resistance between the same nodes in the full graph.
-
-    The adjacency structures are filled directly (the inputs come from a
-    validated :class:`Graph`, re-validating every edge would dominate the
-    maintenance layer's splice cost).
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    local = {int(node): index for index, node in enumerate(nodes.tolist())}
-    sub = Graph(nodes.shape[0])
-    edge_map = sub._edges
-    adjacency = sub._adjacency
-    source_adjacency = graph._adjacency
-    for node, index in local.items():
-        for neighbor, weight in source_adjacency[node].items():
-            other = local.get(int(neighbor))
-            if other is not None and index < other:
-                edge_map[(index, other)] = weight
-                adjacency[index][other] = weight
-                adjacency[other][index] = weight
-    sub._invalidate_views()
-    return sub, nodes
-
-
 def _tree_diameter_bound_csr(adjacency) -> float:
     """Resistance-diameter upper bound via a minimum-resistance spanning tree.
 
@@ -260,7 +244,7 @@ def cluster_diameter_bound(graph: Graph, nodes: np.ndarray, *, exact_limit: int 
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.shape[0] <= 1:
         return 0.0
-    subgraph, _ = induced_subgraph(graph, nodes)
+    subgraph = graph.induced_subgraph(nodes)
     components = _local_components(subgraph)
     if len(components) != 1:
         raise ValueError(
@@ -376,7 +360,7 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
         return [], []
     if nodes.shape[0] == 1:
         return [nodes], [0.0]
-    subgraph, mapping = induced_subgraph(sparsifier, nodes)
+    subgraph = sparsifier.induced_subgraph(nodes)
 
     if atoms is None:
         atom_labels = np.arange(nodes.shape[0], dtype=np.int64)
@@ -391,36 +375,9 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
                 raise ValueError("atom_diameters must align with the unique atom labels")
 
     # Quotient of the induced subgraph by the atoms (S3 of the fresh
-    # decomposition), so contraction happens between atomic units.  Parallel
-    # edges are merged with ``np.add.at`` — its unbuffered sequential adds
-    # reproduce the scalar ``merge="add"`` accumulation order exactly — and
-    # the quotient's edge dict is filled in first-occurrence order so the
-    # stable contraction argsort sees the same tie-break order as before.
+    # decomposition), so contraction happens between atomic units.
     num_atoms = int(atom_labels.max()) + 1
-    quotient = Graph(num_atoms)
-    sub_us, sub_vs, sub_ws = subgraph.edge_arrays()
-    atom_us = atom_labels[sub_us]
-    atom_vs = atom_labels[sub_vs]
-    cross = atom_us != atom_vs
-    if np.any(cross):
-        lo = np.minimum(atom_us[cross], atom_vs[cross])
-        hi = np.maximum(atom_us[cross], atom_vs[cross])
-        cross_ws = sub_ws[cross]
-        keys = lo * np.int64(num_atoms) + hi
-        _, first_positions, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        merged = np.zeros(first_positions.shape[0])
-        np.add.at(merged, inverse, cross_ws)
-        order = np.argsort(first_positions, kind="stable")
-        edge_map = quotient._edges
-        adjacency = quotient._adjacency
-        for position in order.tolist():
-            edge_position = int(first_positions[position])
-            qu, qv = int(lo[edge_position]), int(hi[edge_position])
-            weight = float(merged[position])
-            edge_map[(qu, qv)] = weight
-            adjacency[qu][qv] = weight
-            adjacency[qv][qu] = weight
-        quotient._invalidate_views()
+    quotient = _quotient(subgraph, atom_labels, num_atoms)
 
     # The quotient is disconnected exactly when the cluster interior was torn
     # apart — the solver-backed estimators need connectivity, so fall back to
@@ -456,7 +413,7 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
     node_groups = group_labels[atom_labels]
     num_groups = int(group_labels.max()) + 1 if group_labels.size else 0
     local_fragments = [np.flatnonzero(node_groups == group) for group in range(num_groups)]
-    fragments = [np.sort(mapping[members]) for members in local_fragments]
+    fragments = [np.sort(nodes[members]) for members in local_fragments]
     diameters = fragment_diameters(subgraph, local_fragments, EXACT_DIAMETER_LIMIT)
     order = sorted(range(len(fragments)), key=lambda index: len(fragments[index]), reverse=True)
     return [fragments[index] for index in order], [diameters[index] for index in order]
@@ -516,7 +473,7 @@ def lrd_decompose(sparsifier: Graph, config: Optional[LRDConfig] = None) -> Clus
                 diameter_threshold=threshold / config.growth_factor,
             )
         )
-        quotient = _build_quotient(state.graph, labels, num_clusters)
+        quotient = _quotient(state.graph, labels, num_clusters)
         state = _ContractionState(
             graph=quotient,
             node_labels=original_labels.astype(np.int64),
@@ -542,7 +499,7 @@ def lrd_decompose(sparsifier: Graph, config: Optional[LRDConfig] = None) -> Clus
     if coarsest.num_clusters > 1:
         remaining = state.graph
         if remaining.num_edges:
-            extra = float(np.sum(1.0 / np.array([w for _, _, w in remaining.weighted_edges()])))
+            extra = float(np.sum(1.0 / remaining.edge_arrays()[2]))
         else:
             extra = 0.0
         top_diameter = float(coarsest.cluster_diameters.sum() + extra)

@@ -239,9 +239,8 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "Remov
     pick a representative that a later request removes, so remove/notify/
     re-home must interleave exactly as written — but everything derivable
     up front is batched: cluster pairs come from one vectorised label
-    gather (labels never change during the drop stage), and the graph/
-    filter mutations are inlined dict operations with a single view
-    invalidation for the whole stage instead of one per removal.
+    gather (labels never change during the drop stage), and the filter
+    unregister is inlined.
     """
     keys = result.requested
     if not keys:
@@ -255,57 +254,51 @@ def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "Remov
     qs = np.maximum(cluster_us, cluster_vs).tolist()
     physicals = [graph_weights.get(key) for key in keys]
 
-    edge_map = sparsifier._edges
-    adjacency = sparsifier._adjacency
+    pop_edge = sparsifier.pop_edge
     intra = similarity_filter._intra_cluster_edges
     connectivity = similarity_filter._connectivity
     hierarchy = setup.hierarchy
     removed_append = result.removed_from_sparsifier.append
     reassigned_total = 0.0
     discarded_total = 0.0
-    try:
-        for key, p, q, physical in zip(keys, ps, qs, physicals):
-            weight = edge_map.pop(key, None)
-            if weight is None:
-                continue
-            u, v = key
-            del adjacency[u][v]
-            del adjacency[v][u]
-            # Inlined filter unregister (a no-op for an unregistered edge).
+    for key, p, q, physical in zip(keys, ps, qs, physicals):
+        u, v = key
+        weight = pop_edge(u, v)
+        if weight is None:
+            continue
+        # Inlined filter unregister (a no-op for an unregistered edge).
+        if p == q:
+            bucket = intra.get(p)
+            if bucket is not None:
+                bucket.pop(key, None)
+                if not bucket:
+                    del intra[p]
+        else:
+            bucket = connectivity.get((p, q))
+            if bucket is not None:
+                bucket.pop(key, None)
+                if not bucket:
+                    del connectivity[(p, q)]
+        if inflate:
+            result.inflated_levels += hierarchy.note_edge_removed(u, v)
+        removed_append((u, v, weight))
+        if physical is not None and weight > physical:
+            excess = weight - physical
+            # Inlined reassign_weight with the precomputed cluster pair.
             if p == q:
-                bucket = intra.get(p)
-                if bucket is not None:
-                    bucket.pop(key, None)
-                    if not bucket:
-                        del intra[p]
+                if intra.get(p):
+                    similarity_filter._redistribute_weight(p, excess)
+                    reassigned_total += excess
+                else:
+                    discarded_total += excess
             else:
                 bucket = connectivity.get((p, q))
-                if bucket is not None:
-                    bucket.pop(key, None)
-                    if not bucket:
-                        del connectivity[(p, q)]
-            if inflate:
-                result.inflated_levels += hierarchy.note_edge_removed(u, v)
-            removed_append((u, v, weight))
-            if physical is not None and weight > physical:
-                excess = weight - physical
-                # Inlined reassign_weight with the precomputed cluster pair.
-                if p == q:
-                    if intra.get(p):
-                        similarity_filter._redistribute_weight(p, excess)
-                        reassigned_total += excess
-                    else:
-                        discarded_total += excess
+                if bucket:
+                    rep_u, rep_v = min(bucket)
+                    sparsifier.increase_weight(rep_u, rep_v, excess)
+                    reassigned_total += excess
                 else:
-                    bucket = connectivity.get((p, q))
-                    if bucket:
-                        rep_u, rep_v = min(bucket)
-                        sparsifier.increase_weight(rep_u, rep_v, excess)
-                        reassigned_total += excess
-                    else:
-                        discarded_total += excess
-    finally:
-        sparsifier._invalidate_views()
+                    discarded_total += excess
     result.reassigned_weight = reassigned_total
     result.discarded_weight = discarded_total
 

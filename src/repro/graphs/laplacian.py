@@ -1,27 +1,29 @@
 """Laplacian and related matrix constructions.
 
-Most algorithms in the library operate on scipy CSR matrices built from a
-:class:`repro.graphs.Graph`.  This module gathers the matrix builders plus the
-grounding transformation that the spectral solvers and condition-number
-routines rely on.
+:func:`laplacian_from_edges` is the package's one Laplacian builder:
+:meth:`repro.graphs.Graph.laplacian_matrix`, a snapshot's PCG matvec and every
+:class:`~repro.spectral.solvers.GroundedSolver` factorisation go through it,
+straight from a graph's edge arrays.  :func:`grounded_laplacian` is the
+grounding step the solvers and the condition-number routines apply to it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graphs.graph import Graph
+if TYPE_CHECKING:  # pragma: no cover - typing only (graph.py imports this module)
+    from repro.graphs.graph import Graph
 
 
-def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
+def adjacency_matrix(graph: "Graph") -> sp.csr_matrix:
     """Return the symmetric weighted adjacency matrix of ``graph``."""
     return graph.adjacency_matrix()
 
 
-def laplacian_matrix(graph: Graph) -> sp.csr_matrix:
+def laplacian_matrix(graph: "Graph") -> sp.csr_matrix:
     """Return the combinatorial Laplacian ``L = D - A`` of ``graph``."""
     return graph.laplacian_matrix()
 
@@ -32,39 +34,48 @@ def laplacian_from_edges(
     vs: Sequence[int],
     weights: Sequence[float],
 ) -> sp.csr_matrix:
-    """Build a Laplacian directly from edge arrays without a :class:`Graph`.
+    """Build the Laplacian ``L = D - A`` in CSR form directly from edge arrays.
 
-    Repeated edges simply accumulate, matching the parallel-conductor
-    convention used by :class:`Graph`.
+    The floats are fixed by construction: ``A`` is the canonical CSR of both
+    orientations of every edge, each degree is the row sum scipy computes on
+    that CSR (in column order), and ``L`` is assembled from ``-A``'s entries
+    plus the non-zero degrees without further arithmetic.  So ``L`` holds
+    exactly ``-w`` off the diagonal and ``deg`` on it, with sorted indices —
+    the same bits as ``diags(deg) - A``.  Repeated edges accumulate, matching
+    the parallel-conductor convention used by :class:`Graph`.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
     if not (us.shape == vs.shape == weights.shape):
         raise ValueError("us, vs and weights must have the same length")
-    rows = np.concatenate([us, vs, us, vs])
-    cols = np.concatenate([vs, us, us, vs])
-    vals = np.concatenate([-weights, -weights, weights, weights])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(num_nodes, num_nodes))
+    shape = (num_nodes, num_nodes)
+    adjacency = sp.csr_matrix((np.concatenate([weights, weights]),
+                               (np.concatenate([us, vs]), np.concatenate([vs, us]))), shape=shape)
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    rows = np.repeat(np.arange(num_nodes), np.diff(adjacency.indptr))
+    loaded = np.flatnonzero(degrees)
+    return sp.csr_matrix((np.concatenate([-adjacency.data, degrees[loaded]]),
+                          (np.concatenate([rows, loaded]),
+                           np.concatenate([adjacency.indices, loaded]))), shape=shape)
 
 
 def grounded_laplacian(
     laplacian: sp.spmatrix, ground: int = 0
 ) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Remove row/column ``ground`` from a Laplacian.
+    """Remove row/column 0 from a Laplacian.
 
     Grounding one node of a connected graph turns the singular Laplacian into
     a symmetric positive-definite matrix; the second return value maps reduced
-    indices back to the original node numbering.
+    indices back to the original node numbering.  Every solver grounds node
+    0, so ``ground`` must be 0; the reduction is a ``[1:, 1:]`` slice.
     """
     n = laplacian.shape[0]
     if n == 0:
         raise ValueError("cannot ground an empty Laplacian")
-    if ground < 0 or ground >= n:
-        raise ValueError(f"ground node {ground} out of range for size {n}")
-    keep = np.array([i for i in range(n) if i != ground], dtype=np.int64)
-    reduced = sp.csr_matrix(laplacian)[keep][:, keep]
-    return reduced.tocsr(), keep
+    if ground != 0:
+        raise ValueError(f"only node 0 can be grounded, got {ground}")
+    return sp.csr_matrix(laplacian)[1:, 1:], np.arange(1, n, dtype=np.int64)
 
 
 def is_laplacian(matrix: sp.spmatrix, tol: float = 1e-9) -> bool:

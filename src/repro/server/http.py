@@ -14,6 +14,8 @@ Scope is deliberately small and explicit:
   request bodies);
 * hard limits on header block and body size, enforced *before* buffering
   (an oversized body is never read into memory);
+* a strict ``Content-Length``: ASCII digits only, and repeated headers must
+  agree (RFC 9110 §8.6, RFC 9112 §6.3);
 * ``keep-alive`` by default (HTTP/1.1 semantics), ``Connection: close``
   honoured both ways;
 * every parse failure raises :class:`ProtocolError` carrying the exact
@@ -114,7 +116,7 @@ async def read_request(reader: asyncio.StreamReader, *,
         raise ProtocolError(400, "undecodable request head") from exc
     lines = head.split("\r\n")
     parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+    if len(parts) != 3 or not parts[0] or not parts[1] or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(400, f"malformed request line: {lines[0]!r}")
     method, target, _version = parts
 
@@ -123,9 +125,14 @@ async def read_request(reader: asyncio.StreamReader, *,
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
+        name = name.strip().lower()
+        if not sep or not name:
             raise ProtocolError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        value = value.strip(" \t")
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 §6.3: differing lengths make the framing ambiguous.
+            raise ProtocolError(400, "conflicting Content-Length headers")
+        headers[name] = value
 
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise ProtocolError(501, "chunked request bodies are not supported")
@@ -133,12 +140,11 @@ async def read_request(reader: asyncio.StreamReader, *,
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
-        try:
-            length = int(length_header)
-        except ValueError as exc:
-            raise ProtocolError(400, f"invalid Content-Length: {length_header!r}") from exc
-        if length < 0:
+        # RFC 9110 §8.6: digits only (int() would also take "+3" or "1_0").
+        if not (length_header.isascii() and length_header.isdigit()):
             raise ProtocolError(400, f"invalid Content-Length: {length_header!r}")
+        digits = length_header.lstrip("0") or "0"
+        length = int(digits) if len(digits) <= 18 else max_body_bytes + 1
         if length > max_body_bytes:
             raise ProtocolError(413, f"body of {length} bytes exceeds the "
                                      f"{max_body_bytes}-byte limit")
@@ -148,7 +154,10 @@ async def read_request(reader: asyncio.StreamReader, *,
             except asyncio.IncompleteReadError as exc:
                 raise ProtocolError(400, "connection closed mid-body") from exc
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unbalanced IPv6 bracket
+        raise ProtocolError(400, f"malformed request target: {target!r}") from exc
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     return HttpRequest(method=method.upper(), path=split.path or "/",
                        query=query, headers=headers, body=body)

@@ -11,21 +11,29 @@ Capture is O(1) and copy-free on the hot path:
 
 * the tracked graph and the sparsifier are captured as their cached
   canonical edge arrays (:meth:`repro.graphs.graph.Graph.edge_arrays`).
-  Those arrays are **immutable by construction** — the graph never writes
-  them in place, it rebuilds fresh arrays after a mutation — so holding a
-  reference *is* a copy-on-write share: the writer's next mutation leaves
-  the snapshot's buffers untouched;
+  Those arrays are **immutable by construction** — they are a compaction of
+  the graph's slot arrays that the graph never writes, dropping its
+  reference on the next mutation — so holding a reference *is* a
+  copy-on-write share: the writer's next mutation leaves the snapshot's
+  buffers untouched.  After a write, capturing costs one numpy compaction
+  per graph;
 * the LRD hierarchy state (embedding labels, cluster diameters) is exported
   through :meth:`repro.core.hierarchy.ClusterHierarchy.export_state`, whose
   copy-on-write contract makes the live hierarchy detach onto fresh buffers
   before its first post-snapshot mutation;
 * the similarity-filter state is summarised into a plain dict (counts only).
 
-Everything heavier — the :class:`~repro.graphs.graph.FrozenGraph`
-materialisation, one Laplacian factorisation per graph — is built lazily on
-first query, per snapshot, under a snapshot-local lock, and shared by every
-query kind: resistances, PCG solves and κ.  Readers therefore never hold a
-lock that the update pipeline contends on.
+The first query pays one Laplacian factorisation per graph, assembled
+straight from the captured arrays
+(:func:`repro.graphs.laplacian.laplacian_from_edges`) and shared by every
+query kind: resistances, PCG solves and κ.  :attr:`SparsifierSnapshot.graph`
+and :attr:`SparsifierSnapshot.sparsifier` are
+:class:`~repro.graphs.graph.FrozenGraph` views over the same arrays, built in
+O(1); their key index and adjacency dictionaries are built only if a caller
+asks a dictionary question (``neighbors``, ``weight``, ...), which no
+resistance, PCG or κ query does.  Lazy artifacts are built under a
+snapshot-local lock, so readers never hold a lock that the update pipeline
+contends on.
 """
 
 from __future__ import annotations
@@ -73,10 +81,9 @@ class SparsifierSnapshot:
         self._filter_summary = dict(filter_summary) if filter_summary is not None else None
         self._config = config
         self._target_condition = target_condition_number
-        # Lazily materialised heavy artifacts, guarded by a snapshot-local
-        # lock (readers of the *same* snapshot serialise on first build only).
-        # Re-entrant: building one artifact (a factorisation) materialises
-        # others (the frozen graphs) under the same lock.
+        # Lazily built artifacts, guarded by a snapshot-local lock (readers
+        # of the *same* snapshot serialise on first build only).  Re-entrant:
+        # building a factorisation builds a frozen view under the same lock.
         self._lock = threading.RLock()
         self._graph: Optional[FrozenGraph] = None
         self._sparsifier: Optional[FrozenGraph] = None
@@ -90,9 +97,9 @@ class SparsifierSnapshot:
     def capture(cls, driver: "InGrassSparsifier") -> "SparsifierSnapshot":
         """Capture the driver's current state as a snapshot — O(1) amortised.
 
-        The only non-constant term is materialising the graphs' cached edge
-        arrays when the writer just mutated (one O(m) pass the writer would
-        pay anyway on its next spectral operation); no adjacency dict, CSR
+        The only non-constant term is compacting the graphs' edge arrays
+        when the writer just mutated (one numpy pass the writer would pay
+        anyway on its next spectral operation); no adjacency dict, CSR
         matrix or numpy buffer is deep-copied.
 
         Not safe to run concurrently with a mutating call on ``driver`` —
@@ -177,7 +184,8 @@ class SparsifierSnapshot:
     def graph(self) -> FrozenGraph:
         """The tracked graph ``G`` at this epoch, as an immutable graph.
 
-        Materialised once per snapshot on first access; mutating it raises
+        An O(1) view over the captured arrays, built once per snapshot on
+        first access; mutating it raises
         :class:`~repro.graphs.graph.FrozenGraphError` (use ``.copy()`` for a
         mutable clone).
         """

@@ -101,8 +101,8 @@ def _use_dense(num_nodes: int, dense_limit: int) -> bool:
 
 def _reduced_pencil(graph: Graph, sparsifier: Graph) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
     """Return the grounded (SPD) pencil matrices ``(A, B)`` for ``(L_G, L_H)``."""
-    reduced_g, _ = grounded_laplacian(graph.laplacian_matrix(), ground=0)
-    reduced_h, _ = grounded_laplacian(sparsifier.laplacian_matrix(), ground=0)
+    reduced_g, _ = grounded_laplacian(graph.laplacian_matrix())
+    reduced_h, _ = grounded_laplacian(sparsifier.laplacian_matrix())
     return reduced_g, reduced_h
 
 

@@ -33,13 +33,30 @@ def project_out_constant(vector: np.ndarray) -> np.ndarray:
     return vector - vector.mean()
 
 
+#: Absolute diagonal shift of every grounded factorisation.  It guards
+#: against numerically singular reductions when the graph is *nearly*
+#: disconnected, and being the same for every solver, resistances, PCG and κ
+#: all see one matrix per graph.
+DIAGONAL_SHIFT = 1e-12
+
+
+def _shifted_csc(reduced: sp.csr_matrix, shift: float) -> sp.csc_matrix:
+    """``reduced + shift * I`` in CSC form, bit for bit what adding a scaled
+    identity gives: each stored diagonal entry becomes ``d + shift`` (in
+    place, as every row of a connected graph's grounded Laplacian has one),
+    a missing one ``shift``."""
+    shifted = reduced.copy()
+    shifted.setdiag(reduced.diagonal() + shift)
+    return shifted.tocsc()
+
+
 class GroundedSolver:
     """Direct solver for ``L x = b`` on a connected graph via grounding.
 
-    Row and column ``ground`` are removed, the reduced SPD system is
-    factorised once with ``splu``, and solutions are re-expanded with the
-    grounded entry set to zero before being re-centred to have zero mean —
-    i.e. the solver returns the minimum-norm (pseudo-inverse) solution.
+    Row and column 0 are removed, the reduced SPD system is factorised once
+    with ``splu``, and solutions are re-expanded with the grounded entry set
+    to zero before being re-centred to have zero mean — i.e. the solver
+    returns the minimum-norm (pseudo-inverse) solution.
 
     The reduced system is SPD, so SuperLU runs in symmetric mode: a minimum
     degree ordering of ``A + Aᵀ`` and no pivoting.  On the ``g2_circuit``
@@ -48,20 +65,15 @@ class GroundedSolver:
     ``splu`` call; the condition-number code factors through it too.
     """
 
-    def __init__(self, laplacian: sp.spmatrix, ground: int = 0) -> None:
+    def __init__(self, laplacian: sp.spmatrix) -> None:
         laplacian = sp.csr_matrix(laplacian)
         self._n = laplacian.shape[0]
         if self._n < 2:
             raise ValueError("GroundedSolver requires at least two nodes")
-        reduced, keep = grounded_laplacian(laplacian, ground=ground)
+        reduced, keep = grounded_laplacian(laplacian)
         self._keep = keep
-        self._ground = ground
         self._reduced = reduced
-        # A tiny diagonal shift guards against numerically singular reductions
-        # that arise when the graph is *nearly* disconnected.  It is absolute
-        # and the same for every solver, so resistances, PCG and κ all see
-        # one matrix per graph.
-        self._lu = spla.splu(sp.csc_matrix(reduced + 1e-12 * sp.identity(reduced.shape[0])),
+        self._lu = spla.splu(_shifted_csc(reduced, DIAGONAL_SHIFT),
                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
 
@@ -79,9 +91,10 @@ class GroundedSolver:
         return self._lu.solve(np.asarray(b, dtype=float))
 
     @classmethod
-    def from_graph(cls, graph: Graph, ground: int = 0) -> "GroundedSolver":
-        """Build a solver from a :class:`Graph`."""
-        return cls(graph.laplacian_matrix(), ground=ground)
+    def from_graph(cls, graph: Graph) -> "GroundedSolver":
+        """Build a solver from a :class:`Graph`'s edge arrays
+        (:meth:`~repro.graphs.graph.Graph.laplacian_matrix`)."""
+        return cls(graph.laplacian_matrix())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return the zero-mean solution of ``L x = b``.

@@ -279,7 +279,6 @@ def _locality_biased_edges_vectorized(graph: Graph, count: int, *, hops: int, rn
     n = graph.num_nodes
     sample_weight = _weight_sampler(graph, rng)
     edges: List[WeightedEdge] = []
-    graph_edges = graph._edges  # membership probes only
     while len(edges) < count:
         want = count - len(edges)
         batch = max(2 * want, 1024)
@@ -312,7 +311,7 @@ def _locality_biased_edges_vectorized(graph: Graph, count: int, *, hops: int, rn
         weights = sample_weight(candidates.size)
         for offset, index in enumerate(candidates.tolist()):
             key = (int(lo[index]), int(hi[index]))
-            if key in taken or key in graph_edges:
+            if key in taken or key in graph:
                 continue
             taken.add(key)
             edges.append((key[0], key[1], float(weights[offset])))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -84,8 +85,8 @@ def history_fingerprint(driver):
 def fingerprint(driver):
     """Everything the byte-identical-continuation contract promises."""
     return {
-        "sparsifier": list(driver.sparsifier._edges.items()),
-        "graph": list(driver.graph._edges.items()),
+        "sparsifier": driver.sparsifier.edge_list(),
+        "graph": driver.graph.edge_list(),
         "version": driver.latest_version,
         "history": history_fingerprint(driver),
         "kappa": driver.condition_number(dense_limit=DENSE_LIMIT),
@@ -112,8 +113,8 @@ driver = load_checkpoint({str(path)!r})
 for batch in scenario.batches[{start}:]:
     driver.update(batch)
 print(json.dumps({{
-    "sparsifier": list(driver.sparsifier._edges.items()),
-    "graph": list(driver.graph._edges.items()),
+    "sparsifier": driver.sparsifier.edge_list(),
+    "graph": driver.graph.edge_list(),
     "version": driver.latest_version,
     "history": [[getattr(r, name) for name in {HISTORY_FIELDS!r}] for r in driver.history],
     "kappa": driver.condition_number(dense_limit={DENSE_LIMIT}),
@@ -232,36 +233,14 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # A newer layout, and the older formats 1 to 3 (whose configs
-        # carried fields this reader no longer knows).
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 3, 2, 1):
+        # A newer layout, and the older formats 1 to 4 (format 4 overwrote
+        # its arrays in place; 1 to 3 carried fields this reader no longer
+        # knows).
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 4, 3, 2, 1):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):
                 load_checkpoint(path)
-
-    def test_save_torn_before_the_manifest_swap_is_rejected(self, scenario, tmp_path, monkeypatch):
-        """A save that dies after rewriting the arrays leaves the previous
-        manifest beside newer arrays; loading must refuse, not restore them."""
-        driver = start_driver(scenario, make_config())
-        for batch in scenario.batches[:3]:
-            driver.update(batch)
-        path = tmp_path / "ckpt"
-        save_checkpoint(driver, path)
-        for batch in scenario.batches[3:]:
-            driver.update(batch)
-
-        def crash(*args, **kwargs):
-            raise OSError("simulated crash before the manifest swap")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "replace", crash)
-            with pytest.raises(OSError, match="simulated crash"):
-                save_checkpoint(driver, path)
-        with pytest.raises(ValueError, match="array '.+' does not match the manifest"):
-            load_checkpoint(path)
-        save_checkpoint(driver, path)
-        assert fingerprint(load_checkpoint(path)) == fingerprint(driver)
 
     def test_manifest_is_deterministic(self, scenario, tmp_path):
         """Same state → byte-identical manifest (no timestamps, sorted keys)."""
@@ -274,6 +253,30 @@ class TestFormat:
             texts.append((Path(path) / "manifest.json").read_text())
         assert texts[0] == texts[1]
 
+    def test_arrays_that_do_not_match_the_manifest_are_rejected(self, saved, scenario, tmp_path):
+        """Each array is checked against its manifest record (dtype, shape,
+        sha256): a foreign arrays file under the name the manifest gives, or
+        a manifest record changed under its array, raises."""
+        driver, path = saved
+        driver.update(scenario.batches[2])
+        other = tmp_path / "other"
+        save_checkpoint(driver, other)
+        manifest_path = Path(path) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        arrays_path = Path(path) / manifest["arrays_file"]
+        genuine = arrays_path.read_bytes()
+        (foreign,) = [name for name in os.listdir(other) if name.startswith("arrays-")]
+        shutil.copyfile(other / foreign, arrays_path)
+        with pytest.raises(ValueError, match="array '.+' does not match the manifest"):
+            load_checkpoint(path)
+
+        arrays_path.write_bytes(genuine)
+        load_checkpoint(path)
+        manifest["arrays"]["sp_ws"]["sha256"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="array 'sp_ws' does not match the manifest"):
+            load_checkpoint(path)
+
     def test_config_survives_without_deprecation_warning(self, saved, recwarn):
         driver, path = saved
         recwarn.clear()
@@ -281,6 +284,84 @@ class TestFormat:
         deprecations = [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
         assert not deprecations
         assert restored.config == driver.config
+
+
+# --------------------------------------------------------------------------- #
+# Crash safety: a save that dies at any write step
+# --------------------------------------------------------------------------- #
+class CrashAt:
+    """Counts the filesystem writes of a save and fails the ``crash_at``-th
+    one (a ``write`` first puts half its bytes on disk, like a torn write)."""
+
+    STEPS = ("write", "fsync", "replace", "remove")
+
+    def __init__(self, monkeypatch, crash_at=None):
+        self.crash_at = crash_at
+        self.calls = []
+        for name in self.STEPS:
+            monkeypatch.setattr(os, name, self._wrap(name, getattr(os, name)))
+
+    def _wrap(self, name, real):
+        def step(*args):
+            self.calls.append(name)
+            if len(self.calls) == self.crash_at:
+                if name == "write":
+                    real(args[0], bytes(args[1])[:max(1, len(args[1]) // 2)])
+                raise OSError(f"simulated crash at step {self.crash_at} ({name})")
+            return real(*args)
+        return step
+
+
+class TestCrashSafety:
+    def test_a_save_that_dies_at_any_write_step_leaves_the_old_or_the_new_epoch(
+            self, scenario, tmp_path, monkeypatch):
+        driver = start_driver(scenario, make_config())
+        for batch in scenario.batches[:3]:
+            driver.update(batch)
+        old = fingerprint(driver)
+        old_dir = tmp_path / "old"
+        save_checkpoint(driver, old_dir)
+        for batch in scenario.batches[3:]:
+            driver.update(batch)
+        new = fingerprint(driver)
+        assert new["version"] != old["version"]
+
+        shutil.copytree(old_dir, tmp_path / "dry-run")
+        with monkeypatch.context() as patch:
+            dry_run = CrashAt(patch)
+            save_checkpoint(driver, tmp_path / "dry-run")
+        steps = dry_run.calls
+
+        outcomes = []
+        for crash_at in range(1, len(steps) + 1):
+            path = tmp_path / f"crash-{crash_at}"
+            shutil.copytree(old_dir, path)
+            with monkeypatch.context() as patch:
+                CrashAt(patch, crash_at)
+                with pytest.raises(OSError, match="simulated crash"):
+                    save_checkpoint(driver, path)
+            restored = fingerprint(load_checkpoint(path))
+            assert restored in (old, new), f"crash at step {crash_at} ({steps[crash_at - 1]})"
+            outcomes.append(restored == new)
+            # The next save completes and leaves one arrays file.
+            save_checkpoint(driver, path)
+            assert fingerprint(load_checkpoint(path)) == new
+            assert len([name for name in os.listdir(path) if name.startswith("arrays-")]) == 1
+        # Crashes before the manifest swap keep the old epoch, later ones the new.
+        assert set(steps) >= {"write", "fsync", "replace", "remove"}
+        assert outcomes[0] is False and outcomes[-1] is True
+        assert outcomes == sorted(outcomes)
+
+    def test_an_unreadable_arrays_file_names_the_checkpoint(self, scenario, tmp_path):
+        driver = start_driver(scenario, make_config())
+        driver.update(scenario.batches[0])
+        path = tmp_path / "ckpt"
+        save_checkpoint(driver, path)
+        (arrays_file,) = [name for name in os.listdir(path) if name.startswith("arrays-")]
+        with open(path / arrays_file, "r+b") as handle:
+            handle.truncate(100)
+        with pytest.raises(ValueError, match=f"checkpoint at {path}: arrays file .+ is unreadable"):
+            load_checkpoint(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -299,8 +380,8 @@ class TestServiceRestore:
 
         restored = SparsifierService.restore(path)
         assert restored.latest_version == saved_version
-        assert dict(restored.driver.sparsifier._edges) == \
-            dict(service.driver.sparsifier._edges)
+        assert restored.driver.sparsifier.edge_list() == \
+            service.driver.sparsifier.edge_list()
         # The restored service keeps serving: apply the next batch and the
         # version moves on from the saved epoch.
         restored.apply(scenario.batches[3])
@@ -332,8 +413,8 @@ class TestCli:
         assert main(["checkpoint", "restore", short, "--replay", "2"]) == 0
         (replayed,) = restored
         uninterrupted = load_checkpoint(long)
-        assert list(replayed.sparsifier._edges.items()) == \
-            list(uninterrupted.sparsifier._edges.items())
+        assert replayed.sparsifier.edge_list() == \
+            uninterrupted.sparsifier.edge_list()
         assert replayed.graph == uninterrupted.graph
         assert replayed.latest_version == uninterrupted.latest_version
 

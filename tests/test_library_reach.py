@@ -22,8 +22,6 @@ TEXT_SUFFIXES = {".py", ".md", ".yml", ".yaml"}
 ALLOWED = {
     "cluster_diameter_bound": "exact oracle for decompose_node_subset in tests/test_maintenance.py",
     "smallest_nonzero_eigenvalues": "eigenvalue oracle in tests/test_krylov.py",
-    "laplacian_from_edges": "array-native Laplacian builder tests/test_spectral_algebra.py checks; kept for "
-                            "array-backed graph storage",
     "is_laplacian": "assertion tests/test_graph.py applies to production Laplacians",
     "assert_positive_weights": "assertion tests/test_generators_io.py applies to generator output",
     "complete_graph": "fixture of tests/test_spectral_resistance.py and tests/test_spectral_algebra.py",

@@ -40,9 +40,9 @@ DENSE_LIMIT = 300
 def oracle_unregister_incident(similarity_filter, nodes):
     """Per-edge reference for ``unregister_incident_edges``."""
     pending = {}
-    adjacency = similarity_filter._sparsifier._adjacency
+    sparsifier = similarity_filter._sparsifier
     for node in nodes:
-        for neighbour in adjacency[int(node)]:
+        for neighbour in sparsifier.neighbors(int(node)):
             pending[canonical_edge(int(node), int(neighbour))] = None
     for u, v in pending:
         similarity_filter._unregister_edge(u, v)

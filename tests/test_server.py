@@ -317,8 +317,8 @@ class TestWritePath:
         offline.remove([victim])
         offline.reweight([target])
         assert service.latest_version == offline.latest_version
-        assert (dict(service.driver.sparsifier._edges)
-                == dict(offline.driver.sparsifier._edges))
+        assert (service.driver.sparsifier.edge_list()
+                == offline.driver.sparsifier.edge_list())
 
     def test_version_pinned_reads_survive_writes(self, scenario):
         service = fresh_service(scenario)
@@ -480,8 +480,8 @@ class TestRestartDrill:
         restored = SparsifierService.restore(mid_dir)
         reference = offline_replay(scenario, scenario.batches[:1])
         assert restored.latest_version == 2
-        assert (dict(restored.driver.sparsifier._edges)
-                == dict(reference.driver.sparsifier._edges))
+        assert (restored.driver.sparsifier.edge_list()
+                == reference.driver.sparsifier.edge_list())
 
     def test_checkpoint_without_path_or_config_answers_400(self, scenario):
         with running_server(fresh_service(scenario)) as (_, client):

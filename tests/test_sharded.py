@@ -126,7 +126,7 @@ class TestShardParity:
             plain_result = plain.update(list(batch.insertions))
             packaged_result = packaged.update(MixedBatch(insertions=list(batch.insertions)))
             assert decision_log(plain_result) == decision_log(packaged_result)
-        assert list(plain.sparsifier._edges.items()) == list(packaged.sparsifier._edges.items())
+        assert plain.sparsifier.edge_list() == packaged.sparsifier.edge_list()
         assert history_fingerprint(plain) == history_fingerprint(packaged)
 
     def test_distortion_threshold_uses_global_median(self, churn_scenario):
@@ -176,7 +176,7 @@ class TestShardParity:
                       for batch in scenario.batches[split:]]
 
         assert decisions == reference_decisions
-        assert list(restored.sparsifier._edges.items()) == list(reference.sparsifier._edges.items())
+        assert restored.sparsifier.edge_list() == reference.sparsifier.edge_list()
         assert history_fingerprint(restored) == history_fingerprint(reference)
 
 
@@ -230,7 +230,7 @@ class TestShardedRemoval:
         assert max(versions) == serial.latest_version
         driver = service.driver
         assert driver.maintenance_stats.splices > 0
-        assert list(driver.sparsifier._edges.items()) == list(serial.sparsifier._edges.items())
+        assert driver.sparsifier.edge_list() == serial.sparsifier.edge_list()
         assert history_fingerprint(driver) == history_fingerprint(serial)
 
     def test_removal_weight_rehoming_matches_oracle(self, deletion_heavy_scenario):
@@ -241,14 +241,14 @@ class TestShardedRemoval:
         def remove_and_balance(deletions):
             physical = {canonical_edge(u, v): driver.graph.weight(u, v)
                         for u, v in deletions}
-            total_before = sum(driver.sparsifier._edges.values())
+            total_before = driver.sparsifier.total_weight()
             result = driver.remove(deletions)
             excess = sum(max(0.0, weight - physical[(u, v)])
                          for u, v, weight in result.removed_from_sparsifier)
             assert result.reassigned_weight + result.discarded_weight == pytest.approx(excess)
             removed = sum(weight for _, _, weight in result.removed_from_sparsifier)
             repaired = sum(weight for _, _, weight in result.repaired_edges)
-            total_after = sum(driver.sparsifier._edges.values())
+            total_after = driver.sparsifier.total_weight()
             assert total_after == pytest.approx(
                 total_before - removed + result.reassigned_weight + repaired)
             return excess
@@ -260,7 +260,7 @@ class TestShardedRemoval:
             # Delete sparsifier edges that absorbed merged weight, as long
             # as the graph stays connected.
             absorbing = []
-            for (u, v), weight in driver.sparsifier._edges.items():
+            for u, v, weight in driver.sparsifier.edge_list():
                 if (weight > driver.graph.weight(u, v) and len(absorbing) < 4
                         and removals_keep_connected(driver.graph, absorbing + [(u, v)])):
                     absorbing.append((u, v))
@@ -290,7 +290,7 @@ class TestScopedFiltersAndEscrow:
             for key in bucket:
                 assert key not in owners, "edge owned by two buckets"
                 owners[key] = (cluster, cluster)
-        assert set(owners) == set(driver.sparsifier._edges)
+        assert set(owners) == set(driver.sparsifier.edges())
         for (u, v), pair in owners.items():
             p, q = int(labels[u]), int(labels[v])
             assert pair == (min(p, q), max(p, q))
@@ -310,7 +310,7 @@ class TestScopedFiltersAndEscrow:
             driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
                          target_condition_number=churn_scenario.initial_condition_number)
             driver.update(churn_scenario.batches[0])
-            edge_maps.append(list(driver.sparsifier._edges.items()))
+            edge_maps.append(driver.sparsifier.edge_list())
         assert edge_maps[0] == edge_maps[1] == edge_maps[2]
 
 

@@ -280,5 +280,5 @@ class TestHierarchyCopyOnWrite:
             before.effective_resistance(0, 1)
             driver.update(batch)
             SparsifierSnapshot.capture(driver).effective_resistance(1, 2)
-        assert dict(driver.sparsifier._edges) == dict(reference.sparsifier._edges)
-        assert dict(driver.graph._edges) == dict(reference.graph._edges)
+        assert driver.sparsifier.edge_list() == reference.sparsifier.edge_list()
+        assert driver.graph.edge_list() == reference.graph.edge_list()

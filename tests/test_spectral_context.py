@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import repro.graphs.graph as graph_module
 import repro.spectral.condition as condition
 import repro.spectral.eigen as eigen
 from repro.core import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs import Graph, grid_circuit_2d
-from repro.graphs.graph import FrozenGraph
 from repro.spectral.condition import (
     SpectralContext,
     SpectralSolveError,
@@ -106,7 +106,7 @@ class TestGuardPasses:
         busy = start_driver(stream)
         assert guard_kappas(busy, stream.batches, read_between=True) == \
             guard_kappas(quiet, stream.batches)
-        assert dict(busy.sparsifier._edges) == dict(quiet.sparsifier._edges)
+        assert busy.sparsifier.edge_list() == quiet.sparsifier.edge_list()
 
     def test_every_pass_matches_the_dense_reference(self, stream, monkeypatch):
         pairs = []
@@ -143,8 +143,8 @@ class TestGuardPasses:
         saved.save_checkpoint(tmp_path / "ckpt")
         restored = InGrassSparsifier.load_checkpoint(tmp_path / "ckpt")
         guard_kappas(restored, stream.batches[3:])
-        assert dict(restored.sparsifier._edges) == dict(uninterrupted.sparsifier._edges)
-        assert dict(restored.graph._edges) == dict(uninterrupted.graph._edges)
+        assert restored.sparsifier.edge_list() == uninterrupted.sparsifier.edge_list()
+        assert restored.graph.edge_list() == uninterrupted.graph.edge_list()
 
 
 def weak_region_pencil(side, regions):
@@ -310,8 +310,8 @@ def test_snapshot_and_driver_agree_on_kappa(stream):
 
 def test_snapshot_solves_share_one_graph_laplacian(stream, monkeypatch):
     snap = start_driver(stream).snapshot()
-    builds = _Counter(FrozenGraph.laplacian_matrix)
-    monkeypatch.setattr(FrozenGraph, "laplacian_matrix", lambda self, *a, **k: builds(self, *a, **k))
+    builds = _Counter(graph_module.laplacian_from_edges)
+    monkeypatch.setattr(graph_module, "laplacian_from_edges", builds)
     b = np.zeros(snap.num_nodes)
     b[0], b[-1] = 1.0, -1.0
     for tol in (1e-8, 1e-6, 1e-10):
