@@ -24,7 +24,7 @@ def _run_with_divisor(scenario, divisor, dense_limit):
     ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                   target_condition_number=scenario.initial_condition_number)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
     return ingrass
 
 

@@ -39,7 +39,7 @@ def test_churn_ten_iteration_updates(benchmark, churn_scenario, bench_config):
         ingrass.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
                       target_condition_number=churn_scenario.initial_condition_number)
         for batch in churn_scenario.batches:
-            ingrass.update(batch)
+            ingrass.apply_batch(batch)
         return ingrass
 
     ingrass = benchmark.pedantic(run, iterations=1, rounds=3)
@@ -64,7 +64,7 @@ def test_churn_quality_trajectory(churn_scenario, bench_config):
                   target_condition_number=target)
     removed_total = 0
     for batch in churn_scenario.batches:
-        result = ingrass.update(batch)
+        result = ingrass.apply_batch(batch)
         if result.removal is not None:
             removed_total += len(result.removal.removed_from_sparsifier)
         assert is_connected(ingrass.sparsifier)
@@ -93,7 +93,7 @@ def test_deletion_heavy_stream_stays_connected(primary_graph, bench_config):
     ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                   target_condition_number=scenario.initial_condition_number)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
         assert is_connected(ingrass.sparsifier)
     # Every sparsifier edge still exists in the evolving graph: deletions
     # were honoured and repairs only re-used surviving graph edges.

@@ -37,7 +37,7 @@ def _run(scenario, bench_config, mode: str) -> InGrassSparsifier:
     ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                   target_condition_number=scenario.initial_condition_number)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
     return ingrass
 
 

@@ -34,7 +34,7 @@ def test_ingrass_update_scaling(benchmark, case, bench_config):
         ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                       target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches:
-            ingrass.update(batch)
+            ingrass.apply_batch(batch)
         return ingrass
 
     ingrass = benchmark.pedantic(run, iterations=1, rounds=2)

@@ -29,7 +29,7 @@ def test_ingrass_ten_iteration_updates(benchmark, primary_scenario):
         ingrass.setup(primary_scenario.graph, primary_scenario.initial_sparsifier,
                       target_condition_number=primary_scenario.initial_condition_number)
         for batch in primary_scenario.batches:
-            ingrass.update(batch)
+            ingrass.apply_batch(batch)
         return ingrass
 
     ingrass = benchmark(run)

@@ -33,7 +33,7 @@ def test_ingrass_updates_across_initial_densities(benchmark, primary_graph, benc
         ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                       target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches:
-            ingrass.update(batch)
+            ingrass.apply_batch(batch)
         return ingrass
 
     ingrass = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -57,7 +57,7 @@ def main() -> None:
     print(f"{'round':>5} {'new edges':>10} {'added':>7} {'merged':>7} {'redist.':>8} "
           f"{'density':>9} {'ms':>8}")
     for index, batch in enumerate(rounds, start=1):
-        result = ingrass.update(batch)
+        ingrass.apply_batch(batch)
         record = ingrass.history[-1]
         print(f"{index:>5} {len(batch):>10} {record.added_edges:>7} {record.merged_edges:>7} "
               f"{record.redistributed_edges:>8} {record.offtree_density:>8.1%} "

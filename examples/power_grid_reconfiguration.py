@@ -86,7 +86,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for index, batch in enumerate(scenario.batches, start=1):
-        result = ingrass.update(batch)
+        result = ingrass.apply_batch(batch)
         removal = result.removal
         removed = len(removal.removed_from_sparsifier) if removal else 0
         repairs = removal.num_repairs if removal else 0

@@ -54,7 +54,7 @@ def main() -> None:
     # Maintain the sparsifier with inGRASS.
     ingrass = InGrassSparsifier(InGrassConfig())
     ingrass.setup(graph, sparsifier0, target_condition_number=kappa0)
-    ingrass.update(new_edges)
+    ingrass.apply_batch(new_edges)
     maintained = ingrass.sparsifier
 
     b = rng.standard_normal(graph.num_nodes)

@@ -46,7 +46,7 @@ def main() -> None:
     stream = mixed_edges(graph, int(0.2 * graph.num_nodes), long_range_fraction=0.2, seed=1)
     batches = split_into_batches(stream, 3)
     for index, batch in enumerate(batches, start=1):
-        result = ingrass.update(batch)
+        result = ingrass.apply_batch(batch).insertion
         print(f"iteration {index}: streamed {len(batch):3d} edges -> "
               f"added {result.summary.added}, merged {result.summary.merged}, "
               f"redistributed {result.summary.redistributed} "

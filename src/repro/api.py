@@ -6,7 +6,7 @@ One curated, flat surface over the package's layers::
 
     driver = Sparsifier(InGrassConfig(kappa_guard_factor=1.8))  # None means defaults
     driver.setup(graph)
-    driver.update(batch)
+    driver.apply_batch(batch)                             # the one write path
 
     service = SparsifierService(InGrassConfig())          # concurrent-read deployment
     service.setup(graph)

@@ -163,7 +163,7 @@ def _run_ingrass_incremental(scenario: IncrementalScenario,
     ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                   target_condition_number=scenario.initial_condition_number)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
     condition = ingrass.condition_number(dense_limit=config.condition_dense_limit)
     outcome = MethodOutcome(
         sparsifier=ingrass.sparsifier,
@@ -330,12 +330,12 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
     repairs = 0
     guard_seconds = 0.0
     for batch in scenario.batches:
-        result = ingrass.update(batch)
-        removal = getattr(result, "removal", None)
+        result = ingrass.apply_batch(batch)
+        removal = result.removal
         if removal is not None:
             removals += len(removal.removed_from_sparsifier)
             repairs += removal.num_repairs
-        guard = getattr(result, "kappa_guard", None)
+        guard = result.kappa_guard
         if guard is not None:
             repairs += len(guard.added_edges)
             guard_seconds += guard.guard_seconds

@@ -95,16 +95,16 @@ def run_soak(*, batches: int = 500, events: int = 25_000,
             # uninterrupted leg, so a restore that is anything less than
             # byte-identical fails the soak.
             for batch in stream[:half]:
-                driver.update(batch)
+                driver.apply_batch(batch)
             with tempfile.TemporaryDirectory() as tmp:
                 checkpoint_dir = os.path.join(tmp, "soak-restore")
                 driver.save_checkpoint(checkpoint_dir)
                 driver = load_checkpoint(checkpoint_dir)
             for batch in stream[half:]:
-                driver.update(batch)
+                driver.apply_batch(batch)
         else:
             for batch in stream:
-                driver.update(batch)
+                driver.apply_batch(batch)
         elapsed = time.perf_counter() - start
         maintenance = driver.maintenance_stats
         runs[name] = {

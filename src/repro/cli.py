@@ -119,8 +119,8 @@ def _run_serve(argv: List[str]) -> int:
         print(f"bootstrapped demo grid: {graph.num_nodes} nodes, "
               f"{graph.num_edges} edges (version epoch {service.latest_version})")
     print(f"serving on http://{args.host}:{args.port} — endpoints: /health /epoch "
-          "/report /edges /metrics /resistance /solve /update /remove /reweight "
-          "/checkpoint /shutdown", flush=True)
+          "/report /edges /metrics /resistance /solve /update /checkpoint /shutdown",
+          flush=True)
     server = serve(service, config)
     print(f"stopped at version epoch {server.service.latest_version} "
           f"after {server.service.applied_batches} applied batches")
@@ -203,7 +203,7 @@ def _run_checkpoint(argv: List[str]) -> int:
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches[:args.batches]:
-            driver.update(batch)
+            driver.apply_batch(batch)
         driver.save_checkpoint(args.path)
         print(f"streamed {args.batches} batches, checkpoint saved to "
               f"{args.path} (version epoch {driver.latest_version}, "
@@ -225,7 +225,7 @@ def _run_checkpoint(argv: List[str]) -> int:
         side = math.isqrt(driver.graph.num_nodes)
         scenario = demo_scenario(driver.config.seed, side)
         for batch in scenario.batches[done:done + args.replay]:
-            driver.update(batch)
+            driver.apply_batch(batch)
         print(f"replayed {args.replay} more batches "
               f"(version epoch {driver.latest_version}, "
               f"|E_H| = {driver.sparsifier.num_edges})")

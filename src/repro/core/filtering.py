@@ -104,6 +104,9 @@ class SimilarityFilter:
         self._sparsifier = sparsifier
         self._hierarchy = hierarchy
         self._level_index = filtering_level
+        # The filtering level's labels: a live view of the hierarchy's
+        # embedding column, which maintenance relabels in place.
+        self._labels = hierarchy.level(filtering_level).labels
         # Label-version checkpoint: the maintenance layer re-keys this map in
         # place and marks it synced; any out-of-band relabel of the filtering
         # level shows up as a version mismatch and triggers one rebuild.
@@ -115,18 +118,6 @@ class SimilarityFilter:
         self._rebuild_connectivity()
 
     # ------------------------------------------------------------------ #
-    @property
-    def _labels(self) -> np.ndarray:
-        """The live label array of the filtering level — never cached.
-
-        Read through the hierarchy on every access: an epoch-snapshot export
-        followed by a mutation detaches the hierarchy onto fresh buffers
-        (copy-on-write), re-pointing ``level.labels`` at a new array.  A
-        reference cached at construction would keep reading the detached
-        (frozen) buffer and silently miss every subsequent relabel.
-        """
-        return self._hierarchy.level(self._level_index).labels
-
     @property
     def filtering_level(self) -> int:
         """The level ``L`` used for similarity decisions."""

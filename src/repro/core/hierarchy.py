@@ -23,41 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 
-@dataclass(frozen=True)
-class HierarchyStateSnapshot:
-    """Immutable view of a hierarchy's label/diameter state at one version.
-
-    Handed out by :meth:`ClusterHierarchy.export_state` for the epoch-snapshot
-    read layer.  The arrays are *read-only views of the live buffers* — no
-    copy is made at export time; the hierarchy instead copies its own buffers
-    before the next mutation (copy-on-write), so a snapshot stays bit-stable
-    forever while the writer keeps mutating in place.
-    """
-
-    #: ``(num_nodes, num_levels)`` cluster-index matrix (read-only view).
-    embedding: np.ndarray
-    #: Per-level cluster diameter arrays, finest first (read-only views).
-    cluster_diameters: Tuple[np.ndarray, ...]
-    #: Per-level diameter thresholds, finest first.
-    diameter_thresholds: Tuple[float, ...]
-    #: :attr:`ClusterHierarchy.version` at export time.
-    version: int
-    #: :attr:`ClusterHierarchy.labels_version` at export time.
-    labels_version: int
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.embedding.shape[0])
-
-    @property
-    def num_levels(self) -> int:
-        return int(self.embedding.shape[1])
-
-    def level_labels(self, level_index: int) -> np.ndarray:
-        """Labels of one level (read-only column view)."""
-        return self.embedding[:, level_index]
-
-
 @dataclass
 class LRDLevel:
     """One level of the low-resistance-diameter decomposition.
@@ -148,13 +113,6 @@ class ClusterHierarchy:
         # Frozen at the first inflation so rebuild-mode compounding is capped
         # even when the coarsest level itself inflates.
         self._inflation_ceiling: Optional[float] = None
-        # Copy-on-write bookkeeping for the epoch-snapshot read layer: while
-        # _cow_shared is set an outstanding HierarchyStateSnapshot references
-        # the live buffers, so the next mutation must first detach onto fresh
-        # copies.  _cow_copies counts the detach events (at most one per
-        # export/mutate cycle — what the snapshot tests assert).
-        self._cow_shared = False
-        self._cow_copies = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -311,62 +269,6 @@ class ClusterHierarchy:
     # ------------------------------------------------------------------ #
     # Mutation API (used by the maintenance layer)
     # ------------------------------------------------------------------ #
-    # ------------------------------------------------------------------ #
-    # Copy-on-write export (epoch-snapshot read layer)
-    # ------------------------------------------------------------------ #
-    @property
-    def cow_shared(self) -> bool:
-        """Whether an outstanding snapshot currently shares the live buffers."""
-        return self._cow_shared
-
-    @property
-    def cow_copies(self) -> int:
-        """Number of copy-on-write detaches performed (one per shared mutation)."""
-        return self._cow_copies
-
-    def export_state(self) -> HierarchyStateSnapshot:
-        """Export the label/diameter state as an immutable snapshot — O(1).
-
-        No buffer is copied here: the snapshot holds read-only views of the
-        live arrays and the hierarchy marks itself *shared*.  The first
-        mutation after an export detaches the live state onto fresh copies
-        (:meth:`_prepare_mutation`), leaving every previously exported
-        snapshot bit-stable.  Repeated exports between mutations return views
-        of the same buffers and cost nothing extra.
-        """
-        self._cow_shared = True
-        embedding = self._embedding.view()
-        embedding.flags.writeable = False
-        diameters = []
-        for level in self._levels:
-            view = level.cluster_diameters.view()
-            view.flags.writeable = False
-            diameters.append(view)
-        return HierarchyStateSnapshot(
-            embedding=embedding,
-            cluster_diameters=tuple(diameters),
-            diameter_thresholds=tuple(float(level.diameter_threshold) for level in self._levels),
-            version=self._version,
-            labels_version=self._labels_version,
-        )
-
-    def _prepare_mutation(self) -> None:
-        """Detach from outstanding snapshots before the first shared mutation.
-
-        Copies the embedding matrix and every level's diameter array exactly
-        once per export/mutate cycle, re-pointing the level label views at the
-        fresh embedding columns so the in-place maintenance invariant (one
-        matrix, many views) is preserved.
-        """
-        if not self._cow_shared:
-            return
-        self._embedding = self._embedding.copy()
-        for index, level in enumerate(self._levels):
-            level.labels = self._embedding[:, index]
-            level.cluster_diameters = level.cluster_diameters.copy()
-        self._cow_shared = False
-        self._cow_copies += 1
-
     @property
     def version(self) -> int:
         """Counter bumped by every in-place mutation (labels or diameters)."""
@@ -386,7 +288,6 @@ class ClusterHierarchy:
         level = self._levels[level_index]
         if cluster < 0 or cluster >= level.num_clusters:
             raise IndexError(f"cluster {cluster} out of range at level {level_index}")
-        self._prepare_mutation()
         level.cluster_diameters[cluster] = max(float(diameter), 1e-12)
         self._version += 1
 
@@ -399,7 +300,6 @@ class ClusterHierarchy:
         (``bincount`` sizes, masked diameter gathers) handles naturally.
         """
         level = self._levels[level_index]
-        self._prepare_mutation()
         level.cluster_diameters = np.append(level.cluster_diameters, max(float(diameter), 1e-12))
         table = self._members[level_index]
         if table is not None:
@@ -417,7 +317,6 @@ class ClusterHierarchy:
         level = self._levels[level_index]
         if new_cluster < 0 or new_cluster >= level.num_clusters:
             raise IndexError(f"cluster {new_cluster} out of range at level {level_index}")
-        self._prepare_mutation()
         moved = np.unique(np.asarray(nodes, dtype=np.int64))
         table = self._members[level_index]
         if table is not None and moved.size:
@@ -484,10 +383,8 @@ class ClusterHierarchy:
         ceiling = self._inflation_ceiling
         touched = 0
         equal = self._embedding[u] == self._embedding[v]
-        if equal.any():
-            self._prepare_mutation()
         for level_index in np.flatnonzero(equal):
-            level = self._levels[int(level_index)]
+            level =self._levels[int(level_index)]
             cluster = int(self._embedding[u, int(level_index)])
             if level.cluster_diameters.size > cluster:
                 current = float(level.cluster_diameters[cluster])
@@ -544,11 +441,10 @@ class ClusterHierarchy:
     def checkpoint_state(self) -> dict:
         """Export the full mutable state as plain arrays and counters.
 
-        Complements :meth:`export_state` (which hands out zero-copy read
-        views for the snapshot layer): this variant *copies*, and also
-        carries the staleness/version counters the constructor zeroes, so
-        ``from_level_arrays`` + :meth:`restore_counters` reproduces the
-        hierarchy bit-for-bit in another process.
+        The arrays are copies, and the staleness/version counters the
+        constructor zeroes are included, so ``from_level_arrays`` +
+        :meth:`restore_counters` reproduces the hierarchy bit-for-bit in
+        another process.
         """
         return {
             "embedding": self._embedding.copy(),

@@ -6,12 +6,13 @@ a convenient object:
 * :meth:`setup` runs the one-time setup phase on the initial sparsifier
   ``H(0)`` (and can build ``H(0)`` itself via the GRASS-style baseline when
   the caller only has the graph);
-* :meth:`update` consumes one batch of streamed updates — either a plain
-  sequence of new edges (the paper's insertion-only protocol) or a
-  :class:`~repro.streams.edge_stream.MixedBatch` of interleaved deletions and
-  insertions — keeping both the internal copy of the original graph ``G(k)``
-  and the sparsifier ``H(k)`` in sync, and recording per-iteration statistics;
-* :meth:`remove` consumes a pure deletion batch;
+* :meth:`apply_batch` is the one write path: it consumes one batch of
+  streamed updates — either a plain sequence of new edges (the paper's
+  insertion-only protocol) or a :class:`~repro.streams.edge_stream.MixedBatch`
+  of deletions, weight changes and insertions — validates the whole batch
+  before touching anything, keeps both the internal copy of the original
+  graph ``G(k)`` and the sparsifier ``H(k)`` in sync, and records
+  per-iteration statistics;
 * :meth:`condition_number` / :meth:`report` evaluate the current quality;
 * :meth:`refresh_setup` rebuilds the LRD hierarchy/embedding from the current
   sparsifier (scheduled automatically after
@@ -24,12 +25,13 @@ Typical usage::
     ingrass = InGrassSparsifier(InGrassConfig())
     ingrass.setup(graph, sparsifier)              # one-time, O(N log N)
     for batch in edge_stream:                     # each batch: O(log N) per edge
-        result = ingrass.update(batch)            # insertions or MixedBatch
+        result = ingrass.apply_batch(batch)       # insertions or MixedBatch
     print(ingrass.report())
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -48,7 +50,7 @@ from repro.core.update import (
     run_removal,
     run_update,
 )
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, canonical_edge, coerce_edge_triple_arrays
 from repro.graphs.validation import (
     GraphValidationError,
     removals_keep_connected,
@@ -86,7 +88,7 @@ class IterationRecord:
 
 @dataclass
 class ReweightResult:
-    """Outcome of one weight-change batch (pure conductance increases)."""
+    """Outcome of a batch's weight-change phase (pure conductance increases)."""
 
     #: ``(u, v, delta)`` events applied to the tracked graph.
     applied: List[WeightedEdge]
@@ -103,7 +105,11 @@ class ReweightResult:
 
 @dataclass
 class MixedUpdateResult:
-    """Outcome of one mixed insert/delete batch (any part may be ``None``)."""
+    """Outcome of one :meth:`InGrassSparsifier.apply_batch` call.
+
+    A phase the batch did not carry is ``None``; a plain insertion list
+    always sets :attr:`insertion`.
+    """
 
     removal: Optional[RemovalResult]
     insertion: Optional[UpdateResult]
@@ -153,8 +159,8 @@ class InGrassSparsifier:
         # perturb the writer's trajectory; a restored driver starts cold.
         self._spectral = SpectralContext()
         # Version epoch: bumped once per mutating public operation (setup,
-        # update/apply_batch, remove, reweight, refresh_setup).  The anchor
-        # the snapshot read layer keys on.
+        # apply_batch, refresh_setup).  The anchor the snapshot read layer
+        # keys on.
         self._version = 0
 
     # ------------------------------------------------------------------ #
@@ -238,11 +244,10 @@ class InGrassSparsifier:
         """The current version epoch.
 
         Starts at 0, becomes 1 after :meth:`setup` and then increases by
-        exactly one per mutating public call (:meth:`update` /
-        :meth:`apply_batch`, :meth:`remove`, :meth:`reweight`) plus one for
-        every :meth:`refresh_setup` — including the automatic rebuild-mode
-        re-setups, which keeps the version sequence deterministic for a given
-        operation stream.  :class:`~repro.snapshot.SparsifierSnapshot` anchors
+        exactly one per applied :meth:`apply_batch` (a rejected batch leaves
+        it unchanged) plus one for every :meth:`refresh_setup` — including
+        the automatic rebuild-mode re-setups, which keeps the version
+        sequence deterministic for a given operation stream.  :class:`~repro.snapshot.SparsifierSnapshot` anchors
         on this counter.
         """
         return self._version
@@ -435,7 +440,7 @@ class InGrassSparsifier:
     def _record_iteration(self, *, streamed: int, removed: int, repairs: int,
                           insertion: Optional[UpdateResult],
                           removal: Optional[RemovalResult], seconds: float,
-                          reweighted: int = 0) -> None:
+                          reweighted: int) -> None:
         assert self._sparsifier is not None
         summary = insertion.summary if insertion is not None else None
         if insertion is not None:
@@ -474,16 +479,47 @@ class InGrassSparsifier:
             maintainer=self._ensure_maintainer(),
         )
 
-    def _apply_removals(self, deletions: Sequence[Edge]) -> RemovalResult:
-        """Deletion phase: drop from ``G(k)``, then repair ``H(k)``."""
+    def _validate_batch(self, batch: MixedBatch) -> Tuple[List[Edge], List[WeightedEdge]]:
+        """Check every event of ``batch`` before the first mutation.
+
+        Returns the canonical deletion pairs and the weight changes as
+        ``(u, v, delta)`` Python scalars.  Deletions must exist and keep
+        ``G(k)`` connected; a weight change must target an edge still present
+        after the batch's deletions, with a positive, finite delta; every
+        insertion must pass the per-event rules of
+        :func:`~repro.graphs.validation.validate_new_edge_arrays`.  Raises
+        :class:`GraphValidationError` on the first violation.
+        """
+        graph = self._graph
+        assert graph is not None
+        pairs: List[Edge] = []
+        if batch.deletions:
+            pairs = validate_removals(graph, batch.deletions, missing="error")
+            if not removals_keep_connected(graph, pairs):
+                raise GraphValidationError(
+                    "deletion batch would disconnect the tracked graph; a disconnected "
+                    "graph has no spectral sparsifier (unbounded condition number)"
+                )
+        deleted = set(pairs)
+        changes = [(int(u), int(v), float(delta)) for u, v, delta in batch.weight_changes]
+        for u, v, delta in changes:
+            if not graph.has_edge(u, v) or canonical_edge(u, v) in deleted:
+                raise GraphValidationError(
+                    f"weight change ({u}, {v}) targets an edge the tracked graph "
+                    "does not carry after the batch's deletions"
+                )
+            if not (math.isfinite(delta) and delta > 0):
+                raise GraphValidationError(
+                    f"weight change ({u}, {v}) must have a positive, finite delta, got {delta}"
+                )
+        coerce_edge_triple_arrays(batch.insertions, graph.num_nodes,
+                                  error_cls=GraphValidationError)
+        return pairs, changes
+
+    def _apply_removals(self, pairs: Sequence[Edge]) -> RemovalResult:
+        """Deletion phase: drop validated pairs from ``G(k)``, then repair ``H(k)``."""
         graph, sparsifier = self._graph, self._sparsifier
         assert graph is not None and sparsifier is not None and self._setup is not None
-        pairs = validate_removals(graph, deletions, missing="error")
-        if not removals_keep_connected(graph, pairs):
-            raise GraphValidationError(
-                "deletion batch would disconnect the tracked graph; a disconnected "
-                "graph has no spectral sparsifier (unbounded condition number)"
-            )
         # Capture the physical weights while removing so run_removal can
         # re-home conductance that merges parked on removed sparsifier edges.
         removed_with_weights = graph.remove_edges(pairs)
@@ -503,7 +539,7 @@ class InGrassSparsifier:
             self.refresh_setup()
         return result
 
-    def _apply_weight_changes(self, changes: Sequence[WeightedEdge]) -> ReweightResult:
+    def _apply_weight_changes(self, applied: List[WeightedEdge]) -> ReweightResult:
         """Weight-change phase: bump conductances in place, no repair needed.
 
         Added conductance can only lower effective resistances, so every
@@ -514,39 +550,27 @@ class InGrassSparsifier:
         graph, sparsifier = self._graph, self._sparsifier
         assert graph is not None and sparsifier is not None
         timer = Timer().start()
-        applied = [(int(u), int(v), float(delta)) for u, v, delta in changes]
-        for u, v, delta in applied:
-            if not graph.has_edge(u, v):
-                raise GraphValidationError(
-                    f"weight change ({u}, {v}) targets an edge the tracked graph "
-                    "does not carry"
-                )
-            if delta <= 0:
-                raise GraphValidationError(
-                    f"weight change ({u}, {v}) must have a positive delta, got {delta}"
-                )
         result = ReweightResult(applied=applied)
-        if applied:
-            graph.increase_weights([(u, v) for u, v, _ in applied],
-                                   [delta for _, _, delta in applied])
-            similarity_filter = self._ensure_filter()
-            maintainer = self._ensure_maintainer()
-            admitted: List[WeightedEdge] = []
-            for u, v, delta in applied:
-                if sparsifier.has_edge(u, v):
-                    sparsifier.increase_weight(u, v, delta)
-                    result.direct += 1
-                elif similarity_filter.reassign_weight(u, v, delta):
-                    # The physical edge was absorbed by an earlier merge or
-                    # redistribution; its reinforcement follows the same route.
-                    result.reassigned += 1
-                else:
-                    sparsifier.add_edge(u, v, delta, merge="add")
-                    similarity_filter.notify_edge_added(u, v)
-                    admitted.append((u, v, delta))
-                    result.admitted += 1
-            if maintainer is not None and admitted:
-                maintainer.note_insertions(admitted, similarity_filter=similarity_filter)
+        graph.increase_weights([(u, v) for u, v, _ in applied],
+                               [delta for _, _, delta in applied])
+        similarity_filter = self._ensure_filter()
+        maintainer = self._ensure_maintainer()
+        admitted: List[WeightedEdge] = []
+        for u, v, delta in applied:
+            if sparsifier.has_edge(u, v):
+                sparsifier.increase_weight(u, v, delta)
+                result.direct += 1
+            elif similarity_filter.reassign_weight(u, v, delta):
+                # The physical edge was absorbed by an earlier merge or
+                # redistribution; its reinforcement follows the same route.
+                result.reassigned += 1
+            else:
+                sparsifier.add_edge(u, v, delta, merge="add")
+                similarity_filter.notify_edge_added(u, v)
+                admitted.append((u, v, delta))
+                result.admitted += 1
+        if maintainer is not None and admitted:
+            maintainer.note_insertions(admitted, similarity_filter=similarity_filter)
         timer.stop()
         result.reweight_seconds = timer.elapsed
         return result
@@ -570,13 +594,18 @@ class InGrassSparsifier:
             context=self._spectral,
         )
 
-    def update(self, batch: UpdateBatch) -> Union[UpdateResult, MixedUpdateResult]:
-        """Apply one batch of streamed updates.
+    def apply_batch(self, batch: UpdateBatch) -> MixedUpdateResult:
+        """Apply one batch of streamed updates as one iteration — the only write path.
 
-        ``batch`` is either a plain iterable of ``(u, v, weight)`` insertions
-        (the paper's protocol; generators are accepted and materialised once)
-        or a :class:`~repro.streams.edge_stream.MixedBatch`, whose deletions
-        are applied before its insertions.
+        ``batch`` is either a :class:`~repro.streams.edge_stream.MixedBatch`,
+        whose deletions apply first, then its weight changes, then its
+        insertions, or a plain iterable of ``(u, v, weight)`` insertions (the
+        paper's protocol; generators are materialised once).  The whole batch
+        is validated before anything changes: a rejected batch raises
+        :class:`~repro.graphs.validation.GraphValidationError` and leaves
+        ``G(k)``, ``H(k)``, :attr:`history` and :attr:`latest_version`
+        untouched.  When configured, one κ-guard pass runs after a non-empty
+        batch, so it sees the combined effect of all three phases.
 
         Insertions are added to the tracked original graph unconditionally
         (the physical network really did change) and to the sparsifier
@@ -584,73 +613,16 @@ class InGrassSparsifier:
         deletions always leave both, with the sparsifier repaired as needed.
         """
         self._require_setup()
-        if isinstance(batch, MixedBatch):
-            return self.apply_batch(batch)
-        # Materialise exactly once: callers may pass a generator, and the
-        # edges are consumed twice (graph insertion + distortion ranking).
-        new_edges = list(batch)
-        result = self._apply_insertions(new_edges)
-        # Run the κ guard exactly as a MixedBatch holding the same insertions
-        # would, so update_many histories are identical regardless of how a
-        # batch was packaged; guard time and additions land in the same
-        # record columns as the apply_batch path uses.
-        result.kappa_guard = self._run_guard() if new_edges else None
-        seconds = result.update_seconds
-        repairs = 0
-        if result.kappa_guard is not None:
-            seconds += result.kappa_guard.guard_seconds
-            repairs = len(result.kappa_guard.added_edges)
-        self._total_update_seconds += seconds
-        self._record_iteration(streamed=len(new_edges), removed=0, repairs=repairs,
-                               insertion=result, removal=None,
-                               seconds=seconds)
-        self._bump_version()
-        return result
-
-    def remove(self, deletions: Iterable[Edge]) -> RemovalResult:
-        """Apply one batch of pure edge deletions (``(u, v)`` pairs)."""
-        self._require_setup()
-        result = self._apply_removals(list(deletions))
-        result.kappa_guard = self._run_guard()
-        seconds = result.removal_seconds
-        if result.kappa_guard is not None:
-            seconds += result.kappa_guard.guard_seconds
-        self._total_update_seconds += seconds
-        self._record_iteration(streamed=0, removed=len(result.requested),
-                               repairs=result.num_repairs,
-                               insertion=None, removal=result,
-                               seconds=seconds)
-        self._bump_version()
-        return result
-
-    def reweight(self, changes: Iterable[WeightedEdge]) -> ReweightResult:
-        """Apply one batch of pure weight increases (``(u, v, delta)`` triples).
-
-        The direct :class:`~repro.streams.edge_stream.WeightChangeEvent` path:
-        the tracked graph's conductances are bumped through
-        :meth:`repro.graphs.graph.Graph.increase_weights`, and the sparsifier
-        follows — directly when it carries the edge, through the similarity
-        filter's weight re-homing when an earlier decision absorbed it — with
-        no repair, no hierarchy invalidation and no delete+insert round trip.
-        """
-        self._require_setup()
-        result = self._apply_weight_changes(list(changes))
-        self._total_update_seconds += result.reweight_seconds
-        self._record_iteration(streamed=0, removed=0, repairs=0,
-                               insertion=None, removal=None,
-                               seconds=result.reweight_seconds,
-                               reweighted=len(result.applied))
-        self._bump_version()
-        return result
-
-    def apply_batch(self, batch: MixedBatch) -> MixedUpdateResult:
-        """Apply one mixed batch (deletions, then weight changes, then
-        insertions) as one iteration."""
-        self._require_setup()
-        removal = self._apply_removals(batch.deletions) if batch.deletions else None
-        reweight = (self._apply_weight_changes(batch.weight_changes)
-                    if batch.weight_changes else None)
-        insertion = self._apply_insertions(list(batch.insertions)) if batch.insertions else None
+        # A plain list is the paper's insertion-only protocol: its insertion
+        # phase runs even when the list is empty.
+        plain = not isinstance(batch, MixedBatch)
+        if plain:
+            batch = MixedBatch(insertions=list(batch))
+        pairs, changes = self._validate_batch(batch)
+        removal = self._apply_removals(pairs) if pairs else None
+        reweight = self._apply_weight_changes(changes) if changes else None
+        insertion = (self._apply_insertions(batch.insertions)
+                     if batch.insertions or plain else None)
         guard = self._run_guard() if batch else None
         result = MixedUpdateResult(removal=removal, insertion=insertion, kappa_guard=guard,
                                    reweight=reweight)
@@ -663,14 +635,10 @@ class InGrassSparsifier:
             removed=len(removal.requested) if removal else 0,
             repairs=repairs,
             insertion=insertion, removal=removal, seconds=result.seconds,
-            reweighted=len(batch.weight_changes),
+            reweighted=len(changes),
         )
         self._bump_version()
         return result
-
-    def update_many(self, batches: Sequence[UpdateBatch]) -> List[Union[UpdateResult, MixedUpdateResult]]:
-        """Apply several batches in order (the 10-iteration protocol of Table II)."""
-        return [self.update(batch) for batch in batches]
 
     def refresh_setup(self) -> SetupResult:
         """Re-run the setup phase on the current sparsifier.

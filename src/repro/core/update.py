@@ -71,10 +71,6 @@ class UpdateResult:
     filtering_level: int
     update_seconds: float
     dropped_low_distortion: int = 0
-    #: Report of the κ-guard pass, when the driver ran one after this batch
-    #: (mirrors :attr:`RemovalResult.kappa_guard` so insertion-only batches
-    #: carry the same quality bookkeeping as mixed ones).
-    kappa_guard: Optional["KappaGuardReport"] = None
     #: Clusters fused by the hierarchy maintainer after this batch
     #: (``hierarchy_mode="maintain"`` only).
     hierarchy_merges: int = 0
@@ -330,8 +326,6 @@ class RemovalResult:
     inflated_levels: int = 0
     filtering_level: int = 0
     removal_seconds: float = 0.0
-    #: Report of the κ-guard pass, when the driver ran one after this batch.
-    kappa_guard: Optional["KappaGuardReport"] = None
     #: Clusters whose interior the hierarchy maintainer re-examined
     #: (``hierarchy_mode="maintain"`` only).
     spliced_clusters: int = 0
@@ -347,11 +341,8 @@ class RemovalResult:
 
     @property
     def num_repairs(self) -> int:
-        """Total number of edges admitted (reconnection + repair + guard)."""
-        total = len(self.reconnection_edges) + len(self.repair_edges)
-        if self.kappa_guard is not None:
-            total += len(self.kappa_guard.added_edges)
-        return total
+        """Total number of edges admitted (reconnection + repair)."""
+        return len(self.reconnection_edges) + len(self.repair_edges)
 
 
 @dataclass

@@ -74,7 +74,10 @@ def coerce_edge_triple_arrays(edges: Iterable[WeightedEdge], num_nodes: int,
     ``(us, vs, ws)`` arrays in input order, *without* deduplication; raises
     ``error_cls`` (a ``ValueError`` subclass) on the first violation.
     """
-    triples = as_edge_triples(edges)
+    try:
+        triples = as_edge_triples(edges)
+    except OverflowError as exc:  # an int too large for a float
+        raise error_cls(f"edge value out of range: {exc}") from exc
     if triples.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     if triples.ndim != 2 or triples.shape[1] != 3:

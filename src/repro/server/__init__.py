@@ -9,8 +9,9 @@ Public surface (re-exported by :mod:`repro.api`)::
 
     serve(service, ServerConfig(port=8752))        # blocking, SIGTERM-graceful
     client = connect(port=8752)
-    client.update(insertions=[(0, 5, 1.0)])
-    client.resistance(0, 5)
+    client.update(insertions=[(0, 5, 1.0)])        # every write is POST /update
+    client.update(deletions=[(0, 5)], weight_changes=[(0, 1, 0.5)])
+    client.resistance(0, 1)
 """
 
 from repro.server.app import (

@@ -14,10 +14,13 @@ Architecture — one event loop, two disciplines:
   for as long as one write runs.  Only ``/health`` answers directly on the
   loop, from lock-free fields, so liveness probes stay cheap under any load.
 
-* **writes funnel through one bounded ingest queue.**  ``POST /update`` /
-  ``/remove`` / ``/reweight`` / ``/checkpoint`` enqueue a job onto a single
-  :class:`asyncio.Queue` drained by one writer task, which applies jobs
-  strictly in arrival order through the service's write lock.  A full queue
+* **writes funnel through one bounded ingest queue.**  ``POST /update``
+  (every mutation: deletions, weight changes and insertions in one
+  :class:`~repro.streams.edge_stream.MixedBatch`) and ``POST /checkpoint``
+  enqueue a job onto a single :class:`asyncio.Queue` drained by one writer
+  task, which applies jobs strictly in arrival order through the service's
+  write lock.  A batch the driver rejects is answered ``400`` and changes
+  nothing — no edge, no epoch.  A full queue
   is answered immediately with ``429`` + ``Retry-After`` — explicit
   backpressure instead of unbounded buffering; a write that is queued but
   not applied within the request timeout is answered ``202`` (it *will*
@@ -34,6 +37,7 @@ last applied epoch.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -90,30 +94,47 @@ class ServerConfig:
             raise ValueError("request_timeout must be positive")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _int_field(payload: dict, key: str) -> int:
     value = payload.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ProtocolError(400, f"field {key!r} must be an integer")
     return value
 
 
 def _event_rows(payload: dict, key: str, arity: int, kinds: str) -> List[tuple]:
-    """Decode one event list (``[[u, v, ...], ...]``) with strict validation."""
+    """Decode one event list (``[[u, v, ...], ...]``) with strict validation.
+
+    Nothing is coerced: node ids must be JSON integers and a third column
+    (weight or delta) a finite JSON number; booleans, strings, null and
+    nested values answer 400 naming the field.  The rows hold the decoded
+    JSON values unchanged.
+    """
     raw = payload.get(key, [])
     if not isinstance(raw, list):
         raise ProtocolError(400, f"field {key!r} must be a list of {kinds}")
     rows: List[tuple] = []
     for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != arity:
+        if not isinstance(item, list) or len(item) != arity:
             raise ProtocolError(400, f"every {key!r} entry must be {kinds}")
-        try:
-            u, v = int(item[0]), int(item[1])
-            if arity == 2:
-                rows.append((u, v))
-            else:
-                rows.append((u, v, float(item[2])))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(400, f"invalid {key!r} entry {item!r}: {exc}") from exc
+        if not (_is_int(item[0]) and _is_int(item[1])):
+            raise ProtocolError(400, f"invalid {key!r} entry {item!r}: node ids must be integers")
+        if arity == 3 and not _is_finite_number(item[2]):
+            raise ProtocolError(400, f"invalid {key!r} entry {item!r}: "
+                                     f"{item[2]!r} is not a finite number")
+        rows.append(tuple(item))
     return rows
 
 
@@ -462,8 +483,6 @@ class SparsifierHTTPServer:
             _Route("POST", "/resistance", self._handle_resistance),
             _Route("POST", "/solve", self._handle_solve),
             _Route("POST", "/update", self._handle_update),
-            _Route("POST", "/remove", self._handle_remove),
-            _Route("POST", "/reweight", self._handle_reweight),
             _Route("POST", "/checkpoint", self._handle_checkpoint),
             _Route("POST", "/shutdown", self._handle_shutdown),
         ]
@@ -587,30 +606,6 @@ class SparsifierHTTPServer:
                     "applied_batches": self._service.applied_batches,
                     "events": batch.num_events}
         return await self._enqueue_write("update", job)
-
-    async def _handle_remove(self, request: HttpRequest):
-        deletions = _event_rows(request.json(), "deletions", 2, "[u, v]")
-        if not deletions:
-            raise ProtocolError(400, "field 'deletions' holds no edges")
-
-        def job() -> dict:
-            self._service.remove(deletions)
-            return {"version": self._service.latest_version,
-                    "applied_batches": self._service.applied_batches,
-                    "events": len(deletions)}
-        return await self._enqueue_write("remove", job)
-
-    async def _handle_reweight(self, request: HttpRequest):
-        changes = _event_rows(request.json(), "changes", 3, "[u, v, delta]")
-        if not changes:
-            raise ProtocolError(400, "field 'changes' holds no entries")
-
-        def job() -> dict:
-            self._service.reweight(changes)
-            return {"version": self._service.latest_version,
-                    "applied_batches": self._service.applied_batches,
-                    "events": len(changes)}
-        return await self._enqueue_write("reweight", job)
 
     async def _handle_checkpoint(self, request: HttpRequest):
         payload = request.json()

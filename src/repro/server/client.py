@@ -183,14 +183,6 @@ class SparsifierClient:
         return self.update(insertions=batch.insertions, deletions=batch.deletions,
                            weight_changes=batch.weight_changes)
 
-    def remove(self, deletions: Sequence[Tuple[int, int]]) -> dict:
-        return self._call("POST", "/remove",
-                          {"deletions": [[int(u), int(v)] for u, v in deletions]})
-
-    def reweight(self, changes: Sequence[Tuple[int, int, float]]) -> dict:
-        return self._call("POST", "/reweight",
-                          {"changes": [[int(u), int(v), float(d)] for u, v, d in changes]})
-
     def checkpoint(self, path: Optional[str] = None) -> dict:
         payload = {"path": str(path)} if path is not None else {}
         return self._call("POST", "/checkpoint", payload)

@@ -3,9 +3,10 @@
 :class:`SparsifierService` is the concurrency shell the async front end (and
 any embedding application) drives:
 
-* **one writer** — :meth:`apply` / :meth:`remove` / :meth:`reweight` /
-  :meth:`refresh` feed the update stream through the wrapped driver, one
-  batch at a time (an internal lock serialises overlapping writers);
+* **one writer** — :meth:`apply` feeds the update stream through the
+  wrapped driver's :meth:`~repro.core.incremental.InGrassSparsifier.apply_batch`,
+  one batch at a time, and :meth:`refresh` forces a setup refresh (an
+  internal lock serialises overlapping writers);
 * **many readers** — :meth:`snapshot` hands out the
   :class:`~repro.snapshot.SparsifierSnapshot` of the current version epoch.
   The handout is O(1) (the snapshot per epoch is created once and cached) and
@@ -35,19 +36,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional
 
 from repro.core.config import InGrassConfig
-from repro.core.incremental import (
-    Edge,
-    InGrassSparsifier,
-    MixedUpdateResult,
-    RemovalResult,
-    ReweightResult,
-    UpdateBatch,
-    UpdateResult,
-    WeightedEdge,
-)
+from repro.core.incremental import InGrassSparsifier, MixedUpdateResult, UpdateBatch
 from repro.core.setup import SetupResult
 from repro.graphs.graph import Graph
 from repro.snapshot import SparsifierSnapshot
@@ -117,8 +109,8 @@ class SparsifierService:
         """Per-operation write accounting: ``{kind: {count, seconds}}``.
 
         Covers every write routed through this service (``update`` /
-        ``remove`` / ``reweight`` / ``refresh`` / ``checkpoint``) — the
-        numbers behind the HTTP ``/metrics`` endpoint's writer gauges.
+        ``refresh`` / ``checkpoint``) — the numbers behind the HTTP
+        ``/metrics`` endpoint's writer gauges.
         """
         with self._lock:
             return {kind: {"count": count, "seconds": seconds}
@@ -138,30 +130,16 @@ class SparsifierService:
         with self._lock:
             return self._driver.setup(graph, sparsifier, **kwargs)
 
-    def apply(self, batch: UpdateBatch) -> Union[UpdateResult, MixedUpdateResult]:
-        """Apply one update batch (insertions or a ``MixedBatch``) — the write path."""
+    def apply(self, batch: UpdateBatch) -> MixedUpdateResult:
+        """Apply one update batch (insertions or a ``MixedBatch``) — the write path.
+
+        See :meth:`InGrassSparsifier.apply_batch`; a rejected batch raises
+        before it changes anything and is not counted.
+        """
         with self._lock:
             begin = time.perf_counter()
-            result = self._driver.update(batch)
+            result = self._driver.apply_batch(batch)
             self._record_write("update", time.perf_counter() - begin)
-            self._applied_batches += 1
-            return result
-
-    def remove(self, deletions: Iterable[Edge]) -> RemovalResult:
-        """Apply one pure deletion batch."""
-        with self._lock:
-            begin = time.perf_counter()
-            result = self._driver.remove(deletions)
-            self._record_write("remove", time.perf_counter() - begin)
-            self._applied_batches += 1
-            return result
-
-    def reweight(self, changes: Iterable[WeightedEdge]) -> ReweightResult:
-        """Apply one pure weight-increase batch."""
-        with self._lock:
-            begin = time.perf_counter()
-            result = self._driver.reweight(changes)
-            self._record_write("reweight", time.perf_counter() - begin)
             self._applied_batches += 1
             return result
 

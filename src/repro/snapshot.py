@@ -17,11 +17,9 @@ Capture is O(1) and copy-free on the hot path:
   copy-on-write share: the writer's next mutation leaves the snapshot's
   buffers untouched.  After a write, capturing costs one numpy compaction
   per graph;
-* the LRD hierarchy state (embedding labels, cluster diameters) is exported
-  through :meth:`repro.core.hierarchy.ClusterHierarchy.export_state`, whose
-  copy-on-write contract makes the live hierarchy detach onto fresh buffers
-  before its first post-snapshot mutation;
-* the similarity-filter state is summarised into a plain dict (counts only).
+* the LRD hierarchy and the similarity filter are summarised into plain
+  counters (hierarchy versions and depth, filter bucket counts); no label or
+  diameter array is shared with the writer.
 
 The first query pays one Laplacian factorisation per graph, assembled
 straight from the captured arrays
@@ -45,7 +43,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import InGrassConfig
-from repro.core.hierarchy import HierarchyStateSnapshot
 from repro.graphs.graph import FrozenGraph
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier
 from repro.spectral.condition import DENSE_LIMIT_DEFAULT, SpectralContext, relative_condition_number
@@ -69,7 +66,7 @@ class SparsifierSnapshot:
 
     def __init__(self, *, version: int, num_nodes: int,
                  graph_arrays: EdgeArrays, sparsifier_arrays: EdgeArrays,
-                 hierarchy_state: HierarchyStateSnapshot,
+                 hierarchy_summary: dict,
                  filter_summary: Optional[dict],
                  config: InGrassConfig,
                  target_condition_number: Optional[float]) -> None:
@@ -77,7 +74,7 @@ class SparsifierSnapshot:
         self._num_nodes = int(num_nodes)
         self._graph_arrays = graph_arrays
         self._sparsifier_arrays = sparsifier_arrays
-        self._hierarchy_state = hierarchy_state
+        self._hierarchy_summary = dict(hierarchy_summary)
         self._filter_summary = dict(filter_summary) if filter_summary is not None else None
         self._config = config
         self._target_condition = target_condition_number
@@ -107,8 +104,8 @@ class SparsifierSnapshot:
         :class:`repro.service.SparsifierService` does.
         """
         driver._require_setup()
-        setup = driver._setup
-        assert setup is not None
+        assert driver._setup is not None
+        hierarchy = driver._setup.hierarchy
         graph = driver._graph
         sparsifier = driver._sparsifier
         assert graph is not None and sparsifier is not None
@@ -123,7 +120,9 @@ class SparsifierSnapshot:
             num_nodes=graph.num_nodes,
             graph_arrays=graph.edge_arrays(),
             sparsifier_arrays=sparsifier.edge_arrays(),
-            hierarchy_state=setup.hierarchy.export_state(),
+            hierarchy_summary={"hierarchy_version": hierarchy.version,
+                               "hierarchy_labels_version": hierarchy.labels_version,
+                               "num_levels": hierarchy.num_levels},
             filter_summary=summary,
             config=driver._resolved_config(),
             target_condition_number=driver.target_condition_number,
@@ -148,11 +147,6 @@ class SparsifierSnapshot:
     @property
     def num_sparsifier_edges(self) -> int:
         return int(self._sparsifier_arrays[0].shape[0])
-
-    @property
-    def hierarchy_state(self) -> HierarchyStateSnapshot:
-        """The captured LRD hierarchy state (labels + diameters, read-only)."""
-        return self._hierarchy_state
 
     @property
     def filter_summary(self) -> Optional[dict]:
@@ -295,9 +289,7 @@ class SparsifierSnapshot:
             "sparsifier_edges": self.num_sparsifier_edges,
             "filtering_level": self.filtering_level,
             "target_condition_number": self._target_condition,
-            "hierarchy_version": self._hierarchy_state.version,
-            "hierarchy_labels_version": self._hierarchy_state.labels_version,
-            "num_levels": self._hierarchy_state.num_levels,
+            **self._hierarchy_summary,
             "filter": self.filter_summary,
         }
 

@@ -203,7 +203,7 @@ class TestDriverEquivalence:
             ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                           target_condition_number=scenario.initial_condition_number)
             for batch in scenario.batches:
-                ingrass.update(batch)
+                ingrass.apply_batch(batch)
             return ingrass
 
         finals = {"vectorized": run()}
@@ -234,7 +234,7 @@ class TestDriverEquivalence:
             ingrass = InGrassSparsifier(config)
             ingrass.setup(graph, _sparsify(graph, seed=4))
             batch = MixedBatch(insertions=list(stream)) if wrap else list(stream)
-            result = ingrass.update(batch)
+            result = ingrass.apply_batch(batch)
             guard = result.kappa_guard
             assert guard is not None  # the guard runs on both packaging styles
             records[wrap] = ingrass.history[0]

@@ -111,7 +111,7 @@ scenario = build_dynamic_scenario(
     graph, DynamicScenarioConfig(**{SCENARIO_KWARGS!r}))
 driver = load_checkpoint({str(path)!r})
 for batch in scenario.batches[{start}:]:
-    driver.update(batch)
+    driver.apply_batch(batch)
 print(json.dumps({{
     "sparsifier": driver.sparsifier.edge_list(),
     "graph": driver.graph.edge_list(),
@@ -157,12 +157,12 @@ class TestRoundTrip:
 
         uninterrupted = start_driver(scenario, config)
         for batch in batches:
-            uninterrupted.update(batch)
+            uninterrupted.apply_batch(batch)
         expected = fingerprint(uninterrupted)
 
         interrupted = start_driver(scenario, config)
         for batch in batches[:save_after]:
-            interrupted.update(batch)
+            interrupted.apply_batch(batch)
         path = tmp_path / "ckpt"
         interrupted.save_checkpoint(path)
 
@@ -173,7 +173,7 @@ class TestRoundTrip:
         def resume():
             restored = InGrassSparsifier.load_checkpoint(path)
             for batch in batches[save_after:]:
-                restored.update(batch)
+                restored.apply_batch(batch)
             return restored
 
         if resume_on == "threads":
@@ -191,11 +191,11 @@ class TestRoundTrip:
 
         uninterrupted = start_driver(scenario, config)
         for batch in batches:
-            uninterrupted.update(batch)
+            uninterrupted.apply_batch(batch)
 
         interrupted = start_driver(scenario, config)
         for batch in batches[:half]:
-            interrupted.update(batch)
+            interrupted.apply_batch(batch)
         path = tmp_path / "ckpt"
         interrupted.save_checkpoint(path)
 
@@ -210,7 +210,7 @@ class TestFormat:
     def saved(self, scenario, tmp_path):
         driver = start_driver(scenario, make_config())
         for batch in scenario.batches[:2]:
-            driver.update(batch)
+            driver.apply_batch(batch)
         path = tmp_path / "ckpt"
         save_checkpoint(driver, path)
         return driver, path
@@ -245,7 +245,7 @@ class TestFormat:
     def test_manifest_is_deterministic(self, scenario, tmp_path):
         """Same state → byte-identical manifest (no timestamps, sorted keys)."""
         driver = start_driver(scenario, make_config())
-        driver.update(scenario.batches[0])
+        driver.apply_batch(scenario.batches[0])
         texts = []
         for name in ("a", "b"):
             path = tmp_path / name
@@ -258,7 +258,7 @@ class TestFormat:
         sha256): a foreign arrays file under the name the manifest gives, or
         a manifest record changed under its array, raises."""
         driver, path = saved
-        driver.update(scenario.batches[2])
+        driver.apply_batch(scenario.batches[2])
         other = tmp_path / "other"
         save_checkpoint(driver, other)
         manifest_path = Path(path) / "manifest.json"
@@ -317,12 +317,12 @@ class TestCrashSafety:
             self, scenario, tmp_path, monkeypatch):
         driver = start_driver(scenario, make_config())
         for batch in scenario.batches[:3]:
-            driver.update(batch)
+            driver.apply_batch(batch)
         old = fingerprint(driver)
         old_dir = tmp_path / "old"
         save_checkpoint(driver, old_dir)
         for batch in scenario.batches[3:]:
-            driver.update(batch)
+            driver.apply_batch(batch)
         new = fingerprint(driver)
         assert new["version"] != old["version"]
 
@@ -354,7 +354,7 @@ class TestCrashSafety:
 
     def test_an_unreadable_arrays_file_names_the_checkpoint(self, scenario, tmp_path):
         driver = start_driver(scenario, make_config())
-        driver.update(scenario.batches[0])
+        driver.apply_batch(scenario.batches[0])
         path = tmp_path / "ckpt"
         save_checkpoint(driver, path)
         (arrays_file,) = [name for name in os.listdir(path) if name.startswith("arrays-")]

@@ -213,7 +213,7 @@ class TestInGrassSparsifier:
         with pytest.raises(RuntimeError):
             _ = ingrass.sparsifier
         with pytest.raises(RuntimeError):
-            ingrass.update([])
+            ingrass.apply_batch([])
 
     def test_setup_builds_sparsifier_when_missing(self, medium_grid):
         ingrass = InGrassSparsifier(InGrassConfig(seed=0))
@@ -235,7 +235,7 @@ class TestInGrassSparsifier:
 
         stream = mixed_edges(medium_grid, int(0.24 * medium_grid.num_nodes), long_range_fraction=0.3, seed=1)
         batches = split_into_batches(stream, 5)
-        results = ingrass.update_many(batches)
+        results = [ingrass.apply_batch(batch) for batch in batches]
         assert len(results) == 5
         assert len(ingrass.history) == 5
 
@@ -257,7 +257,7 @@ class TestInGrassSparsifier:
         ingrass = InGrassSparsifier(InGrassConfig(seed=0))
         ingrass.setup(medium_grid, initial_offtree_density=0.1)
         edges = random_pair_edges(medium_grid, 12, seed=2)
-        ingrass.update(edges)
+        ingrass.apply_batch(edges)
         record = ingrass.history[0]
         assert record.iteration == 1
         assert record.streamed_edges == 12
@@ -268,8 +268,8 @@ class TestInGrassSparsifier:
         config = InGrassConfig(filtering_level=0, seed=0)
         ingrass = InGrassSparsifier(config)
         ingrass.setup(medium_grid, initial_offtree_density=0.1, target_condition_number=10.0)
-        result = ingrass.update(random_pair_edges(medium_grid, 10, seed=3))
-        assert result.filtering_level == 0
+        result = ingrass.apply_batch(random_pair_edges(medium_grid, 10, seed=3))
+        assert result.insertion.filtering_level == 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -426,9 +426,9 @@ class TestDriverDynamics:
         ingrass = self._driver(medium_grid)
         edges = random_pair_edges(medium_grid, 9, seed=4)
         graph_edges_before = ingrass.graph.num_edges
-        result = ingrass.update(edge for edge in edges)
+        result = ingrass.apply_batch(edge for edge in edges)
         assert ingrass.graph.num_edges == graph_edges_before + 9
-        assert result.summary.total == 9
+        assert result.insertion.summary.total == 9
         record = ingrass.history[-1]
         assert record.streamed_edges == 9
 
@@ -436,20 +436,20 @@ class TestDriverDynamics:
         ingrass = self._driver(medium_grid)
         pairs = removable_edges(ingrass.graph, 5, seed=5)
         graph_before = ingrass.graph.num_edges
-        result = ingrass.remove(pairs)
+        result = ingrass.apply_batch(MixedBatch(deletions=pairs))
         assert ingrass.graph.num_edges == graph_before - len(pairs)
         assert is_connected(ingrass.sparsifier)
         record = ingrass.history[-1]
         assert record.removed_edges == len(pairs)
         assert record.streamed_edges == 0
-        assert record.repair_edges == result.num_repairs
+        assert record.repair_edges == result.removal.num_repairs
 
     def test_remove_rejects_disconnecting_batch(self):
         graph = cycle_graph(8)
         ingrass = InGrassSparsifier(InGrassConfig(seed=0))
         ingrass.setup(graph, graph.copy())
         with pytest.raises(GraphValidationError):
-            ingrass.remove([(0, 1), (3, 4)])
+            ingrass.apply_batch(MixedBatch(deletions=[(0, 1), (3, 4)]))
         # Nothing was mutated by the rejected batch.
         assert ingrass.graph.num_edges == graph.num_edges
 
@@ -459,7 +459,7 @@ class TestDriverDynamics:
         if ingrass.graph.has_edge(*missing):
             pytest.skip("edge unexpectedly present")
         with pytest.raises(GraphValidationError):
-            ingrass.remove([missing])
+            ingrass.apply_batch(MixedBatch(deletions=[missing]))
 
     def test_mixed_batch_returns_mixed_result(self, medium_grid):
         from repro.streams import random_pair_edges
@@ -468,7 +468,7 @@ class TestDriverDynamics:
         deletions = removable_edges(ingrass.graph, 3, seed=6)
         insertions = random_pair_edges(ingrass.graph, 4, seed=6)
         batch = MixedBatch(insertions=insertions, deletions=deletions)
-        result = ingrass.update(batch)
+        result = ingrass.apply_batch(batch)
         assert isinstance(result, MixedUpdateResult)
         assert result.removal is not None and result.insertion is not None
         assert result.seconds >= 0.0
@@ -479,7 +479,7 @@ class TestDriverDynamics:
 
     def test_empty_mixed_batch(self, medium_grid):
         ingrass = self._driver(medium_grid)
-        result = ingrass.update(MixedBatch())
+        result = ingrass.apply_batch(MixedBatch())
         assert result.removal is None and result.insertion is None
         assert ingrass.history[-1].streamed_edges == 0
 
@@ -495,7 +495,7 @@ class TestDriverDynamics:
                      if ingrass.sparsifier.has_edge(*edge)][:2]
             if not pairs:
                 continue
-            ingrass.remove(pairs)
+            ingrass.apply_batch(MixedBatch(deletions=pairs))
             removed += len(pairs)
             if removed >= 2:
                 break
@@ -518,7 +518,7 @@ class TestDriverDynamics:
         ingrass.setup(scenario.graph, scenario.initial_sparsifier,
                       target_condition_number=target)
         for batch in scenario.batches:
-            ingrass.update(batch)
+            ingrass.apply_batch(batch)
             assert is_connected(ingrass.sparsifier)
             kappa = ingrass.condition_number(dense_limit=400)
             assert kappa <= 2.0 * target
@@ -526,3 +526,48 @@ class TestDriverDynamics:
         # The sparsifier tracked the graph: every edge it carries survives in G.
         for u, v in ingrass.sparsifier.edges():
             assert ingrass.graph.has_edge(u, v)
+
+
+class TestRejectedBatchLeavesNoTrace:
+    """The whole batch is validated before the first mutation: a batch that
+    is rejected for any event leaves G, H, the version and the history as
+    they were — even when its deletions alone were valid."""
+
+    @pytest.fixture
+    def driver(self):
+        ingrass = InGrassSparsifier(InGrassConfig(seed=0))
+        ingrass.setup(grid_circuit_2d(8, seed=0))
+        return ingrass
+
+    @staticmethod
+    def _state(ingrass):
+        return (ingrass.graph.edge_list(), ingrass.sparsifier.edge_list(),
+                ingrass.latest_version, ingrass.history)
+
+    @pytest.mark.parametrize("kind", ["bad-insertion", "negative-delta", "nan-delta",
+                                      "reweights-deleted-edge"])
+    def test_rejection_is_atomic(self, driver, kind):
+        graph = driver.graph
+        victim = next(edge for edge in driver.sparsifier.edges()
+                      if removals_keep_connected(graph, [edge]))
+        other = next(edge for edge in graph.edges() if edge != victim)
+        batch = {
+            "bad-insertion": MixedBatch(deletions=[victim], insertions=[(0, 999, 1.0)]),
+            "negative-delta": MixedBatch(deletions=[victim], weight_changes=[(*other, -1.0)]),
+            "nan-delta": MixedBatch(deletions=[victim], weight_changes=[(*other, float("nan"))]),
+            "reweights-deleted-edge": MixedBatch(deletions=[victim],
+                                                 weight_changes=[(*victim, 1.0)]),
+        }[kind]
+        before = self._state(driver)
+        with pytest.raises(GraphValidationError):
+            driver.apply_batch(batch)
+        assert self._state(driver) == before
+        # The next accepted batch continues exactly as if the rejected one
+        # had never been offered.
+        reference = InGrassSparsifier(InGrassConfig(seed=0))
+        reference.setup(grid_circuit_2d(8, seed=0))
+        for ingrass in (driver, reference):
+            ingrass.apply_batch(MixedBatch(deletions=[victim]))
+        assert driver.graph.edge_list() == reference.graph.edge_list()
+        assert driver.sparsifier.edge_list() == reference.sparsifier.edge_list()
+        assert driver.latest_version == reference.latest_version == 2

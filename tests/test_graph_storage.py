@@ -261,7 +261,7 @@ class TestLaplacianBuilder:
         driver.setup(stream.graph, stream.initial_sparsifier,
                      target_condition_number=stream.initial_condition_number)
         for batch in stream.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
             check_graph(driver.graph, monkeypatch)
             check_graph(driver.sparsifier, monkeypatch)
 
@@ -277,7 +277,7 @@ def test_snapshot_queries_never_build_the_frozen_views_dicts(monkeypatch):
     driver = InGrassSparsifier(InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
     driver.setup(stream.graph, stream.initial_sparsifier,
                  target_condition_number=stream.initial_condition_number)
-    driver.update(stream.batches[0])
+    driver.apply_batch(stream.batches[0])
     snap = driver.snapshot()
 
     def refuse(self):

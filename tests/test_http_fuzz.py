@@ -9,7 +9,11 @@ the stream limit the server uses, so every case runs in microseconds:
 * ``Content-Length`` is accepted exactly when it is ASCII digits
   (RFC 9110 §8.6), and differing repeats are rejected (RFC 9112 §6.3);
 * arbitrary bytes yield a request, ``None`` or :class:`ProtocolError` —
-  never another exception.
+  never another exception;
+* the ``POST /update`` body decoder, fed arbitrary JSON values, either keeps
+  every event row exactly as sent (JSON integer node ids, finite JSON number
+  weights) or answers 400 — it never coerces a value and never raises
+  anything else.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.server.app import batch_from_payload
 from repro.server.http import HttpRequest, ProtocolError, read_request
 
 MAX_HEADER = 512
@@ -170,3 +175,53 @@ class TestArbitraryBytes:
     def test_garbage_after_a_request_line_and_headers(self, tail):
         result = parse([b"POST /update HTTP/1.1\r\n" + tail + b"\r\n\r\n"])
         assert isinstance(result, (HttpRequest, ProtocolError))
+
+
+EVENT_FIELDS = ("insertions", "deletions", "weight_changes")
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.sampled_from([2 ** 63, -2 ** 64, 10 ** 400])
+                | st.floats() | st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children,
+                                                                      max_size=2),
+    max_leaves=8)
+
+
+def mostly(valid, other):
+    """``valid`` nine draws in ten, ``other`` otherwise — so both the
+    accepting and the rejecting branch of the decoder are exercised."""
+    return st.integers(min_value=0, max_value=9).flatmap(lambda k: valid if k else other)
+
+
+def event_rows(arity):
+    node = mostly(st.integers(min_value=0, max_value=50), json_scalars)
+    amount = mostly(st.floats(min_value=0.1, max_value=10.0) | st.integers(min_value=1, max_value=5),
+                    json_scalars)
+    row = st.tuples(node, node, *([amount] if arity == 3 else [])).map(list)
+    return mostly(st.lists(mostly(row, json_values), max_size=3), json_values)
+
+
+update_payloads = st.tuples(
+    st.fixed_dictionaries({}, optional={"insertions": event_rows(3), "deletions": event_rows(2),
+                                        "weight_changes": event_rows(3)}),
+    mostly(st.just({}), st.dictionaries(st.text(max_size=6), json_values, max_size=2)),
+).map(lambda pair: {**pair[1], **pair[0]})
+
+
+class TestUpdateDecoder:
+    @settings(max_examples=150, deadline=None)
+    @given(update_payloads)
+    def test_rows_are_the_json_values_or_400(self, payload):
+        try:
+            batch = batch_from_payload(payload)
+        except ProtocolError as exc:
+            assert exc.status == 400
+            return
+        assert set(payload) <= set(EVENT_FIELDS)
+        for key in EVENT_FIELDS:
+            rows = getattr(batch, key)
+            assert [list(row) for row in rows] == payload.get(key, [])
+            for row in rows:
+                assert all(type(node) is int for node in row[:2])
+                assert all(type(value) in (int, float) for value in row[2:])

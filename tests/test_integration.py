@@ -31,7 +31,7 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 class TestDriverConsistency:
     def test_driver_matches_standalone_phases(self):
-        """InGrassSparsifier.update must produce the same sparsifier as calling
+        """InGrassSparsifier.apply_batch must produce the same sparsifier as calling
         run_setup + run_update manually with the same inputs."""
         graph = grid_circuit_2d(12, seed=0)
         sparsifier = GrassSparsifier(GrassConfig(target_offtree_density=0.15, seed=0)).sparsify(
@@ -41,7 +41,7 @@ class TestDriverConsistency:
 
         driver = InGrassSparsifier(InGrassConfig())
         driver.setup(graph, sparsifier, target_condition_number=target)
-        driver.update(stream)
+        driver.apply_batch(stream)
 
         manual = sparsifier.copy()
         setup = run_setup(manual, InGrassConfig())
@@ -54,7 +54,7 @@ class TestDriverConsistency:
         driver = InGrassSparsifier(InGrassConfig())
         driver.setup(graph, initial_offtree_density=0.1)
         stream = mixed_edges(graph, 20, seed=2)
-        driver.update(stream)
+        driver.apply_batch(stream)
         assert driver.graph == graph.union_with_edges(stream)
 
     def test_scenario_protocol_end_to_end(self):
@@ -66,7 +66,7 @@ class TestDriverConsistency:
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         assert is_connected(driver.sparsifier)
         blind = offtree_density(scenario.initial_sparsifier.union_with_edges(scenario.all_new_edges))
         assert offtree_density(driver.sparsifier) <= blind
@@ -86,7 +86,7 @@ class TestDownstreamPreconditioner:
         stream = mixed_edges(graph, int(0.2 * graph.num_nodes), long_range_fraction=0.3, seed=5)
         driver = InGrassSparsifier(InGrassConfig())
         driver.setup(graph, sparsifier, target_condition_number=kappa0)
-        driver.update(stream)
+        driver.apply_batch(stream)
         updated_graph = driver.graph
 
         b = rng.standard_normal(graph.num_nodes)

@@ -331,7 +331,7 @@ class TestWeightChangePath:
         kappa_before = ingrass.condition_number(dense_limit=400)
         changes = weight_change_edges(ingrass.graph, 15, seed=7)
         expected = {(u, v): ingrass.graph.weight(u, v) + d for u, v, d in changes}
-        result = ingrass.reweight(changes)
+        result = ingrass.apply_batch(MixedBatch(weight_changes=changes)).reweight
         assert result.direct + result.reassigned + result.admitted == 15
         for (u, v), weight in expected.items():
             assert ingrass.graph.weight(u, v) == pytest.approx(weight)
@@ -355,7 +355,7 @@ class TestWeightChangePath:
         insertions = random_pair_edges(ingrass.graph, 3, seed=3)
         batch = MixedBatch(insertions=insertions, deletions=deletions,
                            weight_changes=changes)
-        result = ingrass.update(batch)
+        result = ingrass.apply_batch(batch)
         assert result.reweight is not None
         assert len(result.reweight.applied) == len(changes)
         assert ingrass.history[-1].reweighted_edges == len(changes)
@@ -376,10 +376,10 @@ class TestWeightChangePath:
             if missing:
                 break
         with pytest.raises(GraphValidationError):
-            ingrass.reweight([(missing[0], missing[1], 1.0)])
+            ingrass.apply_batch(MixedBatch(weight_changes=[(missing[0], missing[1], 1.0)]))
         edge = next(iter(medium_grid.edges()))
         with pytest.raises(GraphValidationError):
-            ingrass.reweight([(edge[0], edge[1], -1.0)])
+            ingrass.apply_batch(MixedBatch(weight_changes=[(edge[0], edge[1], -1.0)]))
 
 
 class TestDriverModes:
@@ -399,7 +399,7 @@ class TestDriverModes:
                          if ingrass.sparsifier.has_edge(*edge)][:2]
                 if not pairs:
                     continue
-                ingrass.remove(pairs)
+                ingrass.apply_batch(MixedBatch(deletions=pairs))
                 removed += len(pairs)
                 if removed >= 4:
                     break
@@ -416,12 +416,13 @@ class TestDriverModes:
         pairs = [edge for edge in removable_edges(ingrass.graph, 4, seed=0)
                  if ingrass.sparsifier.has_edge(*edge)][:1]
         assert pairs, "expected a removable sparsifier edge"
-        ingrass.remove(pairs)
+        ingrass.apply_batch(MixedBatch(deletions=pairs))
         first = ingrass.maintainer
         assert first is not None
         ingrass.refresh_setup()
         assert ingrass.full_resetups == 1
         assert ingrass.resetup_seconds > 0.0
-        ingrass.remove([edge for edge in removable_edges(ingrass.graph, 4, seed=1)
-                        if ingrass.sparsifier.has_edge(*edge)][:1])
+        ingrass.apply_batch(MixedBatch(deletions=[
+            edge for edge in removable_edges(ingrass.graph, 4, seed=1)
+            if ingrass.sparsifier.has_edge(*edge)][:1]))
         assert ingrass.maintainer is not first

@@ -61,7 +61,7 @@ def _run_churn(params):
 def test_churn_preserves_connectivity_and_support(params):
     scenario, ingrass = _run_churn(params)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
         sparsifier = ingrass.sparsifier
         graph = ingrass.graph
         # Connected on the full node set.
@@ -84,8 +84,8 @@ def test_churn_kappa_stays_within_guard_bound(params):
     target = scenario.initial_condition_number
     guards_ran = 0
     for batch in scenario.batches:
-        result = ingrass.update(batch)
-        guard = getattr(result, "kappa_guard", None)
+        result = ingrass.apply_batch(batch)
+        guard = result.kappa_guard
         if guard is not None:
             guards_ran += 1
             # The guard never makes things worse, and when it reports success
@@ -110,7 +110,7 @@ def test_churn_kappa_stays_within_guard_bound(params):
 def test_churn_history_accounting_is_exact(params):
     scenario, ingrass = _run_churn(params)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
     assert len(ingrass.history) == len(scenario.batches)
     for record, batch in zip(ingrass.history, scenario.batches):
         assert record.streamed_edges == len(batch.insertions)

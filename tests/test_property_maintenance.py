@@ -77,7 +77,7 @@ def test_maintained_bounds_track_exact_resistances(params):
     scenario, ingrass = _run_maintained_churn(params)
     rng = np.random.default_rng(params["stream_seed"])
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
     assert ingrass.full_resetups == 0
     hierarchy = ingrass.setup_result.hierarchy
     calculator = ExactResistanceCalculator(ingrass.sparsifier)
@@ -104,7 +104,7 @@ def test_maintained_hierarchy_stays_nested(params):
     scenario, ingrass = _run_maintained_churn(params)
     hierarchy = ingrass.setup_result.hierarchy
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
         # Nested partitions: a fine cluster maps into exactly one coarse one.
         for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
             mapping: dict = {}
@@ -130,7 +130,7 @@ def test_filter_decisions_match_rebuilt_oracle(params):
     freshly built one — map and next-batch decisions alike."""
     scenario, ingrass = _run_maintained_churn(params)
     for batch in scenario.batches:
-        ingrass.update(batch)
+        ingrass.apply_batch(batch)
         live_filter = ingrass._ensure_filter()
         assert live_filter.in_sync_with_hierarchy()
         oracle = SimilarityFilter(ingrass.sparsifier, ingrass.setup_result.hierarchy,
@@ -164,7 +164,7 @@ def test_maintain_mode_upholds_driver_invariants(params):
     scenario, ingrass = _run_maintained_churn(params, guard=True)
     target = scenario.initial_condition_number
     for batch in scenario.batches:
-        result = ingrass.update(batch)
+        result = ingrass.apply_batch(batch)
         sparsifier = ingrass.sparsifier
         graph = ingrass.graph
         assert is_connected(sparsifier)
@@ -172,7 +172,7 @@ def test_maintain_mode_upholds_driver_invariants(params):
             assert graph.has_edge(u, v)
         for u, v in batch.deletions:
             assert not sparsifier.has_edge(u, v)
-        guard = getattr(result, "kappa_guard", None)
+        guard = result.kappa_guard
         if guard is not None and guard.satisfied:
             assert guard.kappa_after <= 1.8 * target * (1 + 1e-9)
     assert ingrass.full_resetups == 0

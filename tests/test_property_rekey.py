@@ -150,7 +150,7 @@ def test_driver_rekey_parity_across_modes_and_shards(params):
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         # The evolved (incrementally re-keyed) filter map must equal one
         # rebuilt from a fresh scan of the final sparsifier.
         live = driver._filter

@@ -20,6 +20,7 @@ import pytest
 from repro.api import (
     InGrassConfig,
     DynamicScenarioConfig,
+    MixedBatch,
     ServerConfig,
     ServerRequestError,
     SparsifierHTTPServer,
@@ -29,6 +30,7 @@ from repro.api import (
     grid_circuit_2d,
     is_checkpoint,
 )
+from repro.graphs.validation import removals_keep_connected
 from repro.server.app import batch_from_payload
 from repro.server.http import ProtocolError
 from repro.snapshot import SparsifierSnapshot
@@ -205,6 +207,17 @@ class TestBatchDecoding:
         ({"insertions": "nope"}, "must be a list"),
         ({"insertions": [[1, 2]]}, "entry must be"),
         ({"deletions": [[1, "x"]]}, "invalid"),
+        # Node ids are never coerced: no truncation, no strings, no booleans.
+        ({"insertions": [[1.7, 20, 1.0]]}, "'insertions'"),
+        ({"insertions": [["3", "20", "1.0"]]}, "'insertions'"),
+        ({"insertions": [[True, 20, 1.0]]}, "'insertions'"),
+        ({"deletions": [[3, False]]}, "'deletions'"),
+        # Weights and deltas are finite JSON numbers.
+        ({"insertions": [[1, 2, "1.0"]]}, "'insertions'"),
+        ({"insertions": [[1, 2, True]]}, "'insertions'"),
+        ({"weight_changes": [[1, 2, None]]}, "'weight_changes'"),
+        ({"weight_changes": [[1, 2, float("nan")]]}, "'weight_changes'"),
+        ({"weight_changes": [[1, 2, 10**400]]}, "'weight_changes'"),
     ])
     def test_rejects_malformed_payloads(self, payload, fragment):
         with pytest.raises(ProtocolError) as excinfo:
@@ -304,21 +317,52 @@ class TestWritePath:
         assert served == expected
 
     def test_remove_and_reweight_endpoints(self, scenario):
+        # The old convenience routes are gone: a deletion-only or a
+        # weight-change-only write is an ordinary /update batch.
         service = fresh_service(scenario)
         offline = fresh_service(scenario)
         us, vs, ws = offline.snapshot().graph_arrays()
         victim = (int(us[0]), int(vs[0]))
         target = (int(us[1]), int(vs[1]), float(ws[1]) * 0.5)
         with running_server(service) as (_, client):
-            removed = client.remove([victim])
+            for path in ("/remove", "/reweight"):
+                status, _ = client.request("POST", path, {"deletions": [list(victim)]})
+                assert status == 404
+            removed = client.update(deletions=[victim])
             assert removed["applied"] is True and removed["events"] == 1
-            changed = client.reweight([target])
+            changed = client.update(weight_changes=[target])
             assert changed["applied"] is True
-        offline.remove([victim])
-        offline.reweight([target])
+        offline.driver.apply_batch(MixedBatch(deletions=[victim]))
+        offline.driver.apply_batch(MixedBatch(weight_changes=[target]))
         assert service.latest_version == offline.latest_version
         assert (service.driver.sparsifier.edge_list()
                 == offline.driver.sparsifier.edge_list())
+        assert service.driver.graph.edge_list() == offline.driver.graph.edge_list()
+
+    def test_rejected_batch_leaves_no_trace(self, scenario):
+        # A batch the driver rejects (here: a valid deletion next to an
+        # out-of-range insertion) answers 400 between two accepted writes;
+        # the served state must equal the offline replay of the accepted ones.
+        accepted = scenario.batches[:2]
+        middle = offline_replay(scenario, accepted[:1]).driver.graph
+        victim = next(edge for edge in middle.edges()
+                      if removals_keep_connected(middle, [edge]))
+        offline = offline_replay(scenario, accepted)
+        service = fresh_service(scenario)
+        with running_server(service) as (_, client):
+            client.update_batch(accepted[0])
+            epoch = client.epoch()["version"]
+            status, payload = client.request("POST", "/update", {
+                "deletions": [list(victim)], "insertions": [[0, 999, 1.0]]})
+            assert status == 400, payload
+            assert client.epoch()["version"] == epoch
+            client.update_batch(accepted[1])
+            assert client.epoch()["version"] == offline.latest_version
+            served = {on: client.edges(on=on)["edges"] for on in ("graph", "sparsifier")}
+        snap = offline.snapshot()
+        for on, (us, vs, ws) in (("graph", snap.graph_arrays()),
+                                 ("sparsifier", snap.sparsifier_arrays())):
+            assert served[on] == [[int(u), int(v), float(w)] for u, v, w in zip(us, vs, ws)]
 
     def test_version_pinned_reads_survive_writes(self, scenario):
         service = fresh_service(scenario)

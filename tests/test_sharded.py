@@ -87,11 +87,10 @@ def start_driver(scenario, config):
 
 
 def decision_log(result):
-    insertion = getattr(result, "insertion", result)
-    if insertion is None:
+    if result.insertion is None:
         return []
     return [(decision.edge[:2], decision.action, decision.target_edge)
-            for decision in insertion.decisions]
+            for decision in result.insertion.decisions]
 
 
 def history_fingerprint(driver):
@@ -123,8 +122,8 @@ class TestShardParity:
         plain = start_driver(churn_scenario, config)
         packaged = start_driver(churn_scenario, config)
         for batch in churn_scenario.batches:
-            plain_result = plain.update(list(batch.insertions))
-            packaged_result = packaged.update(MixedBatch(insertions=list(batch.insertions)))
+            plain_result = plain.apply_batch(list(batch.insertions))
+            packaged_result = packaged.apply_batch(MixedBatch(insertions=list(batch.insertions)))
             assert decision_log(plain_result) == decision_log(packaged_result)
         assert plain.sparsifier.edge_list() == packaged.sparsifier.edge_list()
         assert history_fingerprint(plain) == history_fingerprint(packaged)
@@ -134,7 +133,7 @@ class TestShardParity:
         insertions = [edge for batch in churn_scenario.batches for edge in batch.insertions]
         threshold = 0.8
         driver = start_driver(churn_scenario, make_config(distortion_threshold=threshold))
-        result = driver.update(insertions)
+        result = driver.apply_batch(insertions).insertion
         assert result.dropped_low_distortion > 0
         distortions = np.array([decision.distortion for decision in result.decisions])
         cutoff = threshold * float(np.median(distortions))
@@ -162,17 +161,17 @@ class TestShardParity:
         )
         config = make_config(hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
         reference = start_driver(scenario, config)
-        reference_decisions = [decision_log(reference.update(batch))
+        reference_decisions = [decision_log(reference.apply_batch(batch))
                                for batch in scenario.batches]
 
         interrupted = start_driver(scenario, config)
-        decisions = [decision_log(interrupted.update(batch))
+        decisions = [decision_log(interrupted.apply_batch(batch))
                      for batch in scenario.batches[:split]]
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "ckpt"
             interrupted.save_checkpoint(path)
             restored = InGrassSparsifier.load_checkpoint(path)
-        decisions += [decision_log(restored.update(batch))
+        decisions += [decision_log(restored.apply_batch(batch))
                       for batch in scenario.batches[split:]]
 
         assert decisions == reference_decisions
@@ -185,15 +184,16 @@ class TestShardParity:
 # --------------------------------------------------------------------------- #
 class TestShardedRemoval:
     def test_pure_deletion_batch_routes_per_shard(self, deletion_heavy_scenario):
-        """``remove()`` accounts for every requested pair: each leaves the
-        graph, and exactly the pairs the sparsifier carried leave it."""
+        """A deletion-only batch accounts for every requested pair: each
+        leaves the graph, and exactly the pairs the sparsifier carried leave
+        it."""
         driver = start_driver(deletion_heavy_scenario, make_config())
         deletions = deletion_heavy_scenario.batches[0].deletions
         assert deletions, "scenario batch must carry deletions"
         requested = {canonical_edge(u, v) for u, v in deletions}
         carried = {pair for pair in requested if driver.sparsifier.has_edge(*pair)}
         assert carried
-        result = driver.remove(deletions)
+        result = driver.apply_batch(MixedBatch(deletions=deletions)).removal
         assert set(result.requested) == requested
         assert len(result.requested) == len(requested)
         assert {(u, v) for u, v, _ in result.removed_from_sparsifier} == carried
@@ -209,7 +209,7 @@ class TestShardedRemoval:
         config = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.8)
         serial = start_driver(deletion_heavy_scenario, config)
         for batch in deletion_heavy_scenario.batches:
-            serial.update(batch)
+            serial.apply_batch(batch)
 
         service = SparsifierService(config)
         service.setup(deletion_heavy_scenario.graph,
@@ -242,7 +242,7 @@ class TestShardedRemoval:
             physical = {canonical_edge(u, v): driver.graph.weight(u, v)
                         for u, v in deletions}
             total_before = driver.sparsifier.total_weight()
-            result = driver.remove(deletions)
+            result = driver.apply_batch(MixedBatch(deletions=deletions)).removal
             excess = sum(max(0.0, weight - physical[(u, v)])
                          for u, v, weight in result.removed_from_sparsifier)
             assert result.reassigned_weight + result.discarded_weight == pytest.approx(excess)
@@ -256,7 +256,7 @@ class TestShardedRemoval:
         moved = 0.0
         for batch in deletion_heavy_scenario.batches:
             moved += remove_and_balance(batch.deletions)
-            driver.update(batch.insertions)
+            driver.apply_batch(batch.insertions)
             # Delete sparsifier edges that absorbed merged weight, as long
             # as the graph stays connected.
             absorbing = []
@@ -278,7 +278,7 @@ class TestScopedFiltersAndEscrow:
         bucket: the one keyed by its endpoints' filtering-level clusters."""
         driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
         for batch in churn_scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         similarity_filter = driver._ensure_filter()
         labels = driver.setup_result.hierarchy.level(similarity_filter.filtering_level).labels
         owners = {}
@@ -309,7 +309,7 @@ class TestScopedFiltersAndEscrow:
         for driver in drivers:
             driver.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
                          target_condition_number=churn_scenario.initial_condition_number)
-            driver.update(churn_scenario.batches[0])
+            driver.apply_batch(churn_scenario.batches[0])
             edge_maps.append(driver.sparsifier.edge_list())
         assert edge_maps[0] == edge_maps[1] == edge_maps[2]
 
@@ -329,7 +329,7 @@ class TestFilteringLevelPinning:
         assert pinned is not None
         filter_object = driver._ensure_filter()
         for batch in deletion_heavy_scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         assert driver.maintenance_stats.splices > 0
         assert driver._resolved_config().filtering_level == pinned
         # The persistent filter was never silently replaced by a throwaway
@@ -353,7 +353,7 @@ class TestFilteringLevelPinning:
         evolved map interchangeable with a rebuilt one."""
         driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
         for batch in deletion_heavy_scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         assert driver.maintenance_stats.splices > 0
         live = driver._ensure_filter()
         reference = SimilarityFilter(driver.sparsifier, driver.setup_result.hierarchy,
@@ -374,7 +374,7 @@ class TestClusterMembersIndex:
         for level_index in range(hierarchy.num_levels):
             hierarchy.cluster_members(level_index, 0)
         for batch in churn_scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         assert driver.maintenance_stats.splices + driver.maintenance_stats.merges > 0
         for level_index in range(hierarchy.num_levels):
             labels = hierarchy.level(level_index).labels
@@ -412,7 +412,7 @@ class TestMaintenanceAwareGuard:
         deletions = churn_scenario.batches[0].deletions
         if not deletions:
             pytest.skip("scenario batch carries no deletions")
-        driver.remove(deletions)
+        driver.apply_batch(MixedBatch(deletions=deletions))
         if driver.maintenance_stats.splices == 0:
             pytest.skip("no cluster was spliced by this deletion batch")
         nodes = maintainer.drain_splice_neighbourhood()

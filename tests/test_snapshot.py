@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import InGrassConfig, InGrassSparsifier
-from repro.core.hierarchy import ClusterHierarchy, LRDLevel
 from repro.graphs import FrozenGraph, FrozenGraphError, Graph, grid_circuit_2d
 from repro.snapshot import SparsifierSnapshot
 from repro.spectral import effective_resistance
@@ -93,27 +92,48 @@ class TestSnapshotCapture:
         driver, scenario = churn_driver
         snap = driver.snapshot()
         assert snap.version == driver.latest_version == 1
-        driver.update(scenario.batches[0])
+        driver.apply_batch(scenario.batches[0])
         assert driver.latest_version > snap.version
         assert driver.snapshot().version == driver.latest_version
 
     def test_hierarchy_state_matches_capture_epoch(self, churn_driver):
-        driver, _ = churn_driver
+        driver, scenario = churn_driver
         hierarchy = driver.setup_result.hierarchy
         snap = driver.snapshot()
-        state = snap.hierarchy_state
-        assert state.version == hierarchy.version
-        assert state.labels_version == hierarchy.labels_version
-        assert state.num_levels == hierarchy.num_levels
-        assert not state.embedding.flags.writeable
-        np.testing.assert_array_equal(state.level_labels(0),
-                                      hierarchy.level(0).labels)
+        captured = snap.describe()
+        assert captured["hierarchy_version"] == hierarchy.version
+        assert captured["hierarchy_labels_version"] == hierarchy.labels_version
+        assert captured["num_levels"] == hierarchy.num_levels
+        # The capture is a copy of the counters, not a view: later writes
+        # that move the hierarchy leave the snapshot's description alone.
+        for batch in scenario.batches:
+            driver.apply_batch(batch)
+        assert hierarchy.version > captured["hierarchy_version"]
+        assert snap.describe() == captured
 
     def test_config_is_pinned(self, churn_driver):
         driver, _ = churn_driver
         snap = driver.snapshot()
         assert snap.filtering_level == driver._resolved_config().filtering_level
         assert snap.target_condition_number == driver.target_condition_number
+
+    def test_snapshot_capture_never_perturbs_the_writer(self, churn_driver):
+        # Interleaving snapshot captures (reader traffic) with the churn
+        # stream must leave the writer's trajectory bit-identical to an
+        # uninterrupted replay.
+        driver, scenario = churn_driver
+        reference = InGrassSparsifier(InGrassConfig(seed=3))
+        reference.setup(scenario.graph, scenario.initial_sparsifier,
+                        target_condition_number=scenario.initial_condition_number)
+        for batch in scenario.batches:
+            reference.apply_batch(batch)
+        for batch in scenario.batches:
+            before = SparsifierSnapshot.capture(driver)
+            before.effective_resistance(0, 1)
+            driver.apply_batch(batch)
+            SparsifierSnapshot.capture(driver).effective_resistance(1, 2)
+        assert driver.sparsifier.edge_list() == reference.sparsifier.edge_list()
+        assert driver.graph.edge_list() == reference.graph.edge_list()
 
 
 class TestSnapshotQueries:
@@ -171,7 +191,7 @@ class TestSnapshotQueries:
         before = [snap.effective_resistance(u, v) for u, v in [(0, 7), (3, 60)]]
         frozen_bytes = snap.sparsifier_arrays()[2].tobytes()
         for batch in scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
         after = [snap.effective_resistance(u, v) for u, v in [(0, 7), (3, 60)]]
         assert before == after  # bit-exact: same solver, same buffers
         assert snap.sparsifier_arrays()[2].tobytes() == frozen_bytes
@@ -189,96 +209,3 @@ class TestSnapshotQueries:
         mutable.add_edge(0, 2, 5.0)  # escape hatch stays open
 
 
-def _tiny_hierarchy() -> ClusterHierarchy:
-    labels0 = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
-    labels1 = np.array([0, 0, 0, 0, 1, 1], dtype=np.int64)
-    return ClusterHierarchy([
-        LRDLevel(labels0, np.array([0.5, 0.6, 0.7]), 1.0),
-        LRDLevel(labels1, np.array([1.5, 1.7]), 2.0),
-    ])
-
-
-class TestHierarchyCopyOnWrite:
-    def test_export_is_o1_and_readonly(self):
-        hierarchy = _tiny_hierarchy()
-        state = hierarchy.export_state()
-        assert hierarchy.cow_shared
-        assert np.shares_memory(state.embedding, hierarchy._embedding)
-        assert not state.embedding.flags.writeable
-        assert hierarchy.cow_copies == 0
-
-    def test_mutation_detaches_exactly_once(self):
-        hierarchy = _tiny_hierarchy()
-        state = hierarchy.export_state()
-        exported = state.level_labels(0).copy()
-        hierarchy.relabel_nodes(0, np.array([1]), 2)
-        assert hierarchy.cow_copies == 1
-        assert not np.shares_memory(state.embedding, hierarchy._embedding)
-        # Further mutations in the same epoch reuse the detached buffers.
-        hierarchy.set_cluster_diameter(0, 0, 0.9)
-        hierarchy.append_cluster(1, 0.1)
-        assert hierarchy.cow_copies == 1
-        # The exported view still answers with the capture-time labels.
-        np.testing.assert_array_equal(state.level_labels(0), exported)
-        assert hierarchy.cluster_of(1, 0) == 2
-
-    def test_no_copy_without_outstanding_export(self):
-        hierarchy = _tiny_hierarchy()
-        hierarchy.relabel_nodes(0, np.array([1]), 2)
-        hierarchy.set_cluster_diameter(0, 0, 0.9)
-        assert hierarchy.cow_copies == 0
-
-    def test_each_export_epoch_detaches_independently(self):
-        hierarchy = _tiny_hierarchy()
-        first = hierarchy.export_state()
-        hierarchy.relabel_nodes(0, np.array([1]), 2)
-        second = hierarchy.export_state()
-        hierarchy.relabel_nodes(0, np.array([0]), 2)
-        assert hierarchy.cow_copies == 2
-        assert first.level_labels(0)[1] == 0
-        assert second.level_labels(0)[1] == 2
-        assert hierarchy.cluster_of(0, 0) == 2
-
-    def test_levels_stay_views_of_embedding_after_detach(self):
-        hierarchy = _tiny_hierarchy()
-        hierarchy.export_state()
-        hierarchy.relabel_nodes(0, np.array([1]), 2)
-        for index in range(hierarchy.num_levels):
-            assert np.shares_memory(hierarchy.level(index).labels,
-                                    hierarchy._embedding)
-
-    def test_similarity_filter_reads_live_labels_across_detach(self):
-        # Regression: the filter must not cache the label array object — a
-        # COW detach re-points level.labels at a fresh buffer, and a cached
-        # reference would keep reading the frozen pre-detach labels (which
-        # silently changes filtering decisions after any snapshot capture).
-        from repro.core.filtering import SimilarityFilter
-
-        hierarchy = _tiny_hierarchy()
-        sparsifier = Graph(3)
-        sparsifier.add_edge(0, 1, 1.0)
-        sparsifier.add_edge(1, 2, 1.0)
-        similarity_filter = SimilarityFilter(sparsifier, hierarchy, 0)
-        assert similarity_filter._labels is hierarchy.level(0).labels
-        hierarchy.export_state()
-        hierarchy.relabel_nodes(0, np.array([1]), 2)  # triggers the detach
-        assert similarity_filter._labels is hierarchy.level(0).labels
-        assert similarity_filter._labels[1] == 2
-
-    def test_snapshot_capture_never_perturbs_the_writer(self, churn_driver):
-        # End-to-end form of the same guarantee: interleaving snapshot
-        # captures (reader traffic) with the churn stream must leave the
-        # writer's trajectory bit-identical to an uninterrupted replay.
-        driver, scenario = churn_driver
-        reference = InGrassSparsifier(InGrassConfig(seed=3))
-        reference.setup(scenario.graph, scenario.initial_sparsifier,
-                        target_condition_number=scenario.initial_condition_number)
-        for batch in scenario.batches:
-            reference.update(batch)
-        for batch in scenario.batches:
-            before = SparsifierSnapshot.capture(driver)
-            before.effective_resistance(0, 1)
-            driver.update(batch)
-            SparsifierSnapshot.capture(driver).effective_resistance(1, 2)
-        assert driver.sparsifier.edge_list() == reference.sparsifier.edge_list()
-        assert driver.graph.edge_list() == reference.graph.edge_list()

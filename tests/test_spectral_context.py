@@ -53,7 +53,7 @@ def start_driver(stream, hierarchy_mode="maintain"):
 def guard_kappas(driver, batches, read_between=False):
     kappas = []
     for batch in batches:
-        guard = driver.update(batch).kappa_guard
+        guard = driver.apply_batch(batch).kappa_guard
         kappas.append((guard.kappa_before, guard.kappa_after, len(guard.added_edges)))
         if read_between:
             driver.condition_number(dense_limit=GUARD_DENSE_LIMIT)
@@ -288,7 +288,7 @@ class TestBoundedFallback:
 
 def test_snapshot_reads_share_one_factor_per_graph(stream, monkeypatch):
     driver = start_driver(stream)
-    driver.update(stream.batches[0])
+    driver.apply_batch(stream.batches[0])
     snap = driver.snapshot()
     splu = _Counter(spla.splu)
     monkeypatch.setattr(spla, "splu", splu)
@@ -303,7 +303,7 @@ def test_snapshot_reads_share_one_factor_per_graph(stream, monkeypatch):
 
 def test_snapshot_and_driver_agree_on_kappa(stream):
     driver = start_driver(stream)
-    driver.update(stream.batches[0])
+    driver.apply_batch(stream.batches[0])
     # Same pencil, same shift, same seeded start: bit-identical.
     assert driver.snapshot().condition_number(dense_limit=1) == driver.condition_number(dense_limit=1)
 

@@ -6,8 +6,8 @@ Two layers are covered:
   (diameter set, cluster append, relabel, removal-driven inflation) and
   ``labels_version`` bumps exactly on structural relabels;
 * :class:`InGrassSparsifier` — ``latest_version`` bumps on every mutating
-  public call (setup, update, apply_batch, remove, reweight, refresh_setup)
-  and never on reads.
+  public call (setup, apply_batch, refresh_setup) and never on reads or on a
+  rejected batch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core import InGrassConfig, InGrassSparsifier
 from repro.core.hierarchy import ClusterHierarchy, LRDLevel
 from repro.core.maintenance import HierarchyMaintainer
 from repro.graphs import grid_circuit_2d
-from repro.streams import DynamicScenarioConfig, build_churn_scenario, mixed_edges
+from repro.streams import DynamicScenarioConfig, MixedBatch, build_churn_scenario, mixed_edges
 
 
 def _tiny_hierarchy() -> ClusterHierarchy:
@@ -73,7 +73,7 @@ class TestHierarchyVersionCounters:
         hierarchy.embedding_matrix()
         hierarchy.cluster_members(0, 0)
         hierarchy.resistance_upper_bound(0, 5)
-        hierarchy.export_state()
+        hierarchy.checkpoint_state()
         assert hierarchy.version == 0
         assert hierarchy.labels_version == 0
 
@@ -90,7 +90,7 @@ class TestHierarchyVersionCounters:
             driver._maintainer, HierarchyMaintainer)
         seen = [(hierarchy.version, hierarchy.labels_version)]
         for batch in scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
             seen.append((hierarchy.version, hierarchy.labels_version))
         versions = [v for v, _ in seen]
         assert versions == sorted(versions)
@@ -117,13 +117,13 @@ class TestDriverVersionEpochs:
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         version = driver.latest_version
-        driver.update(scenario.batches[0])          # mixed batch
+        driver.apply_batch(scenario.batches[0])          # mixed batch
         assert driver.latest_version == version + 1
         edges = list(mixed_edges(driver.graph, 4, seed=11))
-        driver.update(edges)                        # plain insertion batch
+        driver.apply_batch(edges)                        # plain insertion batch
         assert driver.latest_version == version + 2
         edge = next(iter(driver.sparsifier.edges()))
-        driver.reweight([(edge[0], edge[1], 1.5)])
+        driver.apply_batch(MixedBatch(weight_changes=[(edge[0], edge[1], 1.5)]))
         assert driver.latest_version == version + 3
         driver.refresh_setup()
         assert driver.latest_version == version + 4
@@ -136,7 +136,7 @@ class TestDriverVersionEpochs:
         deletions = scenario.batches[0].deletions[:2]
         if not deletions:
             pytest.skip("scenario produced no deletions in batch 0")
-        driver.remove([(e[0], e[1]) for e in deletions])
+        driver.apply_batch(MixedBatch(deletions=[(e[0], e[1]) for e in deletions]))
         # An internal staleness-triggered re-setup may add a second bump;
         # both outcomes advance the epoch deterministically.
         assert driver.latest_version > version
@@ -157,5 +157,5 @@ class TestDriverVersionEpochs:
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches:
-            driver.update(batch)
+            driver.apply_batch(batch)
             assert driver.snapshot().version == driver.latest_version
