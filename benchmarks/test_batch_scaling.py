@@ -23,15 +23,15 @@ from repro.streams import mixed_edges
 
 @pytest.fixture(scope="module")
 def batch_setup(request):
-    """(graph, initial sparsifier, SetupResult, filtering level) on the primary case."""
+    """(graph, initial sparsifier, LRD hierarchy, filtering level) on the primary case."""
     primary_graph = request.getfixturevalue("primary_graph")
     grass = GrassSparsifier(GrassConfig(target_offtree_density=0.10,
                                         tree_method="shortest_path", seed=0))
     sparsifier = grass.sparsify(primary_graph, evaluate_condition=False).sparsifier
     config = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
-    setup = run_setup(sparsifier.copy(), config)
-    level = setup.filtering_level_for(TARGET_CONDITION, config.filtering_size_divisor)
-    return primary_graph, sparsifier, setup, level
+    hierarchy = run_setup(sparsifier.copy(), config).hierarchy
+    level = hierarchy.filtering_level_for_condition(TARGET_CONDITION, config.filtering_size_divisor)
+    return primary_graph, sparsifier, hierarchy, level
 
 
 CONFIG = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
@@ -41,11 +41,11 @@ CONFIG = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
 @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
 def test_update_batch_2000(benchmark, batch_setup, mode):
     """Time one 2000-edge update batch under each filter (CI smoke subset)."""
-    graph, sparsifier, setup, level = batch_setup
+    graph, sparsifier, hierarchy, level = batch_setup
     stream = mixed_edges(graph, 2000, long_range_fraction=0.5, seed=5)
 
     def run():
-        return _timed_update(sparsifier, setup, stream, CONFIG, level,
+        return _timed_update(sparsifier, hierarchy, stream, CONFIG, level,
                              reference=mode == "scalar")
 
     _, working, result = benchmark.pedantic(run, iterations=1, rounds=3)
@@ -64,7 +64,7 @@ def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     ``python -m repro bench batch``: maintain mode adds the same hierarchy
     splice work to both arms, which dilutes the ratio this test measures.
     """
-    graph, sparsifier, setup, level = batch_setup
+    graph, sparsifier, hierarchy, level = batch_setup
     stream = mixed_edges(graph, 10_000, long_range_fraction=0.5, seed=7)
     config = InGrassConfig(lrd=LRDConfig(seed=0), hierarchy_mode="rebuild", seed=0)
     seconds = {}
@@ -72,7 +72,7 @@ def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     for mode in ("scalar", "vectorized"):
         best = float("inf")
         for _ in range(2):
-            elapsed, working, _ = _timed_update(sparsifier, setup, stream, config, level,
+            elapsed, working, _ = _timed_update(sparsifier, hierarchy, stream, config, level,
                                                 reference=mode == "scalar")
             best = min(best, elapsed)
         seconds[mode] = best
@@ -92,13 +92,13 @@ def test_per_edge_cost_stays_flat_with_batch_size(batch_setup):
     flaking the tier-1 suite while still catching an O(m²) regression,
     which shows up as ~100x.
     """
-    graph, sparsifier, setup, level = batch_setup
+    graph, sparsifier, hierarchy, level = batch_setup
     per_edge = {}
     for size in (1000, 100_000):
         stream = mixed_edges(graph, size, long_range_fraction=0.5, seed=9)
         best = float("inf")
         for _ in range(3):
-            elapsed, _, _ = _timed_update(sparsifier, setup, stream, CONFIG, level)
+            elapsed, _, _ = _timed_update(sparsifier, hierarchy, stream, CONFIG, level)
             best = min(best, elapsed)
         per_edge[size] = best / size
     assert per_edge[100_000] < 4.0 * per_edge[1000], per_edge

@@ -46,7 +46,7 @@ def test_ingrass_setup_time(benchmark, case):
         return run_setup(sparsifier.copy(), config)
 
     setup = benchmark(run)
-    assert setup.num_levels >= 1
+    assert setup.hierarchy.num_levels >= 1
 
 
 @pytest.mark.smoke

@@ -46,7 +46,7 @@ def main() -> None:
 
     ingrass = InGrassSparsifier(InGrassConfig())
     ingrass.setup(mesh, sparsifier, target_condition_number=kappa0)
-    print(f"setup: {ingrass.setup_result.num_levels} LRD levels in {ingrass.setup_seconds*1e3:.1f} ms\n")
+    print(f"setup: {ingrass.setup_result.hierarchy.num_levels} LRD levels in {ingrass.setup_seconds*1e3:.1f} ms\n")
 
     # Refinement edges are overwhelmingly local (new elements subdivide
     # existing ones), with the occasional longer-range constraint edge.

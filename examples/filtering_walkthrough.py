@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core import (
     LRDConfig,
-    ResistanceEmbedding,
     SimilarityFilter,
     lrd_decompose,
     score_edges,
@@ -30,7 +29,6 @@ from repro.graphs import paper_figure2_graph
 def main() -> None:
     sparsifier = paper_figure2_graph()
     hierarchy = lrd_decompose(sparsifier, LRDConfig(resistance_method="exact", seed=0))
-    embedding = ResistanceEmbedding(hierarchy)
 
     # Use the coarsest level that still separates the two halves of the graph,
     # mirroring the filtering level L = (b) chosen in the paper's example.
@@ -65,7 +63,7 @@ def main() -> None:
 
     bridge_weight_before = sparsifier.weight(3, 9)
     similarity_filter = SimilarityFilter(sparsifier, hierarchy, level)
-    batch = score_edges(embedding, new_edges).sort()
+    batch = score_edges(hierarchy, new_edges).sort()
     decisions, summary = similarity_filter.apply_batch(batch)
 
     for decision in decisions:

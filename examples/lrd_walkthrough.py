@@ -15,7 +15,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import LRDConfig, ResistanceEmbedding, lrd_decompose
+from repro.core import LRDConfig, lrd_decompose
 from repro.graphs import paper_figure2_graph
 from repro.spectral import ExactResistanceCalculator
 
@@ -26,7 +26,6 @@ def main() -> None:
           "(two 7-node clusters joined by a weak bridge)\n")
 
     hierarchy = lrd_decompose(sparsifier, LRDConfig(resistance_method="exact", seed=0))
-    embedding = ResistanceEmbedding(hierarchy)
 
     print("per-level cluster structure:")
     for row in hierarchy.summary():
@@ -37,7 +36,7 @@ def main() -> None:
 
     print("\nnode embedding vectors (cluster index per level):")
     for node in range(sparsifier.num_nodes):
-        vector = ", ".join(str(int(v)) for v in embedding.vector(node))
+        vector = ", ".join(str(int(v)) for v in hierarchy.embedding_vector(node))
         print(f"  node {node:2d}: [{vector}]")
 
     print("\nresistance estimates from the embedding vs exact values:")
@@ -46,7 +45,7 @@ def main() -> None:
     print(f"  {'pair':>10} {'first common level':>20} {'bound':>8} {'exact':>8}")
     for p, q in pairs:
         level = hierarchy.first_common_level(p, q)
-        bound = embedding.estimate_resistance(p, q)
+        bound = hierarchy.resistance_upper_bound(p, q)
         exact = calculator.resistance(p, q)
         print(f"  ({p:2d}, {q:2d})   {str(level):>20} {bound:>8.3f} {exact:>8.3f}")
     print("\nNodes in the same tight cluster share an index early (small bound);")

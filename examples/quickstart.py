@@ -40,7 +40,7 @@ def main() -> None:
     # 3. One-time inGRASS setup: resistance embedding + LRD decomposition.
     ingrass = InGrassSparsifier(InGrassConfig())
     ingrass.setup(graph, sparsifier, target_condition_number=kappa0)
-    print(f"setup: {ingrass.setup_result.num_levels} LRD levels in {ingrass.setup_seconds*1e3:.1f} ms")
+    print(f"setup: {ingrass.setup_result.hierarchy.num_levels} LRD levels in {ingrass.setup_seconds*1e3:.1f} ms")
 
     # 4. Stream new edges (e.g. new metal straps added to the power grid).
     stream = mixed_edges(graph, int(0.2 * graph.num_nodes), long_range_fraction=0.2, seed=1)

@@ -4,7 +4,7 @@ Sparsification via Low-Resistance-Diameter Decomposition* (DAC 2024).
 The package is organised as:
 
 * :mod:`repro.core` — the inGRASS algorithm itself (LRD decomposition,
-  resistance embeddings, incremental update engine);
+  cluster hierarchy, incremental update engine);
 * :mod:`repro.graphs` — graph containers, Laplacians, generators, connectivity;
 * :mod:`repro.spectral` — effective resistances, Krylov surrogates,
   condition numbers, Laplacian solvers;
@@ -23,7 +23,6 @@ from repro.core import (
     InGrassConfig,
     InGrassSparsifier,
     LRDConfig,
-    ResistanceEmbedding,
     lrd_decompose,
     run_removal,
     run_setup,
@@ -60,7 +59,6 @@ __all__ = [
     "InGrassConfig",
     "InGrassSparsifier",
     "LRDConfig",
-    "ResistanceEmbedding",
     "lrd_decompose",
     "run_setup",
     "run_update",

@@ -36,6 +36,8 @@ from repro.bench.datasets import get_dataset
 from repro.bench.tables import format_table
 from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.filtering import SimilarityFilter
+from repro.core.hierarchy import ClusterHierarchy
+from repro.core.maintenance import HierarchyMaintainer
 from repro.core.setup import run_setup
 from repro.core.update import run_update
 from repro.graphs.graph import Graph
@@ -57,29 +59,31 @@ class _ReferenceFilter(SimilarityFilter):
         return self.apply(batch)
 
 
-def _timed_update(sparsifier: Graph, setup, stream: Sequence, config: InGrassConfig,
+def _timed_update(sparsifier: Graph, hierarchy: ClusterHierarchy, stream: Sequence,
+                  config: InGrassConfig,
                   filtering_level: int, *, reference: bool = False,
                   ) -> tuple[float, Graph, object]:
     """One run_update call on a fresh sparsifier copy; returns (seconds, H, result).
 
     ``reference`` swaps the grouped batch filter for the per-edge reference
-    loop.  The setup is deep-copied so repeated timings start from identical
-    state: in ``hierarchy_mode="maintain"`` the update mutates the hierarchy
-    in place (cluster merges), which would otherwise leak between
-    repetitions and between the filters being compared.
+    loop.  In ``hierarchy_mode="maintain"`` a maintainer fuses clusters after
+    the batch, as the driver's does, and the timing includes those merges.
+    They mutate the hierarchy in place, so it is deep-copied first: repeated
+    timings, and the filters being compared, start from identical state.
     """
-    setup = copy.deepcopy(setup)
+    hierarchy = copy.deepcopy(hierarchy)
     working = sparsifier.copy()
     filter_class = _ReferenceFilter if reference else SimilarityFilter
-    similarity_filter = filter_class(working, setup.hierarchy, filtering_level)
+    similarity_filter = filter_class(working, hierarchy, filtering_level)
+    maintainer = (HierarchyMaintainer(hierarchy, working, lrd_config=config.lrd)
+                  if config.hierarchy_mode == "maintain" else None)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
-        result = run_update(working, setup, stream, config,
-                            target_condition_number=TARGET_CONDITION,
-                            similarity_filter=similarity_filter)
+        result = run_update(working, stream, config,
+                            similarity_filter=similarity_filter, maintainer=maintainer)
         elapsed = time.perf_counter() - start
     finally:
         if enabled:
@@ -103,11 +107,13 @@ def run_batch_bench(sizes: Sequence[int] = DEFAULT_SIZES, *, case: str = "g2_cir
     grass = GrassSparsifier(GrassConfig(target_offtree_density=0.10,
                                         tree_method="shortest_path", seed=seed))
     sparsifier = grass.sparsify(graph, evaluate_condition=False).sparsifier
-    setup_config = InGrassConfig(lrd=LRDConfig(seed=seed), seed=seed)
-    setup_host = sparsifier.copy()
-    setup = run_setup(setup_host, setup_config)
-    filtering_level = setup.filtering_level_for(TARGET_CONDITION,
-                                                setup_config.filtering_size_divisor)
+    # Pinned to rebuild: this bench isolates the batch insertion engine, and
+    # its committed baseline lineage was measured in rebuild mode
+    # (maintain-mode splice costs are the churn benchmark's subject).
+    config = InGrassConfig(lrd=LRDConfig(seed=seed), hierarchy_mode="rebuild", seed=seed)
+    hierarchy = run_setup(sparsifier.copy(), config).hierarchy
+    filtering_level = hierarchy.filtering_level_for_condition(
+        TARGET_CONDITION, config.filtering_size_divisor)
 
     results: List[Dict] = []
     for size in sizes:
@@ -115,17 +121,12 @@ def run_batch_bench(sizes: Sequence[int] = DEFAULT_SIZES, *, case: str = "g2_cir
                              seed=seed + size)
         row: Dict = {"batch_size": int(size)}
         edge_sets: Dict[str, set] = {}
-        # Pinned to rebuild: this bench isolates the batch insertion engine,
-        # and its committed baseline lineage was measured in rebuild mode
-        # (maintain-mode splice costs are the churn benchmark's subject, not
-        # this one's).
-        config = InGrassConfig(lrd=LRDConfig(seed=seed), hierarchy_mode="rebuild", seed=seed)
         for mode in ("scalar", "vectorized"):
             mode_repeats = max(1, repeats if size <= 10_000 else 1)
             best = float("inf")
             summary = None
             for _ in range(mode_repeats):
-                elapsed, working, result = _timed_update(sparsifier, setup, stream,
+                elapsed, working, result = _timed_update(sparsifier, hierarchy, stream,
                                                          config, filtering_level,
                                                          reference=mode == "scalar")
                 best = min(best, elapsed)

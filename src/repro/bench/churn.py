@@ -18,6 +18,7 @@ from repro.bench.datasets import QUICK_CASES, TABLE_CASES
 from repro.bench.harness import HarnessConfig, run_churn
 from repro.bench.records import ChurnRecord
 from repro.bench.tables import format_table, percent
+from repro.core.config import InGrassConfig
 
 
 def print_churn(records: Sequence[ChurnRecord]) -> str:
@@ -57,10 +58,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fraction of streamed events that delete edges")
     parser.add_argument("--no-guard", action="store_true",
                         help="disable the kappa guard (pure O(log N) updates)")
-    parser.add_argument("--hierarchy-mode", default="rebuild",
+    parser.add_argument("--hierarchy-mode", default=InGrassConfig.hierarchy_mode,
                         choices=["rebuild", "maintain", "both"],
                         help="hierarchy tracking: inflate+rebuild, in-place maintenance, "
-                             "or both (one row per mode for comparison)")
+                             "or both (one row per mode for comparison); default: the "
+                             "driver's default")
     parser.add_argument("--resetup-after", type=int, default=None,
                         help="rebuild mode: full re-setup after this many sparsifier "
                              "edge removals (default: never)")

@@ -109,7 +109,7 @@ def run_table1_case(name: str, config: Optional[HarnessConfig] = None) -> Table1
         num_edges=graph.num_edges,
         grass_seconds=grass_timer.elapsed,
         ingrass_setup_seconds=setup_timer.elapsed,
-        num_levels=setup.num_levels,
+        num_levels=setup.hierarchy.num_levels,
     )
 
 
@@ -281,7 +281,7 @@ def run_table3(initial_densities: Sequence[float] = (0.127, 0.118, 0.09, 0.076, 
 def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
                    deletion_fraction: float = 0.35,
                    kappa_guard_factor: Optional[float] = 1.8,
-                   hierarchy_mode: str = "rebuild",
+                   hierarchy_mode: str = InGrassConfig.hierarchy_mode,
                    resetup_after_removals: Optional[int] = None) -> ChurnRecord:
     """Run the fully dynamic churn protocol on one dataset.
 
@@ -382,7 +382,7 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
 def run_churn(cases: Sequence[str], config: Optional[HarnessConfig] = None, *,
               deletion_fraction: float = 0.35,
               kappa_guard_factor: Optional[float] = 1.8,
-              hierarchy_mode: str = "rebuild",
+              hierarchy_mode: str = InGrassConfig.hierarchy_mode,
               resetup_after_removals: Optional[int] = None) -> List[ChurnRecord]:
     """Run the churn protocol for a list of datasets."""
     config = config if config is not None else HarnessConfig()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.core.config import InGrassConfig
+
 
 @dataclass
 class Table1Record:
@@ -141,7 +143,7 @@ class ChurnRecord:
     #: How the LRD hierarchy tracked the stream: ``"rebuild"`` (diameter
     #: inflation + periodic full re-setups) or ``"maintain"`` (in-place
     #: cluster splices/merges, zero full re-setups).
-    hierarchy_mode: str = "rebuild"
+    hierarchy_mode: str = InGrassConfig.hierarchy_mode
     #: Full setup refreshes the driver paid during the stream.
     full_resetups: int = 0
     #: Wall-clock spent in those full refreshes.

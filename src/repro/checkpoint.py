@@ -6,7 +6,9 @@ A checkpoint is a *directory* holding two files:
     Everything JSON-able: the format version, the driver class name, the
     full :class:`~repro.core.config.InGrassConfig` (so a restored driver
     runs under exactly the configuration it was saved under), the version
-    epoch, the pinned filtering level, the per-iteration history, the
+    epoch, the driver's filtering level (fixed at its last setup, so a
+    restore keeps it rather than re-deriving it from the maintained
+    hierarchy), the per-iteration history, the
     hierarchy's staleness/version counters, the maintainer's ``extra``
     blob from ``_checkpoint_runtime_state``, per array its dtype, shape and
     sha256, and the name of the arrays file.
@@ -22,12 +24,12 @@ A checkpoint is a *directory* holding two files:
     file.
 
 What is deliberately **not** serialised: the similarity filter's
-cluster-pair map and the resistance embedding. Both are pure functions of
-the state that *is* serialised (sparsifier edges + hierarchy labels) and
-are rebuilt decision-identically on first use — shipping them would only
-add a second source of truth that could drift from the arrays.
+cluster-pair map. It is a pure function of the state that *is* serialised
+(sparsifier edges, hierarchy labels and the filtering level) and is rebuilt
+decision-identically on restore — shipping it would only add a second
+source of truth that could drift from the arrays.
 
-A save survives a crash at any point.  Its write order (format 5) is:
+A save survives a crash at any point.  Its write order (format 5 on) is:
 
 1. the arrays go to a temporary file, which is fsynced and renamed to its
    digest name;
@@ -45,10 +47,12 @@ just before the swap can find its arrays file gone (step 4) and gets a
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (format 4 overwrote one ``arrays.npz`` in
-place; formats 1 to 3 carried configuration fields that no longer exist) is
-rejected the same way.  Every array is checked against its manifest record,
-and an unreadable arrays file raises ``ValueError`` naming the checkpoint.
+newer layout, and an older one (format 5 carried the
+``InGrassConfig.filtering_level`` field, which no longer exists; format 4
+overwrote one ``arrays.npz`` in place; formats 1 to 3 carried other
+configuration fields that no longer exist) is rejected the same way.  Every
+array is checked against its manifest record, and an unreadable arrays file
+raises ``ValueError`` naming the checkpoint.
 Checkpoints contain no timestamps, so saving the same state twice produces
 the same manifest.
 """
@@ -61,13 +65,12 @@ import json
 import os
 import zipfile
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Dict, Union
 
 import numpy as np
 
 from repro.core.config import InGrassConfig, LRDConfig
-from repro.core.embedding import ResistanceEmbedding
 from repro.core.hierarchy import ClusterHierarchy
 from repro.core.incremental import InGrassSparsifier, IterationRecord
 from repro.core.setup import SetupResult
@@ -77,7 +80,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 
 _MANIFEST = "manifest.json"
 _ARRAYS_PREFIX = "arrays-"
@@ -157,7 +160,6 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
     assert driver._setup is not None
     extra, extra_arrays = driver._checkpoint_runtime_state()
     hierarchy_state = driver._setup.hierarchy.checkpoint_state()
-    pinned = driver._resolved_config()
 
     arrays: dict = {}
     arrays.update(_edge_triplet(driver._graph, "graph"))
@@ -178,13 +180,13 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
         "num_nodes": int(driver._graph.num_nodes),
         "version": int(driver._version),
         "target_condition_number": driver._target_condition,
-        "filtering_level": pinned.filtering_level,
+        "filtering_level": driver.filtering_level,
         "history": [asdict(record) for record in driver._history],
         "total_update_seconds": float(driver._total_update_seconds),
         "full_resetups": int(driver._full_resetups),
         "resetup_seconds": float(driver._resetup_seconds),
         "setup_seconds": float(driver._setup.setup_seconds),
-        "num_levels": int(driver._setup.num_levels),
+        "num_levels": int(driver._setup.hierarchy.num_levels),
         "hierarchy": {
             "num_levels": len(hierarchy_state["cluster_diameters"]),
             "diameter_thresholds": hierarchy_state["diameter_thresholds"],
@@ -271,8 +273,9 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     The restored driver continues byte-identically to the saved one: graphs
     adopt the saved edge arrays in order as their slots, the hierarchy
     is rebuilt from its level arrays with every staleness counter restored,
-    and the ``extra`` state (maintainer counters, pending splices) lands
-    through ``_restore_runtime_state``.  No LRD re-run.
+    the similarity filter is rebuilt at the saved filtering level, and the
+    ``extra`` state (maintainer counters, pending splices) lands through
+    ``_restore_runtime_state``.  No LRD re-run.
     """
     manifest = _read_manifest(path)
     config = _config_from_manifest(manifest)
@@ -300,17 +303,10 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
 
     driver._graph = graph
     driver._sparsifier = sparsifier
-    driver._setup = SetupResult(
-        hierarchy=hierarchy,
-        embedding=ResistanceEmbedding(hierarchy),
-        setup_seconds=float(manifest["setup_seconds"]),
-        num_levels=int(manifest["num_levels"]),
-    )
-    target = manifest["target_condition_number"]
-    driver._target_condition = float(target) if target is not None else None
-    level = manifest["filtering_level"]
-    driver._pinned_config = (config if config.filtering_level == level
-                             else replace(config, filtering_level=level))
+    driver._setup = SetupResult(hierarchy=hierarchy,
+                                setup_seconds=float(manifest["setup_seconds"]))
+    driver._target_condition = float(manifest["target_condition_number"])
+    driver._bind_engine(int(manifest["filtering_level"]))
     driver._history = [IterationRecord(**record) for record in manifest["history"]]
     driver._total_update_seconds = float(manifest["total_update_seconds"])
     driver._full_resetups = int(manifest["full_resetups"])

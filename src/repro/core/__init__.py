@@ -1,8 +1,7 @@
-"""inGRASS core: LRD decomposition, resistance embedding, incremental updates."""
+"""inGRASS core: LRD decomposition, cluster hierarchy, incremental updates."""
 
 from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.distortion import DistortionBatch, score_edges
-from repro.core.embedding import EmbeddingStats, ResistanceEmbedding
 from repro.core.filtering import (
     FilterAction,
     FilterDecision,
@@ -37,8 +36,6 @@ __all__ = [
     "lrd_decompose",
     "ClusterHierarchy",
     "LRDLevel",
-    "ResistanceEmbedding",
-    "EmbeddingStats",
     "DistortionBatch",
     "score_edges",
     "SimilarityFilter",

@@ -63,9 +63,6 @@ class InGrassConfig:
         measured condition number of the initial sparsifier.
     lrd:
         LRD decomposition parameters for the setup phase.
-    filtering_level:
-        Explicit filtering level override (mainly for tests and the ablation
-        benches); ``None`` derives it from ``target_condition_number``.
     filtering_size_divisor:
         The filtering level is the coarsest level whose largest cluster holds
         at most ``target_condition_number / filtering_size_divisor`` nodes.
@@ -110,7 +107,6 @@ class InGrassConfig:
 
     target_condition_number: Optional[float] = None
     lrd: LRDConfig = field(default_factory=LRDConfig)
-    filtering_level: Optional[int] = None
     filtering_size_divisor: float = 2.0
     distortion_threshold: float = 0.0
     kappa_guard_factor: Optional[float] = None
@@ -122,8 +118,6 @@ class InGrassConfig:
     def __post_init__(self) -> None:
         if self.target_condition_number is not None:
             check_positive(self.target_condition_number, "target_condition_number")
-        if self.filtering_level is not None and self.filtering_level < 0:
-            raise ValueError("filtering_level must be non-negative")
         check_positive(self.filtering_size_divisor, "filtering_size_divisor")
         if self.distortion_threshold < 0:
             raise ValueError("distortion_threshold must be non-negative")

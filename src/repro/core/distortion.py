@@ -4,7 +4,7 @@ The spectral distortion of a candidate edge ``(p, q, w)`` with respect to the
 current sparsifier ``H`` is ``w * R_H(p, q)`` — equation (6) of the paper
 shows it equals the total relative eigenvalue perturbation the edge would
 cause if added to ``H``.  The update phase therefore ranks incoming edges by
-estimated distortion (using the LRD resistance embedding) and considers the
+estimated distortion (using the LRD hierarchy's resistance bounds) and considers the
 most distorting edges first: those are the edges whose absence keeps the
 condition number large.
 """
@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.embedding import ResistanceEmbedding
+from repro.core.hierarchy import ClusterHierarchy
 from repro.graphs.graph import as_edge_triples
 
 WeightedEdge = Tuple[int, int, float]
@@ -76,14 +76,14 @@ class DistortionBatch:
         return self.take(np.flatnonzero(keep)), self.take(np.flatnonzero(~keep))
 
 
-def score_edges(embedding: ResistanceEmbedding,
+def score_edges(hierarchy: ClusterHierarchy,
                 new_edges: Sequence[WeightedEdge]) -> DistortionBatch:
     """Estimate the spectral distortion of every candidate edge in one shot.
 
     The resistance between the endpoints is upper-bounded by the diameter of
     the first LRD cluster they share; multiplying by the edge weight gives the
     distortion estimate of equation (6).  No per-edge Python work — the
-    embedding lookup is one masked gather per LRD level.
+    bound lookup is one masked gather per LRD level.
     """
     triples = as_edge_triples(new_edges)
     if triples.size == 0:
@@ -93,11 +93,11 @@ def score_edges(embedding: ResistanceEmbedding,
     us = triples[:, 0].astype(np.int64)
     vs = triples[:, 1].astype(np.int64)
     ws = np.ascontiguousarray(triples[:, 2])
-    return score_edge_arrays(embedding, us, vs, ws)
+    return score_edge_arrays(hierarchy, us, vs, ws)
 
 
-def score_edge_arrays(embedding: ResistanceEmbedding, us: np.ndarray, vs: np.ndarray,
+def score_edge_arrays(hierarchy: ClusterHierarchy, us: np.ndarray, vs: np.ndarray,
                       ws: np.ndarray) -> DistortionBatch:
     """:func:`score_edges` on pre-built endpoint/weight arrays (no conversion)."""
-    bounds = embedding.estimate_resistances_arrays(us, vs)
+    bounds = hierarchy.resistance_upper_bounds_arrays(us, vs)
     return DistortionBatch(us=us, vs=vs, ws=ws, bounds=bounds, distortions=ws * bounds)

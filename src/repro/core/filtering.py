@@ -17,8 +17,8 @@ The cluster-pair connectivity map is the operational face of the paper's
 "multilevel sparse data structure": one hash map per filtering level, keyed by
 cluster pairs, valued with the sparsifier edges realising that connection.
 Keeping *all* realising edges (rather than one representative) lets the fully
-dynamic update path invalidate the map in ``O(1)`` when a sparsifier edge is
-deleted — see :meth:`SimilarityFilter.notify_edge_removed`.
+dynamic update path invalidate the map in ``O(1)`` per deleted sparsifier
+edge — see :meth:`SimilarityFilter.drop_edges`.
 """
 
 from __future__ import annotations
@@ -128,6 +128,11 @@ class SimilarityFilter:
         """The sparsifier being maintained."""
         return self._sparsifier
 
+    @property
+    def hierarchy(self) -> ClusterHierarchy:
+        """The LRD hierarchy whose filtering-level labels key the map."""
+        return self._hierarchy
+
     def state_summary(self) -> dict:
         """Plain-dict summary of the filter's live state (for snapshots).
 
@@ -163,22 +168,21 @@ class SimilarityFilter:
         else:
             self._connectivity.setdefault(pair, {})[key] = None
 
-    def _unregister_edge(self, u: int, v: int) -> None:
-        """Drop one sparsifier edge from the connectivity map (no-op if absent)."""
-        key = canonical_edge(u, v)
-        pair = self._cluster_pair(u, v)
-        if pair[0] == pair[1]:
-            bucket = self._intra_cluster_edges.get(pair[0])
+    def _discard(self, key: Tuple[int, int], p: int, q: int) -> None:
+        """Drop canonical edge ``key`` from the bucket of cluster pair ``(p, q)``
+        (no-op if absent; an emptied bucket is deleted)."""
+        if p == q:
+            bucket = self._intra_cluster_edges.get(p)
             if bucket is not None:
                 bucket.pop(key, None)
                 if not bucket:
-                    del self._intra_cluster_edges[pair[0]]
+                    del self._intra_cluster_edges[p]
         else:
-            bucket = self._connectivity.get(pair)
+            bucket = self._connectivity.get((p, q))
             if bucket is not None:
                 bucket.pop(key, None)
                 if not bucket:
-                    del self._connectivity[pair]
+                    del self._connectivity[(p, q)]
 
     def _representative(self, pair: ClusterPair) -> Optional[Tuple[int, int]]:
         """Return the canonical sparsifier edge realising ``pair`` (or ``None``).
@@ -208,31 +212,21 @@ class SimilarityFilter:
         """
         self._register_edge(u, v)
 
-    def notify_edge_removed(self, u: int, v: int) -> None:
-        """Keep the connectivity map in sync with a sparsifier edge deletion.
-
-        ``O(1)``: the edge is discarded from its cluster-pair bucket; when the
-        bucket empties the cluster pair is genuinely disconnected at this
-        level and future streamed edges between those clusters will be ADDED
-        again rather than merged into a stale representative.
-        """
-        self._unregister_edge(u, v)
-
     def reassign_weight(self, u: int, v: int, weight: float) -> bool:
-        """Fold ``weight`` onto surviving support of ``(u, v)``'s cluster pair.
+        """Fold ``weight`` onto the sparsifier support of ``(u, v)``'s cluster pair.
 
-        Used by the deletion path when a removed sparsifier edge carried more
-        weight than its physical counterpart (earlier MERGED/REDISTRIBUTED
-        decisions parked other edges' conductance on it): the excess belongs
-        to edges that still exist in the graph, so it is re-homed onto the
-        surviving representative of the same cluster pair (or spread inside
-        the cluster for intra-cluster pairs).  Returns ``False`` when no
-        surviving support exists — the caller decides what to do then.
-
-        Call *after* :meth:`notify_edge_removed` so the removed edge itself
-        can never absorb the weight.
+        The weight lands on the pair's representative edge, or is spread
+        inside the cluster for an intra-cluster pair: the route a
+        MERGED/REDISTRIBUTED decision takes.  The driver's weight-change path
+        uses it when the reinforced graph edge is not in the sparsifier (an
+        earlier merge or redistribution absorbed it); :meth:`drop_edges`
+        re-homes a removed edge's excess the same way.  Returns ``False``
+        when the pair has no support — the caller decides what to do then.
         """
-        pair = self._cluster_pair(u, v)
+        return self._rehome(self._cluster_pair(u, v), weight)
+
+    def _rehome(self, pair: ClusterPair, weight: float) -> bool:
+        """:meth:`reassign_weight` for a known cluster pair."""
         if pair[0] == pair[1]:
             if self._intra_cluster_edges.get(pair[0]):
                 self._redistribute_weight(pair[0], weight)
@@ -243,6 +237,52 @@ class SimilarityFilter:
             return False
         self._sparsifier.increase_weight(representative[0], representative[1], weight)
         return True
+
+    def drop_edges(self, keys: Sequence[Tuple[int, int]],
+                   physical_weights: Sequence[Optional[float]],
+                   ) -> Tuple[List[WeightedEdge], float, float]:
+        """Remove canonical edges from the sparsifier and the map, re-homing excess.
+
+        For every key the sparsifier carries, in key order: the edge leaves
+        the sparsifier and its cluster-pair bucket (``O(1)``; when the bucket
+        empties the cluster pair is genuinely disconnected at this level, and
+        later streamed edges between those clusters are ADDED again rather
+        than merged into a stale representative), and when it carried more
+        than its ``physical_weights`` entry (conductance earlier merge or
+        redistribute decisions parked on it) the excess is re-homed as by
+        :meth:`reassign_weight`.  The loop stays sequential — re-homing edge
+        ``i``'s excess may pick a representative that a later key removes.
+        A ``None`` physical weight re-homes nothing.
+
+        Returns the removed ``(u, v, carried weight)`` triples in key order,
+        the re-homed excess and the excess no surviving support could take.
+        """
+        removed: List[WeightedEdge] = []
+        reassigned = 0.0
+        discarded = 0.0
+        if not keys:
+            return removed, reassigned, discarded
+        us = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
+        vs = np.fromiter((v for _, v in keys), dtype=np.int64, count=len(keys))
+        # Dropping edges relabels nothing: one gather serves the whole batch.
+        cluster_us = self._labels[us]
+        cluster_vs = self._labels[vs]
+        ps = np.minimum(cluster_us, cluster_vs).tolist()
+        qs = np.maximum(cluster_us, cluster_vs).tolist()
+        pop_edge = self._sparsifier.pop_edge
+        for key, p, q, physical in zip(keys, ps, qs, physical_weights):
+            weight = pop_edge(key[0], key[1])
+            if weight is None:
+                continue
+            self._discard(key, p, q)
+            removed.append((key[0], key[1], weight))
+            if physical is not None and weight > physical:
+                excess = weight - physical
+                if self._rehome((p, q), excess):
+                    reassigned += excess
+                else:
+                    discarded += excess
+        return removed, reassigned, discarded
 
     def connects_clusters(self, p: int, q: int) -> bool:
         """Return ``True`` when a sparsifier edge already joins the clusters of p and q."""
@@ -306,7 +346,7 @@ class SimilarityFilter:
                 connectivity.setdefault((p, q), {})[(u, v)] = None
 
     def _unregister_pairs(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Bulk :meth:`_unregister_edge` over canonical endpoint arrays."""
+        """Drop sparsifier edges, given as canonical endpoint arrays, from the map."""
         if us.size == 0:
             return
         labels = self._labels
@@ -314,21 +354,9 @@ class SimilarityFilter:
         cluster_vs = labels[vs]
         pair_los = np.minimum(cluster_us, cluster_vs).tolist()
         pair_his = np.maximum(cluster_us, cluster_vs).tolist()
-        connectivity = self._connectivity
-        intra = self._intra_cluster_edges
+        discard = self._discard
         for u, v, p, q in zip(us.tolist(), vs.tolist(), pair_los, pair_his):
-            if p == q:
-                bucket = intra.get(p)
-                if bucket is not None:
-                    bucket.pop((u, v), None)
-                    if not bucket:
-                        del intra[p]
-            else:
-                bucket = connectivity.get((p, q))
-                if bucket is not None:
-                    bucket.pop((u, v), None)
-                    if not bucket:
-                        del connectivity[(p, q)]
+            discard((u, v), p, q)
 
     def unregister_incident_edges(self, nodes) -> List[Tuple[int, int]]:
         """Pop every sparsifier edge incident to ``nodes`` from the map.

@@ -22,6 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graphs.graph import Graph
+
 
 @dataclass
 class LRDLevel:
@@ -223,6 +225,31 @@ class ClusterHierarchy:
                 bounds[mask] = np.maximum(level.cluster_diameters[clusters], 1e-12)
         bounds[ps == qs] = 0.0
         return bounds
+
+    def compare_with_exact(self, sparsifier: Graph, pairs: Sequence[Tuple[int, int]]) -> dict:
+        """Quantify the resistance bounds against exact resistances on ``pairs``.
+
+        For tests and ablation benches on small graphs: returns ``num_pairs``,
+        the Spearman rank correlation (``spearman_correlation``), the mean
+        bound/exact ratio (``mean_ratio``) and the fraction of pairs whose
+        bound is indeed an upper bound (``fraction_upper_bound``).
+        """
+        from scipy.stats import spearmanr
+
+        from repro.spectral.effective_resistance import ExactResistanceCalculator
+
+        pair_list = [(int(p), int(q)) for p, q in pairs if p != q]
+        if not pair_list:
+            raise ValueError("need at least one distinct node pair")
+        exact = ExactResistanceCalculator(sparsifier).resistances(pair_list)
+        estimated = self.resistance_upper_bounds(pair_list)
+        correlation = float(spearmanr(exact, estimated).statistic) if len(pair_list) > 2 else 1.0
+        return {
+            "num_pairs": len(pair_list),
+            "spearman_correlation": correlation,
+            "mean_ratio": float(np.mean(estimated / np.maximum(exact, 1e-15))),
+            "fraction_upper_bound": float(np.mean(estimated >= exact * (1.0 - 1e-9))),
+        }
 
     # ------------------------------------------------------------------ #
     # Cluster membership index

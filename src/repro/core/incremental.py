@@ -14,9 +14,17 @@ a convenient object:
   graph ``G(k)`` and the sparsifier ``H(k)`` in sync, and records
   per-iteration statistics;
 * :meth:`condition_number` / :meth:`report` evaluate the current quality;
-* :meth:`refresh_setup` rebuilds the LRD hierarchy/embedding from the current
+* :meth:`refresh_setup` rebuilds the LRD hierarchy from the current
   sparsifier (scheduled automatically after
   ``config.resetup_after_removals`` sparsifier-edge deletions).
+
+The driver is the one owner of the update engine's state.  Each setup,
+refresh and checkpoint restore fixes the similarity filtering level (Section
+III-C-2: from the hierarchy and the target κ; a restore keeps the saved
+level) and builds the :class:`~repro.core.filtering.SimilarityFilter` and, in
+``hierarchy_mode="maintain"``, the
+:class:`~repro.core.maintenance.HierarchyMaintainer`; the stage functions of
+:mod:`repro.core.update` receive both on every call and keep nothing.
 
 Typical usage::
 
@@ -32,7 +40,7 @@ Typical usage::
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,7 +53,6 @@ from repro.core.update import (
     KappaGuardReport,
     RemovalResult,
     UpdateResult,
-    _select_filtering_level,
     run_kappa_guard,
     run_removal,
     run_update,
@@ -136,11 +143,6 @@ class MixedUpdateResult:
 class InGrassSparsifier:
     """Incremental spectral sparsifier maintaining ``H(k)`` under edge insertions and deletions."""
 
-    @classmethod
-    def from_config(cls, config: Optional[InGrassConfig] = None) -> "InGrassSparsifier":
-        """Build a driver for ``config`` (``None`` means defaults)."""
-        return cls(config)
-
     def __init__(self, config: Optional[InGrassConfig] = None) -> None:
         self.config = config if config is not None else InGrassConfig()
         self._graph: Optional[Graph] = None
@@ -149,7 +151,6 @@ class InGrassSparsifier:
         self._filter: Optional[SimilarityFilter] = None
         self._maintainer: Optional[HierarchyMaintainer] = None
         self._target_condition: Optional[float] = self.config.target_condition_number
-        self._pinned_config: Optional[InGrassConfig] = None
         self._history: List[IterationRecord] = []
         self._total_update_seconds = 0.0
         self._full_resetups = 0
@@ -192,7 +193,7 @@ class InGrassSparsifier:
 
     @property
     def setup_result(self) -> SetupResult:
-        """Artifacts of the setup phase (hierarchy, embedding, timing)."""
+        """Artifacts of the setup phase (hierarchy, timing)."""
         self._require_setup()
         return self._setup  # type: ignore[return-value]
 
@@ -216,6 +217,12 @@ class InGrassSparsifier:
     def target_condition_number(self) -> Optional[float]:
         """Target κ used to choose the similarity filtering level."""
         return self._target_condition
+
+    @property
+    def filtering_level(self) -> int:
+        """The similarity filtering level fixed for the current setup."""
+        self._require_setup()
+        return self._filter.filtering_level  # type: ignore[union-attr]
 
     @property
     def removals_since_setup(self) -> int:
@@ -303,20 +310,17 @@ class InGrassSparsifier:
         """
         extra: dict = {}
         arrays: Dict[str, np.ndarray] = {}
-        if self.config.hierarchy_mode == "maintain":
-            maintainer = self._ensure_maintainer()
-            if maintainer is not None:
-                extra["maintainer_stats"] = asdict(maintainer.stats)
-                pending = sorted(maintainer._splice_neighbourhood.keys())
-                arrays["pending_splices"] = np.asarray(pending, dtype=np.int64)
+        maintainer = self._maintainer
+        if maintainer is not None:
+            extra["maintainer_stats"] = asdict(maintainer.stats)
+            pending = sorted(maintainer._splice_neighbourhood.keys())
+            arrays["pending_splices"] = np.asarray(pending, dtype=np.int64)
         return extra, arrays
 
     def _restore_runtime_state(self, extra: dict,
                                arrays: Dict[str, np.ndarray]) -> None:
         """Inverse of :meth:`_checkpoint_runtime_state` on a rebuilt driver."""
-        if self.config.hierarchy_mode != "maintain":
-            return
-        maintainer = self._ensure_maintainer()
+        maintainer = self._maintainer
         if maintainer is None:
             return
         stats = extra.get("maintainer_stats")
@@ -342,25 +346,27 @@ class InGrassSparsifier:
         if self._setup is None:
             raise RuntimeError("call setup() before using the sparsifier")
 
-    def _resolved_config(self) -> InGrassConfig:
-        """The configuration with the filtering level pinned for this setup.
+    def _bind_engine(self, filtering_level: int) -> None:
+        """Build the similarity filter at ``filtering_level`` and, in maintain
+        mode, the hierarchy maintainer, both bound to the current setup.
 
-        The similarity filtering level is a *setup-time* choice (Section
-        III-C-2 derives it from the hierarchy the setup phase built): the
-        whole cluster-pair map is keyed by that level's labels.  Re-deriving
-        the level on every call would let maintain-mode splices/merges drift
-        it mid-stream, silently invalidating the level-keyed filter map (the
-        engine would build throwaway filters per batch and lose their
-        registrations), so the first resolution after a (re)setup is frozen
-        into the config every pipeline call receives.
+        The filtering level is a *setup-time* choice (Section III-C-2 derives
+        it from the hierarchy the setup phase built) and the whole
+        cluster-pair map is keyed by that level's labels, so it stays fixed
+        until the next (re)setup even when maintain-mode splices and merges
+        change the cluster sizes it was derived from.
         """
-        self._require_setup()
-        if self._pinned_config is None:
-            assert self._setup is not None
-            level = _select_filtering_level(self._setup, self.config, self._target_condition)
-            self._pinned_config = (self.config if self.config.filtering_level == level
-                                   else replace(self.config, filtering_level=level))
-        return self._pinned_config
+        assert self._setup is not None and self._sparsifier is not None
+        hierarchy = self._setup.hierarchy
+        self._filter = SimilarityFilter(self._sparsifier, hierarchy, filtering_level)
+        self._maintainer = (HierarchyMaintainer(hierarchy, self._sparsifier,
+                                                lrd_config=self.config.lrd)
+                            if self.config.hierarchy_mode == "maintain" else None)
+
+    def _level_for_target(self) -> int:
+        assert self._setup is not None and self._target_condition is not None
+        return self._setup.hierarchy.filtering_level_for_condition(
+            self._target_condition, self.config.filtering_size_divisor)
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -394,49 +400,28 @@ class InGrassSparsifier:
                                        seed=self.config.seed)
             sparsifier = GrassSparsifier(grass_config).sparsify(graph).sparsifier
         validate_sparsifier_support(graph, sparsifier, allow_new_edges=True)
-        self._graph = graph.copy()
-        self._sparsifier = sparsifier.copy()
-        self._setup = run_setup(self._sparsifier, self.config)
-        self._filter = None
-        self._maintainer = None
-        self._pinned_config = None
+        graph, sparsifier = graph.copy(), sparsifier.copy()
+        setup = run_setup(sparsifier, self.config)
+        if target_condition_number is None:
+            target_condition_number = self.config.target_condition_number
+        if target_condition_number is None:
+            # Derive the target from the measured initial quality.
+            target_condition_number = relative_condition_number(graph, sparsifier)
+        # Nothing above touched the driver: a failed setup leaves it as it was.
+        self._graph, self._sparsifier, self._setup = graph, sparsifier, setup
+        self._target_condition = target_condition_number
         self._history = []
         self._total_update_seconds = 0.0
         self._full_resetups = 0
         self._resetup_seconds = 0.0
         self._spectral = SpectralContext()
-
-        if target_condition_number is not None:
-            self._target_condition = target_condition_number
-        elif self.config.target_condition_number is not None:
-            self._target_condition = self.config.target_condition_number
-        elif self.config.filtering_level is None:
-            # Derive the target from the measured initial quality.
-            self._target_condition = relative_condition_number(self._graph, self._sparsifier)
+        self._bind_engine(self._level_for_target())
         self._bump_version()
-        return self._setup
+        return setup
 
     # ------------------------------------------------------------------ #
     # Update
     # ------------------------------------------------------------------ #
-    def _ensure_filter(self) -> SimilarityFilter:
-        """Build (once) the stateful similarity filter bound to the sparsifier."""
-        assert self._setup is not None and self._sparsifier is not None
-        if self._filter is None:
-            level = _select_filtering_level(self._setup, self._resolved_config(),
-                                            self._target_condition)
-            self._filter = SimilarityFilter(self._sparsifier, self._setup.hierarchy, level)
-        return self._filter
-
-    def _ensure_maintainer(self) -> Optional[HierarchyMaintainer]:
-        """Build (once per setup) the hierarchy maintainer in maintain mode."""
-        if self.config.hierarchy_mode != "maintain":
-            return None
-        assert self._setup is not None and self._sparsifier is not None
-        if self._maintainer is None or self._maintainer.hierarchy is not self._setup.hierarchy:
-            self._maintainer = self._setup.make_maintainer(self._sparsifier, self.config)
-        return self._maintainer
-
     def _record_iteration(self, *, streamed: int, removed: int, repairs: int,
                           insertion: Optional[UpdateResult],
                           removal: Optional[RemovalResult], seconds: float,
@@ -448,7 +433,7 @@ class InGrassSparsifier:
         elif removal is not None:
             level = removal.filtering_level
         else:
-            level = self._filter.filtering_level if self._filter is not None else 0
+            level = self.filtering_level
         self._history.append(
             IterationRecord(
                 iteration=len(self._history) + 1,
@@ -472,12 +457,8 @@ class InGrassSparsifier:
         graph, sparsifier = self._graph, self._sparsifier
         assert graph is not None and sparsifier is not None and self._setup is not None
         graph.add_edges(new_edges, merge="add")
-        return run_update(
-            sparsifier, self._setup, new_edges, self._resolved_config(),
-            target_condition_number=self._target_condition,
-            similarity_filter=self._ensure_filter(),
-            maintainer=self._ensure_maintainer(),
-        )
+        return run_update(sparsifier, new_edges, self.config,
+                          similarity_filter=self._filter, maintainer=self._maintainer)
 
     def _validate_batch(self, batch: MixedBatch) -> Tuple[List[Edge], List[WeightedEdge]]:
         """Check every event of ``batch`` before the first mutation.
@@ -523,13 +504,9 @@ class InGrassSparsifier:
         # Capture the physical weights while removing so run_removal can
         # re-home conductance that merges parked on removed sparsifier edges.
         removed_with_weights = graph.remove_edges(pairs)
-        result = run_removal(
-            sparsifier, self._setup, removed_with_weights,
-            graph=graph, config=self._resolved_config(),
-            target_condition_number=self._target_condition,
-            similarity_filter=self._ensure_filter(),
-            maintainer=self._ensure_maintainer(),
-        )
+        result = run_removal(sparsifier, removed_with_weights,
+                             graph=graph, config=self.config,
+                             similarity_filter=self._filter, maintainer=self._maintainer)
         # The periodic full re-setup is a rebuild-mode fallback: the
         # maintenance mode keeps the hierarchy structurally accurate, so it
         # never pays the O(m log n) refresh.
@@ -553,8 +530,8 @@ class InGrassSparsifier:
         result = ReweightResult(applied=applied)
         graph.increase_weights([(u, v) for u, v, _ in applied],
                                [delta for _, _, delta in applied])
-        similarity_filter = self._ensure_filter()
-        maintainer = self._ensure_maintainer()
+        similarity_filter, maintainer = self._filter, self._maintainer
+        assert similarity_filter is not None
         admitted: List[WeightedEdge] = []
         for u, v, delta in applied:
             if sparsifier.has_edge(u, v):
@@ -582,17 +559,14 @@ class InGrassSparsifier:
         of deletions, repairs and insertions, so the quality contract covers
         insertion-only batches of a churn stream too.
         """
-        if self.config.kappa_guard_factor is None or self._target_condition is None:
+        if self.config.kappa_guard_factor is None:
             return None
-        assert self._graph is not None and self._sparsifier is not None and self._setup is not None
-        return run_kappa_guard(
-            self._sparsifier, self._setup, graph=self._graph,
-            config=self._resolved_config(),
-            target_condition_number=self._target_condition,
-            similarity_filter=self._ensure_filter(),
-            maintainer=self._ensure_maintainer(),
-            context=self._spectral,
-        )
+        assert self._graph is not None and self._sparsifier is not None
+        assert self._target_condition is not None and self._filter is not None
+        return run_kappa_guard(self._sparsifier, graph=self._graph, config=self.config,
+                               target_condition_number=self._target_condition,
+                               similarity_filter=self._filter, maintainer=self._maintainer,
+                               context=self._spectral)
 
     def apply_batch(self, batch: UpdateBatch) -> MixedUpdateResult:
         """Apply one batch of streamed updates as one iteration — the only write path.
@@ -619,6 +593,9 @@ class InGrassSparsifier:
         if plain:
             batch = MixedBatch(insertions=list(batch))
         pairs, changes = self._validate_batch(batch)
+        # A relabel of the filtering level the filter was not told about
+        # shows up as a label-version mismatch; resync rebuilds its map once.
+        self._filter.resync()  # type: ignore[union-attr]
         removal = self._apply_removals(pairs) if pairs else None
         reweight = self._apply_weight_changes(changes) if changes else None
         insertion = (self._apply_insertions(batch.insertions)
@@ -643,20 +620,18 @@ class InGrassSparsifier:
     def refresh_setup(self) -> SetupResult:
         """Re-run the setup phase on the current sparsifier.
 
-        Rebuilds the LRD hierarchy, the resistance embedding and the
-        similarity filter from ``H(k)`` as it stands — the coarse-grained
-        refresh that restores estimate accuracy after many deletions in
-        rebuild mode (the maintenance mode keeps the hierarchy accurate in
-        place and only reaches here when a caller forces it).  The
-        accumulated history and the tracked graph are preserved.
+        Rebuilds the LRD hierarchy, the filtering level, the similarity
+        filter and the maintainer from ``H(k)`` as it stands — the
+        coarse-grained refresh that restores estimate accuracy after many
+        deletions in rebuild mode (the maintenance mode keeps the hierarchy
+        accurate in place and only reaches here when a caller forces it).
+        The accumulated history and the tracked graph are preserved.
         """
         self._require_setup()
         assert self._sparsifier is not None
         with Timer() as timer:
             self._setup = run_setup(self._sparsifier, self.config)
-        self._filter = None
-        self._maintainer = None
-        self._pinned_config = None
+        self._bind_engine(self._level_for_target())
         self._full_resetups += 1
         self._resetup_seconds += timer.elapsed
         self._bump_version()

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import InGrassConfig, LRDConfig
+from repro.core.config import LRDConfig
 from repro.core.hierarchy import ClusterHierarchy
 from repro.core.lrd import EXACT_DIAMETER_LIMIT, _exact_diameter_csr, decompose_node_subset
 from repro.graphs.graph import Graph
@@ -134,12 +134,6 @@ class HierarchyMaintainer:
     def sparsifier(self) -> Graph:
         """The sparsifier the hierarchy describes."""
         return self._sparsifier
-
-    @classmethod
-    def from_config(cls, hierarchy: ClusterHierarchy, sparsifier: Graph,
-                    config: InGrassConfig) -> "HierarchyMaintainer":
-        """Build a maintainer honouring :class:`InGrassConfig` knobs."""
-        return cls(hierarchy, sparsifier, lrd_config=config.lrd)
 
     # ------------------------------------------------------------------ #
     # Removal path: splice affected clusters

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import InGrassConfig
-from repro.core.embedding import ResistanceEmbedding
 from repro.core.hierarchy import ClusterHierarchy
 from repro.core.lrd import lrd_decompose
 from repro.graphs.components import is_connected
@@ -29,27 +28,16 @@ from repro.utils.timing import Timer
 
 @dataclass
 class SetupResult:
-    """Artifacts of the setup phase consumed by every subsequent update."""
+    """Artifacts of the setup phase consumed by every subsequent update.
+
+    The hierarchy *is* the paper's node embedding: row ``i`` of
+    :meth:`~repro.core.hierarchy.ClusterHierarchy.embedding_matrix` holds
+    node ``i``'s cluster index per level, and the hierarchy answers the
+    resistance-bound queries the update phase scores edges with.
+    """
 
     hierarchy: ClusterHierarchy
-    embedding: ResistanceEmbedding
     setup_seconds: float
-    num_levels: int
-
-    def filtering_level_for(self, target_condition_number: float, size_divisor: float = 2.0) -> int:
-        """Delegate filtering-level selection to the hierarchy."""
-        return self.hierarchy.filtering_level_for_condition(target_condition_number, size_divisor)
-
-    def make_maintainer(self, sparsifier: Graph, config: Optional[InGrassConfig] = None):
-        """Build a :class:`~repro.core.maintenance.HierarchyMaintainer` for this setup.
-
-        The maintainer mutates this result's hierarchy in place; build a new
-        one whenever the setup is refreshed.
-        """
-        from repro.core.maintenance import HierarchyMaintainer
-
-        config = config if config is not None else InGrassConfig()
-        return HierarchyMaintainer.from_config(self.hierarchy, sparsifier, config)
 
 
 def run_setup(sparsifier: Graph, config: Optional[InGrassConfig] = None) -> SetupResult:
@@ -71,11 +59,5 @@ def run_setup(sparsifier: Graph, config: Optional[InGrassConfig] = None) -> Setu
         raise ValueError("the initial sparsifier must be connected")
     timer = Timer().start()
     hierarchy = lrd_decompose(sparsifier, config.lrd)
-    embedding = ResistanceEmbedding(hierarchy)
     timer.stop()
-    return SetupResult(
-        hierarchy=hierarchy,
-        embedding=embedding,
-        setup_seconds=timer.elapsed,
-        num_levels=hierarchy.num_levels,
-    )
+    return SetupResult(hierarchy=hierarchy, setup_seconds=timer.elapsed)

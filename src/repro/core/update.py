@@ -14,6 +14,12 @@ phase:
 The cost is ``O(log N)`` per streamed edge — no resistance recomputation, no
 re-sparsification.
 
+The stage functions hold no state of their own: the caller (the
+:class:`~repro.core.incremental.InGrassSparsifier` driver) owns the similarity
+filter, bound to the LRD hierarchy at the filtering level it fixed at setup,
+and the hierarchy maintainer (``None`` in rebuild mode), and hands both to
+every stage.  The stages read the hierarchy from the filter.
+
 :func:`run_removal` extends the protocol beyond the paper to *edge deletions*:
 a removed edge always leaves the tracked graph, and when it was also carried
 by the sparsifier the function (a) invalidates the similarity filter's
@@ -40,8 +46,8 @@ from repro.core.filtering import (
     FilterSummary,
     SimilarityFilter,
 )
+from repro.core.hierarchy import ClusterHierarchy
 from repro.core.maintenance import HierarchyMaintainer
-from repro.core.setup import SetupResult
 from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.unionfind import UnionFind
 from repro.graphs.validation import (
@@ -81,87 +87,32 @@ class UpdateResult:
         return [d.edge for d in self.decisions if d.action is FilterAction.ADDED]
 
 
-def _select_filtering_level(setup: SetupResult, config: InGrassConfig,
-                            target_condition_number: Optional[float]) -> int:
-    """Resolve the similarity filtering level from config / target κ."""
-    if config.filtering_level is not None:
-        return config.filtering_level
-    target = target_condition_number if target_condition_number is not None else config.target_condition_number
-    if target is None:
-        raise ValueError(
-            "a target condition number (or an explicit filtering_level) is required "
-            "to choose the similarity filtering level"
-        )
-    return setup.filtering_level_for(target, config.filtering_size_divisor)
-
-
-def _ensure_filter(sparsifier: Graph, setup: SetupResult, level: int,
-                   similarity_filter: Optional[SimilarityFilter]) -> SimilarityFilter:
-    """Reuse the caller's filter when it matches the level, else build a fresh one."""
-    if similarity_filter is not None and similarity_filter.filtering_level == level:
-        # An out-of-band relabel of the filtering level (a maintainer the
-        # caller drove without handing over the filter) shows up as a label
-        # version mismatch; resync rebuilds the cluster-pair map exactly once.
-        similarity_filter.resync()
-        return similarity_filter
-    return SimilarityFilter(sparsifier, setup.hierarchy, level)
-
-
-def _ensure_maintainer(sparsifier: Graph, setup: SetupResult, config: InGrassConfig,
-                       maintainer: Optional[HierarchyMaintainer]) -> Optional[HierarchyMaintainer]:
-    """Resolve the hierarchy maintainer for ``config.hierarchy_mode``.
-
-    Returns ``None`` in rebuild mode; in maintain mode the caller's
-    maintainer is reused when it is bound to this setup's hierarchy,
-    otherwise a fresh one is built.
-    """
-    if config.hierarchy_mode != "maintain":
-        return None
-    if maintainer is not None and maintainer.hierarchy is setup.hierarchy:
-        return maintainer
-    return setup.make_maintainer(sparsifier, config)
-
-
-def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[WeightedEdge],
-               config: Optional[InGrassConfig] = None, *,
-               target_condition_number: Optional[float] = None,
-               similarity_filter: Optional[SimilarityFilter] = None,
-               maintainer: Optional[HierarchyMaintainer] = None) -> UpdateResult:
+def run_update(sparsifier: Graph, new_edges: Sequence[WeightedEdge], config: InGrassConfig, *,
+               similarity_filter: SimilarityFilter,
+               maintainer: Optional[HierarchyMaintainer]) -> UpdateResult:
     """Apply one batch of streamed edges to ``sparsifier`` (mutated in place).
 
     Parameters
     ----------
     sparsifier:
         Current sparsifier ``H(k)``; updated in place to ``H(k+1)``.
-    setup:
-        Artifacts from :func:`repro.core.setup.run_setup`.
     new_edges:
         Batch of ``(u, v, weight)`` edges newly added to the original graph.
     config:
-        inGRASS configuration (filtering level override, distortion threshold).
-    target_condition_number:
-        Target κ used to select the filtering level; overrides
-        ``config.target_condition_number`` when given.  Required through one
-        of the two routes unless ``config.filtering_level`` is set.
+        inGRASS configuration (its distortion threshold).
     similarity_filter:
-        Reuse an existing filter (keeps its cluster-connectivity state across
-        batches); by default a fresh filter is built from the sparsifier.
+        The filter bound to ``sparsifier``; its level is the filtering level,
+        and its LRD hierarchy's resistance bounds score the edges.
     maintainer:
         Hierarchy maintainer driving in-place cluster merges after the batch
-        (``config.hierarchy_mode="maintain"``); built on demand when omitted
-        in that mode, ignored in rebuild mode.
+        (``hierarchy_mode="maintain"``), ``None`` in rebuild mode.
     """
-    config = config if config is not None else InGrassConfig()
     timer = Timer().start()
     us, vs, ws = validate_new_edge_arrays(sparsifier, new_edges)
 
-    level = _select_filtering_level(setup, config, target_condition_number)
-    similarity_filter = _ensure_filter(sparsifier, setup, level, similarity_filter)
-    maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
-
     # Score, threshold and sort the whole stream as numpy arrays, then
     # resolve the similarity filter per cluster group.
-    batch = score_edge_arrays(setup.embedding, us, vs, ws)
+    batch = score_edge_arrays(similarity_filter.hierarchy, us, vs, ws)
     batch, dropped_batch = batch.split_by_threshold(config.distortion_threshold)
     decisions, summary = similarity_filter.apply_batch(batch.sort())
     num_dropped = len(dropped_batch)
@@ -181,7 +132,7 @@ def run_update(sparsifier: Graph, setup: SetupResult, new_edges: Sequence[Weight
     return UpdateResult(
         decisions=decisions,
         summary=summary,
-        filtering_level=level,
+        filtering_level=similarity_filter.filtering_level,
         update_seconds=timer.elapsed,
         dropped_low_distortion=num_dropped,
         hierarchy_merges=hierarchy_merges,
@@ -216,87 +167,30 @@ def prepare_removal_batch(graph: Graph, removals: Sequence) -> Tuple[List[Edge],
     return requested, graph_weights
 
 
-def run_removal_drop_stage(sparsifier: Graph, setup: SetupResult, result: "RemovalResult",
-                           graph_weights: dict, *, similarity_filter: SimilarityFilter,
-                           inflate: bool) -> None:
+def run_removal_drop_stage(result: "RemovalResult", graph_weights: dict, *,
+                           similarity_filter: SimilarityFilter, inflate: bool) -> None:
     """Stage 1 of the removal pipeline: drop, invalidate, re-home.
 
-    For every pair of ``result.requested`` the sparsifier carries: remove the
-    edge, discard it from the similarity filter's cluster-pair bucket, and
-    re-home any excess weight earlier merge/redistribute decisions parked on
-    it onto surviving support of the same cluster pair.  With ``inflate``
-    (rebuild mode) the cached cluster diameters containing both endpoints are
-    additionally stretched via
-    :meth:`~repro.core.hierarchy.ClusterHierarchy.note_edge_removed`.
-    Fills ``result.removed_from_sparsifier`` (in request order),
+    For every pair of ``result.requested`` the sparsifier carries, the
+    filter removes the edge from the sparsifier and its cluster-pair bucket
+    and re-homes any excess weight earlier merge/redistribute decisions
+    parked on it (:meth:`~repro.core.filtering.SimilarityFilter.drop_edges`).
+    With ``inflate`` (rebuild mode) the cached cluster diameters containing
+    both endpoints of each removed edge are then stretched via
+    :meth:`~repro.core.hierarchy.ClusterHierarchy.note_edge_removed`, in the
+    same order.  Fills ``result.removed_from_sparsifier`` (in request order),
     ``reassigned_weight``, ``discarded_weight`` and ``inflated_levels``.
-
-    The per-edge loop stays sequential — re-homing edge ``i``'s excess may
-    pick a representative that a later request removes, so remove/notify/
-    re-home must interleave exactly as written — but everything derivable
-    up front is batched: cluster pairs come from one vectorised label
-    gather (labels never change during the drop stage), and the filter
-    unregister is inlined.
     """
     keys = result.requested
-    if not keys:
-        return
-    us = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
-    vs = np.fromiter((v for _, v in keys), dtype=np.int64, count=len(keys))
-    labels = similarity_filter._labels
-    cluster_us = labels[us]
-    cluster_vs = labels[vs]
-    ps = np.minimum(cluster_us, cluster_vs).tolist()
-    qs = np.maximum(cluster_us, cluster_vs).tolist()
-    physicals = [graph_weights.get(key) for key in keys]
-
-    pop_edge = sparsifier.pop_edge
-    intra = similarity_filter._intra_cluster_edges
-    connectivity = similarity_filter._connectivity
-    hierarchy = setup.hierarchy
-    removed_append = result.removed_from_sparsifier.append
-    reassigned_total = 0.0
-    discarded_total = 0.0
-    for key, p, q, physical in zip(keys, ps, qs, physicals):
-        u, v = key
-        weight = pop_edge(u, v)
-        if weight is None:
-            continue
-        # Inlined filter unregister (a no-op for an unregistered edge).
-        if p == q:
-            bucket = intra.get(p)
-            if bucket is not None:
-                bucket.pop(key, None)
-                if not bucket:
-                    del intra[p]
-        else:
-            bucket = connectivity.get((p, q))
-            if bucket is not None:
-                bucket.pop(key, None)
-                if not bucket:
-                    del connectivity[(p, q)]
-        if inflate:
+    removed, reassigned, discarded = similarity_filter.drop_edges(
+        keys, [graph_weights.get(key) for key in keys])
+    result.removed_from_sparsifier.extend(removed)
+    if inflate:
+        hierarchy = similarity_filter.hierarchy
+        for u, v, _ in removed:
             result.inflated_levels += hierarchy.note_edge_removed(u, v)
-        removed_append((u, v, weight))
-        if physical is not None and weight > physical:
-            excess = weight - physical
-            # Inlined reassign_weight with the precomputed cluster pair.
-            if p == q:
-                if intra.get(p):
-                    similarity_filter._redistribute_weight(p, excess)
-                    reassigned_total += excess
-                else:
-                    discarded_total += excess
-            else:
-                bucket = connectivity.get((p, q))
-                if bucket:
-                    rep_u, rep_v = min(bucket)
-                    sparsifier.increase_weight(rep_u, rep_v, excess)
-                    reassigned_total += excess
-                else:
-                    discarded_total += excess
-    result.reassigned_weight = reassigned_total
-    result.discarded_weight = discarded_total
+    result.reassigned_weight = reassigned
+    result.discarded_weight = discarded
 
 
 @dataclass
@@ -362,12 +256,12 @@ class KappaGuardReport:
         return self.kappa_after <= self.bound
 
 
-def _rank_candidates(setup: SetupResult, candidates: Sequence[WeightedEdge], *,
+def _rank_candidates(hierarchy: ClusterHierarchy, candidates: Sequence[WeightedEdge], *,
                      relative_threshold: float = 0.0) -> List[WeightedEdge]:
     """Candidate edges sorted by decreasing estimated distortion (stable)."""
     if not candidates:
         return []
-    batch, _ = score_edges(setup.embedding, candidates).split_by_threshold(relative_threshold)
+    batch, _ = score_edges(hierarchy, candidates).split_by_threshold(relative_threshold)
     batch = batch.sort()
     return list(zip(batch.us.tolist(), batch.vs.tolist(), batch.ws.tolist()))
 
@@ -383,7 +277,7 @@ def _offtree_candidates(graph: Graph, sparsifier: Graph, around: Sequence[int]) 
     return [(u, v, w) for (u, v), w in seen.items()]
 
 
-def _reconnect_sparsifier(sparsifier: Graph, graph: Graph, setup: SetupResult,
+def _reconnect_sparsifier(sparsifier: Graph, graph: Graph,
                           similarity_filter: SimilarityFilter) -> List[WeightedEdge]:
     """Restore sparsifier connectivity using the most-distorting graph edges.
 
@@ -414,7 +308,7 @@ def _reconnect_sparsifier(sparsifier: Graph, graph: Graph, setup: SetupResult,
         )
     crossing = list(zip(us[crossing_mask].tolist(), vs[crossing_mask].tolist(),
                         ws[crossing_mask].tolist()))
-    ranked = _rank_candidates(setup, crossing)
+    ranked = _rank_candidates(similarity_filter.hierarchy, crossing)
     uf = UnionFind(num_components)
     added: List[WeightedEdge] = []
     for u, v, w in ranked:
@@ -431,20 +325,16 @@ def _reconnect_sparsifier(sparsifier: Graph, graph: Graph, setup: SetupResult,
     return added
 
 
-def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
-                graph: Graph, config: Optional[InGrassConfig] = None,
-                target_condition_number: Optional[float] = None,
-                similarity_filter: Optional[SimilarityFilter] = None,
-                maintainer: Optional[HierarchyMaintainer] = None) -> RemovalResult:
+def run_removal(sparsifier: Graph, removals: Sequence, *,
+                graph: Graph, config: InGrassConfig,
+                similarity_filter: SimilarityFilter,
+                maintainer: Optional[HierarchyMaintainer]) -> RemovalResult:
     """Apply one batch of edge deletions to ``sparsifier`` (mutated in place).
 
     Parameters
     ----------
     sparsifier:
         Current sparsifier ``H(k)``; updated in place to ``H(k+1)``.
-    setup:
-        Artifacts from :func:`repro.core.setup.run_setup`.  Cached cluster
-        diameters are inflated in place for removed sparsifier edges.
     removals:
         ``(u, v)`` pairs or ``(u, v, w)`` triples deleted from the original
         graph, where ``w`` is the weight the edge had *in the graph* before
@@ -459,20 +349,19 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
         is why the deletions must already be reflected (a deleted edge must
         never be re-admitted).
     config:
-        inGRASS configuration (filtering level, hierarchy mode, distortion
-        threshold of the repair ranking).
-    target_condition_number:
-        Target κ used both for filtering-level selection and as the reference
-        of the κ guard.
+        inGRASS configuration (the distortion threshold of the repair
+        ranking).
     similarity_filter:
-        Reuse an existing filter (its connectivity map is invalidated /
-        updated in place); by default a fresh filter is built.
+        The filter bound to ``sparsifier``; its connectivity map is
+        invalidated and updated in place.  Its LRD hierarchy ranks the
+        replacement edges, and in rebuild mode the hierarchy's cached cluster
+        diameters are inflated in place for removed sparsifier edges.
     maintainer:
-        Hierarchy maintainer (``config.hierarchy_mode="maintain"``): instead
-        of inflating cluster diameters, the affected clusters are spliced in
+        Hierarchy maintainer (``hierarchy_mode="maintain"``): instead of
+        inflating cluster diameters, the affected clusters are spliced in
         place after the reconnection step — split along their surviving
-        interior connectivity with locally recomputed diameters.  Built on
-        demand when omitted in maintain mode, ignored in rebuild mode.
+        interior connectivity with locally recomputed diameters.  ``None``
+        in rebuild mode.
 
     Notes
     -----
@@ -484,13 +373,8 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
     :class:`~repro.core.incremental.InGrassSparsifier` driver does) when the
     input is not already known to be safe.
     """
-    config = config if config is not None else InGrassConfig()
     timer = Timer().start()
     requested, graph_weights = prepare_removal_batch(graph, removals)
-
-    level = _select_filtering_level(setup, config, target_condition_number)
-    similarity_filter = _ensure_filter(sparsifier, setup, level, similarity_filter)
-    maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
 
     # Step 1: drop the edges the sparsifier carries, invalidating caches.
     # Weight a removed edge absorbed on behalf of *other* (still existing)
@@ -503,25 +387,23 @@ def run_removal(sparsifier: Graph, setup: SetupResult, removals: Sequence, *,
         requested=requested,
         removed_from_sparsifier=[],
         reconnection_edges=[],
-        filtering_level=level,
+        filtering_level=similarity_filter.filtering_level,
     )
-    run_removal_drop_stage(
-        sparsifier, setup, result, graph_weights,
-        similarity_filter=similarity_filter, inflate=maintainer is None,
-    )
+    run_removal_drop_stage(result, graph_weights,
+                           similarity_filter=similarity_filter, inflate=maintainer is None)
     if not result.removed_from_sparsifier:
         timer.stop()
         result.removal_seconds = timer.elapsed
         return result
 
-    run_removal_repair_stages(sparsifier, setup, result, graph=graph, config=config,
+    run_removal_repair_stages(sparsifier, result, graph=graph, config=config,
                               similarity_filter=similarity_filter, maintainer=maintainer)
     timer.stop()
     result.removal_seconds = timer.elapsed
     return result
 
 
-def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: RemovalResult, *,
+def run_removal_repair_stages(sparsifier: Graph, result: RemovalResult, *,
                               graph: Graph, config: InGrassConfig,
                               similarity_filter: SimilarityFilter,
                               maintainer: Optional[HierarchyMaintainer]) -> None:
@@ -535,8 +417,7 @@ def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: Rem
     removed_from_sparsifier = result.removed_from_sparsifier
 
     # Step 2: reconnect if any removal split the sparsifier.
-    result.reconnection_edges = _reconnect_sparsifier(sparsifier, graph, setup,
-                                                      similarity_filter)
+    result.reconnection_edges = _reconnect_sparsifier(sparsifier, graph, similarity_filter)
 
     # Step 2b (maintain mode): splice the clusters the removals touched, now
     # that the sparsifier is whole again — interior connectivity is judged
@@ -564,7 +445,7 @@ def run_removal_repair_stages(sparsifier: Graph, setup: SetupResult, result: Rem
         endpoints = sorted({node for u, v, _ in removed_from_sparsifier for node in (u, v)})
         candidates = _offtree_candidates(graph, sparsifier, endpoints)
         if candidates:
-            ranked = _rank_candidates(setup, candidates,
+            ranked = _rank_candidates(similarity_filter.hierarchy, candidates,
                                       relative_threshold=config.distortion_threshold)
             for p, q, weight in ranked:
                 if len(result.repair_edges) >= repair_cap:
@@ -586,11 +467,10 @@ KAPPA_GUARD_MAX_ROUNDS = 6
 KAPPA_GUARD_BATCH = 8
 
 
-def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
-                    config: Optional[InGrassConfig] = None,
-                    target_condition_number: Optional[float] = None,
-                    similarity_filter: Optional[SimilarityFilter] = None,
-                    maintainer: Optional[HierarchyMaintainer] = None,
+def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
+                    target_condition_number: float,
+                    similarity_filter: SimilarityFilter,
+                    maintainer: Optional[HierarchyMaintainer],
                     context: Optional[SpectralContext] = None) -> KappaGuardReport:
     """Escalating quality guard for the deletion path.
 
@@ -627,18 +507,10 @@ def run_kappa_guard(sparsifier: Graph, setup: SetupResult, *, graph: Graph,
     # Looked up at call time, so wrappers installed on the module apply.
     from repro.spectral.condition import dominant_generalized_eigenvector, relative_condition_number
 
-    config = config if config is not None else InGrassConfig()
     if config.kappa_guard_factor is None:
         raise ValueError("run_kappa_guard requires config.kappa_guard_factor to be set")
-    target = target_condition_number if target_condition_number is not None else config.target_condition_number
-    if target is None:
-        raise ValueError("a target condition number is required for the κ guard")
     timer = Timer().start()
-    level = _select_filtering_level(setup, config, target)
-    similarity_filter = _ensure_filter(sparsifier, setup, level, similarity_filter)
-    maintainer = _ensure_maintainer(sparsifier, setup, config, maintainer)
-
-    bound = config.kappa_guard_factor * target
+    bound = config.kappa_guard_factor * target_condition_number
     context = context if context is not None else SpectralContext()
     kappa = relative_condition_number(graph, sparsifier, context=context,
                                       dense_limit=config.kappa_guard_dense_limit)

@@ -153,6 +153,16 @@ def batch_from_payload(payload: dict) -> MixedBatch:
     return batch
 
 
+def rhs_from_payload(payload: dict, num_nodes: int) -> list:
+    """Decode ``POST /solve``'s ``b``: a flat list of ``num_nodes`` finite JSON
+    numbers, returned unchanged.  Nothing is coerced: booleans, strings, null,
+    non-finite and nested values, and lists of another length, answer 400."""
+    b = payload.get("b")
+    if not (isinstance(b, list) and len(b) == num_nodes and all(map(_is_finite_number, b))):
+        raise ProtocolError(400, f"field 'b' must be a list of {num_nodes} finite numbers")
+    return b
+
+
 @dataclass
 class _Route:
     method: str
@@ -558,8 +568,11 @@ class SparsifierHTTPServer:
 
             def many() -> dict:
                 snap = self._snapshot_for(request)
-                return {"version": snap.version, "on": on,
-                        "resistances": snap.effective_resistance_many(pairs, on=on)}
+                try:
+                    values = snap.effective_resistance_many(pairs, on=on)
+                except ValueError as exc:
+                    raise ProtocolError(400, str(exc)) from exc
+                return {"version": snap.version, "on": on, "resistances": values}
             return await self._run_query(many)
         u, v = _int_field(payload, "u"), _int_field(payload, "v")
 
@@ -575,20 +588,15 @@ class SparsifierHTTPServer:
 
     async def _handle_solve(self, request: HttpRequest):
         payload = request.json()
-        b = payload.get("b")
-        preconditioned = bool(payload.get("preconditioned", True))
+        preconditioned = payload.get("preconditioned", True)
+        if not isinstance(preconditioned, bool):
+            raise ProtocolError(400, "field 'preconditioned' must be a boolean")
 
         def solve() -> dict:
             import numpy as np
 
             snap = self._snapshot_for(request)
-            if not isinstance(b, list) or len(b) != snap.num_nodes:
-                raise ProtocolError(
-                    400, f"field 'b' must be a list of {snap.num_nodes} numbers")
-            try:
-                rhs = np.asarray(b, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(400, f"field 'b' is not numeric: {exc}") from exc
+            rhs = np.asarray(rhs_from_payload(payload, snap.num_nodes), dtype=np.float64)
             report = snap.solve(rhs, preconditioned=preconditioned)
             return {"version": snap.version,
                     "x": report.solution.tolist(),

@@ -66,7 +66,7 @@ class SparsifierService:
                  max_snapshots: int = 8) -> None:
         if max_snapshots < 1:
             raise ValueError("max_snapshots must be at least 1")
-        self._driver = driver if driver is not None else InGrassSparsifier.from_config(config)
+        self._driver = driver if driver is not None else InGrassSparsifier(config)
         self._lock = threading.RLock()
         self._snapshots: "OrderedDict[int, SparsifierSnapshot]" = OrderedDict()
         self._max_snapshots = max_snapshots

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.config import InGrassConfig
 from repro.graphs.graph import FrozenGraph
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier
 from repro.spectral.condition import DENSE_LIMIT_DEFAULT, SpectralContext, relative_condition_number
@@ -67,16 +66,14 @@ class SparsifierSnapshot:
     def __init__(self, *, version: int, num_nodes: int,
                  graph_arrays: EdgeArrays, sparsifier_arrays: EdgeArrays,
                  hierarchy_summary: dict,
-                 filter_summary: Optional[dict],
-                 config: InGrassConfig,
-                 target_condition_number: Optional[float]) -> None:
+                 filter_summary: dict,
+                 target_condition_number: float) -> None:
         self._version = int(version)
         self._num_nodes = int(num_nodes)
         self._graph_arrays = graph_arrays
         self._sparsifier_arrays = sparsifier_arrays
         self._hierarchy_summary = dict(hierarchy_summary)
-        self._filter_summary = dict(filter_summary) if filter_summary is not None else None
-        self._config = config
+        self._filter_summary = dict(filter_summary)
         self._target_condition = target_condition_number
         # Lazily built artifacts, guarded by a snapshot-local lock (readers
         # of the *same* snapshot serialise on first build only).  Re-entrant:
@@ -108,13 +105,8 @@ class SparsifierSnapshot:
         hierarchy = driver._setup.hierarchy
         graph = driver._graph
         sparsifier = driver._sparsifier
-        assert graph is not None and sparsifier is not None
         similarity_filter = driver._filter
-        summary = None
-        if similarity_filter is not None:
-            state_summary = getattr(similarity_filter, "state_summary", None)
-            if state_summary is not None:
-                summary = state_summary()
+        assert graph is not None and sparsifier is not None and similarity_filter is not None
         return cls(
             version=driver.latest_version,
             num_nodes=graph.num_nodes,
@@ -123,8 +115,7 @@ class SparsifierSnapshot:
             hierarchy_summary={"hierarchy_version": hierarchy.version,
                                "hierarchy_labels_version": hierarchy.labels_version,
                                "num_levels": hierarchy.num_levels},
-            filter_summary=summary,
-            config=driver._resolved_config(),
+            filter_summary=similarity_filter.state_summary(),
             target_condition_number=driver.target_condition_number,
         )
 
@@ -149,18 +140,17 @@ class SparsifierSnapshot:
         return int(self._sparsifier_arrays[0].shape[0])
 
     @property
-    def filter_summary(self) -> Optional[dict]:
-        """Similarity-filter state summary at capture (``None`` before the
-        first update built the filter)."""
-        return dict(self._filter_summary) if self._filter_summary is not None else None
+    def filter_summary(self) -> dict:
+        """Similarity-filter state summary at capture."""
+        return dict(self._filter_summary)
 
     @property
-    def filtering_level(self) -> Optional[int]:
-        """The pinned similarity filtering level of the captured epoch."""
-        return self._config.filtering_level
+    def filtering_level(self) -> int:
+        """The driver's similarity filtering level at the captured epoch."""
+        return self._filter_summary["filtering_level"]
 
     @property
-    def target_condition_number(self) -> Optional[float]:
+    def target_condition_number(self) -> float:
         return self._target_condition
 
     def graph_arrays(self) -> EdgeArrays:

@@ -20,7 +20,7 @@ update iteration, exactly as Tables I/II of the paper do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.graphs.validation import validate_sparsifier_support
 from repro.spectral.condition import DENSE_LIMIT_DEFAULT, relative_condition_number
-from repro.spectral.effective_resistance import ExactResistanceCalculator, make_resistance_calculator
+from repro.spectral.effective_resistance import make_resistance_calculator
 from repro.sparsify.spanning_tree import (
     low_stretch_spanning_tree,
     maximum_weight_spanning_tree,
@@ -40,6 +40,13 @@ from repro.utils.timing import Timer
 from repro.utils.validation import check_positive, check_positive_int
 
 WeightedEdge = Tuple[int, int, float]
+
+#: When an edge budget is set, it is filled in this many rounds with the
+#: spectral-distortion ranking recomputed on the growing sparsifier between
+#: rounds.  Re-ranking diversifies the recovered edges (an admitted edge
+#: kills the distortion of its parallel neighbours), which improves the
+#: condition number markedly on meshes.
+RECOVERY_ROUNDS_FOR_BUDGET = 6
 
 
 @dataclass
@@ -69,23 +76,12 @@ class GrassConfig:
     recovery_batch_fraction:
         Fraction of remaining off-tree edges recovered per round before the
         condition number is re-estimated.
-    recovery_rounds_for_budget:
-        When an edge budget is set, the budget is filled in this many rounds
-        with the spectral-distortion ranking recomputed on the growing
-        sparsifier between rounds.  Re-ranking diversifies the recovered
-        edges (an admitted edge kills the distortion of its parallel
-        neighbours), which improves the condition number markedly on meshes.
     max_rounds:
         Safety cap on recovery rounds.
-    use_exact_resistance:
-        Rank off-tree edges with exact resistances (small graphs / tests)
-        instead of an approximate embedding.
     resistance_method:
-        Approximate resistance embedding used for ranking when
-        ``use_exact_resistance`` is ``False``: ``"jl"`` (accurate,
-        solver-based) or ``"krylov"`` (solver-free surrogate of the paper).
-    krylov_order:
-        Order of the resistance embedding when approximating resistances.
+        Resistance estimate used to rank off-tree edges: ``"jl"`` (accurate,
+        solver-based), ``"krylov"`` (solver-free surrogate of the paper) or
+        ``"exact"`` (small graphs / tests).
     condition_dense_limit:
         Forwarded to the condition-number estimator.
     seed:
@@ -97,18 +93,14 @@ class GrassConfig:
     target_relative_density: Optional[float] = 0.10
     target_offtree_density: Optional[float] = None
     recovery_batch_fraction: float = 0.25
-    recovery_rounds_for_budget: int = 6
     max_rounds: int = 20
-    use_exact_resistance: bool = False
     resistance_method: str = "jl"
-    krylov_order: Optional[int] = None
     condition_dense_limit: int = DENSE_LIMIT_DEFAULT
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
         if self.tree_method not in ("max_weight", "low_stretch", "shortest_path"):
             raise ValueError(f"unknown tree_method {self.tree_method!r}")
-        check_positive_int(self.recovery_rounds_for_budget, "recovery_rounds_for_budget")
         if self.target_condition_number is not None:
             check_positive(self.target_condition_number, "target_condition_number")
         if self.target_relative_density is not None:
@@ -164,15 +156,9 @@ class GrassSparsifier:
             return np.zeros(0, dtype=np.int64)
         pairs = [(u, v) for u, v, _ in candidates]
         weights = np.array([w for _, _, w in candidates], dtype=float)
-        if self.config.use_exact_resistance:
-            resistances = ExactResistanceCalculator(sparsifier).resistances(pairs)
-        else:
-            calculator = make_resistance_calculator(
-                sparsifier, self.config.resistance_method,
-                order=self.config.krylov_order, seed=self.config.seed,
-            )
-            resistances = calculator.resistances(pairs)
-        distortions = weights * resistances
+        calculator = make_resistance_calculator(sparsifier, self.config.resistance_method,
+                                                seed=self.config.seed)
+        distortions = weights * calculator.resistances(pairs)
         return np.argsort(-distortions, kind="stable")
 
     def _edge_budget(self, graph: Graph) -> Optional[int]:
@@ -230,7 +216,7 @@ class GrassSparsifier:
                 # Fill the budget over several re-ranked rounds rather than in
                 # one shot: re-ranking on the growing sparsifier spreads the
                 # recovered edges instead of stacking parallel ones.
-                per_round = max(1, int(np.ceil((budget - tree.num_edges) / config.recovery_rounds_for_budget)))
+                per_round = max(1, int(np.ceil((budget - tree.num_edges) / RECOVERY_ROUNDS_FOR_BUDGET)))
                 batch_size = min(batch_size, per_round, remaining)
             selected = order[:batch_size]
             selected_set = set(int(i) for i in selected)
@@ -284,18 +270,13 @@ class GrassSparsifier:
         batch_edges = max(8, int(round(0.025 * graph.num_nodes)))
         total_candidates = max(graph.num_edges - (graph.num_nodes - 1), 1)
         try:
-            self.config = GrassConfig(
-                tree_method=original_config.tree_method,
+            self.config = replace(
+                original_config,
                 target_condition_number=target_condition_number,
                 target_relative_density=max_density,
+                target_offtree_density=None,
                 recovery_batch_fraction=min(1.0, batch_edges / total_candidates),
-                recovery_rounds_for_budget=original_config.recovery_rounds_for_budget,
                 max_rounds=200,
-                use_exact_resistance=original_config.use_exact_resistance,
-                resistance_method=original_config.resistance_method,
-                krylov_order=original_config.krylov_order,
-                condition_dense_limit=original_config.condition_dense_limit,
-                seed=original_config.seed,
             )
             return self.sparsify(graph, evaluate_condition=True)
         finally:

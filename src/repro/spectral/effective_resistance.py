@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.spectral.krylov import KrylovBasis, build_krylov_basis, krylov_resistance_matrix
+from repro.spectral.krylov import build_krylov_basis, krylov_resistance_matrix
 from repro.spectral.solvers import GroundedSolver
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_node_index
@@ -34,6 +34,8 @@ class ExactResistanceCalculator:
     Each distinct ``p`` requires one linear solve whose solution is cached, so
     querying many pairs sharing endpoints stays cheap.  Intended for graphs up
     to a few tens of thousands of nodes (tests, validation, small benches).
+    The Laplacian is factorised at construction: build a new calculator after
+    the graph changes.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -42,20 +44,6 @@ class ExactResistanceCalculator:
         self._graph = graph
         self._solver = GroundedSolver.from_graph(graph)
         self._potential_cache: dict[int, np.ndarray] = {}
-
-    def refresh(self) -> None:
-        """Rebuild the solver and drop cached potentials after graph mutations.
-
-        The calculator factorises the Laplacian at construction time; edge
-        insertions or deletions on the underlying graph silently invalidate
-        both the factorisation and every cached potential vector.  Callers
-        that keep a calculator alive across mutations (e.g. a driver holding
-        one between removal batches) must invoke this hook before querying
-        again — the library's own setup phase builds calculators transiently,
-        so it never needs to.
-        """
-        self._solver = GroundedSolver.from_graph(self._graph)
-        self._potential_cache.clear()
 
     def _potentials(self, node: int) -> np.ndarray:
         """Return ``L^+ e_node`` (cached)."""
@@ -87,38 +75,17 @@ class ExactResistanceCalculator:
         return self.resistances(target.edges())
 
 
-class ApproxResistanceCalculator:
-    """Krylov-subspace approximation of effective resistances (paper eq. (3)).
+class _EmbeddedResistances:
+    """Resistance queries answered from an ``(n, m)`` node embedding whose
+    squared Euclidean row distances approximate effective resistances.
 
-    The calculator embeds every node into ``R^m`` (``m = O(log N)``) such that
-    the squared Euclidean distance between two node embeddings approximates
-    their effective resistance; batch queries then reduce to vectorised row
-    arithmetic.
+    The embedding is built once, at construction, from the graph as it was
+    then: build a new calculator after the graph changes.
     """
 
-    def __init__(self, graph: Graph, order: Optional[int] = None, *, seed: SeedLike = None,
-                 basis: Optional[KrylovBasis] = None) -> None:
-        if graph.num_nodes < 2:
-            raise ValueError("effective resistance needs at least two nodes")
+    def __init__(self, graph: Graph, embedding: np.ndarray) -> None:
         self._graph = graph
-        self._order_request = order
-        self._seed = seed
-        self._basis = basis if basis is not None else build_krylov_basis(graph, order, seed=seed)
-        self._embedding = krylov_resistance_matrix(self._basis)
-
-    def refresh(self) -> None:
-        """Rebuild the Krylov basis and embedding after graph mutations.
-
-        For callers keeping the calculator alive across mutations; see
-        :meth:`ExactResistanceCalculator.refresh`.
-        """
-        self._basis = build_krylov_basis(self._graph, self._order_request, seed=self._seed)
-        self._embedding = krylov_resistance_matrix(self._basis)
-
-    @property
-    def basis(self) -> KrylovBasis:
-        """The underlying Krylov basis."""
-        return self._basis
+        self._embedding = embedding
 
     @property
     def embedding(self) -> np.ndarray:
@@ -127,7 +94,7 @@ class ApproxResistanceCalculator:
 
     @property
     def order(self) -> int:
-        """Krylov order actually used."""
+        """Embedding dimension ``m``."""
         return int(self._embedding.shape[1])
 
     def resistance(self, p: int, q: int) -> float:
@@ -156,7 +123,23 @@ class ApproxResistanceCalculator:
         return self.resistances(target.edges())
 
 
-class JLResistanceCalculator:
+class ApproxResistanceCalculator(_EmbeddedResistances):
+    """Krylov-subspace approximation of effective resistances (paper eq. (3)).
+
+    The calculator embeds every node into ``R^m`` (``m = O(log N)``) such that
+    the squared Euclidean distance between two node embeddings approximates
+    their effective resistance; batch queries then reduce to vectorised row
+    arithmetic.
+    """
+
+    def __init__(self, graph: Graph, order: Optional[int] = None, *, seed: SeedLike = None) -> None:
+        if graph.num_nodes < 2:
+            raise ValueError("effective resistance needs at least two nodes")
+        basis = build_krylov_basis(graph, order, seed=seed)
+        super().__init__(graph, krylov_resistance_matrix(basis))
+
+
+class JLResistanceCalculator(_EmbeddedResistances):
     """Johnson–Lindenstrauss resistance embedding via Laplacian solves.
 
     Following Spielman & Srivastava, the effective resistance satisfies
@@ -173,18 +156,10 @@ class JLResistanceCalculator:
     def __init__(self, graph: Graph, dimensions: Optional[int] = None, *, seed: SeedLike = None) -> None:
         if graph.num_nodes < 2:
             raise ValueError("effective resistance needs at least two nodes")
-        self._graph = graph
-        self._dimensions_request = dimensions
-        self._seed = seed
-        self._embedding = self._build()
-
-    def _build(self) -> np.ndarray:
         from repro.utils.rng import as_rng
 
-        graph = self._graph
-        rng = as_rng(self._seed)
+        rng = as_rng(seed)
         n = graph.num_nodes
-        dimensions = self._dimensions_request
         if dimensions is None:
             dimensions = max(8, 4 * int(np.ceil(np.log2(max(n, 2)))))
         dimensions = min(dimensions, max(2, graph.num_edges))
@@ -198,54 +173,10 @@ class JLResistanceCalculator:
         embedding = np.empty((n, dimensions))
         for row in range(dimensions):
             embedding[:, row] = solver.solve(np.asarray(projected_incidence[row]).ravel())
-        return embedding
-
-    def refresh(self) -> None:
-        """Re-run the JL solves against the mutated graph.
-
-        For callers keeping the calculator alive across mutations; see
-        :meth:`ExactResistanceCalculator.refresh`.
-        """
-        self._embedding = self._build()
-
-    @property
-    def embedding(self) -> np.ndarray:
-        """The ``(n, k)`` node embedding matrix."""
-        return self._embedding
-
-    @property
-    def order(self) -> int:
-        """Embedding dimension ``k``."""
-        return int(self._embedding.shape[1])
-
-    def resistance(self, p: int, q: int) -> float:
-        """Approximate effective resistance between ``p`` and ``q``."""
-        n = self._graph.num_nodes
-        p = check_node_index(p, n, "p")
-        q = check_node_index(q, n, "q")
-        if p == q:
-            return 0.0
-        diff = self._embedding[p] - self._embedding[q]
-        return float(diff @ diff)
-
-    def resistances(self, pairs: Iterable[NodePair]) -> np.ndarray:
-        """Approximate resistances for many pairs at once (vectorised)."""
-        pair_list = list(pairs)
-        if not pair_list:
-            return np.zeros(0)
-        ps = np.fromiter((p for p, _ in pair_list), dtype=np.int64, count=len(pair_list))
-        qs = np.fromiter((q for _, q in pair_list), dtype=np.int64, count=len(pair_list))
-        diff = self._embedding[ps] - self._embedding[qs]
-        return np.einsum("ij,ij->i", diff, diff)
-
-    def edge_resistances(self, graph: Optional[Graph] = None) -> np.ndarray:
-        """Approximate resistances of every edge of ``graph`` (default: own graph)."""
-        target = self._graph if graph is None else graph
-        return self.resistances(target.edges())
+        super().__init__(graph, embedding)
 
 
-def make_resistance_calculator(graph: Graph, method: str = "jl", *, order: Optional[int] = None,
-                               seed: SeedLike = None):
+def make_resistance_calculator(graph: Graph, method: str = "jl", *, seed: SeedLike = None):
     """Factory for resistance calculators.
 
     Parameters
@@ -253,16 +184,15 @@ def make_resistance_calculator(graph: Graph, method: str = "jl", *, order: Optio
     method:
         ``"exact"`` (direct solves per pair), ``"jl"`` (Johnson–Lindenstrauss
         embedding, accurate, needs ``O(log N)`` solves) or ``"krylov"``
-        (solver-free surrogate of the paper's equation (3)).
-    order:
-        Embedding dimension / Krylov order; ``None`` picks ``O(log N)``.
+        (solver-free surrogate of the paper's equation (3)).  The embeddings
+        take ``O(log N)`` dimensions.
     """
     if method == "exact":
         return ExactResistanceCalculator(graph)
     if method == "jl":
-        return JLResistanceCalculator(graph, dimensions=order, seed=seed)
+        return JLResistanceCalculator(graph, seed=seed)
     if method == "krylov":
-        return ApproxResistanceCalculator(graph, order=order, seed=seed)
+        return ApproxResistanceCalculator(graph, seed=seed)
     raise ValueError(f"unknown resistance method {method!r}; expected 'exact', 'jl' or 'krylov'")
 
 

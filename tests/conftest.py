@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import HierarchyMaintainer, SimilarityFilter
 from repro.graphs import (
     Graph,
     cycle_graph,
@@ -71,3 +72,19 @@ def grid_with_sparsifier(medium_grid):
 def rng() -> np.random.Generator:
     """Deterministic RNG for test-local randomness."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def stage_engine():
+    """Factory for what the driver hands the stage functions of
+    :mod:`repro.core.update`: ``(similarity filter, maintainer)`` for a
+    sparsifier, its hierarchy, a config and a target κ (the maintainer is
+    ``None`` in rebuild mode)."""
+
+    def build(sparsifier, hierarchy, config, target):
+        level = hierarchy.filtering_level_for_condition(target, config.filtering_size_divisor)
+        maintainer = (HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
+                      if config.hierarchy_mode == "maintain" else None)
+        return SimilarityFilter(sparsifier, hierarchy, level), maintainer
+
+    return build

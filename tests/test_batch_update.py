@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    HierarchyMaintainer,
     InGrassConfig,
     InGrassSparsifier,
     LRDConfig,
@@ -79,8 +80,11 @@ def _run_both(graph, sparsifier, stream, *, target=64.0, **config_kwargs):
 
     def run():
         working = sparsifier.copy()
-        setup = run_setup(working, config)
-        result = run_update(working, setup, stream, config, target_condition_number=target)
+        hierarchy = run_setup(working, config).hierarchy
+        level = hierarchy.filtering_level_for_condition(target, config.filtering_size_divisor)
+        result = run_update(working, stream, config,
+                            similarity_filter=SimilarityFilter(working, hierarchy, level),
+                            maintainer=HierarchyMaintainer(hierarchy, working, lrd_config=config.lrd))
         return working, result
 
     outcomes = {"vectorized": run()}
@@ -95,7 +99,7 @@ class TestScoringEquivalence:
         working = sparsifier.copy()
         setup = run_setup(working, InGrassConfig(lrd=LRDConfig(seed=0)))
         stream = mixed_edges(graph, 200, seed=3)
-        batch = score_edges(setup.embedding, stream)
+        batch = score_edges(setup.hierarchy, stream)
         bounds = [setup.hierarchy.resistance_upper_bound(p, q) for p, q, _ in stream]
         np.testing.assert_allclose(batch.bounds, bounds)
         np.testing.assert_allclose(batch.distortions,
@@ -106,7 +110,7 @@ class TestScoringEquivalence:
         working = sparsifier.copy()
         setup = run_setup(working, InGrassConfig(lrd=LRDConfig(seed=0)))
         stream = mixed_edges(graph, 300, seed=4)
-        batch = score_edges(setup.embedding, stream)
+        batch = score_edges(setup.hierarchy, stream)
         distortions = batch.distortions.tolist()
         order = sorted(range(len(batch)), key=lambda i: distortions[i], reverse=True)
         assert _edges(batch.sort()) == [batch.edge(i) for i in order]
@@ -116,7 +120,7 @@ class TestScoringEquivalence:
         working = sparsifier.copy()
         setup = run_setup(working, InGrassConfig(lrd=LRDConfig(seed=0)))
         stream = mixed_edges(graph, 300, seed=5)
-        batch = score_edges(setup.embedding, stream)
+        batch = score_edges(setup.hierarchy, stream)
         kept_batch, dropped_batch = batch.split_by_threshold(0.5)
         distortions = batch.distortions.tolist()
         cutoff = 0.5 * statistics.median(distortions)

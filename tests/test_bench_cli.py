@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.bench import figure4, gate, serve_latency, soak, table1, table2, table3
+from repro.bench import churn, figure4, gate, serve_latency, soak, table1, table2, table3
 from repro.bench.figure4 import ascii_log_chart
 from repro.bench.records import Figure4Record, Table1Record, Table2Record, Table3Record
+from repro.core import InGrassConfig
 
 
 class TestRecordDerivedFields:
@@ -92,6 +93,13 @@ class TestCliMains:
         out = capsys.readouterr().out
         assert "Figure 4" in out
         assert "#" in out
+
+    def test_churn_main_follows_the_driver_hierarchy_mode(self, capsys):
+        """Without ``--hierarchy-mode`` the churn bench drives the mode every
+        server runs, the driver's default."""
+        assert churn.main(["--cases", "social_ws", "--scale", "small", "--iterations", "3"]) == 0
+        row = capsys.readouterr().out.splitlines()[-2]
+        assert "social_ws" in row and f" {InGrassConfig().hierarchy_mode} " in row
 
 
 class TestGateRunner:

@@ -233,10 +233,12 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # A newer layout, and the older formats 1 to 4 (format 4 overwrote
-        # its arrays in place; 1 to 3 carried fields this reader no longer
+        # A newer layout, and the older formats 1 to 5 (format 5 carried
+        # InGrassConfig.filtering_level, as below; format 4 overwrote its
+        # arrays in place; 1 to 3 carried other fields this reader no longer
         # knows).
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 4, 3, 2, 1):
+        manifest["config"]["filtering_level"] = manifest["filtering_level"]
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 5, 4, 3, 2, 1):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):

@@ -11,7 +11,6 @@ from repro.core import (
     InGrassConfig,
     InGrassSparsifier,
     LRDConfig,
-    ResistanceEmbedding,
     SimilarityFilter,
     lrd_decompose,
     run_setup,
@@ -36,12 +35,12 @@ def setup_pair(grid_with_sparsifier):
 class TestDistortionEstimation:
     def test_empty_batch(self, setup_pair):
         _, _, setup = setup_pair
-        assert len(score_edges(setup.embedding, [])) == 0
+        assert len(score_edges(setup.hierarchy, [])) == 0
 
     def test_distortion_is_weight_times_bound(self, setup_pair):
         _, sparsifier, setup = setup_pair
         edges = [(0, sparsifier.num_nodes - 1, 2.0), (0, 1, 2.0)]
-        batch = score_edges(setup.embedding, edges)
+        batch = score_edges(setup.hierarchy, edges)
         for weight, bound, distortion in zip(batch.ws, batch.bounds, batch.distortions):
             assert distortion == pytest.approx(weight * bound)
 
@@ -49,19 +48,19 @@ class TestDistortionEstimation:
         _, sparsifier, setup = setup_pair
         n = sparsifier.num_nodes
         edges = [(0, 1, 1.0), (0, n - 1, 1.0)]
-        batch = score_edges(setup.embedding, edges).sort()
+        batch = score_edges(setup.hierarchy, edges).sort()
         assert batch.edge(0) == (0, n - 1, 1.0)
 
     def test_sorting_is_descending(self, setup_pair):
         _, sparsifier, setup = setup_pair
         edges = random_pair_edges(sparsifier, 20, seed=3)
-        values = score_edges(setup.embedding, edges).sort().distortions.tolist()
+        values = score_edges(setup.hierarchy, edges).sort().distortions.tolist()
         assert values == sorted(values, reverse=True)
 
     def test_threshold_filtering(self, setup_pair):
         _, sparsifier, setup = setup_pair
         edges = random_pair_edges(sparsifier, 20, seed=4)
-        batch = score_edges(setup.embedding, edges)
+        batch = score_edges(setup.hierarchy, edges)
         kept, dropped = batch.split_by_threshold(0.0)
         assert len(kept) == 20 and len(dropped) == 0
         kept, dropped = batch.split_by_threshold(1.0)
@@ -96,7 +95,7 @@ class TestSimilarityFilter:
             pytest.skip("no intra-cluster non-edge available")
         total_before = working.total_weight()
         edges_before = working.num_edges
-        batch = score_edges(ResistanceEmbedding(hierarchy), [(candidate[0], candidate[1], 2.0)])
+        batch = score_edges(hierarchy, [(candidate[0], candidate[1], 2.0)])
         decisions, summary = similarity_filter.apply_batch(batch)
         assert summary.redistributed == 1
         assert working.num_edges == edges_before
@@ -129,7 +128,7 @@ class TestSimilarityFilter:
             pytest.skip("no alternative cluster-pair edge available")
         weight_before = working.weight(u, v)
         edges_before = working.num_edges
-        batch = score_edges(ResistanceEmbedding(hierarchy), [(same_pair[0], same_pair[1], 1.5)])
+        batch = score_edges(hierarchy, [(same_pair[0], same_pair[1], 1.5)])
         decisions, summary = similarity_filter.apply_batch(batch)
         assert summary.merged == 1
         assert working.num_edges == edges_before
@@ -157,7 +156,7 @@ class TestSimilarityFilter:
         if found is None:
             pytest.skip("all cluster pairs already connected at level 0")
         edges_before = working.num_edges
-        batch = score_edges(ResistanceEmbedding(hierarchy), [(found[0], found[1], 1.0)])
+        batch = score_edges(hierarchy, [(found[0], found[1], 1.0)])
         decisions, summary = similarity_filter.apply_batch(batch)
         assert summary.added == 1
         assert working.num_edges == edges_before + 1
@@ -179,31 +178,30 @@ class TestSetupAndUpdate:
 
     def test_setup_result_contents(self, setup_pair):
         _, sparsifier, setup = setup_pair
-        assert setup.num_levels == setup.hierarchy.num_levels
+        assert setup.hierarchy.num_nodes == sparsifier.num_nodes
         assert setup.setup_seconds >= 0.0
-        assert setup.filtering_level_for(1e9) == setup.hierarchy.num_levels - 1
+        assert setup.hierarchy.filtering_level_for_condition(1e9) == setup.hierarchy.num_levels - 1
 
-    def test_update_requires_target_or_level(self, setup_pair):
-        graph, sparsifier, setup = setup_pair
-        edges = random_pair_edges(graph, 5, seed=1)
-        with pytest.raises(ValueError):
-            run_update(sparsifier, setup, edges, InGrassConfig())
-
-    def test_update_mutates_sparsifier_consistently(self, setup_pair):
+    def test_update_mutates_sparsifier_consistently(self, setup_pair, stage_engine):
         graph, sparsifier, setup = setup_pair
         edges = random_pair_edges(graph, 25, seed=2)
         before = sparsifier.num_edges
-        result = run_update(sparsifier, setup, edges, target_condition_number=20.0)
+        config = InGrassConfig()
+        similarity_filter, maintainer = stage_engine(sparsifier, setup.hierarchy, config, 20.0)
+        result = run_update(sparsifier, edges, config,
+                            similarity_filter=similarity_filter, maintainer=maintainer)
         assert sparsifier.num_edges == before + result.summary.added
         assert result.summary.total == len(edges)
         assert is_connected(sparsifier)
         assert len(result.added_edges) == result.summary.added
 
-    def test_update_distortion_threshold_drops_edges(self, setup_pair):
+    def test_update_distortion_threshold_drops_edges(self, setup_pair, stage_engine):
         graph, sparsifier, setup = setup_pair
         edges = mixed_edges(graph, 30, long_range_fraction=0.2, seed=3)
         config = InGrassConfig(distortion_threshold=1.0)
-        result = run_update(sparsifier, setup, edges, config, target_condition_number=20.0)
+        similarity_filter, maintainer = stage_engine(sparsifier, setup.hierarchy, config, 20.0)
+        result = run_update(sparsifier, edges, config,
+                            similarity_filter=similarity_filter, maintainer=maintainer)
         assert result.dropped_low_distortion > 0
 
 
@@ -264,16 +262,18 @@ class TestInGrassSparsifier:
         assert record.added_edges + record.merged_edges + record.redistributed_edges + record.dropped_edges == 12
         assert ingrass.total_update_seconds >= record.update_seconds * 0.5
 
-    def test_explicit_filtering_level(self, medium_grid):
-        config = InGrassConfig(filtering_level=0, seed=0)
-        ingrass = InGrassSparsifier(config)
+    def test_filtering_level_follows_target(self, medium_grid):
+        """The driver fixes the level the hierarchy picks for the target κ at
+        setup, and every batch filters at it."""
+        ingrass = InGrassSparsifier(InGrassConfig(filtering_size_divisor=4.0, seed=0))
         ingrass.setup(medium_grid, initial_offtree_density=0.1, target_condition_number=10.0)
+        level = ingrass.setup_result.hierarchy.filtering_level_for_condition(10.0, 4.0)
+        assert ingrass.filtering_level == level
         result = ingrass.apply_batch(random_pair_edges(medium_grid, 10, seed=3))
-        assert result.insertion.filtering_level == 0
+        assert result.insertion.filtering_level == level
+        assert ingrass.snapshot().filtering_level == level
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            InGrassConfig(filtering_level=-1)
         with pytest.raises(ValueError):
             InGrassConfig(distortion_threshold=-0.5)
         with pytest.raises(ValueError):
@@ -298,7 +298,6 @@ class TestPaperFigure3Walkthrough:
                 break
         assert level is not None
         similarity_filter = SimilarityFilter(sparsifier, hierarchy, level)
-        embedding = ResistanceEmbedding(hierarchy)
         labels = hierarchy.level(level).labels
 
         # Edge 1: same cluster pair as the existing weak bridge (3, 9).
@@ -328,7 +327,7 @@ class TestPaperFigure3Walkthrough:
         if intra_candidate:
             candidates.append((intra_candidate[0], intra_candidate[1], 1.0))
         assert candidates, "paper walkthrough graph should offer candidates"
-        batch = score_edges(embedding, candidates).sort()
+        batch = score_edges(hierarchy, candidates).sort()
         decisions, summary = similarity_filter.apply_batch(batch)
         actions = {d.edge[:2]: d.action for d in decisions}
         if merge_candidate:

@@ -4,7 +4,6 @@ guard."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -23,6 +22,7 @@ from repro.graphs import (
     Graph,
     GraphValidationError,
     bridge_edges,
+    canonical_edge,
     cycle_graph,
     grid_circuit_2d,
     is_connected,
@@ -32,11 +32,6 @@ from repro.graphs import (
     validate_removals,
 )
 from repro.spectral import relative_condition_number
-from repro.spectral.effective_resistance import (
-    ApproxResistanceCalculator,
-    ExactResistanceCalculator,
-    JLResistanceCalculator,
-)
 from repro.streams import (
     DeletionEvent,
     DynamicScenarioConfig,
@@ -207,8 +202,9 @@ class TestFilterInvalidation:
             pytest.skip("no singly-connected cluster pair at level 0")
         u, v = pair_edge[single]
         assert similarity_filter.connects_clusters(u, v)
-        working.remove_edge(u, v)
-        similarity_filter.notify_edge_removed(u, v)
+        removed, _, _ = similarity_filter.drop_edges([canonical_edge(u, v)], [None])
+        assert [(a, b) for a, b, _ in removed] == [canonical_edge(u, v)]
+        assert not working.has_edge(u, v)
         assert not similarity_filter.connects_clusters(u, v)
         # Re-adding restores the connection.
         working.add_edge(u, v, 1.0)
@@ -231,8 +227,8 @@ class TestFilterInvalidation:
         if multi is None:
             pytest.skip("no doubly-connected cluster pair at level 0")
         first, second = multi[0], multi[1]
-        working.remove_edge(*first)
-        similarity_filter.notify_edge_removed(*first)
+        similarity_filter.drop_edges([canonical_edge(*first)], [None])
+        assert not working.has_edge(*first)
         # The other edge still realises the connection.
         assert similarity_filter.connects_clusters(second[0], second[1])
 
@@ -265,31 +261,6 @@ class TestHierarchyInvalidation:
             hierarchy.needs_refresh(0)
 
 
-class TestResistanceRefresh:
-    def test_exact_refresh_tracks_mutation(self, small_grid):
-        graph = small_grid.copy()
-        calc = ExactResistanceCalculator(graph)
-        pair = next(iter(non_bridge_edges(graph)))
-        before = calc.resistance(*pair)
-        graph.remove_edge(*pair)
-        calc.refresh()
-        after = calc.resistance(*pair)
-        fresh = ExactResistanceCalculator(graph).resistance(*pair)
-        assert after == pytest.approx(fresh, rel=1e-9)
-        assert after > before  # removing an edge can only raise resistance
-
-    @pytest.mark.parametrize("calculator_cls", [ApproxResistanceCalculator, JLResistanceCalculator])
-    def test_embedding_refresh_rebuilds(self, small_grid, calculator_cls):
-        graph = small_grid.copy()
-        calc = calculator_cls(graph, seed=0)
-        pair = next(iter(non_bridge_edges(graph)))
-        graph.remove_edge(*pair)
-        old_embedding = calc.embedding.copy()
-        calc.refresh()
-        assert calc.embedding.shape[0] == graph.num_nodes
-        assert not np.allclose(calc.embedding, old_embedding)
-
-
 class TestRunRemoval:
     @pytest.fixture
     def dynamic_pair(self, grid_with_sparsifier):
@@ -299,25 +270,34 @@ class TestRunRemoval:
         setup = run_setup(working, InGrassConfig(lrd=LRDConfig(seed=0)))
         return working_graph, working, setup
 
-    def test_requires_graph_side_removal_first(self, dynamic_pair):
+    @pytest.fixture
+    def removal(self, stage_engine):
+        """``run_removal`` with the filter and maintainer the driver would hand it."""
+
+        def run(sparsifier, setup, removals, *, graph, config=InGrassConfig(), target=20.0):
+            similarity_filter, maintainer = stage_engine(sparsifier, setup.hierarchy, config, target)
+            return run_removal(sparsifier, removals, graph=graph, config=config,
+                               similarity_filter=similarity_filter, maintainer=maintainer)
+
+        return run
+
+    def test_requires_graph_side_removal_first(self, dynamic_pair, removal):
         graph, sparsifier, setup = dynamic_pair
         edge = next(iter(sparsifier.edges()))
         with pytest.raises(GraphValidationError):
-            run_removal(sparsifier, setup, [edge], graph=graph,
-                        target_condition_number=20.0)
+            removal(sparsifier, setup, [edge], graph=graph)
 
-    def test_graph_only_removal_is_a_noop_for_sparsifier(self, dynamic_pair):
+    def test_graph_only_removal_is_a_noop_for_sparsifier(self, dynamic_pair, removal):
         graph, sparsifier, setup = dynamic_pair
         only_graph = next(edge for edge in graph.edges() if not sparsifier.has_edge(*edge))
         graph.remove_edge(*only_graph)
         before = sparsifier.num_edges
-        result = run_removal(sparsifier, setup, [only_graph], graph=graph,
-                             target_condition_number=20.0)
+        result = removal(sparsifier, setup, [only_graph], graph=graph)
         assert result.removed_from_sparsifier == []
         assert result.num_repairs == 0
         assert sparsifier.num_edges == before
 
-    def test_sparsifier_removal_triggers_repair_and_stays_connected(self, dynamic_pair):
+    def test_sparsifier_removal_triggers_repair_and_stays_connected(self, dynamic_pair, removal):
         graph, sparsifier, setup = dynamic_pair
         shared = [edge for edge in removable_edges(graph, 12, seed=2)
                   if sparsifier.has_edge(*edge)]
@@ -329,9 +309,8 @@ class TestRunRemoval:
         # Pin rebuild mode: this test exercises the diameter-inflation
         # bookkeeping, which maintain mode (the default) replaces with
         # structural splices.
-        result = run_removal(sparsifier, setup, pairs, graph=graph,
-                             config=InGrassConfig(hierarchy_mode="rebuild"),
-                             target_condition_number=20.0)
+        result = removal(sparsifier, setup, pairs, graph=graph,
+                         config=InGrassConfig(hierarchy_mode="rebuild"))
         assert len(result.removed_from_sparsifier) == len(pairs)
         assert is_connected(sparsifier)
         for u, v in pairs:
@@ -341,7 +320,7 @@ class TestRunRemoval:
             assert graph.has_edge(u, v)
         assert result.inflated_levels >= len(pairs)
 
-    def test_reconnection_after_cutting_a_sparsifier_bridge(self):
+    def test_reconnection_after_cutting_a_sparsifier_bridge(self, removal):
         # A cycle graph sparsified down to a path: removing a path edge
         # disconnects the sparsifier and the repair must re-close it from
         # the surviving cycle edges.
@@ -351,13 +330,12 @@ class TestRunRemoval:
         working = sparsifier.copy()
         working_graph = graph.copy()
         working_graph.remove_edge(4, 5)
-        result = run_removal(working, setup, [(4, 5)], graph=working_graph,
-                             target_condition_number=50.0)
+        result = removal(working, setup, [(4, 5)], graph=working_graph, target=50.0)
         assert result.removed_from_sparsifier == [(4, 5, 1.0)]
         assert len(result.reconnection_edges) >= 1
         assert is_connected(working)
 
-    def test_excess_weight_rehomed_on_removal(self, dynamic_pair):
+    def test_excess_weight_rehomed_on_removal(self, dynamic_pair, removal):
         """Weight parked on a removed sparsifier edge by earlier merges is
         re-homed onto surviving support instead of silently discarded."""
         graph, sparsifier, setup = dynamic_pair
@@ -369,12 +347,11 @@ class TestRunRemoval:
         sparsifier.increase_weight(u, v, 5.0)  # simulate earlier merge decisions
         carried = sparsifier.weight(u, v)
         physical = graph.remove_edge(u, v)
-        result = run_removal(sparsifier, setup, [(u, v, physical)], graph=graph,
-                             target_condition_number=20.0)
+        result = removal(sparsifier, setup, [(u, v, physical)], graph=graph)
         excess = max(carried - physical, 0.0)
         assert result.reassigned_weight + result.discarded_weight == pytest.approx(excess)
 
-    def test_pair_only_removals_skip_reassignment(self, dynamic_pair):
+    def test_pair_only_removals_skip_reassignment(self, dynamic_pair, removal):
         graph, sparsifier, setup = dynamic_pair
         shared = [edge for edge in removable_edges(graph, 12, seed=8)
                   if sparsifier.has_edge(*edge)]
@@ -382,12 +359,11 @@ class TestRunRemoval:
             pytest.skip("no removable edge shared between graph and sparsifier")
         u, v = shared[0]
         graph.remove_edge(u, v)
-        result = run_removal(sparsifier, setup, [(u, v)], graph=graph,
-                             target_condition_number=20.0)
+        result = removal(sparsifier, setup, [(u, v)], graph=graph)
         assert result.reassigned_weight == 0.0
         assert result.discarded_weight == 0.0
 
-    def test_kappa_guard_restores_quality(self, dynamic_pair):
+    def test_kappa_guard_restores_quality(self, dynamic_pair, stage_engine):
         graph, sparsifier, setup = dynamic_pair
         target = relative_condition_number(graph, sparsifier)
         config = InGrassConfig(kappa_guard_factor=1.5, kappa_guard_dense_limit=500,
@@ -399,18 +375,22 @@ class TestRunRemoval:
             pytest.skip("not enough shared removable edges")
         for u, v in shared:
             graph.remove_edge(u, v)
-        run_removal(sparsifier, setup, shared, graph=graph, config=config,
-                    target_condition_number=target)
-        report = run_kappa_guard(sparsifier, setup, graph=graph, config=config,
-                                 target_condition_number=target)
+        similarity_filter, maintainer = stage_engine(sparsifier, setup.hierarchy, config, target)
+        run_removal(sparsifier, shared, graph=graph, config=config,
+                    similarity_filter=similarity_filter, maintainer=maintainer)
+        report = run_kappa_guard(sparsifier, graph=graph, config=config,
+                                 target_condition_number=target,
+                                 similarity_filter=similarity_filter, maintainer=maintainer)
         assert report.kappa_after <= report.kappa_before + 1e-9
         assert report.satisfied or report.rounds == KAPPA_GUARD_MAX_ROUNDS
 
-    def test_kappa_guard_requires_configuration(self, dynamic_pair):
+    def test_kappa_guard_requires_configuration(self, dynamic_pair, stage_engine):
         graph, sparsifier, setup = dynamic_pair
+        config = InGrassConfig()
+        similarity_filter, maintainer = stage_engine(sparsifier, setup.hierarchy, config, 10.0)
         with pytest.raises(ValueError):
-            run_kappa_guard(sparsifier, setup, graph=graph,
-                            config=InGrassConfig(), target_condition_number=10.0)
+            run_kappa_guard(sparsifier, graph=graph, config=config, target_condition_number=10.0,
+                            similarity_filter=similarity_filter, maintainer=maintainer)
 
 
 class TestDriverDynamics:

@@ -13,18 +13,19 @@ the stream limit the server uses, so every case runs in microseconds:
 * the ``POST /update`` body decoder, fed arbitrary JSON values, either keeps
   every event row exactly as sent (JSON integer node ids, finite JSON number
   weights) or answers 400 — it never coerces a value and never raises
-  anything else.
+  anything else; so does the ``POST /solve`` decoder of ``b``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.server.app import batch_from_payload
+from repro.server.app import batch_from_payload, rhs_from_payload
 from repro.server.http import HttpRequest, ProtocolError, read_request
 
 MAX_HEADER = 512
@@ -225,3 +226,24 @@ class TestUpdateDecoder:
             for row in rows:
                 assert all(type(node) is int for node in row[:2])
                 assert all(type(value) in (int, float) for value in row[2:])
+
+
+SOLVE_NODES = 3
+solve_payloads = st.fixed_dictionaries({}, optional={
+    "b": mostly(st.lists(mostly(st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+                                json_values),
+                         min_size=SOLVE_NODES - 1, max_size=SOLVE_NODES + 1),
+                json_values)})
+
+
+class TestSolveDecoder:
+    @settings(max_examples=150, deadline=None)
+    @given(solve_payloads)
+    def test_b_is_the_json_values_or_400(self, payload):
+        try:
+            b = rhs_from_payload(payload, SOLVE_NODES)
+        except ProtocolError as exc:
+            assert exc.status == 400
+            return
+        assert b == payload["b"] and len(b) == SOLVE_NODES
+        assert all(type(value) in (int, float) and math.isfinite(value) for value in b)

@@ -30,7 +30,7 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestDriverConsistency:
-    def test_driver_matches_standalone_phases(self):
+    def test_driver_matches_standalone_phases(self, stage_engine):
         """InGrassSparsifier.apply_batch must produce the same sparsifier as calling
         run_setup + run_update manually with the same inputs."""
         graph = grid_circuit_2d(12, seed=0)
@@ -44,8 +44,11 @@ class TestDriverConsistency:
         driver.apply_batch(stream)
 
         manual = sparsifier.copy()
-        setup = run_setup(manual, InGrassConfig())
-        run_update(manual, setup, stream, InGrassConfig(), target_condition_number=target)
+        config = InGrassConfig()
+        hierarchy = run_setup(manual, config).hierarchy
+        similarity_filter, maintainer = stage_engine(manual, hierarchy, config, target)
+        run_update(manual, stream, config,
+                   similarity_filter=similarity_filter, maintainer=maintainer)
 
         assert driver.sparsifier == manual
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LRDConfig, ResistanceEmbedding, lrd_decompose
+from repro.core import LRDConfig, lrd_decompose
 from repro.core.hierarchy import ClusterHierarchy, LRDLevel
 from repro.graphs import Graph, grid_circuit_2d
 from repro.spectral import ExactResistanceCalculator
@@ -172,40 +172,40 @@ class TestClusterHierarchy:
             ClusterHierarchy([])
 
 
-class TestResistanceEmbedding:
+class TestHierarchyEmbedding:
+    """The hierarchy is the paper's node embedding: one cluster index per level."""
+
     def test_dimension_matches_levels(self, grid_with_sparsifier):
         _, sparsifier = grid_with_sparsifier
         hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
-        embedding = ResistanceEmbedding(hierarchy)
-        assert embedding.dimension == hierarchy.num_levels
-        assert embedding.vectors().shape == (sparsifier.num_nodes, hierarchy.num_levels)
-        assert embedding.vector(0).shape == (hierarchy.num_levels,)
+        assert hierarchy.embedding_matrix().shape == (sparsifier.num_nodes, hierarchy.num_levels)
+        assert hierarchy.embedding_vector(0).shape == (hierarchy.num_levels,)
 
     def test_estimates_are_upper_bounds_with_exact_lrd(self, grid_with_sparsifier, rng):
         graph, sparsifier = grid_with_sparsifier
         hierarchy = lrd_decompose(sparsifier, LRDConfig(resistance_method="exact", seed=0))
-        embedding = ResistanceEmbedding(hierarchy)
         pairs = [tuple(rng.choice(sparsifier.num_nodes, 2, replace=False)) for _ in range(40)]
-        stats = embedding.compare_with_exact(sparsifier, pairs)
+        stats = hierarchy.compare_with_exact(sparsifier, pairs)
         # The cluster-diameter estimate should bound most pairs from above and
         # be positively correlated with the exact resistance (it is only an
         # approximate bound: level resistances are measured on contracted
         # graphs, which slightly underestimates).
-        assert stats.fraction_upper_bound > 0.7
-        assert stats.spearman_correlation > 0.3
-        assert stats.mean_ratio >= 0.9
+        assert stats["num_pairs"] == 40
+        assert stats["fraction_upper_bound"] > 0.7
+        assert stats["spearman_correlation"] > 0.3
+        assert stats["mean_ratio"] >= 0.9
 
     def test_estimate_single_pair(self, grid_with_sparsifier):
         _, sparsifier = grid_with_sparsifier
-        embedding = ResistanceEmbedding(lrd_decompose(sparsifier, LRDConfig(seed=0)))
-        assert embedding.estimate_resistance(0, 0) == 0.0
-        assert embedding.estimate_resistance(0, sparsifier.num_nodes - 1) > 0.0
+        hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
+        assert hierarchy.resistance_upper_bound(0, 0) == 0.0
+        assert hierarchy.resistance_upper_bound(0, sparsifier.num_nodes - 1) > 0.0
 
     def test_compare_with_exact_requires_pairs(self, grid_with_sparsifier):
         _, sparsifier = grid_with_sparsifier
-        embedding = ResistanceEmbedding(lrd_decompose(sparsifier, LRDConfig(seed=0)))
+        hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
         with pytest.raises(ValueError):
-            embedding.compare_with_exact(sparsifier, [(3, 3)])
+            hierarchy.compare_with_exact(sparsifier, [(3, 3)])
 
 
 class TestLRDProperties:

@@ -22,7 +22,7 @@ from repro.core import (
     run_setup,
 )
 from repro.core.hierarchy import ClusterHierarchy, LRDLevel
-from repro.graphs import Graph, grid_circuit_2d, is_connected
+from repro.graphs import Graph, canonical_edge, grid_circuit_2d, is_connected
 from repro.spectral import ExactResistanceCalculator
 from repro.streams import (
     DeletionEvent,
@@ -253,11 +253,8 @@ class TestFilterRenameProtocol:
         maintainer = HierarchyMaintainer(setup.hierarchy, working,
                                          lrd_config=LRDConfig(resistance_method="exact", seed=0))
         for seed in range(3):
-            pairs = removable_edges(working, 2, seed=seed)
-            removed = []
-            for u, v in pairs:
-                removed.append((u, v, working.remove_edge(u, v)))
-                similarity_filter.notify_edge_removed(u, v)
+            pairs = [canonical_edge(u, v) for u, v in removable_edges(working, 2, seed=seed)]
+            removed, _, _ = similarity_filter.drop_edges(pairs, [None] * len(pairs))
             maintainer.note_removals(removed, similarity_filter=similarity_filter)
         assert similarity_filter.in_sync_with_hierarchy()
         rebuilt = SimilarityFilter(working, setup.hierarchy, similarity_filter.filtering_level)

@@ -131,7 +131,7 @@ def test_filter_decisions_match_rebuilt_oracle(params):
     scenario, ingrass = _run_maintained_churn(params)
     for batch in scenario.batches:
         ingrass.apply_batch(batch)
-        live_filter = ingrass._ensure_filter()
+        live_filter = ingrass._filter
         assert live_filter.in_sync_with_hierarchy()
         oracle = SimilarityFilter(ingrass.sparsifier, ingrass.setup_result.hierarchy,
                                   live_filter.filtering_level)
@@ -140,8 +140,8 @@ def test_filter_decisions_match_rebuilt_oracle(params):
     # Decision oracle: score one more probe batch through both filters
     # against copies, and demand identical decisions.
     probe = random_pair_edges(ingrass.graph, 12, seed=params["stream_seed"] + 1)
-    batch = score_edges(ingrass.setup_result.embedding, probe).sort()
-    live_filter = ingrass._ensure_filter()
+    batch = score_edges(ingrass.setup_result.hierarchy, probe).sort()
+    live_filter = ingrass._filter
     sparsifier_a = ingrass.sparsifier.copy()
     sparsifier_b = ingrass.sparsifier.copy()
     incremental = SimilarityFilter(sparsifier_a, ingrass.setup_result.hierarchy,

@@ -4,9 +4,9 @@ The splice/merge protocol of the hierarchy maintainer and the removal drop
 stage re-key the similarity filter's connectivity map through the vectorised
 bulk kernels (:meth:`SimilarityFilter.unregister_incident_edges` /
 :meth:`SimilarityFilter.register_edges`).  Their contract is byte-identical
-state with the per-edge scalar protocol they replaced: one
-``_unregister_edge`` / ``_register_edge`` call per incident edge, discovered
-by walking the sparsifier adjacency.  These properties pin that contract for
+state with the per-edge scalar protocol they replaced: one bucket
+``_discard`` / ``_register_edge`` call per incident edge, discovered by
+walking the sparsifier adjacency.  These properties pin that contract for
 arbitrary graphs, node subsets and churn streams:
 
 * the bulk kernels leave the ``_connectivity`` / ``_intra_cluster_edges``
@@ -45,7 +45,7 @@ def oracle_unregister_incident(similarity_filter, nodes):
         for neighbour in sparsifier.neighbors(int(node)):
             pending[canonical_edge(int(node), int(neighbour))] = None
     for u, v in pending:
-        similarity_filter._unregister_edge(u, v)
+        similarity_filter._discard((u, v), *similarity_filter._cluster_pair(u, v))
     return sorted(pending)
 
 

@@ -269,6 +269,13 @@ class TestReadEndpoints:
             client.resistance(0, 10**6)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("pairs", [[[0, 999]], [[-1, 3]], [[0, 1], [2, 10**6]]])
+    def test_batched_resistance_outside_the_graph_answers_400(self, served, pairs):
+        _, _, client = served
+        status, payload = client.request("POST", "/resistance", {"pairs": pairs})
+        assert status == 400, payload
+        assert "outside" in payload["error"]
+
     def test_solve_matches_direct_snapshot_solve(self, served):
         service, _, client = served
         snap = service.snapshot()
@@ -285,6 +292,21 @@ class TestReadEndpoints:
         with pytest.raises(ServerRequestError) as excinfo:
             client.solve([1.0, -1.0])
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("b, preconditioned", [
+        ([[0.0, 1.0]] * 64, True),   # nested rows: used to escape as a 500
+        ([None] * 64, True),         # null: used to become NaN and answer x = 0
+        ([True] * 64, True),
+        (["1"] * 64, True),
+        ([float("inf")] + [0.0] * 63, True),
+        ([0.0] * 64, "no"),
+        ([0.0] * 64, 1),
+    ], ids=["nested", "null", "bool", "string", "infinite", "string-flag", "int-flag"])
+    def test_solve_rejects_malformed_input(self, served, b, preconditioned):
+        service, _, client = served
+        assert service.snapshot().num_nodes == 64
+        status, payload = client.request("POST", "/solve", {"b": b, "preconditioned": preconditioned})
+        assert status == 400, payload
 
     def test_metrics_expose_histograms_and_gauges(self, served):
         _, _, client = served

@@ -279,7 +279,7 @@ class TestScopedFiltersAndEscrow:
         driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
         for batch in churn_scenario.batches:
             driver.apply_batch(batch)
-        similarity_filter = driver._ensure_filter()
+        similarity_filter = driver._filter
         labels = driver.setup_result.hierarchy.level(similarity_filter.filtering_level).labels
         owners = {}
         for pair, bucket in similarity_filter._connectivity.items():
@@ -298,12 +298,12 @@ class TestScopedFiltersAndEscrow:
     def test_factory_dispatches_on_num_shards(self, churn_scenario):
         """Every public constructor builds the one driver for its config."""
         config = make_config()
-        drivers = [InGrassSparsifier.from_config(config), Sparsifier(config),
+        drivers = [InGrassSparsifier(config), Sparsifier(config),
                    SparsifierService(config).driver]
         for driver in drivers:
             assert type(driver) is InGrassSparsifier
             assert driver.config is config
-        assert InGrassSparsifier.from_config(None).config == InGrassConfig()
+        assert InGrassSparsifier(None).config == InGrassConfig()
         assert Sparsifier().config == InGrassConfig()
         edge_maps = []
         for driver in drivers:
@@ -319,33 +319,36 @@ class TestFilteringLevelPinning:
 
     Maintain-mode splices change cluster sizes, which would drift the
     level-for-target selection mid-stream; a drifted level silently orphans
-    the level-keyed filter map, so the driver pins the first resolution
+    the level-keyed filter map, so the driver fixes the level at setup
     (regression test for the divergence a long soak found at seed 244).
     """
 
     def test_level_stays_pinned_under_splices(self, deletion_heavy_scenario):
         driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
-        pinned = driver._resolved_config().filtering_level
-        assert pinned is not None
-        filter_object = driver._ensure_filter()
+        pinned = driver.filtering_level
+        filter_object = driver._filter
         for batch in deletion_heavy_scenario.batches:
             driver.apply_batch(batch)
         assert driver.maintenance_stats.splices > 0
-        assert driver._resolved_config().filtering_level == pinned
+        assert driver.filtering_level == pinned
         # The persistent filter was never silently replaced by a throwaway
         # rebuilt at a drifted level.
-        assert driver._ensure_filter() is filter_object
+        assert driver._filter is filter_object
         assert all(record.filtering_level == pinned for record in driver.history)
 
     def test_refresh_setup_repins(self, deletion_heavy_scenario):
         driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
-        first = driver._resolved_config()
+        first_filter, first_maintainer = driver._filter, driver.maintainer
         driver.refresh_setup()
-        # A fresh hierarchy gets a fresh resolution (possibly the same level,
-        # but never the stale pinned config object).
-        assert driver._pinned_config is None
-        assert driver._resolved_config().filtering_level is not None
-        assert first.filtering_level is not None
+        # A fresh hierarchy gets a fresh level, filter and maintainer, bound
+        # to it rather than to the replaced one.
+        hierarchy = driver.setup_result.hierarchy
+        assert driver.filtering_level == hierarchy.filtering_level_for_condition(
+            driver.target_condition_number, driver.config.filtering_size_divisor)
+        assert driver._filter is not first_filter
+        assert driver.maintainer is not first_maintainer
+        assert driver.maintainer.hierarchy is hierarchy
+        assert driver._filter.in_sync_with_hierarchy()
 
     def test_sharded_views_tile_fresh_reference_after_churn(self, deletion_heavy_scenario):
         """After a splice-heavy stream the maintained filter map equals a
@@ -355,7 +358,7 @@ class TestFilteringLevelPinning:
         for batch in deletion_heavy_scenario.batches:
             driver.apply_batch(batch)
         assert driver.maintenance_stats.splices > 0
-        live = driver._ensure_filter()
+        live = driver._filter
         reference = SimilarityFilter(driver.sparsifier, driver.setup_result.hierarchy,
                                      live.filtering_level)
         assert filter_buckets(live) == filter_buckets(reference)
@@ -408,7 +411,7 @@ class TestClusterMembersIndex:
 class TestMaintenanceAwareGuard:
     def test_drain_splice_neighbourhood(self, churn_scenario):
         driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
-        maintainer = driver.maintainer or driver._ensure_maintainer()
+        maintainer = driver.maintainer
         deletions = churn_scenario.batches[0].deletions
         if not deletions:
             pytest.skip("scenario batch carries no deletions")
@@ -426,13 +429,12 @@ class TestMaintenanceAwareGuard:
         config = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.0)
         driver = start_driver(churn_scenario, config)
         graph, sparsifier = driver.graph, driver.sparsifier
-        maintainer = driver._ensure_maintainer()
-        similarity_filter = driver._ensure_filter()
+        maintainer = driver.maintainer
+        similarity_filter = driver._filter
         deletions = churn_scenario.batches[0].deletions
         pairs = [pair for pair in deletions if graph.has_edge(*pair)]
         removed = graph.remove_edges(pairs)
-        run_removal(sparsifier, driver.setup_result, removed, graph=graph,
-                    config=config, target_condition_number=driver.target_condition_number,
+        run_removal(sparsifier, removed, graph=graph, config=config,
                     similarity_filter=similarity_filter, maintainer=maintainer)
         splice_nodes = set(maintainer.drain_splice_neighbourhood().tolist())
         if not splice_nodes:
@@ -441,8 +443,7 @@ class TestMaintenanceAwareGuard:
         maintainer.note_spliced_nodes(sorted(splice_nodes))
         local_pool = {(u, v) for u, v, _ in
                       _offtree_candidates(graph, sparsifier, sorted(splice_nodes))}
-        report = run_kappa_guard(sparsifier, driver.setup_result, graph=graph,
-                                 config=config,
+        report = run_kappa_guard(sparsifier, graph=graph, config=config,
                                  target_condition_number=driver.target_condition_number,
                                  similarity_filter=similarity_filter, maintainer=maintainer)
         # The pool was drained by the guard pass...

@@ -114,7 +114,7 @@ class TestSnapshotCapture:
     def test_config_is_pinned(self, churn_driver):
         driver, _ = churn_driver
         snap = driver.snapshot()
-        assert snap.filtering_level == driver._resolved_config().filtering_level
+        assert snap.filtering_level == driver.filtering_level
         assert snap.target_condition_number == driver.target_condition_number
 
     def test_snapshot_capture_never_perturbs_the_writer(self, churn_driver):

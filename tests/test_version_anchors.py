@@ -149,7 +149,7 @@ class TestDriverVersionEpochs:
         driver.snapshot()
         _ = driver.graph, driver.sparsifier, driver.setup_result
         _ = driver.target_condition_number
-        driver._resolved_config()
+        _ = driver.filtering_level
         assert driver.latest_version == version
 
     def test_snapshot_version_tracks_driver(self):
