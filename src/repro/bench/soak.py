@@ -12,6 +12,11 @@ batches by default) through the default driver twice:
   with :func:`repro.checkpoint.load_checkpoint` and finishes the stream on
   the restored driver.
 
+With ``--kappa-guard-factor F`` both legs run the κ guard (bound ``F``
+times κ(G(0), H(0)), the measured initial quality, on the Lanczos path), so
+the soak also covers ``L_G``'s factorisation kept and corrected across
+hundreds of guard passes, and a restored driver whose guard starts cold.
+
 It asserts the long-run contract:
 
 * ``hierarchy_mode="maintain"`` pays **zero** full re-setups in both legs;
@@ -22,7 +27,7 @@ It asserts the long-run contract:
 Run with::
 
     python -m repro bench soak [--batches 500] [--events 25000]
-                               [--output BENCH_soak.json]
+                               [--kappa-guard-factor F] [--output BENCH_soak.json]
 
 Exit status 0 iff every acceptance criterion holds; the JSON artifact
 records the full outcome for the workflow run page.
@@ -46,7 +51,7 @@ from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs.components import is_connected
 from repro.sparsify.grass import GrassConfig, GrassSparsifier
-from repro.spectral.condition import DENSE_LIMIT_DEFAULT
+from repro.spectral.condition import DENSE_LIMIT_DEFAULT, relative_condition_number
 from repro.streams.scenarios import simulate_event_stream
 
 #: Target condition number handed to filtering-level selection.
@@ -55,21 +60,33 @@ TARGET_CONDITION = 128.0
 #: Locality blend of the soak stream.
 LONG_RANGE_FRACTION = 0.10
 
+#: Guarded soak: node count up to which the guard's κ is dense.  Below
+#: g2_circuit small's 1,296 nodes, so every guard estimate takes the Lanczos
+#: path and its kept ``L_G`` factorisation.
+GUARD_DENSE_LIMIT = 200
 
-def _soak_config(seed: int) -> InGrassConfig:
+
+def _soak_config(seed: int, kappa_guard_factor: Optional[float]) -> InGrassConfig:
     """The production-shaped soak configuration."""
     return InGrassConfig(
         lrd=LRDConfig(seed=seed),
         distortion_threshold=1.0,
         hierarchy_mode="maintain",
+        kappa_guard_factor=kappa_guard_factor,
+        kappa_guard_dense_limit=GUARD_DENSE_LIMIT,
         seed=seed,
     )
 
 
 def run_soak(*, batches: int = 500, events: int = 25_000,
              deletion_fraction: float = 0.35, case: str = "g2_circuit",
-             scale: str = "small", seed: int = 0, dense_limit: int = DENSE_LIMIT_DEFAULT) -> Dict:
-    """Run the soak protocol; return the JSON-ready payload."""
+             scale: str = "small", seed: int = 0, dense_limit: int = DENSE_LIMIT_DEFAULT,
+             kappa_guard_factor: Optional[float] = None) -> Dict:
+    """Run the soak protocol; return the JSON-ready payload.
+
+    ``kappa_guard_factor`` turns the κ guard on, with κ(G(0), H(0)) as the
+    target instead of :data:`TARGET_CONDITION`.
+    """
     spec = get_dataset(case)
     graph = spec.build(scale=scale, seed=seed)
     grass = GrassSparsifier(GrassConfig(target_offtree_density=0.10,
@@ -81,12 +98,14 @@ def run_soak(*, batches: int = 500, events: int = 25_000,
         protect_spanning_tree=True, seed=seed + events,
     )
     half = len(stream) // 2
+    target = (TARGET_CONDITION if kappa_guard_factor is None
+              else relative_condition_number(graph, sparsifier, dense_limit=dense_limit))
 
     runs: Dict[str, Dict] = {}
     drivers: Dict[str, InGrassSparsifier] = {}
     for name in ("uninterrupted", "restored"):
-        driver = InGrassSparsifier(_soak_config(seed))
-        driver.setup(graph, sparsifier, target_condition_number=TARGET_CONDITION)
+        driver = InGrassSparsifier(_soak_config(seed, kappa_guard_factor))
+        driver.setup(graph, sparsifier, target_condition_number=target)
         start = time.perf_counter()
         if name == "restored":
             # Mid-soak restore drill: checkpoint at the halfway batch, drop
@@ -142,6 +161,8 @@ def run_soak(*, batches: int = 500, events: int = 25_000,
             "batches": int(batches),
             "events": int(events),
             "deletion_fraction": deletion_fraction,
+            "kappa_guard_factor": kappa_guard_factor,
+            "target_condition_number": target,
             "restore_after_batch": half,
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
@@ -167,15 +188,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--case", default="g2_circuit", help="dataset registry name")
     parser.add_argument("--scale", default="small", choices=["small", "medium", "large"])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--kappa-guard-factor", type=float, default=None,
+                        help="run the κ guard with bound F · κ(G(0), H(0)) (default: no guard)")
     parser.add_argument("--output", default="BENCH_soak.json",
                         help="path of the JSON artifact (empty string disables writing)")
     args = parser.parse_args(argv)
 
     payload = run_soak(batches=args.batches, events=args.events,
                        deletion_fraction=args.deletion_fraction, case=args.case,
-                       scale=args.scale, seed=args.seed)
+                       scale=args.scale, seed=args.seed,
+                       kappa_guard_factor=args.kappa_guard_factor)
+    guard = ("" if args.kappa_guard_factor is None else
+             f", κ guard {args.kappa_guard_factor:g} x {payload['meta']['target_condition_number']:.2f}")
     print(f"Soak — {args.batches}-batch mixed churn stream "
-          f"({args.deletion_fraction:.0%} deletions, maintain mode, "
+          f"({args.deletion_fraction:.0%} deletions, maintain mode{guard}, "
           f"checkpoint/restore at batch {payload['meta']['restore_after_batch']})")
     for name, run in payload["results"].items():
         print(f"  {name:<13} {run['seconds']:.2f}s  {run['per_event_us']:.1f} us/event  "

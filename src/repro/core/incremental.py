@@ -155,9 +155,11 @@ class InGrassSparsifier:
         self._total_update_seconds = 0.0
         self._full_resetups = 0
         self._resetup_seconds = 0.0
-        # The κ guard's warm-start state, one per setup.  Reads (κ queries,
-        # snapshots, checkpoints) never touch it, so asking for κ cannot
-        # perturb the writer's trajectory; a restored driver starts cold.
+        # The κ guard's spectral state, one per setup: warm starts and L_G's
+        # factorisation, which each pass corrects for the edges G changed
+        # since it was factored.  Reads (κ queries, snapshots, checkpoints)
+        # never touch it, so asking for κ cannot perturb the writer's
+        # trajectory; a restored driver starts cold.
         self._spectral = SpectralContext()
         # Version epoch: bumped once per mutating public operation (setup,
         # apply_batch, refresh_setup).  The anchor the snapshot read layer
@@ -313,8 +315,7 @@ class InGrassSparsifier:
         maintainer = self._maintainer
         if maintainer is not None:
             extra["maintainer_stats"] = asdict(maintainer.stats)
-            pending = sorted(maintainer._splice_neighbourhood.keys())
-            arrays["pending_splices"] = np.asarray(pending, dtype=np.int64)
+            arrays["pending_splices"] = maintainer.splice_neighbourhood()
         return extra, arrays
 
     def _restore_runtime_state(self, extra: dict,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,10 +119,10 @@ class HierarchyMaintainer:
         self._sparsifier = sparsifier
         self._lrd_config = lrd_config if lrd_config is not None else LRDConfig()
         self.stats = MaintenanceStats()
-        # Nodes of clusters spliced since the last drain — the "split
+        # Per node: in a cluster spliced since the last drain — the "split
         # neighbourhood" the maintenance-aware κ guard searches first (see
         # :func:`repro.core.update.run_kappa_guard`).
-        self._splice_neighbourhood: Dict[int, None] = {}
+        self._spliced = np.zeros(sparsifier.num_nodes, dtype=bool)
 
     # ------------------------------------------------------------------ #
     @property
@@ -326,8 +326,12 @@ class HierarchyMaintainer:
         seeds its round-0 candidate pool exactly as the uninterrupted run
         would.
         """
-        for node in np.asarray(nodes, dtype=np.int64).tolist():
-            self._splice_neighbourhood[int(node)] = None
+        self._spliced[np.asarray(nodes, dtype=np.int64)] = True
+
+    def splice_neighbourhood(self) -> np.ndarray:
+        """The nodes of clusters spliced since the last drain, ascending,
+        without draining them (what a checkpoint saves)."""
+        return np.flatnonzero(self._spliced).astype(np.int64, copy=False)
 
     def drain_splice_neighbourhood(self) -> np.ndarray:
         """Return (and clear) the nodes of clusters spliced since the last drain.
@@ -338,12 +342,8 @@ class HierarchyMaintainer:
         κ relief — searching them before the global pool keeps the guard
         surgical (see :func:`repro.core.update.run_kappa_guard`).
         """
-        if not self._splice_neighbourhood:
-            return np.zeros(0, dtype=np.int64)
-        nodes = np.fromiter(self._splice_neighbourhood.keys(), dtype=np.int64,
-                            count=len(self._splice_neighbourhood))
-        self._splice_neighbourhood.clear()
-        nodes.sort()
+        nodes = self.splice_neighbourhood()
+        self._spliced[nodes] = False
         return nodes
 
     def _apply_splice(self, level_index: int, cluster: int, nodes: np.ndarray,
@@ -353,8 +353,7 @@ class HierarchyMaintainer:
         if nodes.shape[0] == 0:
             return 0, 0
         self.stats.splices += 1
-        for node in nodes.tolist():
-            self._splice_neighbourhood[node] = None
+        self._spliced[nodes] = True
         if nodes.shape[0] == 1:
             hierarchy.set_cluster_diameter(level_index, cluster, 0.0)
             return 0, 1

@@ -277,6 +277,24 @@ def _offtree_candidates(graph: Graph, sparsifier: Graph, around: Sequence[int]) 
     return [(u, v, w) for (u, v), w in seen.items()]
 
 
+def _candidate_arrays(edges: Sequence[WeightedEdge]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, w)`` arrays of a list of weighted edges, in list order."""
+    count = len(edges)
+    return (np.fromiter((u for u, _, _ in edges), dtype=np.int64, count=count),
+            np.fromiter((v for _, v, _ in edges), dtype=np.int64, count=count),
+            np.fromiter((w for _, _, w in edges), dtype=float, count=count))
+
+
+def _offsparsifier_edges(graph: Graph, sparsifier: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, w)`` arrays of the graph edges the sparsifier does not carry,
+    in graph edge order: one key mask over both graphs' edge arrays."""
+    us, vs, ws = graph.edge_arrays()
+    sparsifier_us, sparsifier_vs, _ = sparsifier.edge_arrays()
+    n = graph.num_nodes
+    missing = ~np.isin(us * n + vs, sparsifier_us * n + sparsifier_vs)
+    return us[missing], vs[missing], ws[missing]
+
+
 def _reconnect_sparsifier(sparsifier: Graph, graph: Graph,
                           similarity_filter: SimilarityFilter) -> List[WeightedEdge]:
     """Restore sparsifier connectivity using the most-distorting graph edges.
@@ -498,11 +516,15 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
     not relieve κ — does the guard widen to the full off-sparsifier pool.
 
     All estimates of a pass share one
-    :class:`~repro.spectral.condition.SpectralContext`: ``L_G`` is factored
-    once per pass, ``L_H`` once per round, and the candidates are ranked by
-    the eigenvector the κ estimate already computed.  Pass the driver's
-    ``context`` to warm-start each pass from the previous one; the pass
-    releases the context's factorisations when it ends.
+    :class:`~repro.spectral.condition.SpectralContext`: ``L_H`` is factored
+    once per round, and the candidates are ranked by the eigenvector the κ
+    estimate already computed.  Pass the driver's ``context`` to carry state
+    from pass to pass: the warm starts, and ``L_G``'s factorisation, which
+    later passes correct for the edges ``G`` changed (a low-rank Woodbury
+    update) until :data:`~repro.spectral.solvers.CORRECTION_RANK_CAP` edges
+    changed, so ``L_G`` is factored about once per that many changed edges
+    instead of once per pass.  The pass releases the rest of the context's
+    solvers when it ends.
     """
     # Looked up at call time, so wrappers installed on the module apply.
     from repro.spectral.condition import dominant_generalized_eigenvector, relative_condition_number
@@ -523,54 +545,39 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
     splice_nodes = (maintainer.drain_splice_neighbourhood()
                     if maintainer is not None else np.zeros(0, dtype=np.int64))
     while report.kappa_after > bound and report.rounds < KAPPA_GUARD_MAX_ROUNDS:
-        local_pool = None
-        if report.rounds == 0 and splice_nodes.size:
-            local_pool = _offtree_candidates(graph, sparsifier, splice_nodes.tolist())
-        pool = local_pool or [(u, v, w) for u, v, w in graph.weighted_edges()
-                              if not sparsifier.has_edge(u, v)]
-        if not pool:
+        local = (_offtree_candidates(graph, sparsifier, splice_nodes.tolist())
+                 if report.rounds == 0 and splice_nodes.size else [])
+        pool = _candidate_arrays(local) if local else _offsparsifier_edges(graph, sparsifier)
+        if not pool[0].size:
             break
         _, mode = dominant_generalized_eigenvector(graph, sparsifier, context=context,
                                                    dense_limit=config.kappa_guard_dense_limit)
-
-        def score_pool(candidates):
-            ps = np.fromiter((u for u, _, _ in candidates), dtype=np.int64, count=len(candidates))
-            qs = np.fromiter((v for _, v, _ in candidates), dtype=np.int64, count=len(candidates))
-            ws = np.fromiter((w for _, _, w in candidates), dtype=float, count=len(candidates))
-            return ws * (mode[ps] - mode[qs]) ** 2
-
-        scores = score_pool(pool)
-        if local_pool and float(scores.max()) <= 1e-12:
+        scores = pool[2] * (mode[pool[0]] - mode[pool[1]]) ** 2
+        if local and float(scores.max()) <= 1e-12:
             # The split neighbourhood does not touch the violating mode at
             # all (the κ breach originates elsewhere) — fall straight back
             # to the global pool rather than burning round 0 on dead edges.
-            pool = [(u, v, w) for u, v, w in graph.weighted_edges()
-                    if not sparsifier.has_edge(u, v)]
-            if not pool:
+            pool = _offsparsifier_edges(graph, sparsifier)
+            if not pool[0].size:
                 break
-            scores = score_pool(pool)
+            scores = pool[2] * (mode[pool[0]] - mode[pool[1]]) ** 2
         # Escalate geometrically: a later round means the previous additions
         # did not relieve the bottleneck, so widen the net.
-        budget = min(KAPPA_GUARD_BATCH * (2 ** report.rounds), len(pool))
+        budget = KAPPA_GUARD_BATCH * (2 ** report.rounds)
         order = np.argsort(scores)[::-1][:budget]
-        admitted = 0
-        round_edges: List[WeightedEdge] = []
-        for index in order:
-            u, v, w = pool[int(index)]
+        round_edges: List[WeightedEdge] = list(zip(*(array[order].tolist() for array in pool)))
+        for u, v, w in round_edges:
             sparsifier.add_edge(u, v, w, merge="add")
             similarity_filter.notify_edge_added(u, v)
-            report.added_edges.append((u, v, w))
-            round_edges.append((u, v, w))
-            admitted += 1
-        if maintainer is not None and round_edges:
+        report.added_edges.extend(round_edges)
+        if maintainer is not None:
             maintainer.note_insertions(round_edges, similarity_filter=similarity_filter)
-        if admitted == 0:
-            break
         report.rounds += 1
         report.kappa_after = relative_condition_number(graph, sparsifier, context=context,
                                                        dense_limit=config.kappa_guard_dense_limit)
-    # G changes before the next pass and H already has: only the warm-start
-    # vectors outlive the pass.
+    # H changed within the pass and G changes before the next one: the
+    # context keeps only L_G's base factorisation (the next pass corrects it
+    # for the edges G changed) and the warm-start vectors.
     context.release()
     timer.stop()
     report.guard_seconds = timer.elapsed

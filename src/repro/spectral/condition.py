@@ -14,21 +14,23 @@ eigenvalues.  Two computation paths are provided:
 * a **dense** path (``scipy.linalg.eigh`` on the reduced pencil) — exact, used
   for graphs up to a few thousand nodes and inside tests;
 * a **Lanczos** path for larger graphs: ARPACK in generalized mode on each
-  side of the pencil, the other side's grounded Laplacian factored once
-  through :class:`~repro.spectral.solvers.GroundedSolver`.
+  side of the pencil, the other side's grounded Laplacian factored through
+  :class:`~repro.spectral.solvers.GroundedSolver`.
 
 A :class:`SpectralContext` carries the Lanczos path's state from one estimate
-to the next — see its docstring.  :func:`condition_estimate`,
-:func:`relative_condition_number` and :func:`dominant_generalized_eigenvector`
-are thin wrappers over a context; called without one they start cold.  Every
-ARPACK run is seeded, so an estimate is a pure function of its inputs and of
-the context's history.
+to the next: warm starts, and a factorisation of ``L_G`` that later versions of
+``G`` reuse through a low-rank correction
+(:class:`~repro.spectral.solvers.CorrectedSolver`); see its docstring.
+:func:`condition_estimate`, :func:`relative_condition_number` and
+:func:`dominant_generalized_eigenvector` are thin wrappers over a context;
+called without one they start cold.  Every ARPACK run is seeded, so an
+estimate is a pure function of its inputs and of the context's history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -38,9 +40,10 @@ import scipy.sparse.linalg as spla
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
 from repro.spectral.eigen import arpack_rng, seeded_eigsh
-from repro.spectral.solvers import GroundedSolver
+from repro.spectral.solvers import CorrectedSolver, EdgeArrays, GroundedSolver
 
-EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: What an eigensolve needs of a side: ``reduced`` and ``solve_reduced``.
+Solver = Union[GroundedSolver, CorrectedSolver]
 
 
 @dataclass
@@ -153,18 +156,28 @@ class _Dominant(NamedTuple):
 class SpectralContext:
     """State of the Lanczos path of one pencil ``(L_G, L_H)`` across estimates.
 
-    * **One factorisation per graph version.**  Each grounded Laplacian is
-      factored once through ``factor(side, graph)`` (``side`` is ``"graph"``
-      or ``"sparsifier"``; default :meth:`GroundedSolver.from_graph`, which
-      grounds node 0), keyed on the identity of the graph's cached
+    * **One solver per graph version.**  Each side's solver is built once
+      per version, keyed on the identity of the graph's cached
       :meth:`~repro.graphs.graph.Graph.edge_arrays` tuple — a mutation
-      replaces that tuple.  The sparsifier's factor lives for one estimate,
-      because the κ guard changes ``H`` before the next one; the graph's
-      lives until :meth:`release`.
+      replaces that tuple.  Factorisations go through ``factor(side, graph)``
+      (``side`` is ``"graph"`` or ``"sparsifier"``; default
+      :meth:`GroundedSolver.from_graph`, which grounds node 0).
+    * **Sparsifier side: one factorisation per estimate.**  The κ guard
+      changes ``H`` before the next estimate, so ``L_H``'s factor is dropped
+      after each.
+    * **Graph side: one factorisation while G changes little.**  The base
+      factorisation of ``L_G`` outlives :meth:`release`.  A later version of
+      ``G`` within :data:`~repro.spectral.solvers.CORRECTION_RANK_CAP`
+      changed edges of the base gets a
+      :class:`~repro.spectral.solvers.CorrectedSolver` of it, which solves
+      the same shifted grounded system a new factorisation would; past the
+      cap, or when the correction is ill-conditioned, the base is factored
+      again, the old one freed first.  A guard batch changes a few edges of
+      ``G``, so the guard factors ``L_G`` once per
+      ``CORRECTION_RANK_CAP`` changed edges instead of once per pass.
     * **Warm starts.**  Each side's Lanczos run starts from that side's last
       eigenvector blended with a seeded random component
-      (:data:`WARM_BLEND`), in a :data:`WARM_NCV`-vector Krylov space.  These
-      two vectors are all that survives :meth:`release`.
+      (:data:`WARM_BLEND`), in a :data:`WARM_NCV`-vector Krylov space.
     * **No second eigensolve.**  The λ_max eigenvector of the last estimate
       is kept, so :meth:`dominant_eigenvector` on the same graph versions
       returns it without solving again.
@@ -178,14 +191,18 @@ class SpectralContext:
 
     def __init__(self, factor: Optional[Callable[[str, Graph], GroundedSolver]] = None) -> None:
         self._factor = factor if factor is not None else _factor_graph
-        self._factors: Dict[str, Tuple[EdgeArrays, GroundedSolver]] = {}
+        #: Each side's solver of its graph's current version.
+        self._factors: Dict[str, Tuple[EdgeArrays, Solver]] = {}
+        #: The graph version ``L_G`` was last factored at, and that factor.
+        self._base: Optional[Tuple[EdgeArrays, GroundedSolver]] = None
         #: Last eigenvector (reduced coordinates) of each side: ``"max"`` is
         #: ``L_G x = λ L_H x``, ``"min"`` the swapped pencil (largest = 1/λ_min).
         self._vectors: Dict[str, np.ndarray] = {}
         self._dominant: Optional[_Dominant] = None
 
     def release(self) -> None:
-        """Drop every factorisation; the warm-start vectors stay."""
+        """Drop the per-version solvers at the end of a guard pass; the base
+        factorisation of ``L_G`` and the warm-start vectors stay."""
         self._factors.clear()
 
     def estimate(self, graph: Graph, sparsifier: Graph, *, dense_limit: int = DENSE_LIMIT_DEFAULT,
@@ -236,14 +253,35 @@ class SpectralContext:
                                                 _full_unit_vector(vector), method)
         return cached
 
-    def _solver(self, side: str, graph: Graph) -> GroundedSolver:
+    def _solver(self, side: str, graph: Graph) -> Solver:
         arrays = graph.edge_arrays()
-        cached = self._factors.get(side)
-        if cached is None or cached[0] is not arrays:
-            cached = self._factors[side] = (arrays, self._factor(side, graph))
-        return cached[1]
+        if side in self._factors:
+            if self._factors[side][0] is arrays:
+                return self._factors[side][1]
+            # The stale solver goes first: a side never holds two factorisations.
+            del self._factors[side]
+        solver = self._graph_solver(graph) if side == "graph" else self._factor(side, graph)
+        self._factors[side] = (arrays, solver)
+        return solver
 
-    def _largest(self, side: str, a_solver: GroundedSolver, b_solver: GroundedSolver,
+    def _graph_solver(self, graph: Graph) -> Solver:
+        """``L_G``'s solver: the base factorisation, corrected for the edges
+        ``G`` changed since (:meth:`CorrectedSolver.build`), or a new base."""
+        arrays = graph.edge_arrays()
+        if self._base is not None:
+            base_arrays, base = self._base
+            if base_arrays is arrays:
+                return base
+            corrected = CorrectedSolver.build(base, base_arrays, graph)
+            if corrected is not None:
+                return corrected
+            # Free the old factor before the new one is built.
+            self._base = base = None
+        solver = self._factor("graph", graph)
+        self._base = (arrays, solver)
+        return solver
+
+    def _largest(self, side: str, a_solver: Solver, b_solver: Solver,
                  tol: float, maxiter: Optional[int]) -> Tuple[float, np.ndarray, str]:
         """Largest eigenpair of ``A x = θ B x`` on the grounded matrices."""
         a, b = a_solver.reduced, b_solver.reduced

@@ -4,11 +4,14 @@ A connected graph's Laplacian is symmetric positive semi-definite with a
 one-dimensional null space spanned by the constant vector.  Solving
 ``L x = b`` for ``b`` orthogonal to the null space is the workhorse behind
 exact effective resistances, the condition-number estimator and the
-preconditioned-CG example.  Two solver families are provided:
+preconditioned-CG example.  Three solver families are provided:
 
 * :class:`GroundedSolver` — direct factorisation of the Laplacian with one
   node grounded (removed).  Exact, best for small/medium graphs and repeated
   solves against the same matrix.
+* :class:`CorrectedSolver` — a graph a few edges away from one a
+  :class:`GroundedSolver` factored, solved by a low-rank (Woodbury)
+  correction of that factorisation instead of a new one.
 * :func:`conjugate_gradient` / :class:`PCGSolver` — matrix-free CG with an
   optional preconditioner, used to demonstrate sparsifier-preconditioned
   solves (the downstream application motivating GRASS-style sparsifiers).
@@ -17,7 +20,7 @@ preconditioned-CG example.  Two solver families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +35,8 @@ def project_out_constant(vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=float)
     return vector - vector.mean()
 
+
+EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Absolute diagonal shift of every grounded factorisation.  It guards
 #: against numerically singular reductions when the graph is *nearly*
@@ -48,6 +53,27 @@ def _shifted_csc(reduced: sp.csr_matrix, shift: float) -> sp.csc_matrix:
     shifted = reduced.copy()
     shifted.setdiag(reduced.diagonal() + shift)
     return shifted.tocsc()
+
+
+#: Most changed edges a :class:`CorrectedSolver` corrects its base for; past
+#: it the base is factored again, which bounds the kept columns and each
+#: solve's extra ``O(n·k)`` work.
+CORRECTION_RANK_CAP = 32
+#: Largest condition number of a correction's capacitance matrix; past it the
+#: correction could lose digits a fresh factorisation keeps.
+CAPACITANCE_CONDITION_LIMIT = 1e8
+
+
+def _edge_delta(before: EdgeArrays, after: EdgeArrays, num_nodes: int) -> EdgeArrays:
+    """``(p, q, Δw)`` of every edge whose weight differs between two graphs'
+    edge arrays, an absent edge weighing 0, in ascending key order
+    ``p·n + q``.  ``Δw`` is ``w_after - w_before`` to the bit."""
+    keys = np.concatenate([before[0] * num_nodes + before[1], after[0] * num_nodes + after[1]])
+    unique, inverse = np.unique(keys, return_inverse=True)
+    change = np.bincount(inverse, weights=np.concatenate([-before[2], after[2]]),
+                         minlength=unique.size)
+    changed = np.flatnonzero(change)
+    return unique[changed] // num_nodes, unique[changed] % num_nodes, change[changed]
 
 
 class GroundedSolver:
@@ -76,6 +102,8 @@ class GroundedSolver:
         self._lu = spla.splu(_shifted_csc(reduced, DIAGONAL_SHIFT),
                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
+        #: Edge key ``p·n + q`` -> its column of :meth:`edge_columns`.
+        self._columns: Dict[int, np.ndarray] = {}
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -89,6 +117,29 @@ class GroundedSolver:
     def solve_reduced(self, b: np.ndarray) -> np.ndarray:
         """Solve the grounded system for a right-hand side in reduced coordinates."""
         return self._lu.solve(np.asarray(b, dtype=float))
+
+    def edge_columns(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``A⁻¹u_e`` for each edge ``e = (p, q)``, ``p < q``, as the columns of
+        one matrix.
+
+        ``A`` is the shifted grounded matrix this solver factored and ``u_e``
+        the edge's grounded incidence vector: ``e_p - e_q`` without the ground
+        node's entry, so a single entry for an edge at node 0.  A column is
+        solved once and kept as long as each call asks for its edge again.
+        """
+        kept, self._columns = self._columns, {}
+        for p_node, q_node in zip(p.tolist(), q.tolist()):
+            key = p_node * self._n + q_node
+            column = kept.get(key)
+            if column is None:
+                rhs = np.zeros(self._n - 1)
+                if p_node:
+                    rhs[p_node - 1] = 1.0
+                rhs[q_node - 1] = -1.0
+                column = self._lu.solve(rhs)
+            self._columns[key] = column
+        # Column-major: a product with the matrix reads each column once.
+        return np.array(list(self._columns.values())).reshape(-1, self._n - 1).T
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "GroundedSolver":
@@ -119,6 +170,66 @@ class GroundedSolver:
     def as_linear_operator(self) -> spla.LinearOperator:
         """Expose the pseudo-inverse action as a scipy ``LinearOperator``."""
         return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
+
+
+class CorrectedSolver:
+    """Solver of a graph's grounded system from the factorisation of a graph a
+    few edges away.
+
+    With ``A₀`` the shifted grounded Laplacian the base :class:`GroundedSolver`
+    factored, the current graph's is ``A = A₀ + U diag(Δw) Uᵀ``, ``U`` holding
+    the changed edges' grounded incidence vectors.  Sherman–Morrison–Woodbury
+    gives ``A⁻¹b = y - Z S⁻¹(Uᵀy)`` with ``y = A₀⁻¹b``, ``Z = A₀⁻¹U``
+    (:meth:`GroundedSolver.edge_columns`) and the capacitance
+    ``S = diag(1/Δw) + UᵀZ``: the system a fresh factorisation of the
+    current graph would solve, for one base solve and a rank-``k`` product
+    per right-hand side.  ``S⁻¹`` is kept as a ``k × k`` matrix, so a build
+    costs no ``O(n k²)`` product.  It offers the reduced-coordinate
+    interface the condition-number code uses; :attr:`reduced` is the current
+    graph's grounded Laplacian.
+    """
+
+    def __init__(self, base: GroundedSolver, reduced: sp.csr_matrix, p: np.ndarray,
+                 q: np.ndarray, columns: np.ndarray, capacitance_inverse: np.ndarray) -> None:
+        self._base = base
+        self._reduced = reduced
+        self._p = p
+        self._q = q
+        self._columns = columns
+        self._capacitance_inverse = capacitance_inverse
+
+    @classmethod
+    def build(cls, base: GroundedSolver, base_arrays: EdgeArrays,
+              graph: Graph) -> Optional["CorrectedSolver"]:
+        """``graph``'s solver as a correction of ``base``, which factored the
+        graph of ``base_arrays``; ``None`` when more than
+        :data:`CORRECTION_RANK_CAP` edges changed or the capacitance's
+        condition number exceeds :data:`CAPACITANCE_CONDITION_LIMIT`."""
+        num_nodes = graph.num_nodes
+        if base.shape[0] != num_nodes:
+            return None
+        p, q, delta = _edge_delta(base_arrays, graph.edge_arrays(), num_nodes)
+        if p.size > CORRECTION_RANK_CAP:
+            return None
+        columns = base.edge_columns(p, q)
+        # Row i of the padded matrix is node i's entry (the ground's is 0).
+        padded = np.vstack([np.zeros((1, p.size)), columns])
+        capacitance = np.diag(1.0 / delta) + (padded[p] - padded[q])
+        if p.size and np.linalg.cond(capacitance) > CAPACITANCE_CONDITION_LIMIT:
+            return None
+        reduced, _ = grounded_laplacian(graph.laplacian_matrix())
+        return cls(base, reduced, p, q, columns, np.linalg.inv(capacitance))
+
+    @property
+    def reduced(self) -> sp.csr_matrix:
+        """The current graph's grounded Laplacian, without the shift."""
+        return self._reduced
+
+    def solve_reduced(self, b: np.ndarray) -> np.ndarray:
+        """Solve the current graph's grounded system (reduced coordinates)."""
+        y = self._base.solve_reduced(b)
+        padded = np.concatenate(([0.0], y))
+        return y - self._columns @ (self._capacitance_inverse @ (padded[self._p] - padded[self._q]))
 
 
 @dataclass

@@ -234,13 +234,24 @@ class TestSoakAndRemovalMains:
     """A tiny end-to-end soak run (CI-speed parameters): churn with
     removals, uninterrupted and through a mid-stream checkpoint restore."""
 
-    def test_soak_main(self, tmp_path, capsys):
+    @staticmethod
+    def _soak(tmp_path, *options):
         output = tmp_path / "BENCH_soak.json"
         code = soak.main([
             "--batches", "6", "--events", "400",
-            "--scale", "small", "--output", str(output),
+            "--scale", "small", "--output", str(output), *options,
         ])
         assert code == 0
         payload = json.loads(output.read_text())
         assert set(payload["results"]) == {"uninterrupted", "restored"}
         assert all(payload["acceptance"].values())
+        return payload
+
+    def test_soak_main(self, tmp_path, capsys):
+        self._soak(tmp_path)
+
+    def test_guarded_soak_main(self, tmp_path, capsys):
+        meta = self._soak(tmp_path, "--kappa-guard-factor", "1.8")["meta"]
+        # The guard's target is the measured κ(G(0), H(0)), not the fixed one.
+        assert meta["kappa_guard_factor"] == 1.8
+        assert meta["target_condition_number"] != soak.TARGET_CONDITION

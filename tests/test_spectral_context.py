@@ -1,10 +1,11 @@
 """Tests of the κ guard's spectral context (``repro.spectral.condition``).
 
-The contract: on the Lanczos path the guard factors each changed Laplacian
-once per pass, warm-starts ARPACK from the previous pass, ranks candidates
-without a second eigensolve, and still reports the κ a cold dense solve
-would — deterministically, with bounded fallbacks and without letting reads
-perturb the writer.
+The contract: on the Lanczos path the guard factors ``L_H`` once per
+estimate and corrects one kept factorisation of ``L_G`` for the edges ``G``
+changed (re-factoring it past a rank cap), warm-starts ARPACK from the
+previous pass, ranks candidates without a second eigensolve, and still
+reports the κ a cold dense solve would — deterministically, with bounded
+fallbacks and without letting reads perturb the writer.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ import scipy.sparse.linalg as spla
 import repro.graphs.graph as graph_module
 import repro.spectral.condition as condition
 import repro.spectral.eigen as eigen
+import repro.spectral.solvers as solvers
 from repro.core import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs import Graph, grid_circuit_2d
+from repro.graphs.components import is_connected
 from repro.spectral.condition import (
     SpectralContext,
     SpectralSolveError,
     condition_estimate,
     dominant_generalized_eigenvector,
 )
+from repro.spectral.solvers import CorrectedSolver, GroundedSolver
 from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenario
 
 #: Below the stream's 225 nodes, so every guard estimate takes the Lanczos path.
@@ -234,7 +238,102 @@ class TestWarmStart:
         assert splu.calls == 3
         context.release()
         context.estimate(graph, sparsifier, dense_limit=1)
+        # L_G's factorisation outlives release().
+        assert splu.calls == 4
+        # A G up to the rank cap away is corrected, not factored again...
+        edges = graph.edge_list()
+        changed = graph.copy()
+        for u, v, w in edges[:solvers.CORRECTION_RANK_CAP]:
+            changed.add_edge(u, v, w, merge="add")
+        context.release()
+        context.estimate(changed, sparsifier, dense_limit=1)
         assert splu.calls == 5
+        # ...and one edge past it is.
+        u, v, w = edges[solvers.CORRECTION_RANK_CAP]
+        changed.add_edge(u, v, w, merge="add")
+        context.release()
+        context.estimate(changed, sparsifier, dense_limit=1)
+        assert splu.calls == 7
+
+
+def random_mixed_batch(graph, rng):
+    """Mutate ``graph`` by 1–3 random events: an insertion (at ground node 0
+    one time in four), a deletion that keeps it connected, or a weight
+    increase."""
+    n = graph.num_nodes
+    for _ in range(int(rng.integers(1, 4))):
+        kind = rng.integers(3)
+        if kind == 0:
+            u = 0 if rng.random() < 0.25 else int(rng.integers(n))
+            v = int(rng.integers(n))
+            if u != v and not graph.has_edge(u, v):
+                graph.add_edge(u, v, float(rng.uniform(0.1, 2.0)))
+        elif kind == 1:
+            u, v, w = graph.edge_list()[int(rng.integers(graph.num_edges))]
+            graph.remove_edge(u, v)
+            if not is_connected(graph):
+                graph.add_edge(u, v, w)
+        else:
+            u, v, _ = graph.edge_list()[int(rng.integers(graph.num_edges))]
+            graph.add_edge(u, v, float(rng.uniform(0.1, 2.0)), merge="add")
+
+
+def changed_edges(before, after):
+    """Edges whose weight differs between two edge lists (absent weighs 0)."""
+    old = {(u, v): w for u, v, w in before}
+    new = {(u, v): w for u, v, w in after}
+    return sum(old.get(key, 0.0) != new.get(key, 0.0) for key in old.keys() | new.keys())
+
+
+class TestCorrectedFactor:
+    """``L_G``'s solver across graph versions: a correction of the kept base
+    factorisation while at most the rank cap of edges changed, a new base
+    past it; either way the system a fresh factorisation solves."""
+
+    def test_corrected_solves_match_a_fresh_factorisation(self):
+        rng = np.random.default_rng(7)
+        graph = grid_circuit_2d(8, seed=3)
+        factored = []
+        context = SpectralContext(factor=lambda side, g: factored.append(g.edge_list()) or
+                                  GroundedSolver.from_graph(g))
+        context._solver("graph", graph)
+        corrected = 0
+        for _ in range(1000):
+            random_mixed_batch(graph, rng)
+            base = factored[-1]
+            solver = context._solver("graph", graph)
+            refactored = factored[-1] is not base
+            assert refactored == (changed_edges(base, graph.edge_list())
+                                  > solvers.CORRECTION_RANK_CAP)
+            corrected += isinstance(solver, CorrectedSolver)
+            fresh = GroundedSolver.from_graph(graph)
+            assert (solver.reduced != fresh.reduced).nnz == 0
+            b = rng.standard_normal(graph.num_nodes - 1)
+            expected = fresh.solve_reduced(b)
+            error = np.linalg.norm(solver.solve_reduced(b) - expected) / np.linalg.norm(expected)
+            assert error <= 1e-10
+            context.release()
+        # Both regimes ran many times (53 factorisations, 947 corrections).
+        assert len(factored) >= 40 and corrected >= 800
+
+    def test_ill_conditioned_capacitance_falls_back_to_a_factorisation(self, monkeypatch):
+        graph = grid_circuit_2d(8, seed=3)
+        factors = _Counter(lambda side, g: GroundedSolver.from_graph(g))
+        context = SpectralContext(factor=factors)
+        context._solver("graph", graph)
+        changed = graph.copy()
+        changed.add_edge(0, 9, 0.5)
+        changed.add_edge(3, 4, 1.0, merge="add")
+        assert isinstance(context._solver("graph", changed), CorrectedSolver)
+        assert factors.calls == 1
+        monkeypatch.setattr(solvers, "CAPACITANCE_CONDITION_LIMIT", 1.0)
+        changed.add_edge(5, 40, 0.25)
+        solver = context._solver("graph", changed)
+        assert factors.calls == 2
+        assert isinstance(solver, GroundedSolver)
+        b = np.random.default_rng(0).standard_normal(graph.num_nodes - 1)
+        assert np.array_equal(solver.solve_reduced(b),
+                              GroundedSolver.from_graph(changed).solve_reduced(b))
 
 
 class TestBoundedFallback:
