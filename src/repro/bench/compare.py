@@ -26,6 +26,11 @@ neither side) and a verdict by the paired-run rules:
 
 It also prints ``correct`` and failed/attempted per side, and whether the
 final-state digests the two checkouts recorded agree.
+
+The exit status is a gate's: 1 when a metric's verdict is ``regression``, a
+side is not ``correct``, the digests disagree or the head failed more
+operations than the base (``unresolved`` does not fail), 0 otherwise, and 2
+when the runs themselves could not be made.
 """
 
 from __future__ import annotations
@@ -166,6 +171,20 @@ def report(records: Dict[str, List[dict]], digests: Dict[str, Dict[str, str]], s
             "digests_agree": digests_agree(digests["base"], digests["head"])}
 
 
+def gate_failures(summary: dict) -> List[str]:
+    """Why a :func:`report` summary fails the gate; empty when it passes."""
+    failures = [f"{row['metric']}: regression" for row in summary["rows"]
+                if row["verdict"] == "regression"]
+    failures += [f"{side}: correct=false" for side, info in summary["sides"].items()
+                 if not info["correct"]]
+    if summary["digests_agree"] is False:
+        failures.append("final-state digests disagree")
+    base_failed, head_failed = (summary["sides"][side]["failed"] for side in SIDES)
+    if head_failed > base_failed:
+        failures.append(f"head failed {head_failed} operations, base {base_failed}")
+    return failures
+
+
 def print_report(summary: dict) -> None:
     print(f"{'metric':16s} {'base median [q1, q3]':>30s} {'head median [q1, q3]':>30s} "
           f"{'wins':>6s}  verdict")
@@ -202,4 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print_report(summary)
     if args.json_path:
         Path(args.json_path).write_text(json.dumps(summary, indent=1))
-    return 0
+    failures = gate_failures(summary)
+    for failure in failures:
+        print(f"gate: {failure}")
+    return 1 if failures else 0

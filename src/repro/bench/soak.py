@@ -14,8 +14,9 @@ batches by default) through the default driver twice:
 
 With ``--kappa-guard-factor F`` both legs run the κ guard (bound ``F``
 times κ(G(0), H(0)), the measured initial quality, on the Lanczos path), so
-the soak also covers ``L_G``'s factorisation kept and corrected across
-hundreds of guard passes, and a restored driver whose guard starts cold.
+the soak also covers ``L_G``'s and ``L_H``'s factorisations kept and
+corrected across hundreds of guard passes, and a restored driver whose guard
+starts cold.
 
 It asserts the long-run contract:
 
@@ -62,7 +63,7 @@ LONG_RANGE_FRACTION = 0.10
 
 #: Guarded soak: node count up to which the guard's κ is dense.  Below
 #: g2_circuit small's 1,296 nodes, so every guard estimate takes the Lanczos
-#: path and its kept ``L_G`` factorisation.
+#: path and its kept factorisations.
 GUARD_DENSE_LIMIT = 200
 
 

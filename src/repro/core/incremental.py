@@ -155,11 +155,12 @@ class InGrassSparsifier:
         self._total_update_seconds = 0.0
         self._full_resetups = 0
         self._resetup_seconds = 0.0
-        # The κ guard's spectral state, one per setup: warm starts and L_G's
-        # factorisation, which each pass corrects for the edges G changed
-        # since it was factored.  Reads (κ queries, snapshots, checkpoints)
-        # never touch it, so asking for κ cannot perturb the writer's
-        # trajectory; a restored driver starts cold.
+        # The κ guard's spectral state, one per setup: warm starts and one
+        # kept factorisation each of L_G and L_H, which each estimate
+        # corrects for the edges G and H changed since they were factored.
+        # Reads (κ queries, snapshots, checkpoints) never touch it, so
+        # asking for κ cannot perturb the writer's trajectory; a restored
+        # driver starts cold.
         self._spectral = SpectralContext()
         # Version epoch: bumped once per mutating public operation (setup,
         # apply_batch, refresh_setup).  The anchor the snapshot read layer

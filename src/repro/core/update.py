@@ -516,15 +516,17 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
     not relieve κ — does the guard widen to the full off-sparsifier pool.
 
     All estimates of a pass share one
-    :class:`~repro.spectral.condition.SpectralContext`: ``L_H`` is factored
-    once per round, and the candidates are ranked by the eigenvector the κ
-    estimate already computed.  Pass the driver's ``context`` to carry state
-    from pass to pass: the warm starts, and ``L_G``'s factorisation, which
-    later passes correct for the edges ``G`` changed (a low-rank Woodbury
-    update) until :data:`~repro.spectral.solvers.CORRECTION_RANK_CAP` edges
-    changed, so ``L_G`` is factored about once per that many changed edges
-    instead of once per pass.  The pass releases the rest of the context's
-    solvers when it ends.
+    :class:`~repro.spectral.condition.SpectralContext`, and the candidates
+    are ranked by the eigenvector the κ estimate already computed.  Pass the
+    driver's ``context`` to carry state from pass to pass: the warm starts,
+    and one kept factorisation each of ``L_G`` and ``L_H``, which later
+    estimates correct for the edges ``G`` and ``H`` changed (a low-rank
+    Woodbury update) until
+    :data:`~repro.spectral.solvers.CORRECTION_RANK_CAP` edges changed.  So
+    each side is factored about once per that many changed edges instead of
+    once per pass (``L_G``) or per round (``L_H``); a late round, which
+    admits more than the cap, factors ``L_H`` again.  The pass releases the
+    context's per-version solvers when it ends.
     """
     # Looked up at call time, so wrappers installed on the module apply.
     from repro.spectral.condition import dominant_generalized_eigenvector, relative_condition_number
@@ -576,8 +578,8 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
         report.kappa_after = relative_condition_number(graph, sparsifier, context=context,
                                                        dense_limit=config.kappa_guard_dense_limit)
     # H changed within the pass and G changes before the next one: the
-    # context keeps only L_G's base factorisation (the next pass corrects it
-    # for the edges G changed) and the warm-start vectors.
+    # context keeps each side's lineage (the next pass corrects its base for
+    # the edges that changed) and the warm-start vectors.
     context.release()
     timer.stop()
     report.guard_seconds = timer.elapsed

@@ -16,7 +16,12 @@ any embedding application) drives:
 
 Snapshots of past epochs are retained in a bounded LRU (``max_snapshots``),
 so a slow reader can keep querying the epoch it started with while the writer
-races ahead.
+races ahead.  Every snapshot the service captures solves through the same
+two :class:`~repro.spectral.solvers.SolverLineage` objects (one per graph):
+the retained epochs share one kept factorisation per graph, and each epoch's
+first query corrects it for the edges that changed instead of factoring.
+Every write advances the lineages, so the epochs at which they factor again
+follow the write stream, not the epochs readers happened to ask for.
 
 Typical usage::
 
@@ -43,6 +48,7 @@ from repro.core.incremental import InGrassSparsifier, MixedUpdateResult, UpdateB
 from repro.core.setup import SetupResult
 from repro.graphs.graph import Graph
 from repro.snapshot import SparsifierSnapshot
+from repro.spectral.condition import fresh_lineages
 
 
 class SparsifierService:
@@ -74,6 +80,9 @@ class SparsifierService:
         # Per-operation write accounting, surfaced by the HTTP front end's
         # /metrics endpoint: {kind: [count, seconds]}.
         self._write_stats: dict = {}
+        self._lineages = fresh_lineages()
+        if self._driver.latest_version:  # already set up, e.g. restored
+            self._advance_lineages()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -121,6 +130,11 @@ class SparsifierService:
         entry[0] += 1
         entry[1] += seconds
 
+    def _advance_lineages(self) -> None:
+        # Every version the writer makes, whether or not anyone reads it.
+        self._lineages["graph"].advance(self._driver.graph)
+        self._lineages["sparsifier"].advance(self._driver.sparsifier)
+
     # ------------------------------------------------------------------ #
     # Writer path
     # ------------------------------------------------------------------ #
@@ -128,7 +142,9 @@ class SparsifierService:
               **kwargs) -> SetupResult:
         """Run the one-time setup phase (see :meth:`InGrassSparsifier.setup`)."""
         with self._lock:
-            return self._driver.setup(graph, sparsifier, **kwargs)
+            result = self._driver.setup(graph, sparsifier, **kwargs)
+            self._advance_lineages()
+            return result
 
     def apply(self, batch: UpdateBatch) -> MixedUpdateResult:
         """Apply one update batch (insertions or a ``MixedBatch``) — the write path.
@@ -139,6 +155,7 @@ class SparsifierService:
         with self._lock:
             begin = time.perf_counter()
             result = self._driver.apply_batch(batch)
+            self._advance_lineages()
             self._record_write("update", time.perf_counter() - begin)
             self._applied_batches += 1
             return result
@@ -148,6 +165,7 @@ class SparsifierService:
         with self._lock:
             begin = time.perf_counter()
             result = self._driver.refresh_setup()
+            self._advance_lineages()
             self._record_write("refresh", time.perf_counter() - begin)
             return result
 
@@ -184,7 +202,7 @@ class SparsifierService:
 
         The current epoch's snapshot is captured at most once and cached —
         concurrent readers at the same epoch share one snapshot object (its
-        query caches, e.g. the Laplacian factorisation, are thread-safe).
+        query caches, e.g. the sparsifier's solver, are thread-safe).
         Passing ``version`` fetches a retained older epoch and raises
         :class:`KeyError` when it has been evicted (or never captured).
         """
@@ -201,7 +219,7 @@ class SparsifierService:
             current = self._driver.latest_version
             snap = self._snapshots.get(current)
             if snap is None:
-                snap = self._driver.snapshot()
+                snap = SparsifierSnapshot.capture(self._driver, lineages=self._lineages)
                 self._snapshots[current] = snap
                 while len(self._snapshots) > self._max_snapshots:
                     self._snapshots.popitem(last=False)

@@ -21,14 +21,16 @@ Capture is O(1) and copy-free on the hot path:
   counters (hierarchy versions and depth, filter bucket counts); no label or
   diameter array is shared with the writer.
 
-The first query pays one Laplacian factorisation per graph, assembled
-straight from the captured arrays
-(:func:`repro.graphs.laplacian.laplacian_from_edges`) and shared by every
-query kind: resistances, PCG solves and κ.  :attr:`SparsifierSnapshot.graph`
-and :attr:`SparsifierSnapshot.sparsifier` are
-:class:`~repro.graphs.graph.FrozenGraph` views over the same arrays, built in
-O(1); their key index and adjacency dictionaries are built only if a caller
-asks a dictionary question (``neighbors``, ``weight``, ...), which no
+Every query kind (resistances, PCG solves, κ) solves through one
+:class:`~repro.spectral.solvers.SolverLineage` per graph.  The service's
+snapshots share its lineages, so an epoch's first query corrects the kept
+factorisation of a nearby epoch for the edges that changed and factors only
+past the rank cap; :meth:`InGrassSparsifier.snapshot` gives a snapshot
+lineages of its own, which factor the captured arrays on first use.
+:attr:`SparsifierSnapshot.graph` and :attr:`SparsifierSnapshot.sparsifier`
+are :class:`~repro.graphs.graph.FrozenGraph` views over the same arrays,
+built in O(1); their key index and adjacency dictionaries are built only if a
+caller asks a dictionary question (``neighbors``, ``weight``, ...), which no
 resistance, PCG or κ query does.  Lazy artifacts are built under a
 snapshot-local lock, so readers never hold a lock that the update pipeline
 contends on.
@@ -37,15 +39,20 @@ contends on.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import FrozenGraph
 from repro.sparsify.metrics import SparsifierReport, evaluate_sparsifier
-from repro.spectral.condition import DENSE_LIMIT_DEFAULT, SpectralContext, relative_condition_number
-from repro.spectral.solvers import GroundedSolver, SolveReport, conjugate_gradient
+from repro.spectral.condition import (
+    DENSE_LIMIT_DEFAULT,
+    SpectralContext,
+    fresh_lineages,
+    relative_condition_number,
+)
+from repro.spectral.solvers import Solver, SolverLineage, SolveReport, conjugate_gradient
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.incremental import InGrassSparsifier
@@ -67,7 +74,8 @@ class SparsifierSnapshot:
                  graph_arrays: EdgeArrays, sparsifier_arrays: EdgeArrays,
                  hierarchy_summary: dict,
                  filter_summary: dict,
-                 target_condition_number: float) -> None:
+                 target_condition_number: float,
+                 lineages: Optional[Dict[str, SolverLineage]] = None) -> None:
         self._version = int(version)
         self._num_nodes = int(num_nodes)
         self._graph_arrays = graph_arrays
@@ -75,20 +83,22 @@ class SparsifierSnapshot:
         self._hierarchy_summary = dict(hierarchy_summary)
         self._filter_summary = dict(filter_summary)
         self._target_condition = target_condition_number
+        self._lineages = lineages if lineages is not None else fresh_lineages()
         # Lazily built artifacts, guarded by a snapshot-local lock (readers
         # of the *same* snapshot serialise on first build only).  Re-entrant:
-        # building a factorisation builds a frozen view under the same lock.
+        # building a solver builds a frozen view under the same lock.
         self._lock = threading.RLock()
         self._graph: Optional[FrozenGraph] = None
         self._sparsifier: Optional[FrozenGraph] = None
-        self._solvers: dict = {}
+        self._solvers: Dict[str, Solver] = {}
         self._laplacian: Optional[sp.csr_matrix] = None
 
     # ------------------------------------------------------------------ #
     # Capture
     # ------------------------------------------------------------------ #
     @classmethod
-    def capture(cls, driver: "InGrassSparsifier") -> "SparsifierSnapshot":
+    def capture(cls, driver: "InGrassSparsifier", *,
+                lineages: Optional[Dict[str, SolverLineage]] = None) -> "SparsifierSnapshot":
         """Capture the driver's current state as a snapshot — O(1) amortised.
 
         The only non-constant term is compacting the graphs' edge arrays
@@ -98,7 +108,10 @@ class SparsifierSnapshot:
 
         Not safe to run concurrently with a mutating call on ``driver`` —
         serialise capture against writes, as
-        :class:`repro.service.SparsifierService` does.
+        :class:`repro.service.SparsifierService` does.  ``lineages`` (one
+        :class:`~repro.spectral.solvers.SolverLineage` per side, see
+        :func:`~repro.spectral.condition.fresh_lineages`) are the solver
+        lineages to share; ``None`` gives the snapshot its own.
         """
         driver._require_setup()
         assert driver._setup is not None
@@ -117,6 +130,7 @@ class SparsifierSnapshot:
                                "num_levels": hierarchy.num_levels},
             filter_summary=similarity_filter.state_summary(),
             target_condition_number=driver.target_condition_number,
+            lineages=lineages,
         )
 
     # ------------------------------------------------------------------ #
@@ -190,15 +204,14 @@ class SparsifierSnapshot:
                     self._sparsifier = FrozenGraph.from_arrays(self._num_nodes, us, vs, ws)
         return self._sparsifier
 
-    def _solver(self, which: str) -> GroundedSolver:
+    def _solver(self, which: str) -> Solver:
         solver = self._solvers.get(which)
         if solver is None:
             target = self.sparsifier if which == "sparsifier" else self.graph
             with self._lock:
                 solver = self._solvers.get(which)
                 if solver is None:
-                    solver = GroundedSolver.from_graph(target)
-                    self._solvers[which] = solver
+                    solver = self._solvers[which] = self._lineages[which].solver(target)
         return solver
 
     def _graph_laplacian(self) -> sp.csr_matrix:
@@ -217,8 +230,8 @@ class SparsifierSnapshot:
 
         ``on`` selects the graph: ``"sparsifier"`` (default — the cheap
         production lookup against ``H``) or ``"graph"`` (exact, against the
-        full tracked graph ``G``).  The underlying Laplacian factorisation is
-        built once per snapshot and reused across queries and threads.
+        full tracked graph ``G``).  The solver is fetched from the graph's
+        lineage once per snapshot and reused across queries and threads.
         """
         if on not in ("sparsifier", "graph"):
             raise ValueError(f"unknown target {on!r}; expected 'sparsifier' or 'graph'")
@@ -238,7 +251,7 @@ class SparsifierSnapshot:
         """Effective resistances for many ``(u, v)`` pairs in one call.
 
         The batched form of :meth:`effective_resistance` — one shared
-        factorisation, one Python round trip.  It is what the HTTP front
+        solver, one Python round trip.  It is what the HTTP front
         end's ``POST /resistance`` endpoint uses for ``pairs`` payloads, so a
         network client pays one request (and the server one snapshot pin) for
         an arbitrary number of lookups.
@@ -250,7 +263,7 @@ class SparsifierSnapshot:
         """Solve ``L_G x = b`` by PCG, preconditioned by this epoch's sparsifier.
 
         The classic downstream application: the preconditioner is the same
-        sparsifier factorisation the resistance queries use.  Pass
+        sparsifier solver the resistance queries use.  Pass
         ``preconditioned=False`` for the plain-CG baseline.
         """
         laplacian = self._graph_laplacian()
@@ -260,8 +273,8 @@ class SparsifierSnapshot:
             tol=tol, max_iterations=max_iterations)
 
     def condition_number(self, *, dense_limit: int = DENSE_LIMIT_DEFAULT) -> float:
-        """κ(L_G, L_H) of the captured epoch, on this snapshot's factorisations."""
-        context = SpectralContext(factor=lambda side, _graph: self._solver(side))
+        """κ(L_G, L_H) of the captured epoch, through this snapshot's lineages."""
+        context = SpectralContext(self._lineages)
         return relative_condition_number(self.graph, self.sparsifier, dense_limit=dense_limit,
                                          context=context)
 

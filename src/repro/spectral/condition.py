@@ -14,23 +14,24 @@ eigenvalues.  Two computation paths are provided:
 * a **dense** path (``scipy.linalg.eigh`` on the reduced pencil) — exact, used
   for graphs up to a few thousand nodes and inside tests;
 * a **Lanczos** path for larger graphs: ARPACK in generalized mode on each
-  side of the pencil, the other side's grounded Laplacian factored through
-  :class:`~repro.spectral.solvers.GroundedSolver`.
+  side of the pencil, the other side's grounded system solved by a direct
+  solver (:mod:`repro.spectral.solvers`).
 
 A :class:`SpectralContext` carries the Lanczos path's state from one estimate
-to the next: warm starts, and a factorisation of ``L_G`` that later versions of
-``G`` reuse through a low-rank correction
-(:class:`~repro.spectral.solvers.CorrectedSolver`); see its docstring.
-:func:`condition_estimate`, :func:`relative_condition_number` and
-:func:`dominant_generalized_eigenvector` are thin wrappers over a context;
-called without one they start cold.  Every ARPACK run is seeded, so an
-estimate is a pure function of its inputs and of the context's history.
+to the next: warm starts, and one
+:class:`~repro.spectral.solvers.SolverLineage` per side, whose kept
+factorisation later versions of ``G`` and ``H`` reuse through a low-rank
+correction; see its docstring.  :func:`condition_estimate`,
+:func:`relative_condition_number` and :func:`dominant_generalized_eigenvector`
+are thin wrappers over a context; called without one they start cold.  Every
+ARPACK run is seeded, so an estimate is a pure function of its inputs and of
+the context's history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -40,10 +41,7 @@ import scipy.sparse.linalg as spla
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
 from repro.spectral.eigen import arpack_rng, seeded_eigsh
-from repro.spectral.solvers import CorrectedSolver, EdgeArrays, GroundedSolver
-
-#: What an eigensolve needs of a side: ``reduced`` and ``solve_reduced``.
-Solver = Union[GroundedSolver, CorrectedSolver]
+from repro.spectral.solvers import EdgeArrays, Solver, SolverLineage
 
 
 @dataclass
@@ -138,8 +136,10 @@ def _full_unit_vector(reduced_vector: np.ndarray) -> np.ndarray:
     return full
 
 
-def _factor_graph(side: str, graph: Graph) -> GroundedSolver:
-    return GroundedSolver.from_graph(graph)
+def fresh_lineages() -> Dict[str, SolverLineage]:
+    """A fresh :class:`~repro.spectral.solvers.SolverLineage` per side of the
+    pencil, keyed ``"graph"`` (``L_G``) and ``"sparsifier"`` (``L_H``)."""
+    return {"graph": SolverLineage(), "sparsifier": SolverLineage()}
 
 
 class _Dominant(NamedTuple):
@@ -156,25 +156,21 @@ class _Dominant(NamedTuple):
 class SpectralContext:
     """State of the Lanczos path of one pencil ``(L_G, L_H)`` across estimates.
 
-    * **One solver per graph version.**  Each side's solver is built once
-      per version, keyed on the identity of the graph's cached
-      :meth:`~repro.graphs.graph.Graph.edge_arrays` tuple — a mutation
-      replaces that tuple.  Factorisations go through ``factor(side, graph)``
-      (``side`` is ``"graph"`` or ``"sparsifier"``; default
-      :meth:`GroundedSolver.from_graph`, which grounds node 0).
-    * **Sparsifier side: one factorisation per estimate.**  The κ guard
-      changes ``H`` before the next estimate, so ``L_H``'s factor is dropped
-      after each.
-    * **Graph side: one factorisation while G changes little.**  The base
-      factorisation of ``L_G`` outlives :meth:`release`.  A later version of
-      ``G`` within :data:`~repro.spectral.solvers.CORRECTION_RANK_CAP`
-      changed edges of the base gets a
-      :class:`~repro.spectral.solvers.CorrectedSolver` of it, which solves
-      the same shifted grounded system a new factorisation would; past the
-      cap, or when the correction is ill-conditioned, the base is factored
-      again, the old one freed first.  A guard batch changes a few edges of
-      ``G``, so the guard factors ``L_G`` once per
-      ``CORRECTION_RANK_CAP`` changed edges instead of once per pass.
+    * **One lineage per side.**  Each side's solver comes from that side's
+      :class:`~repro.spectral.solvers.SolverLineage` (``lineages``, default
+      fresh ones): a kept base factorisation, corrected for the edges the
+      graph changed since (:class:`~repro.spectral.solvers.CorrectedSolver`,
+      the same shifted grounded system a new factorisation would solve) and
+      factored again only past
+      :data:`~repro.spectral.solvers.CORRECTION_RANK_CAP` changed edges or
+      an ill-conditioned correction.  The lineages outlive :meth:`release`,
+      so ``L_G`` and ``L_H`` are each factored once per that many changed
+      edges, across estimates, guard rounds and passes.
+    * **One solver per graph version.**  A side's solver is fetched once per
+      version, keyed on the identity of the graph's cached
+      :meth:`~repro.graphs.graph.Graph.edge_arrays` tuple (a mutation
+      replaces it), and dropped before the next version's is fetched;
+      :meth:`release` drops them all.
     * **Warm starts.**  Each side's Lanczos run starts from that side's last
       eigenvector blended with a seeded random component
       (:data:`WARM_BLEND`), in a :data:`WARM_NCV`-vector Krylov space.
@@ -185,24 +181,22 @@ class SpectralContext:
     A failed warm run is retried once from a cold seeded start at ARPACK's
     default Krylov size.  If that fails too, the side is solved densely up to
     :data:`DENSE_FALLBACK_LIMIT` nodes, and :class:`SpectralSolveError` is
-    raised above it.  Not thread-safe: give each writer and each reader its
-    own context.
+    raised above it.  Not thread-safe (its lineages are): give each writer
+    and each reader its own context.
     """
 
-    def __init__(self, factor: Optional[Callable[[str, Graph], GroundedSolver]] = None) -> None:
-        self._factor = factor if factor is not None else _factor_graph
+    def __init__(self, lineages: Optional[Dict[str, SolverLineage]] = None) -> None:
+        self._lineages = lineages if lineages is not None else fresh_lineages()
         #: Each side's solver of its graph's current version.
         self._factors: Dict[str, Tuple[EdgeArrays, Solver]] = {}
-        #: The graph version ``L_G`` was last factored at, and that factor.
-        self._base: Optional[Tuple[EdgeArrays, GroundedSolver]] = None
         #: Last eigenvector (reduced coordinates) of each side: ``"max"`` is
         #: ``L_G x = λ L_H x``, ``"min"`` the swapped pencil (largest = 1/λ_min).
         self._vectors: Dict[str, np.ndarray] = {}
         self._dominant: Optional[_Dominant] = None
 
     def release(self) -> None:
-        """Drop the per-version solvers at the end of a guard pass; the base
-        factorisation of ``L_G`` and the warm-start vectors stay."""
+        """Drop the per-version solvers at the end of a guard pass; the
+        lineages and the warm-start vectors stay."""
         self._factors.clear()
 
     def estimate(self, graph: Graph, sparsifier: Graph, *, dense_limit: int = DENSE_LIMIT_DEFAULT,
@@ -212,14 +206,11 @@ class SpectralContext:
         if _use_dense(graph.num_nodes, dense_limit):
             lambda_max, lambda_min = _dense_extreme_eigenvalues(*_reduced_pencil(graph, sparsifier))
             return ConditionEstimate(lambda_max=lambda_max, lambda_min=lambda_min, method="dense")
-        try:
-            dominant = self._dominant_pair(graph, sparsifier, tol, maxiter)
-            # Largest eigenvalue of the swapped pencil = 1 / smallest of the original.
-            swapped_max, _, min_method = self._largest(
-                "min", self._solver("sparsifier", sparsifier), self._solver("graph", graph),
-                tol, maxiter)
-        finally:
-            self._factors.pop("sparsifier", None)
+        dominant = self._dominant_pair(graph, sparsifier, tol, maxiter)
+        # Largest eigenvalue of the swapped pencil = 1 / smallest of the original.
+        swapped_max, _, min_method = self._largest(
+            "min", self._solver("sparsifier", sparsifier), self._solver("graph", graph),
+            tol, maxiter)
         lambda_min = 1.0 / swapped_max if swapped_max > 0 else 0.0
         method = "lanczos" if dominant.method == min_method == "lanczos" else "dense-fallback"
         return ConditionEstimate(lambda_max=dominant.value, lambda_min=lambda_min, method=method)
@@ -233,10 +224,7 @@ class SpectralContext:
         if _use_dense(graph.num_nodes, dense_limit):
             eigenvalues, eigenvectors = _dense_pencil(*_reduced_pencil(graph, sparsifier), vectors=True)
             return float(eigenvalues[-1]), _full_unit_vector(np.asarray(eigenvectors[:, -1], dtype=float))
-        try:
-            dominant = self._dominant_pair(graph, sparsifier, tol, maxiter)
-        finally:
-            self._factors.pop("sparsifier", None)
+        dominant = self._dominant_pair(graph, sparsifier, tol, maxiter)
         return dominant.value, dominant.vector.copy()
 
     def _dominant_pair(self, graph: Graph, sparsifier: Graph, tol: float,
@@ -258,27 +246,11 @@ class SpectralContext:
         if side in self._factors:
             if self._factors[side][0] is arrays:
                 return self._factors[side][1]
-            # The stale solver goes first: a side never holds two factorisations.
+            # The stale solver goes first, so a new base is never factored
+            # while it still holds the old one.
             del self._factors[side]
-        solver = self._graph_solver(graph) if side == "graph" else self._factor(side, graph)
+        solver = self._lineages[side].solver(graph)
         self._factors[side] = (arrays, solver)
-        return solver
-
-    def _graph_solver(self, graph: Graph) -> Solver:
-        """``L_G``'s solver: the base factorisation, corrected for the edges
-        ``G`` changed since (:meth:`CorrectedSolver.build`), or a new base."""
-        arrays = graph.edge_arrays()
-        if self._base is not None:
-            base_arrays, base = self._base
-            if base_arrays is arrays:
-                return base
-            corrected = CorrectedSolver.build(base, base_arrays, graph)
-            if corrected is not None:
-                return corrected
-            # Free the old factor before the new one is built.
-            self._base = base = None
-        solver = self._factor("graph", graph)
-        self._base = (arrays, solver)
         return solver
 
     def _largest(self, side: str, a_solver: Solver, b_solver: Solver,

@@ -9,9 +9,10 @@ preconditioned-CG example.  Three solver families are provided:
 * :class:`GroundedSolver` — direct factorisation of the Laplacian with one
   node grounded (removed).  Exact, best for small/medium graphs and repeated
   solves against the same matrix.
-* :class:`CorrectedSolver` — a graph a few edges away from one a
-  :class:`GroundedSolver` factored, solved by a low-rank (Woodbury)
-  correction of that factorisation instead of a new one.
+* :class:`SolverLineage` — the solvers of one graph's successive versions:
+  one kept :class:`GroundedSolver` base, and for a version a few edges away
+  from it a :class:`CorrectedSolver`, a low-rank (Woodbury) correction of
+  that base instead of a new factorisation.
 * :func:`conjugate_gradient` / :class:`PCGSolver` — matrix-free CG with an
   optional preconditioner, used to demonstrate sparsifier-preconditioned
   solves (the downstream application motivating GRASS-style sparsifiers).
@@ -19,15 +20,16 @@ preconditioned-CG example.  Three solver families are provided:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.graphs.graph import Graph
-from repro.graphs.laplacian import grounded_laplacian
+from repro.graphs.graph import FrozenGraph, Graph
+from repro.graphs.laplacian import grounded_laplacian, laplacian_from_edges
 
 
 def project_out_constant(vector: np.ndarray) -> np.ndarray:
@@ -64,19 +66,64 @@ CORRECTION_RANK_CAP = 32
 CAPACITANCE_CONDITION_LIMIT = 1e8
 
 
-def _edge_delta(before: EdgeArrays, after: EdgeArrays, num_nodes: int) -> EdgeArrays:
-    """``(p, q, Δw)`` of every edge whose weight differs between two graphs'
-    edge arrays, an absent edge weighing 0, in ascending key order
-    ``p·n + q``.  ``Δw`` is ``w_after - w_before`` to the bit."""
-    keys = np.concatenate([before[0] * num_nodes + before[1], after[0] * num_nodes + after[1]])
-    unique, inverse = np.unique(keys, return_inverse=True)
-    change = np.bincount(inverse, weights=np.concatenate([-before[2], after[2]]),
-                         minlength=unique.size)
-    changed = np.flatnonzero(change)
-    return unique[changed] // num_nodes, unique[changed] % num_nodes, change[changed]
+def _edge_delta(keys: np.ndarray, weights: np.ndarray, after: EdgeArrays,
+                num_nodes: int) -> EdgeArrays:
+    """``(p, q, Δw)`` of every edge whose weight differs between a base
+    version, given as its edge keys ``p·n + q`` in ascending order with their
+    weights, and the edge arrays ``after``, an absent edge weighing 0, in
+    ascending key order.  ``Δw`` is ``w_after - w_base`` to the bit."""
+    after_keys = after[0] * num_nodes + after[1]
+    slot = np.searchsorted(keys, after_keys)
+    shared = slot < keys.size
+    shared[shared] = keys[slot[shared]] == after_keys[shared]
+    change = after[2].copy()
+    change[shared] -= weights[slot[shared]]
+    gone = np.ones(keys.size, dtype=bool)
+    gone[slot[shared]] = False
+    all_keys = np.concatenate([after_keys, keys[gone]])
+    all_change = np.concatenate([change, -weights[gone]])
+    changed = np.flatnonzero(all_change)
+    order = np.argsort(all_keys[changed])
+    changed_keys = all_keys[changed][order]
+    return changed_keys // num_nodes, changed_keys % num_nodes, all_change[changed][order]
 
 
-class GroundedSolver:
+class _GroundedSystem:
+    """Full-coordinate solves of ``L x = b`` on top of a subclass's
+    ``solve_reduced``, the solve of the system grounded at node 0."""
+
+    _n: int
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self._n, self._n)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Return the zero-mean solution of ``L x = b``.
+
+        ``b`` is first projected onto the range of ``L`` (mean removed), so
+        callers may pass any right-hand side.
+        """
+        b = project_out_constant(np.asarray(b, dtype=float))
+        if b.shape[0] != self._n:
+            raise ValueError(f"right-hand side has length {b.shape[0]}, expected {self._n}")
+        x = np.zeros(self._n)
+        x[1:] = self.solve_reduced(b[1:])
+        return project_out_constant(x)
+
+    def solve_many(self, b_matrix: np.ndarray) -> np.ndarray:
+        """Solve for every column of ``b_matrix``; returns a matrix of solutions."""
+        b_matrix = np.asarray(b_matrix, dtype=float)
+        if b_matrix.ndim == 1:
+            return self.solve(b_matrix)
+        return np.column_stack([self.solve(b_matrix[:, j]) for j in range(b_matrix.shape[1])])
+
+    def as_linear_operator(self) -> spla.LinearOperator:
+        """Expose the pseudo-inverse action as a scipy ``LinearOperator``."""
+        return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
+
+
+class GroundedSolver(_GroundedSystem):
     """Direct solver for ``L x = b`` on a connected graph via grounding.
 
     Row and column 0 are removed, the reduced SPD system is factorised once
@@ -96,18 +143,10 @@ class GroundedSolver:
         self._n = laplacian.shape[0]
         if self._n < 2:
             raise ValueError("GroundedSolver requires at least two nodes")
-        reduced, keep = grounded_laplacian(laplacian)
-        self._keep = keep
-        self._reduced = reduced
-        self._lu = spla.splu(_shifted_csc(reduced, DIAGONAL_SHIFT),
+        self._reduced, _ = grounded_laplacian(laplacian)
+        self._lu = spla.splu(_shifted_csc(self._reduced, DIAGONAL_SHIFT),
                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
-        #: Edge key ``p·n + q`` -> its column of :meth:`edge_columns`.
-        self._columns: Dict[int, np.ndarray] = {}
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self._n, self._n)
 
     @property
     def reduced(self) -> sp.csr_matrix:
@@ -118,118 +157,171 @@ class GroundedSolver:
         """Solve the grounded system for a right-hand side in reduced coordinates."""
         return self._lu.solve(np.asarray(b, dtype=float))
 
-    def edge_columns(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """``A⁻¹u_e`` for each edge ``e = (p, q)``, ``p < q``, as the columns of
-        one matrix.
-
-        ``A`` is the shifted grounded matrix this solver factored and ``u_e``
-        the edge's grounded incidence vector: ``e_p - e_q`` without the ground
-        node's entry, so a single entry for an edge at node 0.  A column is
-        solved once and kept as long as each call asks for its edge again.
-        """
-        kept, self._columns = self._columns, {}
-        for p_node, q_node in zip(p.tolist(), q.tolist()):
-            key = p_node * self._n + q_node
-            column = kept.get(key)
-            if column is None:
-                rhs = np.zeros(self._n - 1)
-                if p_node:
-                    rhs[p_node - 1] = 1.0
-                rhs[q_node - 1] = -1.0
-                column = self._lu.solve(rhs)
-            self._columns[key] = column
-        # Column-major: a product with the matrix reads each column once.
-        return np.array(list(self._columns.values())).reshape(-1, self._n - 1).T
-
     @classmethod
     def from_graph(cls, graph: Graph) -> "GroundedSolver":
         """Build a solver from a :class:`Graph`'s edge arrays
         (:meth:`~repro.graphs.graph.Graph.laplacian_matrix`)."""
         return cls(graph.laplacian_matrix())
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Return the zero-mean solution of ``L x = b``.
 
-        ``b`` is first projected onto the range of ``L`` (mean removed), so
-        callers may pass any right-hand side.
-        """
-        b = project_out_constant(np.asarray(b, dtype=float))
-        if b.shape[0] != self._n:
-            raise ValueError(f"right-hand side has length {b.shape[0]}, expected {self._n}")
-        x = np.zeros(self._n)
-        x[self._keep] = self._lu.solve(b[self._keep])
-        return project_out_constant(x)
-
-    def solve_many(self, b_matrix: np.ndarray) -> np.ndarray:
-        """Solve for every column of ``b_matrix``; returns a matrix of solutions."""
-        b_matrix = np.asarray(b_matrix, dtype=float)
-        if b_matrix.ndim == 1:
-            return self.solve(b_matrix)
-        return np.column_stack([self.solve(b_matrix[:, j]) for j in range(b_matrix.shape[1])])
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        """Expose the pseudo-inverse action as a scipy ``LinearOperator``."""
-        return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
-
-
-class CorrectedSolver:
-    """Solver of a graph's grounded system from the factorisation of a graph a
-    few edges away.
+class CorrectedSolver(_GroundedSystem):
+    """Solver of a graph version's grounded system from the factorisation of
+    a version a few edges away; built by :meth:`SolverLineage.solver`.
 
     With ``A₀`` the shifted grounded Laplacian the base :class:`GroundedSolver`
-    factored, the current graph's is ``A = A₀ + U diag(Δw) Uᵀ``, ``U`` holding
-    the changed edges' grounded incidence vectors.  Sherman–Morrison–Woodbury
-    gives ``A⁻¹b = y - Z S⁻¹(Uᵀy)`` with ``y = A₀⁻¹b``, ``Z = A₀⁻¹U``
-    (:meth:`GroundedSolver.edge_columns`) and the capacitance
-    ``S = diag(1/Δw) + UᵀZ``: the system a fresh factorisation of the
-    current graph would solve, for one base solve and a rank-``k`` product
-    per right-hand side.  ``S⁻¹`` is kept as a ``k × k`` matrix, so a build
-    costs no ``O(n k²)`` product.  It offers the reduced-coordinate
-    interface the condition-number code uses; :attr:`reduced` is the current
-    graph's grounded Laplacian.
+    factored, the current version's is ``A = A₀ + U diag(Δw) Uᵀ``, ``U``
+    holding the changed edges' grounded incidence vectors.
+    Sherman–Morrison–Woodbury gives ``A⁻¹b = y - Z S⁻¹(Uᵀy)`` with
+    ``y = A₀⁻¹b``, ``Z = A₀⁻¹U`` and the capacitance ``S = diag(1/Δw) + UᵀZ``:
+    the system a fresh factorisation of the current version would solve, for
+    one base solve and a rank-``k`` product per right-hand side.  ``S⁻¹`` is
+    kept as a ``k × k`` matrix, so a build costs no ``O(n k²)`` product.  It
+    never writes to its base, so any number of threads and versions share
+    one.  :attr:`reduced` is assembled only when asked for: an eigensolve
+    needs the matrix, a read only solves.
     """
 
-    def __init__(self, base: GroundedSolver, reduced: sp.csr_matrix, p: np.ndarray,
+    def __init__(self, base: GroundedSolver, arrays: EdgeArrays, p: np.ndarray,
                  q: np.ndarray, columns: np.ndarray, capacitance_inverse: np.ndarray) -> None:
+        self._n = base.shape[0]
         self._base = base
-        self._reduced = reduced
+        self._arrays = arrays
         self._p = p
         self._q = q
         self._columns = columns
         self._capacitance_inverse = capacitance_inverse
-
-    @classmethod
-    def build(cls, base: GroundedSolver, base_arrays: EdgeArrays,
-              graph: Graph) -> Optional["CorrectedSolver"]:
-        """``graph``'s solver as a correction of ``base``, which factored the
-        graph of ``base_arrays``; ``None`` when more than
-        :data:`CORRECTION_RANK_CAP` edges changed or the capacitance's
-        condition number exceeds :data:`CAPACITANCE_CONDITION_LIMIT`."""
-        num_nodes = graph.num_nodes
-        if base.shape[0] != num_nodes:
-            return None
-        p, q, delta = _edge_delta(base_arrays, graph.edge_arrays(), num_nodes)
-        if p.size > CORRECTION_RANK_CAP:
-            return None
-        columns = base.edge_columns(p, q)
-        # Row i of the padded matrix is node i's entry (the ground's is 0).
-        padded = np.vstack([np.zeros((1, p.size)), columns])
-        capacitance = np.diag(1.0 / delta) + (padded[p] - padded[q])
-        if p.size and np.linalg.cond(capacitance) > CAPACITANCE_CONDITION_LIMIT:
-            return None
-        reduced, _ = grounded_laplacian(graph.laplacian_matrix())
-        return cls(base, reduced, p, q, columns, np.linalg.inv(capacitance))
+        self._reduced: Optional[sp.csr_matrix] = None
 
     @property
     def reduced(self) -> sp.csr_matrix:
-        """The current graph's grounded Laplacian, without the shift."""
+        """The current version's grounded Laplacian, without the shift."""
+        if self._reduced is None:
+            self._reduced, _ = grounded_laplacian(laplacian_from_edges(self._n, *self._arrays))
         return self._reduced
 
     def solve_reduced(self, b: np.ndarray) -> np.ndarray:
-        """Solve the current graph's grounded system (reduced coordinates)."""
+        """Solve the current version's grounded system (reduced coordinates)."""
         y = self._base.solve_reduced(b)
         padded = np.concatenate(([0.0], y))
         return y - self._columns @ (self._capacitance_inverse @ (padded[self._p] - padded[self._q]))
+
+
+#: What an eigensolve or a read needs of a graph version's solver.
+Solver = Union[GroundedSolver, CorrectedSolver]
+
+
+class SolverLineage:
+    """The solvers of one graph's successive versions, sharing one base
+    factorisation.
+
+    It holds a *base version* of the graph (its edge arrays), its
+    :class:`GroundedSolver`, factored when first needed, and the solved
+    columns ``A₀⁻¹u_e`` of the edges later versions changed.
+    :meth:`solver` answers a version with
+
+    * the base itself, when the version has the base's edges and weights;
+    * a :class:`CorrectedSolver` of the base, when at most
+      :data:`CORRECTION_RANK_CAP` edges changed and the correction's
+      capacitance is conditioned within :data:`CAPACITANCE_CONDITION_LIMIT`;
+    * otherwise a factorisation of the version, which becomes the new base,
+      the old one dropped first (solvers handed out earlier keep theirs).
+
+    :meth:`advance` moves the base along a stream of versions without
+    factoring anything: past the cap, the version becomes the base, to be
+    factored on first use.  A writer that advances the lineage with every
+    version it makes ties the base versions, and so the answers, to its
+    stream instead of to the versions readers happen to ask for; only a
+    version past the cap of the base, or an ill-conditioned correction,
+    still makes a reader's version the base.
+
+    Thread-safe: one lock guards the base and the columns, and the solvers
+    handed out never write to either.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._num_nodes = 0
+        self._arrays: Optional[EdgeArrays] = None
+        #: The base version's edge keys ``p·n + q``, ascending, and their weights.
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._weights = np.zeros(0)
+        self._base: Optional[GroundedSolver] = None
+        #: Edge key -> its column ``A₀⁻¹u_e``.
+        self._columns: Dict[int, np.ndarray] = {}
+
+    def advance(self, graph: Graph) -> None:
+        """Make ``graph``'s version the base when it is past the cap of the
+        current base (or there is none), without factoring it."""
+        arrays = graph.edge_arrays()
+        with self._lock:
+            delta = self._delta(graph.num_nodes, arrays)
+            if delta is None or delta[0].size > CORRECTION_RANK_CAP:
+                self._rebase(graph.num_nodes, arrays)
+
+    def solver(self, graph: Graph) -> Solver:
+        """The solver of ``graph``'s current version (see the class docstring)."""
+        arrays = graph.edge_arrays()
+        with self._lock:
+            delta = self._delta(graph.num_nodes, arrays)
+            if delta is not None and delta[0].size <= CORRECTION_RANK_CAP:
+                solver = self._correct(arrays, *delta)
+                if solver is not None:
+                    return solver
+            self._rebase(graph.num_nodes, arrays)
+            return self._factored()
+
+    def _delta(self, num_nodes: int, arrays: EdgeArrays) -> Optional[EdgeArrays]:
+        """The edges ``arrays`` changed since the base; ``None`` without one."""
+        if self._arrays is None or num_nodes != self._num_nodes:
+            return None
+        if arrays is self._arrays:
+            return self._keys[:0], self._keys[:0], self._weights[:0]
+        return _edge_delta(self._keys, self._weights, arrays, num_nodes)
+
+    def _rebase(self, num_nodes: int, arrays: EdgeArrays) -> None:
+        # The old factor goes first: the lineage never holds two.
+        self._base = None
+        self._columns = {}
+        self._num_nodes, self._arrays = num_nodes, arrays
+        keys = arrays[0] * num_nodes + arrays[1]
+        order = np.argsort(keys)
+        self._keys, self._weights = keys[order], arrays[2][order]
+
+    def _factored(self) -> GroundedSolver:
+        if self._base is None:
+            assert self._arrays is not None
+            self._base = GroundedSolver.from_graph(
+                FrozenGraph.from_arrays(self._num_nodes, *self._arrays))
+        return self._base
+
+    def _correct(self, arrays: EdgeArrays, p: np.ndarray, q: np.ndarray,
+                 delta: np.ndarray) -> Optional[Solver]:
+        """The base, or its correction for the changed edges ``(p, q, Δw)``;
+        ``None`` when the capacitance is too ill-conditioned."""
+        base = self._factored()
+        if not p.size:
+            return base
+        n = self._num_nodes
+        keys = (p * n + q).tolist()
+        for key, p_node, q_node in zip(keys, p.tolist(), q.tolist()):
+            if key not in self._columns:
+                # u_e = e_p - e_q without the ground's entry.
+                rhs = np.zeros(n - 1)
+                if p_node:
+                    rhs[p_node - 1] = 1.0
+                rhs[q_node - 1] = -1.0
+                self._columns[key] = base.solve_reduced(rhs)
+        # Column-major: a product with the matrix reads each column once.
+        columns = np.array([self._columns[key] for key in keys]).reshape(-1, n - 1).T
+        if len(self._columns) > CORRECTION_RANK_CAP:
+            # Bounded: never more than twice the cap of columns are kept.
+            self._columns = dict(zip(keys, columns.T))
+        # Row i of the padded matrix is node i's entry (the ground's is 0).
+        padded = np.vstack([np.zeros((1, p.size)), columns])
+        capacitance = np.diag(1.0 / delta) + (padded[p] - padded[q])
+        if np.linalg.cond(capacitance) > CAPACITANCE_CONDITION_LIMIT:
+            return None
+        return CorrectedSolver(base, arrays, p, q, columns, np.linalg.inv(capacitance))
 
 
 @dataclass

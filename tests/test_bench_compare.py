@@ -7,7 +7,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.compare import digests_agree, head_wins, quartiles, report, verdict
+from repro.bench.compare import (
+    digests_agree,
+    gate_failures,
+    head_wins,
+    quartiles,
+    report,
+    verdict,
+)
 
 BASE = [10.0, 10.5, 11.0, 9.5, 10.2, 9.8, 10.1, 10.4, 9.9, 10.3]
 
@@ -70,11 +77,15 @@ def canned(value, correct=True, failed=0, attempted=100):
                         "reads_per_s": {"value": 1000.0 / value, "unit": "1/s"}}}
 
 
+SPEC = {"end_to_end": [
+    {"name": "read_p99_ms", "unit": "ms", "better": "lower", "bound": 0.24},
+    {"name": "reads_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+]}
+AGREE = {"base": {"h1/w/1": "d"}, "head": {"h2/w/1": "d"}}
+
+
 def test_report_rows_and_sides():
-    spec = {"end_to_end": [
-        {"name": "read_p99_ms", "unit": "ms", "better": "lower", "bound": 0.24},
-        {"name": "reads_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
-    ]}
+    spec = SPEC
     records = {"base": [canned(value) for value in BASE],
                "head": [canned(value * 0.5, failed=int(k == 3)) for k, value in enumerate(BASE)]}
     summary = report(records, {"base": {"h1/w/1": "d"}, "head": {"h2/w/1": "d"}}, spec)
@@ -86,3 +97,44 @@ def test_report_rows_and_sides():
     assert summary["sides"]["base"] == {"correct": True, "failed": 0, "attempted": 1000}
     assert summary["sides"]["head"]["failed"] == 1
     assert summary["digests_agree"] is True
+
+
+class TestGateDecision:
+    """``bench compare``'s exit status: 1 on a regression, an incorrect side,
+    disagreeing digests or more failed operations at the head, else 0."""
+
+    @staticmethod
+    def failures(head_factor=1.0, head_correct=True, head_failed=0, base_failed=0,
+                 digests=AGREE, base=BASE):
+        records = {"base": [canned(value, failed=int(k < base_failed))
+                            for k, value in enumerate(base)],
+                   "head": [canned(value * head_factor, correct=head_correct or k > 0,
+                                   failed=int(k < head_failed))
+                            for k, value in enumerate(base)]}
+        return gate_failures(report(records, digests, SPEC))
+
+    def test_no_change_and_a_win_pass(self):
+        assert self.failures() == []
+        assert self.failures(head_factor=0.5) == []
+
+    def test_a_regression_fails(self):
+        assert self.failures(head_factor=1.5) == ["read_p99_ms: regression",
+                                                  "reads_per_s: regression"]
+
+    def test_an_unresolved_verdict_passes(self):
+        base = [5.0, 15.0] * 5
+        assert self.failures(head_factor=1.05, base=base) == []
+
+    def test_an_incorrect_side_fails(self):
+        assert self.failures(head_correct=False) == ["head: correct=false"]
+
+    def test_disagreeing_digests_fail_and_missing_ones_do_not(self):
+        assert self.failures(digests={"base": {"h1/w/1": "d"}, "head": {"h2/w/1": "e"}}) == [
+            "final-state digests disagree"]
+        assert self.failures(digests={"base": {}, "head": {}}) == []
+
+    def test_more_failed_operations_at_the_head_fail(self):
+        assert self.failures(head_failed=2, base_failed=1) == [
+            "head failed 2 operations, base 1"]
+        assert self.failures(head_failed=1, base_failed=1) == []
+        assert self.failures(head_failed=0, base_failed=2) == []

@@ -13,10 +13,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.core import InGrassConfig
 from repro.graphs import grid_circuit_2d
 from repro.service import SparsifierService
+from repro.spectral.solvers import GroundedSolver
 from repro.streams import DynamicScenarioConfig, MixedBatch, build_churn_scenario
 
 NUM_READERS = 4
@@ -210,3 +212,72 @@ class TestConcurrentStress:
         for mine, live in zip(snap.graph_arrays(),
                               service.driver.graph.edge_arrays()):
             assert np.shares_memory(mine, live)
+
+
+class TestSharedLineage:
+    """Every snapshot the service captures solves through one lineage per
+    graph: readers of the current and of retained older epochs share it
+    while the writer advances it past the rank cap."""
+
+    def test_concurrent_readers_of_three_epochs_share_one_lineage(self, monkeypatch):
+        scenario = _make_scenario(num_batches=NUM_BATCHES, side=10)
+        service = _service_for(scenario)
+        num_nodes = scenario.graph.num_nodes
+        factorisations = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            factorisations.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        answers = [[] for _ in range(NUM_READERS)]
+        older_reads = []
+        errors = []
+        stop = threading.Event()
+
+        def reader(reader_id: int) -> None:
+            try:
+                while not stop.is_set():
+                    snaps = [service.snapshot()]
+                    for version in [v for v in service.retained_versions
+                                    if v < snaps[0].version][-2:]:
+                        try:
+                            snaps.append(service.snapshot(version))
+                            older_reads.append(version)
+                        except KeyError:  # evicted since it was listed
+                            pass
+                    for snap in snaps:
+                        for u, v in _query_pairs(snap.version, num_nodes):
+                            answers[reader_id].append((snap, u, v, snap.effective_resistance(u, v)))
+            except Exception as exc:  # pragma: no cover - surfaced in asserts
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(NUM_READERS)]
+        for thread in threads:
+            thread.start()
+        for batch in scenario.batches:
+            service.apply(batch)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        factored = len(factorisations)
+
+        assert errors == []
+        assert older_reads, "readers never asked for an older epoch"
+        snaps = {id(snap): snap for reader in answers for snap, *_ in reader}.values()
+        bases = {id(solver if isinstance(solver, GroundedSolver) else solver._base)
+                 for solver in (snap._solver("sparsifier") for snap in snaps)}
+        # One splu per base the lineage factored, and it rebased at least once;
+        # not one per epoch.
+        assert factored == len(bases) >= 2
+        assert factored < len(snaps)
+        fresh = {}
+        for reader in answers:
+            for snap, u, v, answer in reader:
+                if snap.version not in fresh:
+                    fresh[snap.version] = GroundedSolver.from_graph(snap.sparsifier)
+                b = np.zeros(num_nodes)
+                b[u], b[v] = 1.0, -1.0
+                x = fresh[snap.version].solve(b)
+                assert answer == pytest.approx(float(x[u] - x[v]), rel=1e-12, abs=0.0)

@@ -1,11 +1,11 @@
 """Tests of the κ guard's spectral context (``repro.spectral.condition``).
 
-The contract: on the Lanczos path the guard factors ``L_H`` once per
-estimate and corrects one kept factorisation of ``L_G`` for the edges ``G``
-changed (re-factoring it past a rank cap), warm-starts ARPACK from the
-previous pass, ranks candidates without a second eigensolve, and still
-reports the κ a cold dense solve would — deterministically, with bounded
-fallbacks and without letting reads perturb the writer.
+The contract: on the Lanczos path the guard corrects one kept factorisation
+each of ``L_G`` and ``L_H`` for the edges ``G`` and ``H`` changed
+(re-factoring past a rank cap) without changing the trajectory, warm-starts
+ARPACK from the previous pass, ranks candidates without a second eigensolve,
+and still reports the κ a cold dense solve would — deterministically, with
+bounded fallbacks and without letting reads perturb the writer.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.core import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs import Graph, grid_circuit_2d
 from repro.graphs.components import is_connected
+from repro.service import SparsifierService
 from repro.spectral.condition import (
     SpectralContext,
     SpectralSolveError,
@@ -234,26 +235,30 @@ class TestWarmStart:
         context = SpectralContext()
         context.estimate(graph, sparsifier, dense_limit=1)
         context.estimate(graph, sparsifier, dense_limit=1)
-        # L_G once; L_H once per estimate (it is dropped after each).
-        assert splu.calls == 3
+        # L_G once and L_H once: each side's lineage keeps its factorisation...
+        assert splu.calls == 2
         context.release()
         context.estimate(graph, sparsifier, dense_limit=1)
-        # L_G's factorisation outlives release().
-        assert splu.calls == 4
-        # A G up to the rank cap away is corrected, not factored again...
+        # ...across release().
+        assert splu.calls == 2
+        # A G and an H up to the rank cap away are corrected, not factored
+        # again...
         edges = graph.edge_list()
-        changed = graph.copy()
+        changed, changed_sparsifier = graph.copy(), sparsifier.copy()
         for u, v, w in edges[:solvers.CORRECTION_RANK_CAP]:
             changed.add_edge(u, v, w, merge="add")
+            changed_sparsifier.add_edge(u, v, w, merge="add")
         context.release()
-        context.estimate(changed, sparsifier, dense_limit=1)
-        assert splu.calls == 5
-        # ...and one edge past it is.
+        context.estimate(changed, changed_sparsifier, dense_limit=1)
+        assert splu.calls == 2
+        # ...and one edge past it is, side by side.
         u, v, w = edges[solvers.CORRECTION_RANK_CAP]
         changed.add_edge(u, v, w, merge="add")
-        context.release()
-        context.estimate(changed, sparsifier, dense_limit=1)
-        assert splu.calls == 7
+        context.estimate(changed, changed_sparsifier, dense_limit=1)
+        assert splu.calls == 3
+        changed_sparsifier.add_edge(u, v, w, merge="add")
+        context.estimate(changed, changed_sparsifier, dense_limit=1)
+        assert splu.calls == 4
 
 
 def random_mixed_batch(graph, rng):
@@ -290,12 +295,14 @@ class TestCorrectedFactor:
     factorisation while at most the rank cap of edges changed, a new base
     past it; either way the system a fresh factorisation solves."""
 
-    def test_corrected_solves_match_a_fresh_factorisation(self):
+    def test_corrected_solves_match_a_fresh_factorisation(self, monkeypatch):
         rng = np.random.default_rng(7)
         graph = grid_circuit_2d(8, seed=3)
         factored = []
-        context = SpectralContext(factor=lambda side, g: factored.append(g.edge_list()) or
-                                  GroundedSolver.from_graph(g))
+        factor = GroundedSolver.from_graph
+        monkeypatch.setattr(GroundedSolver, "from_graph",
+                            lambda g: factored.append(g.edge_list()) or factor(g))
+        context = SpectralContext()
         context._solver("graph", graph)
         corrected = 0
         for _ in range(1000):
@@ -306,7 +313,7 @@ class TestCorrectedFactor:
             assert refactored == (changed_edges(base, graph.edge_list())
                                   > solvers.CORRECTION_RANK_CAP)
             corrected += isinstance(solver, CorrectedSolver)
-            fresh = GroundedSolver.from_graph(graph)
+            fresh = GroundedSolver(graph.laplacian_matrix())
             assert (solver.reduced != fresh.reduced).nnz == 0
             b = rng.standard_normal(graph.num_nodes - 1)
             expected = fresh.solve_reduced(b)
@@ -318,8 +325,9 @@ class TestCorrectedFactor:
 
     def test_ill_conditioned_capacitance_falls_back_to_a_factorisation(self, monkeypatch):
         graph = grid_circuit_2d(8, seed=3)
-        factors = _Counter(lambda side, g: GroundedSolver.from_graph(g))
-        context = SpectralContext(factor=factors)
+        factors = _Counter(GroundedSolver.from_graph)
+        monkeypatch.setattr(GroundedSolver, "from_graph", factors)
+        context = SpectralContext()
         context._solver("graph", graph)
         changed = graph.copy()
         changed.add_edge(0, 9, 0.5)
@@ -334,6 +342,44 @@ class TestCorrectedFactor:
         b = np.random.default_rng(0).standard_normal(graph.num_nodes - 1)
         assert np.array_equal(solver.solve_reduced(b),
                               GroundedSolver.from_graph(changed).solve_reduced(b))
+
+
+class TestCorrectionsKeepTheTrajectory:
+    def test_corrections_never_change_a_trajectory(self, stream, monkeypatch):
+        # At a rank cap of 0 every version of G and H is factored afresh; at
+        # the default, the guard corrects kept factorisations instead.
+        kappas = []
+        estimate = condition.relative_condition_number
+
+        def recording(*args, **kwargs):
+            kappas.append(estimate(*args, **kwargs))
+            return kappas[-1]
+
+        monkeypatch.setattr(condition, "relative_condition_number", recording)
+        splu = _Counter(spla.splu)
+        monkeypatch.setattr(spla, "splu", splu)
+
+        def run():
+            kappas.clear()
+            splu.calls = 0
+            driver = start_driver(stream)
+            steps = []
+            for batch in stream.batches:
+                added = driver.apply_batch(batch).kappa_guard.added_edges
+                steps.append((driver.graph.edge_arrays() + driver.sparsifier.edge_arrays(), added))
+            return steps, list(kappas), splu.calls
+
+        corrected, corrected_kappas, corrected_factors = run()
+        monkeypatch.setattr(solvers, "CORRECTION_RANK_CAP", 0)
+        fresh, fresh_kappas, fresh_factors = run()
+        assert len(corrected) == len(fresh) == len(stream.batches)
+        assert any(added for _, added in corrected), "the stream must trip the guard"
+        for (arrays, added), (fresh_arrays, fresh_added) in zip(corrected, fresh):
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in fresh_arrays]
+            assert added == fresh_added
+        assert len(corrected_kappas) == len(fresh_kappas) > len(stream.batches)
+        np.testing.assert_allclose(corrected_kappas, fresh_kappas, rtol=1e-12, atol=0.0)
+        assert corrected_factors < fresh_factors
 
 
 class TestBoundedFallback:
@@ -405,6 +451,18 @@ def test_snapshot_and_driver_agree_on_kappa(stream):
     driver.apply_batch(stream.batches[0])
     # Same pencil, same shift, same seeded start: bit-identical.
     assert driver.snapshot().condition_number(dense_limit=1) == driver.condition_number(dense_limit=1)
+
+
+def test_service_snapshots_agree_with_the_driver_within_rounding(stream):
+    # A service snapshot solves through the service's shared lineages
+    # (corrections of an earlier epoch's factorisation): its κ is the
+    # driver's to 1e-12, not bit for bit.
+    service = SparsifierService(driver=start_driver(stream))
+    for batch in stream.batches[:4]:
+        service.apply(batch)
+        snap = service.snapshot()
+        assert snap.condition_number(dense_limit=1) == pytest.approx(
+            service.driver.condition_number(dense_limit=1), rel=1e-12, abs=0.0)
 
 
 def test_snapshot_solves_share_one_graph_laplacian(stream, monkeypatch):
