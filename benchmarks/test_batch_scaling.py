@@ -5,10 +5,9 @@ Times :func:`repro.core.run_update` with the grouped batch filter
 growing batch sizes, and asserts the headline property of the grouped
 filter: a large streamed batch is filtered several times faster per edge
 with an *identical* resulting sparsifier edge set.
-Regenerate the full sweep (10² – 10⁵ edges) and the ``BENCH_batch.json``
-artifact with ``python -m repro bench batch``; the CI perf gate checks that
-artifact against ``benchmarks/baselines/batch_baseline.json`` via
-``python -m repro bench baseline --check``.
+Run the full sweep (10² – 10⁵ edges), which writes ``BENCH_batch.json`` and
+checks that both filters leave identical edge sets at every size, with
+``python -m repro bench batch``.
 """
 
 from __future__ import annotations
@@ -57,10 +56,11 @@ def test_update_batch_2000(benchmark, batch_setup, mode):
 def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     """The acceptance property at the 10⁴-edge batch size.
 
-    The committed ``BENCH_batch.json`` demonstrates >=5x on the reference
-    runner; under pytest the bound is relaxed to 2x so a loaded CI machine
-    cannot flake the tier-1 suite — the strict 30% regression gate lives in
-    the dedicated ``bench-perf`` CI job.  Pinned to rebuild mode, like
+    ``python -m repro bench batch`` read 3.8x at 10⁴ edges on a 2-CPU
+    host; the bound here is 2x so a loaded CI machine cannot flake the
+    tier-1 suite.  Timing regressions are judged end to end by
+    ``python -m repro bench compare`` in CI's ``bench-compare`` job, not
+    here.  Pinned to rebuild mode, like
     ``python -m repro bench batch``: maintain mode adds the same hierarchy
     splice work to both arms, which dilutes the ratio this test measures.
     """

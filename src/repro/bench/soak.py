@@ -1,7 +1,7 @@
 """Nightly soak: a long churn stream, uninterrupted and across a restore.
 
-The CI gates keep per-commit latency honest but only stream a handful of
-batches; the failure modes that matter for a long-lived deployment —
+The per-commit CI benchmarks keep latency honest but only stream a handful
+of batches; the failure modes that matter for a long-lived deployment —
 hierarchy maintenance drifting structurally, full re-setups sneaking back
 in, a checkpoint that does not resume exactly — only show up over hundreds
 of batches.  This soak streams one long mixed insert/delete sequence (500

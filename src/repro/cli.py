@@ -3,10 +3,9 @@
 One console command (``python -m repro`` / the ``repro`` script) runs every
 benchmark, the HTTP server and the checkpoint tools::
 
-    python -m repro bench gate --no-check          # unified CI gate runner
     python -m repro bench churn --quick            # churn benchmark
     python -m repro bench soak --output soak.json  # nightly soak
-    python -m repro bench compare --base A --head B --workload serve-mixed  # paired A/B
+    python -m repro bench compare --base A --head B --workload serve-mixed  # paired A/B, CI's timing gate
     python -m repro serve --port 8752              # HTTP server
     python -m repro bench --list                   # every registered bench
 """
@@ -20,11 +19,9 @@ from typing import Callable, Dict, List, Optional
 #: Registry of bench subcommands → lazily imported module ``main`` functions.
 #: Names mirror the module names (underscores become dashes).
 _BENCH_MODULES: Dict[str, str] = {
-    "gate": "repro.bench.gate",
     "churn": "repro.bench.churn",
     "soak": "repro.bench.soak",
     "batch": "repro.bench.batch",
-    "baseline": "repro.bench.baseline",
     "churn-maintenance": "repro.bench.churn_maintenance",
     "compare": "repro.bench.compare",
     "serve-latency": "repro.bench.serve_latency",
@@ -252,8 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                           add_help=False)
     ckpt.add_argument("rest", nargs=argparse.REMAINDER)
 
-    # `repro bench gate --no-check` must forward `--no-check` untouched, so
-    # anything after the subcommand name bypasses the top-level parser.
+    # `repro bench compare --base A --head B` must forward its options
+    # untouched, so anything after the subcommand name bypasses the
+    # top-level parser.
     if argv and argv[0] == "bench":
         return _run_bench(argv[1:])
     if argv and argv[0] == "serve":

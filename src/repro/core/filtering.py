@@ -143,8 +143,6 @@ class SimilarityFilter:
             "filtering_level": self._level_index,
             "cluster_pairs": len(self._connectivity),
             "intra_cluster_buckets": len(self._intra_cluster_edges),
-            "registered_edges": (sum(len(b) for b in self._connectivity.values())
-                                 + sum(len(b) for b in self._intra_cluster_edges.values())),
             "synced_labels_version": self._synced_labels_version,
         }
 

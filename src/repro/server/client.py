@@ -3,8 +3,9 @@
 :func:`repro.api.connect` returns a :class:`SparsifierClient`: a thin,
 dependency-free wrapper over :class:`http.client.HTTPConnection` with one
 method per endpoint and the server's JSON wire schema decoded for you.
-It is what the latency gate, the CI smoke job and the tests drive the
-server with, and the reference for writing a client in any other stack.
+It is what ``python -m repro bench serve-latency``, the repo benchmark's
+``serve-mixed`` workload, the CI smoke job and the tests drive the server
+with, and the reference for writing a client in any other stack.
 
 Error contract: non-2xx responses raise :class:`ServerRequestError` carrying
 ``status`` and the decoded error ``payload`` — except 202 (write accepted

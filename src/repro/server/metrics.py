@@ -1,7 +1,9 @@
 """Per-endpoint observability for the HTTP front end.
 
-Latency is part of the serving contract (the ``serve-latency`` CI gate
-enforces p50/p99 under churn), so the server measures itself from the start
+Latency is part of the serving contract (``python -m repro bench
+serve-latency`` reports reader p50/p99 under churn, and ``python -m repro
+bench compare`` judges the ``serve-mixed`` workload's read and write
+latencies between revisions), so the server measures itself from the start
 rather than bolting counters on later.  The model is deliberately
 Prometheus-shaped without the dependency:
 
@@ -15,8 +17,8 @@ Prometheus-shaped without the dependency:
   scrape time.
 
 Everything is exposed as one JSON document at ``GET /metrics`` and reused
-verbatim by :mod:`repro.bench.serve_latency`, so the gate and the live
-server report through the same schema.
+verbatim by :mod:`repro.bench.serve_latency`, so the benchmark's artifact and
+the live server report through the same schema.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class TestUnifiedCli:
     def test_bench_list(self, capsys):
         assert cli.main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("gate", "churn", "soak", "serve-latency"):
+        for name in ("compare", "churn", "soak", "serve-latency"):
             assert name in out
 
     def test_bench_registry_covers_every_bench_module(self):
@@ -78,10 +78,11 @@ class TestUnifiedCli:
         assert cli.main(["bench", "nonsense"]) == 2
         assert "unknown bench" in capsys.readouterr().err
 
-    def test_bench_gate_list_dispatches(self, capsys):
-        assert cli.main(["bench", "gate", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "artifact" in out  # gate's own --list output, forwarded intact
+    def test_bench_compare_help_dispatches(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bench", "compare", "--help"])
+        assert exit_info.value.code == 0
+        assert "--workload" in capsys.readouterr().out  # compare's own help, forwarded intact
 
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
-from repro.bench import churn, figure4, gate, serve_latency, soak, table1, table2, table3
+from repro.bench import (
+    batch,
+    churn,
+    churn_maintenance,
+    figure4,
+    serve_latency,
+    soak,
+    table1,
+    table2,
+    table3,
+)
 from repro.bench.figure4 import ascii_log_chart
 from repro.bench.records import Figure4Record, Table1Record, Table2Record, Table3Record
 from repro.core import InGrassConfig
@@ -102,131 +113,128 @@ class TestCliMains:
         assert "social_ws" in row and f" {InGrassConfig().hierarchy_mode} " in row
 
 
-class TestGateRunner:
-    def test_list_registers_all_gates(self, capsys):
-        assert gate.main(["--list"]) == 0
-        out = capsys.readouterr().out
-        listed = [line.split()[0] for line in out.splitlines()
-                  if line and not line[0].isspace()]
-        assert listed == ["batch", "churn-maintenance", "serve-latency"]
+def _serve_payload():
+    return {
+        "latency": {"queries": 500, "errors": 0},
+        "restart": {"mid_epoch": 7, "resumed_epoch": 7, "resume_epoch_match": True},
+        "parity": {"final_epoch": 13, "offline_epoch": 13, "epoch_match": True,
+                   "sparsifier_edges_match": True, "sparsifier_weights_match": True,
+                   "graph_edges_match": True},
+    }
 
-    def test_unknown_gate_rejected(self):
-        with pytest.raises(SystemExit):
-            gate.main(["--only", "nope"])
 
-    def test_check_only_missing_artifact_fails(self, tmp_path, capsys):
-        summary_path = tmp_path / "summary.json"
-        code = gate.main(["--only", "batch", "--check-only",
-                          "--artifacts-dir", str(tmp_path),
-                          "--summary", str(summary_path)])
-        assert code == 1
-        summary = json.loads(summary_path.read_text())
-        assert summary["gates"]["batch"]["status"] == "missing-artifact"
+def _churn_payload():
+    mode = {"full_resetups": 0, "kappa_final": 40.0, "stayed_connected": True}
+    return {"results": {"maintain": {**mode, "per_event_ratio": 1.05},
+                        "rebuild": {**mode, "full_resetups": 5}}}
 
-    def test_check_only_passes_on_existing_artifact(self, tmp_path):
-        # A payload consistent with the committed baseline passes the check
-        # phase without re-running the benchmark.
-        baseline = json.loads(gate.GATES[0].baseline.read_text())
-        entries = baseline["entries"]
-        payload = {"results": [
-            {"batch_size": int(size),
-             "vectorized_per_edge_us": values["vectorized_per_edge_us"],
-             "scalar_per_edge_us": values["scalar_per_edge_us"],
-             "edge_sets_match": True}
-            for size, values in entries.items()
-        ]}
-        (tmp_path / "BENCH_batch.json").write_text(json.dumps(payload))
-        summary_path = tmp_path / "summary.json"
-        code = gate.main(["--only", "batch", "--check-only",
-                          "--artifacts-dir", str(tmp_path),
-                          "--summary", str(summary_path)])
-        assert code == 0
-        summary = json.loads(summary_path.read_text())
-        assert summary["gates"]["batch"]["status"] == "pass"
 
-    def test_run_creates_a_missing_artifacts_dir(self, tmp_path):
-        stub = gate.GateSpec(name="stub", description="", artifact="BENCH_stub.json",
-                             baseline=tmp_path / "no-baseline.json",
-                             run=lambda: {"value": 1}, check=lambda payload, base, tol: [])
-        artifacts_dir = tmp_path / "new" / "artifacts"
-        summary = gate.run_gates([stub], do_run=True, do_check=True, tolerance=None,
-                                 artifacts_dir=artifacts_dir)
-        assert summary["gates"]["stub"]["status"] == "pass"
-        assert json.loads((artifacts_dir / "BENCH_stub.json").read_text()) == {"value": 1}
+def _batch_payload():
+    return {"results": [{"batch_size": 100, "edge_sets_match": True},
+                        {"batch_size": 1000, "edge_sets_match": True}]}
 
 
 class TestServeLatencyGate:
-    def _payload(self, **overrides):
-        payload = {
-            "meta": {"cpu_count": 4, "side": 10, "batches": 12, "readers": 2,
-                     "seed": 0},
-            "latency": {"queries": 500, "p50_ms": 1.0, "p99_ms": 5.0},
-            "restart": {"mid_epoch": 7, "resumed_epoch": 7,
-                        "resume_epoch_match": True},
-            "parity": {"final_epoch": 13, "offline_epoch": 13,
-                       "epoch_match": True, "sparsifier_edges_match": True,
-                       "sparsifier_weights_match": True,
-                       "graph_edges_match": True},
-        }
-        payload.update(overrides)
-        return payload
+    """``bench serve-latency``'s exit status: each check, violated alone, fails."""
 
-    def _baseline(self, **overrides):
-        baseline = {"benchmark": "serve_latency", "cpu_count": 4,
-                    "queries": 500, "p50_ms": 1.0, "p99_ms": 5.0}
-        baseline.update(overrides)
-        return baseline
+    @staticmethod
+    def _only_failure(payload):
+        failures = serve_latency.gate_failures(payload)
+        assert len(failures) == 1, failures
+        return failures[0]
 
     def test_passes_clean_payload(self):
-        assert serve_latency.check_gate(self._payload(), self._baseline()) == []
-
-    def test_missing_baseline_fails(self):
-        failures = serve_latency.check_gate(self._payload(), None)
-        assert any("baseline missing" in failure for failure in failures)
+        assert serve_latency.gate_failures(_serve_payload()) == []
 
     def test_parity_violation_fails(self):
-        payload = self._payload()
+        payload = _serve_payload()
         payload["parity"]["sparsifier_weights_match"] = False
-        failures = serve_latency.check_gate(payload, self._baseline())
-        assert any("weights diverged" in failure for failure in failures)
+        assert "weights diverged" in self._only_failure(payload)
+
+    @pytest.mark.parametrize("key, expected", [
+        ("epoch_match", "epoch parity"),
+        ("sparsifier_edges_match", "sparsifier edge set diverged"),
+        ("graph_edges_match", "tracked graph diverged"),
+    ])
+    def test_each_parity_check_fails_alone(self, key, expected):
+        payload = _serve_payload()
+        payload["parity"][key] = False
+        assert expected in self._only_failure(payload)
 
     def test_restart_violation_fails(self):
-        payload = self._payload()
+        payload = _serve_payload()
         payload["restart"] = {"mid_epoch": 7, "resumed_epoch": 5,
                               "resume_epoch_match": False}
-        failures = serve_latency.check_gate(payload, self._baseline())
-        assert any("restart drill" in failure for failure in failures)
+        assert "restart drill" in self._only_failure(payload)
 
     def test_zero_queries_fails(self):
-        payload = self._payload()
+        payload = _serve_payload()
         payload["latency"]["queries"] = 0
-        failures = serve_latency.check_gate(payload, self._baseline())
-        assert any("vacuous" in failure for failure in failures)
+        assert "vacuous" in self._only_failure(payload)
 
-    def test_latency_regression_fails_on_multicore(self):
-        payload = self._payload()
-        payload["latency"]["p99_ms"] = 50.0  # baseline 5.0 + 100% tolerance = 10.0
-        failures = serve_latency.check_gate(payload, self._baseline())
-        assert any("p99_ms" in failure for failure in failures)
+    @pytest.mark.parametrize("queries, allowed", [(500, 50), (10, 2)])
+    def test_reader_errors_fail_above_max_of_two_and_a_tenth(self, queries, allowed):
+        payload = _serve_payload()
+        payload["latency"] = {"queries": queries, "errors": allowed}
+        assert serve_latency.gate_failures(payload) == []
+        payload["latency"]["errors"] = allowed + 1
+        assert f"{allowed + 1} errors" in self._only_failure(payload)
 
-    def test_latency_arm_deferred_on_single_cpu(self, capsys):
-        payload = self._payload()
-        payload["meta"]["cpu_count"] = 1
-        payload["latency"]["p99_ms"] = 50.0
-        assert serve_latency.check_gate(payload, self._baseline()) == []
-        assert "deferred" in capsys.readouterr().out
 
-    def test_latency_arm_deferred_on_single_cpu_baseline(self, capsys):
-        payload = self._payload()
-        payload["latency"]["p99_ms"] = 50.0
-        baseline = self._baseline(cpu_count=1)
-        assert serve_latency.check_gate(payload, baseline) == []
-        assert "deferred" in capsys.readouterr().out
+class TestChurnMaintenanceGate:
+    """``bench churn-maintenance``'s exit status: each check, violated alone, fails."""
 
-    def test_distil_baseline_matches_committed_schema(self):
-        baseline = serve_latency.distil_baseline(self._payload())
-        committed = json.loads(serve_latency.DEFAULT_BASELINE_PATH.read_text())
-        assert set(baseline) == set(committed)
+    def test_passes_clean_payload(self):
+        assert churn_maintenance.gate_failures(_churn_payload()) == []
+
+    def test_limits_are_inclusive(self):
+        payload = _churn_payload()
+        payload["results"]["maintain"]["kappa_final"] = 44.0
+        payload["results"]["maintain"]["per_event_ratio"] = churn_maintenance.PER_EVENT_PARITY_LIMIT
+        assert churn_maintenance.gate_failures(payload) == []
+
+    @pytest.mark.parametrize("mode, key, value, expected", [
+        ("maintain", "full_resetups", 1, "maintain mode paid 1 full re-setups"),
+        ("rebuild", "full_resetups", 1, "rebuild mode paid only 1"),
+        ("maintain", "kappa_final", 44.01, "end-state kappa"),
+        ("maintain", "stayed_connected", False, "disconnected"),
+        ("rebuild", "stayed_connected", False, "disconnected"),
+        ("maintain", "per_event_ratio", 1.11, "per-event ratio 1.110"),
+    ])
+    def test_each_violation_fails_alone(self, mode, key, value, expected):
+        payload = _churn_payload()
+        payload["results"][mode][key] = value
+        failures = churn_maintenance.gate_failures(payload)
+        assert len(failures) == 1 and expected in failures[0], failures
+
+
+def test_batch_gate_names_each_size_whose_edge_sets_differ():
+    payload = _batch_payload()
+    assert batch.gate_failures(payload) == []
+    payload["results"][1]["edge_sets_match"] = False
+    (failure,) = batch.gate_failures(payload)
+    assert failure.startswith("batch 1000:")
+
+
+@pytest.mark.parametrize("module, runner, make_payload, plant", [
+    (batch, "run_batch_bench", _batch_payload,
+     lambda p: p["results"][0].update(edge_sets_match=False)),
+    (churn_maintenance, "run_churn_maintenance_bench", _churn_payload,
+     lambda p: p["results"]["maintain"].update(full_resetups=3)),
+    (serve_latency, "run_serve_latency_bench", _serve_payload,
+     lambda p: p["parity"].update(graph_edges_match=False)),
+])
+def test_main_writes_its_artifact_before_it_fails(tmp_path, monkeypatch, module, runner,
+                                                  make_payload, plant):
+    """A failing run still leaves the evidence CI uploads."""
+    payload = make_payload()
+    plant(payload)
+    monkeypatch.setattr(module, runner, lambda *args, **kwargs: copy.deepcopy(payload))
+    monkeypatch.setattr(module, "print_results", lambda payload: "")
+    output = tmp_path / "artifact.json"
+    assert module.main(["--output", str(output)]) == 1
+    written = json.loads(output.read_text())
+    assert written["failures"] == module.gate_failures(payload) != []
 
 
 @pytest.mark.slow

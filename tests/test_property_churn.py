@@ -119,3 +119,8 @@ def test_churn_history_accounting_is_exact(params):
                  + record.redistributed_edges + record.dropped_edges)
         assert total == len(batch.insertions)
     assert ingrass.graph.num_edges == scenario.final_graph.num_edges
+    # The filter indexes every sparsifier edge in exactly one bucket.
+    live_filter = ingrass._filter
+    registered = (sum(map(len, live_filter._connectivity.values()))
+                  + sum(map(len, live_filter._intra_cluster_edges.values())))
+    assert registered == ingrass.sparsifier.num_edges
