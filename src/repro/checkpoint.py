@@ -9,19 +9,17 @@ A checkpoint is a *directory* holding two files:
     epoch, the driver's filtering level (fixed at its last setup, so a
     restore keeps it rather than re-deriving it from the maintained
     hierarchy), the per-iteration history, the
-    hierarchy's staleness/version counters, the maintainer's ``extra``
-    blob from ``_checkpoint_runtime_state``, per array its dtype, shape and
-    sha256, and the name of the arrays file.
+    hierarchy's staleness/version counters, the maintainer's lifetime
+    counters (``extra``, from ``_checkpoint_runtime_state``), per array its
+    dtype, shape and sha256, and the name of the arrays file.
 
 ``arrays-<digest>.npz``
     Every array: tracked graph and sparsifier edge lists (**in edge
     order** — :meth:`repro.graphs.graph.Graph.from_arrays` adopts them as
     the restored graphs' slots, which is what makes the restored run's
     continuation byte-identical, κ history included), the LRD embedding
-    matrix, per-level cluster diameters, and the maintainer's pending
-    splice neighbourhood (arrays prefixed ``extra_``).  The name carries a
-    digest of the manifest's array records, so each state gets its own
-    file.
+    matrix and the per-level cluster diameters.  The name carries a digest
+    of the manifest's array records, so each state gets its own file.
 
 What is deliberately **not** serialised: the similarity filter's
 cluster-pair map. It is a pure function of the state that *is* serialised
@@ -47,12 +45,14 @@ just before the swap can find its arrays file gone (step 4) and gets a
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (format 5 carried the
-``InGrassConfig.filtering_level`` field, which no longer exists; format 4
-overwrote one ``arrays.npz`` in place; formats 1 to 3 carried other
-configuration fields that no longer exist) is rejected the same way.  Every
-array is checked against its manifest record, and an unreadable arrays file
-raises ``ValueError`` naming the checkpoint.
+newer layout, and an older one (format 6 carried the
+``InGrassConfig.target_condition_number`` field and the maintainer's
+pending splice neighbourhood, which no longer exist; format 5 carried
+``InGrassConfig.filtering_level``; format 4 overwrote one ``arrays.npz`` in
+place; formats 1 to 3 carried other configuration fields that no longer
+exist) is rejected the same way.  Every array is checked against its
+manifest record, and an unreadable arrays file raises ``ValueError`` naming
+the checkpoint.
 Checkpoints contain no timestamps, so saving the same state twice produces
 the same manifest.
 """
@@ -80,7 +80,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 6
+CHECKPOINT_FORMAT_VERSION = 7
 
 _MANIFEST = "manifest.json"
 _ARRAYS_PREFIX = "arrays-"
@@ -158,7 +158,6 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
     driver._require_setup()
     assert driver._graph is not None and driver._sparsifier is not None
     assert driver._setup is not None
-    extra, extra_arrays = driver._checkpoint_runtime_state()
     hierarchy_state = driver._setup.hierarchy.checkpoint_state()
 
     arrays: dict = {}
@@ -167,8 +166,6 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
     arrays["hier_embedding"] = hierarchy_state["embedding"]
     for index, diameters in enumerate(hierarchy_state["cluster_diameters"]):
         arrays[f"hier_diam_{index}"] = np.asarray(diameters, dtype=np.float64)
-    for name, array in extra_arrays.items():
-        arrays[f"extra_{name}"] = array
 
     records = {name: _array_record(array) for name, array in arrays.items()}
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
@@ -196,7 +193,7 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
             "level_labels_versions": hierarchy_state["level_labels_versions"],
             "inflation_ceiling": hierarchy_state["inflation_ceiling"],
         },
-        "extra": extra,
+        "extra": driver._checkpoint_runtime_state(),
         "arrays": records,
         "arrays_file": arrays_file,
     }
@@ -274,7 +271,7 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     adopt the saved edge arrays in order as their slots, the hierarchy
     is rebuilt from its level arrays with every staleness counter restored,
     the similarity filter is rebuilt at the saved filtering level, and the
-    ``extra`` state (maintainer counters, pending splices) lands through
+    ``extra`` state (maintainer counters) lands through
     ``_restore_runtime_state``.  No LRD re-run.
     """
     manifest = _read_manifest(path)
@@ -290,8 +287,6 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
                  for index in range(int(hier["num_levels"]))]
     hierarchy = ClusterHierarchy.from_level_arrays(
         data["hier_embedding"], diameters, hier["diameter_thresholds"])
-    extra_arrays = {name[len("extra_"):]: array
-                    for name, array in data.items() if name.startswith("extra_")}
 
     hierarchy.restore_counters(
         noted_removals=hier["noted_removals"],
@@ -313,7 +308,7 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     driver._resetup_seconds = float(manifest["resetup_seconds"])
     driver._version = int(manifest["version"])
 
-    driver._restore_runtime_state(manifest.get("extra", {}), extra_arrays)
+    driver._restore_runtime_state(manifest.get("extra", {}))
     logger.info(
         "checkpoint restored from %s (version epoch %d, %d sparsifier edges)",
         path, driver._version, sparsifier.num_edges,

@@ -53,14 +53,13 @@ class LRDConfig:
 class InGrassConfig:
     """Parameters of the full inGRASS incremental sparsifier.
 
+    The target κ(L_G, L_H), which picks the similarity filtering level and
+    scales the κ guard's bound, is an argument of
+    :meth:`InGrassSparsifier.setup` (by default the κ measured on the initial
+    sparsifier).
+
     Attributes
     ----------
-    target_condition_number:
-        Target κ(L_G, L_H) used to pick the similarity filtering level
-        (Section III-C-2: the level whose largest cluster holds at most
-        ``target_condition_number / 2`` nodes).  ``None`` defers the choice to
-        :meth:`InGrassSparsifier.setup` callers, which typically pass the
-        measured condition number of the initial sparsifier.
     lrd:
         LRD decomposition parameters for the setup phase.
     filtering_size_divisor:
@@ -105,7 +104,6 @@ class InGrassConfig:
         Seed for stochastic components.
     """
 
-    target_condition_number: Optional[float] = None
     lrd: LRDConfig = field(default_factory=LRDConfig)
     filtering_size_divisor: float = 2.0
     distortion_threshold: float = 0.0
@@ -116,8 +114,6 @@ class InGrassConfig:
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
-        if self.target_condition_number is not None:
-            check_positive(self.target_condition_number, "target_condition_number")
         check_positive(self.filtering_size_divisor, "filtering_size_divisor")
         if self.distortion_threshold < 0:
             raise ValueError("distortion_threshold must be non-negative")

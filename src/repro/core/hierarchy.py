@@ -62,10 +62,6 @@ class LRDLevel:
         sizes = self.cluster_sizes()
         return int(sizes.max()) if sizes.size else 0
 
-    def nodes_in_cluster(self, cluster: int) -> np.ndarray:
-        """Return the original nodes belonging to ``cluster``."""
-        return np.flatnonzero(self.labels == cluster)
-
 
 class ClusterHierarchy:
     """Stack of LRD levels plus the node-embedding view used by inGRASS.
@@ -429,11 +425,6 @@ class ClusterHierarchy:
             raise ValueError("removal_threshold must be positive")
         return self._noted_removals >= removal_threshold
 
-    def reset_staleness(self) -> None:
-        """Clear the removal counter (after an external refresh/rebuild)."""
-        self._noted_removals = 0
-        self._inflation_ceiling = None
-
     # ------------------------------------------------------------------ #
     # Serialisation (checkpoint format)
     # ------------------------------------------------------------------ #
@@ -505,10 +496,6 @@ class ClusterHierarchy:
     # ------------------------------------------------------------------ #
     # Filtering-level selection (Section III-C-2)
     # ------------------------------------------------------------------ #
-    def max_cluster_sizes(self) -> List[int]:
-        """Largest cluster size of every level, finest first."""
-        return [level.max_cluster_size() for level in self._levels]
-
     def filtering_level_for_condition(self, target_condition_number: float,
                                       size_divisor: float = 2.0) -> int:
         """Pick the filtering level for a target condition number ``C``.

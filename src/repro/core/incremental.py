@@ -41,9 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import InGrassConfig
 from repro.core.filtering import SimilarityFilter
@@ -150,7 +148,7 @@ class InGrassSparsifier:
         self._setup: Optional[SetupResult] = None
         self._filter: Optional[SimilarityFilter] = None
         self._maintainer: Optional[HierarchyMaintainer] = None
-        self._target_condition: Optional[float] = self.config.target_condition_number
+        self._target_condition: Optional[float] = None
         self._history: List[IterationRecord] = []
         self._total_update_seconds = 0.0
         self._full_resetups = 0
@@ -228,18 +226,6 @@ class InGrassSparsifier:
         return self._filter.filtering_level  # type: ignore[union-attr]
 
     @property
-    def removals_since_setup(self) -> int:
-        """Sparsifier-edge deletions absorbed since the last (re)setup.
-
-        Delegates to the hierarchy's staleness counter — the single source of
-        truth, bumped by :func:`repro.core.update.run_removal` per removed
-        sparsifier edge and reset when a fresh hierarchy is built.
-        """
-        self._require_setup()
-        assert self._setup is not None
-        return self._setup.hierarchy.noted_removals
-
-    @property
     def full_resetups(self) -> int:
         """Number of full setup refreshes performed since :meth:`setup`."""
         return self._full_resetups
@@ -301,36 +287,22 @@ class InGrassSparsifier:
 
         return load_checkpoint(path)
 
-    def _checkpoint_runtime_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """Checkpoint extras: (JSON-able dict, named arrays).
-
-        The driver's only runtime state beyond the core arrays is the
-        maintain-mode maintainer: its lifetime counters and the spliced-node
-        neighbourhood pending re-examination.  The similarity filter is
-        deliberately *not* serialised — its cluster-pair map is a pure
-        function of (sparsifier edges, hierarchy labels) and is rebuilt
-        decision-identically on first use after restore.
+    def _checkpoint_runtime_state(self) -> dict:
+        """Checkpoint extras (JSON-able): the maintain-mode maintainer's
+        lifetime counters, the driver's only runtime state beyond the core
+        arrays.  The similarity filter is deliberately *not* serialised — its
+        cluster-pair map is a pure function of (sparsifier edges, hierarchy
+        labels) and is rebuilt decision-identically on first use after
+        restore.
         """
-        extra: dict = {}
-        arrays: Dict[str, np.ndarray] = {}
         maintainer = self._maintainer
-        if maintainer is not None:
-            extra["maintainer_stats"] = asdict(maintainer.stats)
-            arrays["pending_splices"] = maintainer.splice_neighbourhood()
-        return extra, arrays
+        return {} if maintainer is None else {"maintainer_stats": asdict(maintainer.stats)}
 
-    def _restore_runtime_state(self, extra: dict,
-                               arrays: Dict[str, np.ndarray]) -> None:
+    def _restore_runtime_state(self, extra: dict) -> None:
         """Inverse of :meth:`_checkpoint_runtime_state` on a rebuilt driver."""
-        maintainer = self._maintainer
-        if maintainer is None:
-            return
         stats = extra.get("maintainer_stats")
-        if stats is not None:
-            maintainer.stats = MaintenanceStats(**stats)
-        pending = arrays.get("pending_splices")
-        if pending is not None and pending.size:
-            maintainer.note_spliced_nodes(pending.tolist())
+        if self._maintainer is not None and stats is not None:
+            self._maintainer.stats = MaintenanceStats(**stats)
 
     @property
     def maintainer(self) -> Optional[HierarchyMaintainer]:
@@ -387,10 +359,10 @@ class InGrassSparsifier:
             sparsifier with ``initial_offtree_density`` off-tree edges per
             node is built from ``graph``.
         target_condition_number:
-            Target κ for the similarity filter.  When omitted and not present
-            in the configuration, the measured κ(G(0), H(0)) is used — i.e.
-            "keep the quality the initial sparsifier had", which is the
-            protocol of the paper's Table II.
+            Target κ for the similarity filter and the κ guard.  When
+            omitted, the measured κ(G(0), H(0)) is used — i.e. "keep the
+            quality the initial sparsifier had", which is the protocol of the
+            paper's Table II.
         initial_offtree_density:
             Density of the automatically built sparsifier (ignored when
             ``sparsifier`` is given).
@@ -404,8 +376,6 @@ class InGrassSparsifier:
         validate_sparsifier_support(graph, sparsifier, allow_new_edges=True)
         graph, sparsifier = graph.copy(), sparsifier.copy()
         setup = run_setup(sparsifier, self.config)
-        if target_condition_number is None:
-            target_condition_number = self.config.target_condition_number
         if target_condition_number is None:
             # Derive the target from the measured initial quality.
             target_condition_number = relative_condition_number(graph, sparsifier)

@@ -11,10 +11,13 @@ inflate-and-rebuild cycle with true structural maintenance:
   re-examined and the cluster is split along it, with fragment diameters
   recomputed locally (exact resistances for small fragments, the spanning
   tree path bound for large ones) instead of multiplied by a blind factor.
-  Small clusters additionally go through a localized re-decomposition
-  (:func:`repro.core.lrd.decompose_node_subset`) honouring the level's
-  diameter threshold, so a connected-but-stretched cluster also splits the
-  way a fresh setup would have split it.
+  Small clusters below the coarsest level additionally go through a
+  localized re-decomposition (:func:`repro.core.lrd.decompose_node_subset`)
+  honouring the level's diameter threshold, so a connected-but-stretched
+  cluster also splits the way a fresh setup would have split it.  The
+  coarsest level's one all-nodes cluster only ever gets the connectivity
+  split, so it stays whole while the sparsifier is connected and every node
+  pair keeps a common cluster.
 
 * **Insertion → merge.**  When a new edge enters the sparsifier, clusters it
   joins are fused whenever the merged diameter (``d1 + d2 + 1/w``) fits the
@@ -110,7 +113,9 @@ class HierarchyMaintainer:
 
     Clusters of up to :data:`~repro.core.lrd.EXACT_DIAMETER_LIMIT` nodes are
     spliced by a localized re-decomposition with exact fragment diameters;
-    larger ones by a connectivity split plus the spanning-tree diameter bound.
+    larger ones, and the coarsest level's cluster at any size, by a
+    connectivity split with exact fragment diameters up to that limit and
+    the spanning-tree diameter bound above it.
     """
 
     def __init__(self, hierarchy: ClusterHierarchy, sparsifier: Graph, *,
@@ -119,10 +124,6 @@ class HierarchyMaintainer:
         self._sparsifier = sparsifier
         self._lrd_config = lrd_config if lrd_config is not None else LRDConfig()
         self.stats = MaintenanceStats()
-        # Per node: in a cluster spliced since the last drain — the "split
-        # neighbourhood" the maintenance-aware κ guard searches first (see
-        # :func:`repro.core.update.run_kappa_guard`).
-        self._spliced = np.zeros(sparsifier.num_nodes, dtype=bool)
 
     # ------------------------------------------------------------------ #
     @property
@@ -205,8 +206,9 @@ class HierarchyMaintainer:
         """Splice every dirty cluster of one level in a single batched pass.
 
         Phase 1 (analysis) is read-only: small clusters run the localized
-        re-decomposition individually, while all oversized clusters are
-        stacked into one block-diagonal CSR view and resolved together (see
+        re-decomposition individually, while all oversized clusters (and the
+        coarsest level's all-nodes cluster, at any size) are stacked into one
+        block-diagonal CSR view and resolved together (see
         :meth:`_analyse_large`).  Phase 2 applies the planned mutations
         sequentially in ascending cluster order — the exact order (and hence
         ``append_cluster`` id sequence, filter re-keying and float results)
@@ -214,6 +216,7 @@ class HierarchyMaintainer:
         """
         hierarchy = self._hierarchy
         threshold = float(hierarchy.level(level_index).diameter_threshold)
+        coarsest = level_index == hierarchy.num_levels - 1
         diameter_start = perf_counter()
         plans: List[list] = []
         large: List[int] = []
@@ -222,7 +225,7 @@ class HierarchyMaintainer:
             nodes = hierarchy.cluster_members(level_index, cluster)
             if nodes.shape[0] <= 1:
                 plans.append([cluster, nodes, None, None])
-            elif nodes.shape[0] <= EXACT_DIAMETER_LIMIT:
+            elif nodes.shape[0] <= EXACT_DIAMETER_LIMIT and not coarsest:
                 fragments, diameters = self._decompose_small(level_index, nodes, threshold)
                 plans.append([cluster, nodes, fragments, diameters])
             else:
@@ -318,34 +321,6 @@ class HierarchyMaintainer:
                 plans[plan_index][3][fragment_position] = float(
                     np.max(values[np.isfinite(values)]))
 
-    def note_spliced_nodes(self, nodes) -> None:
-        """Mark ``nodes`` as pending splice neighbourhood.
-
-        Used by checkpoint restore: the saved maintainer's un-drained splice
-        neighbourhood is handed to the rebuilt one, so the next κ-guard pass
-        seeds its round-0 candidate pool exactly as the uninterrupted run
-        would.
-        """
-        self._spliced[np.asarray(nodes, dtype=np.int64)] = True
-
-    def splice_neighbourhood(self) -> np.ndarray:
-        """The nodes of clusters spliced since the last drain, ascending,
-        without draining them (what a checkpoint saves)."""
-        return np.flatnonzero(self._spliced).astype(np.int64, copy=False)
-
-    def drain_splice_neighbourhood(self) -> np.ndarray:
-        """Return (and clear) the nodes of clusters spliced since the last drain.
-
-        The κ guard uses this as its first candidate pool: a removal-induced
-        split marks exactly the region where the sparsifier just lost
-        support, so off-sparsifier edges incident to it are the most likely
-        κ relief — searching them before the global pool keeps the guard
-        surgical (see :func:`repro.core.update.run_kappa_guard`).
-        """
-        nodes = self.splice_neighbourhood()
-        self._spliced[nodes] = False
-        return nodes
-
     def _apply_splice(self, level_index: int, cluster: int, nodes: np.ndarray,
                       fragments, diameters, similarity_filter) -> Tuple[int, int]:
         """Apply one planned splice (phase 2); returns ``(splits, recomputed)``."""
@@ -353,7 +328,6 @@ class HierarchyMaintainer:
         if nodes.shape[0] == 0:
             return 0, 0
         self.stats.splices += 1
-        self._spliced[nodes] = True
         if nodes.shape[0] == 1:
             hierarchy.set_cluster_diameter(level_index, cluster, 0.0)
             return 0, 1

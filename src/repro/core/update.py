@@ -229,11 +229,6 @@ class RemovalResult:
     hierarchy_merges: int = 0
 
     @property
-    def repaired_edges(self) -> List[WeightedEdge]:
-        """All edges (re)admitted into the sparsifier by this removal call."""
-        return self.reconnection_edges + self.repair_edges
-
-    @property
     def num_repairs(self) -> int:
         """Total number of edges admitted (reconnection + repair)."""
         return len(self.reconnection_edges) + len(self.repair_edges)
@@ -249,11 +244,6 @@ class KappaGuardReport:
     rounds: int = 0
     added_edges: List[WeightedEdge] = field(default_factory=list)
     guard_seconds: float = 0.0
-
-    @property
-    def satisfied(self) -> bool:
-        """``True`` when the final κ is within the guard bound."""
-        return self.kappa_after <= self.bound
 
 
 def _rank_candidates(hierarchy: ClusterHierarchy, candidates: Sequence[WeightedEdge], *,
@@ -275,14 +265,6 @@ def _offtree_candidates(graph: Graph, sparsifier: Graph, around: Sequence[int]) 
             if key not in seen and not sparsifier.has_edge(*key):
                 seen[key] = float(weight)
     return [(u, v, w) for (u, v), w in seen.items()]
-
-
-def _candidate_arrays(edges: Sequence[WeightedEdge]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(u, v, w)`` arrays of a list of weighted edges, in list order."""
-    count = len(edges)
-    return (np.fromiter((u for u, _, _ in edges), dtype=np.int64, count=count),
-            np.fromiter((v for _, v, _ in edges), dtype=np.int64, count=count),
-            np.fromiter((w for _, _, w in edges), dtype=float, count=count))
 
 
 def _offsparsifier_edges(graph: Graph, sparsifier: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -507,13 +489,11 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
     quality bound — use it when the workload needs the guarantee, skip it to
     stay strictly ``O(log N)`` per event.
 
-    When a ``maintainer`` is active (``hierarchy_mode="maintain"``), the
-    guard is *maintenance-aware*: the splice reports accumulated since the
-    last guard pass mark exactly the clusters whose interior just lost
-    sparsifier support, so the first round restricts its candidate pool to
-    off-sparsifier edges incident to those split neighbourhoods.  Only when
-    the local pool is empty — or a later round shows the local additions did
-    not relieve κ — does the guard widen to the full off-sparsifier pool.
+    Every round ranks one pool, all graph edges the sparsifier does not
+    carry (one key mask over both graphs' edge arrays), and round ``r``
+    admits the top ``KAPPA_GUARD_BATCH * 2**r`` of them by score.  With a
+    ``maintainer`` (``hierarchy_mode="maintain"``) the admitted edges go to
+    it, so it can fuse the clusters they join.
 
     All estimates of a pass share one
     :class:`~repro.spectral.condition.SpectralContext`, and the candidates
@@ -539,30 +519,13 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
     kappa = relative_condition_number(graph, sparsifier, context=context,
                                       dense_limit=config.kappa_guard_dense_limit)
     report = KappaGuardReport(bound=bound, kappa_before=kappa, kappa_after=kappa)
-    # Maintenance-aware candidate seeding: the maintainer's splice reports
-    # name the nodes whose clusters were just split, so round 0 searches the
-    # off-sparsifier edges incident to that neighbourhood before paying for
-    # the global pool.  Drained exactly once per guard pass, whether or not
-    # the guard ends up admitting anything.
-    splice_nodes = (maintainer.drain_splice_neighbourhood()
-                    if maintainer is not None else np.zeros(0, dtype=np.int64))
     while report.kappa_after > bound and report.rounds < KAPPA_GUARD_MAX_ROUNDS:
-        local = (_offtree_candidates(graph, sparsifier, splice_nodes.tolist())
-                 if report.rounds == 0 and splice_nodes.size else [])
-        pool = _candidate_arrays(local) if local else _offsparsifier_edges(graph, sparsifier)
+        pool = _offsparsifier_edges(graph, sparsifier)
         if not pool[0].size:
             break
         _, mode = dominant_generalized_eigenvector(graph, sparsifier, context=context,
                                                    dense_limit=config.kappa_guard_dense_limit)
         scores = pool[2] * (mode[pool[0]] - mode[pool[1]]) ** 2
-        if local and float(scores.max()) <= 1e-12:
-            # The split neighbourhood does not touch the violating mode at
-            # all (the κ breach originates elsewhere) — fall straight back
-            # to the global pool rather than burning round 0 on dead edges.
-            pool = _offsparsifier_edges(graph, sparsifier)
-            if not pool[0].size:
-                break
-            scores = pool[2] * (mode[pool[0]] - mode[pool[1]]) ** 2
         # Escalate geometrically: a later round means the previous additions
         # did not relieve the bottleneck, so widen the net.
         budget = KAPPA_GUARD_BATCH * (2 ** report.rounds)

@@ -520,11 +520,6 @@ class Graph:
         node = check_node_index(node, self._num_nodes)
         return len(self._maps()[1][node])
 
-    def weighted_degree(self, node: int) -> float:
-        """Return the sum of incident edge weights of ``node``."""
-        node = check_node_index(node, self._num_nodes)
-        return float(sum(self._maps()[1][node].values()))
-
     def degrees(self) -> np.ndarray:
         """Return the integer degree of every node as an array."""
         us, vs, _ = self.edge_arrays()

@@ -153,6 +153,24 @@ def batch_from_payload(payload: dict) -> MixedBatch:
     return batch
 
 
+def checkpoint_path_from_payload(payload: dict, default: Optional[str]) -> str:
+    """Decode ``POST /checkpoint``: ``path``, a non-empty JSON string, or
+    ``default`` (the configured ``checkpoint_dir``) when it is absent.
+    Nothing is coerced: any other ``path`` value, and any other field,
+    answers 400 naming it."""
+    unknown = set(payload) - {"path"}
+    if unknown:
+        raise ProtocolError(400, f"unknown checkpoint fields: {sorted(unknown)}")
+    if "path" not in payload:
+        if not default:
+            raise ProtocolError(400, "no 'path' given and no checkpoint_dir configured")
+        return default
+    path = payload["path"]
+    if not isinstance(path, str) or not path:
+        raise ProtocolError(400, "field 'path' must be a non-empty string")
+    return path
+
+
 def rhs_from_payload(payload: dict, num_nodes: int) -> list:
     """Decode ``POST /solve``'s ``b``: a flat list of ``num_nodes`` finite JSON
     numbers, returned unchanged.  Nothing is coerced: booleans, strings, null,
@@ -616,11 +634,7 @@ class SparsifierHTTPServer:
         return await self._enqueue_write("update", job)
 
     async def _handle_checkpoint(self, request: HttpRequest):
-        payload = request.json()
-        path = payload.get("path", self._config.checkpoint_dir)
-        if not path:
-            raise ProtocolError(400, "no 'path' given and no checkpoint_dir configured")
-        path = str(path)
+        path = checkpoint_path_from_payload(request.json(), self._config.checkpoint_dir)
 
         def job() -> dict:
             # Through the queue: the checkpoint lands between batches, never

@@ -113,11 +113,6 @@ class ServerMetrics:
             elif status in (408, 504):
                 self._timeouts += 1
 
-    @property
-    def rejected_writes(self) -> int:
-        with self._lock:
-            return self._rejected_writes
-
     def snapshot(self, **gauges) -> Dict:
         """JSON-ready scrape; keyword arguments land under ``"gauges"``."""
         with self._lock:

@@ -92,7 +92,6 @@ class TestGraphBasics:
         graph = Graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0)])
         assert graph.degree(0) == 3
         assert graph.degree(1) == 1
-        assert graph.weighted_degree(0) == pytest.approx(6.0)
         assert np.array_equal(graph.degrees(), [3, 1, 1, 1])
         assert np.allclose(graph.weighted_degrees(), [6.0, 1.0, 2.0, 3.0])
 

@@ -72,7 +72,7 @@ class TestLRDDecomposition:
         level = hierarchy.levels[min(2, hierarchy.num_levels - 1)]
         checked = 0
         for cluster in range(level.num_clusters):
-            members = level.nodes_in_cluster(cluster)
+            members = np.flatnonzero(level.labels == cluster)
             if len(members) < 2 or checked > 20:
                 continue
             p, q = int(members[0]), int(members[-1])

@@ -26,9 +26,11 @@ from repro.graphs import Graph, canonical_edge, grid_circuit_2d, is_connected
 from repro.spectral import ExactResistanceCalculator
 from repro.streams import (
     DeletionEvent,
+    DynamicScenarioConfig,
     InsertionEvent,
     MixedBatch,
     WeightChangeEvent,
+    build_churn_scenario,
     removable_edges,
     weight_change_edges,
 )
@@ -194,6 +196,21 @@ class TestHierarchyMaintainer:
         # Nodes within one triangle still do.
         assert hierarchy.cluster_of(0, 0) == hierarchy.cluster_of(1, 0)
         assert hierarchy.cluster_of(3, 0) == hierarchy.cluster_of(5, 0)
+
+    @pytest.mark.parametrize("side, seed, guard_factor", [(6, 7, None), (7, 10, 1.0), (8, 9, 1.0)])
+    def test_coarsest_level_stays_one_cluster(self, side, seed, guard_factor):
+        """On graphs of at most EXACT_DIAMETER_LIMIT nodes too, splices never
+        split the coarsest level's all-nodes cluster: every node pair keeps a
+        common cluster instead of falling back to ``fallback_resistance``."""
+        scenario = build_churn_scenario(grid_circuit_2d(side, seed=seed), DynamicScenarioConfig(
+            num_iterations=10, deletion_fraction=0.6, condition_dense_limit=400, seed=seed))
+        driver = InGrassSparsifier(InGrassConfig(kappa_guard_factor=guard_factor, seed=seed))
+        driver.setup(scenario.graph, scenario.initial_sparsifier,
+                     target_condition_number=scenario.initial_condition_number)
+        for batch in scenario.batches:
+            driver.apply_batch(batch)
+            hierarchy = driver.setup_result.hierarchy
+            assert np.unique(hierarchy.level(hierarchy.num_levels - 1).labels).size == 1
 
     def test_nesting_preserved_under_churn(self, grid_with_sparsifier):
         working, setup, maintainer = self._setup_pair(grid_with_sparsifier)

@@ -428,7 +428,7 @@ class TestWritePath:
             # Pending writes drain in order during graceful shutdown.
         assert service.applied_batches == 2
         assert service.latest_version == 3
-        assert server.metrics.rejected_writes == 1
+        assert server.metrics.snapshot()["rejected_writes_total"] == 1
 
     def test_slow_read_answers_504(self, scenario, monkeypatch):
         def glacial(self, u, v, *, on="sparsifier"):
@@ -554,6 +554,26 @@ class TestRestartDrill:
             with pytest.raises(ServerRequestError) as excinfo:
                 client.checkpoint()
             assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"path": 5}, "'path'"),
+        ({"path": 0}, "'path'"),
+        ({"path": True}, "'path'"),
+        ({"path": None}, "'path'"),
+        ({"path": ""}, "'path'"),
+        ({"path": ["ckpt"]}, "'path'"),
+        ({"path": "ckpt", "bogus": 1}, "'bogus'"),
+    ])
+    def test_checkpoint_path_must_be_a_non_empty_string(self, scenario, tmp_path,
+                                                        monkeypatch, payload, field):
+        # A coerced path would land relative to the working directory.
+        monkeypatch.chdir(tmp_path)
+        with running_server(fresh_service(scenario), checkpoint_dir=str(tmp_path / "configured"),
+                            checkpoint_on_shutdown=False) as (_, client):
+            status, answer = client.request("POST", "/checkpoint", payload)
+            assert status == 400
+            assert field in answer["error"]
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------- #

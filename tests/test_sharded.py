@@ -8,9 +8,8 @@ the trajectory, removals conserve conductance and account for every
 requested pair, threaded service writes match serial ones, every public
 constructor builds the same driver, the filter map partitions the
 sparsifier and matches a fresh scan after churn, and the maintenance layer
-keeps its pinned filtering level, its cluster→members index and its κ-guard
-candidate pool consistent.  Class and test names are kept stable so the
-suite's test ids do not churn.
+keeps its pinned filtering level and its cluster→members index consistent.
+Class and test names are kept stable so the suite's test ids do not churn.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.core import InGrassConfig, LRDConfig
 from repro.core.filtering import FilterAction, SimilarityFilter
 from repro.core.incremental import InGrassSparsifier
 from repro.core.setup import run_setup
-from repro.core.update import KAPPA_GUARD_BATCH, _offtree_candidates, run_kappa_guard, run_removal
 from repro.graphs.generators import grid_circuit_2d
 from repro.graphs.graph import canonical_edge
 from repro.graphs.validation import removals_keep_connected
@@ -247,7 +245,7 @@ class TestShardedRemoval:
                          for u, v, weight in result.removed_from_sparsifier)
             assert result.reassigned_weight + result.discarded_weight == pytest.approx(excess)
             removed = sum(weight for _, _, weight in result.removed_from_sparsifier)
-            repaired = sum(weight for _, _, weight in result.repaired_edges)
+            repaired = sum(weight for _, _, weight in result.reconnection_edges + result.repair_edges)
             total_after = driver.sparsifier.total_weight()
             assert total_after == pytest.approx(
                 total_before - removed + result.reassigned_weight + repaired)
@@ -403,55 +401,3 @@ class TestClusterMembersIndex:
                               np.flatnonzero(labels == fresh))
         assert np.array_equal(hierarchy.cluster_members(level_index, 0),
                               np.flatnonzero(labels == 0))
-
-
-# --------------------------------------------------------------------------- #
-# Maintenance-aware κ guard
-# --------------------------------------------------------------------------- #
-class TestMaintenanceAwareGuard:
-    def test_drain_splice_neighbourhood(self, churn_scenario):
-        driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
-        maintainer = driver.maintainer
-        deletions = churn_scenario.batches[0].deletions
-        if not deletions:
-            pytest.skip("scenario batch carries no deletions")
-        driver.apply_batch(MixedBatch(deletions=deletions))
-        if driver.maintenance_stats.splices == 0:
-            pytest.skip("no cluster was spliced by this deletion batch")
-        nodes = maintainer.drain_splice_neighbourhood()
-        assert nodes.size > 0
-        assert np.array_equal(nodes, np.unique(nodes))
-        # Drained exactly once.
-        assert maintainer.drain_splice_neighbourhood().size == 0
-
-    def test_guard_prefers_split_neighbourhood(self, churn_scenario):
-        """With splice reports pending, round 0 candidates touch them."""
-        config = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.0)
-        driver = start_driver(churn_scenario, config)
-        graph, sparsifier = driver.graph, driver.sparsifier
-        maintainer = driver.maintainer
-        similarity_filter = driver._filter
-        deletions = churn_scenario.batches[0].deletions
-        pairs = [pair for pair in deletions if graph.has_edge(*pair)]
-        removed = graph.remove_edges(pairs)
-        run_removal(sparsifier, removed, graph=graph, config=config,
-                    similarity_filter=similarity_filter, maintainer=maintainer)
-        splice_nodes = set(maintainer.drain_splice_neighbourhood().tolist())
-        if not splice_nodes:
-            pytest.skip("no cluster was spliced by this deletion batch")
-        # Re-arm the pool (drain above consumed it) by re-noting the nodes.
-        maintainer.note_spliced_nodes(sorted(splice_nodes))
-        local_pool = {(u, v) for u, v, _ in
-                      _offtree_candidates(graph, sparsifier, sorted(splice_nodes))}
-        report = run_kappa_guard(sparsifier, graph=graph, config=config,
-                                 target_condition_number=driver.target_condition_number,
-                                 similarity_filter=similarity_filter, maintainer=maintainer)
-        # The pool was drained by the guard pass...
-        assert maintainer.drain_splice_neighbourhood().size == 0
-        # ...and whenever the guard admitted anything in a first round backed
-        # by a non-empty local pool, every first-round edge came from it.
-        if report.rounds >= 1 and report.added_edges and local_pool:
-            first_round = report.added_edges[:KAPPA_GUARD_BATCH]
-            for u, v, _ in first_round:
-                key = (u, v) if u <= v else (v, u)
-                assert key in local_pool, "guard ignored the splice-neighbourhood pool"
