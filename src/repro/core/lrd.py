@@ -21,12 +21,13 @@ the resistance upper bounds used by the update phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import LRDConfig
 from repro.core.hierarchy import ClusterHierarchy, LRDLevel
+from repro.graphs.components import _compact_by_first_appearance, num_connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.unionfind import UnionFind
 from repro.spectral.effective_resistance import make_resistance_calculator
@@ -47,7 +48,7 @@ class _ContractionState:
     diameters: np.ndarray        # resistance diameter carried by each supernode
 
 
-def _estimate_edge_resistances(graph: Graph, config: LRDConfig, level_index: int) -> np.ndarray:
+def _estimate_edge_resistances(graph: Graph, config: LRDConfig) -> np.ndarray:
     """Resistance estimate of every edge of ``graph`` (S1)."""
     if graph.num_edges == 0:
         return np.zeros(0)
@@ -55,11 +56,7 @@ def _estimate_edge_resistances(graph: Graph, config: LRDConfig, level_index: int
         # Tiny contracted graphs: series formula is exact enough.
         _, _, weights = graph.edge_arrays()
         return 1.0 / weights
-    calculator = make_resistance_calculator(
-        graph,
-        config.resistance_method,
-        seed=(config.seed if not isinstance(config.seed, np.random.Generator) else config.seed),
-    )
+    calculator = make_resistance_calculator(graph, config.resistance_method, seed=config.seed)
     resistances = calculator.edge_resistances()
     # Effective resistance of an edge can never exceed the edge's own
     # resistance (1/w); clamping repairs approximation overshoot.
@@ -67,36 +64,61 @@ def _estimate_edge_resistances(graph: Graph, config: LRDConfig, level_index: int
     return np.minimum(np.maximum(resistances, 0.0), 1.0 / weights)
 
 
+def _greedy_merge(state: _ContractionState, edge_resistances: np.ndarray,
+                  threshold: float) -> Tuple[np.ndarray, List[float], int]:
+    """Greedy bounded-diameter merging (S2) over a union-find forest.
+
+    Edges are visited in order of increasing resistance (stable, so ties keep
+    edge order); two clusters merge when ``d1 + d2 + r`` stays within
+    ``threshold``, and the larger one's root absorbs the smaller (ties keep
+    the first endpoint's root).  Plain lists and an inline path-halving find
+    keep NumPy scalars out of the per-edge loop.  Returns ``(roots,
+    diameters, merges)``: every node's final root, the diameter carried by
+    each root, and the number of merges.
+    """
+    us, vs, _ = state.graph.edge_arrays()
+    us, vs = us.tolist(), vs.tolist()
+    resistances = edge_resistances.tolist()
+    diameters = state.diameters.tolist()
+    parent = list(range(len(diameters)))
+    size = [1] * len(diameters)
+    merges = 0
+    for index in np.argsort(edge_resistances, kind="stable").tolist():
+        u, v = us[index], vs[index]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            continue
+        merged_diameter = diameters[u] + diameters[v] + resistances[index]
+        if merged_diameter > threshold:
+            continue
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        size[u] += size[v]
+        diameters[u] = merged_diameter
+        merges += 1
+    roots = np.array(parent, dtype=np.int64)
+    while True:
+        hop = roots[roots]
+        if np.array_equal(hop, roots):
+            return roots, diameters, merges
+        roots = hop
+
+
 def _contract_level(state: _ContractionState, edge_resistances: np.ndarray,
                     threshold: float) -> Tuple[np.ndarray, np.ndarray, int]:
     """Greedy bounded-diameter contraction (S2).
 
-    Returns ``(new_labels_for_current_nodes, new_cluster_diameters, merges)``.
+    Returns ``(new_labels_for_current_nodes, new_cluster_diameters, merges)``;
+    clusters are numbered in order of first appearance.
     """
-    current = state.graph
-    us, vs, _ = current.edge_arrays()
-    order = np.argsort(edge_resistances, kind="stable")
-    uf = UnionFind(current.num_nodes)
-    diameters: Dict[int, float] = {node: float(state.diameters[node]) for node in range(current.num_nodes)}
-    merges = 0
-    for index in order:
-        u, v = int(us[index]), int(vs[index])
-        root_u, root_v = uf.find(u), uf.find(v)
-        if root_u == root_v:
-            continue
-        merged_diameter = diameters[root_u] + diameters[root_v] + float(edge_resistances[index])
-        if merged_diameter > threshold:
-            continue
-        uf.union(root_u, root_v)
-        new_root = uf.find(root_u)
-        diameters[new_root] = merged_diameter
-        merges += 1
-    labels = uf.labels(compact=True)
-    num_clusters = int(labels.max()) + 1 if labels.size else 0
-    cluster_diameters = np.zeros(num_clusters)
-    for node in range(current.num_nodes):
-        cluster = int(labels[node])
-        cluster_diameters[cluster] = max(cluster_diameters[cluster], diameters[uf.find(node)])
+    roots, diameters, merges = _greedy_merge(state, edge_resistances, threshold)
+    labels = _compact_by_first_appearance(roots)
+    cluster_diameters = np.zeros(int(labels.max()) + 1 if labels.size else 0)
+    cluster_diameters[labels] = np.array(diameters)[roots]
     return labels, cluster_diameters, merges
 
 
@@ -166,70 +188,50 @@ def _tree_diameter_bound_csr(adjacency) -> float:
     return float(np.max(second[np.isfinite(second)]))
 
 
-def _dense_laplacian(adjacency) -> np.ndarray:
-    """Dense Laplacian of a CSR adjacency without sparse intermediates.
+def _dense_adjacency(graph: Graph) -> np.ndarray:
+    """Dense symmetric adjacency of a small graph (its CSR's ``toarray()``)."""
+    us, vs, ws = graph.edge_arrays()
+    adjacency = np.zeros((graph.num_nodes, graph.num_nodes))
+    adjacency[us, vs] = ws
+    adjacency[vs, us] = ws
+    return adjacency
 
-    Negating the dense adjacency and writing the row sums on the (empty)
-    diagonal produces exactly the floats of ``(diags(deg) - A).toarray()`` —
-    negation and assignment are exact, and the degrees come from the sparse
-    row sum so the accumulation order over stored entries is unchanged
-    (a dense ``sum(axis=1)`` would pairwise-sum over interleaved zeros and
-    round differently) — while skipping the sparse construction overhead
-    that dominates at the small sizes the exact diameter path runs on.
+
+def _dense_laplacian(adjacency: np.ndarray) -> np.ndarray:
+    """Dense Laplacian of a dense symmetric adjacency block.
+
+    The degrees are ``np.add.reduceat`` over each row's nonzeros in column
+    order, the very sum a CSR row sum makes over its (sorted) stored entries;
+    a dense ``sum(axis=1)`` would pairwise-sum over interleaved zeros and
+    round differently.  ``0.0 - A`` leaves the off-diagonal zeros ``+0.0``
+    (LAPACK's SVD is bit-sensitive to the sign of zero), so the result equals
+    ``(diags(deg) - A).toarray()`` of the CSR adjacency to the bit.
     """
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    laplacian = -adjacency.toarray()
-    # Negating the implicit zeros produced ``-0.0``; adding ``+0.0``
-    # canonicalises them back (LAPACK's SVD is bit-sensitive to the sign of
-    # zero) while leaving every other entry untouched.
-    laplacian += 0.0
+    rows, cols = np.nonzero(adjacency)
+    degrees = np.zeros(adjacency.shape[0])
+    if rows.size:
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        degrees[rows[starts]] = np.add.reduceat(adjacency[rows, cols], starts)
+    laplacian = 0.0 - adjacency
     np.fill_diagonal(laplacian, degrees)
     return laplacian
 
 
-def _exact_diameter_csr(adjacency) -> float:
-    """Exact resistance diameter of a (small, connected) subgraph.
+def _exact_diameter_dense(adjacency: np.ndarray) -> float:
+    """Exact resistance diameter of a small, connected dense adjacency block.
 
     One dense pseudo-inverse of the Laplacian gives all pairwise resistances
     at once (``R[p, q] = L⁺[p, p] + L⁺[q, q] - 2 L⁺[p, q]``) — for the
     cluster sizes this is used on, orders of magnitude cheaper than per-pair
-    grounded solves.  ``adjacency`` is the symmetric weighted CSR adjacency.
+    grounded solves.  Rows must list their neighbours in the order of the
+    CSR they came from (ascending ids), see :func:`_dense_laplacian`.
     """
-    n = adjacency.shape[0]
-    if n < 2 or adjacency.nnz == 0:
+    if adjacency.shape[0] < 2:
         return 0.0
     pseudo = np.linalg.pinv(_dense_laplacian(adjacency))
     diagonal = np.diag(pseudo)
     resistances = diagonal[:, None] + diagonal[None, :] - 2.0 * pseudo
     return float(max(resistances.max(), 0.0))
-
-
-def _subgraph_diameter_bound_csr(adjacency, exact_limit: int) -> float:
-    """Diameter bound of an already-extracted, connected CSR adjacency."""
-    if adjacency.shape[0] <= exact_limit:
-        return _exact_diameter_csr(adjacency)
-    return _tree_diameter_bound_csr(adjacency)
-
-
-def _tree_diameter_bound(subgraph: Graph) -> float:
-    """Graph-object wrapper over :func:`_tree_diameter_bound_csr`."""
-    if subgraph.num_edges == 0:
-        return 0.0
-    return _tree_diameter_bound_csr(subgraph.csr_view())
-
-
-def _exact_diameter(subgraph: Graph) -> float:
-    """Graph-object wrapper over :func:`_exact_diameter_csr`."""
-    if subgraph.num_nodes < 2 or subgraph.num_edges == 0:
-        return 0.0
-    return _exact_diameter_csr(subgraph.csr_view())
-
-
-def _subgraph_diameter_bound(subgraph: Graph, exact_limit: int) -> float:
-    """Diameter bound of an already-built, connected subgraph (no re-checks)."""
-    if subgraph.num_nodes <= exact_limit:
-        return _exact_diameter(subgraph)
-    return _tree_diameter_bound(subgraph)
 
 
 def cluster_diameter_bound(graph: Graph, nodes: np.ndarray, *, exact_limit: int = EXACT_DIAMETER_LIMIT) -> float:
@@ -245,76 +247,39 @@ def cluster_diameter_bound(graph: Graph, nodes: np.ndarray, *, exact_limit: int 
     if nodes.shape[0] <= 1:
         return 0.0
     subgraph = graph.induced_subgraph(nodes)
-    components = _local_components(subgraph)
-    if len(components) != 1:
+    components = num_connected_components(subgraph)
+    if components != 1:
         raise ValueError(
             f"cluster of {nodes.shape[0]} nodes is not internally connected "
-            f"({len(components)} components); split it before bounding its diameter"
+            f"({components} components); split it before bounding its diameter"
         )
-    return _subgraph_diameter_bound(subgraph, exact_limit)
-
-
-def fragment_diameters_csr(adjacency, local_fragments: List[np.ndarray],
-                           exact_limit: int) -> List[float]:
-    """Diameter bound for each (connected) fragment of a CSR adjacency.
-
-    ``local_fragments`` hold row/column indices of ``adjacency``; a fragment
-    that covers the whole matrix is bounded without re-slicing, others get a
-    ``adjacency[f][:, f]`` submatrix — bit-identical to rebuilding the induced
-    subgraph's own adjacency because CSR content depends only on the edge set.
-    """
-    diameters: List[float] = []
-    for fragment in local_fragments:
-        if fragment.shape[0] <= 1:
-            diameters.append(0.0)
-        elif len(local_fragments) == 1:
-            diameters.append(_subgraph_diameter_bound_csr(adjacency, exact_limit))
-        else:
-            block = adjacency[fragment][:, fragment]
-            diameters.append(_subgraph_diameter_bound_csr(block, exact_limit))
-    return diameters
+    return fragment_diameters(subgraph, [np.arange(nodes.shape[0])], exact_limit)[0]
 
 
 def fragment_diameters(subgraph: Graph, local_fragments: List[np.ndarray],
                        exact_limit: int) -> List[float]:
     """Diameter bound for each (connected) fragment of an induced subgraph.
 
-    ``local_fragments`` hold local node ids of ``subgraph``.  Shared by the
-    contraction-based and the connectivity-based splitting paths so the
-    single-fragment special case lives in exactly one place; delegates to the
-    CSR kernel so both call styles share one implementation.
+    ``local_fragments`` hold ascending local node ids of ``subgraph``.  A
+    subgraph of at most ``exact_limit`` nodes is densified once and every
+    fragment's block sliced out of it; a larger one slices its CSR per
+    fragment, for the exact diameter up to the limit and the spanning-tree
+    bound beyond.  Ascending ids keep each block's rows in the column order
+    of the subgraph's own CSR, so the exact diameters match it to the bit.
     """
-    return fragment_diameters_csr(subgraph.csr_view(), local_fragments, exact_limit)
-
-
-def _local_components_csr(adjacency) -> List[np.ndarray]:
-    """Connected components of a CSR adjacency as index arrays (largest first).
-
-    ``scipy.sparse.csgraph.connected_components`` labels components in
-    ascending order of their smallest member, and a stable argsort over the
-    labels keeps each component's members ascending — exactly the ordering
-    the original python BFS produced (scan from node 0, ``sorted`` members,
-    stable largest-first sort).
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    n = adjacency.shape[0]
-    if n == 0:
-        return []
-    num_components, labels = connected_components(adjacency, directed=False)
-    if num_components == 1:
-        return [np.arange(n, dtype=np.int64)]
-    order = np.argsort(labels, kind="stable")
-    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-    components = [members.astype(np.int64, copy=False)
-                  for members in np.split(order, boundaries)]
-    components.sort(key=len, reverse=True)
-    return components
-
-
-def _local_components(subgraph: Graph) -> List[np.ndarray]:
-    """Connected components of a small graph as local-id arrays (largest first)."""
-    return _local_components_csr(subgraph.csr_view())
+    dense = _dense_adjacency(subgraph) if subgraph.num_nodes <= exact_limit else None
+    diameters: List[float] = []
+    for fragment in local_fragments:
+        if fragment.shape[0] <= 1:
+            diameters.append(0.0)
+        elif dense is not None:
+            diameters.append(_exact_diameter_dense(dense[np.ix_(fragment, fragment)]))
+        else:
+            block = subgraph.csr_view()[fragment][:, fragment]
+            diameters.append(_exact_diameter_dense(block.toarray())
+                             if fragment.shape[0] <= exact_limit
+                             else _tree_diameter_bound_csr(block))
+    return diameters
 
 
 def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float,
@@ -391,13 +356,13 @@ def decompose_node_subset(sparsifier: Graph, nodes: np.ndarray, threshold: float
             # Small connected quotient: one dense pseudo-inverse gives exact
             # edge resistances — cheaper and tighter than the sampled
             # estimators at this size.
-            pseudo = np.linalg.pinv(_dense_laplacian(quotient.csr_view()))
+            pseudo = np.linalg.pinv(_dense_laplacian(_dense_adjacency(quotient)))
             qu, qv, quotient_weights = quotient.edge_arrays()
             diagonal = np.diag(pseudo)
             edge_resistances = np.maximum(diagonal[qu] + diagonal[qv] - 2.0 * pseudo[qu, qv], 0.0)
             edge_resistances = np.minimum(edge_resistances, 1.0 / quotient_weights)
         else:
-            edge_resistances = _estimate_edge_resistances(quotient, config, 0)
+            edge_resistances = _estimate_edge_resistances(quotient, config)
     elif quotient.num_edges:
         _, _, quotient_weights = quotient.edge_arrays()
         edge_resistances = 1.0 / quotient_weights
@@ -452,10 +417,10 @@ def lrd_decompose(sparsifier: Graph, config: Optional[LRDConfig] = None) -> Clus
     threshold = _initial_threshold(sparsifier, config)
     levels: List[LRDLevel] = []
 
-    for level_index in range(MAX_LEVELS):
+    for _ in range(MAX_LEVELS):
         if state.graph.num_nodes <= 1 or state.graph.num_edges == 0:
             break
-        edge_resistances = _estimate_edge_resistances(state.graph, config, level_index)
+        edge_resistances = _estimate_edge_resistances(state.graph, config)
         labels, cluster_diameters, merges = _contract_level(state, edge_resistances, threshold)
         threshold *= config.growth_factor
         if merges == 0:

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.config import LRDConfig
 from repro.core.hierarchy import ClusterHierarchy
-from repro.core.lrd import EXACT_DIAMETER_LIMIT, _exact_diameter_csr, decompose_node_subset
+from repro.core.lrd import EXACT_DIAMETER_LIMIT, _exact_diameter_dense, decompose_node_subset
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
 
@@ -298,8 +298,8 @@ class HierarchyMaintainer:
                     continue
                 rows = fragment + start
                 if fragment.shape[0] <= EXACT_DIAMETER_LIMIT:
-                    diameters[fragment_position] = _exact_diameter_csr(
-                        masked[rows][:, rows])
+                    diameters[fragment_position] = _exact_diameter_dense(
+                        masked[rows][:, rows].toarray())
                 else:
                     tree_jobs.append((plan_index, fragment_position, rows))
             plans[plan_index][2] = fragments

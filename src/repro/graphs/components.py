@@ -10,17 +10,18 @@ from repro.graphs.graph import Graph
 
 
 def _compact_by_first_appearance(labels: np.ndarray) -> np.ndarray:
-    """Renumber labels to ``0 .. k-1`` in order of first appearance.
+    """Renumber arbitrary labels to ``0 .. k-1`` in order of first appearance.
 
-    Normalises whatever labelling the underlying component sweep produced to
-    the convention :meth:`UnionFind.labels` has always used, so callers that
-    compare labellings across code paths see identical arrays.
+    Element 0's set becomes label 0, the next set met label 1, and so on —
+    the numbering of the LRD hierarchy's cluster labels — whatever ids the
+    component sweep or union-find forest produced, so labellings from
+    different code paths compare equal as arrays.
     """
-    _, first_index = np.unique(labels, return_index=True)
+    _, first_index, inverse = np.unique(labels, return_index=True, return_inverse=True)
     order = np.argsort(first_index)
     remap = np.empty(order.shape[0], dtype=np.int64)
     remap[order] = np.arange(order.shape[0])
-    return remap[labels]
+    return remap[inverse]
 
 
 def connected_components_arrays(num_nodes: int, us: np.ndarray,

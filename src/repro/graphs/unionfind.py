@@ -1,13 +1,12 @@
 """Disjoint-set (union-find) structure with union by size and path compression.
 
-Used by the spanning-tree constructions, the LRD contraction step and the
-connected-component analysis.  The implementation is array-based so that a
-union-find over a few million elements stays cheap.
+Used by the spanning-tree constructions, the connectivity repair of the
+update phase and the connectivity probe of the localized re-decomposition.
+The implementation is array-based so that a union-find over a few million
+elements stays cheap.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -64,53 +63,3 @@ class UnionFind:
     def connected(self, a: int, b: int) -> bool:
         """Return ``True`` when ``a`` and ``b`` are in the same set."""
         return self.find(a) == self.find(b)
-
-    def set_size(self, x: int) -> int:
-        """Return the size of the set containing ``x``."""
-        return int(self._size[self.find(x)])
-
-    def roots(self) -> List[int]:
-        """Return the sorted list of set representatives."""
-        return sorted({self.find(i) for i in range(len(self))})
-
-    def labels(self, compact: bool = True) -> np.ndarray:
-        """Return an array mapping each element to a set label.
-
-        Parameters
-        ----------
-        compact:
-            When ``True`` (default) labels are renumbered ``0 .. num_sets-1``
-            in order of first appearance; otherwise raw root indices are used.
-        """
-        n = len(self)
-        raw = np.fromiter((self.find(i) for i in range(n)), dtype=np.int64, count=n)
-        if not compact:
-            return raw
-        remap: Dict[int, int] = {}
-        labels = np.empty(n, dtype=np.int64)
-        for i, root in enumerate(raw):
-            key = int(root)
-            if key not in remap:
-                remap[key] = len(remap)
-            labels[i] = remap[key]
-        return labels
-
-    def groups(self) -> Dict[int, List[int]]:
-        """Return ``{representative: sorted members}`` for every set."""
-        result: Dict[int, List[int]] = {}
-        for i in range(len(self)):
-            result.setdefault(self.find(i), []).append(i)
-        return result
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[int]) -> "UnionFind":
-        """Build a union-find whose sets follow an existing labelling."""
-        label_list = list(labels)
-        uf = cls(len(label_list))
-        first_seen: Dict[int, int] = {}
-        for index, label in enumerate(label_list):
-            if label in first_seen:
-                uf.union(first_seen[label], index)
-            else:
-                first_seen[label] = index
-        return uf

@@ -120,7 +120,9 @@ class _EmbeddedResistances:
     def edge_resistances(self, graph: Optional[Graph] = None) -> np.ndarray:
         """Approximate resistances of every edge of ``graph`` (default: own graph)."""
         target = self._graph if graph is None else graph
-        return self.resistances(target.edges())
+        us, vs, _ = target.edge_arrays()
+        diff = self._embedding[us] - self._embedding[vs]
+        return np.einsum("ij,ij->i", diff, diff)
 
 
 class ApproxResistanceCalculator(_EmbeddedResistances):

@@ -125,8 +125,10 @@ def _serve_payload():
 
 def _churn_payload():
     mode = {"full_resetups": 0, "kappa_final": 40.0, "stayed_connected": True}
-    return {"results": {"maintain": {**mode, "per_event_ratio": 1.05},
-                        "rebuild": {**mode, "full_resetups": 5}}}
+    pair = {"maintain": dict(mode), "rebuild": {**mode, "full_resetups": 5}, "ratio": 1.05}
+    return {"results": {"maintain": {**mode, "per_event_ratio": 1.05, "per_event_ratio_iqr": 0.02},
+                        "rebuild": {**mode, "full_resetups": 5}},
+            "pairs": [copy.deepcopy(pair) for _ in range(3)]}
 
 
 def _batch_payload():
@@ -206,6 +208,17 @@ class TestChurnMaintenanceGate:
         payload["results"][mode][key] = value
         failures = churn_maintenance.gate_failures(payload)
         assert len(failures) == 1 and expected in failures[0], failures
+
+    @pytest.mark.parametrize("mode, key, value", [
+        ("maintain", "full_resetups", 1),
+        ("rebuild", "kappa_final", 40.5),
+        ("maintain", "stayed_connected", False),
+    ])
+    def test_a_pair_that_does_not_repeat_the_stream_fails_alone(self, mode, key, value):
+        payload = _churn_payload()
+        payload["pairs"][2][mode][key] = value
+        failures = churn_maintenance.gate_failures(payload)
+        assert len(failures) == 1 and f"pair 2: {mode} {key}" in failures[0], failures
 
 
 def test_batch_gate_names_each_size_whose_edge_sets_differ():

@@ -39,8 +39,6 @@ ALLOWED = {
     # Public API that only its own unit tests exercise; deleting it deletes them.
     "Graph.from_sparse": "tests/test_graph.py::TestGraphConversions",
     "Graph.subgraph_from_edges": "tests/test_graph.py::TestGraphBasics::test_subgraph_from_edges",
-    "UnionFind.set_size": "tests/test_unionfind_components.py::TestUnionFind::test_set_size",
-    "UnionFind.from_labels": "tests/test_unionfind_components.py::TestUnionFind::test_from_labels",
     "_GroundedSystem.solve_many": "tests/test_spectral_algebra.py::TestGroundedSolver::test_solve_many",
     "_GroundedSystem.as_linear_operator": "tests/test_spectral_algebra.py::TestGroundedSolver::test_linear_operator",
     "MixedBatch.from_events": "tests/test_dynamic_updates.py::TestMixedBatchModel and "

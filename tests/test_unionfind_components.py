@@ -24,39 +24,6 @@ class TestUnionFind:
         assert not uf.union(1, 0)
         assert uf.num_sets == 4
 
-    def test_set_size(self):
-        uf = UnionFind(6)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.set_size(2) == 3
-        assert uf.set_size(5) == 1
-
-    def test_labels_compact(self):
-        uf = UnionFind(4)
-        uf.union(2, 3)
-        labels = uf.labels()
-        assert labels.shape == (4,)
-        assert labels[2] == labels[3]
-        assert len(set(labels.tolist())) == 3
-
-    def test_groups(self):
-        uf = UnionFind(4)
-        uf.union(0, 3)
-        groups = uf.groups()
-        assert sorted(len(members) for members in groups.values()) == [1, 1, 2]
-
-    def test_roots(self):
-        uf = UnionFind(3)
-        uf.union(0, 1)
-        assert len(uf.roots()) == 2
-
-    def test_from_labels(self):
-        uf = UnionFind.from_labels([0, 0, 1, 1, 2])
-        assert uf.num_sets == 3
-        assert uf.connected(0, 1)
-        assert uf.connected(2, 3)
-        assert not uf.connected(1, 2)
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             UnionFind(-1)
