@@ -56,7 +56,7 @@ def main() -> None:
         rng = np.random.default_rng(100 + reader_id)
         queries, epochs = 0, set()
         while not stop.is_set():
-            snap = service.snapshot()          # O(1): cached per epoch
+            snap = service.snapshot()          # lock-free: the published epoch
             u, v = rng.choice(snap.num_nodes, size=2, replace=False)
             r = snap.effective_resistance(int(u), int(v))
             assert r > 0.0                     # sane on every epoch

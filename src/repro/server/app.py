@@ -2,17 +2,24 @@
 
 Architecture — one event loop, two disciplines:
 
-* **reads never block the writer — or the loop.**  Every read endpoint runs
-  on a worker thread (:func:`asyncio.to_thread`), pinning one
-  :class:`~repro.snapshot.SparsifierSnapshot` there and answering entirely
-  from it — a reader can never observe a torn epoch, no matter how the
-  writer races.  Pinning happens *off* the event loop because the snapshot
-  handout (like ``write_stats`` / ``retained_versions``) briefly takes the
-  service lock, which the writer holds for the whole duration of a driver
-  update: taking it on the loop would stall every connection — including
-  ``/health`` and the ``/epoch`` polls that 202 answers direct clients to —
-  for as long as one write runs.  Only ``/health`` answers directly on the
-  loop, from lock-free fields, so liveness probes stay cheap under any load.
+* **reads never wait for the writer, and the loop runs nothing of unbounded
+  cost.**  A read pins one :class:`~repro.snapshot.SparsifierSnapshot` and
+  answers entirely from it — a reader can never observe a torn epoch, no
+  matter how the writer races.  The writer publishes each epoch's snapshot
+  as it makes it, and the current-epoch handout reads that reference without
+  a lock.  So ``POST /resistance`` for one pair at the current epoch answers
+  directly on the loop when the published snapshot already holds its solver:
+  one solve, no worker-thread round trip.  Every other read runs on a worker
+  thread (:func:`asyncio.to_thread`) under the request timeout: a
+  single-pair read that must build the solver (each epoch's first), pair
+  lists (their cost grows with their length), versioned reads, ``/solve``,
+  ``/report``, ``/edges``, ``/epoch`` and ``/metrics``.  A versioned
+  handout, ``retained_versions`` and ``write_stats`` take the service lock,
+  which the writer holds for the whole duration of a driver update: taking
+  it on the loop would stall every connection — including ``/health`` and
+  the ``/epoch`` polls that 202 answers direct clients to — for as long as
+  one write runs.  ``/health`` answers on the loop from lock-free fields, so
+  liveness probes stay cheap under any load.
 
 * **writes funnel through one bounded ingest queue.**  ``POST /update``
   (every mutation: deletions, weight changes and insertions in one
@@ -591,18 +598,25 @@ class SparsifierHTTPServer:
                 except ValueError as exc:
                     raise ProtocolError(400, str(exc)) from exc
                 return {"version": snap.version, "on": on, "resistances": values}
+            self.metrics.observe_read(on_loop=False)
             return await self._run_query(many)
         u, v = _int_field(payload, "u"), _int_field(payload, "v")
 
-        def single() -> dict:
-            snap = self._snapshot_for(request)
+        def single(snap) -> dict:
             try:
                 value = snap.effective_resistance(u, v, on=on)
             except ValueError as exc:
                 raise ProtocolError(400, str(exc)) from exc
             return {"version": snap.version, "on": on, "u": u, "v": v,
                     "resistance": value}
-        return await self._run_query(single)
+        if "version" not in request.query:
+            snap = self._service.snapshot()  # the published epoch, lock-free
+            if snap.solver_ready(on):
+                # One solve costs less than the worker-thread round trip.
+                self.metrics.observe_read(on_loop=True)
+                return 200, single(snap), None
+        self.metrics.observe_read(on_loop=False)
+        return await self._run_query(lambda: single(self._snapshot_for(request)))
 
     async def _handle_solve(self, request: HttpRequest):
         payload = request.json()

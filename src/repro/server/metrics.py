@@ -13,6 +13,8 @@ Prometheus-shaped without the dependency:
   approximation: cheap, mergeable, and bounded error set by the bucket
   resolution);
 * per-endpoint status-code counters;
+* where ``POST /resistance`` reads were answered: on the event loop (the
+  published snapshot already held the solver) or on a worker thread;
 * point-in-time gauges (ingest-queue depth, epoch) merged in by the app at
   scrape time.
 
@@ -97,6 +99,8 @@ class ServerMetrics:
         self._statuses: Dict[str, Dict[str, int]] = {}
         self._rejected_writes = 0
         self._timeouts = 0
+        self._reads_on_loop = 0
+        self._reads_on_worker = 0
 
     def observe(self, endpoint: str, status: int, seconds: float) -> None:
         """Record one handled request (called once per response)."""
@@ -113,6 +117,14 @@ class ServerMetrics:
             elif status in (408, 504):
                 self._timeouts += 1
 
+    def observe_read(self, *, on_loop: bool) -> None:
+        """Count one ``POST /resistance`` read by where it is answered."""
+        with self._lock:
+            if on_loop:
+                self._reads_on_loop += 1
+            else:
+                self._reads_on_worker += 1
+
     def snapshot(self, **gauges) -> Dict:
         """JSON-ready scrape; keyword arguments land under ``"gauges"``."""
         with self._lock:
@@ -126,5 +138,7 @@ class ServerMetrics:
                 "requests_total": sum(h.count for h in self._latency.values()),
                 "rejected_writes_total": self._rejected_writes,
                 "timeouts_total": self._timeouts,
+                "reads_on_loop_total": self._reads_on_loop,
+                "reads_on_worker_total": self._reads_on_worker,
                 "gauges": dict(gauges),
             }

@@ -9,16 +9,25 @@ any embedding application) drives:
   internal lock serialises overlapping writers);
 * **many readers** — :meth:`snapshot` hands out the
   :class:`~repro.snapshot.SparsifierSnapshot` of the current version epoch.
-  The handout is O(1) (the snapshot per epoch is created once and cached) and
-  the lock is held only for the handout itself — every actual query
-  (resistance lookups, PCG solves, κ) runs lock-free against the immutable
-  snapshot, so readers never stall the update pipeline and vice versa.
+  The writer *publishes* each epoch it makes: at the end of :meth:`setup`,
+  :meth:`apply` and :meth:`refresh` (and at construction around a driver
+  that is already set up) it captures the epoch's snapshot under the write
+  lock it already holds.  The current-epoch handout reads that published
+  reference and takes no lock, so a reader never waits for a batch in
+  flight: it gets the last published epoch.  Every query (resistance
+  lookups, PCG solves, κ) then runs against the immutable snapshot.  Two
+  calls still take the write lock and so wait for a write in flight: a
+  versioned handout (``snapshot(version)``) and the retention and
+  accounting properties (:attr:`retained_versions`, :attr:`write_stats`).
 
-Snapshots of past epochs are retained in a bounded LRU (``max_snapshots``),
-so a slow reader can keep querying the epoch it started with while the writer
-races ahead.  Every snapshot the service captures solves through the same
-two :class:`~repro.spectral.solvers.SolverLineage` objects (one per graph):
-the retained epochs share one kept factorisation per graph, and each epoch's
+Published snapshots are retained in a bounded LRU (``max_snapshots``): the
+most recent epochs the writer made, read or not, plus any older one a
+versioned handout touched since.  A slow reader can keep querying the epoch
+it started with while the writer races ahead.
+
+Every snapshot the service publishes solves through the same two
+:class:`~repro.spectral.solvers.SolverLineage` objects (one per graph): the
+retained epochs share one kept factorisation per graph, and each epoch's
 first query corrects it for the edges that changed instead of factoring.
 Every write advances the lineages, so the epochs at which they factor again
 follow the write stream, not the epochs readers happened to ask for.
@@ -76,13 +85,16 @@ class SparsifierService:
         self._lock = threading.RLock()
         self._snapshots: "OrderedDict[int, SparsifierSnapshot]" = OrderedDict()
         self._max_snapshots = max_snapshots
+        #: The current epoch's snapshot; the writer replaces it under the
+        #: lock, readers read the reference without it.
+        self._published: Optional[SparsifierSnapshot] = None
         self._applied_batches = 0
         # Per-operation write accounting, surfaced by the HTTP front end's
         # /metrics endpoint: {kind: [count, seconds]}.
         self._write_stats: dict = {}
         self._lineages = fresh_lineages()
         if self._driver.latest_version:  # already set up, e.g. restored
-            self._advance_lineages()
+            self._publish()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -91,8 +103,9 @@ class SparsifierService:
     def driver(self) -> InGrassSparsifier:
         """The wrapped driver — for configuration and history introspection.
 
-        Treat it as read-only: route mutations through the service so the
-        write lock and snapshot cache stay coherent.
+        Treat it as read-only: route mutations through the service, which
+        publishes every epoch it makes; a mutation made on the driver itself
+        is never published.
         """
         return self._driver
 
@@ -109,7 +122,8 @@ class SparsifierService:
 
     @property
     def retained_versions(self) -> List[int]:
-        """Versions with a retained snapshot, oldest first."""
+        """Versions with a retained snapshot, least recently published or
+        handed out by version first; takes the write lock."""
         with self._lock:
             return list(self._snapshots.keys())
 
@@ -130,10 +144,21 @@ class SparsifierService:
         entry[0] += 1
         entry[1] += seconds
 
-    def _advance_lineages(self) -> None:
-        # Every version the writer makes, whether or not anyone reads it.
+    def _publish(self) -> None:
+        """Advance the lineages to the driver's epoch and publish its snapshot.
+
+        Called under the write lock for every version the writer makes,
+        whether or not anyone reads it.  The lineages' ``advance`` compacts
+        the edge arrays the capture then shares.
+        """
         self._lineages["graph"].advance(self._driver.graph)
         self._lineages["sparsifier"].advance(self._driver.sparsifier)
+        snap = SparsifierSnapshot.capture(self._driver, lineages=self._lineages)
+        # Versions only grow, so the new entry is the LRU's newest.
+        self._snapshots[snap.version] = snap
+        while len(self._snapshots) > self._max_snapshots:
+            self._snapshots.popitem(last=False)
+        self._published = snap
 
     # ------------------------------------------------------------------ #
     # Writer path
@@ -143,19 +168,19 @@ class SparsifierService:
         """Run the one-time setup phase (see :meth:`InGrassSparsifier.setup`)."""
         with self._lock:
             result = self._driver.setup(graph, sparsifier, **kwargs)
-            self._advance_lineages()
+            self._publish()
             return result
 
     def apply(self, batch: UpdateBatch) -> MixedUpdateResult:
         """Apply one update batch (insertions or a ``MixedBatch``) — the write path.
 
         See :meth:`InGrassSparsifier.apply_batch`; a rejected batch raises
-        before it changes anything and is not counted.
+        before it changes anything, is not counted and publishes nothing.
         """
         with self._lock:
             begin = time.perf_counter()
             result = self._driver.apply_batch(batch)
-            self._advance_lineages()
+            self._publish()
             self._record_write("update", time.perf_counter() - begin)
             self._applied_batches += 1
             return result
@@ -165,7 +190,7 @@ class SparsifierService:
         with self._lock:
             begin = time.perf_counter()
             result = self._driver.refresh_setup()
-            self._advance_lineages()
+            self._publish()
             self._record_write("refresh", time.perf_counter() - begin)
             return result
 
@@ -200,31 +225,28 @@ class SparsifierService:
     def snapshot(self, version: Optional[int] = None) -> SparsifierSnapshot:
         """Return the snapshot of the current epoch (or a retained past one).
 
-        The current epoch's snapshot is captured at most once and cached —
-        concurrent readers at the same epoch share one snapshot object (its
-        query caches, e.g. the sparsifier's solver, are thread-safe).
-        Passing ``version`` fetches a retained older epoch and raises
-        :class:`KeyError` when it has been evicted (or never captured).
+        Without ``version``, the snapshot the writer last published: one
+        object per epoch, shared by every reader of it (its query caches,
+        e.g. the sparsifier's solver, are thread-safe).  This handout takes
+        no lock, so it never waits for a write in flight; it answers the
+        epoch before that write until the write publishes.  Passing
+        ``version`` fetches a retained epoch under the write lock, so it
+        waits for a write in flight, and raises :class:`KeyError` when that
+        epoch has been evicted (or never made).
         """
-        with self._lock:
-            if version is not None:
-                snap = self._snapshots.get(version)
-                if snap is None:
-                    raise KeyError(
-                        f"no retained snapshot for version {version} "
-                        f"(retained: {list(self._snapshots.keys())})"
-                    )
-                self._snapshots.move_to_end(version)
-                return snap
-            current = self._driver.latest_version
-            snap = self._snapshots.get(current)
+        if version is None:
+            snap = self._published
             if snap is None:
-                snap = SparsifierSnapshot.capture(self._driver, lineages=self._lineages)
-                self._snapshots[current] = snap
-                while len(self._snapshots) > self._max_snapshots:
-                    self._snapshots.popitem(last=False)
-            else:
-                self._snapshots.move_to_end(current)
+                raise RuntimeError("call setup() before reading the service")
+            return snap
+        with self._lock:
+            snap = self._snapshots.get(version)
+            if snap is None:
+                raise KeyError(
+                    f"no retained snapshot for version {version} "
+                    f"(retained: {list(self._snapshots.keys())})"
+                )
+            self._snapshots.move_to_end(version)
             return snap
 
     def describe(self) -> dict:

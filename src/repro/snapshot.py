@@ -64,10 +64,11 @@ class SparsifierSnapshot:
     """An immutable, queryable view of a sparsifier at one version epoch.
 
     Build one through :meth:`InGrassSparsifier.snapshot` (or, preferably,
-    :meth:`repro.service.SparsifierService.snapshot`, which adds caching and
-    bounded retention).  All queries are thread-safe and run against the
-    captured epoch — the writer may keep mutating concurrently without
-    affecting any answer this snapshot returns.
+    :meth:`repro.service.SparsifierService.snapshot`, which hands out the one
+    snapshot its writer published per epoch and retains recent ones).  All
+    queries are thread-safe and run against the captured epoch — the writer
+    may keep mutating concurrently without affecting any answer this
+    snapshot returns.
     """
 
     def __init__(self, *, version: int, num_nodes: int,
@@ -203,6 +204,11 @@ class SparsifierSnapshot:
                     us, vs, ws = self._sparsifier_arrays
                     self._sparsifier = FrozenGraph.from_arrays(self._num_nodes, us, vs, ws)
         return self._sparsifier
+
+    def solver_ready(self, on: str = "sparsifier") -> bool:
+        """Whether the solver of graph ``on`` is built, so a resistance query
+        on it costs one solve: it takes no lock and factors nothing."""
+        return on in self._solvers
 
     def _solver(self, which: str) -> Solver:
         solver = self._solvers.get(which)

@@ -111,17 +111,6 @@ class _GroundedSystem:
         x[1:] = self.solve_reduced(b[1:])
         return project_out_constant(x)
 
-    def solve_many(self, b_matrix: np.ndarray) -> np.ndarray:
-        """Solve for every column of ``b_matrix``; returns a matrix of solutions."""
-        b_matrix = np.asarray(b_matrix, dtype=float)
-        if b_matrix.ndim == 1:
-            return self.solve(b_matrix)
-        return np.column_stack([self.solve(b_matrix[:, j]) for j in range(b_matrix.shape[1])])
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        """Expose the pseudo-inverse action as a scipy ``LinearOperator``."""
-        return spla.LinearOperator(self.shape, matvec=self.solve, dtype=float)
-
 
 class GroundedSolver(_GroundedSystem):
     """Direct solver for ``L x = b`` on a connected graph via grounding.

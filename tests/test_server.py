@@ -389,8 +389,8 @@ class TestWritePath:
     def test_version_pinned_reads_survive_writes(self, scenario):
         service = fresh_service(scenario)
         with running_server(service) as (_, client):
-            # An unpinned read captures (and retains) the epoch-1 snapshot;
-            # pinned reads can then address it by version after writes land.
+            # Setup published (and retains) the epoch-1 snapshot; pinned
+            # reads can address it by version after writes land.
             before = sparsifier_edges(client)
             client.update_batch(scenario.batches[0])
             pinned = sparsifier_edges(client, version=1)
@@ -494,6 +494,77 @@ class TestConcurrentReaders:
         snap = offline.snapshot()
         us, vs, ws = snap.sparsifier_arrays()
         assert final == [[int(u), int(v), float(w)] for u, v, w in zip(us, vs, ws)]
+
+
+# --------------------------------------------------------------------------- #
+# Reads on the event loop
+# --------------------------------------------------------------------------- #
+class TestLoopReads:
+    """A single-pair read at the current epoch answers on the event loop once
+    the published snapshot holds its solver; every other read takes a worker
+    thread."""
+
+    def test_held_write_stalls_neither_reads_nor_health(self, scenario, monkeypatch):
+        service = fresh_service(scenario)
+        entered, release = threading.Event(), threading.Event()
+        apply_batch = service.driver.apply_batch
+
+        def held(batch):
+            entered.set()
+            release.wait(timeout=60.0)
+            return apply_batch(batch)
+
+        monkeypatch.setattr(service.driver, "apply_batch", held)
+        written: list = []
+        with running_server(service) as (server, client):
+            warm = client.resistance(0, 7)  # builds the current epoch's solver
+            with connect(port=server.port) as write_client, \
+                    connect(port=server.port, timeout=1.0) as quick:
+                writer = threading.Thread(target=lambda: written.append(
+                    write_client.update_batch(scenario.batches[0])))
+                writer.start()
+                try:
+                    assert entered.wait(timeout=10.0)
+                    # The write holds the service lock mid-apply; each answer
+                    # must still come within the 1 s socket timeout.
+                    during = quick.resistance(0, 7)
+                    health = quick.health()
+                finally:
+                    release.set()
+                    writer.join(timeout=60.0)
+            assert not writer.is_alive()
+            assert during == warm
+            assert health["version"] == warm["version"]
+            assert written and written[0]["applied"] is True
+            after = client.resistance(0, 7)
+        assert after["version"] == warm["version"] + 1
+
+    @pytest.mark.parametrize("on", ["sparsifier", "graph"])
+    def test_worker_loop_and_in_process_answers_are_one_float(self, scenario, on):
+        service = fresh_service(scenario)
+        with running_server(service) as (_, client):
+            client.update_batch(scenario.batches[0])
+            first = client.resistance(0, 9, on=on)  # builds the solver on a worker
+            again = client.resistance(0, 9, on=on)  # answered on the loop
+            metrics = client.metrics()
+        snap = service.snapshot()
+        assert first["version"] == again["version"] == snap.version
+        assert first["resistance"] == again["resistance"] == snap.effective_resistance(0, 9, on=on)
+        assert (metrics["reads_on_worker_total"], metrics["reads_on_loop_total"]) == (1, 1)
+
+    def test_metrics_count_reads_by_where_they_answer(self, scenario):
+        with running_server(fresh_service(scenario)) as (_, client):
+            version = client.update_batch(scenario.batches[0])["version"]
+            for _ in range(3):
+                client.resistance(0, 9)
+            metrics = client.metrics()
+            assert (metrics["reads_on_loop_total"], metrics["reads_on_worker_total"]) == (2, 1)
+            # With the solver built, pair lists and versioned reads still
+            # take a worker thread.
+            client.resistance_many([(0, 9), (1, 2)])
+            client.resistance(0, 9, version=version)
+            metrics = client.metrics()
+        assert (metrics["reads_on_loop_total"], metrics["reads_on_worker_total"]) == (2, 3)
 
 
 # --------------------------------------------------------------------------- #

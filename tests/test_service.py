@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from repro.core import InGrassConfig
-from repro.graphs import grid_circuit_2d
+from repro.graphs import GraphValidationError, grid_circuit_2d
 from repro.service import SparsifierService
 from repro.spectral.solvers import GroundedSolver
 from repro.streams import DynamicScenarioConfig, MixedBatch, build_churn_scenario
@@ -97,6 +97,55 @@ class TestServiceBasics:
         service.refresh()
         assert service.latest_version == version + 2
         assert service.applied_batches == 1
+
+    def test_every_write_publishes_its_epoch(self):
+        scenario = _make_scenario()
+        service = _service_for(scenario, max_snapshots=3)
+        for batch in scenario.batches[:4]:
+            service.apply(batch)
+        # Retained whether or not anyone read them: the last three written.
+        assert service.retained_versions == [3, 4, 5]
+        assert service.snapshot().version == 5
+        assert service.snapshot(3).version == 3
+
+    def test_rejected_batch_keeps_the_published_epoch(self):
+        scenario = _make_scenario()
+        service = _service_for(scenario)
+        published = service.snapshot()
+        with pytest.raises(GraphValidationError):
+            service.apply(MixedBatch(insertions=[(0, 10**6, 1.0)]))
+        assert service.snapshot() is published
+        assert service.retained_versions == [published.version]
+
+    def test_snapshot_before_setup_raises(self):
+        with pytest.raises(RuntimeError):
+            SparsifierService(InGrassConfig()).snapshot()
+
+    def test_handout_does_not_wait_for_a_write_in_flight(self, monkeypatch):
+        scenario = _make_scenario()
+        service = _service_for(scenario)
+        before = service.snapshot()
+        entered, release = threading.Event(), threading.Event()
+        apply_batch = service.driver.apply_batch
+
+        def held(batch):
+            entered.set()
+            release.wait(timeout=60.0)
+            return apply_batch(batch)
+
+        monkeypatch.setattr(service.driver, "apply_batch", held)
+        writer = threading.Thread(target=service.apply, args=(scenario.batches[0],))
+        writer.start()
+        try:
+            assert entered.wait(timeout=10.0)
+            # The writer holds the lock mid-apply: the handout is the last
+            # published epoch, not a wait for this one.
+            assert service.snapshot() is before
+        finally:
+            release.set()
+            writer.join(timeout=60.0)
+        assert not writer.is_alive()
+        assert service.snapshot().version == before.version + 1
 
     def test_describe_round_trips(self):
         scenario = _make_scenario()

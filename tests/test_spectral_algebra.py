@@ -64,12 +64,6 @@ class TestGroundedSolver:
         assert np.linalg.norm(residual) < 1e-6 * max(np.linalg.norm(b), 1.0)
         assert abs(x.mean()) < 1e-9
 
-    def test_solve_many(self, small_grid, rng):
-        solver = GroundedSolver.from_graph(small_grid)
-        b = rng.standard_normal((small_grid.num_nodes, 3))
-        x = solver.solve_many(b)
-        assert x.shape == b.shape
-
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
             GroundedSolver.from_graph(Graph(1))
@@ -78,12 +72,6 @@ class TestGroundedSolver:
         solver = GroundedSolver.from_graph(small_grid)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(3))
-
-    def test_linear_operator(self, small_grid, rng):
-        solver = GroundedSolver.from_graph(small_grid)
-        op = solver.as_linear_operator()
-        b = rng.standard_normal(small_grid.num_nodes)
-        assert np.allclose(op.matvec(b), solver.solve(b))
 
 
 class TestConjugateGradient:
