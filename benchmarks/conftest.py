@@ -1,9 +1,9 @@
-"""Shared fixtures for the pytest-benchmark drivers.
+"""Shared fixtures for the tests under ``benchmarks/``.
 
-Every benchmark works on the *small* scale of the dataset registry so that a
-full ``pytest benchmarks/ --benchmark-only`` run finishes in minutes on a
-laptop.  The standalone CLI scripts (``python -m repro bench table2`` etc.)
-run the same protocols on more and larger cases.
+Every test works on the *small* scale of the dataset registry so that a
+full ``pytest benchmarks`` run finishes in about a minute on a laptop.  The
+standalone CLI scripts (``python -m repro bench table2`` etc.) run the same
+protocols on more and larger cases.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.streams import (
     build_scenario,
 )
 
-#: Harness configuration used across the benchmark drivers.
+#: Harness configuration used across the benchmark tests.
 BENCH_CONFIG = HarnessConfig(scale="small", seed=0, condition_dense_limit=500)
 
 #: The single representative case used where one graph suffices.

@@ -16,13 +16,9 @@ GROWTH_FACTORS = [1.5, 2.0, 4.0]
 
 
 @pytest.mark.parametrize("growth", GROWTH_FACTORS)
-def test_lrd_decomposition_time(benchmark, primary_sparsifier, growth):
-    """Time the multilevel LRD decomposition for different growth factors."""
-
-    def run():
-        return lrd_decompose(primary_sparsifier, LRDConfig(growth_factor=growth, seed=0))
-
-    hierarchy = benchmark.pedantic(run, iterations=1, rounds=2)
+def test_lrd_decomposition_time(primary_sparsifier, growth):
+    """The multilevel LRD decomposition ends in one cluster for every growth factor."""
+    hierarchy = lrd_decompose(primary_sparsifier, LRDConfig(growth_factor=growth, seed=0))
     assert hierarchy.levels[-1].num_clusters == 1
 
 

@@ -1,23 +1,89 @@
-"""Benchmark driver for the grouped batch filter of the update path.
+"""Batch-scaling checks for the grouped batch filter of the update path.
 
-Times :func:`repro.core.run_update` with the grouped batch filter
-(``vectorized``) and with the per-edge reference filter (``scalar``) at
-growing batch sizes, and asserts the headline property of the grouped
-filter: a large streamed batch is filtered several times faster per edge
-with an *identical* resulting sparsifier edge set.
-Run the full sweep (10² – 10⁵ edges), which writes ``BENCH_batch.json`` and
-checks that both filters leave identical edge sets at every size, with
-``python -m repro bench batch``.
+Runs :func:`repro.core.run_update` with the grouped batch filter
+(``vectorized``, the update path's engine) and with the per-edge reference
+filter (``scalar``) at batch sizes from 10² to 10⁵ edges.  Both must leave
+an *identical* sparsifier edge set at every size, and the grouped filter
+must stay several times faster per edge on a large batch, without its
+per-edge cost growing with the batch.  The two timing checks have wide
+margins: they catch complexity blow-ups, which perfbench's small batches
+cannot see.  Timing verdicts come from ``python -m repro bench compare``.
+
+Timing suspends the cyclic garbage collector (as :mod:`timeit` does): the
+update path allocates one decision record per edge, and GC pauses at 10⁵
+objects would otherwise dominate the signal being measured.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
+import time
+from typing import Sequence
+
 import pytest
 
-from repro.bench.batch import TARGET_CONDITION, _timed_update
-from repro.core import InGrassConfig, LRDConfig, run_setup
+from repro.core import (
+    HierarchyMaintainer,
+    InGrassConfig,
+    LRDConfig,
+    SimilarityFilter,
+    run_setup,
+    run_update,
+)
+from repro.core.hierarchy import ClusterHierarchy
+from repro.graphs import Graph
 from repro.sparsify import GrassConfig, GrassSparsifier
 from repro.streams import mixed_edges
+
+#: Target condition number handed to filtering-level selection; the cost per
+#: edge is insensitive to the exact value, it only has to be fixed.
+TARGET_CONDITION = 64.0
+
+CONFIG = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
+
+#: Rebuild mode isolates the batch insertion engine: maintain mode would add
+#: the same hierarchy splice work to both filters and dilute their difference.
+REBUILD = InGrassConfig(lrd=LRDConfig(seed=0), hierarchy_mode="rebuild", seed=0)
+
+
+class _ReferenceFilter(SimilarityFilter):
+    """Routes :func:`run_update`'s filter stage through the per-edge reference."""
+
+    def apply_batch(self, batch):
+        return self.apply(batch)
+
+
+def _timed_update(sparsifier: Graph, hierarchy: ClusterHierarchy, stream: Sequence,
+                  config: InGrassConfig,
+                  filtering_level: int, *, reference: bool = False,
+                  ) -> tuple[float, Graph, object]:
+    """One run_update call on a fresh sparsifier copy; returns (seconds, H, result).
+
+    ``reference`` swaps the grouped batch filter for the per-edge reference
+    loop.  In ``hierarchy_mode="maintain"`` a maintainer fuses clusters after
+    the batch, as the driver's does, and the timing includes those merges.
+    They mutate the hierarchy in place, so it is deep-copied first: repeated
+    timings, and the filters being compared, start from identical state.
+    """
+    hierarchy = copy.deepcopy(hierarchy)
+    working = sparsifier.copy()
+    filter_class = _ReferenceFilter if reference else SimilarityFilter
+    similarity_filter = filter_class(working, hierarchy, filtering_level)
+    maintainer = (HierarchyMaintainer(hierarchy, working, lrd_config=config.lrd)
+                  if config.hierarchy_mode == "maintain" else None)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = run_update(working, stream, config,
+                            similarity_filter=similarity_filter, maintainer=maintainer)
+        elapsed = time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
+    return elapsed, working, result
 
 
 @pytest.fixture(scope="module")
@@ -27,52 +93,55 @@ def batch_setup(request):
     grass = GrassSparsifier(GrassConfig(target_offtree_density=0.10,
                                         tree_method="shortest_path", seed=0))
     sparsifier = grass.sparsify(primary_graph, evaluate_condition=False).sparsifier
-    config = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
-    hierarchy = run_setup(sparsifier.copy(), config).hierarchy
-    level = hierarchy.filtering_level_for_condition(TARGET_CONDITION, config.filtering_size_divisor)
+    hierarchy = run_setup(sparsifier.copy(), CONFIG).hierarchy
+    level = hierarchy.filtering_level_for_condition(TARGET_CONDITION, CONFIG.filtering_size_divisor)
     return primary_graph, sparsifier, hierarchy, level
-
-
-CONFIG = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
-def test_update_batch_2000(benchmark, batch_setup, mode):
-    """Time one 2000-edge update batch under each filter (CI smoke subset)."""
+def test_update_batch_2000(batch_setup, mode):
+    """One 2000-edge update batch under each filter (CI smoke subset)."""
     graph, sparsifier, hierarchy, level = batch_setup
     stream = mixed_edges(graph, 2000, long_range_fraction=0.5, seed=5)
-
-    def run():
-        return _timed_update(sparsifier, hierarchy, stream, CONFIG, level,
-                             reference=mode == "scalar")
-
-    _, working, result = benchmark.pedantic(run, iterations=1, rounds=3)
+    _, working, result = _timed_update(sparsifier, hierarchy, stream, CONFIG, level,
+                                       reference=mode == "scalar")
     assert result.summary.total == len(stream)
     assert working.num_edges >= sparsifier.num_edges
+
+
+@pytest.mark.parametrize("size", [100, 1000, 10_000, 100_000])
+def test_filters_leave_identical_edge_sets(batch_setup, size):
+    """Both filters leave the same sparsifier edge set at every batch size.
+
+    Each size streams its own half long-range, half locality-biased batch
+    (stream seed = size) into a fresh copy of the initial sparsifier.
+    """
+    graph, sparsifier, hierarchy, level = batch_setup
+    stream = mixed_edges(graph, size, long_range_fraction=0.5, seed=size)
+    scalar, vectorized = (
+        set(_timed_update(sparsifier, hierarchy, stream, REBUILD, level,
+                          reference=reference)[1].edges())
+        for reference in (True, False))
+    assert scalar == vectorized
 
 
 @pytest.mark.smoke
 def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     """The acceptance property at the 10⁴-edge batch size.
 
-    ``python -m repro bench batch`` read 3.8x at 10⁴ edges on a 2-CPU
-    host; the bound here is 2x so a loaded CI machine cannot flake the
-    tier-1 suite.  Timing regressions are judged end to end by
-    ``python -m repro bench compare`` in CI's ``bench-compare`` job, not
-    here.  Pinned to rebuild mode, like
-    ``python -m repro bench batch``: maintain mode adds the same hierarchy
-    splice work to both arms, which dilutes the ratio this test measures.
+    The grouped filter read about 3.8x the per-edge reference's speed at
+    10⁴ edges on a 2-CPU host; the bound here is 2x so a loaded CI machine
+    cannot flake the tier-1 suite.
     """
     graph, sparsifier, hierarchy, level = batch_setup
     stream = mixed_edges(graph, 10_000, long_range_fraction=0.5, seed=7)
-    config = InGrassConfig(lrd=LRDConfig(seed=0), hierarchy_mode="rebuild", seed=0)
     seconds = {}
     edge_sets = {}
     for mode in ("scalar", "vectorized"):
         best = float("inf")
         for _ in range(2):
-            elapsed, working, _ = _timed_update(sparsifier, hierarchy, stream, config, level,
+            elapsed, working, _ = _timed_update(sparsifier, hierarchy, stream, REBUILD, level,
                                                 reference=mode == "scalar")
             best = min(best, elapsed)
         seconds[mode] = best

@@ -6,9 +6,8 @@ the churn scenario mixes >=30% deletions into the 10-iteration stream and the
 acceptance bar is that the maintained sparsifier stays connected and within
 2x the target condition number at *every* iteration.
 
-The pytest-benchmark entry times the full dynamic maintenance pass (setup
-excluded — it is the same one-time cost Table I measures); the plain test
-asserts the quality trajectory.  Regenerate the full table with
+One test streams the full dynamic maintenance pass; another asserts the
+quality trajectory.  Regenerate the full table with
 ``python -m repro bench churn``.
 """
 
@@ -31,18 +30,13 @@ def _dynamic_config(bench_config):
 
 
 @pytest.mark.smoke
-def test_churn_ten_iteration_updates(benchmark, churn_scenario, bench_config):
-    """Time the dynamic side: setup once, then stream all ten mixed batches."""
-
-    def run():
-        ingrass = InGrassSparsifier(_dynamic_config(bench_config))
-        ingrass.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
-                      target_condition_number=churn_scenario.initial_condition_number)
-        for batch in churn_scenario.batches:
-            ingrass.apply_batch(batch)
-        return ingrass
-
-    ingrass = benchmark.pedantic(run, iterations=1, rounds=3)
+def test_churn_ten_iteration_updates(churn_scenario, bench_config):
+    """The dynamic side: setup once, then stream all ten mixed batches."""
+    ingrass = InGrassSparsifier(_dynamic_config(bench_config))
+    ingrass.setup(churn_scenario.graph, churn_scenario.initial_sparsifier,
+                  target_condition_number=churn_scenario.initial_condition_number)
+    for batch in churn_scenario.batches:
+        ingrass.apply_batch(batch)
     assert len(ingrass.history) == len(churn_scenario.batches)
 
 

@@ -5,9 +5,9 @@ update iterations for GRASS re-run from scratch, for the inGRASS update phase
 alone, and for inGRASS updates plus its one-time setup, across growing graphs;
 inGRASS stays >200x faster and the gap widens with size.
 
-The benchmark times the inGRASS update pass at two graph sizes (the scaling
-series), and the plain test asserts that the speedup does not shrink as the
-graph grows.  Regenerate the full figure data with
+One test runs the inGRASS update pass at two graph sizes (the scaling
+series); another asserts that the speedup does not shrink as the graph
+grows.  Regenerate the full figure data with
 ``python -m repro bench figure4``.
 """
 
@@ -24,20 +24,15 @@ SIZE_CASES = ["delaunay_n10", "delaunay_n11"]
 
 
 @pytest.mark.parametrize("case", SIZE_CASES)
-def test_ingrass_update_scaling(benchmark, case, bench_config):
-    """Time the full inGRASS update pass as the graph size doubles."""
+def test_ingrass_update_scaling(case, bench_config):
+    """The full inGRASS update pass runs as the graph size doubles."""
     graph = build_dataset(case, scale="small", seed=0)
     scenario = build_scenario(graph, _scenario_config(bench_config))
-
-    def run():
-        ingrass = InGrassSparsifier(InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
-        ingrass.setup(scenario.graph, scenario.initial_sparsifier,
-                      target_condition_number=scenario.initial_condition_number)
-        for batch in scenario.batches:
-            ingrass.apply_batch(batch)
-        return ingrass
-
-    ingrass = benchmark.pedantic(run, iterations=1, rounds=2)
+    ingrass = InGrassSparsifier(InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
+    ingrass.setup(scenario.graph, scenario.initial_sparsifier,
+                  target_condition_number=scenario.initial_condition_number)
+    for batch in scenario.batches:
+        ingrass.apply_batch(batch)
     assert len(ingrass.history) == len(scenario.batches)
 
 

@@ -23,29 +23,20 @@ def _grass_config() -> GrassConfig:
 
 
 @pytest.mark.parametrize("case", QUICK_CASES)
-def test_grass_from_scratch_time(benchmark, case):
-    """Time one GRASS-style sparsification of the original graph (Table I, 'GRASS')."""
+def test_grass_from_scratch_time(case):
+    """One GRASS-style sparsification of the original graph (Table I, 'GRASS')."""
     graph = build_dataset(case, scale="small", seed=0)
-
-    def run():
-        return GrassSparsifier(_grass_config()).sparsify(graph, evaluate_condition=False)
-
-    result = benchmark(run)
+    result = GrassSparsifier(_grass_config()).sparsify(graph, evaluate_condition=False)
     assert result.sparsifier.num_edges >= graph.num_nodes - 1
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("case", QUICK_CASES)
-def test_ingrass_setup_time(benchmark, case):
-    """Time the inGRASS setup phase on the initial sparsifier (Table I, 'Setup')."""
+def test_ingrass_setup_time(case):
+    """The inGRASS setup phase on the initial sparsifier (Table I, 'Setup')."""
     graph = build_dataset(case, scale="small", seed=0)
     sparsifier = GrassSparsifier(_grass_config()).sparsify(graph, evaluate_condition=False).sparsifier
-    config = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
-
-    def run():
-        return run_setup(sparsifier.copy(), config)
-
-    setup = benchmark(run)
+    setup = run_setup(sparsifier.copy(), InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
     assert setup.hierarchy.num_levels >= 1
 
 

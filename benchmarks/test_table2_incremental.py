@@ -5,10 +5,10 @@ needs to restore the initial condition number after ten batches of edge
 insertions (GRASS-D / inGRASS-D / Random-D) and the total runtime of the ten
 iterations (GRASS-T / inGRASS-T), with speedups of 70-220x for inGRASS.
 
-The pytest-benchmark entries below time the two sides of the speedup ratio —
-one full GRASS re-sparsification versus one full inGRASS update pass over the
-same stream — and the plain test asserts the qualitative shape.  Regenerate
-the full table with ``python -m repro bench table2``.
+Two tests below run the two sides of the speedup ratio — one full GRASS
+re-sparsification and one full inGRASS update pass over the same stream —
+and a third asserts the qualitative shape.  Regenerate the full table with
+``python -m repro bench table2``.
 """
 
 from __future__ import annotations
@@ -21,35 +21,26 @@ from repro.sparsify import GrassConfig, GrassSparsifier, offtree_density
 
 
 @pytest.mark.smoke
-def test_ingrass_ten_iteration_updates(benchmark, primary_scenario):
-    """Time the inGRASS side: setup once, then stream all ten batches (Table II, 'inGRASS-T')."""
-
-    def run():
-        ingrass = InGrassSparsifier(InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
-        ingrass.setup(primary_scenario.graph, primary_scenario.initial_sparsifier,
-                      target_condition_number=primary_scenario.initial_condition_number)
-        for batch in primary_scenario.batches:
-            ingrass.apply_batch(batch)
-        return ingrass
-
-    ingrass = benchmark(run)
+def test_ingrass_ten_iteration_updates(primary_scenario):
+    """The inGRASS side: setup once, then stream all ten batches (Table II, 'inGRASS-T')."""
+    ingrass = InGrassSparsifier(InGrassConfig(lrd=LRDConfig(seed=0), seed=0))
+    ingrass.setup(primary_scenario.graph, primary_scenario.initial_sparsifier,
+                  target_condition_number=primary_scenario.initial_condition_number)
+    for batch in primary_scenario.batches:
+        ingrass.apply_batch(batch)
     assert len(ingrass.history) == len(primary_scenario.batches)
 
 
-def test_grass_single_rerun_from_scratch(benchmark, primary_scenario, bench_config):
-    """Time one GRASS re-sparsification of the fully updated graph (one of the
+def test_grass_single_rerun_from_scratch(primary_scenario, bench_config):
+    """One GRASS re-sparsification of the fully updated graph (one of the
     ten from-scratch runs that make up Table II's 'GRASS-T')."""
-    final_graph = primary_scenario.final_graph
-    target = primary_scenario.initial_condition_number
-
-    def run():
-        sparsifier = GrassSparsifier(
-            GrassConfig(tree_method="shortest_path", condition_dense_limit=bench_config.condition_dense_limit,
-                        seed=0)
-        )
-        return sparsifier.sparsify_to_condition(final_graph, target, max_density=1.0)
-
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    sparsifier = GrassSparsifier(
+        GrassConfig(tree_method="shortest_path", condition_dense_limit=bench_config.condition_dense_limit,
+                    seed=0)
+    )
+    result = sparsifier.sparsify_to_condition(primary_scenario.final_graph,
+                                              primary_scenario.initial_condition_number,
+                                              max_density=1.0)
     assert result.condition_number is not None
 
 

@@ -17,5 +17,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
-    extras_require={"dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"]},
+    extras_require={"dev": ["pytest>=7.0", "hypothesis>=6.0"]},
 )

@@ -149,7 +149,7 @@ DATASETS: Dict[str, DatasetSpec] = {
     ]
 }
 
-#: Subset used by the pytest-benchmark drivers (kept small so CI stays fast).
+#: Subset used by the tests under ``benchmarks/`` (kept small so CI stays fast).
 QUICK_CASES: List[str] = ["g2_circuit", "fe_4elt2", "delaunay_n10", "social_ws"]
 
 #: Cases used for the full standalone table reproductions.

@@ -3,8 +3,8 @@
 Each ``run_*`` function reproduces the protocol behind one artefact of the
 paper's evaluation section and returns structured records; the CLI wrappers in
 ``table1.py`` / ``table2.py`` / ``table3.py`` / ``figure4.py`` print them in
-the paper's layout, and the pytest-benchmark drivers under ``benchmarks/``
-time the underlying building blocks.
+the paper's layout, and the tests under ``benchmarks/`` assert the
+artefacts' qualitative shapes on small cases.
 """
 
 from __future__ import annotations

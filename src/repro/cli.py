@@ -21,10 +21,8 @@ from typing import Callable, Dict, List, Optional
 _BENCH_MODULES: Dict[str, str] = {
     "churn": "repro.bench.churn",
     "soak": "repro.bench.soak",
-    "batch": "repro.bench.batch",
     "churn-maintenance": "repro.bench.churn_maintenance",
     "compare": "repro.bench.compare",
-    "serve-latency": "repro.bench.serve_latency",
     "table1": "repro.bench.table1",
     "table2": "repro.bench.table2",
     "table3": "repro.bench.table3",

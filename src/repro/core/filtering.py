@@ -454,7 +454,7 @@ class SimilarityFilter:
         Walks the distortion-sorted batch edge by edge, mutating the
         sparsifier after every decision.  The update path runs
         :meth:`apply_batch`; this loop is the oracle the equivalence tests
-        and the ``batch`` bench compare it against.
+        compare it against.
         """
         decisions: List[FilterDecision] = []
         summary = FilterSummary()

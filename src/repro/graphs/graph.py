@@ -676,16 +676,6 @@ class Graph:
                     ws.append(weight)
         return Graph.from_arrays(len(nodes), us, vs, ws)
 
-    def subgraph_from_edges(self, edges: Iterable[Edge]) -> "Graph":
-        """Return a graph on the same node set containing only ``edges``.
-
-        Edge weights are taken from this graph; unknown edges raise.
-        """
-        sub = Graph(self._num_nodes)
-        for u, v in edges:
-            sub.add_edge(u, v, self.weight(u, v), merge="error")
-        return sub
-
     def union_with_edges(self, edges: Iterable[WeightedEdge], merge: str = "add") -> "Graph":
         """Return a copy of this graph with extra weighted edges merged in."""
         merged = self.copy()
@@ -717,22 +707,6 @@ class Graph:
                 continue
             weight = float(data.get(weight_key, default_weight))
             graph.add_edge(index[u], index[v], weight, merge="add")
-        return graph
-
-    @classmethod
-    def from_sparse(cls, matrix: sp.spmatrix) -> "Graph":
-        """Build a graph from a symmetric sparse adjacency (or Laplacian) matrix.
-
-        Off-diagonal entries are interpreted as adjacency weights using their
-        absolute value, so both adjacency matrices and Laplacians are accepted.
-        """
-        matrix = sp.coo_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        graph = cls(matrix.shape[0])
-        for i, j, value in zip(matrix.row, matrix.col, matrix.data):
-            if i < j and value != 0.0:
-                graph.add_edge(int(i), int(j), abs(float(value)), merge="replace")
         return graph
 
     # ------------------------------------------------------------------ #

@@ -200,9 +200,9 @@ class SparsifierHTTPServer:
 
     Lifecycle: either :meth:`serve_forever` (blocking, current thread — what
     :func:`serve` and the ``repro serve`` CLI use) or :meth:`start` /
-    :meth:`stop` (background thread with its own event loop — what tests and
-    ``python -m repro bench serve-latency`` use).  ``config.port=0`` binds an ephemeral port,
-    published as :attr:`port` once the listener is up.
+    :meth:`stop` (background thread with its own event loop — what the tests
+    use).  ``config.port=0`` binds an ephemeral port, published as
+    :attr:`port` once the listener is up.
     """
 
     def __init__(self, service: SparsifierService,

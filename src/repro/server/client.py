@@ -3,9 +3,9 @@
 :func:`repro.api.connect` returns a :class:`SparsifierClient`: a thin,
 dependency-free wrapper over :class:`http.client.HTTPConnection` with one
 method per endpoint and the server's JSON wire schema decoded for you.
-It is what ``python -m repro bench serve-latency``, the repo benchmark's
-``serve-mixed`` workload, the CI smoke job and the tests drive the server
-with, and the reference for writing a client in any other stack.
+It is what the repo benchmark's ``serve-mixed`` workload, the CI smoke job
+and the tests drive the server with, and the reference for writing a
+client in any other stack.
 
 Error contract: non-2xx responses raise :class:`ServerRequestError` carrying
 ``status`` and the decoded error ``payload`` — except 202 (write accepted
@@ -178,11 +178,6 @@ class SparsifierClient:
             payload["weight_changes"] = [[int(u), int(v), float(d)]
                                          for u, v, d in weight_changes]
         return self._call("POST", "/update", payload)
-
-    def update_batch(self, batch) -> dict:
-        """Submit a :class:`~repro.streams.edge_stream.MixedBatch` as-is."""
-        return self.update(insertions=batch.insertions, deletions=batch.deletions,
-                           weight_changes=batch.weight_changes)
 
     def checkpoint(self, path: Optional[str] = None) -> dict:
         payload = {"path": str(path)} if path is not None else {}

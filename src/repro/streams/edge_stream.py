@@ -154,58 +154,6 @@ class MixedBatch:
     def __bool__(self) -> bool:
         return self.num_events > 0
 
-    @classmethod
-    def from_events(cls, events: Sequence[StreamEvent]) -> "MixedBatch":
-        """Bundle a flat event list into a batch (order within kind preserved).
-
-        Because a batch applies its deletions before its insertions,
-        delete-then-insert of the same edge (a switch swap: remove the old
-        strap, wire a replacement) is represented faithfully — but an
-        *insertion followed by a deletion* of the same edge would be silently
-        reordered, so such lists are rejected; split them across two batches
-        instead.  The same applies to weight changes: re-weighting an edge
-        deleted or inserted earlier in the list cannot survive the batch's
-        fixed application order and is rejected.
-        """
-        batch = cls()
-        inserted: Set[Edge] = set()
-        deleted: Set[Edge] = set()
-        reweighted: Set[Edge] = set()
-        for event in events:
-            if isinstance(event, DeletionEvent):
-                if event.edge in inserted:
-                    raise ValueError(
-                        f"edge {event.edge} is inserted and then deleted within one event "
-                        "list; a MixedBatch applies deletions before insertions and cannot "
-                        "preserve that interleaving — split the events across two batches"
-                    )
-                if event.edge in reweighted:
-                    raise ValueError(
-                        f"edge {event.edge} is re-weighted and then deleted within one "
-                        "event list; a MixedBatch applies deletions before weight changes "
-                        "and cannot preserve that interleaving — split the events across "
-                        "two batches"
-                    )
-                batch.deletions.append(event.edge)
-                deleted.add(event.edge)
-            elif isinstance(event, WeightChangeEvent):
-                key = canonical_edge(event.u, event.v)
-                if key in deleted or key in inserted:
-                    raise ValueError(
-                        f"edge {key} is deleted/inserted and then re-weighted within one "
-                        "event list; a MixedBatch applies weight changes between deletions "
-                        "and insertions — split the events across two batches"
-                    )
-                batch.weight_changes.append(event.edge)
-                reweighted.add(key)
-            elif isinstance(event, InsertionEvent):
-                key = canonical_edge(event.u, event.v)
-                batch.insertions.append(event.edge)
-                inserted.add(key)
-            else:
-                raise TypeError(f"unknown stream event {event!r}")
-        return batch
-
 
 def _weight_sampler(graph: Graph, rng: np.random.Generator):
     """Return a callable drawing weights log-uniformly from the graph's range."""

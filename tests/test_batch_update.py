@@ -9,7 +9,8 @@ differ only in floating-point association) on every workload — random
 streams, locality-biased streams, threshold cuts and full mixed
 insert/delete scenarios.  The array scoring kernels are checked against
 per-pair and list-based references.  ``scalar`` names the per-edge
-reference run and ``vectorized`` the engine run, as in the ``batch`` bench.
+reference run and ``vectorized`` the engine run, as in
+``benchmarks/test_batch_scaling.py``.
 """
 
 from __future__ import annotations

@@ -8,11 +8,9 @@ import json
 import pytest
 
 from repro.bench import (
-    batch,
     churn,
     churn_maintenance,
     figure4,
-    serve_latency,
     soak,
     table1,
     table2,
@@ -113,74 +111,12 @@ class TestCliMains:
         assert "social_ws" in row and f" {InGrassConfig().hierarchy_mode} " in row
 
 
-def _serve_payload():
-    return {
-        "latency": {"queries": 500, "errors": 0},
-        "restart": {"mid_epoch": 7, "resumed_epoch": 7, "resume_epoch_match": True},
-        "parity": {"final_epoch": 13, "offline_epoch": 13, "epoch_match": True,
-                   "sparsifier_edges_match": True, "sparsifier_weights_match": True,
-                   "graph_edges_match": True},
-    }
-
-
 def _churn_payload():
     mode = {"full_resetups": 0, "kappa_final": 40.0, "stayed_connected": True}
     pair = {"maintain": dict(mode), "rebuild": {**mode, "full_resetups": 5}, "ratio": 1.05}
     return {"results": {"maintain": {**mode, "per_event_ratio": 1.05, "per_event_ratio_iqr": 0.02},
                         "rebuild": {**mode, "full_resetups": 5}},
             "pairs": [copy.deepcopy(pair) for _ in range(3)]}
-
-
-def _batch_payload():
-    return {"results": [{"batch_size": 100, "edge_sets_match": True},
-                        {"batch_size": 1000, "edge_sets_match": True}]}
-
-
-class TestServeLatencyGate:
-    """``bench serve-latency``'s exit status: each check, violated alone, fails."""
-
-    @staticmethod
-    def _only_failure(payload):
-        failures = serve_latency.gate_failures(payload)
-        assert len(failures) == 1, failures
-        return failures[0]
-
-    def test_passes_clean_payload(self):
-        assert serve_latency.gate_failures(_serve_payload()) == []
-
-    def test_parity_violation_fails(self):
-        payload = _serve_payload()
-        payload["parity"]["sparsifier_weights_match"] = False
-        assert "weights diverged" in self._only_failure(payload)
-
-    @pytest.mark.parametrize("key, expected", [
-        ("epoch_match", "epoch parity"),
-        ("sparsifier_edges_match", "sparsifier edge set diverged"),
-        ("graph_edges_match", "tracked graph diverged"),
-    ])
-    def test_each_parity_check_fails_alone(self, key, expected):
-        payload = _serve_payload()
-        payload["parity"][key] = False
-        assert expected in self._only_failure(payload)
-
-    def test_restart_violation_fails(self):
-        payload = _serve_payload()
-        payload["restart"] = {"mid_epoch": 7, "resumed_epoch": 5,
-                              "resume_epoch_match": False}
-        assert "restart drill" in self._only_failure(payload)
-
-    def test_zero_queries_fails(self):
-        payload = _serve_payload()
-        payload["latency"]["queries"] = 0
-        assert "vacuous" in self._only_failure(payload)
-
-    @pytest.mark.parametrize("queries, allowed", [(500, 50), (10, 2)])
-    def test_reader_errors_fail_above_max_of_two_and_a_tenth(self, queries, allowed):
-        payload = _serve_payload()
-        payload["latency"] = {"queries": queries, "errors": allowed}
-        assert serve_latency.gate_failures(payload) == []
-        payload["latency"]["errors"] = allowed + 1
-        assert f"{allowed + 1} errors" in self._only_failure(payload)
 
 
 class TestChurnMaintenanceGate:
@@ -221,21 +157,9 @@ class TestChurnMaintenanceGate:
         assert len(failures) == 1 and f"pair 2: {mode} {key}" in failures[0], failures
 
 
-def test_batch_gate_names_each_size_whose_edge_sets_differ():
-    payload = _batch_payload()
-    assert batch.gate_failures(payload) == []
-    payload["results"][1]["edge_sets_match"] = False
-    (failure,) = batch.gate_failures(payload)
-    assert failure.startswith("batch 1000:")
-
-
 @pytest.mark.parametrize("module, runner, make_payload, plant", [
-    (batch, "run_batch_bench", _batch_payload,
-     lambda p: p["results"][0].update(edge_sets_match=False)),
     (churn_maintenance, "run_churn_maintenance_bench", _churn_payload,
      lambda p: p["results"]["maintain"].update(full_resetups=3)),
-    (serve_latency, "run_serve_latency_bench", _serve_payload,
-     lambda p: p["parity"].update(graph_edges_match=False)),
 ])
 def test_main_writes_its_artifact_before_it_fails(tmp_path, monkeypatch, module, runner,
                                                   make_payload, plant):

@@ -122,28 +122,6 @@ class TestMixedBatchModel:
         assert events[0].edge == (3, 4)
         assert events[1].edge == (0, 1, 1.0)
 
-    def test_from_events_roundtrip(self):
-        events = [InsertionEvent(5, 2, 1.5), DeletionEvent(7, 3)]
-        batch = MixedBatch.from_events(events)
-        assert batch.insertions == [(2, 5, 1.5)]
-        assert batch.deletions == [(3, 7)]
-        with pytest.raises(TypeError):
-            MixedBatch.from_events([object()])
-
-    def test_from_events_rejects_insert_then_delete(self):
-        # Insert-then-delete of the same edge cannot be represented by one
-        # batch (deletions apply first) — must be rejected, not reordered.
-        events = [InsertionEvent(1, 2, 1.0), DeletionEvent(2, 1)]
-        with pytest.raises(ValueError, match="inserted and then deleted"):
-            MixedBatch.from_events(events)
-
-    def test_from_events_allows_delete_then_insert(self):
-        # A switch swap — delete the old strap, wire a replacement on the
-        # same pair — matches the batch's deletions-first order exactly.
-        batch = MixedBatch.from_events([DeletionEvent(1, 2), InsertionEvent(1, 2, 2.0)])
-        assert batch.deletions == [(1, 2)]
-        assert batch.insertions == [(1, 2, 2.0)]
-
 
 class TestDynamicScenarios:
     def test_churn_scenario_structure(self):

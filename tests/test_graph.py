@@ -132,14 +132,6 @@ class TestGraphBasics:
         assert a != c
         assert a != "not a graph"
 
-    def test_subgraph_from_edges(self):
-        graph = Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
-        sub = graph.subgraph_from_edges([(1, 2), (2, 3)])
-        assert sub.num_edges == 2
-        assert sub.weight(2, 3) == 3.0
-        with pytest.raises(KeyError):
-            graph.subgraph_from_edges([(0, 3)])
-
     def test_union_with_edges(self):
         graph = Graph(3, [(0, 1, 1.0)])
         merged = graph.union_with_edges([(1, 2, 2.0), (0, 1, 1.0)])
@@ -185,20 +177,6 @@ class TestGraphConversions:
         nx_graph = small_grid.to_networkx()
         back = Graph.from_networkx(nx_graph)
         assert back == small_grid
-
-    def test_from_sparse_adjacency(self, small_grid):
-        back = Graph.from_sparse(small_grid.adjacency_matrix())
-        assert back == small_grid
-
-    def test_from_sparse_laplacian(self, small_grid):
-        back = Graph.from_sparse(small_grid.laplacian_matrix())
-        assert back == small_grid
-
-    def test_from_sparse_rejects_non_square(self):
-        import scipy.sparse as sp
-
-        with pytest.raises(ValueError):
-            Graph.from_sparse(sp.random(3, 4, density=0.5))
 
     def test_from_networkx_skips_self_loops(self):
         import networkx as nx

@@ -36,11 +36,6 @@ ALLOWED = {
                                            "and tests/test_lrd_hierarchy.py",
     "Graph.total_weight": "conductance oracle of tests/test_sharded.py and tests/test_core_update.py",
     "Graph.to_networkx": "hop-distance oracle of tests/test_streams.py",
-    # Public API that only its own unit tests exercise; deleting it deletes them.
-    "Graph.from_sparse": "tests/test_graph.py::TestGraphConversions",
-    "Graph.subgraph_from_edges": "tests/test_graph.py::TestGraphBasics::test_subgraph_from_edges",
-    "MixedBatch.from_events": "tests/test_dynamic_updates.py::TestMixedBatchModel and "
-                              "tests/test_maintenance.py::TestWeightChangePath",
 }
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

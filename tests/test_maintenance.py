@@ -25,9 +25,7 @@ from repro.core.hierarchy import ClusterHierarchy, LRDLevel
 from repro.graphs import Graph, canonical_edge, grid_circuit_2d, is_connected
 from repro.spectral import ExactResistanceCalculator
 from repro.streams import (
-    DeletionEvent,
     DynamicScenarioConfig,
-    InsertionEvent,
     MixedBatch,
     WeightChangeEvent,
     build_churn_scenario,
@@ -307,27 +305,14 @@ class TestWeightChangePath:
     def test_event_and_batch_plumbing(self):
         event = WeightChangeEvent(5, 2, 0.25)
         assert event.edge == (2, 5, 0.25)
-        batch = MixedBatch.from_events([
-            DeletionEvent(0, 1), WeightChangeEvent(2, 3, 1.0), InsertionEvent(4, 5, 2.0),
-        ])
+        batch = MixedBatch(deletions=[(0, 1)], weight_changes=[(2, 3, 1.0)],
+                           insertions=[(4, 5, 2.0)])
         assert batch.deletions == [(0, 1)]
         assert batch.weight_changes == [(2, 3, 1.0)]
         assert batch.insertions == [(4, 5, 2.0)]
         assert batch.num_events == 3
         kinds = [type(e).__name__ for e in batch.events()]
         assert kinds == ["DeletionEvent", "WeightChangeEvent", "InsertionEvent"]
-
-    def test_from_events_rejects_reweight_after_delete(self):
-        with pytest.raises(ValueError):
-            MixedBatch.from_events([DeletionEvent(0, 1), WeightChangeEvent(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            MixedBatch.from_events([InsertionEvent(0, 1, 1.0), WeightChangeEvent(0, 1, 1.0)])
-
-    def test_from_events_rejects_delete_after_reweight(self):
-        # The batch order (deletions first) would silently reorder this into
-        # a mid-batch crash — it must be rejected up front.
-        with pytest.raises(ValueError):
-            MixedBatch.from_events([WeightChangeEvent(1, 2, 0.5), DeletionEvent(1, 2)])
 
     def test_weight_change_edges_sampler(self, medium_grid):
         changes = weight_change_edges(medium_grid, 12, seed=5)

@@ -4,7 +4,8 @@ Covers the wire protocol (malformed/oversized requests), the read endpoints'
 snapshot pinning, the bounded write queue's backpressure contract (429 /
 202-pending), per-request timeouts, concurrent readers during writes (no
 torn epochs, writer trajectory bit-exact vs an offline replay) and the
-kill/restart → bit-exact-resume drill over HTTP.
+kill/restart → bit-exact-resume drill over HTTP, with readers on both sides
+of the restart.
 """
 
 from __future__ import annotations
@@ -98,6 +99,57 @@ def response_json(blob: bytes) -> dict:
 
 def sparsifier_edges(client, **kwargs):
     return client.edges(on="sparsifier", **kwargs)["edges"]
+
+
+def post_batch(client, batch: MixedBatch) -> dict:
+    return client.update(insertions=batch.insertions, deletions=batch.deletions,
+                         weight_changes=batch.weight_changes)
+
+
+@contextlib.contextmanager
+def concurrent_readers(port: int, count: int = 2):
+    """``count`` reader threads query ``port`` while the block runs.
+
+    Yields ``(versions, errors)``: the epoch of every answer, and every
+    error but a 404 (an evicted version, benign).  Each reader re-reads its
+    answer's epoch pinned, twice, and counts differing edges as a torn
+    epoch.  On exit the readers stop once each has answered (30 s at most),
+    so a slow host cannot pass a check on no answers.
+    """
+    versions: list = []
+    errors: list = []
+    stop = threading.Event()
+    answered = [threading.Event() for _ in range(count)]
+
+    def reader(first_answer: threading.Event) -> None:
+        with connect(port=port) as client:
+            while not stop.is_set():
+                try:
+                    version = client.resistance(0, 7)["version"]
+                    edges = sparsifier_edges(client, version=version)
+                    if sparsifier_edges(client, version=version) != edges:
+                        errors.append(f"torn epoch at version {version}")
+                    versions.append(version)
+                    first_answer.set()
+                except ServerRequestError as exc:
+                    if exc.status != 404:
+                        errors.append(repr(exc))
+                except Exception as exc:  # noqa: BLE001 - collected for the assert
+                    errors.append(repr(exc))
+
+    threads = [threading.Thread(target=reader, args=(event,)) for event in answered]
+    for thread in threads:
+        thread.start()
+    try:
+        yield versions, errors
+    finally:
+        deadline = time.monotonic() + 30.0
+        for event in answered:
+            event.wait(timeout=max(0.0, deadline - time.monotonic()))
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        errors.extend("reader did not stop" for thread in threads if thread.is_alive())
 
 
 # --------------------------------------------------------------------------- #
@@ -329,7 +381,7 @@ class TestWritePath:
         service = fresh_service(scenario)
         with running_server(service) as (_, client):
             for batch in scenario.batches:
-                answer = client.update_batch(batch)
+                answer = post_batch(client, batch)
                 assert answer["applied"] is True
             assert client.epoch()["version"] == offline.latest_version
             served = sparsifier_edges(client)
@@ -372,13 +424,13 @@ class TestWritePath:
         offline = offline_replay(scenario, accepted)
         service = fresh_service(scenario)
         with running_server(service) as (_, client):
-            client.update_batch(accepted[0])
+            post_batch(client, accepted[0])
             epoch = client.epoch()["version"]
             status, payload = client.request("POST", "/update", {
                 "deletions": [list(victim)], "insertions": [[0, 999, 1.0]]})
             assert status == 400, payload
             assert client.epoch()["version"] == epoch
-            client.update_batch(accepted[1])
+            post_batch(client, accepted[1])
             assert client.epoch()["version"] == offline.latest_version
             served = {on: client.edges(on=on)["edges"] for on in ("graph", "sparsifier")}
         snap = offline.snapshot()
@@ -392,7 +444,7 @@ class TestWritePath:
             # Setup published (and retains) the epoch-1 snapshot; pinned
             # reads can address it by version after writes land.
             before = sparsifier_edges(client)
-            client.update_batch(scenario.batches[0])
+            post_batch(client, scenario.batches[0])
             pinned = sparsifier_edges(client, version=1)
             assert pinned == before
             latest = client.edges()
@@ -415,14 +467,14 @@ class TestWritePath:
         monkeypatch.setattr(service, "apply", stalled)
         with running_server(service, queue_bound=1, request_timeout=0.15,
                             retry_after=0.5) as (server, client):
-            first = client.update_batch(scenario.batches[0])
+            first = post_batch(client, scenario.batches[0])
             assert first == {"applied": False, "pending": True,
                              "operation": "update",
                              "detail": first["detail"]}
-            second = client.update_batch(scenario.batches[1])
+            second = post_batch(client, scenario.batches[1])
             assert second["pending"] is True
             with pytest.raises(ServerRequestError) as excinfo:
-                client.update_batch(scenario.batches[2])
+                post_batch(client, scenario.batches[2])
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after == 0.5
             # Pending writes drain in order during graceful shutdown.
@@ -452,45 +504,14 @@ class TestConcurrentReaders:
     def test_no_torn_epochs_and_writer_stays_bit_exact(self, scenario):
         offline = offline_replay(scenario, scenario.batches)
         service = fresh_service(scenario)
-        errors: list = []
-        versions_seen: list = []
-        stop = threading.Event()
-
-        def reader() -> None:
-            with connect(port=port) as reader_client:
-                while not stop.is_set():
-                    try:
-                        answer = reader_client.resistance(0, 7)
-                        version = answer["version"]
-                        edges = sparsifier_edges(reader_client, version=version)
-                        versions_seen.append(version)
-                        # The pinned re-read proves the epoch was not torn:
-                        # the same version must answer with identical state.
-                        again = sparsifier_edges(reader_client, version=version)
-                        if again != edges:
-                            errors.append(f"torn epoch at version {version}")
-                    except ServerRequestError as exc:
-                        if exc.status != 404:  # 404: version evicted, benign
-                            errors.append(repr(exc))
-                    except Exception as exc:  # noqa: BLE001 - collected for the assert
-                        errors.append(repr(exc))
-
         with running_server(service) as (server, client):
-            port = server.port
-            threads = [threading.Thread(target=reader) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            try:
+            with concurrent_readers(server.port) as (versions, errors):
                 for batch in scenario.batches:
-                    assert client.update_batch(batch)["applied"] is True
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=30)
+                    assert post_batch(client, batch)["applied"] is True
             final = sparsifier_edges(client)
         assert errors == []
-        assert versions_seen, "readers never completed a query"
-        assert all(1 <= v <= offline.latest_version for v in versions_seen)
+        assert versions, "readers never completed a query"
+        assert all(1 <= v <= offline.latest_version for v in versions)
         snap = offline.snapshot()
         us, vs, ws = snap.sparsifier_arrays()
         assert final == [[int(u), int(v), float(w)] for u, v, w in zip(us, vs, ws)]
@@ -521,7 +542,7 @@ class TestLoopReads:
             with connect(port=server.port) as write_client, \
                     connect(port=server.port, timeout=1.0) as quick:
                 writer = threading.Thread(target=lambda: written.append(
-                    write_client.update_batch(scenario.batches[0])))
+                    post_batch(write_client, scenario.batches[0])))
                 writer.start()
                 try:
                     assert entered.wait(timeout=10.0)
@@ -543,7 +564,7 @@ class TestLoopReads:
     def test_worker_loop_and_in_process_answers_are_one_float(self, scenario, on):
         service = fresh_service(scenario)
         with running_server(service) as (_, client):
-            client.update_batch(scenario.batches[0])
+            post_batch(client, scenario.batches[0])
             first = client.resistance(0, 9, on=on)  # builds the solver on a worker
             again = client.resistance(0, 9, on=on)  # answered on the loop
             metrics = client.metrics()
@@ -554,7 +575,7 @@ class TestLoopReads:
 
     def test_metrics_count_reads_by_where_they_answer(self, scenario):
         with running_server(fresh_service(scenario)) as (_, client):
-            version = client.update_batch(scenario.batches[0])["version"]
+            version = post_batch(client, scenario.batches[0])["version"]
             for _ in range(3):
                 client.resistance(0, 9)
             metrics = client.metrics()
@@ -575,14 +596,16 @@ class TestRestartDrill:
             self, scenario, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
         offline = offline_replay(scenario, scenario.batches)
+        final_epoch = offline.latest_version
         half = len(scenario.batches) // 2
 
         service = fresh_service(scenario)
         config = ServerConfig(port=0, checkpoint_dir=str(checkpoint_dir))
         server = SparsifierHTTPServer(service, config).start()
         client = connect(port=server.port)
-        for batch in scenario.batches[:half]:
-            client.update_batch(batch)
+        with concurrent_readers(server.port) as (fresh_versions, fresh_errors):
+            for batch in scenario.batches[:half]:
+                post_batch(client, batch)
         mid_epoch = client.epoch()["version"]
         answer = client.shutdown()  # drains + saves the shutdown checkpoint
         assert answer["status"] == "shutting-down"
@@ -591,12 +614,20 @@ class TestRestartDrill:
 
         restored = SparsifierService.restore(checkpoint_dir)
         assert restored.latest_version == mid_epoch
-        with running_server(restored) as (_, resumed_client):
-            for batch in scenario.batches[half:]:
-                resumed_client.update_batch(batch)
-            assert resumed_client.epoch()["version"] == offline.latest_version
+        with running_server(restored) as (resumed, resumed_client):
+            assert resumed_client.epoch()["version"] == mid_epoch
+            with concurrent_readers(resumed.port) as (resumed_versions, resumed_errors):
+                for batch in scenario.batches[half:]:
+                    post_batch(resumed_client, batch)
+            assert resumed_client.epoch()["version"] == final_epoch
             final = sparsifier_edges(resumed_client)
             final_graph = resumed_client.edges(on="graph")["edges"]
+        # Readers answered in both phases, without an error, and after the
+        # restart only from epochs the restored server made.
+        assert fresh_errors == [] and resumed_errors == []
+        assert fresh_versions and resumed_versions
+        assert all(1 <= v <= mid_epoch for v in fresh_versions)
+        assert all(mid_epoch <= v <= final_epoch for v in resumed_versions)
         snap = offline.snapshot()
         us, vs, ws = snap.sparsifier_arrays()
         assert final == [[int(u), int(v), float(w)] for u, v, w in zip(us, vs, ws)]
@@ -608,11 +639,11 @@ class TestRestartDrill:
         mid_dir = tmp_path / "mid"
         service = fresh_service(scenario)
         with running_server(service) as (_, client):
-            client.update_batch(scenario.batches[0])
+            post_batch(client, scenario.batches[0])
             answer = client.checkpoint(str(mid_dir))
             assert answer["checkpointed"] is True
             assert answer["version"] == 2
-            client.update_batch(scenario.batches[1])
+            post_batch(client, scenario.batches[1])
         assert is_checkpoint(mid_dir)
         restored = SparsifierService.restore(mid_dir)
         reference = offline_replay(scenario, scenario.batches[:1])
