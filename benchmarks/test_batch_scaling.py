@@ -42,10 +42,6 @@ TARGET_CONDITION = 64.0
 
 CONFIG = InGrassConfig(lrd=LRDConfig(seed=0), seed=0)
 
-#: Rebuild mode isolates the batch insertion engine: maintain mode would add
-#: the same hierarchy splice work to both filters and dilute their difference.
-REBUILD = InGrassConfig(lrd=LRDConfig(seed=0), hierarchy_mode="rebuild", seed=0)
-
 
 class _ReferenceFilter(SimilarityFilter):
     """Routes :func:`run_update`'s filter stage through the per-edge reference."""
@@ -54,30 +50,39 @@ class _ReferenceFilter(SimilarityFilter):
         return self.apply(batch)
 
 
+class _NoMerges:
+    """A maintainer that fuses nothing.  It isolates the batch insertion
+    engine: a real maintainer would add the same cluster merges to both
+    filters' timings and dilute their difference."""
+
+    def note_insertions(self, edges, *, similarity_filter=None) -> int:
+        return 0
+
+
 def _timed_update(sparsifier: Graph, hierarchy: ClusterHierarchy, stream: Sequence,
-                  config: InGrassConfig,
-                  filtering_level: int, *, reference: bool = False,
+                  filtering_level: int, *, reference: bool = False, merges: bool = True,
                   ) -> tuple[float, Graph, object]:
     """One run_update call on a fresh sparsifier copy; returns (seconds, H, result).
 
     ``reference`` swaps the grouped batch filter for the per-edge reference
-    loop.  In ``hierarchy_mode="maintain"`` a maintainer fuses clusters after
-    the batch, as the driver's does, and the timing includes those merges.
-    They mutate the hierarchy in place, so it is deep-copied first: repeated
-    timings, and the filters being compared, start from identical state.
+    loop.  With ``merges`` a maintainer fuses clusters after the batch, as
+    the driver's does, and the timing includes those merges; without, the
+    timing covers validation, scoring and the filter.  Merges mutate the
+    hierarchy in place, so it is deep-copied first: repeated timings, and the
+    filters being compared, start from identical state.
     """
     hierarchy = copy.deepcopy(hierarchy)
     working = sparsifier.copy()
     filter_class = _ReferenceFilter if reference else SimilarityFilter
     similarity_filter = filter_class(working, hierarchy, filtering_level)
-    maintainer = (HierarchyMaintainer(hierarchy, working, lrd_config=config.lrd)
-                  if config.hierarchy_mode == "maintain" else None)
+    maintainer = (HierarchyMaintainer(hierarchy, working, lrd_config=CONFIG.lrd)
+                  if merges else _NoMerges())
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
-        result = run_update(working, stream, config,
+        result = run_update(working, stream, CONFIG,
                             similarity_filter=similarity_filter, maintainer=maintainer)
         elapsed = time.perf_counter() - start
     finally:
@@ -104,7 +109,7 @@ def test_update_batch_2000(batch_setup, mode):
     """One 2000-edge update batch under each filter (CI smoke subset)."""
     graph, sparsifier, hierarchy, level = batch_setup
     stream = mixed_edges(graph, 2000, long_range_fraction=0.5, seed=5)
-    _, working, result = _timed_update(sparsifier, hierarchy, stream, CONFIG, level,
+    _, working, result = _timed_update(sparsifier, hierarchy, stream, level,
                                        reference=mode == "scalar")
     assert result.summary.total == len(stream)
     assert working.num_edges >= sparsifier.num_edges
@@ -120,8 +125,8 @@ def test_filters_leave_identical_edge_sets(batch_setup, size):
     graph, sparsifier, hierarchy, level = batch_setup
     stream = mixed_edges(graph, size, long_range_fraction=0.5, seed=size)
     scalar, vectorized = (
-        set(_timed_update(sparsifier, hierarchy, stream, REBUILD, level,
-                          reference=reference)[1].edges())
+        set(_timed_update(sparsifier, hierarchy, stream, level, reference=reference,
+                          merges=False)[1].edges())
         for reference in (True, False))
     assert scalar == vectorized
 
@@ -141,8 +146,8 @@ def test_vectorized_beats_scalar_on_large_batch(batch_setup):
     for mode in ("scalar", "vectorized"):
         best = float("inf")
         for _ in range(2):
-            elapsed, working, _ = _timed_update(sparsifier, hierarchy, stream, REBUILD, level,
-                                                reference=mode == "scalar")
+            elapsed, working, _ = _timed_update(sparsifier, hierarchy, stream, level,
+                                                reference=mode == "scalar", merges=False)
             best = min(best, elapsed)
         seconds[mode] = best
         edge_sets[mode] = set(working.edges())
@@ -167,7 +172,7 @@ def test_per_edge_cost_stays_flat_with_batch_size(batch_setup):
         stream = mixed_edges(graph, size, long_range_fraction=0.5, seed=9)
         best = float("inf")
         for _ in range(3):
-            elapsed, _, _ = _timed_update(sparsifier, hierarchy, stream, CONFIG, level)
+            elapsed, _, _ = _timed_update(sparsifier, hierarchy, stream, level)
             best = min(best, elapsed)
         per_edge[size] = best / size
     assert per_edge[100_000] < 4.0 * per_edge[1000], per_edge

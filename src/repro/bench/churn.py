@@ -7,6 +7,9 @@ a κ bound at every iteration.  Run with::
 
     python -m repro bench churn [--scale small|medium|large] [--cases a,b,c]
                                 [--deletion-fraction 0.35] [--no-guard]
+
+The exit status is 1 when κ exceeds twice the target after any batch or the
+sparsifier disconnects after any batch, and 2 on a bad option value.
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
-from repro.bench.datasets import QUICK_CASES, TABLE_CASES
+from repro.bench.datasets import DATASETS, QUICK_CASES, TABLE_CASES
 from repro.bench.harness import HarnessConfig, run_churn
 from repro.bench.records import ChurnRecord
 from repro.bench.tables import format_table, percent
-from repro.core.config import InGrassConfig
 
 
 def print_churn(records: Sequence[ChurnRecord]) -> str:
@@ -28,12 +30,10 @@ def print_churn(records: Sequence[ChurnRecord]) -> str:
         rows.append(
             {
                 "Test case": f"{record.case} ({record.paper_case})",
-                "Mode": record.hierarchy_mode,
                 "Events": f"{record.insertions}+/{record.deletions}-",
                 "Del %": percent(record.deletion_fraction),
                 "H-removals": record.sparsifier_removals,
                 "Repairs": record.repair_edges,
-                "Resetups": record.full_resetups,
                 "kappa target": record.target_condition_number,
                 "kappa max": record.max_condition_number,
                 "kappa final": record.final_condition_number,
@@ -43,7 +43,6 @@ def print_churn(records: Sequence[ChurnRecord]) -> str:
                 "T (s)": record.ingrass_seconds,
                 "Guard (s)": record.guard_seconds,
                 "Maint (s)": record.maintenance_seconds,
-                "Resetup (s)": record.resetup_seconds,
             }
         )
     return format_table(rows, list(rows[0].keys()) if rows else [], precision=2)
@@ -58,14 +57,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fraction of streamed events that delete edges")
     parser.add_argument("--no-guard", action="store_true",
                         help="disable the kappa guard (pure O(log N) updates)")
-    parser.add_argument("--hierarchy-mode", default=InGrassConfig.hierarchy_mode,
-                        choices=["rebuild", "maintain", "both"],
-                        help="hierarchy tracking: inflate+rebuild, in-place maintenance, "
-                             "or both (one row per mode for comparison); default: the "
-                             "driver's default")
-    parser.add_argument("--resetup-after", type=int, default=None,
-                        help="rebuild mode: full re-setup after this many sparsifier "
-                             "edge removals (default: never)")
     parser.add_argument("--iterations", type=int, default=None,
                         help="override the number of streamed batches")
     parser.add_argument("--seed", type=int, default=0)
@@ -77,19 +68,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         cases = QUICK_CASES
     else:
         cases = TABLE_CASES
+    unknown = [name for name in cases if name not in DATASETS]
+    if unknown:
+        parser.error(f"--cases: unknown dataset {unknown[0]!r}; "
+                     f"available: {', '.join(sorted(DATASETS))}")
+    if not 0.0 <= args.deletion_fraction <= 1.0:
+        parser.error(f"--deletion-fraction must lie in [0, 1], got {args.deletion_fraction}")
+    if args.iterations is not None and args.iterations < 1:
+        parser.error(f"--iterations must be at least 1, got {args.iterations}")
     config = HarnessConfig(scale=args.scale, seed=args.seed)
     if args.iterations is not None:
         config.num_iterations = args.iterations
-    modes = (["rebuild", "maintain"] if args.hierarchy_mode == "both"
-             else [args.hierarchy_mode])
-    records = []
-    for mode in modes:
-        records.extend(
-            run_churn(cases, config, deletion_fraction=args.deletion_fraction,
-                      kappa_guard_factor=None if args.no_guard else 1.8,
-                      hierarchy_mode=mode,
-                      resetup_after_removals=args.resetup_after)
-        )
+    records = run_churn(cases, config, deletion_fraction=args.deletion_fraction,
+                        kappa_guard_factor=None if args.no_guard else 1.8)
     print("Churn — fully dynamic sparsification under mixed insert/delete streams "
           f"({percent(args.deletion_fraction)} deletions, per-iteration kappa tracking)")
     print(print_churn(records))

@@ -280,9 +280,7 @@ def run_table3(initial_densities: Sequence[float] = (0.127, 0.118, 0.09, 0.076, 
 # --------------------------------------------------------------------------- #
 def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
                    deletion_fraction: float = 0.35,
-                   kappa_guard_factor: Optional[float] = 1.8,
-                   hierarchy_mode: str = InGrassConfig.hierarchy_mode,
-                   resetup_after_removals: Optional[int] = None) -> ChurnRecord:
+                   kappa_guard_factor: Optional[float] = 1.8) -> ChurnRecord:
     """Run the fully dynamic churn protocol on one dataset.
 
     Streams ``num_iterations`` mixed insert/delete batches through
@@ -290,11 +288,6 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
     iteration; the record keeps the worst value, so the acceptance criterion
     ("stay within 2x the target across all iterations") is checked against
     the whole trajectory rather than the endpoint.
-
-    ``hierarchy_mode``/``resetup_after_removals`` expose the hierarchy
-    maintenance comparison: rebuild mode pays a full re-setup every
-    ``resetup_after_removals`` sparsifier deletions, maintain mode splices
-    clusters in place and never does.
     """
     config = config if config is not None else HarnessConfig()
     spec = get_dataset(name)
@@ -315,8 +308,6 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         lrd=LRDConfig(resistance_method=config.resistance_method, seed=config.seed),
         kappa_guard_factor=kappa_guard_factor,
         kappa_guard_dense_limit=config.condition_dense_limit,
-        hierarchy_mode=hierarchy_mode,
-        resetup_after_removals=resetup_after_removals,
         seed=config.seed,
     )
     ingrass = InGrassSparsifier(ingrass_config)
@@ -347,7 +338,6 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         else:
             kappa = ingrass.condition_number(dense_limit=config.condition_dense_limit)
         max_kappa = max(max_kappa, kappa)
-    maintenance = ingrass.maintenance_stats
     return ChurnRecord(
         case=name,
         paper_case=spec.paper_name,
@@ -366,30 +356,18 @@ def run_churn_case(name: str, config: Optional[HarnessConfig] = None, *,
         stayed_connected=stayed_connected,
         ingrass_seconds=ingrass.total_update_seconds,
         ingrass_setup_seconds=setup_timer.elapsed,
-        hierarchy_mode=hierarchy_mode,
-        full_resetups=ingrass.full_resetups,
-        resetup_seconds=ingrass.resetup_seconds,
-        maintenance_seconds=maintenance.maintenance_seconds,
-        splice_seconds=maintenance.splice_seconds,
-        diameter_seconds=maintenance.diameter_seconds,
-        rekey_seconds=maintenance.rekey_seconds,
-        hierarchy_splices=maintenance.splices,
-        hierarchy_merges=maintenance.merges,
+        maintenance_seconds=ingrass.maintenance_stats.maintenance_seconds,
         guard_seconds=guard_seconds,
     )
 
 
 def run_churn(cases: Sequence[str], config: Optional[HarnessConfig] = None, *,
               deletion_fraction: float = 0.35,
-              kappa_guard_factor: Optional[float] = 1.8,
-              hierarchy_mode: str = InGrassConfig.hierarchy_mode,
-              resetup_after_removals: Optional[int] = None) -> List[ChurnRecord]:
+              kappa_guard_factor: Optional[float] = 1.8) -> List[ChurnRecord]:
     """Run the churn protocol for a list of datasets."""
     config = config if config is not None else HarnessConfig()
     return [run_churn_case(name, config, deletion_fraction=deletion_fraction,
-                           kappa_guard_factor=kappa_guard_factor,
-                           hierarchy_mode=hierarchy_mode,
-                           resetup_after_removals=resetup_after_removals)
+                           kappa_guard_factor=kappa_guard_factor)
             for name in cases]
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.core.config import InGrassConfig
-
 
 @dataclass
 class Table1Record:
@@ -140,25 +138,8 @@ class ChurnRecord:
     stayed_connected: bool
     ingrass_seconds: float
     ingrass_setup_seconds: float
-    #: How the LRD hierarchy tracked the stream: ``"rebuild"`` (diameter
-    #: inflation + periodic full re-setups) or ``"maintain"`` (in-place
-    #: cluster splices/merges, zero full re-setups).
-    hierarchy_mode: str = InGrassConfig.hierarchy_mode
-    #: Full setup refreshes the driver paid during the stream.
-    full_resetups: int = 0
-    #: Wall-clock spent in those full refreshes.
-    resetup_seconds: float = 0.0
-    #: Wall-clock spent inside the hierarchy maintainer (maintain mode).
+    #: Wall-clock spent inside the hierarchy maintainer.
     maintenance_seconds: float = 0.0
-    #: Per-phase breakdown of ``maintenance_seconds``: removal-splice passes,
-    #: fragment-diameter analysis (subset of the splice passes), and filter
-    #: bucket re-keying (unregister/re-register around splices and merges).
-    splice_seconds: float = 0.0
-    diameter_seconds: float = 0.0
-    rekey_seconds: float = 0.0
-    #: Clusters spliced / fused by the maintainer (maintain mode).
-    hierarchy_splices: int = 0
-    hierarchy_merges: int = 0
     #: Wall-clock spent in κ-guard passes (summed ``KappaGuardReport.guard_seconds``),
     #: a part of ``ingrass_seconds``.
     guard_seconds: float = 0.0

@@ -20,7 +20,7 @@ starts cold.
 
 It asserts the long-run contract:
 
-* ``hierarchy_mode="maintain"`` pays **zero** full re-setups in both legs;
+* the driver pays **zero** full re-setups in both legs;
 * the restored leg ends with the uninterrupted leg's sparsifier — same
   edges, weights and insertion order — and the same κ;
 * the sparsifier never disconnects.
@@ -72,7 +72,6 @@ def _soak_config(seed: int, kappa_guard_factor: Optional[float]) -> InGrassConfi
     return InGrassConfig(
         lrd=LRDConfig(seed=seed),
         distortion_threshold=1.0,
-        hierarchy_mode="maintain",
         kappa_guard_factor=kappa_guard_factor,
         kappa_guard_dense_limit=GUARD_DENSE_LIMIT,
         seed=seed,
@@ -202,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     guard = ("" if args.kappa_guard_factor is None else
              f", κ guard {args.kappa_guard_factor:g} x {payload['meta']['target_condition_number']:.2f}")
     print(f"Soak — {args.batches}-batch mixed churn stream "
-          f"({args.deletion_fraction:.0%} deletions, maintain mode{guard}, "
+          f"({args.deletion_fraction:.0%} deletions{guard}, "
           f"checkpoint/restore at batch {payload['meta']['restore_after_batch']})")
     for name, run in payload["results"].items():
         print(f"  {name:<13} {run['seconds']:.2f}s  {run['per_event_us']:.1f} us/event  "

@@ -8,10 +8,10 @@ A checkpoint is a *directory* holding two files:
     runs under exactly the configuration it was saved under), the version
     epoch, the driver's filtering level (fixed at its last setup, so a
     restore keeps it rather than re-deriving it from the maintained
-    hierarchy), the per-iteration history, the
-    hierarchy's staleness/version counters, the maintainer's lifetime
-    counters (``extra``, from ``_checkpoint_runtime_state``), per array its
-    dtype, shape and sha256, and the name of the arrays file.
+    hierarchy), the per-iteration history, the hierarchy's version
+    counters, the maintainer's lifetime counters (``extra``, from
+    ``_checkpoint_runtime_state``), per array its dtype, shape and sha256,
+    and the name of the arrays file.
 
 ``arrays-<digest>.npz``
     Every array: tracked graph and sparsifier edge lists (**in edge
@@ -45,9 +45,12 @@ just before the swap can find its arrays file gone (step 4) and gets a
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (format 6 carried the
-``InGrassConfig.target_condition_number`` field and the maintainer's
-pending splice neighbourhood, which no longer exist; format 5 carried
+newer layout, and an older one (format 7 carried the hierarchy-mode and
+re-setup-threshold configuration fields, the hierarchy's removal counter and
+inflation ceiling, the re-setup time and three maintainer sub-timers, which
+left with the inflate-and-rebuild hierarchy mode; format 6 carried the
+``InGrassConfig.target_condition_number`` field and the maintainer's pending
+splice neighbourhood, which no longer exist; format 5 carried
 ``InGrassConfig.filtering_level``; format 4 overwrote one ``arrays.npz`` in
 place; formats 1 to 3 carried other configuration fields that no longer
 exist) is rejected the same way.  Every array is checked against its
@@ -80,7 +83,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 7
+CHECKPOINT_FORMAT_VERSION = 8
 
 _MANIFEST = "manifest.json"
 _ARRAYS_PREFIX = "arrays-"
@@ -181,17 +184,14 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
         "history": [asdict(record) for record in driver._history],
         "total_update_seconds": float(driver._total_update_seconds),
         "full_resetups": int(driver._full_resetups),
-        "resetup_seconds": float(driver._resetup_seconds),
         "setup_seconds": float(driver._setup.setup_seconds),
         "num_levels": int(driver._setup.hierarchy.num_levels),
         "hierarchy": {
             "num_levels": len(hierarchy_state["cluster_diameters"]),
             "diameter_thresholds": hierarchy_state["diameter_thresholds"],
-            "noted_removals": hierarchy_state["noted_removals"],
             "version": hierarchy_state["version"],
             "labels_version": hierarchy_state["labels_version"],
             "level_labels_versions": hierarchy_state["level_labels_versions"],
-            "inflation_ceiling": hierarchy_state["inflation_ceiling"],
         },
         "extra": driver._checkpoint_runtime_state(),
         "arrays": records,
@@ -259,7 +259,6 @@ def describe_checkpoint(path: PathLike) -> dict:
         "iterations": len(manifest["history"]),
         "filtering_level": manifest["filtering_level"],
         "target_condition_number": manifest["target_condition_number"],
-        "hierarchy_mode": manifest["config"]["hierarchy_mode"],
         "num_levels": manifest["num_levels"],
     }
 
@@ -269,7 +268,7 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
 
     The restored driver continues byte-identically to the saved one: graphs
     adopt the saved edge arrays in order as their slots, the hierarchy
-    is rebuilt from its level arrays with every staleness counter restored,
+    is rebuilt from its level arrays with every version counter restored,
     the similarity filter is rebuilt at the saved filtering level, and the
     ``extra`` state (maintainer counters) lands through
     ``_restore_runtime_state``.  No LRD re-run.
@@ -289,11 +288,9 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
         data["hier_embedding"], diameters, hier["diameter_thresholds"])
 
     hierarchy.restore_counters(
-        noted_removals=hier["noted_removals"],
         version=hier["version"],
         labels_version=hier["labels_version"],
         level_labels_versions=hier["level_labels_versions"],
-        inflation_ceiling=hier["inflation_ceiling"],
     )
 
     driver._graph = graph
@@ -305,7 +302,6 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     driver._history = [IterationRecord(**record) for record in manifest["history"]]
     driver._total_update_seconds = float(manifest["total_update_seconds"])
     driver._full_resetups = int(manifest["full_resetups"])
-    driver._resetup_seconds = float(manifest["resetup_seconds"])
     driver._version = int(manifest["version"])
 
     driver._restore_runtime_state(manifest.get("extra", {}))

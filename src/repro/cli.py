@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional
 _BENCH_MODULES: Dict[str, str] = {
     "churn": "repro.bench.churn",
     "soak": "repro.bench.soak",
-    "churn-maintenance": "repro.bench.churn_maintenance",
     "compare": "repro.bench.compare",
     "table1": "repro.bench.table1",
     "table2": "repro.bench.table2",

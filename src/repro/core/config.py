@@ -80,26 +80,6 @@ class InGrassConfig:
         out).  ``None`` disables the guard (pure O(log N) updates).
     kappa_guard_dense_limit:
         Node-count threshold below which the guard uses the dense eigensolver.
-    resetup_after_removals:
-        When set, the incremental driver re-runs the setup phase (fresh LRD
-        hierarchy + embedding) once this many sparsifier edges have been
-        removed since the last setup — the coarse-grained refresh that keeps
-        long deletion streams accurate.  ``None`` never refreshes.  Only
-        honoured in ``hierarchy_mode="rebuild"``: the maintenance mode keeps
-        the hierarchy accurate structurally and never pays a full re-setup.
-    hierarchy_mode:
-        How the LRD hierarchy tracks sparsifier mutations.  ``"maintain"``
-        (default) splices clusters in place through
-        :class:`repro.core.maintenance.HierarchyMaintainer` — splitting
-        clusters whose interior lost connectivity, recomputing diameters
-        locally and fusing clusters joined by admitted edges — so long churn
-        streams never pay a full ``O(m log n)`` re-setup and the resistance
-        bounds stay tight between batches.  ``"rebuild"`` (the PR 1
-        behaviour, default through PR 8) inflates cluster diameters per
-        removal and relies on ``resetup_after_removals`` to periodically
-        rebuild the whole hierarchy; pin it for streams whose per-batch
-        removal volume is so large that structural splices cost more than a
-        periodic re-setup.
     seed:
         Seed for stochastic components.
     """
@@ -109,8 +89,6 @@ class InGrassConfig:
     distortion_threshold: float = 0.0
     kappa_guard_factor: Optional[float] = None
     kappa_guard_dense_limit: int = DENSE_LIMIT_DEFAULT
-    resetup_after_removals: Optional[int] = None
-    hierarchy_mode: str = "maintain"
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
@@ -122,8 +100,3 @@ class InGrassConfig:
             if self.kappa_guard_factor < 1.0:
                 raise ValueError("kappa_guard_factor must be >= 1")
         check_positive_int(self.kappa_guard_dense_limit, "kappa_guard_dense_limit")
-        if self.resetup_after_removals is not None:
-            check_positive_int(self.resetup_after_removals, "resetup_after_removals")
-        if self.hierarchy_mode not in ("rebuild", "maintain"):
-            raise ValueError(f"unknown hierarchy_mode {self.hierarchy_mode!r}; "
-                             "expected 'rebuild' or 'maintain'")

@@ -99,18 +99,11 @@ class ClusterHierarchy:
         # and merge operations read cluster member sets in O(cluster size)
         # instead of scanning all n labels per touched cluster.
         self._members: List[Optional[List[Optional[np.ndarray]]]] = [None] * len(self._levels)
-        # Staleness bookkeeping for the fully dynamic update path: every noted
-        # sparsifier-edge removal inflates the affected cluster diameters and
-        # bumps this counter so drivers can schedule a full refresh.
-        self._noted_removals = 0
         # Mutation counters: _version covers any change, _labels_version only
         # structural relabels (per level in _level_labels_versions).
         self._version = 0
         self._labels_version = 0
         self._level_labels_versions = [0] * len(self._levels)
-        # Frozen at the first inflation so rebuild-mode compounding is capped
-        # even when the coarsest level itself inflates.
-        self._inflation_ceiling: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -362,70 +355,6 @@ class ClusterHierarchy:
         self._level_labels_versions[level_index] += 1
 
     # ------------------------------------------------------------------ #
-    # Invalidation hooks for the fully dynamic update path
-    # ------------------------------------------------------------------ #
-    @property
-    def noted_removals(self) -> int:
-        """Number of sparsifier-edge removals noted since (re)construction."""
-        return self._noted_removals
-
-    def record_removal(self) -> None:
-        """Bump the removal counter without touching any diameter.
-
-        Used by the maintenance layer, which replaces diameter inflation with
-        structural splices but keeps the staleness statistic meaningful.
-        """
-        self._noted_removals += 1
-
-    def note_edge_removed(self, u: int, v: int, *, inflation_factor: float = 1.25) -> int:
-        """Record that sparsifier edge ``(u, v)`` was deleted.
-
-        Removing an edge can only *increase* effective resistances, so the
-        cached diameter of every cluster containing both endpoints becomes an
-        optimistic (no longer safe) upper bound.  This hook multiplies those
-        diameters by ``inflation_factor``, keeping the estimates conservative
-        without recomputing resistances; the staleness counter lets drivers
-        trigger a full setup refresh once enough removals accumulate.
-
-        Inflated diameters are clamped at the :meth:`fallback_resistance`
-        value of the *first* removal since (re)construction — the bound used
-        when two nodes share no cluster at all — so long deletion streams
-        cannot compound a cluster diameter past the point where it carries
-        any information (the ceiling is frozen, otherwise inflating the
-        coarsest level would move it and the compounding would never stop).
-        A diameter already above the ceiling is left unchanged rather than
-        reduced (the bound stays conservative).
-
-        Returns the number of levels whose diameters were inflated.
-        """
-        if inflation_factor < 1.0:
-            raise ValueError("inflation_factor must be >= 1")
-        self._noted_removals += 1
-        if self._inflation_ceiling is None:
-            self._inflation_ceiling = self.fallback_resistance()
-        ceiling = self._inflation_ceiling
-        touched = 0
-        equal = self._embedding[u] == self._embedding[v]
-        for level_index in np.flatnonzero(equal):
-            level =self._levels[int(level_index)]
-            cluster = int(self._embedding[u, int(level_index)])
-            if level.cluster_diameters.size > cluster:
-                current = float(level.cluster_diameters[cluster])
-                inflated = max(current * inflation_factor, 1e-12)
-                if inflated > ceiling:
-                    inflated = max(current, ceiling)
-                level.cluster_diameters[cluster] = inflated
-                self._version += 1
-                touched += 1
-        return touched
-
-    def needs_refresh(self, removal_threshold: int) -> bool:
-        """Return ``True`` once at least ``removal_threshold`` removals were noted."""
-        if removal_threshold <= 0:
-            raise ValueError("removal_threshold must be positive")
-        return self._noted_removals >= removal_threshold
-
-    # ------------------------------------------------------------------ #
     # Serialisation (checkpoint format)
     # ------------------------------------------------------------------ #
     @classmethod
@@ -459,26 +388,22 @@ class ClusterHierarchy:
     def checkpoint_state(self) -> dict:
         """Export the full mutable state as plain arrays and counters.
 
-        The arrays are copies, and the staleness/version counters the
-        constructor zeroes are included, so ``from_level_arrays`` +
-        :meth:`restore_counters` reproduces the hierarchy bit-for-bit in
-        another process.
+        The arrays are copies, and the version counters the constructor
+        zeroes are included, so ``from_level_arrays`` + :meth:`restore_counters`
+        reproduces the hierarchy bit-for-bit in another process.
         """
         return {
             "embedding": self._embedding.copy(),
             "cluster_diameters": [level.cluster_diameters.copy() for level in self._levels],
             "diameter_thresholds": [float(level.diameter_threshold) for level in self._levels],
-            "noted_removals": self._noted_removals,
             "version": self._version,
             "labels_version": self._labels_version,
             "level_labels_versions": list(self._level_labels_versions),
-            "inflation_ceiling": self._inflation_ceiling,
         }
 
-    def restore_counters(self, *, noted_removals: int, version: int, labels_version: int,
-                         level_labels_versions: Sequence[int],
-                         inflation_ceiling: Optional[float]) -> None:
-        """Restore the mutation/staleness counters a fresh constructor zeroed.
+    def restore_counters(self, *, version: int, labels_version: int,
+                         level_labels_versions: Sequence[int]) -> None:
+        """Restore the mutation counters a fresh constructor zeroed.
 
         Version counters are what level-bound caches (similarity filters)
         validate against, so a restored hierarchy must resume the saved
@@ -487,11 +412,9 @@ class ClusterHierarchy:
         """
         if len(level_labels_versions) != len(self._levels):
             raise ValueError("one labels version is needed per level")
-        self._noted_removals = int(noted_removals)
         self._version = int(version)
         self._labels_version = int(labels_version)
         self._level_labels_versions = [int(value) for value in level_labels_versions]
-        self._inflation_ceiling = None if inflation_ceiling is None else float(inflation_ceiling)
 
     # ------------------------------------------------------------------ #
     # Filtering-level selection (Section III-C-2)

@@ -15,15 +15,14 @@ a convenient object:
   per-iteration statistics;
 * :meth:`condition_number` / :meth:`report` evaluate the current quality;
 * :meth:`refresh_setup` rebuilds the LRD hierarchy from the current
-  sparsifier (scheduled automatically after
-  ``config.resetup_after_removals`` sparsifier-edge deletions).
+  sparsifier when a caller asks for it.
 
 The driver is the one owner of the update engine's state.  Each setup,
 refresh and checkpoint restore fixes the similarity filtering level (Section
 III-C-2: from the hierarchy and the target κ; a restore keeps the saved
-level) and builds the :class:`~repro.core.filtering.SimilarityFilter` and, in
-``hierarchy_mode="maintain"``, the
-:class:`~repro.core.maintenance.HierarchyMaintainer`; the stage functions of
+level) and builds the :class:`~repro.core.filtering.SimilarityFilter` and
+the :class:`~repro.core.maintenance.HierarchyMaintainer`, the one path by
+which the LRD hierarchy follows sparsifier mutations; the stage functions of
 :mod:`repro.core.update` receive both on every call and keep nothing.
 
 Typical usage::
@@ -152,7 +151,6 @@ class InGrassSparsifier:
         self._history: List[IterationRecord] = []
         self._total_update_seconds = 0.0
         self._full_resetups = 0
-        self._resetup_seconds = 0.0
         # The κ guard's spectral state, one per setup: warm starts and one
         # kept factorisation each of L_G and L_H, which each estimate
         # corrects for the edges G and H changed since they were factored.
@@ -231,20 +229,14 @@ class InGrassSparsifier:
         return self._full_resetups
 
     @property
-    def resetup_seconds(self) -> float:
-        """Accumulated wall-clock cost of full setup refreshes."""
-        return self._resetup_seconds
-
-    @property
     def latest_version(self) -> int:
         """The current version epoch.
 
         Starts at 0, becomes 1 after :meth:`setup` and then increases by
         exactly one per applied :meth:`apply_batch` (a rejected batch leaves
-        it unchanged) plus one for every :meth:`refresh_setup` — including
-        the automatic rebuild-mode re-setups, which keeps the version
-        sequence deterministic for a given operation stream.  :class:`~repro.snapshot.SparsifierSnapshot` anchors
-        on this counter.
+        it unchanged) plus one for every :meth:`refresh_setup`, which keeps
+        the version sequence deterministic for a given operation stream.
+        :class:`~repro.snapshot.SparsifierSnapshot` anchors on this counter.
         """
         return self._version
 
@@ -288,54 +280,51 @@ class InGrassSparsifier:
         return load_checkpoint(path)
 
     def _checkpoint_runtime_state(self) -> dict:
-        """Checkpoint extras (JSON-able): the maintain-mode maintainer's
-        lifetime counters, the driver's only runtime state beyond the core
-        arrays.  The similarity filter is deliberately *not* serialised — its
+        """Checkpoint extras (JSON-able): the maintainer's lifetime counters,
+        the driver's only runtime state beyond the core arrays.  The
+        similarity filter is deliberately *not* serialised — its
         cluster-pair map is a pure function of (sparsifier edges, hierarchy
         labels) and is rebuilt decision-identically on first use after
         restore.
         """
-        maintainer = self._maintainer
-        return {} if maintainer is None else {"maintainer_stats": asdict(maintainer.stats)}
+        assert self._maintainer is not None
+        return {"maintainer_stats": asdict(self._maintainer.stats)}
 
     def _restore_runtime_state(self, extra: dict) -> None:
         """Inverse of :meth:`_checkpoint_runtime_state` on a rebuilt driver."""
-        stats = extra.get("maintainer_stats")
-        if self._maintainer is not None and stats is not None:
-            self._maintainer.stats = MaintenanceStats(**stats)
+        assert self._maintainer is not None
+        self._maintainer.stats = MaintenanceStats(**extra["maintainer_stats"])
 
     @property
-    def maintainer(self) -> Optional[HierarchyMaintainer]:
-        """The hierarchy maintainer (``hierarchy_mode="maintain"`` only)."""
-        return self._maintainer
+    def maintainer(self) -> HierarchyMaintainer:
+        """The hierarchy maintainer bound to the current setup."""
+        self._require_setup()
+        return self._maintainer  # type: ignore[return-value]
 
     @property
     def maintenance_stats(self) -> MaintenanceStats:
-        """Lifetime counters of the maintenance layer (zeros in rebuild mode)."""
-        if self._maintainer is None:
-            return MaintenanceStats()
-        return self._maintainer.stats
+        """Lifetime counters of the maintainer bound to the current setup."""
+        return self.maintainer.stats
 
     def _require_setup(self) -> None:
         if self._setup is None:
             raise RuntimeError("call setup() before using the sparsifier")
 
     def _bind_engine(self, filtering_level: int) -> None:
-        """Build the similarity filter at ``filtering_level`` and, in maintain
-        mode, the hierarchy maintainer, both bound to the current setup.
+        """Build the similarity filter at ``filtering_level`` and the
+        hierarchy maintainer, both bound to the current setup.
 
         The filtering level is a *setup-time* choice (Section III-C-2 derives
         it from the hierarchy the setup phase built) and the whole
         cluster-pair map is keyed by that level's labels, so it stays fixed
-        until the next (re)setup even when maintain-mode splices and merges
-        change the cluster sizes it was derived from.
+        until the next (re)setup even when the maintainer's splices and
+        merges change the cluster sizes it was derived from.
         """
         assert self._setup is not None and self._sparsifier is not None
         hierarchy = self._setup.hierarchy
         self._filter = SimilarityFilter(self._sparsifier, hierarchy, filtering_level)
-        self._maintainer = (HierarchyMaintainer(hierarchy, self._sparsifier,
-                                                lrd_config=self.config.lrd)
-                            if self.config.hierarchy_mode == "maintain" else None)
+        self._maintainer = HierarchyMaintainer(hierarchy, self._sparsifier,
+                                               lrd_config=self.config.lrd)
 
     def _level_for_target(self) -> int:
         assert self._setup is not None and self._target_condition is not None
@@ -385,7 +374,6 @@ class InGrassSparsifier:
         self._history = []
         self._total_update_seconds = 0.0
         self._full_resetups = 0
-        self._resetup_seconds = 0.0
         self._spectral = SpectralContext()
         self._bind_engine(self._level_for_target())
         self._bump_version()
@@ -476,17 +464,9 @@ class InGrassSparsifier:
         # Capture the physical weights while removing so run_removal can
         # re-home conductance that merges parked on removed sparsifier edges.
         removed_with_weights = graph.remove_edges(pairs)
-        result = run_removal(sparsifier, removed_with_weights,
-                             graph=graph, config=self.config,
-                             similarity_filter=self._filter, maintainer=self._maintainer)
-        # The periodic full re-setup is a rebuild-mode fallback: the
-        # maintenance mode keeps the hierarchy structurally accurate, so it
-        # never pays the O(m log n) refresh.
-        threshold = self.config.resetup_after_removals
-        if (self.config.hierarchy_mode == "rebuild" and threshold is not None
-                and self._setup.hierarchy.needs_refresh(threshold)):
-            self.refresh_setup()
-        return result
+        return run_removal(sparsifier, removed_with_weights,
+                           graph=graph, config=self.config,
+                           similarity_filter=self._filter, maintainer=self._maintainer)
 
     def _apply_weight_changes(self, applied: List[WeightedEdge]) -> ReweightResult:
         """Weight-change phase: bump conductances in place, no repair needed.
@@ -503,7 +483,7 @@ class InGrassSparsifier:
         graph.increase_weights([(u, v) for u, v, _ in applied],
                                [delta for _, _, delta in applied])
         similarity_filter, maintainer = self._filter, self._maintainer
-        assert similarity_filter is not None
+        assert similarity_filter is not None and maintainer is not None
         admitted: List[WeightedEdge] = []
         for u, v, delta in applied:
             if sparsifier.has_edge(u, v):
@@ -518,7 +498,7 @@ class InGrassSparsifier:
                 similarity_filter.notify_edge_added(u, v)
                 admitted.append((u, v, delta))
                 result.admitted += 1
-        if maintainer is not None and admitted:
+        if admitted:
             maintainer.note_insertions(admitted, similarity_filter=similarity_filter)
         timer.stop()
         result.reweight_seconds = timer.elapsed
@@ -593,19 +573,17 @@ class InGrassSparsifier:
         """Re-run the setup phase on the current sparsifier.
 
         Rebuilds the LRD hierarchy, the filtering level, the similarity
-        filter and the maintainer from ``H(k)`` as it stands — the
-        coarse-grained refresh that restores estimate accuracy after many
-        deletions in rebuild mode (the maintenance mode keeps the hierarchy
-        accurate in place and only reaches here when a caller forces it).
-        The accumulated history and the tracked graph are preserved.
+        filter and the maintainer from ``H(k)`` as it stands.  The
+        maintainer keeps the hierarchy accurate in place, so the driver never
+        calls this itself; it is for a caller that wants a fresh
+        decomposition.  The accumulated history and the tracked graph are
+        preserved.
         """
         self._require_setup()
         assert self._sparsifier is not None
-        with Timer() as timer:
-            self._setup = run_setup(self._sparsifier, self.config)
+        self._setup = run_setup(self._sparsifier, self.config)
         self._bind_engine(self._level_for_target())
         self._full_resetups += 1
-        self._resetup_seconds += timer.elapsed
         self._bump_version()
         return self._setup
 

@@ -1,16 +1,16 @@
 """Incremental maintenance of the LRD cluster hierarchy.
 
 The paper's update phase treats the hierarchy built by the setup phase as an
-immutable snapshot; the fully dynamic extension (PR 1) merely *degraded* it —
-every sparsifier-edge removal inflated the affected cluster diameters until a
-full ``O(m log n)`` re-setup restored accuracy.  This module replaces that
-inflate-and-rebuild cycle with true structural maintenance:
+immutable snapshot.  Under deletions that snapshot goes stale: removing a
+sparsifier edge can only raise effective resistances, so cached cluster
+diameters stop being upper bounds.  This module keeps the hierarchy valid in
+place, so a stream never pays a full ``O(m log n)`` re-setup:
 
 * **Removal → splice.**  When a sparsifier edge disappears, every cluster
   that contained both endpoints is *spliced*: its interior connectivity is
   re-examined and the cluster is split along it, with fragment diameters
   recomputed locally (exact resistances for small fragments, the spanning
-  tree path bound for large ones) instead of multiplied by a blind factor.
+  tree path bound for large ones).
   Small clusters below the coarsest level additionally go through a
   localized re-decomposition (:func:`repro.core.lrd.decompose_node_subset`)
   honouring the level's diameter threshold, so a connected-but-stretched
@@ -43,7 +43,6 @@ hierarchy's ``resistance_upper_bound`` stays a genuine upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,14 +74,6 @@ class MaintenanceStats:
     diameter_recomputes: int = 0
     #: Wall-clock spent inside the maintainer.
     maintenance_seconds: float = 0.0
-    #: Wall-clock of the removal-splice passes (subset of maintenance_seconds).
-    splice_seconds: float = 0.0
-    #: Wall-clock of fragment analysis — connectivity, localized
-    #: re-decomposition and diameter bounds (subset of splice_seconds).
-    diameter_seconds: float = 0.0
-    #: Wall-clock of similarity-filter re-keying (unregister/re-register
-    #: around relabels, in both splices and merges).
-    rekey_seconds: float = 0.0
 
 
 @dataclass
@@ -155,15 +146,12 @@ class HierarchyMaintainer:
         if not removed_edges:
             return report
         timer = Timer().start()
-        splice_start = perf_counter()
         hierarchy = self._hierarchy
         num_removed = len(removed_edges)
         us = np.fromiter((edge[0] for edge in removed_edges), dtype=np.int64,
                          count=num_removed)
         vs = np.fromiter((edge[1] for edge in removed_edges), dtype=np.int64,
                          count=num_removed)
-        for _ in range(num_removed):
-            hierarchy.record_removal()
         self.stats.removals += num_removed
         # Levels are processed finest first, and a splice only relabels its
         # own level, so each level's dirty-cluster set can be gathered with
@@ -178,7 +166,6 @@ class HierarchyMaintainer:
             clusters = np.unique(labels_u[together])
             self._splice_level(level_index, clusters, similarity_filter, report)
         timer.stop()
-        self.stats.splice_seconds += perf_counter() - splice_start
         self.stats.maintenance_seconds += timer.elapsed
         return report
 
@@ -217,7 +204,6 @@ class HierarchyMaintainer:
         hierarchy = self._hierarchy
         threshold = float(hierarchy.level(level_index).diameter_threshold)
         coarsest = level_index == hierarchy.num_levels - 1
-        diameter_start = perf_counter()
         plans: List[list] = []
         large: List[int] = []
         for cluster in clusters.tolist():
@@ -233,7 +219,6 @@ class HierarchyMaintainer:
                 plans.append([cluster, nodes, None, None])
         if large:
             self._analyse_large(plans, large)
-        self.stats.diameter_seconds += perf_counter() - diameter_start
         for cluster, nodes, fragments, diameters in plans:
             splits, recomputed = self._apply_splice(
                 level_index, cluster, nodes, fragments, diameters, similarity_filter)
@@ -338,9 +323,7 @@ class HierarchyMaintainer:
         )
         pending = None
         if rekey:
-            rekey_start = perf_counter()
             pending = similarity_filter.unregister_incident_edges(nodes)
-            self.stats.rekey_seconds += perf_counter() - rekey_start
         hierarchy.set_cluster_diameter(level_index, cluster, diameters[0])
         self.stats.diameter_recomputes += 1
         for fragment, diameter in zip(fragments[1:], diameters[1:]):
@@ -349,9 +332,7 @@ class HierarchyMaintainer:
             self.stats.splits += 1
             self.stats.diameter_recomputes += 1
         if pending is not None:
-            rekey_start = perf_counter()
             similarity_filter.register_edges(pending)
-            self.stats.rekey_seconds += perf_counter() - rekey_start
         if similarity_filter is not None:
             similarity_filter.mark_synced()
         return len(fragments) - 1, 1 if len(fragments) == 1 else 0
@@ -422,17 +403,13 @@ class HierarchyMaintainer:
         )
         pending = None
         if rekey:
-            rekey_start = perf_counter()
             pending = similarity_filter.unregister_incident_edges(source_nodes)
-            self.stats.rekey_seconds += perf_counter() - rekey_start
         hierarchy.relabel_nodes(level_index, source_nodes, target)
         hierarchy.set_cluster_diameter(level_index, target, merged_diameter)
         # The absorbed id keeps a minimal diameter; no node references it.
         hierarchy.set_cluster_diameter(level_index, source, 0.0)
         self.stats.merges += 1
         if pending is not None:
-            rekey_start = perf_counter()
             similarity_filter.register_edges(pending)
-            self.stats.rekey_seconds += perf_counter() - rekey_start
         if similarity_filter is not None:
             similarity_filter.mark_synced()

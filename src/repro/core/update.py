@@ -17,18 +17,18 @@ re-sparsification.
 The stage functions hold no state of their own: the caller (the
 :class:`~repro.core.incremental.InGrassSparsifier` driver) owns the similarity
 filter, bound to the LRD hierarchy at the filtering level it fixed at setup,
-and the hierarchy maintainer (``None`` in rebuild mode), and hands both to
-every stage.  The stages read the hierarchy from the filter.
+and the hierarchy maintainer, and hands both to every stage.  The stages read
+the hierarchy from the filter.
 
 :func:`run_removal` extends the protocol beyond the paper to *edge deletions*:
 a removed edge always leaves the tracked graph, and when it was also carried
 by the sparsifier the function (a) invalidates the similarity filter's
-connectivity map and the hierarchy's cached cluster diameters, (b) reconnects
-the sparsifier with the most-distorting surviving graph edges if the removal
-split a cluster, (c) locally re-admits the best replacement off-tree edges
-around the removal through the same similarity filter, and (d) optionally
-keeps admitting globally most-distorting edges until κ returns under a
-configured guard bound.
+connectivity map, (b) reconnects the sparsifier with the most-distorting
+surviving graph edges if the removal split it, (c) has the maintainer splice
+the clusters the removal touched, (d) locally re-admits the best replacement
+off-tree edges around the removal through the same similarity filter, and
+(e) optionally keeps admitting globally most-distorting edges until κ returns
+under a configured guard bound.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ class UpdateResult:
     filtering_level: int
     update_seconds: float
     dropped_low_distortion: int = 0
-    #: Clusters fused by the hierarchy maintainer after this batch
-    #: (``hierarchy_mode="maintain"`` only).
+    #: Clusters fused by the hierarchy maintainer after this batch.
     hierarchy_merges: int = 0
 
     @property
@@ -89,7 +88,7 @@ class UpdateResult:
 
 def run_update(sparsifier: Graph, new_edges: Sequence[WeightedEdge], config: InGrassConfig, *,
                similarity_filter: SimilarityFilter,
-               maintainer: Optional[HierarchyMaintainer]) -> UpdateResult:
+               maintainer: HierarchyMaintainer) -> UpdateResult:
     """Apply one batch of streamed edges to ``sparsifier`` (mutated in place).
 
     Parameters
@@ -104,8 +103,7 @@ def run_update(sparsifier: Graph, new_edges: Sequence[WeightedEdge], config: InG
         The filter bound to ``sparsifier``; its level is the filtering level,
         and its LRD hierarchy's resistance bounds score the edges.
     maintainer:
-        Hierarchy maintainer driving in-place cluster merges after the batch
-        (``hierarchy_mode="maintain"``), ``None`` in rebuild mode.
+        Hierarchy maintainer driving in-place cluster merges after the batch.
     """
     timer = Timer().start()
     us, vs, ws = validate_new_edge_arrays(sparsifier, new_edges)
@@ -125,7 +123,7 @@ def run_update(sparsifier: Graph, new_edges: Sequence[WeightedEdge], config: InG
                            distortion=dropped_distortions[index])
         )
     hierarchy_merges = 0
-    if maintainer is not None and summary.added:
+    if summary.added:
         added = [d.edge for d in decisions if d.action is FilterAction.ADDED]
         hierarchy_merges = maintainer.note_insertions(added, similarity_filter=similarity_filter)
     timer.stop()
@@ -168,27 +166,20 @@ def prepare_removal_batch(graph: Graph, removals: Sequence) -> Tuple[List[Edge],
 
 
 def run_removal_drop_stage(result: "RemovalResult", graph_weights: dict, *,
-                           similarity_filter: SimilarityFilter, inflate: bool) -> None:
+                           similarity_filter: SimilarityFilter) -> None:
     """Stage 1 of the removal pipeline: drop, invalidate, re-home.
 
     For every pair of ``result.requested`` the sparsifier carries, the
     filter removes the edge from the sparsifier and its cluster-pair bucket
     and re-homes any excess weight earlier merge/redistribute decisions
     parked on it (:meth:`~repro.core.filtering.SimilarityFilter.drop_edges`).
-    With ``inflate`` (rebuild mode) the cached cluster diameters containing
-    both endpoints of each removed edge are then stretched via
-    :meth:`~repro.core.hierarchy.ClusterHierarchy.note_edge_removed`, in the
-    same order.  Fills ``result.removed_from_sparsifier`` (in request order),
-    ``reassigned_weight``, ``discarded_weight`` and ``inflated_levels``.
+    Fills ``result.removed_from_sparsifier`` (in request order),
+    ``reassigned_weight`` and ``discarded_weight``.
     """
     keys = result.requested
     removed, reassigned, discarded = similarity_filter.drop_edges(
         keys, [graph_weights.get(key) for key in keys])
     result.removed_from_sparsifier.extend(removed)
-    if inflate:
-        hierarchy = similarity_filter.hierarchy
-        for u, v, _ in removed:
-            result.inflated_levels += hierarchy.note_edge_removed(u, v)
     result.reassigned_weight = reassigned
     result.discarded_weight = discarded
 
@@ -215,13 +206,9 @@ class RemovalResult:
     reassigned_weight: float = 0.0
     #: Excess weight for which no surviving support existed (dropped).
     discarded_weight: float = 0.0
-    #: Hierarchy levels whose cached cluster diameters were inflated
-    #: (rebuild mode only; the maintenance mode recomputes instead).
-    inflated_levels: int = 0
     filtering_level: int = 0
     removal_seconds: float = 0.0
-    #: Clusters whose interior the hierarchy maintainer re-examined
-    #: (``hierarchy_mode="maintain"`` only).
+    #: Clusters whose interior the hierarchy maintainer re-examined.
     spliced_clusters: int = 0
     #: New cluster fragments the maintainer created by splitting.
     split_fragments: int = 0
@@ -328,7 +315,7 @@ def _reconnect_sparsifier(sparsifier: Graph, graph: Graph,
 def run_removal(sparsifier: Graph, removals: Sequence, *,
                 graph: Graph, config: InGrassConfig,
                 similarity_filter: SimilarityFilter,
-                maintainer: Optional[HierarchyMaintainer]) -> RemovalResult:
+                maintainer: HierarchyMaintainer) -> RemovalResult:
     """Apply one batch of edge deletions to ``sparsifier`` (mutated in place).
 
     Parameters
@@ -354,14 +341,11 @@ def run_removal(sparsifier: Graph, removals: Sequence, *,
     similarity_filter:
         The filter bound to ``sparsifier``; its connectivity map is
         invalidated and updated in place.  Its LRD hierarchy ranks the
-        replacement edges, and in rebuild mode the hierarchy's cached cluster
-        diameters are inflated in place for removed sparsifier edges.
+        replacement edges.
     maintainer:
-        Hierarchy maintainer (``hierarchy_mode="maintain"``): instead of
-        inflating cluster diameters, the affected clusters are spliced in
-        place after the reconnection step — split along their surviving
-        interior connectivity with locally recomputed diameters.  ``None``
-        in rebuild mode.
+        Hierarchy maintainer: the affected clusters are spliced in place
+        after the reconnection step — split along their surviving interior
+        connectivity with locally recomputed diameters.
 
     Notes
     -----
@@ -379,18 +363,16 @@ def run_removal(sparsifier: Graph, removals: Sequence, *,
     # Step 1: drop the edges the sparsifier carries, invalidating caches.
     # Weight a removed edge absorbed on behalf of *other* (still existing)
     # graph edges through earlier merge decisions is re-homed onto surviving
-    # support of the same cluster pair rather than silently discarded.  In
-    # rebuild mode the affected cluster diameters are inflated here; in
-    # maintain mode the clusters are spliced structurally after step 2, once
-    # the sparsifier is reconnected.
+    # support of the same cluster pair rather than silently discarded.  The
+    # affected clusters are spliced structurally after step 2, once the
+    # sparsifier is reconnected.
     result = RemovalResult(
         requested=requested,
         removed_from_sparsifier=[],
         reconnection_edges=[],
         filtering_level=similarity_filter.filtering_level,
     )
-    run_removal_drop_stage(result, graph_weights,
-                           similarity_filter=similarity_filter, inflate=maintainer is None)
+    run_removal_drop_stage(result, graph_weights, similarity_filter=similarity_filter)
     if not result.removed_from_sparsifier:
         timer.stop()
         result.removal_seconds = timer.elapsed
@@ -406,10 +388,10 @@ def run_removal(sparsifier: Graph, removals: Sequence, *,
 def run_removal_repair_stages(sparsifier: Graph, result: RemovalResult, *,
                               graph: Graph, config: InGrassConfig,
                               similarity_filter: SimilarityFilter,
-                              maintainer: Optional[HierarchyMaintainer]) -> None:
+                              maintainer: HierarchyMaintainer) -> None:
     """Stages 2, 2b and 3 of the removal pipeline, after the drop stage.
 
-    Union-find reconnection, maintain-mode splices judged against the
+    Union-find reconnection, the maintainer's splices judged against the
     repaired structure, and the distortion-ranked repair pass with its
     batch-wide cap.  Mutates ``result`` in place (reconnection, splice and
     repair fields).
@@ -419,19 +401,18 @@ def run_removal_repair_stages(sparsifier: Graph, result: RemovalResult, *,
     # Step 2: reconnect if any removal split the sparsifier.
     result.reconnection_edges = _reconnect_sparsifier(sparsifier, graph, similarity_filter)
 
-    # Step 2b (maintain mode): splice the clusters the removals touched, now
-    # that the sparsifier is whole again — interior connectivity is judged
-    # against the repaired structure, so the coarsest (all-nodes) cluster
-    # never splits and the fallback bound stays meaningful.  Reconnection
-    # edges may additionally let the maintainer fuse clusters back together.
-    if maintainer is not None:
-        splice = maintainer.note_removals(removed_from_sparsifier,
-                                          similarity_filter=similarity_filter)
-        result.spliced_clusters = len(splice.spliced)
-        result.split_fragments = splice.splits
-        if result.reconnection_edges:
-            result.hierarchy_merges += maintainer.note_insertions(
-                result.reconnection_edges, similarity_filter=similarity_filter)
+    # Step 2b: splice the clusters the removals touched, now that the
+    # sparsifier is whole again — interior connectivity is judged against
+    # the repaired structure, so the coarsest (all-nodes) cluster never
+    # splits and the fallback bound stays meaningful.  Reconnection edges
+    # may additionally let the maintainer fuse clusters back together.
+    splice = maintainer.note_removals(removed_from_sparsifier,
+                                      similarity_filter=similarity_filter)
+    result.spliced_clusters = len(splice.spliced)
+    result.split_fragments = splice.splits
+    if result.reconnection_edges:
+        result.hierarchy_merges += maintainer.note_insertions(
+            result.reconnection_edges, similarity_filter=similarity_filter)
 
     # Step 3: local quality repair around the removed edges — the best
     # off-sparsifier graph edges incident to the endpoints, ranked by the LRD
@@ -456,7 +437,7 @@ def run_removal_repair_stages(sparsifier: Graph, result: RemovalResult, *,
                 sparsifier.add_edge(p, q, weight, merge="add")
                 similarity_filter.notify_edge_added(p, q)
                 result.repair_edges.append((p, q, weight))
-        if maintainer is not None and result.repair_edges:
+        if result.repair_edges:
             result.hierarchy_merges += maintainer.note_insertions(
                 result.repair_edges, similarity_filter=similarity_filter)
 
@@ -470,7 +451,7 @@ KAPPA_GUARD_BATCH = 8
 def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
                     target_condition_number: float,
                     similarity_filter: SimilarityFilter,
-                    maintainer: Optional[HierarchyMaintainer],
+                    maintainer: HierarchyMaintainer,
                     context: Optional[SpectralContext] = None) -> KappaGuardReport:
     """Escalating quality guard for the deletion path.
 
@@ -481,8 +462,7 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
     eigenvector ``x`` of the pencil ``(L_G, L_H)``: by first-order
     perturbation the score ``w · (x_p - x_q)²`` measures exactly how much an
     edge relieves the mode the sparsifier supports worst, which makes the
-    guard surgical where the (post-removal, inflated) LRD estimates are only
-    upper bounds.  Intended to run after a full update batch so it sees the
+    guard surgical where the LRD estimates are only upper bounds.  Intended to run after a full update batch so it sees the
     combined effect of deletions and insertions; the
     :class:`~repro.core.incremental.InGrassSparsifier` driver does exactly
     that.  This trades one extreme-eigenpair solve per round for a hard
@@ -491,9 +471,9 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
 
     Every round ranks one pool, all graph edges the sparsifier does not
     carry (one key mask over both graphs' edge arrays), and round ``r``
-    admits the top ``KAPPA_GUARD_BATCH * 2**r`` of them by score.  With a
-    ``maintainer`` (``hierarchy_mode="maintain"``) the admitted edges go to
-    it, so it can fuse the clusters they join.
+    admits the top ``KAPPA_GUARD_BATCH * 2**r`` of them by score.  The
+    admitted edges go to the ``maintainer``, so it can fuse the clusters
+    they join.
 
     All estimates of a pass share one
     :class:`~repro.spectral.condition.SpectralContext`, and the candidates
@@ -535,8 +515,7 @@ def run_kappa_guard(sparsifier: Graph, *, graph: Graph, config: InGrassConfig,
             sparsifier.add_edge(u, v, w, merge="add")
             similarity_filter.notify_edge_added(u, v)
         report.added_edges.extend(round_edges)
-        if maintainer is not None:
-            maintainer.note_insertions(round_edges, similarity_filter=similarity_filter)
+        maintainer.note_insertions(round_edges, similarity_filter=similarity_filter)
         report.rounds += 1
         report.kappa_after = relative_condition_number(graph, sparsifier, context=context,
                                                        dense_limit=config.kappa_guard_dense_limit)

@@ -258,7 +258,6 @@ class SparsifierService:
                 "applied_batches": self._applied_batches,
                 "retained_versions": list(self._snapshots.keys()),
                 "max_snapshots": self._max_snapshots,
-                "hierarchy_mode": self._driver.config.hierarchy_mode,
                 "write_stats": self.write_stats,
                 "snapshot": snap.describe(),
             }

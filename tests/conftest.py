@@ -78,13 +78,11 @@ def rng() -> np.random.Generator:
 def stage_engine():
     """Factory for what the driver hands the stage functions of
     :mod:`repro.core.update`: ``(similarity filter, maintainer)`` for a
-    sparsifier, its hierarchy, a config and a target κ (the maintainer is
-    ``None`` in rebuild mode)."""
+    sparsifier, its hierarchy, a config and a target κ."""
 
     def build(sparsifier, hierarchy, config, target):
         level = hierarchy.filtering_level_for_condition(target, config.filtering_size_divisor)
-        maintainer = (HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
-                      if config.hierarchy_mode == "maintain" else None)
+        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
         return SimilarityFilter(sparsifier, hierarchy, level), maintainer
 
     return build

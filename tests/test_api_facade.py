@@ -53,7 +53,7 @@ class TestUnifiedCli:
     def test_bench_list(self, capsys):
         assert cli.main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("compare", "churn", "soak", "churn-maintenance"):
+        for name in ("compare", "churn", "soak"):
             assert name in out
 
     def test_bench_registry_covers_every_bench_module(self):

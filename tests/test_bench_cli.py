@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
 
 from repro.bench import (
     churn,
-    churn_maintenance,
     figure4,
     soak,
     table1,
@@ -17,8 +15,7 @@ from repro.bench import (
     table3,
 )
 from repro.bench.figure4 import ascii_log_chart
-from repro.bench.records import Figure4Record, Table1Record, Table2Record, Table3Record
-from repro.core import InGrassConfig
+from repro.bench.records import ChurnRecord, Figure4Record, Table1Record, Table2Record, Table3Record
 
 
 class TestRecordDerivedFields:
@@ -103,75 +100,55 @@ class TestCliMains:
         assert "Figure 4" in out
         assert "#" in out
 
-    def test_churn_main_follows_the_driver_hierarchy_mode(self, capsys):
-        """Without ``--hierarchy-mode`` the churn bench drives the mode every
-        server runs, the driver's default."""
+    def test_churn_main(self, capsys):
         assert churn.main(["--cases", "social_ws", "--scale", "small", "--iterations", "3"]) == 0
         row = capsys.readouterr().out.splitlines()[-2]
-        assert "social_ws" in row and f" {InGrassConfig().hierarchy_mode} " in row
+        assert "social_ws" in row and " yes " in row
 
 
-def _churn_payload():
-    mode = {"full_resetups": 0, "kappa_final": 40.0, "stayed_connected": True}
-    pair = {"maintain": dict(mode), "rebuild": {**mode, "full_resetups": 5}, "ratio": 1.05}
-    return {"results": {"maintain": {**mode, "per_event_ratio": 1.05, "per_event_ratio_iqr": 0.02},
-                        "rebuild": {**mode, "full_resetups": 5}},
-            "pairs": [copy.deepcopy(pair) for _ in range(3)]}
+def _churn_record(**overrides):
+    fields = dict(case="g2_circuit", paper_case="G2_circuit", num_nodes=10, num_edges=20,
+                  deletion_fraction=0.4, num_iterations=2, insertions=3, deletions=2,
+                  sparsifier_removals=1, repair_edges=1, target_condition_number=10.0,
+                  max_condition_number=15.0, final_condition_number=12.0,
+                  final_offtree_density=0.2, stayed_connected=True,
+                  ingrass_seconds=0.1, ingrass_setup_seconds=0.1)
+    fields.update(overrides)
+    return ChurnRecord(**fields)
 
 
-class TestChurnMaintenanceGate:
-    """``bench churn-maintenance``'s exit status: each check, violated alone, fails."""
-
-    def test_passes_clean_payload(self):
-        assert churn_maintenance.gate_failures(_churn_payload()) == []
-
-    def test_limits_are_inclusive(self):
-        payload = _churn_payload()
-        payload["results"]["maintain"]["kappa_final"] = 44.0
-        payload["results"]["maintain"]["per_event_ratio"] = churn_maintenance.PER_EVENT_PARITY_LIMIT
-        assert churn_maintenance.gate_failures(payload) == []
-
-    @pytest.mark.parametrize("mode, key, value, expected", [
-        ("maintain", "full_resetups", 1, "maintain mode paid 1 full re-setups"),
-        ("rebuild", "full_resetups", 1, "rebuild mode paid only 1"),
-        ("maintain", "kappa_final", 44.01, "end-state kappa"),
-        ("maintain", "stayed_connected", False, "disconnected"),
-        ("rebuild", "stayed_connected", False, "disconnected"),
-        ("maintain", "per_event_ratio", 1.11, "per-event ratio 1.110"),
-    ])
-    def test_each_violation_fails_alone(self, mode, key, value, expected):
-        payload = _churn_payload()
-        payload["results"][mode][key] = value
-        failures = churn_maintenance.gate_failures(payload)
-        assert len(failures) == 1 and expected in failures[0], failures
-
-    @pytest.mark.parametrize("mode, key, value", [
-        ("maintain", "full_resetups", 1),
-        ("rebuild", "kappa_final", 40.5),
-        ("maintain", "stayed_connected", False),
-    ])
-    def test_a_pair_that_does_not_repeat_the_stream_fails_alone(self, mode, key, value):
-        payload = _churn_payload()
-        payload["pairs"][2][mode][key] = value
-        failures = churn_maintenance.gate_failures(payload)
-        assert len(failures) == 1 and f"pair 2: {mode} {key}" in failures[0], failures
-
-
-@pytest.mark.parametrize("module, runner, make_payload, plant", [
-    (churn_maintenance, "run_churn_maintenance_bench", _churn_payload,
-     lambda p: p["results"]["maintain"].update(full_resetups=3)),
+@pytest.mark.parametrize("overrides, status", [
+    ({}, 0),
+    ({"max_condition_number": 20.0}, 0),
+    ({"max_condition_number": 20.01}, 1),
+    ({"stayed_connected": False}, 1),
 ])
-def test_main_writes_its_artifact_before_it_fails(tmp_path, monkeypatch, module, runner,
-                                                  make_payload, plant):
-    """A failing run still leaves the evidence CI uploads."""
-    payload = make_payload()
-    plant(payload)
-    monkeypatch.setattr(module, runner, lambda *args, **kwargs: copy.deepcopy(payload))
-    monkeypatch.setattr(module, "print_results", lambda payload: "")
-    output = tmp_path / "artifact.json"
-    assert module.main(["--output", str(output)]) == 1
-    written = json.loads(output.read_text())
-    assert written["failures"] == module.gate_failures(payload) != []
+def test_churn_main_fails_on_kappa_past_twice_the_target_or_a_disconnect(monkeypatch, capsys,
+                                                                          overrides, status):
+    """``bench churn``'s exit status, CI's churn check: each violation alone
+    fails, and a worst κ of exactly twice the target passes."""
+    monkeypatch.setattr(churn, "run_churn", lambda *args, **kwargs: [_churn_record(**overrides)])
+    assert churn.main(["--cases", "g2_circuit"]) == status
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--cases", "no_such_case"),
+    ("--deletion-fraction", "1.5"),
+    ("--deletion-fraction", "-0.1"),
+    ("--iterations", "0"),
+])
+def test_churn_main_rejects_a_bad_value_before_building_a_dataset(monkeypatch, capsys, option, value):
+    """A bad option value exits 2 with one error line naming the option, the
+    status argparse gives a malformed command line, and the harness is never
+    called; exit 1 stays the status of a failed kappa or connectivity check."""
+    calls = []
+    monkeypatch.setattr(churn, "run_churn", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        churn.main([f"{option}={value}"])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "error:" in error and option in error
+    assert calls == []
 
 
 @pytest.mark.slow

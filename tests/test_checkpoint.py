@@ -5,9 +5,8 @@ after N batches and restored — into this process or a freshly spawned one —
 must replay the remaining stream to exactly the state an uninterrupted run
 reaches: same sparsifier edge dict (set, weights, insertion order), same
 graph, same κ, same history fingerprint, same version counter.  The property
-is checked at several save points in both hierarchy modes, with the restored
-driver resuming in this thread, on a worker thread or in a spawned
-interpreter.
+is checked at several save points, with the restored driver resuming in this
+thread, on a worker thread or in a spawned interpreter.
 """
 
 from __future__ import annotations
@@ -48,12 +47,11 @@ SCENARIO_KWARGS = dict(
 )
 
 
-def make_config(hierarchy_mode="rebuild"):
+def make_config():
     return InGrassConfig(
         lrd=LRDConfig(seed=0),
         kappa_guard_dense_limit=DENSE_LIMIT,
         kappa_guard_factor=1.8,
-        hierarchy_mode=hierarchy_mode,
         seed=0,
     )
 
@@ -138,20 +136,19 @@ def as_json(value):
 # The round-trip property, at several save points and resume contexts
 # --------------------------------------------------------------------------- #
 class TestRoundTrip:
-    @pytest.mark.parametrize("save_after,resume_on,hierarchy_mode", [
-        (1, "serial", "rebuild"),
-        (1, "serial", "maintain"),
-        (2, "threads", "maintain"),
-        (2, "processes", "rebuild"),
-        (4, "processes", "maintain"),
+    @pytest.mark.parametrize("save_after,resume_on", [
+        (1, "serial"),
+        (2, "threads"),
+        (2, "processes"),
+        (4, "processes"),
     ])
     def test_mid_stream_save_restore_continues_byte_identically(
-            self, scenario, tmp_path, save_after, resume_on, hierarchy_mode):
+            self, scenario, tmp_path, save_after, resume_on):
         """Saved after ``save_after`` batches and resumed in this thread
         (``serial``), on a worker thread (``threads``) or in a spawned
         interpreter (``processes``), the replay ends where the uninterrupted
         run does."""
-        config = make_config(hierarchy_mode)
+        config = make_config()
         batches = scenario.batches
         assert save_after < len(batches)
 
@@ -185,7 +182,7 @@ class TestRoundTrip:
 
     def test_restore_into_fresh_process(self, scenario, tmp_path):
         """Restore at the stream's midpoint in a *spawned* interpreter."""
-        config = make_config(hierarchy_mode="maintain")
+        config = make_config()
         batches = scenario.batches
         half = len(batches) // 2
 
@@ -223,7 +220,6 @@ class TestFormat:
         assert info["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert info["driver_class"] == "InGrassSparsifier"
         assert info["version"] == driver.latest_version
-        assert info["hierarchy_mode"] == "rebuild"
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -233,14 +229,20 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # A newer layout, and the older formats 1 to 6 (format 6 carried
+        # A newer layout, and the older formats 1 to 7 (format 7 carried the
+        # two configuration fields and the two hierarchy counters of the
+        # inflate-and-rebuild mode, format 6
         # InGrassConfig.target_condition_number and format 5
-        # InGrassConfig.filtering_level, as below; format 4 overwrote its
+        # InGrassConfig.filtering_level, all as below; format 4 overwrote its
         # arrays in place; 1 to 3 carried other fields this reader no longer
         # knows).
+        manifest["config"]["hierarchy_mode"] = "maintain"
+        manifest["config"]["resetup_after_removals"] = None
+        manifest["hierarchy"]["noted_removals"] = 0
+        manifest["hierarchy"]["inflation_ceiling"] = None
         manifest["config"]["target_condition_number"] = None
         manifest["config"]["filtering_level"] = manifest["filtering_level"]
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 6, 5, 4, 3, 2, 1):
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):

@@ -211,32 +211,6 @@ class TestFilterInvalidation:
         assert similarity_filter.connects_clusters(second[0], second[1])
 
 
-class TestHierarchyInvalidation:
-    def test_note_edge_removed_inflates_diameters(self, grid_with_sparsifier):
-        _, sparsifier = grid_with_sparsifier
-        hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
-        u, v = next(iter(sparsifier.edges()))
-        level_index = hierarchy.first_common_level(u, v)
-        assert level_index is not None
-        cluster = hierarchy.cluster_of(u, level_index)
-        before = float(hierarchy.level(level_index).cluster_diameters[cluster])
-        touched = hierarchy.note_edge_removed(u, v, inflation_factor=1.5)
-        assert touched >= 1
-        after = float(hierarchy.level(level_index).cluster_diameters[cluster])
-        assert after >= before * 1.5 - 1e-12 or after == pytest.approx(1e-12)
-        assert hierarchy.noted_removals == 1
-        assert hierarchy.needs_refresh(1)
-        assert not hierarchy.needs_refresh(2)
-
-    def test_invalid_inflation_rejected(self, grid_with_sparsifier):
-        _, sparsifier = grid_with_sparsifier
-        hierarchy = lrd_decompose(sparsifier, LRDConfig(seed=0))
-        with pytest.raises(ValueError):
-            hierarchy.note_edge_removed(0, 1, inflation_factor=0.5)
-        with pytest.raises(ValueError):
-            hierarchy.needs_refresh(0)
-
-
 class TestRunRemoval:
     @pytest.fixture
     def dynamic_pair(self, grid_with_sparsifier):
@@ -282,11 +256,7 @@ class TestRunRemoval:
         pairs = shared[:4]
         for u, v in pairs:
             graph.remove_edge(u, v)
-        # Pin rebuild mode: this test exercises the diameter-inflation
-        # bookkeeping, which maintain mode (the default) replaces with
-        # structural splices.
-        result = removal(sparsifier, setup, pairs, graph=graph,
-                         config=InGrassConfig(hierarchy_mode="rebuild"))
+        result = removal(sparsifier, setup, pairs, graph=graph)
         assert len(result.removed_from_sparsifier) == len(pairs)
         assert is_connected(sparsifier)
         for u, v in pairs:
@@ -294,7 +264,8 @@ class TestRunRemoval:
         # Repairs only re-use surviving graph edges.
         for u, v, _ in result.reconnection_edges + result.repair_edges:
             assert graph.has_edge(u, v)
-        assert result.inflated_levels >= len(pairs)
+        # The maintainer re-examined the clusters the removals touched.
+        assert result.spliced_clusters >= 1
 
     def test_reconnection_after_cutting_a_sparsifier_bridge(self, removal):
         # A cycle graph sparsified down to a path: removing a path edge
@@ -481,27 +452,6 @@ class TestDriverDynamics:
         result = ingrass.apply_batch(MixedBatch())
         assert result.removal is None and result.insertion is None
         assert ingrass.history[-1].streamed_edges == 0
-
-    def test_resetup_after_removals_refreshes(self, medium_grid):
-        # resetup_after_removals is only honoured in rebuild mode (maintain,
-        # the default, keeps the hierarchy accurate structurally instead).
-        ingrass = self._driver(medium_grid, resetup_after_removals=2,
-                               hierarchy_mode="rebuild")
-        setup_before = ingrass.setup_result
-        removed = 0
-        for _ in range(6):
-            pairs = [edge for edge in removable_edges(ingrass.graph, 4, seed=removed)
-                     if ingrass.sparsifier.has_edge(*edge)][:2]
-            if not pairs:
-                continue
-            ingrass.apply_batch(MixedBatch(deletions=pairs))
-            removed += len(pairs)
-            if removed >= 2:
-                break
-        if removed < 2:
-            pytest.skip("could not remove enough sparsifier edges")
-        assert ingrass.setup_result is not setup_before
-        assert ingrass.setup_result.hierarchy.noted_removals == 0
 
     def test_churn_acceptance_protocol(self, medium_grid):
         """Acceptance: >=30% deletions over >=10 iterations, sparsifier stays

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for incremental hierarchy maintenance.
 
-For arbitrary random churn streams, ``hierarchy_mode="maintain"`` must uphold
-the contracts the update phase relies on:
+For arbitrary random churn streams, the hierarchy maintainer must uphold the
+contracts the update phase relies on:
 
 * the maintained hierarchy's resistance upper bounds keep tracking the exact
   resistances of the evolving sparsifier from above (same tolerance the
@@ -13,8 +13,8 @@ the contracts the update phase relies on:
   bit-identical to one rebuilt from scratch against the same hierarchy and
   sparsifier, and therefore the *next batch's filter decisions* match the
   rebuilt-oracle decisions exactly;
-* the full driver protocol (connectivity, support, deletions honoured)
-  holds in maintain mode just as the PR 1 suite asserts for rebuild mode.
+* the full driver protocol holds: connectivity, support and deletions
+  honoured.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def _run_maintained_churn(params, *, guard: bool = False):
     )
     config = InGrassConfig(
         seed=0,
-        hierarchy_mode="maintain",
         lrd=LRDConfig(resistance_method="exact", seed=0),
         kappa_guard_factor=1.8 if guard else None,
         kappa_guard_dense_limit=DENSE_LIMIT,

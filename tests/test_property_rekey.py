@@ -12,8 +12,8 @@ arbitrary graphs, node subsets and churn streams:
 * the bulk kernels leave the ``_connectivity`` / ``_intra_cluster_edges``
   maps equal to the scalar oracle's, and return the same pending edge set;
 * the full driver ends every churn stream with a connectivity map
-  identical to one rebuilt from a fresh sparsifier scan — in both
-  hierarchy modes, on mixed and deletion-heavy streams.
+  identical to one rebuilt from a fresh sparsifier scan, on mixed and
+  deletion-heavy streams.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def test_bulk_rekey_matches_scalar_oracle(params):
 
 
 # --------------------------------------------------------------------------- #
-# Driver-level parity: hierarchy modes on churn streams
+# Driver-level parity on churn streams
 # --------------------------------------------------------------------------- #
 driver_params = st.fixed_dictionaries(
     {
@@ -129,7 +129,7 @@ driver_params = st.fixed_dictionaries(
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(params=driver_params)
 def test_driver_rekey_parity_across_modes_and_shards(params):
-    """In both hierarchy modes the evolved filter map equals a fresh rebuild."""
+    """After a churn stream the evolved filter map equals a fresh rebuild."""
     graph = grid_circuit_2d(params["side"], seed=params["graph_seed"])
     scenario = build_dynamic_scenario(
         graph,
@@ -140,22 +140,18 @@ def test_driver_rekey_parity_across_modes_and_shards(params):
             seed=params["stream_seed"],
         ),
     )
-    for hierarchy_mode in ("rebuild", "maintain"):
-        driver = InGrassSparsifier(InGrassConfig(
-            seed=0,
-            hierarchy_mode=hierarchy_mode,
-            lrd=LRDConfig(seed=0),
-            kappa_guard_dense_limit=DENSE_LIMIT,
-        ))
-        driver.setup(scenario.graph, scenario.initial_sparsifier,
-                     target_condition_number=scenario.initial_condition_number)
-        for batch in scenario.batches:
-            driver.apply_batch(batch)
-        # The evolved (incrementally re-keyed) filter map must equal one
-        # rebuilt from a fresh scan of the final sparsifier.
-        live = driver._filter
-        if live is not None:
-            rebuilt = SimilarityFilter(driver.sparsifier,
-                                       driver.setup_result.hierarchy,
-                                       live.filtering_level)
-            assert filter_state(live) == filter_state(rebuilt)
+    driver = InGrassSparsifier(InGrassConfig(
+        seed=0,
+        lrd=LRDConfig(seed=0),
+        kappa_guard_dense_limit=DENSE_LIMIT,
+    ))
+    driver.setup(scenario.graph, scenario.initial_sparsifier,
+                 target_condition_number=scenario.initial_condition_number)
+    for batch in scenario.batches:
+        driver.apply_batch(batch)
+    # The evolved (incrementally re-keyed) filter map must equal one
+    # rebuilt from a fresh scan of the final sparsifier.
+    live = driver._filter
+    rebuilt = SimilarityFilter(driver.sparsifier, driver.setup_result.hierarchy,
+                               live.filtering_level)
+    assert filter_state(live) == filter_state(rebuilt)

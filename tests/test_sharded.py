@@ -39,11 +39,10 @@ from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenari
 DENSE_LIMIT = 600
 
 
-def make_config(hierarchy_mode="rebuild", **kwargs):
+def make_config(**kwargs):
     return InGrassConfig(
         lrd=LRDConfig(seed=0),
         kappa_guard_dense_limit=DENSE_LIMIT,
-        hierarchy_mode=hierarchy_mode,
         seed=0,
         **kwargs,
     )
@@ -143,9 +142,8 @@ class TestShardParity:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
-           split=st.integers(min_value=0, max_value=3),
-           hierarchy_mode=st.sampled_from(["rebuild", "maintain"]))
-    def test_property_churn_invariance(self, seed, split, hierarchy_mode):
+           split=st.integers(min_value=0, max_value=3))
+    def test_property_churn_invariance(self, seed, split):
         """Saving and restoring at any batch boundary of a random churn
         stream leaves decisions, edges, weights and history unchanged."""
         graph = grid_circuit_2d(9, seed=5)
@@ -157,7 +155,7 @@ class TestShardParity:
                 condition_dense_limit=DENSE_LIMIT, seed=seed,
             ),
         )
-        config = make_config(hierarchy_mode=hierarchy_mode, kappa_guard_factor=1.8)
+        config = make_config(kappa_guard_factor=1.8)
         reference = start_driver(scenario, config)
         reference_decisions = [decision_log(reference.apply_batch(batch))
                                for batch in scenario.batches]
@@ -204,7 +202,7 @@ class TestShardedRemoval:
         """Writing through the service from a worker thread, while this
         thread keeps taking snapshots, ends exactly where the serial driver
         does."""
-        config = make_config(hierarchy_mode="maintain", kappa_guard_factor=1.8)
+        config = make_config(kappa_guard_factor=1.8)
         serial = start_driver(deletion_heavy_scenario, config)
         for batch in deletion_heavy_scenario.batches:
             serial.apply_batch(batch)
@@ -274,7 +272,7 @@ class TestScopedFiltersAndEscrow:
     def test_views_partition_the_global_map(self, churn_scenario):
         """After churn every sparsifier edge sits in exactly one filter
         bucket: the one keyed by its endpoints' filtering-level clusters."""
-        driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
+        driver = start_driver(churn_scenario, make_config())
         for batch in churn_scenario.batches:
             driver.apply_batch(batch)
         similarity_filter = driver._filter
@@ -322,7 +320,7 @@ class TestFilteringLevelPinning:
     """
 
     def test_level_stays_pinned_under_splices(self, deletion_heavy_scenario):
-        driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
+        driver = start_driver(deletion_heavy_scenario, make_config())
         pinned = driver.filtering_level
         filter_object = driver._filter
         for batch in deletion_heavy_scenario.batches:
@@ -335,7 +333,7 @@ class TestFilteringLevelPinning:
         assert all(record.filtering_level == pinned for record in driver.history)
 
     def test_refresh_setup_repins(self, deletion_heavy_scenario):
-        driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
+        driver = start_driver(deletion_heavy_scenario, make_config())
         first_filter, first_maintainer = driver._filter, driver.maintainer
         driver.refresh_setup()
         # A fresh hierarchy gets a fresh level, filter and maintainer, bound
@@ -352,7 +350,7 @@ class TestFilteringLevelPinning:
         """After a splice-heavy stream the maintained filter map equals a
         fresh scan of the final sparsifier — the invariant that makes the
         evolved map interchangeable with a rebuilt one."""
-        driver = start_driver(deletion_heavy_scenario, make_config(hierarchy_mode="maintain"))
+        driver = start_driver(deletion_heavy_scenario, make_config())
         for batch in deletion_heavy_scenario.batches:
             driver.apply_batch(batch)
         assert driver.maintenance_stats.splices > 0
@@ -368,7 +366,7 @@ class TestFilteringLevelPinning:
 class TestClusterMembersIndex:
     def test_matches_label_scan_after_churn(self, churn_scenario):
         """After splices and merges the index equals a fresh label scan."""
-        driver = start_driver(churn_scenario, make_config(hierarchy_mode="maintain"))
+        driver = start_driver(churn_scenario, make_config())
         hierarchy = driver.setup_result.hierarchy
         # Touch the index before the stream so it is maintained (not lazily
         # rebuilt) through every relabel/append of the maintenance layer.

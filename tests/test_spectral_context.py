@@ -46,10 +46,10 @@ def stream():
         deletion_fraction=0.4, condition_dense_limit=600, seed=0))
 
 
-def start_driver(stream, hierarchy_mode="maintain"):
+def start_driver(stream):
     driver = InGrassSparsifier(InGrassConfig(
         lrd=LRDConfig(seed=0), kappa_guard_factor=1.2,
-        kappa_guard_dense_limit=GUARD_DENSE_LIMIT, hierarchy_mode=hierarchy_mode, seed=0))
+        kappa_guard_dense_limit=GUARD_DENSE_LIMIT, seed=0))
     driver.setup(stream.graph, stream.initial_sparsifier,
                  target_condition_number=stream.initial_condition_number)
     return driver
@@ -79,10 +79,9 @@ class _Counter:
 
 
 class TestGuardPasses:
-    @pytest.mark.parametrize("hierarchy_mode", ["maintain", "rebuild"])
-    def test_two_fresh_drivers_report_bit_identical_kappa(self, stream, hierarchy_mode):
-        first = guard_kappas(start_driver(stream, hierarchy_mode), stream.batches)
-        second = guard_kappas(start_driver(stream, hierarchy_mode), stream.batches)
+    def test_two_fresh_drivers_report_bit_identical_kappa(self, stream):
+        first = guard_kappas(start_driver(stream), stream.batches)
+        second = guard_kappas(start_driver(stream), stream.batches)
         assert any(added for _, _, added in first), "the stream must trip the guard"
         assert first == second
 

@@ -3,8 +3,8 @@
 Two layers are covered:
 
 * :class:`ClusterHierarchy` — ``version`` bumps on every mutation
-  (diameter set, cluster append, relabel, removal-driven inflation) and
-  ``labels_version`` bumps exactly on structural relabels;
+  (diameter set, cluster append, relabel) and ``labels_version`` bumps
+  exactly on structural relabels;
 * :class:`InGrassSparsifier` — ``latest_version`` bumps on every mutating
   public call (setup, apply_batch, refresh_setup) and never on reads or on a
   rejected batch.
@@ -58,15 +58,6 @@ class TestHierarchyVersionCounters:
         assert hierarchy.level_labels_version(0) == 1
         assert hierarchy.level_labels_version(1) == 0
 
-    def test_removal_inflation_bumps_version(self):
-        hierarchy = _tiny_hierarchy()
-        # Nodes 0 and 1 share cluster 0 at level 0: inflation must register.
-        touched = hierarchy.note_edge_removed(0, 1)
-        assert touched > 0
-        # One bump per level whose cluster diameters inflated (both here).
-        assert hierarchy.version >= 1
-        assert hierarchy.labels_version == 0
-
     def test_reads_never_bump(self):
         hierarchy = _tiny_hierarchy()
         hierarchy.cluster_of(0, 0)
@@ -86,8 +77,7 @@ class TestHierarchyVersionCounters:
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)
         hierarchy = driver.setup_result.hierarchy
-        assert driver._maintainer is None or isinstance(
-            driver._maintainer, HierarchyMaintainer)
+        assert isinstance(driver.maintainer, HierarchyMaintainer)
         seen = [(hierarchy.version, hierarchy.labels_version)]
         for batch in scenario.batches:
             driver.apply_batch(batch)
