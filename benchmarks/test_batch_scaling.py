@@ -55,7 +55,7 @@ class _NoMerges:
     engine: a real maintainer would add the same cluster merges to both
     filters' timings and dilute their difference."""
 
-    def note_insertions(self, edges, *, similarity_filter=None) -> int:
+    def note_insertions(self, edges, *, similarity_filter) -> int:
         return 0
 
 

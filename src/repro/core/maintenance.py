@@ -131,7 +131,7 @@ class HierarchyMaintainer:
     # Removal path: splice affected clusters
     # ------------------------------------------------------------------ #
     def note_removals(self, removed_edges: Sequence[WeightedEdge], *,
-                      similarity_filter=None) -> SpliceReport:
+                      similarity_filter) -> SpliceReport:
         """Splice every cluster that contained both endpoints of a removed edge.
 
         Call *after* the edges left the sparsifier (and after any
@@ -316,13 +316,8 @@ class HierarchyMaintainer:
         if nodes.shape[0] == 1:
             hierarchy.set_cluster_diameter(level_index, cluster, 0.0)
             return 0, 1
-        rekey = (
-            similarity_filter is not None
-            and len(fragments) > 1
-            and similarity_filter.filtering_level == level_index
-        )
         pending = None
-        if rekey:
+        if len(fragments) > 1 and similarity_filter.filtering_level == level_index:
             pending = similarity_filter.unregister_incident_edges(nodes)
         hierarchy.set_cluster_diameter(level_index, cluster, diameters[0])
         self.stats.diameter_recomputes += 1
@@ -333,15 +328,14 @@ class HierarchyMaintainer:
             self.stats.diameter_recomputes += 1
         if pending is not None:
             similarity_filter.register_edges(pending)
-        if similarity_filter is not None:
-            similarity_filter.mark_synced()
+        similarity_filter.mark_synced()
         return len(fragments) - 1, 1 if len(fragments) == 1 else 0
 
     # ------------------------------------------------------------------ #
     # Insertion path: merge clusters the new edges join
     # ------------------------------------------------------------------ #
     def note_insertions(self, edges: Sequence[WeightedEdge], *,
-                        similarity_filter=None) -> int:
+                        similarity_filter) -> int:
         """Fuse clusters joined by newly admitted sparsifier edges.
 
         For every edge and every level where its endpoints live in different
@@ -397,12 +391,8 @@ class HierarchyMaintainer:
         else:
             target, source_nodes = cluster_b, nodes_a
             source = cluster_a
-        rekey = (
-            similarity_filter is not None
-            and similarity_filter.filtering_level == level_index
-        )
         pending = None
-        if rekey:
+        if similarity_filter.filtering_level == level_index:
             pending = similarity_filter.unregister_incident_edges(source_nodes)
         hierarchy.relabel_nodes(level_index, source_nodes, target)
         hierarchy.set_cluster_diameter(level_index, target, merged_diameter)
@@ -411,5 +401,4 @@ class HierarchyMaintainer:
         self.stats.merges += 1
         if pending is not None:
             similarity_filter.register_edges(pending)
-        if similarity_filter is not None:
-            similarity_filter.mark_synced()
+        similarity_filter.mark_synced()

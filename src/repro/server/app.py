@@ -33,6 +33,13 @@ Architecture — one event loop, two disciplines:
   not applied within the request timeout is answered ``202`` (it *will*
   apply, in order — the connection just stops waiting).
 
+Connections are kept alive (HTTP/1.0 ones only on request).  Each holds one
+idle deadline: ``keep_alive_timeout`` seconds from the end of its last
+response (or from its accept) until the next request has been read in full.
+It is one timer per connection, re-armed per request by moving the deadline,
+not a timeout wrapped around each read; a connection that misses it is
+closed without an answer.
+
 Graceful shutdown (``POST /shutdown``, :meth:`SparsifierHTTPServer.stop`, or
 SIGINT/SIGTERM under :func:`serve`) closes the listener, **drains every
 queued write**, gives in-flight connections a grace period, and — when a
@@ -186,6 +193,48 @@ def rhs_from_payload(payload: dict, num_nodes: int) -> list:
     if not (isinstance(b, list) and len(b) == num_nodes and all(map(_is_finite_number, b))):
         raise ProtocolError(400, f"field 'b' must be a list of {num_nodes} finite numbers")
     return b
+
+
+class _IdleTimer:
+    """One connection's idle deadline: calls ``on_idle`` once a wait for the
+    next request outlasts ``timeout`` seconds.
+
+    :meth:`arm` starts a wait and :meth:`disarm` ends it; both only move the
+    deadline.  The one pending loop timer fires when it was set to, and sets
+    itself again if the deadline moved on meanwhile, so a busy connection
+    costs the loop one timer per ``timeout`` seconds, not one per request.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, timeout: float,
+                 on_idle: Callable[[], object]) -> None:
+        self._loop = loop
+        self._timeout = timeout
+        self._on_idle = on_idle
+        self._deadline: Optional[float] = None  # None: no wait in progress
+        self._handle: Optional[asyncio.TimerHandle] = None
+
+    def arm(self) -> None:
+        self._deadline = self._loop.time() + self._timeout
+        if self._handle is None:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+
+    def disarm(self) -> None:
+        self._deadline = None
+
+    def cancel(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self) -> None:
+        when = self._handle.when()
+        self._handle = None
+        if self._deadline is None:
+            return  # a request is in hand; the next arm() sets a timer again
+        if self._deadline > when:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+        else:
+            self._on_idle()
 
 
 @dataclass
@@ -360,28 +409,32 @@ class SparsifierHTTPServer:
     # ------------------------------------------------------------------ #
     def _on_connection(self, reader: asyncio.StreamReader,
                        writer: asyncio.StreamWriter) -> None:
+        self.metrics.observe_connection()
         task = asyncio.ensure_future(self._handle_connection(reader, writer))
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        # An idle connection is cancelled out of its read, as a timeout
+        # around each read would, and closed quietly below.
+        idle = _IdleTimer(asyncio.get_running_loop(), self._config.keep_alive_timeout,
+                          asyncio.current_task().cancel)
         try:
             while True:
+                idle.arm()
                 try:
-                    request = await asyncio.wait_for(
-                        read_request(reader,
-                                     max_header_bytes=self._config.max_header_bytes,
-                                     max_body_bytes=self._config.max_body_bytes),
-                        timeout=self._config.keep_alive_timeout)
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection: close quietly
+                    request = await read_request(
+                        reader, max_header_bytes=self._config.max_header_bytes,
+                        max_body_bytes=self._config.max_body_bytes)
                 except ProtocolError as exc:
+                    idle.disarm()
                     status, payload = error_payload(exc.status, exc.message)
                     self.metrics.observe("protocol-error", status, 0.0)
                     writer.write(encode_response(status, payload, keep_alive=False))
                     await writer.drain()
                     break
+                idle.disarm()
                 if request is None:
                     break  # peer closed
                 status, payload, headers = await self._dispatch(request)
@@ -395,6 +448,7 @@ class SparsifierHTTPServer:
         except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            idle.cancel()
             writer.close()
             try:
                 await writer.wait_closed()

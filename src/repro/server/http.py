@@ -16,8 +16,9 @@ Scope is deliberately small and explicit:
   (an oversized body is never read into memory);
 * a strict ``Content-Length``: ASCII digits only, and repeated headers must
   agree (RFC 9110 §8.6, RFC 9112 §6.3);
-* ``keep-alive`` by default (HTTP/1.1 semantics), ``Connection: close``
-  honoured both ways;
+* persistence as RFC 9112 §9.3 sets it: an HTTP/1.1 connection stays open
+  unless either side says ``Connection: close``, and an HTTP/1.0 one closes
+  after its response unless the request says ``Connection: keep-alive``;
 * every parse failure raises :class:`ProtocolError` carrying the exact
   status code the connection handler should answer with before closing.
 """
@@ -59,6 +60,16 @@ class ProtocolError(Exception):
         self.message = message
 
 
+def keeps_alive(version: str, connection: str) -> bool:
+    """Whether a connection stays open after a message of HTTP ``version``
+    with ``Connection`` header value ``connection`` (RFC 9112 §9.3): an
+    HTTP/1.0 one only on ``keep-alive``, any other unless it says ``close``."""
+    tokens = {token.strip() for token in connection.lower().split(",")}
+    if version == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
+
+
 @dataclass
 class HttpRequest:
     """One parsed request."""
@@ -68,10 +79,11 @@ class HttpRequest:
     query: Dict[str, str] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "keep-alive").lower() != "close"
+        return keeps_alive(self.version, self.headers.get("connection", ""))
 
     def json(self) -> dict:
         """Decode the body as a JSON object; ``{}`` for an empty body.
@@ -118,7 +130,7 @@ async def read_request(reader: asyncio.StreamReader, *,
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[0] or not parts[1] or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(400, f"malformed request line: {lines[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
 
     headers: Dict[str, str] = {}
     for line in lines[1:]:
@@ -160,7 +172,7 @@ async def read_request(reader: asyncio.StreamReader, *,
         raise ProtocolError(400, f"malformed request target: {target!r}") from exc
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     return HttpRequest(method=method.upper(), path=split.path or "/",
-                       query=query, headers=headers, body=body)
+                       query=query, headers=headers, body=body, version=version)
 
 
 def encode_response(status: int, payload: Optional[dict] = None, *,

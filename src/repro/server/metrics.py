@@ -14,6 +14,8 @@ Prometheus-shaped without the dependency:
 * per-endpoint status-code counters;
 * where ``POST /resistance`` reads were answered: on the event loop (the
   published snapshot already held the solver) or on a worker thread;
+* accepted connections, so requests per connection show whether clients
+  keep their connections alive;
 * point-in-time gauges (ingest-queue depth, epoch) merged in by the app at
   scrape time.
 
@@ -98,6 +100,7 @@ class ServerMetrics:
         self._timeouts = 0
         self._reads_on_loop = 0
         self._reads_on_worker = 0
+        self._connections = 0
 
     def observe(self, endpoint: str, status: int, seconds: float) -> None:
         """Record one handled request (called once per response)."""
@@ -122,6 +125,11 @@ class ServerMetrics:
             else:
                 self._reads_on_worker += 1
 
+    def observe_connection(self) -> None:
+        """Count one accepted connection."""
+        with self._lock:
+            self._connections += 1
+
     def snapshot(self, **gauges) -> Dict:
         """JSON-ready scrape; keyword arguments land under ``"gauges"``."""
         with self._lock:
@@ -137,5 +145,6 @@ class ServerMetrics:
                 "timeouts_total": self._timeouts,
                 "reads_on_loop_total": self._reads_on_loop,
                 "reads_on_worker_total": self._reads_on_worker,
+                "connections_total": self._connections,
                 "gauges": dict(gauges),
             }

@@ -150,7 +150,9 @@ class TestHierarchyMaintainer:
         level_index = hierarchy.first_common_level(*pair)
         assert level_index is not None
         weight = working.remove_edge(*pair)
-        report = maintainer.note_removals([(pair[0], pair[1], weight)])
+        report = maintainer.note_removals(
+            [(pair[0], pair[1], weight)],
+            similarity_filter=SimilarityFilter(working, hierarchy, level_index))
         assert report.spliced
         assert maintainer.stats.removals == 1
         assert maintainer.stats.diameter_recomputes >= 1
@@ -169,7 +171,8 @@ class TestHierarchyMaintainer:
         assert hierarchy.first_common_level(0, 5) == 0
         maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
         weight = sparsifier.remove_edge(2, 3)
-        report = maintainer.note_removals([(2, 3, weight)])
+        report = maintainer.note_removals(
+            [(2, 3, weight)], similarity_filter=SimilarityFilter(sparsifier, hierarchy, 0))
         assert report.splits >= 1
         # The two triangles no longer share the finest cluster.
         assert hierarchy.cluster_of(0, 0) != hierarchy.cluster_of(5, 0)
@@ -200,7 +203,8 @@ class TestHierarchyMaintainer:
             removed = []
             for u, v in pairs:
                 removed.append((u, v, working.remove_edge(u, v)))
-            maintainer.note_removals(removed)
+            maintainer.note_removals(
+                removed, similarity_filter=SimilarityFilter(working, hierarchy, 0))
         for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
             mapping = {}
             for node in range(hierarchy.num_nodes):
@@ -219,7 +223,8 @@ class TestHierarchyMaintainer:
         assert hierarchy.cluster_of(1, 0) != hierarchy.cluster_of(2, 0)
         maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
         sparsifier.add_edge(1, 2, 100.0, merge="add")
-        merges = maintainer.note_insertions([(1, 2, 100.0)])
+        merges = maintainer.note_insertions(
+            [(1, 2, 100.0)], similarity_filter=SimilarityFilter(sparsifier, hierarchy, 0))
         assert merges >= 1
         assert hierarchy.cluster_of(1, 0) == hierarchy.cluster_of(2, 0)
 
@@ -232,7 +237,8 @@ class TestHierarchyMaintainer:
         setup = run_setup(sparsifier, config)
         hierarchy = setup.hierarchy
         maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
-        merges = maintainer.note_insertions([(1, 2, 0.001)])
+        merges = maintainer.note_insertions(
+            [(1, 2, 0.001)], similarity_filter=SimilarityFilter(sparsifier, hierarchy, 0))
         assert merges == 0
         assert hierarchy.cluster_of(1, 0) != hierarchy.cluster_of(2, 0)
 
@@ -363,7 +369,7 @@ class TestWeightChangePath:
             ingrass.apply_batch(MixedBatch(weight_changes=[(edge[0], edge[1], -1.0)]))
 
 
-class TestDriverModes:
+class TestRefreshSetup:
     def test_refresh_rebuilds_maintainer(self, medium_grid):
         ingrass = InGrassSparsifier(InGrassConfig(seed=0))
         ingrass.setup(medium_grid, target_condition_number=64.0)

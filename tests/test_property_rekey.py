@@ -128,7 +128,7 @@ driver_params = st.fixed_dictionaries(
 @settings(max_examples=4, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(params=driver_params)
-def test_driver_rekey_parity_across_modes_and_shards(params):
+def test_driver_filter_map_matches_rebuild_after_churn(params):
     """After a churn stream the evolved filter map equals a fresh rebuild."""
     graph = grid_circuit_2d(params["side"], seed=params["graph_seed"])
     scenario = build_dynamic_scenario(

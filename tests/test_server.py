@@ -11,10 +11,12 @@ of the restart.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import socket
 import threading
 import time
+from http.client import HTTPException, RemoteDisconnected
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.api import (
 )
 from repro.graphs.validation import removals_keep_connected
 from repro.server.app import batch_from_payload
+from repro.server.client import _read_response
 from repro.server.http import ProtocolError
 from repro.snapshot import SparsifierSnapshot
 
@@ -74,9 +77,9 @@ def running_server(service, **config_kwargs):
         server.stop()
 
 
-def raw_exchange(port: int, data: bytes) -> bytes:
+def raw_exchange(port: int, data: bytes, *, timeout: float = 10.0) -> bytes:
     """Send raw bytes; read until the server closes (error answers do)."""
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
         sock.sendall(data)
         chunks = []
         while True:
@@ -85,6 +88,64 @@ def raw_exchange(port: int, data: bytes) -> bytes:
                 break
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def read_message(stream) -> tuple:
+    """Read one HTTP message off a buffered socket reader: ``(head, body)``,
+    the body framed by ``Content-Length`` (none without it)."""
+    lines = []
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        lines.append(line)
+    head = b"".join(lines)
+    length = 0
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return head, stream.read(length)
+
+
+@contextlib.contextmanager
+def scripted_server(replies):
+    """A listener that reads one request per connection, answers the i-th
+    request it reads with the raw bytes ``replies[i]`` (nothing once the
+    script runs out, or for ``None``) and closes that connection.
+
+    Yields ``(port, requests)``: every request read, head and body, in order.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    requests: list = []
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            conn.settimeout(10)
+            with conn, conn.makefile("rb") as stream:
+                head, body = read_message(stream)
+                if not head:
+                    continue
+                requests.append(head + body)
+                reply = replies[len(requests) - 1] if len(requests) <= len(replies) else None
+                if reply:
+                    conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], requests
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
 
 
 def response_status(blob: bytes) -> int:
@@ -232,11 +293,35 @@ class TestWireProtocol:
 
     def test_keep_alive_serves_many_requests_on_one_connection(self, wire):
         _, client = wire
+        connections = client.metrics()["connections_total"]
         first = client.health()
         second = client.epoch()
         third = client.health()
         assert first["status"] == "ok" and third["status"] == "ok"
         assert second["version"] == first["version"]
+        # A client that reconnected per request would have grown the count.
+        assert client.metrics()["connections_total"] == connections
+
+    def test_http10_request_closes_after_its_response(self, wire):
+        # RFC 9112 §9.3: no "Connection: keep-alive", so the server closes;
+        # the read reaches EOF long before the 30 s idle deadline.
+        server, _ = wire
+        blob = raw_exchange(server.port, b"GET /health HTTP/1.0\r\n\r\n", timeout=5.0)
+        assert response_status(blob) == 200
+        assert b"Connection: close" in blob
+        assert response_json(blob)["status"] == "ok"
+
+    def test_http10_keep_alive_request_is_answered_twice_on_one_socket(self, wire):
+        server, _ = wire
+        request = b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock, \
+                sock.makefile("rb") as stream:
+            for _ in range(2):
+                sock.sendall(request)
+                head, body = read_message(stream)
+                assert head.startswith(b"HTTP/1.1 200 ")
+                assert b"Connection: keep-alive" in head
+                assert json.loads(body)["status"] == "ok"
 
 
 # --------------------------------------------------------------------------- #
@@ -370,6 +455,7 @@ class TestReadEndpoints:
         assert health_stats["latency"]["count"] >= 1
         assert health_stats["statuses"].get("200", 0) >= 1
         assert metrics["gauges"]["queue_bound"] == 64
+        assert metrics["connections_total"] >= 1
 
 
 # --------------------------------------------------------------------------- #
@@ -698,17 +784,128 @@ class TestClient:
             second = client.health()  # must transparently reconnect
             assert second["version"] == first["version"]
 
+    def test_idle_deadline_moves_with_each_request(self, scenario, monkeypatch):
+        # Against a 0.5 s idle deadline: requests 0.1 s apart, and one read
+        # that takes 0.8 s to answer, all share one connection; only a 1.2 s
+        # silence closes it.
+        slow = SparsifierSnapshot.effective_resistance
+
+        def slower(self, u, v, *, on="sparsifier"):
+            time.sleep(0.8)
+            return slow(self, u, v, on=on)
+
+        with running_server(fresh_service(scenario),
+                            keep_alive_timeout=0.5) as (_, client):
+            for _ in range(8):
+                client.health()
+                time.sleep(0.1)
+            monkeypatch.setattr(SparsifierSnapshot, "effective_resistance", slower)
+            client.resistance(0, 1)
+            monkeypatch.undo()
+            assert client.metrics()["connections_total"] == 1
+            time.sleep(1.2)
+            client.health()  # the server closed the idle socket: reconnects
+            assert client.metrics()["connections_total"] == 2
+
     def test_failed_retry_leaves_client_reusable(self):
         # Against a dead port every attempt must surface a clean, retryable
-        # OSError — a half-sent HTTPConnection left behind by the reconnect
-        # path would wedge the next call in http.client.CannotSendRequest.
+        # OSError and leave no socket behind for the next call to trip on.
         client = connect(port=1, timeout=2.0)
         for _ in range(2):
             with pytest.raises(OSError):
                 client.health()
+            assert client._conn is None
 
     def test_context_manager_closes(self, scenario):
         with running_server(fresh_service(scenario)) as (server, _):
             with connect(port=server.port) as client:
                 assert client.health()["status"] == "ok"
             assert client._conn is None
+
+    def test_post_leaves_in_one_sendall(self, scenario, monkeypatch):
+        with running_server(fresh_service(scenario)) as (server, client):
+            client.health()  # connected before counting
+            calls = []
+
+            def spy(name):
+                original = getattr(socket.socket, name)
+
+                def send(sock, data, *args):
+                    if sock.family == socket.AF_INET and sock.getpeername()[1] == server.port:
+                        calls.append((name, bytes(data)))
+                    return original(sock, data, *args)
+                return send
+
+            for name in ("send", "sendall"):
+                monkeypatch.setattr(socket.socket, name, spy(name))
+            answer = client.resistance(0, 7)
+            monkeypatch.undo()
+        assert answer["resistance"] > 0.0
+        assert [name for name, _ in calls] == ["sendall"]
+        head, _, body = calls[0][1].partition(b"\r\n\r\n")
+        assert head.startswith(b"POST /resistance HTTP/1.1\r\n")
+        assert json.loads(body) == {"u": 0, "v": 7, "on": "sparsifier"}
+
+    def test_response_cut_off_mid_body_raises_and_next_call_reconnects(self):
+        cut = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"version": 1, "resist'
+        body = json.dumps({"version": 1, "resistance": 0.5}).encode()
+        whole = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        with scripted_server([cut, whole]) as (port, requests):
+            with connect(port=port, timeout=10) as client:
+                with pytest.raises((OSError, HTTPException)):
+                    client.resistance(0, 1)
+                assert client._conn is None
+                assert client.resistance(0, 1) == {"version": 1, "resistance": 0.5}
+        assert len(requests) == 2
+
+    def test_connection_close_answer_drops_the_socket(self):
+        reply = b'HTTP/1.1 200 OK\r\nContent-Length: 16\r\nConnection: close\r\n\r\n{"status": "ok"}'
+        with scripted_server([reply]) as (port, _):
+            with connect(port=port, timeout=10) as client:
+                assert client.health() == {"status": "ok"}
+                assert client._conn is None
+
+    def test_unanswered_post_is_sent_once(self):
+        # The listener reads the write and closes without answering: the
+        # server may have applied it, so the client must not send it again.
+        with scripted_server([None]) as (port, requests):
+            with connect(port=port, timeout=10) as client:
+                with pytest.raises((OSError, HTTPException)):
+                    client.update(insertions=[(0, 1, 1.0)])
+        assert len(requests) == 1
+        assert requests[0].startswith(b"POST /update HTTP/1.1\r\n")
+
+    @pytest.mark.parametrize("blob, expected", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}tail", (200, b"{}", True)),
+        (b"HTTP/1.1 400 Bad Request\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+         (400, b"{}", False)),
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}", (200, b"{}", False)),
+        (b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\nContent-Length: 2\r\n\r\n{}",
+         (200, b"{}", True)),
+        (b"HTTP/1.1 200 OK\r\n\r\n{} to the close", (200, b"{} to the close", False)),
+        (b"", RemoteDisconnected),
+        (b"HTTP/1.1 OK\r\n\r\n", HTTPException),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}", HTTPException),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}", HTTPException),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", HTTPException),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}", HTTPException),
+    ], ids=["keep-alive", "close", "http10", "http10-keep-alive", "to-close", "eof",
+            "bad-status", "conflicting-length", "signed-length", "cut-head", "cut-body"])
+    def test_response_framing_follows_rfc9112(self, blob, expected):
+        reader = io.BytesIO(blob)
+        if isinstance(expected, tuple):
+            assert _read_response(reader) == expected
+        else:
+            with pytest.raises(expected):
+                _read_response(reader)
+
+    def test_large_edges_body_decodes_intact(self):
+        payload = {"version": 3, "on": "graph", "num_nodes": 20001,
+                   "edges": [[i, i + 1, 1.0 + i / 7.0] for i in range(20000)]}
+        body = json.dumps(payload).encode()
+        assert len(body) > 300_000
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        with scripted_server([reply]) as (port, requests):
+            with connect(port=port, timeout=10) as client:
+                assert client.edges(on="graph") == payload
+        assert requests[0].startswith(b"GET /edges?on=graph HTTP/1.1\r\n")
