@@ -9,17 +9,17 @@ Architecture — one event loop, two disciplines:
   as it makes it, and the current-epoch handout reads that reference without
   a lock.  So ``POST /resistance`` for one pair at the current epoch answers
   directly on the loop when the published snapshot already holds its solver:
-  one solve, no worker-thread round trip.  Every other read runs on a worker
-  thread (:func:`asyncio.to_thread`) under the request timeout: a
-  single-pair read that must build the solver (each epoch's first), pair
-  lists (their cost grows with their length), versioned reads, ``/solve``,
-  ``/report``, ``/edges``, ``/epoch`` and ``/metrics``.  A versioned
-  handout, ``retained_versions`` and ``write_stats`` take the service lock,
-  which the writer holds for the whole duration of a driver update: taking
-  it on the loop would stall every connection — including ``/health`` and
-  the ``/epoch`` polls that 202 answers direct clients to — for as long as
-  one write runs.  ``/health`` answers on the loop from lock-free fields, so
-  liveness probes stay cheap under any load.
+  one solve, no worker-thread round trip.  ``/health``, ``/epoch`` and
+  ``/metrics`` answer on the loop too, from fields the writer replaces
+  whole (``retained_versions``, ``write_stats``), so liveness probes and the
+  ``/epoch`` polls that 202 answers direct clients to stay cheap under any
+  load.  Every other read runs on a worker thread (:func:`asyncio.to_thread`)
+  under the request timeout: a single-pair read that must build the solver
+  (each epoch's first), pair lists (their cost grows with their length),
+  versioned reads, ``/solve``, ``/report`` and ``/edges``.  A versioned
+  handout takes the service lock, which the writer holds for the whole
+  duration of a driver update: taking it on the loop would stall every
+  connection for as long as one write runs.
 
 * **writes funnel through one bounded ingest queue.**  ``POST /update``
   (every mutation: deletions, weight changes and insertions in one
@@ -32,6 +32,10 @@ Architecture — one event loop, two disciplines:
   backpressure instead of unbounded buffering; a write that is queued but
   not applied within the request timeout is answered ``202`` (it *will*
   apply, in order — the connection just stops waiting).
+
+:func:`serve`, which owns its process, fixes glibc's malloc policy before it
+serves (:data:`MALLOC_MMAP_THRESHOLD` and the two after it);
+:meth:`SparsifierHTTPServer.start` leaves the process's allocator alone.
 
 Connections are kept alive (HTTP/1.0 ones only on request).  Each holds one
 idle deadline: ``keep_alive_timeout`` seconds from the end of its last
@@ -51,7 +55,9 @@ last applied epoch.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -66,6 +72,7 @@ from repro.server.http import (
 )
 from repro.server.metrics import ServerMetrics
 from repro.service import SparsifierService
+from repro.spectral.solvers import free_orphaned_factors
 from repro.streams.edge_stream import MixedBatch
 from repro.utils.logging import get_logger
 
@@ -74,6 +81,71 @@ logger = get_logger("server")
 Handler = Callable[[HttpRequest], Awaitable[Tuple[int, dict, Optional[Dict[str, str]]]]]
 
 _STOP = object()
+
+# glibc's malloc policy, fixed by serve() for its process (mallopt(3)).  By
+# default a freed mmap'd block raises glibc's mmap threshold to its size (up
+# to 32 MiB).  Each SuperLU factor holds a 7-12 MB reserve, mostly never
+# touched, so after the first one is freed, mid-size blocks such as an
+# epoch's n x k correction columns (up to 830 KB) land in the main heap and
+# fragment it: an in-process serve-mixed replay ended with 16.9 MB of its
+# 53.9 MB heap free but held.  Chosen by perfbench serve-mixed runs (2-CPU
+# x86_64, glibc 2.36, 3 runs each, set through MALLOC_* variables): a fixed
+# 128 KiB threshold alone read about 109 MB peak RSS but read_p50_ms 16-21%
+# slower; 2 MiB with a 32 MiB trim threshold 142 MB, above the default's
+# 133 MB; 256 KiB with a 32 MiB trim 113 MB, and with one arena 108.6 MB,
+# with no timing change.
+#: Blocks of this size or more get their own mapping, unmapped when freed;
+#: a fixed value switches glibc's sliding threshold off.
+MALLOC_MMAP_THRESHOLD = 256 * 1024
+#: Free space at the heap top kept instead of handed back to the OS and
+#: faulted in again on the next request.
+MALLOC_TRIM_THRESHOLD = 32 * 1024 * 1024
+#: One heap for every thread, instead of one per thread that allocates.
+MALLOC_ARENA_MAX = 1
+#: The mallopt(3) parameter numbers of glibc's <malloc.h>.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+
+
+def _glibc_mallopt() -> Optional[Callable[[int, int], int]]:
+    """glibc's ``mallopt``, or ``None`` when the C library is another."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # defined by glibc alone
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no dlopen(NULL)
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _pin_malloc_policy() -> str:
+    """Fix this process's malloc policy; ``"pinned"``, or ``"default"`` when
+    the C library is not glibc, which leaves everything as it was."""
+    mallopt = _glibc_mallopt()
+    if mallopt is None:
+        logger.info("malloc policy: default (the C library is not glibc)")
+        return "default"
+    for name, param, value in (("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD),
+                               ("M_TRIM_THRESHOLD", _M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD),
+                               ("M_ARENA_MAX", _M_ARENA_MAX, MALLOC_ARENA_MAX)):
+        if mallopt(param, value) != 1:
+            raise RuntimeError(f"mallopt({name}, {value}) failed")
+    logger.info("malloc policy: pinned (mmap threshold %d, trim threshold %d, %d arena)",
+                MALLOC_MMAP_THRESHOLD, MALLOC_TRIM_THRESHOLD, MALLOC_ARENA_MAX)
+    return "pinned"
+
+
+def _peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size in MB (``ru_maxrss``), or
+    ``None`` where there is no ``getrusage`` (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # In bytes on macOS, in KiB on Linux and the BSDs.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 @dataclass
@@ -260,6 +332,8 @@ class SparsifierHTTPServer:
         self._config = config if config is not None else ServerConfig()
         self.metrics = ServerMetrics()
         self.port: Optional[int] = None
+        #: ``"pinned"`` once :func:`serve` has fixed the process's malloc policy.
+        self.malloc_policy = "default"
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -401,6 +475,10 @@ class SparsifierHTTPServer:
                 else:
                     if future is not None and not future.done():
                         future.set_result(result)
+                # A write drops the factors of the epochs it evicts on its
+                # worker thread; those made on the loop's thread (by a setup
+                # that ran where serve() runs) wait for it to drop them.
+                free_orphaned_factors()
             finally:
                 self._queue.task_done()
 
@@ -441,7 +519,8 @@ class SparsifierHTTPServer:
                 keep_alive = request.keep_alive and not self._draining
                 writer.write(encode_response(status, payload,
                                              extra_headers=headers,
-                                             keep_alive=keep_alive))
+                                             keep_alive=keep_alive,
+                                             include_body=request.method != "HEAD"))
                 await writer.drain()
                 if not keep_alive:
                     break
@@ -463,9 +542,11 @@ class SparsifierHTTPServer:
             self.metrics.observe(label, status, 0.0)
             return status, payload, None
         handler = methods.get(request.method)
+        if handler is None and request.method == "HEAD":
+            handler = methods.get("GET")  # answered as GET is, without the body
         label = f"{request.method} {request.path}"
         if handler is None:
-            allowed = ", ".join(sorted(methods))
+            allowed = ", ".join(sorted({*methods, "HEAD"} if "GET" in methods else methods))
             status, payload = error_payload(
                 405, f"{request.method} not allowed on {request.path} (allowed: {allowed})")
             self.metrics.observe(label, status, 0.0)
@@ -587,15 +668,12 @@ class SparsifierHTTPServer:
                      "draining": self._draining}, None
 
     async def _handle_epoch(self, request: HttpRequest):
-        # retained_versions/write_stats take the service lock — off the loop,
-        # or a long driver update would stall the very endpoint 202 answers
-        # tell clients to poll.
-        def read() -> dict:
-            return {"version": self._service.latest_version,
-                    "retained_versions": self._service.retained_versions,
-                    "applied_batches": self._service.applied_batches,
-                    "write_stats": self._service.write_stats}
-        return await self._run_query(read)
+        # Lock-free fields, answered on the loop: a long driver update must
+        # not stall the very endpoint 202 answers tell clients to poll.
+        return 200, {"version": self._service.latest_version,
+                     "retained_versions": self._service.retained_versions,
+                     "applied_batches": self._service.applied_batches,
+                     "write_stats": self._service.write_stats}, None
 
     async def _handle_report(self, request: HttpRequest):
         full = request.query.get("full") in ("1", "true", "yes")
@@ -623,19 +701,19 @@ class SparsifierHTTPServer:
         return await self._run_query(read)
 
     async def _handle_metrics(self, request: HttpRequest):
+        # Lock-free fields and bounded work, answered on the loop as /epoch is.
         assert self._queue is not None
-        queue_depth, queue_bound = self._queue.qsize(), self._config.queue_bound
-
-        def read() -> dict:
-            return self.metrics.snapshot(
-                queue_depth=queue_depth,
-                queue_bound=queue_bound,
-                version=self._service.latest_version,
-                applied_batches=self._service.applied_batches,
-                retained_snapshots=len(self._service.retained_versions),
-                write_stats=self._service.write_stats,
-            )
-        return await self._run_query(read)
+        return 200, self.metrics.snapshot(
+            queue_depth=self._queue.qsize(),
+            queue_bound=self._config.queue_bound,
+            threads=threading.active_count(),
+            peak_rss_mb=_peak_rss_mb(),
+            malloc_policy=self.malloc_policy,
+            version=self._service.latest_version,
+            applied_batches=self._service.applied_batches,
+            retained_snapshots=len(self._service.retained_versions),
+            write_stats=self._service.write_stats,
+        ), None
 
     async def _handle_resistance(self, request: HttpRequest):
         payload = request.json()
@@ -730,7 +808,9 @@ def serve(service: SparsifierService,
           config: Optional[ServerConfig] = None) -> SparsifierHTTPServer:
     """Serve ``service`` over HTTP until SIGINT/SIGTERM — the blocking facade.
 
-    Installs signal handlers for a graceful exit (drain + checkpoint), runs
+    It owns the process: it fixes glibc's malloc policy (a no-op under
+    another C library, reported as ``malloc_policy`` in ``/metrics``),
+    installs signal handlers for a graceful exit (drain + checkpoint), runs
     the server on the calling thread, and returns the (stopped) server so
     callers can inspect final metrics.
     """
@@ -738,6 +818,7 @@ def serve(service: SparsifierService,
     import signal
 
     server = SparsifierHTTPServer(service, config)
+    server.malloc_policy = _pin_malloc_policy()
 
     def _graceful(signum, frame):  # pragma: no cover - signal delivery
         logger.info("signal %s: shutting down gracefully", signum)

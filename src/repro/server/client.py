@@ -10,8 +10,8 @@ The client frames HTTP/1.1 itself (RFC 9112), for the subset the server
 speaks: each request — request line, headers and body — leaves in one
 ``sendall``, and each response is read off a buffered reader, its body
 length taken from ``Content-Length`` (§6.3; without one, the body runs to
-the connection's close) and its persistence from the status line's version
-and ``Connection`` (§9.3).
+the connection's close; an answer to ``HEAD`` has none) and its persistence
+from the status line's version and ``Connection`` (§9.3).
 
 Error contract: a transport failure raises :class:`OSError` (a refused,
 reset or timed-out socket; :class:`http.client.RemoteDisconnected` when
@@ -47,13 +47,14 @@ _MAX_HEADERS = 100
 _UNSAFE_IN_REQUEST_LINE = re.compile(r"[\x00-\x20\x7f]")
 
 
-def _read_response(reader: BinaryIO) -> Tuple[int, bytes, bool]:
+def _read_response(reader: BinaryIO, *, to_head: bool = False) -> Tuple[int, bytes, bool]:
     """Read one response; returns ``(status, body, keep_alive)``.
 
     The body is ``Content-Length`` bytes, or runs to the connection's close
-    when the head gives no length.  Raises :class:`RemoteDisconnected` on
-    EOF before a status line, and another :class:`HTTPException` on a
-    malformed head or a response cut short.
+    when the head gives no length; an answer to ``HEAD`` (``to_head``) has
+    none, whatever its head says.  Raises :class:`RemoteDisconnected` on EOF
+    before a status line, and another :class:`HTTPException` on a malformed
+    head or a response cut short.
     """
     line = reader.readline(_MAX_LINE + 1)
     if not line:
@@ -86,6 +87,8 @@ def _read_response(reader: BinaryIO) -> Tuple[int, bytes, bool]:
             connection += "," + value
     else:
         raise HTTPException(f"got more than {_MAX_HEADERS} headers")
+    if to_head:
+        return status, b"", keeps_alive(version, connection)
     if length is None:
         return status, reader.read(), False
     body = reader.read(length)
@@ -171,7 +174,8 @@ class SparsifierClient:
         if _UNSAFE_IN_REQUEST_LINE.search(method) or _UNSAFE_IN_REQUEST_LINE.search(path):
             raise InvalidURL(f"method or target holds a control character or space: "
                              f"{method!r} {path!r}")
-        idempotent = method.upper() in ("GET", "HEAD")
+        to_head = method.upper() == "HEAD"
+        idempotent = to_head or method.upper() == "GET"
         body = json.dumps(payload).encode("utf-8") if payload is not None else b""
         head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
         if body:
@@ -185,7 +189,7 @@ class SparsifierClient:
                 sock, reader = self._connection()
                 sock.sendall(message)
                 sent = True
-                status, raw, keep_alive = _read_response(reader)
+                status, raw, keep_alive = _read_response(reader, to_head=to_head)
                 break
             except (OSError, HTTPException) as exc:
                 # Always drop the socket: whatever it still holds belongs to

@@ -177,8 +177,12 @@ async def read_request(reader: asyncio.StreamReader, *,
 
 def encode_response(status: int, payload: Optional[dict] = None, *,
                     extra_headers: Optional[Dict[str, str]] = None,
-                    keep_alive: bool = True) -> bytes:
-    """Encode one JSON response (status line + headers + body) as bytes."""
+                    keep_alive: bool = True, include_body: bool = True) -> bytes:
+    """Encode one JSON response (status line + headers + body) as bytes.
+
+    Without ``include_body`` (the answer to ``HEAD``) the head is the same,
+    ``Content-Length`` included, and no body follows (RFC 9110 §9.3.2).
+    """
     body = b""
     if payload is not None:
         body = json.dumps(payload).encode("utf-8")
@@ -189,7 +193,7 @@ def encode_response(status: int, payload: Optional[dict] = None, *,
              f"Connection: {'keep-alive' if keep_alive else 'close'}"]
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body if include_body else b"")
 
 
 def error_payload(status: int, message: str) -> Tuple[int, dict]:

@@ -15,10 +15,11 @@ any embedding application) drives:
   lock it already holds.  The current-epoch handout reads that published
   reference and takes no lock, so a reader never waits for a batch in
   flight: it gets the last published epoch.  Every query (resistance
-  lookups, PCG solves, κ) then runs against the immutable snapshot.  Two
-  calls still take the write lock and so wait for a write in flight: a
-  versioned handout (``snapshot(version)``) and the retention and
-  accounting properties (:attr:`retained_versions`, :attr:`write_stats`).
+  lookups, PCG solves, κ) then runs against the immutable snapshot.  The
+  retention and accounting properties (:attr:`retained_versions`,
+  :attr:`write_stats`) read values the writer replaces whole, also without
+  the lock.  A versioned handout (``snapshot(version)``) alone takes the
+  write lock, and so waits for a write in flight.
 
 Published snapshots are retained in a bounded LRU (``max_snapshots``): the
 most recent epochs the writer made, read or not, plus any older one a
@@ -50,7 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import InGrassConfig
 from repro.core.incremental import InGrassSparsifier, MixedUpdateResult, UpdateBatch
@@ -88,10 +89,13 @@ class SparsifierService:
         #: The current epoch's snapshot; the writer replaces it under the
         #: lock, readers read the reference without it.
         self._published: Optional[SparsifierSnapshot] = None
+        #: The retained versions in LRU order, replaced as the snapshot is.
+        self._retained: Tuple[int, ...] = ()
         self._applied_batches = 0
         # Per-operation write accounting, surfaced by the HTTP front end's
-        # /metrics endpoint: {kind: [count, seconds]}.
-        self._write_stats: dict = {}
+        # /metrics endpoint: {kind: (count, seconds)}, replaced, never
+        # mutated, so that readers take no lock.
+        self._write_stats: Dict[str, Tuple[int, float]] = {}
         self._lineages = fresh_lineages()
         if self._driver.latest_version:  # already set up, e.g. restored
             self._publish()
@@ -123,9 +127,8 @@ class SparsifierService:
     @property
     def retained_versions(self) -> List[int]:
         """Versions with a retained snapshot, least recently published or
-        handed out by version first; takes the write lock."""
-        with self._lock:
-            return list(self._snapshots.keys())
+        handed out by version first; never waits for a write in flight."""
+        return list(self._retained)
 
     @property
     def write_stats(self) -> dict:
@@ -133,16 +136,15 @@ class SparsifierService:
 
         Covers every write routed through this service (``update`` /
         ``refresh`` / ``checkpoint``) — the numbers behind the HTTP
-        ``/metrics`` endpoint's writer gauges.
+        ``/metrics`` endpoint's writer gauges.  Never waits for a write in
+        flight.
         """
-        with self._lock:
-            return {kind: {"count": count, "seconds": seconds}
-                    for kind, (count, seconds) in sorted(self._write_stats.items())}
+        return {kind: {"count": count, "seconds": seconds}
+                for kind, (count, seconds) in sorted(self._write_stats.items())}
 
     def _record_write(self, kind: str, seconds: float) -> None:
-        entry = self._write_stats.setdefault(kind, [0, 0.0])
-        entry[0] += 1
-        entry[1] += seconds
+        count, total = self._write_stats.get(kind, (0, 0.0))
+        self._write_stats = {**self._write_stats, kind: (count + 1, total + seconds)}
 
     def _publish(self) -> None:
         """Advance the lineages to the driver's epoch and publish its snapshot.
@@ -158,6 +160,7 @@ class SparsifierService:
         self._snapshots[snap.version] = snap
         while len(self._snapshots) > self._max_snapshots:
             self._snapshots.popitem(last=False)
+        self._retained = tuple(self._snapshots)
         self._published = snap
 
     # ------------------------------------------------------------------ #
@@ -247,6 +250,7 @@ class SparsifierService:
                     f"(retained: {list(self._snapshots.keys())})"
                 )
             self._snapshots.move_to_end(version)
+            self._retained = tuple(self._snapshots)
             return snap
 
     def describe(self) -> dict:

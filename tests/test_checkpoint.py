@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -247,6 +248,13 @@ class TestFormat:
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):
                 load_checkpoint(path)
+
+    def test_readme_states_the_current_format_version(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        stated = re.findall(r"CHECKPOINT_FORMAT_VERSION = (\d+)", readme)
+        assert stated and all(int(v) == CHECKPOINT_FORMAT_VERSION for v in stated)
+        # Its list of rejected formats starts at the one before.
+        assert re.search(rf"Format\s+{CHECKPOINT_FORMAT_VERSION - 1} \(", readme)
 
     def test_manifest_is_deterministic(self, scenario, tmp_path):
         """Same state → byte-identical manifest (no timestamps, sorted keys)."""

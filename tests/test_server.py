@@ -13,10 +13,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import platform
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.client import HTTPException, RemoteDisconnected
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +39,8 @@ from repro.api import (
     is_checkpoint,
 )
 from repro.graphs.validation import removals_keep_connected
-from repro.server.app import batch_from_payload
+from repro.server import app
+from repro.server.app import batch_from_payload, serve
 from repro.server.client import _read_response
 from repro.server.http import ProtocolError
 from repro.snapshot import SparsifierSnapshot
@@ -90,9 +96,10 @@ def raw_exchange(port: int, data: bytes, *, timeout: float = 10.0) -> bytes:
     return b"".join(chunks)
 
 
-def read_message(stream) -> tuple:
+def read_message(stream, *, to_head: bool = False) -> tuple:
     """Read one HTTP message off a buffered socket reader: ``(head, body)``,
-    the body framed by ``Content-Length`` (none without it)."""
+    the body framed by ``Content-Length`` (none without it, nor after a
+    ``HEAD`` request: ``to_head``)."""
     lines = []
     while True:
         line = stream.readline()
@@ -105,7 +112,11 @@ def read_message(stream) -> tuple:
         name, _, value = line.partition(b":")
         if name.strip().lower() == b"content-length":
             length = int(value)
-    return head, stream.read(length)
+    return head, b"" if to_head else stream.read(length)
+
+
+def content_length(head: bytes) -> int:
+    return int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
 
 
 @contextlib.contextmanager
@@ -311,6 +322,27 @@ class TestWireProtocol:
         assert b"Connection: close" in blob
         assert response_json(blob)["status"] == "ok"
 
+    def test_head_answers_without_a_body_and_keeps_the_connection(self, wire):
+        # RFC 9110 §9.3.2: HEAD answers what GET would, with no body; on a
+        # route without GET, 405 (also bodiless).  Either way the next
+        # response on the connection must parse.
+        server, _ = wire
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock, \
+                sock.makefile("rb") as stream:
+            for path, status in ((b"/health", b"200"), (b"/update", b"405")):
+                sock.sendall(b"HEAD " + path + b" HTTP/1.1\r\n\r\n")
+                head, _ = read_message(stream, to_head=True)
+                assert head.startswith(b"HTTP/1.1 " + status + b" ")
+                assert b"Connection: keep-alive" in head
+                sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+                after, body = read_message(stream)
+                assert after.startswith(b"HTTP/1.1 200 ")
+                assert json.loads(body)["status"] == "ok"
+                if status == b"200":
+                    assert content_length(head) == len(body)
+                else:
+                    assert b"Allow: POST\r\n" in head
+
     def test_http10_keep_alive_request_is_answered_twice_on_one_socket(self, wire):
         server, _ = wire
         request = b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
@@ -456,6 +488,10 @@ class TestReadEndpoints:
         assert health_stats["statuses"].get("200", 0) >= 1
         assert metrics["gauges"]["queue_bound"] == 64
         assert metrics["connections_total"] >= 1
+        # start() leaves the process's allocator alone; serve() pins it.
+        assert metrics["gauges"]["malloc_policy"] == "default"
+        assert metrics["gauges"]["threads"] >= 2  # this thread and the loop's
+        assert metrics["gauges"]["peak_rss_mb"] > 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -498,6 +534,19 @@ class TestWritePath:
         assert (service.driver.sparsifier.edge_list()
                 == offline.driver.sparsifier.edge_list())
         assert service.driver.graph.edge_list() == offline.driver.graph.edge_list()
+
+    def test_loop_frees_its_orphaned_factors_after_each_write(self, scenario, monkeypatch):
+        # Under serve() the loop runs on the thread that ran the setup, which
+        # factors no more: only this call frees its factors dropped elsewhere.
+        freed_on: list = []
+        monkeypatch.setattr(app, "free_orphaned_factors",
+                            lambda: freed_on.append(threading.current_thread().name))
+        with running_server(fresh_service(scenario)) as (_, client):
+            for batch in scenario.batches[:2]:
+                post_batch(client, batch)
+            with pytest.raises(ServerRequestError):
+                client.update(insertions=[[0, 10**6, 1.0]])  # rejected: still one call
+        assert freed_on == ["repro-http-server"] * 3
 
     def test_rejected_batch_leaves_no_trace(self, scenario):
         # A batch the driver rejects (here: a valid deletion next to an
@@ -646,6 +695,57 @@ class TestLoopReads:
             after = client.resistance(0, 7)
         assert after["version"] == warm["version"] + 1
 
+    def test_held_write_stalls_neither_epoch_polls_nor_pair_lists(self, scenario, monkeypatch):
+        # /epoch, which 202 answers send clients to poll, and /metrics read
+        # fields the writer replaces whole; a pair list still needs a worker
+        # thread.  None of them may wait for the write holding the lock.
+        service = fresh_service(scenario)
+        entered, release = threading.Event(), threading.Event()
+        apply_batch = service.driver.apply_batch
+
+        def held(batch):
+            entered.set()
+            release.wait(timeout=60.0)
+            return apply_batch(batch)
+
+        monkeypatch.setattr(service.driver, "apply_batch", held)
+        polls: list = []
+
+        def poll(port: int) -> None:
+            with connect(port=port, timeout=5.0) as poller:
+                polls.append(poller.epoch())
+
+        with running_server(service) as (server, client):
+            before = client.epoch()
+            with connect(port=server.port) as write_client, \
+                    connect(port=server.port, timeout=1.0) as quick:
+                writer = threading.Thread(
+                    target=lambda: post_batch(write_client, scenario.batches[0]))
+                writer.start()
+                pollers = [threading.Thread(target=poll, args=(server.port,)) for _ in range(2)]
+                try:
+                    assert entered.wait(timeout=10.0)
+                    for poller in pollers:
+                        poller.start()
+                    for poller in pollers:
+                        poller.join(timeout=5.0)
+                    answered = list(polls)
+                    pairs = quick.resistance_many([(0, 7), (1, 2)])
+                    metrics = quick.metrics()
+                finally:
+                    release.set()
+                    writer.join(timeout=60.0)
+                    for poller in pollers:
+                        poller.join(timeout=10.0)
+            assert not writer.is_alive()
+            after = client.epoch()
+        # Both polls answered while the write was held, with the epoch before it.
+        assert answered == [before, before]
+        assert pairs["version"] == before["version"]
+        assert metrics["gauges"]["version"] == before["version"]
+        assert after["version"] == before["version"] + 1
+        assert after["write_stats"]["update"]["count"] == 1
+
     @pytest.mark.parametrize("on", ["sparsifier", "graph"])
     def test_worker_loop_and_in_process_answers_are_one_float(self, scenario, on):
         service = fresh_service(scenario)
@@ -672,6 +772,108 @@ class TestLoopReads:
             client.resistance(0, 9, version=version)
             metrics = client.metrics()
         assert (metrics["reads_on_loop_total"], metrics["reads_on_worker_total"]) == (2, 3)
+
+
+# --------------------------------------------------------------------------- #
+# Malloc policy
+# --------------------------------------------------------------------------- #
+class _FakeLibc:
+    """A C library whose ``mallopt`` records its calls; glibc when asked."""
+
+    def __init__(self, glibc: bool) -> None:
+        self.calls: list = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+
+
+@contextlib.contextmanager
+def served_by_serve(service, monkeypatch):
+    """:func:`serve` on a background thread (so it installs no signal
+    handler); yields its server once it is bound."""
+    servers: list = []
+    serve_forever = SparsifierHTTPServer.serve_forever
+
+    def recorded(server) -> None:
+        servers.append(server)
+        serve_forever(server)
+
+    monkeypatch.setattr(SparsifierHTTPServer, "serve_forever", recorded)
+    thread = threading.Thread(target=serve, args=(service, ServerConfig(port=0)))
+    thread.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (servers and servers[0].port) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert servers and servers[0].port, "serve() did not bind"
+        yield servers[0]
+    finally:
+        if servers:
+            servers[0].request_shutdown()
+        thread.join(timeout=30.0)
+    assert not thread.is_alive()
+
+
+def free_port() -> int:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestMallocPolicy:
+    """:func:`serve`, which owns its process, alone fixes glibc's malloc
+    policy; :meth:`SparsifierHTTPServer.start` leaves it alone."""
+
+    @pytest.mark.parametrize("glibc, policy", [(True, "pinned"), (False, "default")],
+                             ids=["glibc", "another-libc"])
+    def test_serve_fixes_the_malloc_policy_only_under_glibc(self, scenario, monkeypatch,
+                                                            glibc, policy):
+        libc = _FakeLibc(glibc)
+        monkeypatch.setattr(app.ctypes, "CDLL", lambda name: libc)
+        with served_by_serve(fresh_service(scenario), monkeypatch) as server, \
+                connect(port=server.port) as client:
+            gauges = client.metrics()["gauges"]
+        assert gauges["malloc_policy"] == server.malloc_policy == policy
+        expected = [(-3, app.MALLOC_MMAP_THRESHOLD), (-1, app.MALLOC_TRIM_THRESHOLD),
+                    (-8, app.MALLOC_ARENA_MAX)]
+        assert libc.calls == (expected if glibc else [])
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="serve() fixes glibc's malloc policy alone")
+    def test_repro_serve_pins_glibc(self, tmp_path):
+        port = free_port()
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        with open(tmp_path / "serve.log", "wb") as log:
+            proc = subprocess.Popen([sys.executable, "-m", "repro", "serve", "--port", str(port),
+                                     "--side", "6"], env=env, stdout=log, stderr=log)
+        try:
+            with connect(port=port, timeout=10.0) as client:
+                deadline = time.monotonic() + 60.0
+                while True:
+                    try:
+                        client.health()
+                        break
+                    except OSError:
+                        assert proc.poll() is None, (tmp_path / "serve.log").read_text()
+                        assert time.monotonic() < deadline, "repro serve never came up"
+                        time.sleep(0.1)
+                assert client.metrics()["gauges"]["malloc_policy"] == "pinned"
+                client.update(insertions=[[0, 9, 1.5]])
+                client.resistance(0, 9)
+                gauges = client.metrics()["gauges"]
+                assert gauges["malloc_policy"] == "pinned" and gauges["peak_rss_mb"] > 0.0
+                client.shutdown()
+            assert proc.wait(timeout=30) == 0
+            assert b"malloc policy: pinned" in (tmp_path / "serve.log").read_bytes()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 # --------------------------------------------------------------------------- #
@@ -815,6 +1017,15 @@ class TestClient:
             with pytest.raises(OSError):
                 client.health()
             assert client._conn is None
+
+    def test_head_reads_no_body(self, scenario):
+        # An answer to HEAD carries GET's Content-Length and no body; a
+        # client that read that many bytes would wait out its timeout.
+        with running_server(fresh_service(scenario)) as (_, client):
+            assert client.request("HEAD", "/health") == (200, {})
+            assert client.request("HEAD", "/update") == (405, {})
+            assert client.health()["status"] == "ok"
+            assert client.metrics()["connections_total"] == 1
 
     def test_context_manager_closes(self, scenario):
         with running_server(fresh_service(scenario)) as (server, _):

@@ -147,6 +147,43 @@ class TestServiceBasics:
         assert not writer.is_alive()
         assert service.snapshot().version == before.version + 1
 
+    def test_retention_and_accounting_do_not_wait_for_a_write_in_flight(self, monkeypatch):
+        scenario = _make_scenario()
+        service = _service_for(scenario, max_snapshots=3)
+        for batch in scenario.batches[:2]:
+            service.apply(batch)
+        service.snapshot(1)  # a versioned handout moves its epoch to the LRU's end
+        entered, release = threading.Event(), threading.Event()
+        apply_batch = service.driver.apply_batch
+
+        def held(batch):
+            entered.set()
+            release.wait(timeout=60.0)
+            return apply_batch(batch)
+
+        monkeypatch.setattr(service.driver, "apply_batch", held)
+        writer = threading.Thread(target=service.apply, args=(scenario.batches[2],))
+        read: list = []
+        reader = threading.Thread(target=lambda: read.append(
+            (service.retained_versions, service.write_stats)))
+        writer.start()
+        try:
+            assert entered.wait(timeout=10.0)
+            reader.start()
+            reader.join(timeout=10.0)
+            answered = list(read)
+        finally:
+            release.set()
+            writer.join(timeout=60.0)
+            reader.join(timeout=60.0)
+        assert not writer.is_alive()
+        # Answered while the writer held the lock, as of the epoch before it.
+        [(retained, stats)] = answered
+        assert retained == [2, 3, 1]
+        assert stats["update"]["count"] == 2
+        assert service.retained_versions == [3, 1, 4]
+        assert service.write_stats["update"]["count"] == 3
+
     def test_describe_round_trips(self):
         scenario = _make_scenario()
         service = _service_for(scenario)

@@ -3,6 +3,9 @@ and sampled spectral similarity."""
 
 from __future__ import annotations
 
+import ctypes
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.spectral import (
     sample_similarity,
     smallest_nonzero_eigenvalues,
 )
+from repro.spectral.solvers import free_orphaned_factors
 
 
 class TestLaplacianHelpers:
@@ -72,6 +76,60 @@ class TestGroundedSolver:
         solver = GroundedSolver.from_graph(small_grid)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(3))
+
+    def test_factor_dropped_on_another_thread_is_freed_on_its_own(self, allocated):
+        # SciPy frees SuperLU storage only on the thread that factored it: a
+        # solver dropped elsewhere used to leak its factor (20 of them here).
+        laplacian = grid_circuit_2d(40, seed=0).laplacian_matrix()
+        with ThreadPoolExecutor(1) as factoring, ThreadPoolExecutor(1) as dropping:
+            before = allocated()
+            held = [factoring.submit(GroundedSolver, laplacian).result()]
+            one_factor = allocated() - before
+            dropping.submit(held.clear).result()
+            start = allocated()
+            for _ in range(20):
+                held = [factoring.submit(GroundedSolver, laplacian).result()]
+                dropping.submit(held.clear).result()
+            growth = allocated() - start
+        # At most the last factor still waits for its thread.
+        assert one_factor > 1 << 20
+        assert growth < 2 * one_factor
+
+    def test_a_thread_that_factors_no_more_frees_its_orphans_when_asked(self, allocated):
+        laplacian = grid_circuit_2d(40, seed=0).laplacian_matrix()
+        with ThreadPoolExecutor(1) as making, ThreadPoolExecutor(1) as dropping:
+            before = allocated()
+            held = [making.submit(GroundedSolver, laplacian).result() for _ in range(3)]
+            made = allocated() - before
+            dropping.submit(held.clear).result()
+            waiting = allocated() - before
+            making.submit(free_orphaned_factors).result()
+            left = allocated() - before
+        assert made > 3 << 20
+        assert waiting > 0.9 * made  # dropped elsewhere: nothing freed yet
+        assert left < 0.1 * made
+
+
+@pytest.fixture
+def allocated():
+    """glibc's total allocation in bytes (``mallinfo2``: heap in use plus
+    mapped blocks), as a function; skips under another C library."""
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("reads glibc's mallinfo2")
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+
+    libc.mallinfo2.argtypes = ()
+    libc.mallinfo2.restype = MallInfo2
+
+    def total() -> int:
+        info = libc.mallinfo2()
+        return info.uordblks + info.hblkhd
+    return total
 
 
 class TestConjugateGradient:

@@ -322,6 +322,51 @@ class TestCorrectedFactor:
         # Both regimes ran many times (53 factorisations, 947 corrections).
         assert len(factored) >= 40 and corrected >= 800
 
+    def test_endpoint_gathers_match_the_padded_formula_bytewise(self):
+        # The oracle stacks the ground node's zero row on top, as the gathers
+        # once did; signed zeros and ground endpoints must come out the same.
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n, k = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+            p = np.where(rng.random(k) < 0.3, 0, rng.integers(0, n - 1, size=k))
+            q = np.array([int(rng.integers(a + 1, n)) for a in p])
+            columns = rng.standard_normal((n - 1, k))
+            columns[rng.random(columns.shape) < 0.2] = 0.0
+            columns[rng.random(columns.shape) < 0.2] = -0.0
+            y = columns[:, 0].copy()
+            padded = np.vstack([np.zeros((1, k)), columns])
+            assert (solvers._endpoint_difference(columns, p, q).tobytes()
+                    == (padded[p] - padded[q]).tobytes())
+            padded = np.concatenate(([0.0], y))
+            assert (solvers._endpoint_difference(y, p, q).tobytes()
+                    == (padded[p] - padded[q]).tobytes())
+
+    def test_corrections_keep_the_padded_formulas_bytes(self):
+        rng = np.random.default_rng(5)
+        graph = grid_circuit_2d(8, seed=3)
+        lineage = solvers.SolverLineage()
+        lineage.solver(graph)
+        checked = 0
+        for _ in range(200):
+            random_mixed_batch(graph, rng)
+            keys, weights = lineage._keys, lineage._weights
+            solver = lineage.solver(graph)
+            if not isinstance(solver, CorrectedSolver):
+                continue
+            p, q, delta = solvers._edge_delta(keys, weights, graph.edge_arrays(),
+                                              graph.num_nodes)
+            padded = np.vstack([np.zeros((1, p.size)), solver._columns])
+            capacitance = np.diag(1.0 / delta) + (padded[p] - padded[q])
+            assert solver._capacitance_inverse.tobytes() == np.linalg.inv(capacitance).tobytes()
+            b = rng.standard_normal(graph.num_nodes - 1)
+            y = solver._base.solve_reduced(b)
+            padded = np.concatenate(([0.0], y))
+            expected = y - solver._columns @ (solver._capacitance_inverse
+                                              @ (padded[p] - padded[q]))
+            assert solver.solve_reduced(b).tobytes() == expected.tobytes()
+            checked += 1
+        assert checked >= 150
+
     def test_ill_conditioned_capacitance_falls_back_to_a_factorisation(self, monkeypatch):
         graph = grid_circuit_2d(8, seed=3)
         factors = _Counter(GroundedSolver.from_graph)
