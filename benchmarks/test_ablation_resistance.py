@@ -1,11 +1,11 @@
 """Ablation bench: resistance-embedding method used by the setup phase.
 
-DESIGN.md calls out the choice between the paper's solver-free Krylov
-surrogate (equation (3)), the Johnson–Lindenstrauss embedding built from
-``O(log N)`` Laplacian solves, and exact per-pair solves.  This bench times
-the three constructions and reports how well each ranks the sparsifier's edge
-resistances (rank correlation against exact values), which is the property
-the LRD decomposition and the distortion estimates rely on.
+``LRDConfig.resistance_method`` chooses between the paper's solver-free
+Krylov surrogate (equation (3)) and the Johnson–Lindenstrauss embedding built
+from ``O(log N)`` Laplacian solves.  This bench builds both and checks how
+well each ranks the sparsifier's edge resistances (rank correlation against
+exact per-pair solves), which is the property the LRD decomposition and the
+distortion estimates rely on.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def batch_setup(request):
                                         tree_method="shortest_path", seed=0))
     sparsifier = grass.sparsify(primary_graph, evaluate_condition=False).sparsifier
     hierarchy = run_setup(sparsifier.copy(), CONFIG).hierarchy
-    level = hierarchy.filtering_level_for_condition(TARGET_CONDITION, CONFIG.filtering_size_divisor)
+    level = hierarchy.filtering_level_for_condition(TARGET_CONDITION)
     return primary_graph, sparsifier, hierarchy, level
 
 

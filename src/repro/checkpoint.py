@@ -9,9 +9,8 @@ A checkpoint is a *directory* holding two files:
     epoch, the driver's filtering level (fixed at its last setup, so a
     restore keeps it rather than re-deriving it from the maintained
     hierarchy), the per-iteration history, the hierarchy's version
-    counters, the maintainer's lifetime counters (``extra``, from
-    ``_checkpoint_runtime_state``), per array its dtype, shape and sha256,
-    and the name of the arrays file.
+    counters, the maintainer's lifetime counters, per array its dtype, shape
+    and sha256, and the name of the arrays file.
 
 ``arrays-<digest>.npz``
     Every array: tracked graph and sparsifier edge lists (**in edge
@@ -45,10 +44,14 @@ just before the swap can find its arrays file gone (step 4) and gets a
 
 The format is self-describing and strict: ``format_version`` is checked on
 load and a mismatch raises — a stale reader never silently misinterprets a
-newer layout, and an older one (format 7 carried the hierarchy-mode and
-re-setup-threshold configuration fields, the hierarchy's removal counter and
-inflation ceiling, the re-setup time and three maintainer sub-timers, which
-left with the inflate-and-rebuild hierarchy mode; format 6 carried the
+newer layout, and an older one (format 8 carried the
+``filtering_size_divisor``, ``initial_diameter`` and ``growth_factor``
+configuration fields, now the paper's fixed constants, and the maintainer's
+counters inside a generic ``extra`` record; format 7 carried the
+hierarchy-mode and re-setup-threshold configuration fields, the hierarchy's
+removal counter and inflation ceiling, the re-setup time and three
+maintainer sub-timers, which left with the inflate-and-rebuild hierarchy
+mode; format 6 carried the
 ``InGrassConfig.target_condition_number`` field and the maintainer's pending
 splice neighbourhood, which no longer exist; format 5 carried
 ``InGrassConfig.filtering_level``; format 4 overwrote one ``arrays.npz`` in
@@ -76,6 +79,7 @@ import numpy as np
 from repro.core.config import InGrassConfig, LRDConfig
 from repro.core.hierarchy import ClusterHierarchy
 from repro.core.incremental import InGrassSparsifier, IterationRecord
+from repro.core.maintenance import MaintenanceStats
 from repro.core.setup import SetupResult
 from repro.graphs.graph import Graph
 from repro.utils.logging import get_logger
@@ -83,7 +87,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("checkpoint")
 
 #: Bump on any layout change; readers reject versions they do not know.
-CHECKPOINT_FORMAT_VERSION = 8
+CHECKPOINT_FORMAT_VERSION = 9
 
 _MANIFEST = "manifest.json"
 _ARRAYS_PREFIX = "arrays-"
@@ -114,7 +118,9 @@ def _load_arrays(path: PathLike, manifest: dict) -> Dict[str, np.ndarray]:
     """Every array of the checkpoint, each verified against its manifest record."""
     name = os.path.basename(str(manifest.get("arrays_file", "")))
     try:
-        with np.load(os.path.join(path, name)) as data:
+        # np.load keeps a file it opened itself open when the zip inside is
+        # unreadable, so the file is opened (and closed) here.
+        with open(os.path.join(path, name), "rb") as handle, np.load(handle) as data:
             arrays = {key: data[key] for key in data.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise ValueError(f"checkpoint at {path}: arrays file {name!r} is unreadable ({exc})") from exc
@@ -193,7 +199,7 @@ def save_checkpoint(driver: InGrassSparsifier, path: PathLike) -> None:
             "labels_version": hierarchy_state["labels_version"],
             "level_labels_versions": hierarchy_state["level_labels_versions"],
         },
-        "extra": driver._checkpoint_runtime_state(),
+        "maintainer_stats": asdict(driver.maintenance_stats),
         "arrays": records,
         "arrays_file": arrays_file,
     }
@@ -269,9 +275,8 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     The restored driver continues byte-identically to the saved one: graphs
     adopt the saved edge arrays in order as their slots, the hierarchy
     is rebuilt from its level arrays with every version counter restored,
-    the similarity filter is rebuilt at the saved filtering level, and the
-    ``extra`` state (maintainer counters) lands through
-    ``_restore_runtime_state``.  No LRD re-run.
+    the similarity filter is rebuilt at the saved filtering level and the
+    maintainer gets its saved counters back.  No LRD re-run.
     """
     manifest = _read_manifest(path)
     config = _config_from_manifest(manifest)
@@ -303,8 +308,7 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     driver._total_update_seconds = float(manifest["total_update_seconds"])
     driver._full_resetups = int(manifest["full_resetups"])
     driver._version = int(manifest["version"])
-
-    driver._restore_runtime_state(manifest.get("extra", {}))
+    driver.maintainer.stats = MaintenanceStats(**manifest["maintainer_stats"])
     logger.info(
         "checkpoint restored from %s (version epoch %d, %d sparsifier edges)",
         path, driver._version, sparsifier.num_edges,

@@ -14,17 +14,13 @@ from repro.utils.validation import check_positive, check_positive_int
 class LRDConfig:
     """Parameters of the multilevel low-resistance-diameter decomposition.
 
+    The threshold schedule is the paper's and is not configurable: level 0
+    contracts up to the median edge resistance of the initial sparsifier
+    (roughly half of the edges, as the paper's Figure 2 sketches) and every
+    further level doubles it, giving the ``O(log N)`` level count.
+
     Attributes
     ----------
-    initial_diameter:
-        Resistance-diameter threshold of the first level.  ``None`` picks the
-        median edge resistance of the initial sparsifier, which contracts
-        roughly half of the edges at level 0 — the behaviour the paper's
-        Figure 2 sketches.
-    growth_factor:
-        Multiplicative growth of the diameter threshold per level; the paper
-        doubles it (clusters roughly double in radius each level), giving the
-        ``O(log N)`` level count.
     resistance_method:
         How edge effective resistances of the (contracted) sparsifier are
         estimated at every level: ``"jl"`` (accurate, solver-based),
@@ -34,17 +30,10 @@ class LRDConfig:
         Seed for the stochastic pieces (random probes, tie-breaking).
     """
 
-    initial_diameter: Optional[float] = None
-    growth_factor: float = 2.0
     resistance_method: str = "jl"
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
-        if self.initial_diameter is not None:
-            check_positive(self.initial_diameter, "initial_diameter")
-        check_positive(self.growth_factor, "growth_factor")
-        if self.growth_factor <= 1.0:
-            raise ValueError(f"growth_factor must exceed 1, got {self.growth_factor}")
         if self.resistance_method not in ("jl", "krylov", "exact"):
             raise ValueError(f"unknown resistance_method {self.resistance_method!r}")
 
@@ -56,18 +45,13 @@ class InGrassConfig:
     The target κ(L_G, L_H), which picks the similarity filtering level and
     scales the κ guard's bound, is an argument of
     :meth:`InGrassSparsifier.setup` (by default the κ measured on the initial
-    sparsifier).
+    sparsifier).  The filtering level is the paper's: the coarsest level
+    whose largest cluster holds at most half the target κ in nodes.
 
     Attributes
     ----------
     lrd:
         LRD decomposition parameters for the setup phase.
-    filtering_size_divisor:
-        The filtering level is the coarsest level whose largest cluster holds
-        at most ``target_condition_number / filtering_size_divisor`` nodes.
-        The paper uses 2; larger values pick a finer level, which admits more
-        edges but tracks the target condition number more tightly (see the
-        filtering-level ablation bench).
     distortion_threshold:
         New edges whose estimated spectral distortion falls below this value
         are dropped outright (they cannot meaningfully improve κ).  Expressed
@@ -85,14 +69,12 @@ class InGrassConfig:
     """
 
     lrd: LRDConfig = field(default_factory=LRDConfig)
-    filtering_size_divisor: float = 2.0
     distortion_threshold: float = 0.0
     kappa_guard_factor: Optional[float] = None
     kappa_guard_dense_limit: int = DENSE_LIMIT_DEFAULT
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
-        check_positive(self.filtering_size_divisor, "filtering_size_divisor")
         if self.distortion_threshold < 0:
             raise ValueError("distortion_threshold must be non-negative")
         if self.kappa_guard_factor is not None:

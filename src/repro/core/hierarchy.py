@@ -419,8 +419,7 @@ class ClusterHierarchy:
     # ------------------------------------------------------------------ #
     # Filtering-level selection (Section III-C-2)
     # ------------------------------------------------------------------ #
-    def filtering_level_for_condition(self, target_condition_number: float,
-                                      size_divisor: float = 2.0) -> int:
+    def filtering_level_for_condition(self, target_condition_number: float) -> int:
         """Pick the filtering level for a target condition number ``C``.
 
         The paper selects the level whose largest cluster holds at most
@@ -428,13 +427,10 @@ class ClusterHierarchy:
         one is used (coarser levels filter more aggressively while still
         keeping the intra-cluster distortion below the target).  When even the
         finest level violates the bound, the finest level is returned.
-        ``size_divisor`` generalises the ``2`` for the ablation study.
         """
         if target_condition_number <= 0:
             raise ValueError("target_condition_number must be positive")
-        if size_divisor <= 0:
-            raise ValueError("size_divisor must be positive")
-        limit = target_condition_number / size_divisor
+        limit = target_condition_number / 2.0
         chosen = 0
         for index, level in enumerate(self._levels):
             if level.max_cluster_size() <= limit:

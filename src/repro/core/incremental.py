@@ -39,7 +39,7 @@ Typical usage::
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import InGrassConfig
@@ -279,22 +279,6 @@ class InGrassSparsifier:
 
         return load_checkpoint(path)
 
-    def _checkpoint_runtime_state(self) -> dict:
-        """Checkpoint extras (JSON-able): the maintainer's lifetime counters,
-        the driver's only runtime state beyond the core arrays.  The
-        similarity filter is deliberately *not* serialised — its
-        cluster-pair map is a pure function of (sparsifier edges, hierarchy
-        labels) and is rebuilt decision-identically on first use after
-        restore.
-        """
-        assert self._maintainer is not None
-        return {"maintainer_stats": asdict(self._maintainer.stats)}
-
-    def _restore_runtime_state(self, extra: dict) -> None:
-        """Inverse of :meth:`_checkpoint_runtime_state` on a rebuilt driver."""
-        assert self._maintainer is not None
-        self._maintainer.stats = MaintenanceStats(**extra["maintainer_stats"])
-
     @property
     def maintainer(self) -> HierarchyMaintainer:
         """The hierarchy maintainer bound to the current setup."""
@@ -328,8 +312,7 @@ class InGrassSparsifier:
 
     def _level_for_target(self) -> int:
         assert self._setup is not None and self._target_condition is not None
-        return self._setup.hierarchy.filtering_level_for_condition(
-            self._target_condition, self.config.filtering_size_divisor)
+        return self._setup.hierarchy.filtering_level_for_condition(self._target_condition)
 
     # ------------------------------------------------------------------ #
     # Setup

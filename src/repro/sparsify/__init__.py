@@ -15,12 +15,9 @@ from repro.sparsify.random_baseline import (
     random_sparsify,
 )
 from repro.sparsify.spanning_tree import (
-    edge_stretches,
-    low_stretch_spanning_tree,
     maximum_weight_spanning_tree,
     off_tree_edges,
     shortest_path_tree,
-    total_stretch,
 )
 
 __all__ = [
@@ -37,9 +34,6 @@ __all__ = [
     "relative_density",
     "offtree_density",
     "maximum_weight_spanning_tree",
-    "low_stretch_spanning_tree",
     "shortest_path_tree",
-    "edge_stretches",
-    "total_stretch",
     "off_tree_edges",
 ]

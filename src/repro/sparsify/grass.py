@@ -3,8 +3,8 @@
 The paper benchmarks against GRASS [Feng, TCAD 2020], a spectral-perturbation
 sparsifier whose published recipe is:
 
-1. extract a spanning-tree backbone of the input graph (a low-stretch or
-   maximum-weight spanning tree);
+1. extract a spanning-tree backbone of the input graph (a maximum-weight or
+   shortest-path spanning tree);
 2. rank the off-tree edges by their **spectral distortion** — the product of
    the edge weight and the effective resistance between its endpoints in the
    current sparsifier;
@@ -29,12 +29,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.validation import validate_sparsifier_support
 from repro.spectral.condition import DENSE_LIMIT_DEFAULT, relative_condition_number
 from repro.spectral.effective_resistance import make_resistance_calculator
-from repro.sparsify.spanning_tree import (
-    low_stretch_spanning_tree,
-    maximum_weight_spanning_tree,
-    off_tree_edges,
-    shortest_path_tree,
-)
+from repro.sparsify.spanning_tree import maximum_weight_spanning_tree, off_tree_edges, shortest_path_tree
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 from repro.utils.validation import check_positive, check_positive_int
@@ -56,10 +51,10 @@ class GrassConfig:
     Attributes
     ----------
     tree_method:
-        Backbone spanning tree: ``"max_weight"`` (default, best for weighted
-        circuit graphs), ``"low_stretch"`` (ball-growing LSST heuristic) or
-        ``"shortest_path"`` (resistance-metric Dijkstra tree from a central
-        node — the best backbone for unit-weight meshes).
+        Backbone spanning tree, one of two: ``"max_weight"`` (default, best
+        for weighted circuit graphs) or ``"shortest_path"``
+        (resistance-metric Dijkstra tree from a central node — the best
+        backbone for unit-weight meshes).
     target_condition_number:
         Stop recovering edges once κ(L_G, L_H) drops below this value.
         ``None`` disables the condition-number stopping rule (edge budget
@@ -85,7 +80,7 @@ class GrassConfig:
     condition_dense_limit:
         Forwarded to the condition-number estimator.
     seed:
-        Seed for the stochastic pieces (Krylov start vector, LSST).
+        Seed for the stochastic resistance estimates.
     """
 
     tree_method: str = "max_weight"
@@ -99,7 +94,7 @@ class GrassConfig:
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
-        if self.tree_method not in ("max_weight", "low_stretch", "shortest_path"):
+        if self.tree_method not in ("max_weight", "shortest_path"):
             raise ValueError(f"unknown tree_method {self.tree_method!r}")
         if self.target_condition_number is not None:
             check_positive(self.target_condition_number, "target_condition_number")
@@ -140,8 +135,6 @@ class GrassSparsifier:
 
     # ------------------------------------------------------------------ #
     def _spanning_tree(self, graph: Graph) -> Graph:
-        if self.config.tree_method == "low_stretch":
-            return low_stretch_spanning_tree(graph, seed=self.config.seed)
         if self.config.tree_method == "shortest_path":
             # Root at the node of largest weighted degree (an electrically
             # central node), which keeps the tree radius small.
@@ -262,22 +255,18 @@ class GrassSparsifier:
         """
         check_positive(target_condition_number, "target_condition_number")
         check_positive(max_density, "max_density")
-        original_config = self.config
         # Small recovery batches (a few percent of |V| per round) with the
         # distortion ranking recomputed on the growing sparsifier: each round
         # costs one condition-number evaluation, and the final density lands
         # within one batch of the minimum needed for the target.
         batch_edges = max(8, int(round(0.025 * graph.num_nodes)))
         total_candidates = max(graph.num_edges - (graph.num_nodes - 1), 1)
-        try:
-            self.config = replace(
-                original_config,
-                target_condition_number=target_condition_number,
-                target_relative_density=max_density,
-                target_offtree_density=None,
-                recovery_batch_fraction=min(1.0, batch_edges / total_candidates),
-                max_rounds=200,
-            )
-            return self.sparsify(graph, evaluate_condition=True)
-        finally:
-            self.config = original_config
+        config = replace(
+            self.config,
+            target_condition_number=target_condition_number,
+            target_relative_density=max_density,
+            target_offtree_density=None,
+            recovery_batch_fraction=min(1.0, batch_edges / total_candidates),
+            max_rounds=200,
+        )
+        return GrassSparsifier(config).sparsify(graph, evaluate_condition=True)

@@ -14,7 +14,6 @@ from repro.spectral.effective_resistance import (
     JLResistanceCalculator,
     effective_resistance,
     make_resistance_calculator,
-    tree_path_resistances,
 )
 from repro.spectral.eigen import (
     dense_laplacian_spectrum,
@@ -51,7 +50,6 @@ __all__ = [
     "JLResistanceCalculator",
     "make_resistance_calculator",
     "effective_resistance",
-    "tree_path_resistances",
     "KrylovBasis",
     "build_krylov_basis",
     "default_krylov_order",

@@ -15,7 +15,7 @@ uses (equation (3) of the paper).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -201,55 +201,3 @@ def make_resistance_calculator(graph: Graph, method: str = "jl", *, seed: SeedLi
 def effective_resistance(graph: Graph, p: int, q: int) -> float:
     """One-shot exact effective resistance (convenience wrapper)."""
     return ExactResistanceCalculator(graph).resistance(p, q)
-
-
-def tree_path_resistances(tree: Graph, pairs: Iterable[NodePair]) -> np.ndarray:
-    """Resistance of tree paths: sum of ``1/w`` along the unique tree path.
-
-    For a spanning tree the effective resistance between two nodes equals the
-    series resistance of the unique path connecting them; this is the quantity
-    GRASS-style methods use to rank off-tree edges (the "stretch").  The
-    implementation roots the tree once and answers pair queries through
-    lowest-common-ancestor style prefix sums.
-    """
-    n = tree.num_nodes
-    if n == 0:
-        return np.zeros(0)
-    # Root the tree at node 0 with a BFS, recording parent and prefix resistance.
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    prefix = np.zeros(n, dtype=float)
-    visited = np.zeros(n, dtype=bool)
-    from collections import deque
-
-    queue = deque([0])
-    visited[0] = True
-    order: List[int] = []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for neighbor, weight in tree.neighbors(node).items():
-            if not visited[neighbor]:
-                visited[neighbor] = True
-                parent[neighbor] = node
-                depth[neighbor] = depth[node] + 1
-                prefix[neighbor] = prefix[node] + 1.0 / weight
-                queue.append(neighbor)
-    if not visited.all():
-        raise ValueError("tree_path_resistances requires a connected (spanning) tree")
-
-    def lca_resistance(p: int, q: int) -> float:
-        # Walk the deeper node up until depths match, then walk both up.
-        resistance = 0.0
-        a, b = p, q
-        while depth[a] > depth[b]:
-            a = parent[a]
-        while depth[b] > depth[a]:
-            b = parent[b]
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-        ancestor = a
-        return prefix[p] + prefix[q] - 2.0 * prefix[ancestor]
-
-    return np.array([0.0 if p == q else lca_resistance(int(p), int(q)) for p, q in pairs], dtype=float)

@@ -81,7 +81,7 @@ def stage_engine():
     sparsifier, its hierarchy, a config and a target κ."""
 
     def build(sparsifier, hierarchy, config, target):
-        level = hierarchy.filtering_level_for_condition(target, config.filtering_size_divisor)
+        level = hierarchy.filtering_level_for_condition(target)
         maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
         return SimilarityFilter(sparsifier, hierarchy, level), maintainer
 

@@ -82,7 +82,7 @@ def _run_both(graph, sparsifier, stream, *, target=64.0, **config_kwargs):
     def run():
         working = sparsifier.copy()
         hierarchy = run_setup(working, config).hierarchy
-        level = hierarchy.filtering_level_for_condition(target, config.filtering_size_divisor)
+        level = hierarchy.filtering_level_for_condition(target)
         result = run_update(working, stream, config,
                             similarity_filter=SimilarityFilter(working, hierarchy, level),
                             maintainer=HierarchyMaintainer(hierarchy, working, lrd_config=config.lrd))

@@ -11,12 +11,14 @@ thread, on a worker thread or in a spawned interpreter.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from repro.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.core import InGrassConfig, LRDConfig
+from repro.core import InGrassConfig, LRDConfig, MaintenanceStats
 from repro.core.incremental import InGrassSparsifier
 from repro.graphs.generators import grid_circuit_2d
 from repro.service import SparsifierService
@@ -230,24 +232,34 @@ class TestFormat:
         _, path = saved
         manifest_path = Path(path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # A newer layout, and the older formats 1 to 7 (format 7 carried the
+        # A newer layout, and the older formats 1 to 8 (format 8 carried the
+        # filtering divisor and the LRD schedule's two fields, now constants,
+        # and the maintainer's counters under "extra"; format 7 carried the
         # two configuration fields and the two hierarchy counters of the
         # inflate-and-rebuild mode, format 6
         # InGrassConfig.target_condition_number and format 5
         # InGrassConfig.filtering_level, all as below; format 4 overwrote its
         # arrays in place; 1 to 3 carried other fields this reader no longer
         # knows).
+        manifest["config"]["filtering_size_divisor"] = 2.0
+        manifest["config"]["lrd"].update(initial_diameter=None, growth_factor=2.0)
+        manifest["extra"] = {"maintainer_stats": manifest.pop("maintainer_stats")}
         manifest["config"]["hierarchy_mode"] = "maintain"
         manifest["config"]["resetup_after_removals"] = None
         manifest["hierarchy"]["noted_removals"] = 0
         manifest["hierarchy"]["inflation_ceiling"] = None
         manifest["config"]["target_condition_number"] = None
         manifest["config"]["filtering_level"] = manifest["filtering_level"]
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 8, 7, 6, 5, 4, 3, 2, 1):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(ValueError, match="format"):
                 load_checkpoint(path)
+
+    def test_maintainer_counters_survive_a_restore(self, saved):
+        driver, path = saved
+        assert driver.maintenance_stats != MaintenanceStats()
+        assert load_checkpoint(path).maintenance_stats == driver.maintenance_stats
 
     def test_readme_states_the_current_format_version(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -376,6 +388,21 @@ class TestCrashSafety:
             handle.truncate(100)
         with pytest.raises(ValueError, match=f"checkpoint at {path}: arrays file .+ is unreadable"):
             load_checkpoint(path)
+
+    def test_an_unreadable_arrays_file_is_closed(self, scenario, tmp_path):
+        """A failed load leaves no file open: np.load keeps a file it opened
+        itself open when the zip inside is unreadable."""
+        save_checkpoint(start_driver(scenario, make_config()), tmp_path)
+        (arrays_file,) = [name for name in os.listdir(tmp_path) if name.startswith("arrays-")]
+        with open(tmp_path / arrays_file, "r+b") as handle:
+            handle.truncate(100)  # still starts with the zip signature
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match="is unreadable"):
+                load_checkpoint(tmp_path)
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # --------------------------------------------------------------------------- #

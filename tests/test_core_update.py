@@ -265,9 +265,9 @@ class TestInGrassSparsifier:
     def test_filtering_level_follows_target(self, medium_grid):
         """The driver fixes the level the hierarchy picks for the target κ at
         setup, and every batch filters at it."""
-        ingrass = InGrassSparsifier(InGrassConfig(filtering_size_divisor=4.0, seed=0))
+        ingrass = InGrassSparsifier(InGrassConfig(seed=0))
         ingrass.setup(medium_grid, initial_offtree_density=0.1, target_condition_number=10.0)
-        level = ingrass.setup_result.hierarchy.filtering_level_for_condition(10.0, 4.0)
+        level = ingrass.setup_result.hierarchy.filtering_level_for_condition(10.0)
         assert ingrass.filtering_level == level
         result = ingrass.apply_batch(random_pair_edges(medium_grid, 10, seed=3))
         assert result.insertion.filtering_level == level
@@ -277,7 +277,7 @@ class TestInGrassSparsifier:
         with pytest.raises(ValueError):
             InGrassConfig(distortion_threshold=-0.5)
         with pytest.raises(ValueError):
-            InGrassConfig(filtering_size_divisor=0.0)
+            InGrassConfig(kappa_guard_factor=0.5)
 
 
 class TestPaperFigure3Walkthrough:

@@ -101,11 +101,7 @@ class TestLRDDecomposition:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            LRDConfig(growth_factor=1.0)
-        with pytest.raises(ValueError):
             LRDConfig(resistance_method="bogus")
-        with pytest.raises(ValueError):
-            LRDConfig(initial_diameter=-1.0)
 
 
 class TestClusterHierarchy:
@@ -149,13 +145,6 @@ class TestClusterHierarchy:
         assert hierarchy.filtering_level_for_condition(1.0) == 0
         with pytest.raises(ValueError):
             hierarchy.filtering_level_for_condition(-1.0)
-        with pytest.raises(ValueError):
-            hierarchy.filtering_level_for_condition(4.0, size_divisor=0.0)
-
-    def test_size_divisor_changes_level(self):
-        hierarchy = self._toy_hierarchy()
-        assert hierarchy.filtering_level_for_condition(20.0, size_divisor=2.0) == 1
-        assert hierarchy.filtering_level_for_condition(20.0, size_divisor=8.0) == 0
 
     def test_summary(self):
         rows = self._toy_hierarchy().summary()

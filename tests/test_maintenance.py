@@ -33,8 +33,23 @@ from repro.streams import (
 )
 
 
+EXACT_LRD = LRDConfig(resistance_method="exact", seed=0)
+
+
 def _exact_setup(sparsifier: Graph):
-    return run_setup(sparsifier, InGrassConfig(lrd=LRDConfig(resistance_method="exact", seed=0)))
+    return run_setup(sparsifier, InGrassConfig(lrd=EXACT_LRD))
+
+
+def _two_clique_hierarchy() -> ClusterHierarchy:
+    """Level 0 holds the 2-cliques {0, 1} and {2, 3} of the path
+    0 -10- 1 -0.001- 2 -10- 3 under a 0.5 threshold (each clique's diameter
+    is its edge's resistance, about 0.1); level 1 holds all four nodes."""
+    return ClusterHierarchy([
+        LRDLevel(labels=np.array([0, 0, 1, 1]), cluster_diameters=np.array([0.1, 0.1]),
+                 diameter_threshold=0.5),
+        LRDLevel(labels=np.zeros(4, dtype=np.int64), cluster_diameters=np.array([1000.2]),
+                 diameter_threshold=1024.0),
+    ])
 
 
 class TestHierarchyMutationAPI:
@@ -158,18 +173,18 @@ class TestHierarchyMaintainer:
         assert maintainer.stats.diameter_recomputes >= 1
 
     def test_split_when_cluster_disconnects(self):
-        # Two triangles joined by a single bridge-ish edge; decompose with a
-        # huge threshold so everything lands in one level-0 cluster, then cut
-        # the bridge: the cluster must split into the two triangles.
+        # Two triangles joined by a single bridge-ish edge, all in one
+        # level-0 cluster under a huge threshold (11/3 bounds its resistance
+        # diameter); cutting the bridge must split the cluster into the two
+        # triangles.
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 1.0)]
         sparsifier = Graph(6, edges)
-        config = InGrassConfig(lrd=LRDConfig(resistance_method="exact",
-                                             initial_diameter=100.0, seed=0))
-        setup = run_setup(sparsifier, config)
-        hierarchy = setup.hierarchy
+        hierarchy = ClusterHierarchy([LRDLevel(labels=np.zeros(6, dtype=np.int64),
+                                               cluster_diameters=np.array([11.0 / 3.0]),
+                                               diameter_threshold=100.0)])
         assert hierarchy.first_common_level(0, 5) == 0
-        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
+        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=EXACT_LRD)
         weight = sparsifier.remove_edge(2, 3)
         report = maintainer.note_removals(
             [(2, 3, weight)], similarity_filter=SimilarityFilter(sparsifier, hierarchy, 0))
@@ -216,12 +231,9 @@ class TestHierarchyMaintainer:
         # Two 2-cliques at level 0; adding a heavy edge between them lets the
         # maintainer fuse the clusters (merged diameter fits the threshold).
         sparsifier = Graph(4, [(0, 1, 10.0), (2, 3, 10.0), (1, 2, 0.001)])
-        config = InGrassConfig(lrd=LRDConfig(resistance_method="exact",
-                                             initial_diameter=0.5, seed=0))
-        setup = run_setup(sparsifier, config)
-        hierarchy = setup.hierarchy
+        hierarchy = _two_clique_hierarchy()
         assert hierarchy.cluster_of(1, 0) != hierarchy.cluster_of(2, 0)
-        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
+        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=EXACT_LRD)
         sparsifier.add_edge(1, 2, 100.0, merge="add")
         merges = maintainer.note_insertions(
             [(1, 2, 100.0)], similarity_filter=SimilarityFilter(sparsifier, hierarchy, 0))
@@ -232,11 +244,8 @@ class TestHierarchyMaintainer:
         # The joining edge is too weak: merged diameter exceeds the level
         # threshold, so the clusters stay apart.
         sparsifier = Graph(4, [(0, 1, 10.0), (2, 3, 10.0), (1, 2, 0.001)])
-        config = InGrassConfig(lrd=LRDConfig(resistance_method="exact",
-                                             initial_diameter=0.5, seed=0))
-        setup = run_setup(sparsifier, config)
-        hierarchy = setup.hierarchy
-        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=config.lrd)
+        hierarchy = _two_clique_hierarchy()
+        maintainer = HierarchyMaintainer(hierarchy, sparsifier, lrd_config=EXACT_LRD)
         merges = maintainer.note_insertions(
             [(1, 2, 0.001)], similarity_filter=SimilarityFilter(sparsifier, hierarchy, 0))
         assert merges == 0

@@ -340,7 +340,7 @@ class TestFilteringLevelPinning:
         # to it rather than to the replaced one.
         hierarchy = driver.setup_result.hierarchy
         assert driver.filtering_level == hierarchy.filtering_level_for_condition(
-            driver.target_condition_number, driver.config.filtering_size_divisor)
+            driver.target_condition_number)
         assert driver._filter is not first_filter
         assert driver.maintainer is not first_maintainer
         assert driver.maintainer.hierarchy is hierarchy

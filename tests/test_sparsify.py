@@ -3,7 +3,6 @@ quality metrics."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +13,12 @@ from repro.sparsify import (
     GrassSparsifier,
     RandomIncrementalUpdater,
     RandomSparsifier,
-    edge_stretches,
     evaluate_sparsifier,
-    low_stretch_spanning_tree,
     maximum_weight_spanning_tree,
     off_tree_edges,
     offtree_density,
     relative_density,
     shortest_path_tree,
-    total_stretch,
 )
 from repro.spectral import relative_condition_number
 
@@ -30,7 +26,6 @@ from repro.spectral import relative_condition_number
 class TestSpanningTrees:
     @pytest.mark.parametrize("builder", [
         maximum_weight_spanning_tree,
-        lambda g: low_stretch_spanning_tree(g, seed=0),
         lambda g: shortest_path_tree(g, root=0),
         lambda g: shortest_path_tree(g, root=0, metric="unit"),
     ])
@@ -50,25 +45,6 @@ class TestSpanningTrees:
         assert tree.has_edge(0, 1) and tree.has_edge(1, 2)
         assert not tree.has_edge(0, 2)
 
-    def test_stretch_of_tree_edges_is_one(self, small_grid):
-        tree = maximum_weight_spanning_tree(small_grid)
-        stretches = edge_stretches(small_grid, tree)
-        us, vs, _ = small_grid.edge_arrays()
-        for index, (u, v) in enumerate(zip(us, vs)):
-            if tree.has_edge(int(u), int(v)):
-                assert stretches[index] == pytest.approx(1.0, rel=1e-6)
-
-    def test_stretches_positive(self, small_grid):
-        tree = maximum_weight_spanning_tree(small_grid)
-        stretches = edge_stretches(small_grid, tree)
-        assert stretches.shape == (small_grid.num_edges,)
-        assert np.all(stretches > 0.0)
-
-    def test_total_stretch_counts_tree_edges(self, small_grid):
-        # Tree edges each contribute exactly 1 to the total stretch.
-        tree = low_stretch_spanning_tree(small_grid, seed=1)
-        assert total_stretch(small_grid, tree) >= tree.num_edges - 1e-6
-
     def test_off_tree_edges_partition(self, small_grid):
         tree = maximum_weight_spanning_tree(small_grid)
         off = off_tree_edges(small_grid, tree)
@@ -82,7 +58,7 @@ class TestSpanningTrees:
 
     def test_empty_graph_trees(self):
         assert maximum_weight_spanning_tree(Graph(0)).num_nodes == 0
-        assert low_stretch_spanning_tree(Graph(3)).num_edges == 0
+        assert maximum_weight_spanning_tree(Graph(3)).num_edges == 0
 
 
 class TestGrass:
@@ -129,14 +105,15 @@ class TestGrass:
         assert relative_condition_number(medium_grid, grass) <= relative_condition_number(medium_grid, random_h)
 
     def test_tree_methods_all_work(self, small_grid):
-        for method in ("max_weight", "low_stretch", "shortest_path"):
+        for method in ("max_weight", "shortest_path"):
             result = GrassSparsifier(GrassConfig(tree_method=method, seed=0)).sparsify(
                 small_grid, evaluate_condition=False)
             assert is_connected(result.sparsifier)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            GrassConfig(tree_method="bogus")
+        for method in ("bogus", "low_stretch"):
+            with pytest.raises(ValueError):
+                GrassConfig(tree_method=method)
         with pytest.raises(ValueError):
             GrassConfig(target_condition_number=-1.0)
         with pytest.raises(ValueError):

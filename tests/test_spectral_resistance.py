@@ -1,4 +1,4 @@
-"""Tests for effective-resistance computation (exact, JL, Krylov, tree paths)."""
+"""Tests for effective-resistance computation (exact, JL, Krylov)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.spectral import (
     JLResistanceCalculator,
     effective_resistance,
     make_resistance_calculator,
-    tree_path_resistances,
 )
 
 
@@ -124,29 +123,6 @@ class TestFactoryAndHelpers:
         assert isinstance(make_resistance_calculator(small_grid, "krylov", seed=0), ApproxResistanceCalculator)
         with pytest.raises(ValueError):
             make_resistance_calculator(small_grid, "bogus")
-
-
-class TestTreePathResistance:
-    def test_path_graph(self):
-        tree = path_graph(5, weight=2.0)
-        resistances = tree_path_resistances(tree, [(0, 4), (1, 3), (2, 2)])
-        assert resistances[0] == pytest.approx(4 * 0.5)
-        assert resistances[1] == pytest.approx(2 * 0.5)
-        assert resistances[2] == 0.0
-
-    def test_matches_exact_on_tree(self, small_grid):
-        from repro.sparsify import maximum_weight_spanning_tree
-
-        tree = maximum_weight_spanning_tree(small_grid)
-        pairs = [(0, 10), (3, 40), (7, 55)]
-        via_paths = tree_path_resistances(tree, pairs)
-        exact = ExactResistanceCalculator(tree).resistances(pairs)
-        assert np.allclose(via_paths, exact, rtol=1e-6, atol=1e-8)
-
-    def test_requires_spanning_tree(self):
-        disconnected = Graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ValueError):
-            tree_path_resistances(disconnected, [(0, 3)])
 
 
 class TestResistanceProperties:
